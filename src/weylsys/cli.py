@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import ast
 import cmath
+import dataclasses
 import json
 import math
 import re
@@ -22,33 +23,20 @@ from pathlib import Path
 
 import numpy as np
 
-from . import mfunc as _mfunc
-from . import sectorial as _sectorial
 from .errors import PoleError, WeylsysError
-from .forms import TestFunction, evaluate_form, form_inner, generate_test_functions, sharpness_search
-from .lsystem import (
-    duality_check,
-    impedance,
-    lsystem_to_dict,
-    make_lsystem,
-    transfer,
-    transfer_from_impedance,
-    impedance_from_transfer,
-    xi_parameter,
-)
+from .lsystem import impedance, lsystem_to_dict, make_lsystem
 from .mfunc import (
+    NAMED_GRIDS,
     MFunctionEvaluator,
     SolverSettings,
-    _alpha_data,
-    _check_alpha,
-    m_infinity_info,
+    check_alpha,
+    m_alpha_info,
     m_infinity_limit_at_zero,
-    safe_div,
 )
 from .potentials import Potential, load_potential_file
 from .reporting import Check, CheckReport, format_csv, json_ready
 from .sectorial import (
-    SampledFunction,
+    DEFAULT_KERNEL_SEED,
     accretivity_and_sectoriality,
     classify_s_beta12,
     herglotz_test,
@@ -56,8 +44,8 @@ from .sectorial import (
     sector_angle_from_gap,
     sector_angle_from_product,
     stieltjes_test,
-    verify_example_suite,
 )
+from .suites import SUITES
 
 __all__ = ["main", "UsageError"]
 
@@ -192,7 +180,7 @@ def load_config(path: str) -> dict[str, str]:
     return out
 
 
-_SETTINGS_KEYS = set(SolverSettings._FLOAT_KEYS) | {"extrapolation_points"}
+_SETTINGS_KEYS = {f.name for f in dataclasses.fields(SolverSettings)}
 
 
 def build_settings(config: dict[str, str], tol: float | None) -> SolverSettings:
@@ -208,6 +196,25 @@ def build_settings(config: dict[str, str], tol: float | None) -> SolverSettings:
     except WeylsysError as exc:
         raise UsageError(str(exc)) from exc
     return settings
+
+
+def _seed_and_trials(args: argparse.Namespace, config: dict[str, str],
+                     default_seed: int, default_trials: int) -> tuple[int, int]:
+    """--seed and --trials, else the config file's seed and trials, else the defaults."""
+
+    def pick(key: str, default: int) -> int:
+        if getattr(args, key) is not None:
+            return getattr(args, key)
+        raw = config.get(key, default)
+        try:
+            return int(raw)
+        except ValueError:
+            raise UsageError(f"{key} must be an integer, got {raw!r}") from None
+
+    seed, trials = pick("seed", default_seed), pick("trials", default_trials)
+    if trials < 1:
+        raise UsageError("--trials must be >= 1")
+    return seed, trials
 
 
 def parse_potential(text: str, ell: float | None) -> Potential:
@@ -250,16 +257,8 @@ def _parse_axis(segment: str, name: str) -> list[float]:
 
 def parse_grid(text: str) -> list[complex]:
     s = text.strip()
-    if s == "default":
-        return list(_mfunc.DEFAULT_COMPLEX_GRID) + [complex(x) for x in _mfunc.DEFAULT_NEGATIVE_GRID]
-    if s == "complex-default":
-        return list(_mfunc.DEFAULT_COMPLEX_GRID)
-    if s == "negative-default":
-        return [complex(x) for x in _mfunc.DEFAULT_NEGATIVE_GRID]
-    if s == "classify-default":
-        return list(_sectorial.DEFAULT_COMPLEX_GRID) + [
-            complex(x) for x in _sectorial.DEFAULT_NEGATIVE_GRID
-        ]
+    if s in NAMED_GRIDS:
+        return list(NAMED_GRIDS[s])
     res, ims = None, None
     for segment in _split_top_level(s):
         if segment.startswith("re="):
@@ -335,22 +334,14 @@ def cmd_m_eval(args: argparse.Namespace, config: dict[str, str]) -> int:
         raise UsageError("empty grid: provide --z and/or --grid")
 
     try:
-        _check_alpha(alpha)
+        check_alpha(alpha)
         evaluator = MFunctionEvaluator(potential, mode=mode, settings=settings)
     except WeylsysError as exc:
         raise UsageError(str(exc)) from exc
-    sa, ca = _alpha_data(alpha)
     rows = []
     for z in points:
-        info = m_infinity_info(evaluator, z)
-        if sa == 0.0:
-            # the transform is the identity whenever sin(alpha) = 0
-            m_val, bound = info.value, info.error_bound
-        else:
-            den = ca - info.value * sa
-            m_val = safe_div(sa + info.value * ca, den, z=z, what="rotated m-function")
-            bound = info.error_bound / abs(den) ** 2
-        rows.append([z.real, z.imag, m_val.real, m_val.imag, bound])
+        info = m_alpha_info(evaluator, alpha, z)
+        rows.append([z.real, z.imag, info.value.real, info.value.imag, info.error_bound])
 
     columns = ["re_z", "im_z", "re_m", "im_m", "error_bound"]
     if args.format == "csv":
@@ -395,18 +386,16 @@ def cmd_classify(args: argparse.Namespace, config: dict[str, str]) -> int:
     settings = build_settings(config, args.tol)
     mode = _resolve_mode(args.mode or config.get("mode", "auto"), potential)
     mu, h = _parse_system(args)
-    seed = args.seed if args.seed is not None else int(config.get("seed", _sectorial.DEFAULT_KERNEL_SEED))
-    trials = args.trials if args.trials is not None else int(config.get("trials", 100))
+    seed, trials = _seed_and_trials(args, config, DEFAULT_KERNEL_SEED, 100)
 
     try:
         system = make_lsystem(potential, mu=mu, h=h)
         evaluator = MFunctionEvaluator(potential, mode=mode, settings=settings)
     except WeylsysError as exc:
         raise UsageError(str(exc)) from exc
-    imp = SampledFunction(
-        lambda z: impedance(system, z, evaluator),
-        label="impedance",
-    )
+
+    def imp(z):
+        return impedance(system, z, evaluator)
 
     complex_grid = None
     negative_grid = None
@@ -495,113 +484,14 @@ def cmd_classify(args: argparse.Namespace, config: dict[str, str]) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _duality_checks(seed: int, trials: int) -> list[Check]:
-    pot = Potential.bessel()
-    closed = MFunctionEvaluator(pot, mode="closed_form")
-    rng = np.random.default_rng(seed)
-    max_v = max_w = max_invol = 0.0
-    for _ in range(trials):
-        h = complex(rng.uniform(-2.0, 2.0), rng.uniform(0.2, 3.0))
-        mu = float(rng.uniform(-4.0, 4.0))
-        while abs(mu - h.real) < 0.05:
-            mu = float(rng.uniform(-4.0, 4.0))
-        z = complex(rng.uniform(-3.0, 3.0), rng.uniform(0.15, 3.0))
-        system = make_lsystem(pot, mu=mu, h=h)
-        rep = duality_check(system, z, closed)
-        max_v = max(max_v, rep.impedance_residual)
-        max_w = max(max_w, rep.transfer_residual)
-        back = xi_parameter(system.xi, h)
-        max_invol = max(max_invol, abs(back - mu) / max(1.0, abs(mu)))
-    return [
-        Check("duality-impedance-max-residual", max_v <= 1e-10, max_v, 0.0, 1e-10),
-        Check("duality-transfer-max-residual", max_w <= 1e-10, max_w, 0.0, 1e-10),
-        Check("xi-involution-max-rel-err", max_invol <= 1e-12, max_invol, 0.0, 1e-12),
-    ]
-
-
-def _moebius_checks(seed: int, trials: int) -> list[Check]:
-    pot = Potential.bessel()
-    closed = MFunctionEvaluator(pot, mode="closed_form")
-    rng = np.random.default_rng(seed + 1)
-    max_round = 0.0
-    for _ in range(trials):
-        v = complex(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
-        if abs(v - 1j) < 0.1:
-            continue
-        back = impedance_from_transfer(transfer_from_impedance(v))
-        max_round = max(max_round, abs(back - v) / max(1.0, abs(v)))
-    max_link = 0.0
-    for _ in range(trials):
-        h = complex(rng.uniform(-2.0, 2.0), rng.uniform(0.2, 3.0))
-        mu = float(rng.uniform(-4.0, 4.0))
-        if abs(mu - h.real) < 0.05:
-            mu = h.real + 0.5
-        z = complex(rng.uniform(-3.0, 3.0), rng.uniform(0.15, 3.0))
-        system = make_lsystem(pot, mu=mu, h=h)
-        w_direct = transfer(system, z, closed)
-        w_linked = transfer_from_impedance(impedance(system, z, closed))
-        max_link = max(max_link, abs(w_direct - w_linked))
-    return [
-        Check("moebius-roundtrip-max-rel-err", max_round <= 1e-12, max_round, 0.0, 1e-12),
-        Check("transfer-vs-impedance-max-err", max_link <= 1e-10, max_link, 0.0, 1e-10),
-    ]
-
-
-def _forms_checks(seed: int, trials: int) -> list[Check]:
-    funcs = generate_test_functions(trials, seed)
-    min_margin = math.inf
-    max_ratio = -math.inf
-    for y in funcs:
-        rep = evaluate_form(y)
-        if rep.re_form > 0:
-            min_margin = min(min_margin, (rep.re_form - rep.im_form) / rep.re_form)
-        max_ratio = max(max_ratio, rep.ratio)
-    witness = evaluate_form(TestFunction.power())
-    sharp = sharpness_search("power-plus-exp", n=41)
-    decay = sharpness_search("exp-decay", n=21)
-    ident_err = max(
-        abs(form_inner(y, TestFunction.power()) - y.boundary_value())
-        for y in funcs[:5]
-        if y.kind in ("power", "exp_poly", "mix")
-    )
-    return [
-        Check("form-inequality-min-margin", min_margin >= -1e-9, min_margin, ">= 0", 1e-9),
-        Check("form-ratio-never-exceeds-one", max_ratio <= 1.0 + 1e-9, max_ratio, "<= 1", 1e-9),
-        Check("equality-witness-ratio", abs(witness.ratio - 1.0) <= 1e-6, witness.ratio, 1.0, 1e-6),
-        Check(
-            "sharpness-peak-at-zero-perturbation",
-            abs(sharp.best_ratio - 1.0) <= 1e-6 and abs(sharp.best_param) < 5e-3,
-            sharp.best_ratio,
-            1.0,
-            1e-6,
-            witness={"best_param": sharp.best_param, "family": sharp.family},
-        ),
-        Check("exp-decay-family-below-one", decay.best_ratio < 1.0, decay.best_ratio, "< 1", None),
-        Check("boundary-pairing-identity", ident_err <= 1e-8, ident_err, 0.0, 1e-8),
-    ]
-
-
-_SUITES = ("example", "duality", "moebius", "forms", "all")
-
-
 def cmd_verify(args: argparse.Namespace, config: dict[str, str]) -> int:
-    if args.suite not in _SUITES:
-        raise UsageError(f"unknown suite {args.suite!r}; choose from {', '.join(_SUITES)}")
     settings = build_settings(config, args.tol)
-    seed = args.seed if args.seed is not None else int(config.get("seed", 42))
-    trials = args.trials if args.trials is not None else int(config.get("trials", 50))
-    if trials < 1:
-        raise UsageError("--trials must be >= 1")
+    seed, trials = _seed_and_trials(args, config, 42, 50)
 
+    names = SUITES if args.suite == "all" else (args.suite,)
     checks: list[Check] = []
-    if args.suite in ("example", "all"):
-        checks.extend(verify_example_suite(settings).checks)
-    if args.suite in ("duality", "all"):
-        checks.extend(_duality_checks(seed, trials))
-    if args.suite in ("moebius", "all"):
-        checks.extend(_moebius_checks(seed, max(trials, 100)))
-    if args.suite in ("forms", "all"):
-        checks.extend(_forms_checks(seed, max(trials, 100)))
+    for name in names:
+        checks.extend(SUITES[name](settings, seed, trials))
 
     report = CheckReport(
         tuple(checks),
@@ -651,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run the built-in verification suites")
     add_common(p_ver)
-    p_ver.add_argument("--suite", default="all", help="example | duality | moebius | forms | all")
+    p_ver.add_argument("--suite", default="all", choices=(*SUITES, "all"))
     p_ver.add_argument("--trials", type=int, default=None, help="random trials per suite")
 
     return parser

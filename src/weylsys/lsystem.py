@@ -23,7 +23,6 @@ __all__ = [
     "MU_INFINITY",
     "as_extended_real",
     "xi_parameter",
-    "BoundaryVector",
     "LSystem",
     "make_lsystem",
     "impedance",
@@ -93,14 +92,6 @@ def xi_parameter(mu, h: complex) -> float:
 
 
 @dataclass(frozen=True)
-class BoundaryVector:
-    """Coefficients (c0, c1) of the boundary functional c0*y(l) + c1*y'(l)."""
-
-    delta_coeff: float
-    prime_coeff: float
-
-
-@dataclass(frozen=True)
 class LSystem:
     potential: Potential
     ell: float
@@ -108,7 +99,6 @@ class LSystem:
     h: complex
     xi: float
     channel_gain: float
-    boundary_vector: BoundaryVector
 
     @property
     def mu_is_infinite(self) -> bool:
@@ -135,12 +125,7 @@ def make_lsystem(potential: Potential, ell: float | None = None, mu=None, h: com
             f"ell = {ell} disagrees with the potential's boundary point {potential.ell}"
         )
     xi = xi_parameter(mu, h)
-    if math.isinf(mu):
-        gain = 1.0
-        bvec = BoundaryVector(1.0, 0.0)
-    else:
-        gain = math.sqrt(h.imag) / abs(mu - h)
-        bvec = BoundaryVector(mu, 1.0)
+    gain = 1.0 if math.isinf(mu) else math.sqrt(h.imag) / abs(mu - h)
     return LSystem(
         potential=potential,
         ell=float(ell),
@@ -148,7 +133,6 @@ def make_lsystem(potential: Potential, ell: float | None = None, mu=None, h: com
         h=h,
         xi=xi,
         channel_gain=gain,
-        boundary_vector=bvec,
     )
 
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -48,15 +48,13 @@ from .errors import (ConvergenceError, DomainError, ExtrapolationError,
 from .potentials import Potential
 
 __all__ = [
-    "BRANCH_CONVENTION", "SolverSettings", "CauchySolutionPair",
-    "MFunctionEvaluator", "MEvaluation", "sqrt_upper",
-    "bessel_m_closed_form", "free_m_closed_form",
-    "bessel_neg_m_alpha_closed_form", "bessel_w_closed_form",
-    "solve_cauchy", "disk_radius", "m_infinity", "m_infinity_info",
-    "m_alpha", "m_alpha_direct", "m_infinity_limit_at_zero",
+    "BRANCH_CONVENTION", "SolverSettings", "MFunctionEvaluator", "MEvaluation",
+    "sqrt_upper", "bessel_m_closed_form", "free_m_closed_form",
+    "bessel_neg_m_alpha_closed_form", "bessel_w_closed_form", "check_alpha",
+    "m_infinity", "m_infinity_info", "m_alpha", "m_alpha_info",
+    "m_alpha_direct", "m_infinity_limit_at_zero",
     "m_infinity_limit_at_minus_infinity", "limit_at_minus_zero",
-    "limit_at_minus_infinity", "safe_div",
-    "DEFAULT_COMPLEX_GRID", "DEFAULT_NEGATIVE_GRID",
+    "limit_at_minus_infinity", "safe_div", "NAMED_GRIDS",
 ]
 
 BRANCH_CONVENTION = "sqrt(z) with arg(z) in [0, 2*pi): Im sqrt(z) >= 0"
@@ -133,7 +131,8 @@ def _alpha_data(alpha: float) -> tuple[float, float]:
     return math.sin(alpha), math.cos(alpha)
 
 
-def _check_alpha(alpha: float) -> None:
+def check_alpha(alpha: float) -> None:
+    """Raise DomainError unless the boundary angle alpha lies in (0, pi]."""
     if not (0.0 < alpha <= math.pi + 1e-12):
         raise DomainError(f"alpha must lie in (0, pi], got {alpha}")
 
@@ -191,62 +190,12 @@ class SolverSettings:
 _DEFAULT_SETTINGS = SolverSettings()
 
 
-# ---------------------------------------------------------------------------
-# Cauchy problems
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CauchySolutionPair:
-    """Values of (theta_alpha, phi_alpha) and derivatives at the endpoint X."""
-
-    alpha: float
-    z: complex
-    X: float
-    theta_at_X: tuple[complex, complex]
-    phi_at_X: tuple[complex, complex]
-    wronskian_residual: float
-
-
 def _map_ivp_failure(sol) -> None:
     if sol.status == -1:
         msg = sol.message or "integration failed"
         if "step size" in msg.lower():
             raise StiffnessError(msg)
         raise IntegrationError(msg)
-
-
-def solve_cauchy(potential: Potential, alpha: float, z: complex, X: float,
-                 settings: SolverSettings | None = None) -> CauchySolutionPair:
-    """Integrate the fundamental pair from ell to X for spectral parameter z.
-
-    The Wronskian ``theta phi' - theta' phi`` equals -1 at ell and is
-    conserved; ``wronskian_residual`` is its deviation at X scaled by
-    ``max(1, M^2)`` with M the largest solution magnitude there.
-    """
-    settings = settings or _DEFAULT_SETTINGS
-    _check_alpha(alpha)
-    ell = potential.ell
-    if X < ell:
-        raise DomainError(f"X = {X} lies left of ell = {ell}")
-    z = complex(z)
-    sa, ca = _alpha_data(alpha)
-    y0 = np.array([ca, sa, sa, -ca], dtype=complex)
-    if X == ell:
-        return CauchySolutionPair(alpha, z, X, (y0[0], y0[1]),
-                                  (y0[2], y0[3]), 0.0)
-
-    def rhs(x, y):
-        qz = potential(x) - z
-        return np.array([y[1], qz * y[0], y[3], qz * y[2]], dtype=complex)
-
-    sol = solve_ivp(rhs, (ell, X), y0, method="DOP853",
-                    rtol=settings.rtol, atol=settings.atol)
-    _map_ivp_failure(sol)
-    th, thp, ph, php = sol.y[:, -1]
-    wr = th * php - thp * ph
-    mag = max(abs(th), abs(thp), abs(ph), abs(php))
-    residual = abs(wr - (-1.0)) / max(1.0, mag * mag)
-    return CauchySolutionPair(alpha, z, X, (th, thp), (ph, php), residual)
 
 
 # ---------------------------------------------------------------------------
@@ -343,25 +292,6 @@ def _weyl_disk_m(potential: Potential, alpha: float, z: complex,
     raise ConvergenceError(
         f"disk radius {radius_prev:.3e} still above tolerance "
         f"{settings.disk_tol:g} at X_max = {x_max:g} for z = {z}")
-
-
-def disk_radius(potential: Potential, alpha: float, z: complex, X: float,
-                settings: SolverSettings | None = None) -> float:
-    """Weyl-disk radius (2 |Im z| int_ell^X |phi_alpha|^2)^{-1} at truncation X."""
-    settings = settings or _DEFAULT_SETTINGS
-    _check_alpha(alpha)
-    z = complex(z)
-    if z.imag == 0:
-        raise DomainError("the Weyl disk radius requires Im z != 0")
-    if X <= potential.ell:
-        raise DomainError("X must exceed ell")
-    sa, ca = _alpha_data(alpha)
-    y = np.array([ca, sa, sa, -ca, 0.0], dtype=complex)
-    rhs = _disk_state_rhs(potential, z)
-    _, _, J = _integrate_rescaled(rhs, y, potential.ell, X, settings)
-    if J <= 0:
-        return math.inf
-    return 1.0 / (2.0 * abs(z.imag) * J)
 
 
 # ---------------------------------------------------------------------------
@@ -481,18 +411,28 @@ def m_infinity(evaluator: MFunctionEvaluator, z: complex) -> complex:
     return m_infinity_info(evaluator, z).value
 
 
-def m_alpha(evaluator: MFunctionEvaluator, alpha: float, z: complex) -> complex:
-    """m_alpha(z) = (sin a + m_inf(z) cos a) / (cos a - m_inf(z) sin a).
+def m_alpha_info(evaluator: MFunctionEvaluator, alpha: float,
+                 z: complex) -> MEvaluation:
+    """m_alpha(z) = (sin a + m cos a) / (cos a - m sin a) with m = m_inf(z).
 
-    ``alpha = pi`` returns m_inf(z) without touching the transform, and
+    The rotation has derivative ``1/(cos a - m sin a)^2`` in m, so the
+    bound of m_inf(z) is propagated as ``error_bound / |cos a - m sin a|^2``.
+    ``alpha = pi`` returns the m_inf(z) evaluation unchanged, and
     ``alpha = pi/2`` reduces to ``-1/m_inf(z)`` exactly.
     """
-    _check_alpha(alpha)
-    m = m_infinity(evaluator, z)
+    check_alpha(alpha)
+    info = m_infinity_info(evaluator, z)
     if alpha == math.pi:
-        return m
+        return info
     sa, ca = _alpha_data(alpha)
-    return safe_div(sa + m * ca, ca - m * sa, z=complex(z), what="m_alpha")
+    den = ca - info.value * sa
+    value = safe_div(sa + info.value * ca, den, z=complex(z), what="m_alpha")
+    return replace(info, value=value, error_bound=info.error_bound / abs(den) ** 2)
+
+
+def m_alpha(evaluator: MFunctionEvaluator, alpha: float, z: complex) -> complex:
+    """m_alpha(z); see :func:`m_alpha_info` for the transform."""
+    return m_alpha_info(evaluator, alpha, z).value
 
 
 def m_alpha_direct(potential: Potential, alpha: float, z: complex,
@@ -504,7 +444,7 @@ def m_alpha_direct(potential: Potential, alpha: float, z: complex,
     bounds.
     """
     settings = settings or _DEFAULT_SETTINGS
-    _check_alpha(alpha)
+    check_alpha(alpha)
     z = _check_spectral_point(z)
     if z.imag != 0.0:
         m, _, _ = _weyl_disk_m(potential, alpha, z, settings)
@@ -596,19 +536,29 @@ def m_infinity_limit_at_minus_infinity(evaluator: MFunctionEvaluator) -> float:
 
 
 # ---------------------------------------------------------------------------
-# default evaluation grid (acceptance grid)
+# named evaluation grids
 # ---------------------------------------------------------------------------
 
-DEFAULT_COMPLEX_GRID: tuple[complex, ...] = tuple(
-    complex(re, im)
-    for re in (-2.0, -1.0, 0.0, 1.0, 2.0)
-    for im in (0.5, 1.0, 2.0)
-) + tuple(
-    complex(re, im)
-    for re in (-1.0, 1.0)
-    for im in (-0.5, -1.0)
-)
+def _tensor_grid(res, ims) -> tuple[complex, ...]:
+    return tuple(complex(re, im) for re in res for im in ims)
 
-DEFAULT_NEGATIVE_GRID: tuple[float, ...] = (
-    -1e-3, -1e-2, -0.1, -1.0, -10.0, -100.0,
-)
+
+_ACCEPTANCE_COMPLEX = (_tensor_grid((-2.0, -1.0, 0.0, 1.0, 2.0), (0.5, 1.0, 2.0))
+                       + _tensor_grid((-1.0, 1.0), (-0.5, -1.0)))
+_ACCEPTANCE_NEGATIVE = tuple(
+    complex(x) for x in (-1e-3, -1e-2, -0.1, -1.0, -10.0, -100.0))
+
+#: The grids the CLI's ``--grid`` flag accepts by name.  ``default`` is the
+#: acceptance grid: 19 complex points, four of them below the real axis, and
+#: 6 negative reals.  ``classify-default`` is the grid of the Herglotz,
+#: Stieltjes and example-suite checks: an 11 x 7 tensor grid with Re z in
+#: [-5, 5] and Im z log-spaced in [0.1, 10], then 25 log-spaced reals
+#: ascending from -1e6 to -1e-6.
+NAMED_GRIDS: dict[str, tuple[complex, ...]] = {
+    "default": _ACCEPTANCE_COMPLEX + _ACCEPTANCE_NEGATIVE,
+    "complex-default": _ACCEPTANCE_COMPLEX,
+    "negative-default": _ACCEPTANCE_NEGATIVE,
+    "classify-default": (
+        _tensor_grid(np.linspace(-5.0, 5.0, 11), np.logspace(-1.0, 1.0, 7))
+        + tuple(complex(-x) for x in np.logspace(6.0, -6.0, 25))),
+}

@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DomainError, WeylsysError
 from .mfunc import (
+    NAMED_GRIDS,
     MFunctionEvaluator,
     SolverSettings,
     bessel_m_closed_form,
@@ -38,10 +39,7 @@ from .potentials import Potential
 from .reporting import Check, CheckReport
 
 __all__ = [
-    "DEFAULT_COMPLEX_GRID",
-    "DEFAULT_NEGATIVE_GRID",
     "DEFAULT_KERNEL_SEED",
-    "SampledFunction",
     "Witness",
     "Verdict",
     "herglotz_test",
@@ -61,29 +59,13 @@ __all__ = [
 
 _HALF_PI = math.pi / 2.0
 
-#: 11 x 7 tensor grid in the upper half-plane: Re in [-5, 5], Im in [0.1, 10].
-DEFAULT_COMPLEX_GRID = tuple(
-    complex(re, im)
-    for re in np.linspace(-5.0, 5.0, 11)
-    for im in np.logspace(-1.0, 1.0, 7)
-)
-
-#: 25 log-spaced points on the negative real axis, ascending from -1e6 to -1e-6.
-DEFAULT_NEGATIVE_GRID = tuple(-x for x in np.logspace(6.0, -6.0, 25))
+# default grids of the checks: the upper-half-plane and the negative-axis
+# points of the classify-default grid, in its order
+_GRID = NAMED_GRIDS["classify-default"]
+_UPPER_GRID = tuple(z for z in _GRID if z.imag > 0.0)
+_NEGATIVE_GRID = tuple(z.real for z in _GRID if z.imag == 0.0)
 
 DEFAULT_KERNEL_SEED = 1729
-
-
-@dataclass(frozen=True)
-class SampledFunction:
-    """A scalar function given by an evaluator, with a note on its domain."""
-
-    evaluator: Callable[[complex], complex]
-    domain_note: str = "upper half-plane and negative real axis"
-    label: str = ""
-
-    def __call__(self, z: complex) -> complex:
-        return self.evaluator(z)
 
 
 @dataclass(frozen=True)
@@ -126,7 +108,7 @@ def herglotz_test(f, grid: Sequence[complex] | None = None, tol: float = 1e-9) -
 
     Returns the minimum of Im f with the point where it is attained.
     """
-    pts = DEFAULT_COMPLEX_GRID if grid is None else tuple(map(complex, grid))
+    pts = _UPPER_GRID if grid is None else tuple(map(complex, grid))
     if not pts:
         raise DomainError("herglotz_test needs a nonempty grid")
     worst_im = math.inf
@@ -157,9 +139,9 @@ def stieltjes_test(
     nonnegative and nondecreasing along the negative real axis.  On failure
     the verdict carries the first offending point and value.
     """
-    cpts = DEFAULT_COMPLEX_GRID if complex_grid is None else tuple(map(complex, complex_grid))
+    cpts = _UPPER_GRID if complex_grid is None else tuple(map(complex, complex_grid))
     if negative_grid is None:
-        xs = DEFAULT_NEGATIVE_GRID
+        xs = _NEGATIVE_GRID
     else:
         xs = tuple(sorted(float(x) for x in negative_grid))
     if any(x >= 0.0 for x in xs):
@@ -596,16 +578,15 @@ def verify_example_suite(settings: SolverSettings | None = None) -> CheckReport:
     direct_err = abs(m_alpha_direct(pot, a0, 1j, settings) - m_alpha(closed, a0, 1j))
     checks.append(Check("rotated-m-direct-vs-transform", direct_err <= 1e-6, direct_err, 0.0, 1e-6))
 
-    grid100 = tuple(DEFAULT_COMPLEX_GRID) + tuple(complex(x) for x in DEFAULT_NEGATIVE_GRID)
     sys_zero = make_lsystem(pot, mu=0.0, h=1j)
     sys_inf = make_lsystem(pot, mu=math.inf, h=1j)
-    err_zero = max(abs(impedance(sys_zero, z, closed) + bessel_m_closed_form(z)) for z in grid100)
+    err_zero = max(abs(impedance(sys_zero, z, closed) + bessel_m_closed_form(z)) for z in _GRID)
     checks.append(Check("impedance-anchor-mu-zero", err_zero <= 1e-10, err_zero, 0.0, 1e-10))
     err_inf = max(
-        abs(impedance(sys_inf, z, closed) - 1.0 / bessel_m_closed_form(z)) for z in grid100
+        abs(impedance(sys_inf, z, closed) - 1.0 / bessel_m_closed_form(z)) for z in _GRID
     )
     checks.append(Check("impedance-anchor-mu-inf", err_inf <= 1e-10, err_inf, 0.0, 1e-10))
-    err_w = max(abs(transfer(sys_inf, z, closed) - bessel_w_closed_form(z)) for z in DEFAULT_COMPLEX_GRID)
+    err_w = max(abs(transfer(sys_inf, z, closed) - bessel_w_closed_form(z)) for z in _UPPER_GRID)
     checks.append(Check("transfer-anchor-mu-inf", err_w <= 1e-10, err_w, 0.0, 1e-10))
 
     err_rot = 0.0
@@ -637,7 +618,9 @@ def verify_example_suite(settings: SolverSettings | None = None) -> CheckReport:
         Check("exact-angle-tan-theta", abs(report.tan_theta - 1.0) <= 1e-3, report.tan_theta, 1.0, 1e-3)
     )
 
-    inv_m_closed = SampledFunction(lambda z: 1.0 / bessel_m_closed_form(z), label="1/m")
+    def inv_m_closed(z):
+        return 1.0 / bessel_m_closed_form(z)
+
     k11 = kernel_matrix(inv_m_closed, math.pi / 4.0, (1j,))[0, 0].real
     checks.append(
         Check(
@@ -670,7 +653,7 @@ def verify_example_suite(settings: SolverSettings | None = None) -> CheckReport:
             None,
         )
     )
-    verdict_neg = stieltjes_test(SampledFunction(lambda z: -bessel_m_closed_form(z), label="-m"))
+    verdict_neg = stieltjes_test(lambda z: -bessel_m_closed_form(z))
     checks.append(
         Check(
             "stieltjes-minus-m-rejected",

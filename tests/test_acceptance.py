@@ -40,11 +40,7 @@ from weylsys import (
 )
 from weylsys.cli import main
 from weylsys.forms import TestFunction, evaluate_form, generate_test_functions
-from weylsys.mfunc import DEFAULT_COMPLEX_GRID, DEFAULT_NEGATIVE_GRID
-from weylsys.sectorial import (
-    DEFAULT_COMPLEX_GRID as CLASSIFY_COMPLEX_GRID,
-    DEFAULT_NEGATIVE_GRID as CLASSIFY_NEGATIVE_GRID,
-)
+from weylsys.mfunc import NAMED_GRIDS
 
 BESSEL = Potential.bessel()
 CLOSED = MFunctionEvaluator(BESSEL, mode="closed_form")
@@ -75,7 +71,7 @@ def report(capfd):
 def test_criterion_01_numeric_m_matches_the_closed_form(report):
     start = time.monotonic()
     worst = 0.0
-    for z in list(DEFAULT_COMPLEX_GRID) + [complex(x) for x in DEFAULT_NEGATIVE_GRID]:
+    for z in NAMED_GRIDS["default"]:
         exact = bessel_m_closed_form(z)
         got = m_infinity(NUMERIC, z)
         worst = max(worst, abs(got - exact) / abs(exact))
@@ -150,7 +146,7 @@ def test_criterion_04_rotated_class_angles_across_alpha(report):
 
 
 def test_criterion_05_impedance_realization_identities(report):
-    grid = list(CLASSIFY_COMPLEX_GRID) + [complex(x) for x in CLASSIFY_NEGATIVE_GRID]
+    grid = NAMED_GRIDS["classify-default"]
     sys_zero = make_lsystem(BESSEL, mu=0.0, h=1j)
     sys_inf = make_lsystem(BESSEL, mu=math.inf, h=1j)
     worst_zero = worst_inf = worst_alpha = 0.0

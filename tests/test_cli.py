@@ -6,6 +6,7 @@ import math
 import pytest
 
 from weylsys.cli import UsageError, eval_number, main, parse_grid
+from weylsys.mfunc import NAMED_GRIDS
 
 
 def run(capsys, *argv):
@@ -55,6 +56,17 @@ def test_parse_grid_real_axis_and_log():
     assert all(p.imag == 0.0 for p in pts)
     logpts = parse_grid("re=1:100:3:log")
     assert [p.real for p in logpts] == pytest.approx([1.0, 10.0, 100.0])
+
+
+@pytest.mark.parametrize("name, count", [
+    ("default", 25), ("complex-default", 19), ("negative-default", 6), ("classify-default", 102),
+])
+def test_parse_grid_named_grids(name, count):
+    pts = parse_grid(name)
+    assert len(pts) == count
+    assert pts == list(NAMED_GRIDS[name])
+    with pytest.raises(UsageError):
+        parse_grid(name + "s")
 
 
 def test_parse_grid_rejects_bad_specs():
@@ -150,6 +162,7 @@ def test_m_eval_pole_error_carries_z(capsys):
     assert code == 3
     assert doc["error"]["type"] == "PoleError"
     assert doc["error"]["z"] == [-1.0, 0.0]
+    assert "m_alpha" in doc["error"]["message"]
 
 
 def test_no_arguments_is_a_usage_error(capsys):
@@ -210,6 +223,13 @@ def test_classify_accretivity_details(capsys):
     assert accr["tan_theta"] == pytest.approx(1.0, abs=1e-4)
     assert accr["mu_threshold"] == pytest.approx(1.0, abs=1e-4)
     assert accr["system_accretive"] is True and accr["system_extremal"] is False
+
+
+def test_classify_bad_trials(capsys):
+    for trials in ("0", "-3"):
+        code, out, err = run(capsys, "classify", "--mode", "numeric", "--trials", trials)
+        assert code == 2 and out == ""
+        assert "--trials must be >= 1" in err
 
 
 def test_classify_rejects_bad_h(capsys):
@@ -308,6 +328,12 @@ def test_config_file_errors(capsys, tmp_path):
     unknown.write_text("disk_tol = banana\n")
     code, _, err = run(capsys, "verify", "--suite", "moebius", "--config", str(unknown))
     assert code == 2
+    for name, text in (("seed.cfg", "seed = 1.5\n"), ("trials.cfg", "trials = abc\n")):
+        cfg = tmp_path / name
+        cfg.write_text(text)
+        for command in (("verify", "--suite", "moebius"), ("classify",)):
+            code, _, err = run(capsys, *command, "--config", str(cfg))
+            assert code == 2 and "must be an integer" in err
 
 
 def test_out_flag_writes_file(capsys, tmp_path):

@@ -93,15 +93,13 @@ def test_construction_checks_ell_consistency():
     assert sys.ell == 1.0
 
 
-def test_boundary_vector_and_channel_gain():
+def test_channel_gain():
     sys = sys_at(2.0, h=1j)
-    assert (sys.boundary_vector.delta_coeff, sys.boundary_vector.prime_coeff) == (2.0, 1.0)
     assert sys.channel_gain == pytest.approx(1.0 / abs(2.0 - 1j))
 
     at_inf = sys_at(MU_INFINITY, h=1j)
     assert at_inf.mu_is_infinite
-    assert (at_inf.boundary_vector.delta_coeff, at_inf.boundary_vector.prime_coeff) == (1.0, 0.0)
-    # with the (1, 0) boundary vector the gain is normalized to 1 for every h
+    # at mu = inf the gain is normalized to 1 for every h
     assert at_inf.channel_gain == 1.0
     assert sys_at(MU_INFINITY, h=1.0 + 4.0j).channel_gain == 1.0
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,20 +18,20 @@ from weylsys import (
     bessel_m_closed_form,
     bessel_neg_m_alpha_closed_form,
     bessel_w_closed_form,
-    disk_radius,
     free_m_closed_form,
     limit_at_minus_infinity,
     limit_at_minus_zero,
     m_alpha,
     m_alpha_direct,
+    m_alpha_info,
     m_infinity,
     m_infinity_info,
     m_infinity_limit_at_minus_infinity,
     m_infinity_limit_at_zero,
     safe_div,
-    solve_cauchy,
     sqrt_upper,
 )
+from weylsys.mfunc import _alpha_data, _disk_state_rhs, _integrate_rescaled
 
 BESSEL = Potential.bessel()
 CLOSED = MFunctionEvaluator(BESSEL, mode="closed_form")
@@ -117,24 +118,34 @@ def test_transfer_closed_form_is_unimodular_on_the_negative_axis():
 # fundamental pair
 # ---------------------------------------------------------------------------
 
-def test_solve_cauchy_boundary_data_at_ell():
-    pair = solve_cauchy(BESSEL, math.pi, 1j, X=1.0)
-    theta, theta_p = pair.theta_at_X
-    phi, phi_p = pair.phi_at_X
-    assert (theta, theta_p) == (-1.0, 0.0)
-    assert (phi, phi_p) == (0.0, 1.0)
-    assert pair.wronskian_residual == 0.0
+def test_disk_integrator_boundary_data_at_ell():
+    # alpha = pi gives the Dirichlet-normalized reference pair at ell:
+    # theta = -1, theta' = 0, phi = 0, phi' = 1, Wronskian exactly -1
+    assert _alpha_data(math.pi) == (0.0, -1.0)
+    sa, ca = _alpha_data(math.pi)
+    y0 = np.array([ca, sa, sa, -ca, 0.0], dtype=complex)
+    y, scale2, J = _integrate_rescaled(_disk_state_rhs(BESSEL, 1j), y0,
+                                       BESSEL.ell, BESSEL.ell, SolverSettings())
+    assert (y[0], y[1]) == (-1.0, 0.0)
+    assert (y[2], y[3]) == (0.0, 1.0)
+    assert (scale2, J) == (1.0, 0.0)
+    assert y[0] * y[3] - y[1] * y[2] == -1.0
 
 
-def test_solve_cauchy_conserves_the_wronskian():
+def test_disk_integrator_conserves_the_wronskian():
+    # a low rescale threshold makes the integrator rescale many times; the
+    # stored solutions are the true ones over sqrt(scale2), so the true
+    # Wronskian theta phi' - theta' phi = -1 reads -1/scale2 in storage
+    settings = SolverSettings(rescale_threshold=1e3)
     for alpha in (0.7, math.pi / 2, math.pi):
-        pair = solve_cauchy(BESSEL, alpha, 2.0 + 1j, X=9.0)
-        assert pair.wronskian_residual < 1e-8
-
-
-def test_solve_cauchy_rejects_x_left_of_ell():
-    with pytest.raises(DomainError):
-        solve_cauchy(BESSEL, math.pi, 1j, X=0.5)
+        sa, ca = _alpha_data(alpha)
+        y0 = np.array([ca, sa, sa, -ca, 0.0], dtype=complex)
+        y, scale2, _ = _integrate_rescaled(_disk_state_rhs(BESSEL, -1.0 + 1j), y0,
+                                           1.0, 30.0, settings)
+        assert scale2 > 1e6
+        wr = y[0] * y[3] - y[1] * y[2]
+        mag = max(abs(v) for v in y[:4])
+        assert abs(wr + 1.0 / scale2) / max(1.0 / scale2, mag * mag) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +167,12 @@ def test_disk_error_bound_is_honest():
 
 
 def test_disk_radius_contracts_with_truncation():
-    radii = [disk_radius(BESSEL, math.pi, 1j, X) for X in (2.0, 4.0, 8.0, 16.0)]
-    assert all(r2 < r1 for r1, r2 in zip(radii, radii[1:]))
+    # a tighter disk_tol needs a larger truncation X, where the bound
+    # (twice the disk radius) is smaller
+    infos = [m_infinity_info(MFunctionEvaluator(BESSEL, settings=SolverSettings(disk_tol=tol)), 1j)
+             for tol in (1e-4, 1e-6, 1e-10)]
+    assert all(b.truncation_X > a.truncation_X for a, b in zip(infos, infos[1:]))
+    assert all(b.error_bound < a.error_bound for a, b in zip(infos, infos[1:]))
 
 
 def test_numeric_m_keeps_conjugate_symmetry():
@@ -212,6 +227,20 @@ def test_positive_real_axis_is_rejected():
 
 def test_m_alpha_at_pi_is_m_infinity():
     assert m_alpha(CLOSED, math.pi, 1j) == m_infinity(CLOSED, 1j)
+
+
+def test_m_alpha_info_at_pi_is_m_infinity_info():
+    assert m_alpha_info(NUMERIC, math.pi, 1j) == m_infinity_info(NUMERIC, 1j)
+
+
+def test_m_alpha_info_propagates_the_error_bound():
+    alpha = math.pi / 3
+    base = m_infinity_info(NUMERIC, 1j)
+    info = m_alpha_info(NUMERIC, alpha, 1j)
+    assert info.value == m_alpha(NUMERIC, alpha, 1j)
+    den = math.cos(alpha) - base.value * math.sin(alpha)
+    assert info.error_bound == pytest.approx(base.error_bound / abs(den) ** 2, rel=1e-12)
+    assert (info.truncation_X, info.path) == (base.truncation_X, base.path)
 
 
 def test_m_alpha_at_half_pi_is_minus_reciprocal():
