@@ -28,7 +28,6 @@ from .lsystem import impedance, lsystem_to_dict, make_lsystem
 from .mfunc import (
     NAMED_GRIDS,
     MFunctionEvaluator,
-    SolverSettings,
     check_alpha,
     m_alpha_info,
     m_infinity_limit_at_zero,
@@ -141,26 +140,19 @@ def eval_real(text: str) -> float:
     return val.real
 
 
-def _split_top_level(text: str, sep: str = ",") -> list[str]:
-    """Split on `sep` outside parentheses, so 'mu=tan(pi/3),h=i' splits correctly."""
-    parts, depth, cur = [], 0, []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth = max(0, depth - 1)
-        if ch == sep and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return [p.strip() for p in parts if p.strip()]
+def _split_commas(text: str) -> list[str]:
+    """The nonempty comma-separated fields of a point list or grid spec."""
+    return [p.strip() for p in text.split(",") if p.strip()]
 
 
 # ---------------------------------------------------------------------------
 # config, potential and grid parsing
 # ---------------------------------------------------------------------------
+
+#: The keys a config file may set; each is the default for the flag of the
+#: same name, and the flag wins.
+_CONFIG_KEYS = ("tol", "mode", "seed", "trials")
+
 
 def load_config(path: str) -> dict[str, str]:
     """Flat key=value config file; '#' starts a comment."""
@@ -175,43 +167,47 @@ def load_config(path: str) -> dict[str, str]:
             continue
         if "=" not in line:
             raise UsageError(f"{path}:{ln}: expected key=value, got {raw!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _CONFIG_KEYS:
+            raise UsageError(f"{path}:{ln}: unknown config key {key!r}; "
+                             f"expected one of {', '.join(_CONFIG_KEYS)}")
+        out[key] = value
     return out
 
 
-_SETTINGS_KEYS = {f.name for f in dataclasses.fields(SolverSettings)}
-
-
-def build_settings(config: dict[str, str], tol: float | None) -> SolverSettings:
-    mapping = {k: v for k, v in config.items() if k in _SETTINGS_KEYS}
+def _option(args: argparse.Namespace, config: dict[str, str], key: str, parse, default):
+    """--KEY if given, else the config file's KEY read by ``parse``, else the default."""
+    if getattr(args, key) is not None:
+        return getattr(args, key)
+    if key not in config:
+        return default
     try:
-        settings = SolverSettings.from_config(mapping)
-        if tol is not None:
-            if tol <= 0:
-                raise UsageError("--tol must be positive")
-            settings = SolverSettings.from_config(
-                {**mapping, "disk_tol": tol, "riccati_tol": tol}
-            )
-    except WeylsysError as exc:
-        raise UsageError(str(exc)) from exc
-    return settings
+        return parse(config[key])
+    except ValueError:
+        kind = "an integer" if parse is int else "a number"
+        raise UsageError(f"{key} must be {kind}, got {config[key]!r}") from None
+
+
+def _tol(args: argparse.Namespace, config: dict[str, str]) -> float:
+    tol = _option(args, config, "tol", float, MFunctionEvaluator.tol)
+    if not tol > 0:
+        raise UsageError(f"tol must be positive, got {tol}")
+    return tol
+
+
+def _mode(args: argparse.Namespace, config: dict[str, str], potential: Potential) -> str:
+    mode = _option(args, config, "mode", str, "auto")
+    if mode == "auto":
+        return "closed_form" if MFunctionEvaluator.has_closed_form(potential) else "numeric"
+    if mode in ("numeric", "closed-form", "closed_form"):
+        return mode.replace("-", "_")
+    raise UsageError(f"unknown mode {mode!r}; use auto, numeric or closed-form")
 
 
 def _seed_and_trials(args: argparse.Namespace, config: dict[str, str],
                      default_seed: int, default_trials: int) -> tuple[int, int]:
-    """--seed and --trials, else the config file's seed and trials, else the defaults."""
-
-    def pick(key: str, default: int) -> int:
-        if getattr(args, key) is not None:
-            return getattr(args, key)
-        raw = config.get(key, default)
-        try:
-            return int(raw)
-        except ValueError:
-            raise UsageError(f"{key} must be an integer, got {raw!r}") from None
-
-    seed, trials = pick("seed", default_seed), pick("trials", default_trials)
+    seed = _option(args, config, "seed", int, default_seed)
+    trials = _option(args, config, "trials", int, default_trials)
     if trials < 1:
         raise UsageError("--trials must be >= 1")
     return seed, trials
@@ -260,7 +256,7 @@ def parse_grid(text: str) -> list[complex]:
     if s in NAMED_GRIDS:
         return list(NAMED_GRIDS[s])
     res, ims = None, None
-    for segment in _split_top_level(s):
+    for segment in _split_commas(s):
         if segment.startswith("re="):
             res = _parse_axis(segment, "re")
         elif segment.startswith("im="):
@@ -311,23 +307,15 @@ def _scalarize(value):
 # m-eval
 # ---------------------------------------------------------------------------
 
-def _resolve_mode(mode: str, potential: Potential) -> str:
-    if mode == "auto":
-        return "closed_form" if MFunctionEvaluator.has_closed_form(potential) else "numeric"
-    if mode in ("numeric", "closed-form", "closed_form"):
-        return mode.replace("-", "_")
-    raise UsageError(f"unknown mode {mode!r}; use auto, numeric or closed-form")
-
-
 def cmd_m_eval(args: argparse.Namespace, config: dict[str, str]) -> int:
     potential = parse_potential(args.potential, args.ell)
-    settings = build_settings(config, args.tol)
-    mode = _resolve_mode(args.mode or config.get("mode", "auto"), potential)
+    tol = _tol(args, config)
+    mode = _mode(args, config, potential)
     alpha = eval_real(args.alpha)
 
     points: list[complex] = []
     if args.z:
-        points.extend(eval_number(part) for part in _split_top_level(args.z))
+        points.extend(eval_number(part) for part in _split_commas(args.z))
     if args.grid:
         points.extend(parse_grid(args.grid))
     if not points:
@@ -335,7 +323,7 @@ def cmd_m_eval(args: argparse.Namespace, config: dict[str, str]) -> int:
 
     try:
         check_alpha(alpha)
-        evaluator = MFunctionEvaluator(potential, mode=mode, settings=settings)
+        evaluator = MFunctionEvaluator(potential, mode=mode, tol=tol)
     except WeylsysError as exc:
         raise UsageError(str(exc)) from exc
     rows = []
@@ -363,34 +351,25 @@ def cmd_m_eval(args: argparse.Namespace, config: dict[str, str]) -> int:
 # classify
 # ---------------------------------------------------------------------------
 
-def _parse_system(args: argparse.Namespace) -> tuple[complex, complex]:
-    """Resolve (mu, h) from --system / --mu / --h / --alpha."""
-    mu_text, h_text = args.mu, args.h
-    if args.system:
-        for part in _split_top_level(args.system):
-            if part.startswith("mu="):
-                mu_text = part[3:]
-            elif part.startswith("h="):
-                h_text = part[2:]
-            else:
-                raise UsageError(f"bad --system fragment {part!r}; expected mu=...,h=...")
-    if mu_text is None and args.alpha is not None:
-        mu_text = f"tan({args.alpha})"
-    mu = eval_number(mu_text if mu_text is not None else "inf")
-    h = eval_number(h_text if h_text is not None else "i")
-    return mu, h
-
-
 def cmd_classify(args: argparse.Namespace, config: dict[str, str]) -> int:
     potential = parse_potential(args.potential, args.ell)
-    settings = build_settings(config, args.tol)
-    mode = _resolve_mode(args.mode or config.get("mode", "auto"), potential)
-    mu, h = _parse_system(args)
+    tol = _tol(args, config)
+    mode = _mode(args, config, potential)
+    if args.mu is not None:
+        mu = eval_number(args.mu)
+    else:
+        mu = eval_number("inf" if args.alpha is None else f"tan({args.alpha})")
+    h = eval_number(args.h)
+    beta = None
+    if args.beta is not None:
+        beta = eval_real(args.beta)
+        if not 0.0 < beta <= math.pi / 2:
+            raise UsageError(f"--beta must lie in (0, pi/2], got {args.beta!r}")
     seed, trials = _seed_and_trials(args, config, DEFAULT_KERNEL_SEED, 100)
 
     try:
         system = make_lsystem(potential, mu=mu, h=h)
-        evaluator = MFunctionEvaluator(potential, mode=mode, settings=settings)
+        evaluator = MFunctionEvaluator(potential, mode=mode, tol=tol)
     except WeylsysError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -418,8 +397,7 @@ def cmd_classify(args: argparse.Namespace, config: dict[str, str]) -> int:
 
     classification = None
     if stj.passed:
-        angles = classify_s_beta12(imp, settings)
-        beta = args.beta if args.beta is None else eval_real(args.beta)
+        angles = classify_s_beta12(imp)
         kern_beta = beta if beta is not None else (angles.beta2 if angles.beta2 > 0 else None)
         classification = {
             "beta1": angles.beta1,
@@ -450,19 +428,7 @@ def cmd_classify(args: argparse.Namespace, config: dict[str, str]) -> int:
 
     m0 = m_infinity_limit_at_zero(evaluator)
     accr = accretivity_and_sectoriality(h, mu, m0)
-    accretivity = {
-        "m0": m0,
-        "operator_accretive": accr.operator_accretive,
-        "operator_sectorial": accr.operator_sectorial,
-        "tan_theta": accr.tan_theta,
-        "theta": accr.theta,
-        "mu_threshold": accr.mu_threshold,
-        "system_accretive": accr.system_accretive,
-        "system_extremal": accr.system_extremal,
-        "system_sectorial": accr.system_sectorial,
-        "preserves_exact_angle": accr.preserves_exact_angle,
-        "notes": list(accr.notes),
-    }
+    accretivity = {k: v for k, v in dataclasses.asdict(accr).items() if k not in ("h", "mu")}
 
     report = CheckReport(
         tuple(checks),
@@ -485,13 +451,13 @@ def cmd_classify(args: argparse.Namespace, config: dict[str, str]) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args: argparse.Namespace, config: dict[str, str]) -> int:
-    settings = build_settings(config, args.tol)
+    tol = _tol(args, config)
     seed, trials = _seed_and_trials(args, config, 42, 50)
 
     names = SUITES if args.suite == "all" else (args.suite,)
     checks: list[Check] = []
     for name in names:
-        checks.extend(SUITES[name](settings, seed, trials))
+        checks.extend(SUITES[name](tol, seed, trials))
 
     report = CheckReport(
         tuple(checks),
@@ -514,35 +480,43 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--tol", type=float, default=None,
+                       help="truncation tolerance of the m-function solvers (default 1e-8)")
+        p.add_argument("--config", default=None,
+                       help="key=value file with defaults for tol, mode, seed, trials")
+        p.add_argument("--out", default=None, help="output path (default stdout)")
+        p.add_argument("--format", default="json", choices=("json", "csv"))
+
+    def add_problem(p: argparse.ArgumentParser) -> None:
         p.add_argument("--potential", default="bessel",
                        help="bessel | bessel:NU | free | path to a two-column file")
         p.add_argument("--ell", type=float, default=None, help="left endpoint of the half-line")
         p.add_argument("--mode", default=None, help="auto | numeric | closed-form")
         p.add_argument("--grid", default=None, help="named grid or re=a:b:n[:log][,im=a:b:n[:log]]")
-        p.add_argument("--tol", type=float, default=None, help="solver tolerance override")
+
+    def add_random(p: argparse.ArgumentParser, trials_help: str) -> None:
         p.add_argument("--seed", type=int, default=None, help="seed for randomized checks")
-        p.add_argument("--config", default=None, help="key=value config file")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", default="json", choices=("json", "csv"))
+        p.add_argument("--trials", type=int, default=None, help=trials_help)
 
     p_eval = sub.add_parser("m-eval", help="evaluate the m-function on points/grids")
+    add_problem(p_eval)
     add_common(p_eval)
     p_eval.add_argument("--alpha", default="pi", help="boundary angle (pi selects the principal m)")
     p_eval.add_argument("--z", default=None, help="comma-separated spectral points, e.g. 'i,-1,1+2i'")
 
     p_cls = sub.add_parser("classify", help="classify a coupled system's impedance")
+    add_problem(p_cls)
     add_common(p_cls)
-    p_cls.add_argument("--system", default=None, help="mu=EXPR,h=EXPR (e.g. mu=tan(pi/3),h=i)")
-    p_cls.add_argument("--mu", default=None, help="coupling parameter (real or inf)")
-    p_cls.add_argument("--h", default=None, help="boundary parameter with Im h > 0")
+    add_random(p_cls, "random kernel point sets")
+    p_cls.add_argument("--mu", default=None, help="coupling parameter (real or inf; default inf)")
+    p_cls.add_argument("--h", default="i", help="boundary parameter with Im h > 0")
     p_cls.add_argument("--alpha", default=None, help="sets mu = tan(alpha) when --mu is absent")
-    p_cls.add_argument("--beta", default=None, help="kernel angle override (radians)")
-    p_cls.add_argument("--trials", type=int, default=None, help="random kernel point sets")
+    p_cls.add_argument("--beta", default=None, help="kernel angle override in (0, pi/2]")
 
     p_ver = sub.add_parser("verify", help="run the built-in verification suites")
     add_common(p_ver)
+    add_random(p_ver, "random trials per suite")
     p_ver.add_argument("--suite", default="all", choices=(*SUITES, "all"))
-    p_ver.add_argument("--trials", type=int, default=None, help="random trials per suite")
 
     return parser
 

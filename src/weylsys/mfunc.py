@@ -25,12 +25,17 @@ Numeric paths
   integral of ``|phi|^2``; the Dirichlet circle point ``-theta(X)/phi(X)``
   approximates m with error at most twice the Weyl-disk radius
   ``radius(X) = (2 |Im z| int_ell^X |phi|^2)^{-1}``.  The truncation X
-  doubles until the radius passes ``disk_tol``; solutions are rescaled on
-  the fly so growth like e^{kX} cannot overflow.
+  doubles until the radius passes the evaluator's ``tol``; solutions are
+  rescaled on the fly so growth like e^{kX} cannot overflow.
 * ``z < 0`` real -- backward Riccati integration of ``u' = q - z - u^2``
   from the decaying fixed point ``u(X) = -sqrt(q(X) - z)``, which is
   attracting in the backward direction; forward integration would be
-  exponentially unstable below the spectrum.
+  exponentially unstable below the spectrum.  X doubles until two
+  successive values of m differ by at most ``max(1e-10, tol * |m|)``.
+
+``tol`` on :class:`MFunctionEvaluator` is the only solver option; the ODE
+tolerances, the largest X and the number of samples behind a real-axis
+limit are the fixed constants below.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from .errors import (ConvergenceError, DomainError, ExtrapolationError,
 from .potentials import Potential
 
 __all__ = [
-    "BRANCH_CONVENTION", "SolverSettings", "MFunctionEvaluator", "MEvaluation",
+    "MFunctionEvaluator", "MEvaluation",
     "sqrt_upper", "bessel_m_closed_form", "free_m_closed_form",
     "bessel_neg_m_alpha_closed_form", "bessel_w_closed_form", "check_alpha",
     "m_infinity", "m_infinity_info", "m_alpha", "m_alpha_info",
@@ -56,9 +61,6 @@ __all__ = [
     "m_infinity_limit_at_minus_infinity", "limit_at_minus_zero",
     "limit_at_minus_infinity", "safe_div", "NAMED_GRIDS",
 ]
-
-BRANCH_CONVENTION = "sqrt(z) with arg(z) in [0, 2*pi): Im sqrt(z) >= 0"
-
 
 def sqrt_upper(z: complex) -> complex:
     """Square root with the branch cut along [0, inf), arg(z) in [0, 2*pi).
@@ -138,56 +140,21 @@ def check_alpha(alpha: float) -> None:
 
 
 # ---------------------------------------------------------------------------
-# settings
+# solver constants
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SolverSettings:
-    """Tolerances and truncation policy shared by every numeric path.
-
-    ``x_max_factor`` bounds the truncation at ``x_max_factor * max(ell, 1)``;
-    ``extrapolation_points`` is the K in the geometric sample sequences
-    ``-10**(-k)`` / ``-10**k`` used for the real-axis limits.
-    """
-
-    rtol: float = 1e-10
-    atol: float = 1e-12
-    disk_tol: float = 1e-8
-    riccati_tol: float = 1e-8
-    x_max_factor: float = 2.0 ** 20
-    extrapolation_points: int = 8
-    plateau_tol: float = 1e-10
-    divergence_guard: float = 1e12
-    rescale_threshold: float = 1e90
-
-    def __post_init__(self):
-        if self.extrapolation_points < 3:
-            raise DomainError("extrapolation needs at least 3 sample points")
-        for name in ("rtol", "atol", "disk_tol", "riccati_tol", "plateau_tol"):
-            if getattr(self, name) <= 0:
-                raise DomainError(f"{name} must be positive")
-
-    _FLOAT_KEYS = ("rtol", "atol", "disk_tol", "riccati_tol", "x_max_factor",
-                   "plateau_tol", "divergence_guard", "rescale_threshold")
-
-    @classmethod
-    def from_config(cls, mapping: dict) -> "SolverSettings":
-        """Build settings from a flat key=value mapping (strings allowed)."""
-        kwargs = {}
-        for key, raw in mapping.items():
-            try:
-                if key in cls._FLOAT_KEYS:
-                    kwargs[key] = float(raw)
-                elif key == "extrapolation_points":
-                    kwargs[key] = int(raw)
-                else:
-                    raise DomainError(f"unknown solver setting {key!r}")
-            except (TypeError, ValueError) as exc:
-                raise DomainError(f"bad value for solver setting {key!r}: {raw!r}") from exc
-        return cls(**kwargs)
+_RTOL = 1e-10                 # DOP853 relative tolerance on both paths
+_ATOL = 1e-12                 # DOP853 absolute tolerance on both paths
+_X_MAX_FACTOR = 2.0 ** 20     # truncation X stops at this times max(ell, 1)
+_EXTRAPOLATION_POINTS = 8     # K samples -10**(-k) / -10**k of a real-axis limit
+_PLATEAU_TOL = 1e-10          # relative plateau of an extrapolated sequence
+_DIVERGENCE_GUARD = 1e12      # a limit sample beyond this reads as divergent
+_RESCALE_THRESHOLD = 1e90     # disk solutions are rescaled past this size
 
 
-_DEFAULT_SETTINGS = SolverSettings()
+def _check_tol(tol: float) -> None:
+    if not tol > 0:
+        raise DomainError(f"tol must be positive, got {tol}")
 
 
 def _map_ivp_failure(sol) -> None:
@@ -212,14 +179,14 @@ def _disk_state_rhs(potential: Potential, z: complex) -> Callable:
     return rhs
 
 
-def _integrate_rescaled(rhs, y, x0, x1, settings):
+def _integrate_rescaled(rhs, y, x0, x1):
     """Advance the 5-component state from x0 to x1, rescaling on overflow.
 
     Returns ``(y, scale2, J)`` where the stored solution values are the true
     ones divided by ``sqrt(scale2)`` and J is the true accumulated
     ``int |phi|^2`` over the segment.
     """
-    threshold = settings.rescale_threshold
+    threshold = _RESCALE_THRESHOLD
 
     def too_big(x, y):
         return max(abs(y[0]), abs(y[2])) - 10.0 * threshold
@@ -231,8 +198,7 @@ def _integrate_rescaled(rhs, y, x0, x1, settings):
     t = x0
     while t < x1:
         sol = solve_ivp(rhs, (t, x1), y, method="DOP853",
-                        rtol=settings.rtol, atol=settings.atol,
-                        events=too_big)
+                        rtol=_RTOL, atol=_ATOL, events=too_big)
         _map_ivp_failure(sol)
         y = sol.y[:, -1].copy()
         t = sol.t[-1]
@@ -246,13 +212,13 @@ def _integrate_rescaled(rhs, y, x0, x1, settings):
 
 
 def _weyl_disk_m(potential: Potential, alpha: float, z: complex,
-                 settings: SolverSettings) -> tuple[complex, float, float]:
+                 tol: float) -> tuple[complex, float, float]:
     """Return (m_alpha(z), disk radius, truncation X) for Im z != 0."""
     ell = potential.ell
     sa, ca = _alpha_data(alpha)
     y = np.array([ca, sa, sa, -ca, 0.0], dtype=complex)
     rhs = _disk_state_rhs(potential, z)
-    x_max = settings.x_max_factor * max(ell, 1.0)
+    x_max = _X_MAX_FACTOR * max(ell, 1.0)
     two_im = 2.0 * abs(z.imag)
 
     X_prev = ell
@@ -263,12 +229,12 @@ def _weyl_disk_m(potential: Potential, alpha: float, z: complex,
     ratio_prev = 0.0
     stall = 0
     while X <= x_max:
-        y, seg_scale2, seg_J = _integrate_rescaled(rhs, y, X_prev, X, settings)
+        y, seg_scale2, seg_J = _integrate_rescaled(rhs, y, X_prev, X)
         # seg_J is true relative to the state at X_prev; undo the global scale
         J_total += cumulative_scale2 * seg_J
         cumulative_scale2 *= seg_scale2
         radius = 1.0 / (two_im * J_total) if J_total > 0 else math.inf
-        if abs(y[2]) > 0 and radius <= settings.disk_tol:
+        if abs(y[2]) > 0 and radius <= tol:
             return -y[0] / y[2], radius, X
         if math.isfinite(radius_prev):
             ratio = radius / radius_prev
@@ -291,7 +257,7 @@ def _weyl_disk_m(potential: Potential, alpha: float, z: complex,
         X *= 2.0
     raise ConvergenceError(
         f"disk radius {radius_prev:.3e} still above tolerance "
-        f"{settings.disk_tol:g} at X_max = {x_max:g} for z = {z}")
+        f"{tol:g} at X_max = {x_max:g} for z = {z}")
 
 
 # ---------------------------------------------------------------------------
@@ -299,11 +265,11 @@ def _weyl_disk_m(potential: Potential, alpha: float, z: complex,
 # ---------------------------------------------------------------------------
 
 def _riccati_m(potential: Potential, alpha: float, z: float,
-               settings: SolverSettings) -> tuple[float, float, float]:
+               tol: float) -> tuple[float, float, float]:
     """Return (m_alpha(z), truncation X, plateau gap) for real z < 0."""
     ell = potential.ell
     zr = float(z)
-    x_max = settings.x_max_factor * max(ell, 1.0)
+    x_max = _X_MAX_FACTOR * max(ell, 1.0)
     X = min(ell + max(4.0, 8.0 / math.sqrt(max(abs(zr), 1e-6))), x_max)
     sa, ca = _alpha_data(alpha)
 
@@ -319,13 +285,13 @@ def _riccati_m(potential: Potential, alpha: float, z: float,
                 "requires z strictly below the potential tail "
                 "(nonnegative-operator regime)")
         sol = solve_ivp(rhs, (X, ell), [-math.sqrt(s)], method="DOP853",
-                        rtol=settings.rtol, atol=settings.atol)
+                        rtol=_RTOL, atol=_ATOL)
         _map_ivp_failure(sol)
         u = sol.y[0, -1]
         m = safe_div(sa - u * ca, ca + u * sa, z=zr, what="m_alpha").real
         if m_prev is not None:
             gap = abs(m - m_prev)
-            if gap <= max(1e-10, settings.riccati_tol * abs(m)):
+            if gap <= max(1e-10, tol * abs(m)):
                 return m, X, gap
         m_prev = m
         X *= 2.0
@@ -358,18 +324,18 @@ class MFunctionEvaluator:
     """Immutable evaluator of m_inf(z) for one potential.
 
     ``mode`` is ``"numeric"`` or ``"closed_form"``; the closed form exists
-    only for the Bessel potential with nu = 3/2 and ell = 1.  All operations
-    are pure, so concurrent use from several threads is safe.
+    only for the Bessel potential with nu = 3/2 and ell = 1.  ``tol`` is the
+    truncation tolerance of the numeric paths: the Weyl-disk radius on the
+    disk path, and the relative plateau gap on the Riccati path.  All
+    operations are pure, so concurrent use from several threads is safe.
     """
 
     potential: Potential
     mode: str = "numeric"
-    settings: SolverSettings = _DEFAULT_SETTINGS
-    branch: str = BRANCH_CONVENTION
+    tol: float = 1e-8
 
     def __post_init__(self):
-        if self.settings is None:
-            object.__setattr__(self, "settings", _DEFAULT_SETTINGS)
+        _check_tol(self.tol)
         if self.mode not in ("numeric", "closed_form"):
             raise DomainError(f"unknown evaluator mode {self.mode!r}")
         if self.mode == "closed_form" and not self.has_closed_form(self.potential):
@@ -398,11 +364,9 @@ def m_infinity_info(evaluator: MFunctionEvaluator, z: complex) -> MEvaluation:
     if evaluator.mode == "closed_form":
         return MEvaluation(bessel_m_closed_form(z), math.inf, 0.0, "closed-form")
     if z.imag != 0.0:
-        m, radius, X = _weyl_disk_m(evaluator.potential, math.pi, z,
-                                    evaluator.settings)
+        m, radius, X = _weyl_disk_m(evaluator.potential, math.pi, z, evaluator.tol)
         return MEvaluation(m, X, 2.0 * radius, "weyl-disk")
-    m, X, gap = _riccati_m(evaluator.potential, math.pi, z.real,
-                           evaluator.settings)
+    m, X, gap = _riccati_m(evaluator.potential, math.pi, z.real, evaluator.tol)
     return MEvaluation(complex(m), X, gap, "riccati")
 
 
@@ -436,20 +400,21 @@ def m_alpha(evaluator: MFunctionEvaluator, alpha: float, z: complex) -> complex:
 
 
 def m_alpha_direct(potential: Potential, alpha: float, z: complex,
-                   settings: SolverSettings | None = None) -> complex:
+                   tol: float = 1e-8) -> complex:
     """m_alpha(z) from the rotated boundary data, bypassing the transform.
 
     Uses the Weyl-disk path off the real axis and the backward Riccati path
-    for real z < 0; agrees with :func:`m_alpha` within the combined error
-    bounds.
+    for real z < 0, with the truncation tolerance ``tol`` of
+    :class:`MFunctionEvaluator`; agrees with :func:`m_alpha` within the
+    combined error bounds.
     """
-    settings = settings or _DEFAULT_SETTINGS
+    _check_tol(tol)
     check_alpha(alpha)
     z = _check_spectral_point(z)
     if z.imag != 0.0:
-        m, _, _ = _weyl_disk_m(potential, alpha, z, settings)
+        m, _, _ = _weyl_disk_m(potential, alpha, z, tol)
         return m
-    m, _, _ = _riccati_m(potential, alpha, z.real, settings)
+    m, _, _ = _riccati_m(potential, alpha, z.real, tol)
     return complex(m)
 
 
@@ -468,9 +433,9 @@ def _aitken_sweep(seq: list[float]) -> list[float]:
     return out
 
 
-def _extrapolate(vals: list[float], settings: SolverSettings) -> float:
+def _extrapolate(vals: list[float]) -> float:
     scale = max(1.0, max(abs(v) for v in vals))
-    slack = max(1e-12 * scale, settings.plateau_tol * scale)
+    slack = max(1e-12 * scale, _PLATEAU_TOL * scale)
     diffs = [b - a for a, b in zip(vals, vals[1:])]
     rising = any(d > slack for d in diffs)
     falling = any(d < -slack for d in diffs)
@@ -479,7 +444,7 @@ def _extrapolate(vals: list[float], settings: SolverSettings) -> float:
             "sampled sequence is not monotone; the limit-point/limit-circle "
             f"assumption may fail (samples: {vals})")
     # divergence: overflow guard, or persistently non-contracting increments
-    if abs(vals[-1]) > settings.divergence_guard:
+    if abs(vals[-1]) > _DIVERGENCE_GUARD:
         return math.copysign(math.inf, vals[-1])
     ratios = [abs(b) / abs(a) for a, b in zip(diffs, diffs[1:])
               if abs(a) > slack and abs(b) > slack]
@@ -491,7 +456,7 @@ def _extrapolate(vals: list[float], settings: SolverSettings) -> float:
     best = seq[-1]
     while len(seq) >= 3:
         seq = _aitken_sweep(seq)
-        if abs(seq[-1] - best) <= settings.plateau_tol * max(1.0, abs(seq[-1])):
+        if abs(seq[-1] - best) <= _PLATEAU_TOL * max(1.0, abs(seq[-1])):
             return seq[-1]
         best = seq[-1]
     return best
@@ -505,34 +470,26 @@ def _sample_real(f: Callable[[float], complex], x: float) -> float:
     return v.real
 
 
-def limit_at_minus_zero(f: Callable[[float], complex],
-                        settings: SolverSettings | None = None) -> float:
-    """Extrapolated limit of f(x) as x -> -0 along x_k = -10**(-k), k = 1..K."""
-    settings = settings or _DEFAULT_SETTINGS
-    vals = [_sample_real(f, -10.0 ** (-k))
-            for k in range(1, settings.extrapolation_points + 1)]
-    return _extrapolate(vals, settings)
+def limit_at_minus_zero(f: Callable[[float], complex]) -> float:
+    """Extrapolated limit of f(x) as x -> -0 along x_k = -10**(-k), k = 1..8."""
+    return _extrapolate([_sample_real(f, -10.0 ** (-k))
+                         for k in range(1, _EXTRAPOLATION_POINTS + 1)])
 
 
-def limit_at_minus_infinity(f: Callable[[float], complex],
-                            settings: SolverSettings | None = None) -> float:
-    """Extrapolated limit of f(x) as x -> -inf along x_k = -10**k, k = 1..K."""
-    settings = settings or _DEFAULT_SETTINGS
-    vals = [_sample_real(f, -10.0 ** k)
-            for k in range(1, settings.extrapolation_points + 1)]
-    return _extrapolate(vals, settings)
+def limit_at_minus_infinity(f: Callable[[float], complex]) -> float:
+    """Extrapolated limit of f(x) as x -> -inf along x_k = -10**k, k = 1..8."""
+    return _extrapolate([_sample_real(f, -10.0 ** k)
+                         for k in range(1, _EXTRAPOLATION_POINTS + 1)])
 
 
 def m_infinity_limit_at_zero(evaluator: MFunctionEvaluator) -> float:
     """m_inf(-0), the boundary value controlling accretivity thresholds."""
-    return limit_at_minus_zero(lambda x: m_infinity(evaluator, x),
-                               evaluator.settings)
+    return limit_at_minus_zero(lambda x: m_infinity(evaluator, x))
 
 
 def m_infinity_limit_at_minus_infinity(evaluator: MFunctionEvaluator) -> float:
     """Limit of m_inf(x) as x -> -inf (+inf for the operators treated here)."""
-    return limit_at_minus_infinity(lambda x: m_infinity(evaluator, x),
-                                   evaluator.settings)
+    return limit_at_minus_infinity(lambda x: m_infinity(evaluator, x))
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,11 @@ class Check:
     tol: float | None = None
     witness: dict | None = None
 
+    @classmethod
+    def within(cls, name: str, value, expected, tol: float) -> "Check":
+        """The check ``|value - expected| <= tol``."""
+        return cls(name, abs(value - expected) <= tol, value, expected, tol)
+
     def to_dict(self) -> dict:
         out = {
             "name": self.name,

@@ -199,8 +199,8 @@ def test_classify_mu_zero_fails_stieltjes(capsys):
     assert stj["pass"] is False
 
 
-def test_classify_system_expression(capsys):
-    code, doc, _ = run_json(capsys, "classify", "--system", "mu=tan(pi/3),h=i")
+def test_classify_mu_expression(capsys):
+    code, doc, _ = run_json(capsys, "classify", "--mu", "tan(pi/3)", "--h", "i")
     assert code == 0
     cls = doc["classification"]
     assert cls["beta1"] == pytest.approx(math.pi / 6.0, abs=1e-6)
@@ -232,11 +232,33 @@ def test_classify_bad_trials(capsys):
         assert "--trials must be >= 1" in err
 
 
+@pytest.mark.parametrize("beta", ["0", "2", "1+i"])
+@pytest.mark.parametrize("mu", [[], ["--mu", "0"]], ids=["mu-inf", "mu-zero"])
+def test_classify_bad_beta(capsys, beta, mu):
+    # rejected before any solve, including when the Stieltjes check would fail
+    code, out, err = run(capsys, "classify", "--mode", "numeric", *mu,
+                         "--beta", beta, "--trials", "2")
+    assert code == 2 and out == ""
+    assert "beta" in err or "real number" in err
+
+
 def test_classify_rejects_bad_h(capsys):
     code, _, err = run(capsys, "classify", "--mu", "1", "--h", "2")
     assert code == 2 and "h" in err
-    code, _, err = run(capsys, "classify", "--system", "mu=1,nu=2")
-    assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("m-eval", "--z", "i", "--seed", "1"),
+    ("classify", "--system", "mu=1,h=i"),
+    ("verify", "--suite", "moebius", "--potential", "free"),
+    ("verify", "--suite", "moebius", "--ell", "2"),
+    ("verify", "--suite", "moebius", "--mode", "numeric"),
+    ("verify", "--suite", "moebius", "--grid", "default"),
+])
+def test_unread_flags_are_rejected(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "unrecognized arguments" in err
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +331,7 @@ def test_verify_example_suite(capsys):
 
 def test_config_file_overrides_settings(capsys, tmp_path):
     cfg = tmp_path / "weylsys.cfg"
-    cfg.write_text("# solver knobs\ndisk_tol = 1e-6\nseed = 7\n")
+    cfg.write_text("# solver knobs\ntol = 1e-6\nseed = 7\n")
     code, doc, _ = run_json(capsys, "verify", "--suite", "moebius",
                             "--config", str(cfg))
     assert code == 0
@@ -324,16 +346,33 @@ def test_config_file_errors(capsys, tmp_path):
     bad.write_text("just some words\n")
     code, _, err = run(capsys, "verify", "--suite", "moebius", "--config", str(bad))
     assert code == 2
-    unknown = tmp_path / "unknown.cfg"
-    unknown.write_text("disk_tol = banana\n")
-    code, _, err = run(capsys, "verify", "--suite", "moebius", "--config", str(unknown))
-    assert code == 2
+    for name, text, key in (("tol.cfg", "tol = banana\n", "tol"),
+                            ("unknown.cfg", "bogus = 1\n", "bogus")):
+        cfg = tmp_path / name
+        cfg.write_text(text)
+        code, _, err = run(capsys, "verify", "--suite", "moebius", "--config", str(cfg))
+        assert code == 2 and key in err
     for name, text in (("seed.cfg", "seed = 1.5\n"), ("trials.cfg", "trials = abc\n")):
         cfg = tmp_path / name
         cfg.write_text(text)
         for command in (("verify", "--suite", "moebius"), ("classify",)):
             code, _, err = run(capsys, *command, "--config", str(cfg))
             assert code == 2 and "must be an integer" in err
+
+
+def test_tol_reaches_the_solver(capsys, tmp_path):
+    def bound(*extra):
+        code, doc, _ = run_json(capsys, "m-eval", "--mode", "numeric", "--z", "i", *extra)
+        assert code == 0
+        return doc["rows"][0][4]
+
+    loose = tmp_path / "loose.cfg"
+    loose.write_text("tol = 1e-4\n")
+    default = bound()
+    assert bound("--tol", "1e-4") > default
+    assert bound("--config", str(loose)) == bound("--tol", "1e-4")
+    # the flag beats the config file
+    assert bound("--config", str(loose), "--tol", "1e-8") == default
 
 
 def test_out_flag_writes_file(capsys, tmp_path):

@@ -14,7 +14,6 @@ from weylsys import (
     MFunctionEvaluator,
     PoleError,
     Potential,
-    SolverSettings,
     bessel_m_closed_form,
     bessel_neg_m_alpha_closed_form,
     bessel_w_closed_form,
@@ -31,6 +30,7 @@ from weylsys import (
     safe_div,
     sqrt_upper,
 )
+from weylsys import mfunc
 from weylsys.mfunc import _alpha_data, _disk_state_rhs, _integrate_rescaled
 
 BESSEL = Potential.bessel()
@@ -124,24 +124,22 @@ def test_disk_integrator_boundary_data_at_ell():
     assert _alpha_data(math.pi) == (0.0, -1.0)
     sa, ca = _alpha_data(math.pi)
     y0 = np.array([ca, sa, sa, -ca, 0.0], dtype=complex)
-    y, scale2, J = _integrate_rescaled(_disk_state_rhs(BESSEL, 1j), y0,
-                                       BESSEL.ell, BESSEL.ell, SolverSettings())
+    y, scale2, J = _integrate_rescaled(_disk_state_rhs(BESSEL, 1j), y0, BESSEL.ell, BESSEL.ell)
     assert (y[0], y[1]) == (-1.0, 0.0)
     assert (y[2], y[3]) == (0.0, 1.0)
     assert (scale2, J) == (1.0, 0.0)
     assert y[0] * y[3] - y[1] * y[2] == -1.0
 
 
-def test_disk_integrator_conserves_the_wronskian():
+def test_disk_integrator_conserves_the_wronskian(monkeypatch):
     # a low rescale threshold makes the integrator rescale many times; the
     # stored solutions are the true ones over sqrt(scale2), so the true
     # Wronskian theta phi' - theta' phi = -1 reads -1/scale2 in storage
-    settings = SolverSettings(rescale_threshold=1e3)
+    monkeypatch.setattr(mfunc, "_RESCALE_THRESHOLD", 1e3)
     for alpha in (0.7, math.pi / 2, math.pi):
         sa, ca = _alpha_data(alpha)
         y0 = np.array([ca, sa, sa, -ca, 0.0], dtype=complex)
-        y, scale2, _ = _integrate_rescaled(_disk_state_rhs(BESSEL, -1.0 + 1j), y0,
-                                           1.0, 30.0, settings)
+        y, scale2, _ = _integrate_rescaled(_disk_state_rhs(BESSEL, -1.0 + 1j), y0, 1.0, 30.0)
         assert scale2 > 1e6
         wr = y[0] * y[3] - y[1] * y[2]
         mag = max(abs(v) for v in y[:4])
@@ -167,9 +165,9 @@ def test_disk_error_bound_is_honest():
 
 
 def test_disk_radius_contracts_with_truncation():
-    # a tighter disk_tol needs a larger truncation X, where the bound
+    # a tighter tol needs a larger truncation X, where the bound
     # (twice the disk radius) is smaller
-    infos = [m_infinity_info(MFunctionEvaluator(BESSEL, settings=SolverSettings(disk_tol=tol)), 1j)
+    infos = [m_infinity_info(MFunctionEvaluator(BESSEL, tol=tol), 1j)
              for tol in (1e-4, 1e-6, 1e-10)]
     assert all(b.truncation_X > a.truncation_X for a, b in zip(infos, infos[1:]))
     assert all(b.error_bound < a.error_bound for a, b in zip(infos, infos[1:]))
@@ -325,12 +323,12 @@ def test_safe_div_raises_near_pole():
     assert safe_div(1.0, 0.5) == 2.0
 
 
-def test_settings_from_config_rejects_unknown_keys():
+@pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan])
+def test_tol_must_be_positive(tol):
     with pytest.raises(DomainError):
-        SolverSettings.from_config({"bogus": "1"})
-    s = SolverSettings.from_config({"disk_tol": "1e-6", "extrapolation_points": "5"})
-    assert s.disk_tol == 1e-6
-    assert s.extrapolation_points == 5
+        MFunctionEvaluator(BESSEL, tol=tol)
+    with pytest.raises(DomainError):
+        m_alpha_direct(BESSEL, math.pi / 3, 1j, tol)
 
 
 def test_closed_form_mode_requires_the_oracle_potential():
