@@ -383,17 +383,10 @@ def cmd_classify(args: argparse.Namespace, config: dict[str, str]) -> int:
         complex_grid = [z for z in pts if z.imag > 0] or None
         negative_grid = [z.real for z in pts if z.imag == 0 and z.real < 0] or None
 
-    checks: list[Check] = []
     herg = herglotz_test(imp, grid=complex_grid)
-    checks.append(
-        Check("herglotz-impedance", herg.passed, herg.detail, "pass", None,
-              witness=herg.witness.to_dict() if herg.witness else None)
-    )
     stj = stieltjes_test(imp, complex_grid=complex_grid, negative_grid=negative_grid)
-    checks.append(
-        Check("stieltjes-impedance", stj.passed, stj.detail, "pass", None,
-              witness=stj.witness.to_dict() if stj.witness else None)
-    )
+    checks = [dataclasses.replace(herg, name="herglotz-impedance"),
+              dataclasses.replace(stj, name="stieltjes-impedance")]
 
     classification = None
     if stj.passed:
@@ -413,18 +406,7 @@ def cmd_classify(args: argparse.Namespace, config: dict[str, str]) -> int:
             classification["sector_angle_gap"] = gap
             classification["tan_sector_angle_gap"] = math.tan(gap)
         if kern_beta is not None:
-            kern = kernel_psd_test(imp, kern_beta, trials=trials, seed=seed)
-            checks.append(
-                Check(
-                    "kernel-psd",
-                    kern.psd,
-                    kern.min_eigenvalue,
-                    "min eigenvalue >= -tol * scale",
-                    kern.tol,
-                    witness={"beta": kern.beta,
-                             "points": [[p.real, p.imag] for p in kern.worst_points]},
-                )
-            )
+            checks.append(kernel_psd_test(imp, kern_beta, trials=trials, seed=seed))
 
     m0 = m_infinity_limit_at_zero(evaluator)
     accr = accretivity_and_sectoriality(h, mu, m0)

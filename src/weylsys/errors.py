@@ -9,7 +9,7 @@ class DomainError(WeylsysError):
     """Input lies outside the mathematical domain of an operation."""
 
 
-class ConstructionError(WeylsysError):
+class ConstructionError(DomainError):
     """Invalid parameters when building a descriptor (e.g. Im h <= 0)."""
 
 

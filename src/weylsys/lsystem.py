@@ -22,6 +22,7 @@ from .potentials import Potential
 __all__ = [
     "MU_INFINITY",
     "as_extended_real",
+    "check_h",
     "xi_parameter",
     "LSystem",
     "make_lsystem",
@@ -64,7 +65,8 @@ def as_extended_real(value) -> float:
     return value
 
 
-def _check_h(h: complex) -> complex:
+def check_h(h: complex) -> complex:
+    """h as a complex number; ConstructionError unless finite with Im h > 0."""
     h = complex(h)
     if not (math.isfinite(h.real) and math.isfinite(h.imag)):
         raise ConstructionError("boundary parameter h must be finite")
@@ -82,7 +84,7 @@ def xi_parameter(mu, h: complex) -> float:
     mu = Re h maps to inf.
     """
     mu = as_extended_real(mu)
-    h = _check_h(h)
+    h = check_h(h)
     re_h = h.real
     if math.isinf(mu):
         return re_h
@@ -116,7 +118,7 @@ def make_lsystem(potential: Potential, ell: float | None = None, mu=None, h: com
         raise ConstructionError("potential must be a Potential instance")
     if mu is None or h is None:
         raise ConstructionError("make_lsystem needs both mu and h")
-    h = _check_h(h)
+    h = check_h(h)
     mu = as_extended_real(mu)
     if ell is None:
         ell = potential.ell

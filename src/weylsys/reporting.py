@@ -50,7 +50,10 @@ class Check:
     @classmethod
     def within(cls, name: str, value, expected, tol: float) -> "Check":
         """The check ``|value - expected| <= tol``."""
-        return cls(name, abs(value - expected) <= tol, value, expected, tol)
+        return cls(name, bool(abs(value - expected) <= tol), value, expected, tol)
+
+    def __bool__(self) -> bool:
+        return self.passed
 
     def to_dict(self) -> dict:
         out = {

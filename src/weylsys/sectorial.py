@@ -15,7 +15,7 @@ and the example suite asserts the discrepancy rather than hiding it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -33,18 +33,15 @@ from .mfunc import (
     m_alpha_direct,
     m_infinity,
 )
-from .lsystem import as_extended_real, impedance, make_lsystem, transfer
+from .lsystem import as_extended_real, check_h, impedance, make_lsystem, transfer
 from .potentials import Potential
 from .reporting import Check, CheckReport
 
 __all__ = [
     "DEFAULT_KERNEL_SEED",
-    "Witness",
-    "Verdict",
     "herglotz_test",
     "stieltjes_test",
     "kernel_matrix",
-    "KernelReport",
     "kernel_psd_test",
     "ClassAngles",
     "classify_s_beta12",
@@ -66,31 +63,16 @@ _NEGATIVE_GRID = tuple(z.real for z in _GRID if z.imag == 0.0)
 
 DEFAULT_KERNEL_SEED = 1729
 
-
-@dataclass(frozen=True)
-class Witness:
-    """A concrete point demonstrating a failed (or extremal) check."""
-
-    point: complex
-    value: complex
-    note: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "point": [self.point.real, self.point.imag],
-            "value": [complex(self.value).real, complex(self.value).imag],
-            "note": self.note,
-        }
+# tolerances of the three tests, and the largest kernel point set drawn
+_HERGLOTZ_TOL = 1e-9
+_STIELTJES_TOL = 1e-9
+_KERNEL_TOL = 1e-8
+_KERNEL_N_MAX = 6
 
 
-@dataclass(frozen=True)
-class Verdict:
-    passed: bool
-    witness: Witness | None = None
-    detail: str = ""
-
-    def __bool__(self) -> bool:
-        return self.passed
+def _witness(point: complex, value: complex, note: str) -> dict:
+    """A point demonstrating a failed (or extremal) check, as a report witness."""
+    return {"point": [point.real, point.imag], "value": [value.real, value.imag], "note": note}
 
 
 def _eval_at(f, z: complex) -> complex:
@@ -102,42 +84,42 @@ def _eval_at(f, z: complex) -> complex:
         raise
 
 
-def herglotz_test(f, grid: Sequence[complex] | None = None, tol: float = 1e-9) -> Verdict:
-    """Check Im f(z) >= -tol over an upper-half-plane grid.
+def herglotz_test(f, grid: Sequence[complex] | None = None) -> Check:
+    """Check Im f(z) >= -1e-9 over an upper-half-plane grid.
 
-    Returns the minimum of Im f with the point where it is attained.
+    The "herglotz" check carries the minimum of Im f in its value and the
+    point where it is attained in its witness.
     """
     pts = _UPPER_GRID if grid is None else tuple(map(complex, grid))
     if not pts:
         raise DomainError("herglotz_test needs a nonempty grid")
     worst_im = math.inf
-    worst: Witness | None = None
+    worst = None
     for z in pts:
         if z.imag <= 0.0:
             raise DomainError(f"herglotz_test grid must lie in the upper half-plane, got {z}")
         val = _eval_at(f, z)
         if val.imag < worst_im:
             worst_im = val.imag
-            worst = Witness(z, val, "minimum of Im f over the grid")
-    return Verdict(
-        passed=worst_im >= -tol,
-        witness=worst,
-        detail=f"min Im f = {worst_im:.6g} over {len(pts)} grid points",
-    )
+            worst = _witness(z, val, "minimum of Im f over the grid")
+    detail = f"min Im f = {worst_im:.6g} over {len(pts)} grid points"
+    return Check("herglotz", worst_im >= -_HERGLOTZ_TOL, detail, "pass", None, worst)
 
 
 def stieltjes_test(
     f,
     complex_grid: Sequence[complex] | None = None,
     negative_grid: Sequence[float] | None = None,
-    tol: float = 1e-9,
-) -> Verdict:
+) -> Check:
     """Grid test of the Stieltjes property.
 
-    Checks Im(z f(z))/Im z >= -tol on the complex grid, and that f is real,
-    nonnegative and nondecreasing along the negative real axis.  On failure
-    the verdict carries the first offending point and value.
+    Checks Im(z f(z))/Im z >= -1e-9 on the complex grid, and that f is real,
+    nonnegative and nondecreasing along the negative real axis.  The
+    "stieltjes" check carries a description in its value; its witness is the
+    first offending point and value on failure, else the point of the least
+    Im(z f)/Im z.
     """
+    tol = _STIELTJES_TOL
     cpts = _UPPER_GRID if complex_grid is None else tuple(map(complex, complex_grid))
     if negative_grid is None:
         xs = _NEGATIVE_GRID
@@ -147,7 +129,7 @@ def stieltjes_test(
         raise DomainError("negative_grid must lie strictly on the negative real axis")
 
     worst_ratio = math.inf
-    ratio_witness: Witness | None = None
+    ratio_witness = None
     for z in cpts:
         if z.imag == 0.0:
             raise DomainError(f"complex grid point {z} lies on the real axis")
@@ -155,44 +137,37 @@ def stieltjes_test(
         ratio = (z * val).imag / z.imag
         if ratio < worst_ratio:
             worst_ratio = ratio
-            ratio_witness = Witness(z, val, f"Im(z f)/Im z = {ratio:.6g}")
+            ratio_witness = _witness(z, val, f"Im(z f)/Im z = {ratio:.6g}")
+
+    def result(passed: bool, detail: str, witness: dict | None) -> Check:
+        return Check("stieltjes", passed, detail, "pass", None, witness)
+
     if worst_ratio < -tol:
-        return Verdict(False, ratio_witness, "Im(z f(z))/Im z negative on the complex grid")
+        return result(False, "Im(z f(z))/Im z negative on the complex grid", ratio_witness)
 
     vals = []
     for x in xs:
         val = _eval_at(f, complex(x))
         if abs(val.imag) > 1e-8 * max(1.0, abs(val)):
-            return Verdict(
-                False,
-                Witness(complex(x), val, "non-real value on the negative real axis"),
-                "f is not real on (-inf, 0)",
-            )
+            return result(False, "f is not real on (-inf, 0)",
+                          _witness(complex(x), val, "non-real value on the negative real axis"))
         if not math.isfinite(val.real):
-            return Verdict(
-                False,
-                Witness(complex(x), val, "non-finite value on the negative real axis"),
-                "f is not finite on (-inf, 0)",
-            )
+            return result(False, "f is not finite on (-inf, 0)",
+                          _witness(complex(x), val, "non-finite value on the negative real axis"))
         vals.append(val.real)
     for x, v in zip(xs, vals):
         if v < -tol * max(1.0, abs(v)):
-            return Verdict(
-                False,
-                Witness(complex(x), complex(v), "negative value on the negative real axis"),
-                "f takes negative values on (-inf, 0)",
-            )
+            return result(False, "f takes negative values on (-inf, 0)",
+                          _witness(complex(x), complex(v), "negative value on the negative real axis"))
     for (x0, v0), (x1, v1) in zip(zip(xs, vals), zip(xs[1:], vals[1:])):
         if v1 < v0 - tol * max(1.0, abs(v0)):
-            return Verdict(
-                False,
-                Witness(complex(x1), complex(v1), f"f({x1:.6g}) = {v1:.6g} < f({x0:.6g}) = {v0:.6g}"),
-                "f is not nondecreasing on (-inf, 0)",
-            )
-    return Verdict(
+            return result(False, "f is not nondecreasing on (-inf, 0)",
+                          _witness(complex(x1), complex(v1),
+                                   f"f({x1:.6g}) = {v1:.6g} < f({x0:.6g}) = {v0:.6g}"))
+    return result(
         True,
-        ratio_witness,
         f"min Im(z f)/Im z = {worst_ratio:.6g}; negative-axis checks passed at {len(xs)} points",
+        ratio_witness,
     )
 
 
@@ -227,48 +202,33 @@ def kernel_matrix(f, beta: float, points: Sequence[complex]) -> np.ndarray:
     return (kern + kern.conj().T) / 2.0
 
 
-@dataclass(frozen=True)
-class KernelReport:
-    beta: float
-    psd: bool
-    min_eigenvalue: float
-    scale: float
-    worst_points: tuple[complex, ...]
-    trials: int
-    tol: float
-
-    def __bool__(self) -> bool:
-        return self.psd
-
-
 def kernel_psd_test(
     f,
     beta: float,
     points: Sequence[complex] | None = None,
     trials: int = 100,
-    n_max: int = 6,
     seed: int = DEFAULT_KERNEL_SEED,
-    tol: float = 1e-8,
-) -> KernelReport:
+) -> Check:
     """Positive-semidefiniteness of the beta-kernel over random point sets.
 
     With explicit points, a single matrix is tested.  Otherwise `trials`
-    point sets of size 1..n_max are drawn from a seeded generator (real
-    parts uniform in [-5, 5], imaginary parts log-uniform in [0.1, 10]),
-    so results are reproducible.  PSD means the minimum eigenvalue is
-    >= -tol * max(1, max |entry|) for every set; the report records the
-    worst set.
+    point sets of size 1..6 are drawn from a seeded generator (real parts
+    uniform in [-5, 5], imaginary parts log-uniform in [0.1, 10]), so
+    results are reproducible.  PSD means the minimum eigenvalue is
+    >= -1e-8 * max(1, max |entry|) for every set.  The "kernel-psd" check
+    carries the minimum eigenvalue of the worst set in its value, and beta
+    and the worst set's points in its witness.
     """
     beta = _check_beta(beta)
     if points is not None:
         batches = [tuple(map(complex, points))]
     else:
-        if trials < 1 or n_max < 1:
-            raise DomainError("kernel_psd_test needs trials >= 1 and n_max >= 1")
+        if trials < 1:
+            raise DomainError("kernel_psd_test needs trials >= 1")
         rng = np.random.default_rng(seed)
         batches = []
         for _ in range(int(trials)):
-            n = int(rng.integers(1, n_max + 1))
+            n = int(rng.integers(1, _KERNEL_N_MAX + 1))
             res = rng.uniform(-5.0, 5.0, n)
             ims = 10.0 ** rng.uniform(-1.0, 1.0, n)
             batches.append(tuple(complex(a, b) for a, b in zip(res, ims)))
@@ -276,8 +236,7 @@ def kernel_psd_test(
     psd = True
     worst_margin = math.inf
     worst_eig = math.inf
-    worst_scale = 1.0
-    worst_pts: tuple[complex, ...] = batches[0]
+    worst_pts = batches[0]
     for pts in batches:
         kern = kernel_matrix(f, beta, pts)
         scale = max(1.0, float(np.abs(kern).max()))
@@ -286,19 +245,12 @@ def kernel_psd_test(
         if margin < worst_margin:
             worst_margin = margin
             worst_eig = min_eig
-            worst_scale = scale
             worst_pts = pts
-        if min_eig < -tol * scale:
+        if min_eig < -_KERNEL_TOL * scale:
             psd = False
-    return KernelReport(
-        beta=beta,
-        psd=psd,
-        min_eigenvalue=worst_eig,
-        scale=worst_scale,
-        worst_points=worst_pts,
-        trials=len(batches),
-        tol=tol,
-    )
+    witness = {"beta": beta, "points": [[p.real, p.imag] for p in worst_pts]}
+    return Check("kernel-psd", psd, worst_eig, "min eigenvalue >= -tol * scale", _KERNEL_TOL,
+                 witness)
 
 
 class ClassAngles(NamedTuple):
@@ -433,9 +385,7 @@ def accretivity_and_sectoriality(h: complex, mu, m0: float) -> AccretivityReport
     exactly at the threshold, and sectorial above it; mu = inf preserves the
     operator's classification and exact angle.
     """
-    h = complex(h)
-    if h.imag <= 0.0:
-        raise DomainError(f"boundary parameter h must have Im h > 0, got {h}")
+    h = check_h(h)
     mu = as_extended_real(mu)
     m0 = float(m0)
     if math.isnan(m0) or m0 == -math.inf:
@@ -615,39 +565,16 @@ def verify_example_suite(tol: float = 1e-8) -> CheckReport:
 
     k11 = kernel_matrix(inv_m_closed, math.pi / 4.0, (1j,))[0, 0].real
     checks.append(Check.within("kernel-single-point-value", k11, _KERNEL_SINGLE_POINT, 1e-9))
-    kern_rep = kernel_psd_test(inv_m_closed, math.pi / 4.0, trials=100, seed=DEFAULT_KERNEL_SEED)
-    checks.append(
-        Check(
-            "kernel-psd-one-over-m",
-            kern_rep.psd,
-            kern_rep.min_eigenvalue,
-            "min eigenvalue >= -1e-8 * scale",
-            kern_rep.tol,
-            witness={"points": [[p.real, p.imag] for p in kern_rep.worst_points]},
-        )
-    )
-
-    verdict_inv = stieltjes_test(inv_m_closed)
-    checks.append(
-        Check(
-            "stieltjes-one-over-m",
-            verdict_inv.passed,
-            verdict_inv.detail,
-            "pass",
-            None,
-        )
-    )
-    verdict_neg = stieltjes_test(lambda z: -bessel_m_closed_form(z))
-    checks.append(
-        Check(
-            "stieltjes-minus-m-rejected",
-            (not verdict_neg.passed) and verdict_neg.witness is not None,
-            verdict_neg.detail,
-            "fail with witness",
-            None,
-            witness=verdict_neg.witness.to_dict() if verdict_neg.witness else None,
-        )
-    )
+    kern = kernel_psd_test(inv_m_closed, math.pi / 4.0, trials=100, seed=DEFAULT_KERNEL_SEED)
+    checks.append(replace(kern, name="kernel-psd-one-over-m",
+                          expected="min eigenvalue >= -1e-8 * scale",
+                          witness={"points": kern.witness["points"]}))
+    checks.append(replace(stieltjes_test(inv_m_closed), name="stieltjes-one-over-m",
+                          witness=None))
+    neg = stieltjes_test(lambda z: -bessel_m_closed_form(z))
+    checks.append(replace(neg, name="stieltjes-minus-m-rejected",
+                          passed=not neg.passed and neg.witness is not None,
+                          expected="fail with witness"))
 
     prod = math.tan(sector_angle_from_product(math.pi / 6.0, 5.0 * math.pi / 12.0))
     gap = math.tan(sector_angle_from_gap(math.pi / 6.0, 5.0 * math.pi / 12.0))

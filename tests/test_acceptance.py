@@ -231,14 +231,16 @@ def test_criterion_08_kernel_positivity(report):
     def one_over_m(z):
         return 1.0 / bessel_m_closed_form(z)
 
-    psd = kernel_psd_test(one_over_m, math.pi / 4.0, trials=100, n_max=6, seed=1729)
+    psd = kernel_psd_test(one_over_m, math.pi / 4.0, trials=100, seed=1729)
+    worst = [complex(*p) for p in psd.witness["points"]]
+    scale = max(1.0, float(np.abs(kernel_matrix(one_over_m, math.pi / 4.0, worst)).max()))
     single = kernel_matrix(one_over_m, math.pi / 4.0, [1j])[0, 0].real
-    ok = psd.psd and abs(single - 0.121320) <= 1e-6
+    ok = psd.passed and abs(single - 0.121320) <= 1e-6
     report(
         8,
         ok,
         f"quarter-pi kernel of 1/m is PSD over 100 seeded point sets (worst "
-        f"scaled eigenvalue {psd.min_eigenvalue / psd.scale:.2e}); "
+        f"scaled eigenvalue {psd.value / scale:.2e}); "
         f"single-point value {single:.9f} matches 0.121320 within 1e-6",
     )
 
@@ -269,7 +271,7 @@ def test_criterion_09_stieltjes_trichotomy(report):
         9,
         ok,
         f"-m fails the Stieltjes test with witness at z = "
-        f"{fail_minus_m.witness.point if fail_minus_m.witness else None}; "
+        f"{complex(*fail_minus_m.witness['point']) if fail_minus_m.witness else None}; "
         f"-m_alpha passes iff tan(alpha) >= 1 (got {verdicts}); 1/m passes",
     )
 

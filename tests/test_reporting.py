@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 
+from weylsys.cli import _report_text
 from weylsys.reporting import Check, CheckReport, format_csv, json_ready
 
 
@@ -57,3 +58,10 @@ def test_csv_formatting():
     assert lines[2] == "y,false,inf"
     assert lines[3] == "z,,1e-15"
     assert text.endswith("\n")
+
+
+def test_within_stores_a_python_bool():
+    check = Check.within("x", np.float64(1.0), 1.0, 0.5)
+    assert check.passed is True
+    assert bool(Check.within("y", np.float64(2.0), 1.0, 0.5)) is False
+    assert _report_text(CheckReport((check,)), "csv").splitlines()[1] == "x,true,1,1,0.5"

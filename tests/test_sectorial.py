@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import weylsys.sectorial
 from weylsys import (
     AccretivityReport,
+    Check,
     DomainError,
     MFunctionEvaluator,
     Potential,
@@ -44,8 +46,9 @@ def test_herglotz_verdicts():
     assert herglotz_test(one_over_m).passed
     assert herglotz_test(minus_m).passed
     bad = herglotz_test(bessel_m_closed_form)
+    assert isinstance(bad, Check) and bad.name == "herglotz"
     assert not bad.passed
-    assert bad.witness is not None and bad.witness.value.imag < 0.0
+    assert bad.witness is not None and bad.witness["value"][1] < 0.0
 
 
 def test_herglotz_grid_validation():
@@ -57,8 +60,9 @@ def test_herglotz_grid_validation():
 
 def test_one_over_m_is_stieltjes():
     verdict = stieltjes_test(one_over_m)
+    assert isinstance(verdict, Check) and verdict.name == "stieltjes"
     assert verdict.passed
-    assert "negative-axis checks passed" in verdict.detail
+    assert "negative-axis checks passed" in verdict.value
 
 
 def test_minus_m_is_not_stieltjes():
@@ -71,7 +75,7 @@ def test_m_itself_fails_stieltjes_on_the_complex_grid():
     # m is positive on (-inf, 0) but z m(z) is not Herglotz
     verdict = stieltjes_test(bessel_m_closed_form)
     assert not verdict.passed
-    assert "Im(z f(z))/Im z negative" in verdict.detail
+    assert "Im(z f(z))/Im z negative" in verdict.value
 
 
 def test_stieltjes_detects_a_decreasing_axis_profile():
@@ -83,7 +87,33 @@ def test_stieltjes_detects_a_decreasing_axis_profile():
 
     verdict = stieltjes_test(f)
     assert not verdict.passed
-    assert "nondecreasing" in verdict.detail
+    assert "nondecreasing" in verdict.value
+
+
+def _profile(axis):
+    """1/m off the real axis, ``axis(x)`` on it."""
+    def f(z):
+        z = complex(z)
+        return one_over_m(z) if z.imag != 0.0 else complex(axis(z.real))
+    return f
+
+
+@pytest.mark.parametrize(
+    "f, detail, point",
+    [
+        (lambda z: -1.0, "Im(z f(z))/Im z negative on the complex grid", [0.0, 1.0]),
+        (_profile(lambda x: 1j), "f is not real on (-inf, 0)", [-2.0, 0.0]),
+        (_profile(lambda x: math.inf), "f is not finite on (-inf, 0)", [-2.0, 0.0]),
+        (_profile(lambda x: -1.0), "f takes negative values on (-inf, 0)", [-2.0, 0.0]),
+        (_profile(lambda x: -x), "f is not nondecreasing on (-inf, 0)", [-1.0, 0.0]),
+    ],
+    ids=["complex-grid", "not-real", "not-finite", "negative", "decreasing"],
+)
+def test_stieltjes_failure_branches(f, detail, point):
+    verdict = stieltjes_test(f, complex_grid=[1j, 2.0 + 1j], negative_grid=[-1.0, -2.0])
+    assert verdict.passed is False
+    assert verdict.value == detail
+    assert verdict.witness["point"] == point
 
 
 def test_stieltjes_rejects_bad_grids():
@@ -122,26 +152,45 @@ def test_kernel_validation():
         kernel_matrix(one_over_m, 1.0, [1.0 - 1j])
 
 
-def test_kernel_psd_at_the_class_angle():
+def _count_kernel_matrices(monkeypatch) -> list[int]:
+    calls = [0]
+    original = weylsys.sectorial.kernel_matrix
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(weylsys.sectorial, "kernel_matrix", counted)
+    return calls
+
+
+def test_kernel_psd_at_the_class_angle(monkeypatch):
+    calls = _count_kernel_matrices(monkeypatch)
     report = kernel_psd_test(one_over_m, math.pi / 4.0, trials=100)
-    assert report.psd
-    assert report.trials == 100
-    assert report.min_eigenvalue >= -report.tol * max(1.0, report.scale)
+    assert isinstance(report, Check) and report.name == "kernel-psd"
+    assert report.passed
+    assert calls[0] == 100
+    assert report.witness["beta"] == math.pi / 4.0
+    worst = [complex(*p) for p in report.witness["points"]]
+    scale = max(1.0, float(np.abs(kernel_matrix(one_over_m, math.pi / 4.0, worst)).max()))
+    assert report.value >= -report.tol * scale
 
 
 def test_kernel_fails_well_below_the_class_angle():
     report = kernel_psd_test(one_over_m, math.pi / 100.0, trials=20)
-    assert not report.psd
-    assert report.min_eigenvalue < 0.0
+    assert not report.passed
+    assert report.value < 0.0
     assert bool(report) is False
 
 
-def test_kernel_psd_with_explicit_points_is_deterministic():
+def test_kernel_psd_with_explicit_points_is_deterministic(monkeypatch):
+    calls = _count_kernel_matrices(monkeypatch)
     pts = (1j, 0.5 + 0.5j, -1.0 + 2j)
     a = kernel_psd_test(one_over_m, math.pi / 4.0, points=pts)
     b = kernel_psd_test(one_over_m, math.pi / 4.0, points=pts)
-    assert a.min_eigenvalue == b.min_eigenvalue
-    assert a.trials == 1
+    assert a.value == b.value
+    assert calls[0] == 2  # one point set per call
+    assert a.witness["points"] == [[p.real, p.imag] for p in pts]
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +364,9 @@ def test_infinite_m0_leaves_system_fields_undecided():
 def test_accretivity_validation():
     with pytest.raises(DomainError):
         accretivity_and_sectoriality(1.0, 1.0, 1.0)  # real h
+    for h in (complex(math.inf, 1.0), complex(math.nan, 1.0), complex(0.0, math.inf)):
+        with pytest.raises(DomainError, match="must be finite"):
+            accretivity_and_sectoriality(h, 1.0, 1.0)
     with pytest.raises(DomainError):
         accretivity_and_sectoriality(1j, 1.0, -math.inf)
     with pytest.raises(DomainError):
