@@ -30,7 +30,11 @@ Numeric paths
 * ``z < 0`` real -- backward Riccati integration of ``u' = q - z - u^2``
   from the decaying fixed point ``u(X) = -sqrt(q(X) - z)``, which is
   attracting in the backward direction; forward integration would be
-  exponentially unstable below the spectrum.  X doubles until two
+  exponentially unstable below the spectrum.  The start error decays like
+  ``exp(-2 sqrt|z| (X - ell))``, so the first truncation is
+  ``X = ell + 8 / sqrt(max(|z|, 1e-6))``, eight decay lengths; while
+  ``q(X) - z <= 0`` there (a well of q near ell) the distance doubles
+  before any solve.  Then the distance ``X - ell`` doubles until two
   successive values of m differ by at most ``max(1e-10, tol * |m|)``.
 
 ``tol`` on :class:`MFunctionEvaluator` is the only solver option; the ODE
@@ -270,7 +274,12 @@ def _riccati_m(potential: Potential, alpha: float, z: float,
     ell = potential.ell
     zr = float(z)
     x_max = _X_MAX_FACTOR * max(ell, 1.0)
-    X = min(ell + max(4.0, 8.0 / math.sqrt(max(abs(zr), 1e-6))), x_max)
+    # X - ell in decay lengths 1/sqrt|z| (module docstring); so close to ell
+    # a well of q may dip below z, and only the tail may raise DomainError
+    dist = 8.0 / math.sqrt(max(abs(zr), 1e-6))
+    while potential(ell + dist) - zr <= 0 and ell + 2.0 * dist <= x_max:
+        dist *= 2.0
+    X = min(ell + dist, x_max)
     sa, ca = _alpha_data(alpha)
 
     def rhs(x, u):
@@ -294,7 +303,8 @@ def _riccati_m(potential: Potential, alpha: float, z: float,
             if gap <= max(1e-10, tol * abs(m)):
                 return m, X, gap
         m_prev = m
-        X *= 2.0
+        dist *= 2.0
+        X = ell + dist
         if X > x_max:
             raise ConvergenceError(
                 f"Riccati truncation exceeded X_max = {x_max:g} "

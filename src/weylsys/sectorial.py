@@ -14,6 +14,7 @@ and the example suite asserts the discrepancy rather than hiding it.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
@@ -88,7 +89,8 @@ def herglotz_test(f, grid: Sequence[complex] | None = None) -> Check:
     """Check Im f(z) >= -1e-9 over an upper-half-plane grid.
 
     The "herglotz" check carries the minimum of Im f in its value and the
-    point where it is attained in its witness.
+    point where it is attained in its witness.  A non-finite value fails the
+    check, with its point as the witness.
     """
     pts = _UPPER_GRID if grid is None else tuple(map(complex, grid))
     if not pts:
@@ -99,6 +101,9 @@ def herglotz_test(f, grid: Sequence[complex] | None = None) -> Check:
         if z.imag <= 0.0:
             raise DomainError(f"herglotz_test grid must lie in the upper half-plane, got {z}")
         val = _eval_at(f, z)
+        if not cmath.isfinite(val):
+            return Check("herglotz", False, "f is not finite on the grid", "pass", None,
+                         _witness(z, val, "non-finite value"))
         if val.imag < worst_im:
             worst_im = val.imag
             worst = _witness(z, val, "minimum of Im f over the grid")
@@ -113,11 +118,11 @@ def stieltjes_test(
 ) -> Check:
     """Grid test of the Stieltjes property.
 
-    Checks Im(z f(z))/Im z >= -1e-9 on the complex grid, and that f is real,
-    nonnegative and nondecreasing along the negative real axis.  The
-    "stieltjes" check carries a description in its value; its witness is the
-    first offending point and value on failure, else the point of the least
-    Im(z f)/Im z.
+    Checks that f is finite and Im(z f(z))/Im z >= -1e-9 on the complex grid,
+    and that f is finite, real, nonnegative and nondecreasing along the
+    negative real axis.  The "stieltjes" check carries a description in its
+    value; its witness is the first offending point and value on failure,
+    else the point of the least Im(z f)/Im z.
     """
     tol = _STIELTJES_TOL
     cpts = _UPPER_GRID if complex_grid is None else tuple(map(complex, complex_grid))
@@ -128,19 +133,22 @@ def stieltjes_test(
     if any(x >= 0.0 for x in xs):
         raise DomainError("negative_grid must lie strictly on the negative real axis")
 
+    def result(passed: bool, detail: str, witness: dict | None) -> Check:
+        return Check("stieltjes", passed, detail, "pass", None, witness)
+
     worst_ratio = math.inf
     ratio_witness = None
     for z in cpts:
         if z.imag == 0.0:
             raise DomainError(f"complex grid point {z} lies on the real axis")
         val = _eval_at(f, z)
+        if not cmath.isfinite(val):
+            return result(False, "f is not finite on the complex grid",
+                          _witness(z, val, "non-finite value on the complex grid"))
         ratio = (z * val).imag / z.imag
         if ratio < worst_ratio:
             worst_ratio = ratio
             ratio_witness = _witness(z, val, f"Im(z f)/Im z = {ratio:.6g}")
-
-    def result(passed: bool, detail: str, witness: dict | None) -> Check:
-        return Check("stieltjes", passed, detail, "pass", None, witness)
 
     if worst_ratio < -tol:
         return result(False, "Im(z f(z))/Im z negative on the complex grid", ratio_witness)
@@ -148,12 +156,12 @@ def stieltjes_test(
     vals = []
     for x in xs:
         val = _eval_at(f, complex(x))
+        if not cmath.isfinite(val):
+            return result(False, "f is not finite on (-inf, 0)",
+                          _witness(complex(x), val, "non-finite value on the negative real axis"))
         if abs(val.imag) > 1e-8 * max(1.0, abs(val)):
             return result(False, "f is not real on (-inf, 0)",
                           _witness(complex(x), val, "non-real value on the negative real axis"))
-        if not math.isfinite(val.real):
-            return result(False, "f is not finite on (-inf, 0)",
-                          _witness(complex(x), val, "non-finite value on the negative real axis"))
         vals.append(val.real)
     for x, v in zip(xs, vals):
         if v < -tol * max(1.0, abs(v)):
@@ -183,7 +191,8 @@ def kernel_matrix(f, beta: float, points: Sequence[complex]) -> np.ndarray:
 
     K[k,l] = (z_k f_k - conj(z_l f_l)) / (z_k - conj z_l) - cot(beta) conj(f_l) f_k,
     with all points required in the open upper half-plane (so the denominator
-    never vanishes).
+    never vanishes).  A non-finite value of f raises DomainError naming the
+    point.
     """
     beta = _check_beta(beta)
     pts = [complex(z) for z in points]
@@ -193,6 +202,9 @@ def kernel_matrix(f, beta: float, points: Sequence[complex]) -> np.ndarray:
         if z.imag <= 0.0:
             raise DomainError(f"kernel points must lie in the open upper half-plane, got {z}")
     fs = np.array([_eval_at(f, z) for z in pts], dtype=complex)
+    for z, val in zip(pts, fs):
+        if not cmath.isfinite(val):
+            raise DomainError(f"kernel function value {complex(val)} is not finite at z = {z}")
     zs = np.array(pts, dtype=complex)
     cot = 0.0 if beta == _HALF_PI else 1.0 / math.tan(beta)
     zf = zs * fs

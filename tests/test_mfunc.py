@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import solve_ivp
+from scipy.special import kve
 
 from weylsys import (
     ConvergenceError,
@@ -14,6 +16,7 @@ from weylsys import (
     MFunctionEvaluator,
     PoleError,
     Potential,
+    StiffnessError,
     bessel_m_closed_form,
     bessel_neg_m_alpha_closed_form,
     bessel_w_closed_form,
@@ -198,6 +201,64 @@ def test_riccati_path_matches_closed_form(x):
     assert info.path == "riccati"
     assert info.value.imag == 0.0
     assert info.value.real == pytest.approx(bessel_m_closed_form(x).real, rel=1e-8)
+
+
+@pytest.mark.parametrize("z", [-1e4, -1e6, -1e8])
+def test_riccati_cost_follows_the_decay_length(monkeypatch, z):
+    # the truncation error shrinks like exp(-2 sqrt|z| (X - ell)), so X - ell
+    # is a few decay lengths 1/sqrt|z| and a few hundred RHS calls suffice;
+    # a start X - ell of order 1 costs about 1e5 calls at z = -1e8
+    nfev = []
+
+    def counting_solve_ivp(*args, **kwargs):
+        sol = solve_ivp(*args, **kwargs)
+        nfev.append(sol.nfev)
+        return sol
+
+    monkeypatch.setattr(mfunc, "solve_ivp", counting_solve_ivp)
+    info = m_infinity_info(NUMERIC, z)
+    exact = bessel_m_closed_form(z).real
+    assert abs(info.value.real - exact) <= 1e-10 * abs(exact)
+    assert info.truncation_X - BESSEL.ell <= 32.0 / math.sqrt(-z)
+    assert sum(nfev) < 2000
+
+
+def _bessel_m_on_negative_axis(nu, ell, s):
+    """m(-s) for Bessel(nu, ell) from the decaying solution sqrt(x) K_nu(sqrt(s) x).
+
+    The exponentially scaled kve keeps the ratio finite where kv underflows.
+    """
+    t = math.sqrt(s) * ell
+    return -1.0 / (2.0 * ell) + math.sqrt(s) * (kve(nu - 1.0, t) + kve(nu + 1.0, t)) / (
+        2.0 * kve(nu, t))
+
+
+@pytest.mark.parametrize("k", [-6, -3, 0, 3, 6, 8])
+@pytest.mark.parametrize("ell", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("nu", [0.6, 1.5, 2.5, 3.0])
+def test_riccati_path_matches_the_k_bessel_oracle(nu, ell, k):
+    s = 10.0 ** k
+    ev = MFunctionEvaluator(Potential.bessel(nu, ell), mode="numeric")
+    assert m_infinity(ev, -s).real == pytest.approx(
+        _bessel_m_on_negative_axis(nu, ell, s), rel=1e-8)
+
+
+def _exp_well(depth):
+    return Potential.expression(lambda x: -depth * math.exp(-x), ell=0.0, label="exp-well")
+
+
+def test_riccati_well_and_tail_keep_their_error_class():
+    # a deep well below z: the tail is fine, but psi has a zero, u a pole,
+    # and the step size underflows; this is not the tail's fault
+    with pytest.raises(StiffnessError):
+        m_infinity(MFunctionEvaluator(_exp_well(300.0)), -100.0)
+    # a shallow well that dips below z only near ell
+    assert m_infinity(MFunctionEvaluator(_exp_well(2.0)), -1.5).real == pytest.approx(
+        0.548335997, abs=1e-9)
+    # the tail itself is below z
+    tail = Potential.expression(lambda x: -(x**4), ell=1.0, label="-x^4")
+    with pytest.raises(DomainError, match="q\\(X\\) - z"):
+        m_infinity(MFunctionEvaluator(tail), -1.0)
 
 
 def test_riccati_free_potential():

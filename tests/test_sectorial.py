@@ -13,6 +13,7 @@ from weylsys import (
     DomainError,
     MFunctionEvaluator,
     Potential,
+    WeylsysError,
     accretivity_and_sectoriality,
     bessel_m_closed_form,
     bessel_neg_m_alpha_closed_form,
@@ -49,6 +50,15 @@ def test_herglotz_verdicts():
     assert isinstance(bad, Check) and bad.name == "herglotz"
     assert not bad.passed
     assert bad.witness is not None and bad.witness["value"][1] < 0.0
+
+
+def test_herglotz_fails_on_non_finite_values():
+    # a NaN never compares below the running minimum, so it must be caught
+    verdict = herglotz_test(lambda z: complex(math.nan, math.nan))
+    assert verdict.passed is False
+    assert verdict.value == "f is not finite on the grid"
+    first = weylsys.sectorial._UPPER_GRID[0]
+    assert verdict.witness["point"] == [first.real, first.imag]
 
 
 def test_herglotz_grid_validation():
@@ -102,12 +112,16 @@ def _profile(axis):
     "f, detail, point",
     [
         (lambda z: -1.0, "Im(z f(z))/Im z negative on the complex grid", [0.0, 1.0]),
+        (lambda z: complex(math.nan, math.nan), "f is not finite on the complex grid",
+         [0.0, 1.0]),
         (_profile(lambda x: 1j), "f is not real on (-inf, 0)", [-2.0, 0.0]),
         (_profile(lambda x: math.inf), "f is not finite on (-inf, 0)", [-2.0, 0.0]),
+        (_profile(lambda x: complex(0.0, math.inf)), "f is not finite on (-inf, 0)", [-2.0, 0.0]),
         (_profile(lambda x: -1.0), "f takes negative values on (-inf, 0)", [-2.0, 0.0]),
         (_profile(lambda x: -x), "f is not nondecreasing on (-inf, 0)", [-1.0, 0.0]),
     ],
-    ids=["complex-grid", "not-real", "not-finite", "negative", "decreasing"],
+    ids=["complex-grid", "complex-grid-nan", "not-real", "not-finite", "not-finite-imag",
+         "negative", "decreasing"],
 )
 def test_stieltjes_failure_branches(f, detail, point):
     verdict = stieltjes_test(f, complex_grid=[1j, 2.0 + 1j], negative_grid=[-1.0, -2.0])
@@ -150,6 +164,21 @@ def test_kernel_validation():
         kernel_matrix(one_over_m, 1.0, [])
     with pytest.raises(DomainError):
         kernel_matrix(one_over_m, 1.0, [1.0 - 1j])
+
+
+def test_kernel_psd_names_a_non_finite_point():
+    # on a NaN matrix eigvalsh raises numpy's LinAlgError or returns a NaN
+    # eigenvalue that passes the PSD comparison; the error must be a
+    # WeylsysError, which the CLI turns into exit 3
+    pts = (1j, 0.5 + 2j)
+
+    def f(z):
+        return complex(math.nan, 0.0) if z == pts[1] else one_over_m(z)
+
+    with pytest.raises(WeylsysError, match=r"not finite at z = \(0\.5\+2j\)"):
+        kernel_psd_test(f, math.pi / 4.0, points=pts)
+    with pytest.raises(WeylsysError, match="not finite at z = "):
+        kernel_psd_test(lambda z: complex(math.nan, 0.0), 0.5, trials=2)
 
 
 def _count_kernel_matrices(monkeypatch) -> list[int]:
