@@ -2,12 +2,12 @@
 classification for half-line Schrödinger operators.
 
 The package computes the principal m-function m_inf(z) and its rotated
-family m_alpha(z) numerically (Weyl-disk contraction off the real axis,
-backward Riccati integration on the negative half-axis), builds the
-two-parameter family of boundary-coupled systems with impedance and
-transfer functions, verifies Herglotz/Stieltjes positivity and the
-beta-kernel PSD property on grids, classifies functions by their boundary
-limits, and compares the sharp boundary-form inequality on [1, inf).
+family m_alpha(z) numerically (one backward Riccati sweep for every z
+off [0, inf)), builds the two-parameter family of boundary-coupled
+systems with impedance and transfer functions, verifies Herglotz/Stieltjes
+positivity and the beta-kernel PSD property on grids, classifies functions
+by their boundary limits, and compares the sharp boundary-form inequality
+on [1, inf).
 A Bessel-type potential (nu = 3/2 on [1, inf)) with a full set of closed
 forms serves as the built-in cross-check oracle.
 """

@@ -19,23 +19,41 @@ The square root uses the branch with argument in ``[0, 2*pi)``
 (``Im sqrt(z) >= 0``), which is the unique choice giving conjugate
 symmetry ``m(conj z) = conj(m(z))`` and the Herglotz sign of ``-m``.
 
-Numeric paths
--------------
-* ``Im z != 0`` -- forward integration of (theta, phi) with the running
-  integral of ``|phi|^2``; the Dirichlet circle point ``-theta(X)/phi(X)``
-  approximates m with error at most twice the Weyl-disk radius
-  ``radius(X) = (2 |Im z| int_ell^X |phi|^2)^{-1}``.  The truncation X
-  doubles until the radius passes the evaluator's ``tol``; solutions are
-  rescaled on the fly so growth like e^{kX} cannot overflow.
-* ``z < 0`` real -- backward Riccati integration of ``u' = q - z - u^2``
-  from the decaying fixed point ``u(X) = -sqrt(q(X) - z)``, which is
-  attracting in the backward direction; forward integration would be
-  exponentially unstable below the spectrum.  The start error decays like
-  ``exp(-2 sqrt|z| (X - ell))``, so the first truncation is
-  ``X = ell + 8 / sqrt(max(|z|, 1e-6))``, eight decay lengths; while
-  ``q(X) - z <= 0`` there (a well of q near ell) the distance doubles
-  before any solve.  Then the distance ``X - ell`` doubles until two
-  successive values of m differ by at most ``max(1e-10, tol * |m|)``.
+Numeric path
+------------
+Every z off [0, inf) takes one route: backward integration of the Riccati
+equation ``u' = q - z - u^2`` for ``u = psi'/psi``, so that
+``m_inf = -u(ell)``.  Off the real axis psi has no zero on [ell, inf) (a
+zero would be a Dirichlet eigenfunction with a non-real eigenvalue), so u
+has no pole, and it does not oscillate.  The sweep starts at the decaying
+fixed point ``u(X) = -sqrt(q(X) - z)`` (the root with positive real part),
+which the backward flow attracts at the rate ``2 Re sqrt(q - z)``; forward
+integration would be exponentially unstable.
+
+* Truncation.  A start error shrinks like ``exp(-2 kappa (X - ell))`` with
+  the decay rate ``kappa = Im sqrt_upper(z)``, which is ``sqrt|z|`` on the
+  negative axis.  The first truncation is ``X - ell = ln(1/tol) / (2 kappa)``
+  (kappa floored at 1e-3), so the sweep contracts a start error by ``tol``.
+  On the real axis, while ``q(X) - z <= 0`` there (a well of q near ell),
+  the distance doubles before any solve.
+* Off the axis, before any solve, the WKB exponent
+  ``2 int Re sqrt(q - z) dx`` up to the largest X is summed from a few
+  potential values; below ``ln(1/tol)`` the flow cannot contract enough
+  (limit-circle behavior, or z too close to [0, inf)) and
+  :class:`ConvergenceError` is raised at once.
+* One DOP853 sweep per truncation also carries ``w = int 2u`` and records
+  u and w at the midpoint ``X/2 = ell + (X - ell)/2``.  The start error of
+  the X/2 truncation, ``|u(X/2) - u_start(X/2)|``, reaches ell damped by
+  ``|exp(w(X/2) - w(ell))|``; divided by ``|cos a + u sin a|^2`` it is the
+  gap between the X/2 and X answers.  X - ell doubles only while that gap
+  exceeds ``max(1e-10, tol * |m|)``.
+* ``error_bound`` is that gap plus an integration term,
+  ``_INTEGRATION_ERROR (_ATOL + _RTOL |u(ell)|) / |cos a + u sin a|^2``
+  with ``_INTEGRATION_ERROR = 100``.  The contraction
+  damps the step errors made far from ell, so the global error is a fixed
+  multiple of the per-step allowance; the largest multiple seen against
+  Bessel oracles (nu in [0.5, 5], both half-planes and the negative axis)
+  was 24.
 
 ``tol`` on :class:`MFunctionEvaluator` is the only solver option; the ODE
 tolerances, the largest X and the number of samples behind a real-axis
@@ -147,13 +165,13 @@ def check_alpha(alpha: float) -> None:
 # solver constants
 # ---------------------------------------------------------------------------
 
-_RTOL = 1e-10                 # DOP853 relative tolerance on both paths
-_ATOL = 1e-12                 # DOP853 absolute tolerance on both paths
+_RTOL = 1e-10                 # DOP853 relative tolerance of a Riccati sweep
+_ATOL = 1e-12                 # DOP853 absolute tolerance of a Riccati sweep
 _X_MAX_FACTOR = 2.0 ** 20     # truncation X stops at this times max(ell, 1)
 _EXTRAPOLATION_POINTS = 8     # K samples -10**(-k) / -10**k of a real-axis limit
 _PLATEAU_TOL = 1e-10          # relative plateau of an extrapolated sequence
 _DIVERGENCE_GUARD = 1e12      # a limit sample beyond this reads as divergent
-_RESCALE_THRESHOLD = 1e90     # disk solutions are rescaled past this size
+_INTEGRATION_ERROR = 100.0    # global DOP853 error of a sweep, in _RTOL |u(ell)| + _ATOL
 
 
 def _check_tol(tol: float) -> None:
@@ -170,145 +188,84 @@ def _map_ivp_failure(sol) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Weyl-disk path (Im z != 0)
+# backward Riccati path (every z off [0, inf))
 # ---------------------------------------------------------------------------
 
-def _disk_state_rhs(potential: Potential, z: complex) -> Callable:
-    def rhs(x, y):
-        qz = potential(x) - z
-        phi = y[2]
-        return np.array([y[1], qz * y[0], y[3], qz * y[2],
-                         phi.real * phi.real + phi.imag * phi.imag],
-                        dtype=complex)
-    return rhs
+def _check_contraction(potential: Potential, z: complex, dist: float,
+                       x_max: float, target: float) -> None:
+    """Raise ConvergenceError unless the backward flow can contract by e^-target.
 
-
-def _integrate_rescaled(rhs, y, x0, x1):
-    """Advance the 5-component state from x0 to x1, rescaling on overflow.
-
-    Returns ``(y, scale2, J)`` where the stored solution values are the true
-    ones divided by ``sqrt(scale2)`` and J is the true accumulated
-    ``int |phi|^2`` over the segment.
+    The WKB exponent ``2 int_ell^x_max Re sqrt(q - z) dx`` is summed by the
+    trapezoid rule over ell and the ladder ``ell + dist 2^j``, j >= -10,
+    which holds every planned truncation X: one potential call per rung.
     """
-    threshold = _RESCALE_THRESHOLD
-
-    def too_big(x, y):
-        return max(abs(y[0]), abs(y[2])) - 10.0 * threshold
-    too_big.terminal = True
-    too_big.direction = 1
-
-    scale2 = 1.0
-    J = 0.0
-    t = x0
-    while t < x1:
-        sol = solve_ivp(rhs, (t, x1), y, method="DOP853",
-                        rtol=_RTOL, atol=_ATOL, events=too_big)
-        _map_ivp_failure(sol)
-        y = sol.y[:, -1].copy()
-        t = sol.t[-1]
-        J += scale2 * y[4].real
-        y[4] = 0.0
-        mag = max(abs(y[0]), abs(y[2]))
-        if mag > threshold:
-            y /= mag
-            scale2 *= mag * mag
-    return y, scale2, J
-
-
-def _weyl_disk_m(potential: Potential, alpha: float, z: complex,
-                 tol: float) -> tuple[complex, float, float]:
-    """Return (m_alpha(z), disk radius, truncation X) for Im z != 0."""
     ell = potential.ell
-    sa, ca = _alpha_data(alpha)
-    y = np.array([ca, sa, sa, -ca, 0.0], dtype=complex)
-    rhs = _disk_state_rhs(potential, z)
-    x_max = _X_MAX_FACTOR * max(ell, 1.0)
-    two_im = 2.0 * abs(z.imag)
-
-    X_prev = ell
-    X = max(2.0 * ell, ell + 1.0)
-    J_total = 0.0
-    cumulative_scale2 = 1.0
-    radius_prev = math.inf
-    ratio_prev = 0.0
-    stall = 0
-    while X <= x_max:
-        y, seg_scale2, seg_J = _integrate_rescaled(rhs, y, X_prev, X)
-        # seg_J is true relative to the state at X_prev; undo the global scale
-        J_total += cumulative_scale2 * seg_J
-        cumulative_scale2 *= seg_scale2
-        radius = 1.0 / (two_im * J_total) if J_total > 0 else math.inf
-        if abs(y[2]) > 0 and radius <= tol:
-            return -y[0] / y[2], radius, X
-        if math.isfinite(radius_prev):
-            ratio = radius / radius_prev
-            # limit point: the per-doubling contraction ratio strictly
-            # decreases; a ratio near 1 that stops decreasing means the disk
-            # has a positive limit radius (limit circle) or z is effectively
-            # on the essential spectrum
-            if ratio >= 0.7 and ratio >= ratio_prev - 1e-3:
-                stall += 1
-                if stall >= 2:
-                    raise ConvergenceError(
-                        f"Weyl disk radius stopped contracting at {radius:.3e} "
-                        f"(X = {X:g}); limit-circle behavior, or z = {z} too "
-                        "close to [0, inf)")
-            else:
-                stall = 0
-            ratio_prev = ratio
-        radius_prev = radius
-        X_prev = X
-        X *= 2.0
-    raise ConvergenceError(
-        f"disk radius {radius_prev:.3e} still above tolerance "
-        f"{tol:g} at X_max = {x_max:g} for z = {z}")
-
-
-# ---------------------------------------------------------------------------
-# Riccati path (real z < 0)
-# ---------------------------------------------------------------------------
-
-def _riccati_m(potential: Potential, alpha: float, z: float,
-               tol: float) -> tuple[float, float, float]:
-    """Return (m_alpha(z), truncation X, plateau gap) for real z < 0."""
-    ell = potential.ell
-    zr = float(z)
-    x_max = _X_MAX_FACTOR * max(ell, 1.0)
-    # X - ell in decay lengths 1/sqrt|z| (module docstring); so close to ell
-    # a well of q may dip below z, and only the tail may raise DomainError
-    dist = 8.0 / math.sqrt(max(abs(zr), 1e-6))
-    while potential(ell + dist) - zr <= 0 and ell + 2.0 * dist <= x_max:
+    xs = [ell]
+    dist /= 1024.0
+    while ell + dist <= x_max:
+        xs.append(ell + dist)
         dist *= 2.0
+    rates = [cmath.sqrt(potential(x) - z).real for x in xs]
+    exponent = sum((b - a) * (ra + rb)
+                   for a, b, ra, rb in zip(xs, xs[1:], rates, rates[1:]))
+    if exponent < target:
+        raise ConvergenceError(
+            f"the backward Riccati flow contracts by only e^-{exponent:.3g} "
+            f"up to X_max = {x_max:g} at z = {z}; limit-circle behavior, or z "
+            "too close to [0, inf)")
+
+
+def _riccati_m(potential: Potential, alpha: float, z: complex,
+               tol: float) -> tuple[complex, float, float]:
+    """Return (m_alpha(z), truncation X, error bound) for z off [0, inf)."""
+    ell = potential.ell
+    real = z.imag == 0.0
+    zq = z.real if real else z
+    x_max = _X_MAX_FACTOR * max(ell, 1.0)
+    # X - ell contracts a start error by tol (module docstring); so close to
+    # ell a well of q may dip below z, and only the tail may raise DomainError
+    target = math.log(1.0 / tol)
+    dist = target / (2.0 * max(sqrt_upper(z).imag, 1e-3))
+    if real:
+        while potential(ell + dist) - zq <= 0 and ell + 2.0 * dist <= x_max:
+            dist *= 2.0
+    else:
+        _check_contraction(potential, z, dist, x_max, target)
     X = min(ell + dist, x_max)
     sa, ca = _alpha_data(alpha)
 
-    def rhs(x, u):
-        return (potential(x) - zr - u[0] * u[0],)
+    def rhs(x, y):
+        u = y[0]
+        return (potential(x) - zq - u * u, 2.0 * u)
 
-    m_prev = None
     while True:
-        s = potential(X) - zr
-        if s <= 0:
+        s = potential(X) - zq
+        if real and s <= 0:
             raise DomainError(
                 f"q(X) - z = {s:g} <= 0 at X = {X:g}; the real-axis path "
                 "requires z strictly below the potential tail "
                 "(nonnegative-operator regime)")
-        sol = solve_ivp(rhs, (X, ell), [-math.sqrt(s)], method="DOP853",
-                        rtol=_RTOL, atol=_ATOL)
+        u_start = -cmath.sqrt(s)
+        x_half = ell + 0.5 * (X - ell)
+        sol = solve_ivp(rhs, (X, ell), [u_start.real if real else u_start, 0.0],
+                        method="DOP853", rtol=_RTOL, atol=_ATOL,
+                        t_eval=[x_half, ell])
         _map_ivp_failure(sol)
-        u = sol.y[0, -1]
-        m = safe_div(sa - u * ca, ca + u * sa, z=zr, what="m_alpha").real
-        if m_prev is not None:
-            gap = abs(m - m_prev)
-            if gap <= max(1e-10, tol * abs(m)):
-                return m, X, gap
-        m_prev = m
+        (u_half, u), (w_half, w) = sol.y
+        m = complex(safe_div(sa - u * ca, ca + u * sa, z=zq, what="m_alpha"))
+        den2 = abs(ca + u * sa) ** 2
+        # the X/2 truncation's start error, carried to ell by the flow
+        damping = math.exp(min((w_half - w).real, 700.0))
+        gap = abs(u_half + cmath.sqrt(potential(x_half) - zq)) * damping / den2
+        if gap <= max(1e-10, tol * abs(m)):
+            step_error = _INTEGRATION_ERROR * (_ATOL + _RTOL * abs(u)) / den2
+            return m, X, float(gap + step_error)
         dist *= 2.0
         X = ell + dist
         if X > x_max:
             raise ConvergenceError(
                 f"Riccati truncation exceeded X_max = {x_max:g} "
-                f"without the value settling (z = {zr})")
+                f"without the value settling (z = {zq})")
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +276,12 @@ def _riccati_m(potential: Potential, alpha: float, z: float,
 class MEvaluation:
     """A single m-function value plus the diagnostics of its computation.
 
-    ``error_bound`` is twice the Weyl-disk radius on the disk path, the
-    truncation plateau gap on the Riccati path, and 0 for closed forms.
+    ``value`` is a Python complex and ``error_bound`` a Python float: the
+    gap of the X/2 truncation plus the integration term (module docstring)
+    on the numeric path, and 0 for closed forms.  ``path`` names the
+    half-plane for the same sweep: ``"weyl-disk"`` off the real axis (the
+    name of the integrator it replaced, which the benchmark's spans key
+    on), ``"riccati"`` on the negative axis, or ``"closed-form"``.
     """
 
     value: complex
@@ -335,9 +296,9 @@ class MFunctionEvaluator:
 
     ``mode`` is ``"numeric"`` or ``"closed_form"``; the closed form exists
     only for the Bessel potential with nu = 3/2 and ell = 1.  ``tol`` is the
-    truncation tolerance of the numeric paths: the Weyl-disk radius on the
-    disk path, and the relative plateau gap on the Riccati path.  All
-    operations are pure, so concurrent use from several threads is safe.
+    truncation tolerance of the numeric path: it sizes the first X, and
+    the gap of the X/2 truncation must fall to ``max(1e-10, tol * |m|)``.
+    All operations are pure, so concurrent use from several threads is safe.
     """
 
     potential: Potential
@@ -373,11 +334,8 @@ def m_infinity_info(evaluator: MFunctionEvaluator, z: complex) -> MEvaluation:
     z = _check_spectral_point(z)
     if evaluator.mode == "closed_form":
         return MEvaluation(bessel_m_closed_form(z), math.inf, 0.0, "closed-form")
-    if z.imag != 0.0:
-        m, radius, X = _weyl_disk_m(evaluator.potential, math.pi, z, evaluator.tol)
-        return MEvaluation(m, X, 2.0 * radius, "weyl-disk")
-    m, X, gap = _riccati_m(evaluator.potential, math.pi, z.real, evaluator.tol)
-    return MEvaluation(complex(m), X, gap, "riccati")
+    m, X, bound = _riccati_m(evaluator.potential, math.pi, z, evaluator.tol)
+    return MEvaluation(m, X, bound, "weyl-disk" if z.imag != 0.0 else "riccati")
 
 
 def m_infinity(evaluator: MFunctionEvaluator, z: complex) -> complex:
@@ -413,19 +371,15 @@ def m_alpha_direct(potential: Potential, alpha: float, z: complex,
                    tol: float = 1e-8) -> complex:
     """m_alpha(z) from the rotated boundary data, bypassing the transform.
 
-    Uses the Weyl-disk path off the real axis and the backward Riccati path
-    for real z < 0, with the truncation tolerance ``tol`` of
-    :class:`MFunctionEvaluator`; agrees with :func:`m_alpha` within the
+    Applies the boundary data of alpha at ell to the same backward Riccati
+    sweep as :func:`m_infinity_info`, with the truncation tolerance ``tol``
+    of :class:`MFunctionEvaluator`; agrees with :func:`m_alpha` within the
     combined error bounds.
     """
     _check_tol(tol)
     check_alpha(alpha)
     z = _check_spectral_point(z)
-    if z.imag != 0.0:
-        m, _, _ = _weyl_disk_m(potential, alpha, z, tol)
-        return m
-    m, _, _ = _riccati_m(potential, alpha, z.real, tol)
-    return complex(m)
+    return _riccati_m(potential, alpha, z, tol)[0]
 
 
 # ---------------------------------------------------------------------------

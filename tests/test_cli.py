@@ -156,6 +156,14 @@ def test_m_eval_solver_error_record(capsys):
     assert doc["error"]["type"] == "DomainError"
 
 
+def test_m_eval_near_axis_is_a_solver_error(capsys):
+    # at Im z = 1e-9 the backward Riccati flow cannot contract within X_max
+    code, doc, _ = run_json(capsys, "m-eval", "--z", "5+1e-9i", "--mode", "numeric")
+    assert code == 3
+    assert doc["error"]["type"] == "ConvergenceError"
+    assert "too close to [0, inf)" in doc["error"]["message"]
+
+
 def test_m_eval_pole_error_carries_z(capsys):
     # cot(alpha) = m(-1) = 3/2 makes the rotation singular at z = -1
     code, doc, _ = run_json(capsys, "m-eval", "--alpha", "atan(2/3)", "--z", "-1")

@@ -2,12 +2,12 @@ from __future__ import annotations
 
 import cmath
 import math
+import time
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
-from scipy.special import kve
+from scipy.special import h1vp, hankel1, kve
 
 from weylsys import (
     ConvergenceError,
@@ -34,7 +34,6 @@ from weylsys import (
     sqrt_upper,
 )
 from weylsys import mfunc
-from weylsys.mfunc import _alpha_data, _disk_state_rhs, _integrate_rescaled
 
 BESSEL = Potential.bessel()
 CLOSED = MFunctionEvaluator(BESSEL, mode="closed_form")
@@ -118,39 +117,7 @@ def test_transfer_closed_form_is_unimodular_on_the_negative_axis():
 
 
 # ---------------------------------------------------------------------------
-# fundamental pair
-# ---------------------------------------------------------------------------
-
-def test_disk_integrator_boundary_data_at_ell():
-    # alpha = pi gives the Dirichlet-normalized reference pair at ell:
-    # theta = -1, theta' = 0, phi = 0, phi' = 1, Wronskian exactly -1
-    assert _alpha_data(math.pi) == (0.0, -1.0)
-    sa, ca = _alpha_data(math.pi)
-    y0 = np.array([ca, sa, sa, -ca, 0.0], dtype=complex)
-    y, scale2, J = _integrate_rescaled(_disk_state_rhs(BESSEL, 1j), y0, BESSEL.ell, BESSEL.ell)
-    assert (y[0], y[1]) == (-1.0, 0.0)
-    assert (y[2], y[3]) == (0.0, 1.0)
-    assert (scale2, J) == (1.0, 0.0)
-    assert y[0] * y[3] - y[1] * y[2] == -1.0
-
-
-def test_disk_integrator_conserves_the_wronskian(monkeypatch):
-    # a low rescale threshold makes the integrator rescale many times; the
-    # stored solutions are the true ones over sqrt(scale2), so the true
-    # Wronskian theta phi' - theta' phi = -1 reads -1/scale2 in storage
-    monkeypatch.setattr(mfunc, "_RESCALE_THRESHOLD", 1e3)
-    for alpha in (0.7, math.pi / 2, math.pi):
-        sa, ca = _alpha_data(alpha)
-        y0 = np.array([ca, sa, sa, -ca, 0.0], dtype=complex)
-        y, scale2, _ = _integrate_rescaled(_disk_state_rhs(BESSEL, -1.0 + 1j), y0, 1.0, 30.0)
-        assert scale2 > 1e6
-        wr = y[0] * y[3] - y[1] * y[2]
-        mag = max(abs(v) for v in y[:4])
-        assert abs(wr + 1.0 / scale2) / max(1.0 / scale2, mag * mag) < 1e-8
-
-
-# ---------------------------------------------------------------------------
-# Weyl-disk path
+# off the real axis
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("z", [1j, -1.0 + 1j, 2.0 + 0.5j, 1.0 - 1j, 5.0 + 0.1j])
@@ -168,12 +135,84 @@ def test_disk_error_bound_is_honest():
 
 
 def test_disk_radius_contracts_with_truncation():
-    # a tighter tol needs a larger truncation X, where the bound
-    # (twice the disk radius) is smaller
+    # a tighter tol needs a larger truncation X, where the bound (the gap of
+    # the X/2 truncation plus the integration term) is smaller
     infos = [m_infinity_info(MFunctionEvaluator(BESSEL, tol=tol), 1j)
              for tol in (1e-4, 1e-6, 1e-10)]
     assert all(b.truncation_X > a.truncation_X for a, b in zip(infos, infos[1:]))
     assert all(b.error_bound < a.error_bound for a, b in zip(infos, infos[1:]))
+
+
+@pytest.mark.parametrize("z", [1j, -2.0 - 1j, -1.0, 1e-3 - 0.5j])
+def test_evaluation_fields_are_python_scalars(z):
+    for ev in (NUMERIC, CLOSED):
+        info = m_infinity_info(ev, z)
+        assert type(info.value) is complex
+        assert type(info.error_bound) is float
+        rotated = m_alpha_info(ev, math.pi / 3, z)
+        assert type(rotated.value) is complex
+        assert type(rotated.error_bound) is float
+    assert type(m_alpha_direct(BESSEL, math.pi / 3, z)) is complex
+
+
+@pytest.mark.parametrize("z", [1j, -2.0 + 0.5j, -1.0])
+def test_riccati_boundary_data_at_ell(z):
+    # the sweep's u(ell) = psi'/psi(ell) enters only through the boundary
+    # data at ell: alpha = pi is m_inf itself and alpha = pi/2 is -1/m_inf
+    m = m_infinity(NUMERIC, z)
+    assert m_alpha_direct(BESSEL, math.pi, z) == m
+    assert m_alpha_direct(BESSEL, math.pi / 2, z) == pytest.approx(-1.0 / m, rel=1e-14)
+
+
+@pytest.mark.parametrize("z", [1j, -30.0 + 2.0j, 5.0 - 0.1j])
+def test_riccati_start_is_the_decaying_fixed_point(z):
+    # for q = c the start u(X) = -sqrt(c - z) (Re > 0 root) solves the
+    # Riccati equation exactly, so m = sqrt(c - z) up to the step errors
+    pot = Potential.expression(lambda x: 25.0, ell=0.0, label="plateau")
+    info = m_infinity_info(MFunctionEvaluator(pot), z)
+    assert info.value == pytest.approx(cmath.sqrt(25.0 - z), rel=1e-9)
+    assert abs(info.value - cmath.sqrt(25.0 - z)) <= info.error_bound
+
+
+def _counting_solve_ivp(monkeypatch):
+    nfev = []
+
+    def counting_solve_ivp(*args, **kwargs):
+        sol = solve_ivp(*args, **kwargs)
+        nfev.append(sol.nfev)
+        return sol
+
+    monkeypatch.setattr(mfunc, "solve_ivp", counting_solve_ivp)
+    return nfev
+
+
+@pytest.mark.parametrize("z", [5.0 + 0.1j, 100.0 + 1j, 1000.0 + 1j])
+def test_complex_cost_follows_the_decay_length(monkeypatch, z):
+    # u = psi'/psi does not oscillate, so over X - ell = ln(1/tol)/(2 Im sqrt z)
+    # DOP853's step is held only by stability, about 6/|2u|; a path that
+    # followed the oscillation of psi would need far more calls at 1000+i
+    nfev = _counting_solve_ivp(monkeypatch)
+    info = m_infinity_info(NUMERIC, z)
+    exact = bessel_m_closed_form(z)
+    assert abs(info.value - exact) <= 1e-10 * abs(exact)
+    assert abs(info.value - exact) <= info.error_bound
+    assert info.truncation_X - BESSEL.ell <= 2.0 * math.log(1e8) / sqrt_upper(z).imag
+    assert sum(nfev) < 100_000
+
+
+@pytest.mark.parametrize("pot, z", [
+    (BESSEL, 5.0 + 1e-9j),
+    (Potential.expression(lambda x: -(x**4), ell=1.0, label="-x^4"), 5.0 + 0.1j),
+])
+def test_near_axis_and_limit_circle_fail_fast(monkeypatch, pot, z):
+    # the WKB contraction exponent 2 int Re sqrt(q - z) cannot reach ln(1/tol)
+    # within X_max, so no sweep starts
+    nfev = _counting_solve_ivp(monkeypatch)
+    start = time.perf_counter()
+    with pytest.raises(ConvergenceError, match="limit-circle behavior, or z too close"):
+        m_infinity(MFunctionEvaluator(pot), z)
+    assert time.perf_counter() - start < 2.0
+    assert nfev == []
 
 
 def test_numeric_m_keeps_conjugate_symmetry():
@@ -184,11 +223,28 @@ def test_numeric_m_keeps_conjugate_symmetry():
 
 
 def test_limit_circle_potential_is_detected():
-    # q = -x^4 is limit-circle at infinity: the disk radii stop contracting
+    # q = -x^4 is limit-circle at infinity: the backward flow never contracts
     pot = Potential.expression(lambda x: -(x**4), ell=1.0, label="-x^4")
     ev = MFunctionEvaluator(pot, mode="numeric")
     with pytest.raises(ConvergenceError):
         m_infinity(ev, 5.0 + 0.1j)
+
+
+def _bessel_m_off_the_axis(nu, ell, z):
+    """m(z) for Bessel(nu, ell) from the decaying solution sqrt(x) H1_nu(k x), k = sqrt z."""
+    k = sqrt_upper(z)
+    return -(1.0 / (2.0 * ell) + k * complex(h1vp(nu, k * ell)) / complex(hankel1(nu, k * ell)))
+
+
+@pytest.mark.parametrize("z", [1j, -3.0 + 0.5j, 4.0 + 0.3j, -1.0 - 2j, 2.0 - 0.5j])
+@pytest.mark.parametrize("ell", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("nu", [0.6, 1.5, 2.5, 3.0])
+def test_complex_path_matches_the_hankel_oracle(nu, ell, z):
+    ev = MFunctionEvaluator(Potential.bessel(nu, ell), mode="numeric")
+    exact = _bessel_m_off_the_axis(nu, ell, z)
+    info = m_infinity_info(ev, z)
+    assert info.value == pytest.approx(exact, rel=1e-8)
+    assert abs(info.value - exact) <= info.error_bound
 
 
 # ---------------------------------------------------------------------------
@@ -208,14 +264,7 @@ def test_riccati_cost_follows_the_decay_length(monkeypatch, z):
     # the truncation error shrinks like exp(-2 sqrt|z| (X - ell)), so X - ell
     # is a few decay lengths 1/sqrt|z| and a few hundred RHS calls suffice;
     # a start X - ell of order 1 costs about 1e5 calls at z = -1e8
-    nfev = []
-
-    def counting_solve_ivp(*args, **kwargs):
-        sol = solve_ivp(*args, **kwargs)
-        nfev.append(sol.nfev)
-        return sol
-
-    monkeypatch.setattr(mfunc, "solve_ivp", counting_solve_ivp)
+    nfev = _counting_solve_ivp(monkeypatch)
     info = m_infinity_info(NUMERIC, z)
     exact = bessel_m_closed_form(z).real
     assert abs(info.value.real - exact) <= 1e-10 * abs(exact)
