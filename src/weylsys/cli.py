@@ -24,13 +24,14 @@ from pathlib import Path
 import numpy as np
 
 from .errors import PoleError, WeylsysError
-from .lsystem import impedance, lsystem_to_dict, make_lsystem
+from .lsystem import impedance_from_m, lsystem_to_dict, make_lsystem
 from .mfunc import (
     NAMED_GRIDS,
     MFunctionEvaluator,
     check_alpha,
-    m_alpha_info,
-    m_infinity_limit_at_zero,
+    limit_at_minus_zero,
+    m_infinity_batch,
+    rotate_evaluation,
 )
 from .potentials import Potential, load_potential_file
 from .reporting import Check, CheckReport, format_csv, json_ready
@@ -40,6 +41,7 @@ from .sectorial import (
     classify_s_beta12,
     herglotz_test,
     kernel_psd_test,
+    sampled_points,
     sector_angle_from_gap,
     sector_angle_from_product,
     stieltjes_test,
@@ -327,8 +329,8 @@ def cmd_m_eval(args: argparse.Namespace, config: dict[str, str]) -> int:
     except WeylsysError as exc:
         raise UsageError(str(exc)) from exc
     rows = []
-    for z in points:
-        info = m_alpha_info(evaluator, alpha, z)
+    for z, info in zip(points, m_infinity_batch(evaluator, points)):
+        info = rotate_evaluation(info, alpha, z)
         rows.append([z.real, z.imag, info.value.real, info.value.imag, info.error_bound])
 
     columns = ["re_z", "im_z", "re_m", "im_m", "error_bound"]
@@ -373,15 +375,22 @@ def cmd_classify(args: argparse.Namespace, config: dict[str, str]) -> int:
     except WeylsysError as exc:
         raise UsageError(str(exc)) from exc
 
-    def imp(z):
-        return impedance(system, z, evaluator)
-
     complex_grid = None
     negative_grid = None
     if args.grid:
         pts = parse_grid(args.grid)
         complex_grid = [z for z in pts if z.imag > 0] or None
         negative_grid = [z.real for z in pts if z.imag == 0 and z.real < 0] or None
+
+    # one stacked sweep solves m at every point the checks below read
+    batch = m_infinity_batch(
+        evaluator, sampled_points(complex_grid, negative_grid, trials, seed))
+
+    def m_cached(z):
+        return batch.at(z).value
+
+    def imp(z):
+        return impedance_from_m(system, m_cached(z), z)
 
     herg = herglotz_test(imp, grid=complex_grid)
     stj = stieltjes_test(imp, complex_grid=complex_grid, negative_grid=negative_grid)
@@ -408,7 +417,7 @@ def cmd_classify(args: argparse.Namespace, config: dict[str, str]) -> int:
         if kern_beta is not None:
             checks.append(kernel_psd_test(imp, kern_beta, trials=trials, seed=seed))
 
-    m0 = m_infinity_limit_at_zero(evaluator)
+    m0 = limit_at_minus_zero(m_cached)
     accr = accretivity_and_sectoriality(h, mu, m0)
     accretivity = {k: v for k, v in dataclasses.asdict(accr).items() if k not in ("h", "mu")}
 

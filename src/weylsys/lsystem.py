@@ -27,6 +27,7 @@ __all__ = [
     "LSystem",
     "make_lsystem",
     "impedance",
+    "impedance_from_m",
     "transfer",
     "transfer_from_impedance",
     "impedance_from_transfer",
@@ -144,7 +145,11 @@ def impedance(system: LSystem, z: complex, evaluator: MFunctionEvaluator) -> com
     For mu = inf this reduces to V(z) = Im(h) / (m(z) + Re h).  Zeros of the
     denominator raise PoleError carrying z.
     """
-    m = m_infinity(evaluator, z)
+    return impedance_from_m(system, m_infinity(evaluator, z), z)
+
+
+def impedance_from_m(system: LSystem, m: complex, z: complex) -> complex:
+    """The impedance V(z) of :func:`impedance` from the value m = m_inf(z)."""
     h = system.h
     if system.mu_is_infinite:
         return safe_div(complex(h.imag), m + h.real, z=z, what="impedance")

@@ -55,6 +55,21 @@ integration would be exponentially unstable.
   Bessel oracles (nu in [0.5, 5], both half-planes and the negative axis)
   was 24.
 
+Stacked sweep
+-------------
+:func:`m_infinity_batch` solves many z in one DOP853 call.  Column j
+integrates ``(u_j, w_j)`` in ``s = (x - ell) / (X_j - ell)`` from 1 to 0,
+so it keeps its own truncation X_j, midpoint s = 1/2, gap test and
+``error_bound`` exactly as above, and only the columns whose gap fails are
+doubled and swept again.  With N columns ``_RTOL`` and ``_ATOL`` are divided
+by sqrt(N): the solver's error norm is an RMS over the components, so each
+column's local error control is no looser than in a sweep of its own.  One
+column keeps the scalar sweep in x, with its scalar Python right-hand side.
+A z whose evaluation fails keeps its own error, raised when its entry is
+read; if a stacked sweep fails, its columns are solved again one by one, so
+each error names its z.  The steps of a stacked sweep are shared, so a z's
+last digits can differ between batches, always within its ``error_bound``.
+
 ``tol`` on :class:`MFunctionEvaluator` is the only solver option; the ODE
 tolerances, the largest X and the number of samples behind a real-axis
 limit are the fixed constants below.
@@ -65,22 +80,23 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
+from collections.abc import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import (ConvergenceError, DomainError, ExtrapolationError,
-                     IntegrationError, PoleError, StiffnessError)
+                     IntegrationError, PoleError, StiffnessError, WeylsysError)
 from .potentials import Potential
 
 __all__ = [
     "MFunctionEvaluator", "MEvaluation",
     "sqrt_upper", "bessel_m_closed_form", "free_m_closed_form",
     "bessel_neg_m_alpha_closed_form", "bessel_w_closed_form", "check_alpha",
-    "m_infinity", "m_infinity_info", "m_alpha", "m_alpha_info",
-    "m_alpha_direct", "m_infinity_limit_at_zero",
-    "m_infinity_limit_at_minus_infinity", "limit_at_minus_zero",
+    "m_infinity", "m_infinity_info", "MBatch", "m_infinity_batch",
+    "m_alpha", "m_alpha_info", "rotate_evaluation", "m_alpha_direct",
+    "m_infinity_limit_at_zero", "m_infinity_limit_at_minus_infinity",
+    "MINUS_ZERO_LADDER", "MINUS_INFINITY_LADDER", "limit_at_minus_zero",
     "limit_at_minus_infinity", "safe_div", "NAMED_GRIDS",
 ]
 
@@ -215,57 +231,139 @@ def _check_contraction(potential: Potential, z: complex, dist: float,
             "too close to [0, inf)")
 
 
-def _riccati_m(potential: Potential, alpha: float, z: complex,
-               tol: float) -> tuple[complex, float, float]:
-    """Return (m_alpha(z), truncation X, error bound) for z off [0, inf)."""
+def _first_distance(potential: Potential, z: complex, tol: float,
+                    x_max: float) -> float:
+    """X - ell of the first truncation at z (module docstring).
+
+    On the real axis the distance doubles while q(X) - z <= 0 there; off it
+    the WKB contraction check runs, before any solve.
+    """
     ell = potential.ell
-    real = z.imag == 0.0
-    zq = z.real if real else z
-    x_max = _X_MAX_FACTOR * max(ell, 1.0)
     # X - ell contracts a start error by tol (module docstring); so close to
     # ell a well of q may dip below z, and only the tail may raise DomainError
     target = math.log(1.0 / tol)
     dist = target / (2.0 * max(sqrt_upper(z).imag, 1e-3))
-    if real:
-        while potential(ell + dist) - zq <= 0 and ell + 2.0 * dist <= x_max:
+    if z.imag == 0.0:
+        while potential(ell + dist) - z.real <= 0 and ell + 2.0 * dist <= x_max:
             dist *= 2.0
     else:
         _check_contraction(potential, z, dist, x_max, target)
-    X = min(ell + dist, x_max)
+    return dist
+
+
+def _sweep(potential: Potential, zq: list, tops: list[float],
+           starts: list) -> tuple[np.ndarray, np.ndarray]:
+    """One DOP853 sweep of ``u' = q - z - u^2``, ``w' = 2u`` per column.
+
+    Column j runs from ``u = starts[j]``, ``w = 0`` at ``tops[j]`` down to
+    ell.  Returns (u, w), each of shape (columns, 2): the values at the
+    midpoint ``ell + (X - ell)/2`` and at ell.  One column runs in x with a
+    scalar right-hand side.  Several run in ``s = (x - ell)/(X_j - ell)``
+    from 1 to 0 with a numpy right-hand side and the tolerances divided by
+    sqrt(N): the error norm is an RMS over the components, so each column's
+    local error stays within what a sweep of its own allows.
+    """
+    ell = potential.ell
+    n = len(zq)
+    if n == 1:
+        z, top = zq[0], tops[0]
+
+        def rhs(x, y):
+            u = y[0]
+            return (potential(x) - z - u * u, 2.0 * u)
+
+        sol = solve_ivp(rhs, (top, ell), [starts[0], 0.0], method="DOP853",
+                        rtol=_RTOL, atol=_ATOL, t_eval=[ell + 0.5 * (top - ell), ell])
+    else:
+        d = np.array(tops) - ell
+        d2 = 2.0 * d
+        zs = np.array(zq)
+
+        def rhs(s, y):
+            u = y[:n]
+            return np.concatenate((d * (potential(ell + s * d) - zs - u * u), d2 * u))
+
+        shrink = math.sqrt(n)
+        sol = solve_ivp(rhs, (1.0, 0.0), np.concatenate((starts, np.zeros(n))),
+                        method="DOP853", rtol=_RTOL / shrink, atol=_ATOL / shrink,
+                        t_eval=[0.5, 0.0])
+    _map_ivp_failure(sol)
+    return sol.y[:n], sol.y[n:]
+
+
+def _riccati_batch(potential: Potential, alpha: float, zs: list[complex],
+                   tol: float) -> list:
+    """(m_alpha(z), truncation X, error bound), or z's error, for distinct zs off [0, inf).
+
+    Every truncation round sweeps the columns still open in one
+    :func:`_sweep`; a column whose gap fails doubles its X - ell and joins
+    the next round.  If a stacked sweep fails, each of its columns is solved
+    again on its own, so an error names its z.
+    """
+    ell = potential.ell
+    x_max = _X_MAX_FACTOR * max(ell, 1.0)
     sa, ca = _alpha_data(alpha)
+    real = [z.imag == 0.0 for z in zs]
+    zq = [z.real if r else z for z, r in zip(zs, real)]
+    out: list = [None] * len(zs)
+    dist: dict[int, float] = {}
+    for j, z in enumerate(zs):
+        try:
+            dist[j] = _first_distance(potential, z, tol, x_max)
+        except WeylsysError as exc:
+            out[j] = exc
+    top = {j: min(ell + d, x_max) for j, d in dist.items()}
 
-    def rhs(x, y):
-        u = y[0]
-        return (potential(x) - zq - u * u, 2.0 * u)
+    def settle(j, result):
+        out[j] = result
+        del dist[j]
 
-    while True:
-        s = potential(X) - zq
-        if real and s <= 0:
-            raise DomainError(
-                f"q(X) - z = {s:g} <= 0 at X = {X:g}; the real-axis path "
-                "requires z strictly below the potential tail "
-                "(nonnegative-operator regime)")
-        u_start = -cmath.sqrt(s)
-        x_half = ell + 0.5 * (X - ell)
-        sol = solve_ivp(rhs, (X, ell), [u_start.real if real else u_start, 0.0],
-                        method="DOP853", rtol=_RTOL, atol=_ATOL,
-                        t_eval=[x_half, ell])
-        _map_ivp_failure(sol)
-        (u_half, u), (w_half, w) = sol.y
-        m = complex(safe_div(sa - u * ca, ca + u * sa, z=zq, what="m_alpha"))
-        den2 = abs(ca + u * sa) ** 2
-        # the X/2 truncation's start error, carried to ell by the flow
-        damping = math.exp(min((w_half - w).real, 700.0))
-        gap = abs(u_half + cmath.sqrt(potential(x_half) - zq)) * damping / den2
-        if gap <= max(1e-10, tol * abs(m)):
-            step_error = _INTEGRATION_ERROR * (_ATOL + _RTOL * abs(u)) / den2
-            return m, X, float(gap + step_error)
-        dist *= 2.0
-        X = ell + dist
-        if X > x_max:
-            raise ConvergenceError(
-                f"Riccati truncation exceeded X_max = {x_max:g} "
-                f"without the value settling (z = {zq})")
+    while dist:
+        cols, starts = [], []
+        for j in list(dist):
+            s = potential(top[j]) - zq[j]
+            if real[j] and s <= 0:
+                settle(j, DomainError(
+                    f"q(X) - z = {s:g} <= 0 at X = {top[j]:g}; the real-axis path "
+                    "requires z strictly below the potential tail "
+                    "(nonnegative-operator regime)"))
+                continue
+            u_start = -cmath.sqrt(s)
+            cols.append(j)
+            starts.append(u_start.real if real[j] else u_start)
+        if not cols:
+            break
+        try:
+            us, ws = _sweep(potential, [zq[j] for j in cols], [top[j] for j in cols], starts)
+        except WeylsysError as exc:
+            for j in cols:
+                settle(j, exc if len(cols) == 1
+                       else _riccati_batch(potential, alpha, [zs[j]], tol)[0])
+            continue
+        for j, (u_half, u), (w_half, w) in zip(cols, us, ws):
+            if real[j]:
+                u_half, u = u_half.real, u.real
+            try:
+                m = complex(safe_div(sa - u * ca, ca + u * sa, z=zq[j], what="m_alpha"))
+            except PoleError as exc:
+                settle(j, exc)
+                continue
+            den2 = abs(ca + u * sa) ** 2
+            # the X/2 truncation's start error, carried to ell by the flow
+            x_half = ell + 0.5 * (top[j] - ell)
+            damping = math.exp(min((w_half - w).real, 700.0))
+            gap = abs(u_half + cmath.sqrt(potential(x_half) - zq[j])) * damping / den2
+            if gap <= max(1e-10, tol * abs(m)):
+                step_error = _INTEGRATION_ERROR * (_ATOL + _RTOL * abs(u)) / den2
+                settle(j, (m, top[j], float(gap + step_error)))
+                continue
+            dist[j] *= 2.0
+            top[j] = ell + dist[j]
+            if top[j] > x_max:
+                settle(j, ConvergenceError(
+                    f"Riccati truncation exceeded X_max = {x_max:g} "
+                    f"without the value settling (z = {zq[j]})"))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -329,18 +427,84 @@ def _check_spectral_point(z: complex) -> complex:
     return z
 
 
+class MBatch(Sequence):
+    """The evaluations of :func:`m_infinity_batch`, in the order of its points.
+
+    Indexing, iteration and :meth:`at` give an :class:`MEvaluation`.  The
+    entry of a point whose evaluation failed raises that point's own error
+    (``DomainError``, ``ConvergenceError``, ...) when it is read, and only
+    then, so one bad point does not take the others down.
+    """
+
+    def __init__(self, points: Sequence[complex], outcomes: Sequence):
+        self.points = tuple(points)
+        self._outcomes = tuple(outcomes)
+        self._index = {z: i for i, z in enumerate(self.points)}
+
+    def __len__(self) -> int:
+        return len(self._outcomes)
+
+    def __getitem__(self, i: int) -> MEvaluation:
+        out = self._outcomes[i]
+        if isinstance(out, WeylsysError):
+            raise out
+        return out
+
+    def at(self, z: complex) -> MEvaluation:
+        """The evaluation at the point z, which must be one of ``points``."""
+        return self[self._index[complex(z)]]
+
+
+def m_infinity_batch(evaluator: MFunctionEvaluator, zs: Sequence[complex]) -> MBatch:
+    """m_inf at every point of zs, the distinct numeric ones in one stacked sweep.
+
+    Each distinct z is one column of the sweep, with its own truncation X,
+    gap test and ``error_bound`` (module docstring); only the columns whose
+    gap fails are doubled and swept again.  A z's last digits can differ
+    from those of another batch, always within its ``error_bound``.  A
+    batch of one point is exactly :func:`m_infinity_info`.
+    """
+    points = [complex(z) for z in zs]
+    outcomes: list = [None] * len(points)
+    columns: dict[complex, list[int]] = {}
+    for i, z in enumerate(points):
+        try:
+            _check_spectral_point(z)
+        except DomainError as exc:
+            outcomes[i] = exc
+            continue
+        if evaluator.mode == "closed_form":
+            outcomes[i] = MEvaluation(bessel_m_closed_form(z), math.inf, 0.0, "closed-form")
+        else:
+            columns.setdefault(z, []).append(i)
+    distinct = list(columns)
+    solved = _riccati_batch(evaluator.potential, math.pi, distinct, evaluator.tol)
+    for z, out in zip(distinct, solved):
+        if not isinstance(out, WeylsysError):
+            out = MEvaluation(*out, "weyl-disk" if z.imag != 0.0 else "riccati")
+        for i in columns[z]:
+            outcomes[i] = out
+    return MBatch(points, outcomes)
+
+
 def m_infinity_info(evaluator: MFunctionEvaluator, z: complex) -> MEvaluation:
     """m_inf(z) together with truncation point and error bound."""
-    z = _check_spectral_point(z)
-    if evaluator.mode == "closed_form":
-        return MEvaluation(bessel_m_closed_form(z), math.inf, 0.0, "closed-form")
-    m, X, bound = _riccati_m(evaluator.potential, math.pi, z, evaluator.tol)
-    return MEvaluation(m, X, bound, "weyl-disk" if z.imag != 0.0 else "riccati")
+    return m_infinity_batch(evaluator, (z,))[0]
 
 
 def m_infinity(evaluator: MFunctionEvaluator, z: complex) -> complex:
     """The Weyl-Titchmarsh function m_inf(z)."""
     return m_infinity_info(evaluator, z).value
+
+
+def rotate_evaluation(info: MEvaluation, alpha: float, z: complex) -> MEvaluation:
+    """The m_alpha(z) evaluation from the m_inf(z) one; see :func:`m_alpha_info`."""
+    if alpha == math.pi:
+        return info
+    sa, ca = _alpha_data(alpha)
+    den = ca - info.value * sa
+    value = safe_div(sa + info.value * ca, den, z=complex(z), what="m_alpha")
+    return replace(info, value=value, error_bound=info.error_bound / abs(den) ** 2)
 
 
 def m_alpha_info(evaluator: MFunctionEvaluator, alpha: float,
@@ -353,13 +517,7 @@ def m_alpha_info(evaluator: MFunctionEvaluator, alpha: float,
     ``alpha = pi/2`` reduces to ``-1/m_inf(z)`` exactly.
     """
     check_alpha(alpha)
-    info = m_infinity_info(evaluator, z)
-    if alpha == math.pi:
-        return info
-    sa, ca = _alpha_data(alpha)
-    den = ca - info.value * sa
-    value = safe_div(sa + info.value * ca, den, z=complex(z), what="m_alpha")
-    return replace(info, value=value, error_bound=info.error_bound / abs(den) ** 2)
+    return rotate_evaluation(m_infinity_info(evaluator, z), alpha, z)
 
 
 def m_alpha(evaluator: MFunctionEvaluator, alpha: float, z: complex) -> complex:
@@ -379,7 +537,10 @@ def m_alpha_direct(potential: Potential, alpha: float, z: complex,
     _check_tol(tol)
     check_alpha(alpha)
     z = _check_spectral_point(z)
-    return _riccati_m(potential, alpha, z, tol)[0]
+    out = _riccati_batch(potential, alpha, [z], tol)[0]
+    if isinstance(out, WeylsysError):
+        raise out
+    return out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -434,16 +595,20 @@ def _sample_real(f: Callable[[float], complex], x: float) -> float:
     return v.real
 
 
+#: The points at which the real-axis limits sample f: x_k = -10**(-k)
+#: toward -0 and x_k = -10**k toward -inf, k = 1..8.
+MINUS_ZERO_LADDER = tuple(-10.0 ** (-k) for k in range(1, _EXTRAPOLATION_POINTS + 1))
+MINUS_INFINITY_LADDER = tuple(-10.0 ** k for k in range(1, _EXTRAPOLATION_POINTS + 1))
+
+
 def limit_at_minus_zero(f: Callable[[float], complex]) -> float:
-    """Extrapolated limit of f(x) as x -> -0 along x_k = -10**(-k), k = 1..8."""
-    return _extrapolate([_sample_real(f, -10.0 ** (-k))
-                         for k in range(1, _EXTRAPOLATION_POINTS + 1)])
+    """Extrapolated limit of f(x) as x -> -0 along :data:`MINUS_ZERO_LADDER`."""
+    return _extrapolate([_sample_real(f, x) for x in MINUS_ZERO_LADDER])
 
 
 def limit_at_minus_infinity(f: Callable[[float], complex]) -> float:
-    """Extrapolated limit of f(x) as x -> -inf along x_k = -10**k, k = 1..8."""
-    return _extrapolate([_sample_real(f, -10.0 ** k)
-                         for k in range(1, _EXTRAPOLATION_POINTS + 1)])
+    """Extrapolated limit of f(x) as x -> -inf along :data:`MINUS_INFINITY_LADDER`."""
+    return _extrapolate([_sample_real(f, x) for x in MINUS_INFINITY_LADDER])
 
 
 def m_infinity_limit_at_zero(evaluator: MFunctionEvaluator) -> float:

@@ -96,6 +96,9 @@ class Potential:
     # -- evaluation ----------------------------------------------------------
 
     def __call__(self, x: float) -> float:
+        """q(x) for a float x, or an array of q for an array of x."""
+        if type(x) is np.ndarray:
+            return self._sample(x)
         if self.kind == "bessel":
             q = (self.nu * self.nu - 0.25) / (x * x)
         elif self.kind == "sampled":
@@ -109,6 +112,20 @@ class Potential:
         if not math.isfinite(q):
             raise IntegrationError(f"potential {self.label or self.kind!r} "
                                    f"returned a non-finite value at x = {x}")
+        return q
+
+    def _sample(self, x: np.ndarray) -> np.ndarray:
+        if self.kind == "bessel":
+            q = (self.nu * self.nu - 0.25) / (x * x)
+        elif self.kind == "sampled":
+            end = self.grid[-1]
+            q = np.where(x >= end, self.values[-1], self._spline(np.minimum(x, end)))
+        else:
+            q = np.array([float(self.func(xi)) for xi in x.flat]).reshape(x.shape)
+        bad = ~np.isfinite(q)
+        if bad.any():
+            raise IntegrationError(f"potential {self.label or self.kind!r} returned a "
+                                   f"non-finite value at x = {x[bad].flat[0]}")
         return q
 
     # -- serialization -------------------------------------------------------

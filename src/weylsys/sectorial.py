@@ -23,6 +23,8 @@ import numpy as np
 
 from .errors import DomainError, WeylsysError
 from .mfunc import (
+    MINUS_INFINITY_LADDER,
+    MINUS_ZERO_LADDER,
     NAMED_GRIDS,
     MFunctionEvaluator,
     bessel_m_closed_form,
@@ -32,7 +34,7 @@ from .mfunc import (
     limit_at_minus_zero,
     m_alpha,
     m_alpha_direct,
-    m_infinity,
+    m_infinity_batch,
 )
 from .lsystem import as_extended_real, check_h, impedance, make_lsystem, transfer
 from .potentials import Potential
@@ -43,7 +45,9 @@ __all__ = [
     "herglotz_test",
     "stieltjes_test",
     "kernel_matrix",
+    "kernel_point_sets",
     "kernel_psd_test",
+    "sampled_points",
     "ClassAngles",
     "classify_s_beta12",
     "class_angles_from_alpha",
@@ -214,6 +218,44 @@ def kernel_matrix(f, beta: float, points: Sequence[complex]) -> np.ndarray:
     return (kern + kern.conj().T) / 2.0
 
 
+def kernel_point_sets(trials: int, seed: int) -> list[tuple[complex, ...]]:
+    """The seeded point sets of :func:`kernel_psd_test`.
+
+    `trials` sets of size 1..6, with real parts uniform in [-5, 5] and
+    imaginary parts log-uniform in [0.1, 10].
+    """
+    if trials < 1:
+        raise DomainError("kernel_psd_test needs trials >= 1")
+    rng = np.random.default_rng(seed)
+    sets = []
+    for _ in range(int(trials)):
+        n = int(rng.integers(1, _KERNEL_N_MAX + 1))
+        res = rng.uniform(-5.0, 5.0, n)
+        ims = 10.0 ** rng.uniform(-1.0, 1.0, n)
+        sets.append(tuple(complex(a, b) for a, b in zip(res, ims)))
+    return sets
+
+
+def sampled_points(
+    complex_grid: Sequence[complex] | None = None,
+    negative_grid: Sequence[float] | None = None,
+    trials: int = 100,
+    seed: int = DEFAULT_KERNEL_SEED,
+) -> list[complex]:
+    """Every point at which the Herglotz, Stieltjes, class-limit and kernel tests sample f.
+
+    The arguments are those of the tests; the points repeat where the tests
+    share them.  A caller can evaluate f at all of them at once, as
+    ``weylsys classify`` does with one stacked m-function sweep.
+    """
+    pts = list(_UPPER_GRID if complex_grid is None else map(complex, complex_grid))
+    pts += map(complex, _NEGATIVE_GRID if negative_grid is None else negative_grid)
+    pts += map(complex, MINUS_ZERO_LADDER + MINUS_INFINITY_LADDER)
+    for point_set in kernel_point_sets(trials, seed):
+        pts += point_set
+    return pts
+
+
 def kernel_psd_test(
     f,
     beta: float,
@@ -223,10 +265,9 @@ def kernel_psd_test(
 ) -> Check:
     """Positive-semidefiniteness of the beta-kernel over random point sets.
 
-    With explicit points, a single matrix is tested.  Otherwise `trials`
-    point sets of size 1..6 are drawn from a seeded generator (real parts
-    uniform in [-5, 5], imaginary parts log-uniform in [0.1, 10]), so
-    results are reproducible.  PSD means the minimum eigenvalue is
+    With explicit points, a single matrix is tested.  Otherwise the test
+    runs over the `trials` seeded point sets of :func:`kernel_point_sets`,
+    so results are reproducible.  PSD means the minimum eigenvalue is
     >= -1e-8 * max(1, max |entry|) for every set.  The "kernel-psd" check
     carries the minimum eigenvalue of the worst set in its value, and beta
     and the worst set's points in its witness.
@@ -235,15 +276,7 @@ def kernel_psd_test(
     if points is not None:
         batches = [tuple(map(complex, points))]
     else:
-        if trials < 1:
-            raise DomainError("kernel_psd_test needs trials >= 1")
-        rng = np.random.default_rng(seed)
-        batches = []
-        for _ in range(int(trials)):
-            n = int(rng.integers(1, _KERNEL_N_MAX + 1))
-            res = rng.uniform(-5.0, 5.0, n)
-            ims = 10.0 ** rng.uniform(-1.0, 1.0, n)
-            batches.append(tuple(complex(a, b) for a, b in zip(res, ims)))
+        batches = kernel_point_sets(trials, seed)
 
     psd = True
     worst_margin = math.inf
@@ -492,32 +525,28 @@ def verify_example_suite(tol: float = 1e-8) -> CheckReport:
     checks: list[Check] = []
 
     zs = (1j, -1.0 + 1j, 2.0 + 0.5j, 1.0 - 1j)
+    xs = (-0.5, -1.0, -25.0)
+    # the check points and the samples of both limits, in one stacked sweep
+    batch = m_infinity_batch(numeric, zs + xs + MINUS_ZERO_LADDER + MINUS_INFINITY_LADDER)
+
+    def m_numeric(z):
+        return batch.at(z).value
+
     disk_err = max(
-        abs(m_infinity(numeric, z) - bessel_m_closed_form(z)) / abs(bessel_m_closed_form(z))
+        abs(m_numeric(z) - bessel_m_closed_form(z)) / abs(bessel_m_closed_form(z))
         for z in zs
     )
     checks.append(Check.within("m-disk-vs-closed-max-rel-err", disk_err, 0.0, 1e-6))
 
-    xs = (-0.5, -1.0, -25.0)
     ric_err = max(
-        abs(m_infinity(numeric, x) - bessel_m_closed_form(x)) / abs(bessel_m_closed_form(x))
+        abs(m_numeric(x) - bessel_m_closed_form(x)) / abs(bessel_m_closed_form(x))
         for x in xs
     )
     checks.append(Check.within("m-riccati-vs-closed-max-rel-err", ric_err, 0.0, 1e-6))
 
-    # cache the m values the limit extractors will request (both limits and
-    # the classification below sample at +-10^k for k = 1..8)
-    cache = {}
-
-    def m_cached(x):
-        x = complex(x).real
-        if x not in cache:
-            cache[x] = m_infinity(numeric, x)
-        return cache[x]
-
-    m0 = limit_at_minus_zero(m_cached)
+    m0 = limit_at_minus_zero(m_numeric)
     checks.append(Check.within("m-limit-at-minus-zero", m0, 1.0, 1e-4))
-    m_inf = limit_at_minus_infinity(m_cached)
+    m_inf = limit_at_minus_infinity(m_numeric)
     checks.append(
         Check(
             "m-limit-at-minus-infinity-divergent",
@@ -560,7 +589,7 @@ def verify_example_suite(tol: float = 1e-8) -> CheckReport:
         )
     checks.append(Check.within("impedance-anchor-mu-tan-alpha", err_rot, 0.0, 1e-10))
 
-    angles = classify_s_beta12(lambda x: 1.0 / m_cached(x))
+    angles = classify_s_beta12(lambda x: 1.0 / m_numeric(x))
     tan_b1 = math.tan(angles.beta1)
     tan_b2 = math.tan(angles.beta2)
     checks.append(Check.within("class-tan-beta1-at-zero", tan_b1, 0.0, 1e-3))

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from weylsys import MFunctionEvaluator, Potential, m_alpha_info
 from weylsys.cli import UsageError, eval_number, main, parse_grid
 from weylsys.mfunc import NAMED_GRIDS
 
@@ -164,6 +165,29 @@ def test_m_eval_near_axis_is_a_solver_error(capsys):
     assert "too close to [0, inf)" in doc["error"]["message"]
 
 
+def test_m_eval_batch_agrees_with_the_scalar_evaluations(capsys):
+    # one stacked sweep over the grid, then the alpha rotation and its bound
+    code, doc, _ = run_json(capsys, "m-eval", "--z", "i,-2+0.5i,1-i,-1e-3,-10",
+                            "--mode", "numeric", "--alpha", "pi/3")
+    assert code == 0
+    evaluator = MFunctionEvaluator(Potential.bessel())
+    for re_z, im_z, re_m, im_m, bound in doc["rows"]:
+        scalar = m_alpha_info(evaluator, math.pi / 3, complex(re_z, im_z))
+        assert abs(complex(re_m, im_m) - scalar.value) <= bound + scalar.error_bound
+        if im_z == 0.0:
+            assert im_m == 0.0
+
+
+@pytest.mark.parametrize("points, error", [
+    ("i,5+1e-9i,1", "ConvergenceError"),
+    ("i,1,5+1e-9i", "DomainError"),
+])
+def test_m_eval_reports_the_first_failing_point(capsys, points, error):
+    code, doc, _ = run_json(capsys, "m-eval", "--z", points, "--mode", "numeric")
+    assert code == 3
+    assert doc["error"]["type"] == error
+
+
 def test_m_eval_pole_error_carries_z(capsys):
     # cot(alpha) = m(-1) = 3/2 makes the rotation singular at z = -1
     code, doc, _ = run_json(capsys, "m-eval", "--alpha", "atan(2/3)", "--z", "-1")
@@ -196,6 +220,25 @@ def test_classify_mu_infinity(capsys):
     accr = doc["accretivity"]
     assert accr["m0"] == pytest.approx(1.0, abs=1e-4)
     assert accr["system_sectorial"] is True
+
+
+def test_classify_numeric_matches_the_closed_form_run(capsys):
+    argv = ("classify", "--mu", "inf", "--h", "i", "--trials", "10")
+    _, closed, _ = run_json(capsys, *argv, "--mode", "closed-form")
+    code, doc, _ = run_json(capsys, *argv, "--mode", "numeric")
+    assert code == 0 and doc["pass"] is True
+    assert [c["name"] for c in doc["checks"]] == [c["name"] for c in closed["checks"]]
+    assert abs(doc["classification"]["tan_beta1"]) <= 1e-3
+    assert abs(doc["classification"]["tan_beta2"] - 1.0) <= 1e-3
+    assert abs(doc["accretivity"]["tan_theta"] - 1.0) <= 1e-3
+
+
+def test_classify_near_axis_grid_is_a_solver_error(capsys):
+    code, doc, _ = run_json(capsys, "classify", "--mode", "numeric", "--trials", "3",
+                            "--grid", "re=5:5:1,im=1e-9:1e-9:1")
+    assert code == 3
+    assert doc["error"]["type"] == "ConvergenceError"
+    assert "too close to [0, inf)" in doc["error"]["message"]
 
 
 def test_classify_mu_zero_fails_stieltjes(capsys):

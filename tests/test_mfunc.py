@@ -34,6 +34,7 @@ from weylsys import (
     sqrt_upper,
 )
 from weylsys import mfunc
+from weylsys.mfunc import m_infinity_batch
 
 BESSEL = Potential.bessel()
 CLOSED = MFunctionEvaluator(BESSEL, mode="closed_form")
@@ -245,6 +246,113 @@ def test_complex_path_matches_the_hankel_oracle(nu, ell, z):
     info = m_infinity_info(ev, z)
     assert info.value == pytest.approx(exact, rel=1e-8)
     assert abs(info.value - exact) <= info.error_bound
+
+
+# ---------------------------------------------------------------------------
+# stacked sweep (m_infinity_batch)
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("zs", [
+    [-1e6, -1e-3, 1j, 5.0 + 0.1j],
+    [-2.0 + 0.5j, 2.0 - 0.5j, -0.1, -1e8, 0.5j, -4.0 + 3.0j],
+], ids=["mixed-scales", "both-half-planes"])
+def test_batch_agrees_with_the_scalar_path(zs):
+    batch = m_infinity_batch(NUMERIC, zs)
+    assert len(batch) == len(zs)
+    for z, info in zip(zs, batch):
+        scalar = m_infinity_info(NUMERIC, z)
+        assert abs(info.value - scalar.value) <= info.error_bound + scalar.error_bound
+        assert abs(info.value - bessel_m_closed_form(z)) <= info.error_bound
+        assert info.path == scalar.path
+        assert type(info.value) is complex and type(info.error_bound) is float
+        if complex(z).imag == 0.0:
+            assert info.value.imag == 0.0
+
+
+def test_batch_defers_each_error_to_its_point():
+    # 5+1e-9i cannot contract within X_max and z = 1 lies on [0, inf); each
+    # raises its own error when read, and only then
+    zs = [1j, 5.0 + 1e-9j, -1.0, 1.0]
+    batch = m_infinity_batch(NUMERIC, zs)
+    with pytest.raises(ConvergenceError, match="too close to \\[0, inf\\)"):
+        batch[1]
+    with pytest.raises(DomainError, match="lies on \\[0, inf\\)"):
+        batch.at(1.0)
+    for z in (1j, -1.0):
+        assert batch.at(z).value == pytest.approx(bessel_m_closed_form(z), rel=1e-9)
+    with pytest.raises(ConvergenceError):
+        list(batch)
+
+
+def test_batch_on_a_limit_circle_potential_keeps_each_error():
+    pot = Potential.expression(lambda x: -(x**4), ell=1.0, label="-x^4")
+    batch = m_infinity_batch(MFunctionEvaluator(pot), [5.0 + 0.1j, -1.0])
+    with pytest.raises(ConvergenceError, match="limit-circle behavior"):
+        batch[0]
+    with pytest.raises(DomainError, match="q\\(X\\) - z"):
+        batch[1]
+
+
+def test_failed_stacked_sweep_solves_each_column_alone():
+    # psi has a zero at z = -100 in the deep well, so u has a pole and the
+    # stacked sweep fails; each column is then solved on its own
+    ev = MFunctionEvaluator(_exp_well(300.0))
+    batch = m_infinity_batch(ev, [-400.0, -100.0, -1000.0])
+    with pytest.raises(StiffnessError):
+        batch[1]
+    for z in (-400.0, -1000.0):
+        assert batch.at(z) == m_infinity_info(ev, z)
+
+
+def test_stacked_tolerances_shrink_with_the_column_count(monkeypatch):
+    # DOP853's error norm is an RMS over components, so N columns sweep at
+    # rtol and atol divided by sqrt(N); one column keeps the scalar sweep
+    calls = []
+
+    def recording_solve_ivp(fun, t_span, y0, **kwargs):
+        calls.append((t_span, len(y0), kwargs["rtol"], kwargs["atol"]))
+        return solve_ivp(fun, t_span, y0, **kwargs)
+
+    monkeypatch.setattr(mfunc, "solve_ivp", recording_solve_ivp)
+    zs = [-1.0, -4.0, -9.0, -16.0]
+    m_infinity_batch(NUMERIC, zs)
+    t_span, size, rtol, atol = calls[0]
+    assert t_span == (1.0, 0.0) and size == 2 * len(zs)
+    assert rtol == pytest.approx(mfunc._RTOL / 2.0) and atol == pytest.approx(mfunc._ATOL / 2.0)
+    calls.clear()
+    m_infinity_batch(NUMERIC, [-1.0, -1.0 + 0j])
+    assert calls and {(size, rtol) for _, size, rtol, _ in calls} == {(2, mfunc._RTOL)}
+
+
+def test_batch_of_repeated_points_is_the_scalar_evaluation():
+    batch = m_infinity_batch(NUMERIC, [1j, 1j, complex(0.0, 1.0)])
+    assert list(batch) == [m_infinity_info(NUMERIC, 1j)] * 3
+
+
+def test_closed_form_batch():
+    batch = m_infinity_batch(CLOSED, [1j, -1.0])
+    assert [info.value for info in batch] == [bessel_m_closed_form(1j), bessel_m_closed_form(-1.0)]
+    assert {info.path for info in batch} == {"closed-form"}
+
+
+_upper_or_lower = st.builds(
+    lambda re, im, sign: complex(re, sign * im),
+    st.floats(-5.0, 5.0), st.floats(0.1, 5.0), st.sampled_from((1.0, -1.0)))
+_negative_axis = st.floats(-2.0, 3.0).map(lambda e: complex(-(10.0 ** e)))
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.floats(0.5, 5.0), st.floats(0.5, 2.0),
+       st.lists(st.one_of(_upper_or_lower, _negative_axis), min_size=1, max_size=4))
+def test_error_bound_covers_the_hankel_oracle(nu, ell, zs):
+    # the oracle is the decaying solution sqrt(x) H1_nu(sqrt(z) x), for the
+    # scalar path and for the same points in one stacked sweep
+    ev = MFunctionEvaluator(Potential.bessel(nu, ell))
+    for z, batched in zip(zs, m_infinity_batch(ev, zs)):
+        exact = _bessel_m_off_the_axis(nu, ell, z)
+        scalar = m_infinity_info(ev, z)
+        assert abs(scalar.value - exact) <= scalar.error_bound
+        assert abs(batched.value - exact) <= batched.error_bound
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,26 @@ def test_sampled_potential_interpolates_and_extends():
     assert pot(50.0) == pytest.approx(vals[-1])
 
 
+@pytest.mark.parametrize("pot", [
+    Potential.bessel(2.5, 0.5),
+    Potential.sampled(np.linspace(1.0, 10.0, 40), 2.0 / np.linspace(1.0, 10.0, 40) ** 2),
+    Potential.expression(lambda x: math.exp(-x), ell=0.0, label="exp"),
+    Potential.free(),
+], ids=["bessel", "sampled", "expression", "free"])
+def test_array_call_matches_the_scalar_call(pot):
+    # the sampled kind holds its last value beyond the grid on both paths
+    xs = pot.ell + np.array([0.0, 0.3, 1.7, 9.0, 9.5, 40.0, 1e6])
+    qs = pot(xs)
+    assert isinstance(qs, np.ndarray) and qs.shape == xs.shape
+    assert qs.tolist() == pytest.approx([pot(float(x)) for x in xs], rel=1e-14, abs=0.0)
+
+
+def test_array_call_rejects_non_finite_values():
+    pot = Potential.expression(lambda x: math.inf if x > 2.0 else 1.0, ell=0.0)
+    with pytest.raises(IntegrationError, match="x = 3.0"):
+        pot(np.array([1.0, 3.0, 4.0]))
+
+
 def test_sampled_requires_ascending_grid():
     with pytest.raises(DomainError):
         Potential.sampled([1.0, 1.0, 2.0, 3.0], [0.0, 0.0, 0.0, 0.0])

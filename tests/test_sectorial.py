@@ -21,7 +21,9 @@ from weylsys import (
     classify_s_beta12,
     herglotz_test,
     kernel_matrix,
+    kernel_point_sets,
     kernel_psd_test,
+    sampled_points,
     sector_angle_from_gap,
     sector_angle_from_product,
     stieltjes_test,
@@ -220,6 +222,40 @@ def test_kernel_psd_with_explicit_points_is_deterministic(monkeypatch):
     assert a.value == b.value
     assert calls[0] == 2  # one point set per call
     assert a.witness["points"] == [[p.real, p.imag] for p in pts]
+
+
+def test_kernel_psd_draws_the_kernel_point_sets(monkeypatch):
+    seen = []
+    original = weylsys.sectorial.kernel_matrix
+
+    def recording(f, beta, points):
+        seen.append(tuple(points))
+        return original(f, beta, points)
+
+    monkeypatch.setattr(weylsys.sectorial, "kernel_matrix", recording)
+    kernel_psd_test(one_over_m, math.pi / 4.0, trials=7, seed=11)
+    assert seen == kernel_point_sets(7, 11)
+    assert all(1 <= len(s) <= 6 for s in seen)
+
+
+@pytest.mark.parametrize("grids", [
+    (None, None),
+    ([1j, -2.0 + 0.5j], [-3.0, -0.5]),
+], ids=["default-grids", "given-grids"])
+def test_sampled_points_cover_every_point_the_checks_read(grids):
+    complex_grid, negative_grid = grids
+    read = []
+
+    def f(z):
+        read.append(complex(z))
+        return one_over_m(z)
+
+    herglotz_test(f, grid=complex_grid)
+    stieltjes_test(f, complex_grid=complex_grid, negative_grid=negative_grid)
+    classify_s_beta12(f)
+    kernel_psd_test(f, math.pi / 4.0, trials=5, seed=3)
+    points = sampled_points(complex_grid, negative_grid, trials=5, seed=3)
+    assert set(read) == set(points)
 
 
 # ---------------------------------------------------------------------------
