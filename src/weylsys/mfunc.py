@@ -41,8 +41,9 @@ integration would be exponentially unstable.
   potential values; below ``ln(1/tol)`` the flow cannot contract enough
   (limit-circle behavior, or z too close to [0, inf)) and
   :class:`ConvergenceError` is raised at once.
-* One DOP853 sweep per truncation also carries ``w = int 2u`` and records
-  u and w at the midpoint ``X/2 = ell + (X - ell)/2``.  The start error of
+* One DOP853 sweep per truncation also sums ``w = int 2u`` from its stage
+  values and steps exactly onto the midpoint ``X/2 = ell + (X - ell)/2``,
+  where it records u and w.  The start error of
   the X/2 truncation, ``|u(X/2) - u_start(X/2)|``, reaches ell damped by
   ``|exp(w(X/2) - w(ell))|``; divided by ``|cos a + u sin a|^2`` it is the
   gap between the X/2 and X answers.  X - ell doubles only while that gap
@@ -55,20 +56,30 @@ integration would be exponentially unstable.
   Bessel oracles (nu in [0.5, 5], both half-planes and the negative axis)
   was 24.
 
+Stepper
+-------
+The sweeps use the module's own DOP853 stepper, :func:`_dop853`, with
+scipy's tableau and step control.  A sweep of one z runs in x with a Python
+scalar state, a loop over the tableau per stage.  For a sampled potential
+it also stops on every spline knot between X and ell, so no step crosses a
+jump of the third derivative of q (of the first, at the last knot), which
+the error estimate does not see.  The error norm reads u only, never w.
+
 Stacked sweep
 -------------
-:func:`m_infinity_batch` solves many z in one DOP853 call.  Column j
-integrates ``(u_j, w_j)`` in ``s = (x - ell) / (X_j - ell)`` from 1 to 0,
-so it keeps its own truncation X_j, midpoint s = 1/2, gap test and
-``error_bound`` exactly as above, and only the columns whose gap fails are
-doubled and swept again.  With N columns ``_RTOL`` and ``_ATOL`` are divided
-by sqrt(N): the solver's error norm is an RMS over the components, so each
-column's local error control is no looser than in a sweep of its own.  One
-column keeps the scalar sweep in x, with its scalar Python right-hand side.
-A z whose evaluation fails keeps its own error, raised when its entry is
-read; if a stacked sweep fails, its columns are solved again one by one, so
-each error names its z.  The steps of a stacked sweep are shared, so a z's
-last digits can differ between batches, always within its ``error_bound``.
+:func:`m_infinity_batch` solves many z in one stepper call.  Column j
+integrates u_j in ``s = (x - ell) / (X_j - ell)`` from 1 to 0, so it keeps
+its own truncation X_j, midpoint s = 1/2, gap test and ``error_bound``
+exactly as above, and only the columns whose gap fails are doubled and
+swept again.  The stages are (12, N) arrays, and the error norm of a step
+is the largest of the columns' own norms at ``_RTOL`` and ``_ATOL``, so each
+column has exactly the local error control of a sweep of its own.  One
+column keeps the scalar sweep in x; a sampled potential sweeps its columns
+one at a time, since its knots fall at a different s in each.  A z whose
+evaluation fails keeps its own error, raised when its entry is read; if a
+stacked sweep fails, its columns are solved again one by one, so each error
+names its z.  The steps of a stacked sweep are shared, so a z's last digits
+can differ between batches, always within its ``error_bound``.
 
 ``tol`` on :class:`MFunctionEvaluator` is the only solver option; the ODE
 tolerances, the largest X and the number of samples behind a real-axis
@@ -83,10 +94,10 @@ from dataclasses import dataclass, replace
 from collections.abc import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853
 
 from .errors import (ConvergenceError, DomainError, ExtrapolationError,
-                     IntegrationError, PoleError, StiffnessError, WeylsysError)
+                     PoleError, StiffnessError, WeylsysError)
 from .potentials import Potential
 
 __all__ = [
@@ -195,12 +206,170 @@ def _check_tol(tol: float) -> None:
         raise DomainError(f"tol must be positive, got {tol}")
 
 
-def _map_ivp_failure(sol) -> None:
-    if sol.status == -1:
-        msg = sol.message or "integration failed"
-        if "step size" in msg.lower():
-            raise StiffnessError(msg)
-        raise IntegrationError(msg)
+# ---------------------------------------------------------------------------
+# DOP853 stepper
+# ---------------------------------------------------------------------------
+
+# Dormand and Prince's explicit order-8 pair with its order-5 and order-3
+# error estimators (Hairer, Norsett and Wanner, Solving ODEs I, II.10), with
+# scipy's tableau and step control.  _ROWS holds (c, nonzero (j, a_j)) of
+# stages 1-11.  Stages 1-4 carry no weight, and neither estimator reads the
+# stage after the step, so _FINAL lists (j, b, order-5 weight, order-3
+# weight) of the stages that carry one.
+_STAGES = 12
+_C, _A = DOP853.C, DOP853.A
+_B, _E5, _E3 = DOP853.B, DOP853.E5[:_STAGES], DOP853.E3[:_STAGES]
+_ROWS = [(c, [(j, a) for j, a in enumerate(row[:s]) if a])
+         for s, (c, row) in enumerate(zip(_C.tolist(), _A.tolist())) if s]
+_FINAL = [(j, b, e5, e3) for j, (b, e5, e3)
+          in enumerate(zip(_B.tolist(), _E5.tolist(), _E3.tolist())) if b or e5 or e3]
+_TINY = np.finfo(float).tiny
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_EXPONENT = -1.0 / 8.0          # -1 / (order of the error estimator + 1)
+_TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+
+
+@dataclass(frozen=True)
+class _Solution:
+    """The state ``y`` and ``integral = int_t0^t y dt`` at each stop; ``nfev`` RHS calls."""
+
+    y: list
+    integral: list
+    nfev: int
+
+
+def _scalar_step(rhs, t, y, f, h, rtol, atol):
+    """One DOP853 step of a Python-scalar state: (y(t + h), int y dt, error norm).
+
+    Each stage is a Python loop over the nonzero tableau entries; the
+    integral weighs the stage values with b, as a component ``w' = y``
+    would, and stays out of the error norm.
+    """
+    k = [f]
+    stage = [y]
+    for c, row in _ROWS:
+        acc = 0.0
+        for j, a in row:
+            acc += a * k[j]
+        ys = y + h * acc
+        stage.append(ys)
+        k.append(rhs(t + c * h, ys))
+    slope = mean = err5 = err3 = 0.0
+    for j, b, e5, e3 in _FINAL:
+        kj = k[j]
+        slope += b * kj
+        mean += b * stage[j]
+        err5 += e5 * kj
+        err3 += e3 * kj
+    y_new = y + h * slope
+    integral = h * mean
+    try:
+        scale = atol + rtol * max(abs(y), abs(y_new))
+        n5 = abs(err5) / scale
+        n3 = abs(err3) / scale
+    except OverflowError:       # the modulus of a complex state beyond the float range
+        return y_new, integral, math.inf
+    n5 *= n5
+    n3 *= n3
+    if n5 == 0.0 and n3 == 0.0:
+        return y_new, integral, 0.0
+    return y_new, integral, abs(h) * n5 / math.sqrt(n5 + 0.01 * n3)
+
+
+def _array_step(rhs, t, y, f, h, rtol, atol):
+    """:func:`_scalar_step` for an array of independent columns.
+
+    The stages are the rows of a (12, N) array, each formed by one
+    ``row @ K`` product.  The error norm is the largest of the columns'
+    own norms, so each column gets the step control of a sweep of its own.
+    """
+    k = np.empty((_STAGES,) + f.shape, dtype=np.result_type(y, f))
+    stage = np.empty_like(k)
+    k[0] = f
+    stage[0] = y
+    for s in range(1, _STAGES):
+        stage[s] = y + h * (_A[s, :s] @ k[:s])
+        k[s] = rhs(t + _C[s] * h, stage[s])
+    y_new = y + h * (_B @ k)
+    scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+    n5 = np.abs(_E5 @ k) / scale
+    n3 = np.abs(_E3 @ k) / scale
+    n5 *= n5
+    n3 *= n3
+    # a column with n5 = n3 = 0 has norm 0; a NaN column stays NaN and fails the step
+    norms = n5 / np.sqrt(np.maximum(n5 + 0.01 * n3, _TINY))
+    return y_new, h * (_B @ stage), abs(h) * float(norms.max())
+
+
+def _initial_step(rhs, t0, y0, f0, span, direction, rtol, atol) -> float:
+    """scipy's first DOP853 step from (t0, y0), the smallest over the columns."""
+    y0a, f0a = np.atleast_1d(y0), np.atleast_1d(f0)
+    scale = atol + rtol * np.abs(y0a)
+    d0 = (np.abs(y0a) / scale).tolist()
+    d1 = (np.abs(f0a) / scale).tolist()
+    h0 = min(span, min(1e-6 if a < 1e-5 or b < 1e-5 else 0.01 * a / b
+                       for a, b in zip(d0, d1)))
+    f1 = rhs(t0 + direction * h0, y0 + direction * h0 * f0)
+    d2 = (np.abs(np.atleast_1d(f1) - f0a) / scale / h0).tolist()
+    h1 = min(max(1e-6, 1e-3 * h0) if b <= 1e-15 and c <= 1e-15
+             else (0.01 / max(b, c)) ** (-_EXPONENT) for b, c in zip(d1, d2))
+    return min(100.0 * h0, h1, span)
+
+
+def _dop853(rhs, t0: float, y0, stops: Sequence[float], rtol: float,
+            atol: float) -> _Solution:
+    """Integrate ``y' = rhs(t, y)`` from t0 through the monotone ``stops``.
+
+    The steps land exactly on each stop.  A Python scalar y0 takes
+    :func:`_scalar_step`, an array of columns :func:`_array_step`.  The
+    step control is scipy's DOP853: safety 0.9, step factors within
+    [0.2, 10] with exponent -1/8, and its first-step rule.  A step cut short
+    to land on a stop does not shrink the step planned after it.  A step
+    size below ten spacings of the floats at t raises
+    :class:`StiffnessError`.
+    """
+    step = _array_step if isinstance(y0, np.ndarray) else _scalar_step
+    direction = math.copysign(1.0, stops[-1] - t0)
+    f = rhs(t0, y0)
+    h_abs = _initial_step(rhs, t0, y0, f, abs(stops[-1] - t0), direction, rtol, atol)
+    nfev = 2
+    t, y, integral = t0, y0, 0.0
+    ys, integrals = [], []
+    for stop in stops:
+        while t != stop:
+            min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
+            h_abs = max(h_abs, min_step)
+            rejected = False
+            while True:
+                if h_abs < min_step:
+                    raise StiffnessError(_TOO_SMALL_STEP)
+                t_new = t + direction * h_abs
+                clipped = direction * (t_new - stop) > 0
+                if clipped:
+                    t_new = stop
+                h = t_new - t
+                y_new, step_integral, err = step(rhs, t, y, f, h, rtol, atol)
+                nfev += _STAGES - 1
+                if err < 1.0:
+                    break
+                h_abs = abs(h) * max(_MIN_FACTOR, _SAFETY * err ** _EXPONENT)
+                rejected = True
+            factor = (_MAX_FACTOR if err == 0.0
+                      else min(_MAX_FACTOR, _SAFETY * err ** _EXPONENT))
+            if rejected:
+                factor = min(1.0, factor)
+            h_abs = max(h_abs, abs(h) * factor) if clipped else abs(h) * factor
+            t, y = t_new, y_new
+            integral = integral + step_integral     # not +=: the stops keep their arrays
+            f = rhs(t, y)
+            nfev += 1
+        ys.append(y)
+        integrals.append(integral)
+    return _Solution(ys, integrals, nfev)
+
+
+# perfbench/spans.py times each sweep and sums its ``nfev`` under this name
+solve_ivp = _dop853
 
 
 # ---------------------------------------------------------------------------
@@ -252,43 +421,34 @@ def _first_distance(potential: Potential, z: complex, tol: float,
 
 
 def _sweep(potential: Potential, zq: list, tops: list[float],
-           starts: list) -> tuple[np.ndarray, np.ndarray]:
-    """One DOP853 sweep of ``u' = q - z - u^2``, ``w' = 2u`` per column.
+           starts: list) -> tuple[list, list]:
+    """One DOP853 sweep of ``u' = q - z - u^2`` per column, with ``w = int 2u``.
 
     Column j runs from ``u = starts[j]``, ``w = 0`` at ``tops[j]`` down to
-    ell.  Returns (u, w), each of shape (columns, 2): the values at the
-    midpoint ``ell + (X - ell)/2`` and at ell.  One column runs in x with a
-    scalar right-hand side.  Several run in ``s = (x - ell)/(X_j - ell)``
-    from 1 to 0 with a numpy right-hand side and the tolerances divided by
-    sqrt(N): the error norm is an RMS over the components, so each column's
-    local error stays within what a sweep of its own allows.
+    ell.  Returns (u, w), each a list of (midpoint value, ell value) pairs,
+    one per column, with the midpoint ``ell + (X - ell)/2``.  One column runs
+    in x with a scalar right-hand side, and also stops on every knot of a
+    sampled potential, so no step crosses a jump of a derivative of q.
+    Several run in ``s = (x - ell)/(X_j - ell)`` from 1 to 0 with a numpy
+    right-hand side.
     """
     ell = potential.ell
-    n = len(zq)
-    if n == 1:
+    if len(zq) == 1:
         z, top = zq[0], tops[0]
-
-        def rhs(x, y):
-            u = y[0]
-            return (potential(x) - z - u * u, 2.0 * u)
-
-        sol = solve_ivp(rhs, (top, ell), [starts[0], 0.0], method="DOP853",
-                        rtol=_RTOL, atol=_ATOL, t_eval=[ell + 0.5 * (top - ell), ell])
-    else:
-        d = np.array(tops) - ell
-        d2 = 2.0 * d
-        zs = np.array(zq)
-
-        def rhs(s, y):
-            u = y[:n]
-            return np.concatenate((d * (potential(ell + s * d) - zs - u * u), d2 * u))
-
-        shrink = math.sqrt(n)
-        sol = solve_ivp(rhs, (1.0, 0.0), np.concatenate((starts, np.zeros(n))),
-                        method="DOP853", rtol=_RTOL / shrink, atol=_ATOL / shrink,
-                        t_eval=[0.5, 0.0])
-    _map_ivp_failure(sol)
-    return sol.y[:n], sol.y[n:]
+        mid = ell + 0.5 * (top - ell)
+        knots = [] if potential.grid is None else [x for x in potential.grid.tolist()
+                                                   if ell < x < top]
+        stops = sorted({mid, ell, *knots}, reverse=True)
+        sol = _dop853(lambda x, u: potential(x) - z - u * u, top, starts[0], stops,
+                      _RTOL, _ATOL)
+        i = stops.index(mid)
+        return ([(sol.y[i], sol.y[-1])],
+                [(2.0 * sol.integral[i], 2.0 * sol.integral[-1])])
+    d = np.array(tops) - ell
+    zs = np.array(zq)
+    sol = _dop853(lambda s, u: d * (potential(ell + s * d) - zs - u * u), 1.0,
+                  np.array(starts), [0.5, 0.0], _RTOL, _ATOL)
+    return (list(zip(*sol.y)), list(zip(*(2.0 * d * w for w in sol.integral))))
 
 
 def _riccati_batch(potential: Potential, alpha: float, zs: list[complex],
@@ -298,8 +458,12 @@ def _riccati_batch(potential: Potential, alpha: float, zs: list[complex],
     Every truncation round sweeps the columns still open in one
     :func:`_sweep`; a column whose gap fails doubles its X - ell and joins
     the next round.  If a stacked sweep fails, each of its columns is solved
-    again on its own, so an error names its z.
+    again on its own, so an error names its z.  The knots of a sampled
+    potential fall at a different s in each column, so its columns are
+    swept one at a time.
     """
+    if potential.grid is not None and len(zs) > 1:
+        return [_riccati_batch(potential, alpha, [z], tol)[0] for z in zs]
     ell = potential.ell
     x_max = _X_MAX_FACTOR * max(ell, 1.0)
     sa, ca = _alpha_data(alpha)

@@ -15,6 +15,7 @@ so that it can round-trip through serialization.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -63,7 +64,11 @@ class Potential:
                 raise DomainError("sampled potential values must be finite")
             object.__setattr__(self, "grid", grid)
             object.__setattr__(self, "values", values)
-            object.__setattr__(self, "_spline", CubicSpline(grid, values))
+            spline = CubicSpline(grid, values)
+            object.__setattr__(self, "_spline", spline)
+            # the knots and pieces as Python floats, for scalar calls
+            object.__setattr__(self, "_knots", grid.tolist())
+            object.__setattr__(self, "_pieces", spline.c.T.tolist())
         elif self.func is None:
             raise DomainError("expression potential requires a callable")
 
@@ -102,11 +107,18 @@ class Potential:
         if self.kind == "bessel":
             q = (self.nu * self.nu - 0.25) / (x * x)
         elif self.kind == "sampled":
-            # hold the last tabulated value beyond the grid
-            if x >= self.grid[-1]:
+            # hold the last tabulated value beyond the grid; inside it, the
+            # spline piece of x summed in the order of scipy's PPoly, so a
+            # scalar call equals the array call bit for bit
+            knots = self._knots
+            if x >= knots[-1]:
                 q = float(self.values[-1])
             else:
-                q = float(self._spline(x))
+                i = min(max(bisect_right(knots, x) - 1, 0), len(knots) - 2)
+                c0, c1, c2, c3 = self._pieces[i]
+                d = x - knots[i]
+                d2 = d * d
+                q = c3 + c2 * d + c1 * d2 + c0 * (d2 * d)
         else:
             q = float(self.func(x))
         if not math.isfinite(q):

@@ -6,7 +6,8 @@ import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import solve_ivp
+import numpy as np
+from scipy.integrate import DOP853, solve_ivp
 from scipy.special import h1vp, hankel1, kve
 
 from weylsys import (
@@ -175,15 +176,17 @@ def test_riccati_start_is_the_decaying_fixed_point(z):
     assert abs(info.value - cmath.sqrt(25.0 - z)) <= info.error_bound
 
 
-def _counting_solve_ivp(monkeypatch):
+def _counting_stepper(monkeypatch):
+    """The RHS calls of each sweep, from the nfev of mfunc's DOP853 stepper."""
     nfev = []
+    stepper = mfunc._dop853
 
-    def counting_solve_ivp(*args, **kwargs):
-        sol = solve_ivp(*args, **kwargs)
+    def counting_stepper(*args, **kwargs):
+        sol = stepper(*args, **kwargs)
         nfev.append(sol.nfev)
         return sol
 
-    monkeypatch.setattr(mfunc, "solve_ivp", counting_solve_ivp)
+    monkeypatch.setattr(mfunc, "_dop853", counting_stepper)
     return nfev
 
 
@@ -192,13 +195,13 @@ def test_complex_cost_follows_the_decay_length(monkeypatch, z):
     # u = psi'/psi does not oscillate, so over X - ell = ln(1/tol)/(2 Im sqrt z)
     # DOP853's step is held only by stability, about 6/|2u|; a path that
     # followed the oscillation of psi would need far more calls at 1000+i
-    nfev = _counting_solve_ivp(monkeypatch)
+    nfev = _counting_stepper(monkeypatch)
     info = m_infinity_info(NUMERIC, z)
     exact = bessel_m_closed_form(z)
     assert abs(info.value - exact) <= 1e-10 * abs(exact)
     assert abs(info.value - exact) <= info.error_bound
     assert info.truncation_X - BESSEL.ell <= 2.0 * math.log(1e8) / sqrt_upper(z).imag
-    assert sum(nfev) < 100_000
+    assert nfev and sum(nfev) < 100_000
 
 
 @pytest.mark.parametrize("pot, z", [
@@ -208,7 +211,7 @@ def test_complex_cost_follows_the_decay_length(monkeypatch, z):
 def test_near_axis_and_limit_circle_fail_fast(monkeypatch, pot, z):
     # the WKB contraction exponent 2 int Re sqrt(q - z) cannot reach ln(1/tol)
     # within X_max, so no sweep starts
-    nfev = _counting_solve_ivp(monkeypatch)
+    nfev = _counting_stepper(monkeypatch)
     start = time.perf_counter()
     with pytest.raises(ConvergenceError, match="limit-circle behavior, or z too close"):
         m_infinity(MFunctionEvaluator(pot), z)
@@ -304,24 +307,27 @@ def test_failed_stacked_sweep_solves_each_column_alone():
         assert batch.at(z) == m_infinity_info(ev, z)
 
 
-def test_stacked_tolerances_shrink_with_the_column_count(monkeypatch):
-    # DOP853's error norm is an RMS over components, so N columns sweep at
-    # rtol and atol divided by sqrt(N); one column keeps the scalar sweep
+def test_stacked_sweep_runs_at_the_scalar_tolerances(monkeypatch):
+    # the error norm is each column's own, with the largest taken, so N
+    # stacked columns sweep at _RTOL and _ATOL, as one column does alone;
+    # each value then agrees with its own sweep within the two bounds
     calls = []
+    stepper = mfunc._dop853
 
-    def recording_solve_ivp(fun, t_span, y0, **kwargs):
-        calls.append((t_span, len(y0), kwargs["rtol"], kwargs["atol"]))
-        return solve_ivp(fun, t_span, y0, **kwargs)
+    def recording_stepper(rhs, t0, y0, stops, rtol, atol):
+        calls.append((t0, np.shape(y0), rtol, atol))
+        return stepper(rhs, t0, y0, stops, rtol, atol)
 
-    monkeypatch.setattr(mfunc, "solve_ivp", recording_solve_ivp)
-    zs = [-1.0, -4.0, -9.0, -16.0]
-    m_infinity_batch(NUMERIC, zs)
-    t_span, size, rtol, atol = calls[0]
-    assert t_span == (1.0, 0.0) and size == 2 * len(zs)
-    assert rtol == pytest.approx(mfunc._RTOL / 2.0) and atol == pytest.approx(mfunc._ATOL / 2.0)
+    monkeypatch.setattr(mfunc, "_dop853", recording_stepper)
+    zs = [-1.0, -4.0 + 1j, 2.0 - 0.5j, -16.0]
+    batch = m_infinity_batch(NUMERIC, zs)
+    assert calls[0] == (1.0, (len(zs),), mfunc._RTOL, mfunc._ATOL)
     calls.clear()
-    m_infinity_batch(NUMERIC, [-1.0, -1.0 + 0j])
-    assert calls and {(size, rtol) for _, size, rtol, _ in calls} == {(2, mfunc._RTOL)}
+    for z, stacked in zip(zs, batch):
+        alone = m_infinity_info(NUMERIC, z)
+        assert abs(stacked.value - alone.value) <= stacked.error_bound + alone.error_bound
+    assert calls and {(shape, rtol, atol) for _, shape, rtol, atol in calls} == {
+        ((), mfunc._RTOL, mfunc._ATOL)}
 
 
 def test_batch_of_repeated_points_is_the_scalar_evaluation():
@@ -355,6 +361,99 @@ def test_error_bound_covers_the_hankel_oracle(nu, ell, zs):
         assert abs(batched.value - exact) <= batched.error_bound
 
 
+@pytest.mark.parametrize("z", [-1e-5, -1e-2, 0.01j])
+def test_error_bound_holds_for_a_sampled_potential(z):
+    # the cubic spline's third derivative jumps at every knot, which the
+    # error estimate of a step across it does not see; the sweep stops on
+    # each knot.  The reference restarts scipy's DOP853 at every knot from
+    # x = 60, where the held tail makes u = -sqrt(q - z) exact.  A batch
+    # sweeps the points one at a time.
+    grid = np.linspace(1.0, 60.0, 400)
+    pot = Potential.sampled(grid, 2.0 / grid**2)
+    u = -cmath.sqrt(pot(60.0) - z)
+    for a, b in zip(grid[::-1], grid[-2::-1]):
+        u = solve_ivp(lambda x, y: pot(x) - z - y * y, (a, b), [u], method="DOP853",
+                      rtol=1e-13, atol=1e-15).y[0, -1]
+    ev = MFunctionEvaluator(pot)
+    info = m_infinity_info(ev, z)
+    assert abs(info.value - -u) <= info.error_bound
+    assert list(m_infinity_batch(ev, [z, -1.0])) == [info, m_infinity_info(ev, -1.0)]
+
+
+# ---------------------------------------------------------------------------
+# DOP853 stepper
+# ---------------------------------------------------------------------------
+
+def _riccati_solution(c, t0, u0):
+    """u(t) and exp(int_t0^t u) for u' = c - u^2, u(t0) = u0: u = r tanh(r (t - t0) + a)."""
+    r = cmath.sqrt(c)
+    a = cmath.atanh(u0 / r)
+    return (lambda t: r * cmath.tanh(r * (t - t0) + a),
+            lambda t: cmath.cosh(r * (t - t0) + a) / cmath.cosh(a))
+
+
+_STOPS = [2.5, 1.75, 0.4, 0.0]
+
+
+@pytest.mark.parametrize("cs", [[4.0 + 1.0j], [4.0 + 1.0j, 0.5 - 2.0j, 9.0]],
+                         ids=["scalar", "array"])
+def test_stepper_matches_scipy_and_the_exact_solution(cs):
+    # backward from t = 3, a start off the fixed point -sqrt(c) is drawn to it
+    starts = [-cmath.sqrt(c) + 0.5 for c in cs]
+    if len(cs) == 1:
+        sol = mfunc._dop853(lambda t, u: cs[0] - u * u, 3.0, starts[0], _STOPS,
+                            mfunc._RTOL, mfunc._ATOL)
+        columns = [(sol.y, sol.integral)]
+        assert all(type(u) is complex for u in sol.y)
+    else:
+        c = np.array(cs)
+        sol = mfunc._dop853(lambda t, u: c - u * u, 3.0, np.array(starts), _STOPS,
+                            mfunc._RTOL, mfunc._ATOL)
+        columns = list(zip(zip(*sol.y), zip(*sol.integral)))
+    assert sol.nfev > 0
+    for c, u0, (us, integrals) in zip(cs, starts, columns):
+        ref = solve_ivp(lambda t, u: c - u * u, (3.0, 0.0), [u0], method="DOP853",
+                        rtol=mfunc._RTOL, atol=mfunc._ATOL, t_eval=_STOPS)
+        exact, exp_integral = _riccati_solution(c, 3.0, u0)
+        for t, u, integral, u_scipy in zip(_STOPS, us, integrals, ref.y[0]):
+            assert abs(u - exact(t)) <= 1e-8 * abs(exact(t))
+            assert abs(u - u_scipy) <= 1e-8 * abs(exact(t))
+            assert cmath.exp(integral) == pytest.approx(exp_integral(t), rel=1e-8)
+
+
+@pytest.mark.parametrize("y0", [0.3 + 0.1j, np.array([0.3 + 0.1j, -1.0])],
+                         ids=["scalar", "array"])
+def test_stepper_lands_exactly_on_each_stop(y0):
+    seen = []
+
+    def rhs(t, y):
+        seen.append(t)
+        return math.cos(t) - 0.1 * y
+
+    stops = [2.0, 1.0 / 3.0, math.pi / 10.0, 0.1, 0.0]
+    sol = mfunc._dop853(rhs, 5.0, y0, stops, mfunc._RTOL, mfunc._ATOL)
+    assert len(sol.y) == len(sol.integral) == len(stops)
+    assert set(stops) <= set(seen)
+
+
+def test_stepper_raises_stiffness_error_at_the_deep_well_pole():
+    # psi has a zero at z = -100 in the deep well, so u has a pole there
+    well = _exp_well(300.0)
+    zs = np.array([-100.0, -400.0])
+    starts = -np.sqrt(well(30.0) - zs)
+    with pytest.raises(StiffnessError, match="step size"):
+        mfunc._dop853(lambda x, u: well(x) + 100.0 - u * u, 30.0, float(starts[0]), [0.0],
+                      mfunc._RTOL, mfunc._ATOL)
+    with np.errstate(all="ignore"), pytest.raises(StiffnessError, match="step size"):
+        mfunc._dop853(lambda x, u: well(x) - zs - u * u, 30.0, starts, [0.0],
+                      mfunc._RTOL, mfunc._ATOL)
+
+
+def test_stepper_reads_no_stage_after_the_step():
+    # the stepper drops the 13th entry of scipy's DOP853 estimator weights
+    assert DOP853.E3[-1] == DOP853.E5[-1] == 0.0
+
+
 # ---------------------------------------------------------------------------
 # Riccati path
 # ---------------------------------------------------------------------------
@@ -372,12 +471,12 @@ def test_riccati_cost_follows_the_decay_length(monkeypatch, z):
     # the truncation error shrinks like exp(-2 sqrt|z| (X - ell)), so X - ell
     # is a few decay lengths 1/sqrt|z| and a few hundred RHS calls suffice;
     # a start X - ell of order 1 costs about 1e5 calls at z = -1e8
-    nfev = _counting_solve_ivp(monkeypatch)
+    nfev = _counting_stepper(monkeypatch)
     info = m_infinity_info(NUMERIC, z)
     exact = bessel_m_closed_form(z).real
     assert abs(info.value.real - exact) <= 1e-10 * abs(exact)
     assert info.truncation_X - BESSEL.ell <= 32.0 / math.sqrt(-z)
-    assert sum(nfev) < 2000
+    assert nfev and sum(nfev) < 2000
 
 
 def _bessel_m_on_negative_axis(nu, ell, s):

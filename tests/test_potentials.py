@@ -69,6 +69,18 @@ def test_array_call_matches_the_scalar_call(pot):
     assert qs.tolist() == pytest.approx([pot(float(x)) for x in xs], rel=1e-14, abs=0.0)
 
 
+def test_sampled_scalar_call_is_the_spline_bit_for_bit():
+    # a scalar call sums the spline piece in Python, in the order of scipy's
+    # PPoly: at every knot, its float neighbours and random points, below
+    # ell and beyond the grid, it equals the array call exactly
+    rng = np.random.default_rng(5)
+    grid = np.sort(np.concatenate(([0.5], rng.uniform(0.6, 9.0, 40))))
+    pot = Potential.sampled(grid, np.sin(grid) + 2.0 / grid**2)
+    xs = np.concatenate((grid, np.nextafter(grid, -np.inf), np.nextafter(grid, np.inf),
+                         rng.uniform(0.5, 12.0, 500)))
+    assert pot(xs).tolist() == [pot(x) for x in xs.tolist()]
+
+
 def test_array_call_rejects_non_finite_values():
     pot = Potential.expression(lambda x: math.inf if x > 2.0 else 1.0, ell=0.0)
     with pytest.raises(IntegrationError, match="x = 3.0"):
