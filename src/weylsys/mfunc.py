@@ -58,8 +58,9 @@ integration would be exponentially unstable.
 
 Stepper
 -------
-The sweeps use the module's own DOP853 stepper, :func:`_dop853`, with
-scipy's tableau and step control.  A sweep of one z runs in x with a Python
+The sweeps use the module's own DOP853 stepper, :func:`_dop853`, with the
+coefficients of Hairer and Wanner's dop853.f (Solving ODEs I, II.10) and the
+step control of scipy's DOP853.  A sweep of one z runs in x with a Python
 scalar state, a loop over the tableau per stage.  For a sampled potential
 it also stops on every spline knot between X and ell, so no step crosses a
 jump of the third derivative of q (of the first, at the last knot), which
@@ -94,7 +95,6 @@ from dataclasses import dataclass, replace
 from collections.abc import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import DOP853
 
 from .errors import (ConvergenceError, DomainError, ExtrapolationError,
                      PoleError, StiffnessError, WeylsysError)
@@ -211,18 +211,86 @@ def _check_tol(tol: float) -> None:
 # ---------------------------------------------------------------------------
 
 # Dormand and Prince's explicit order-8 pair with its order-5 and order-3
-# error estimators (Hairer, Norsett and Wanner, Solving ODEs I, II.10), with
-# scipy's tableau and step control.  _ROWS holds (c, nonzero (j, a_j)) of
-# stages 1-11.  Stages 1-4 carry no weight, and neither estimator reads the
+# error estimators (Hairer, Norsett and Wanner, Solving ODEs I, II.10; the
+# coefficients of their code dop853.f, to 30 digits), with the step control
+# of scipy's DOP853.  _ROWS holds (c, nonzero (j, a_j)) of stages 1-11;
+# stage 0 has c = 0.  _B holds the order-8 weights, _E5 the order-5 error
+# weights, and the order-3 error weights are _B less _BHH at stages 0, 8
+# and 11.  Stages 1-4 carry no weight, and neither estimator reads the
 # stage after the step, so _FINAL lists (j, b, order-5 weight, order-3
 # weight) of the stages that carry one.
 _STAGES = 12
-_C, _A = DOP853.C, DOP853.A
-_B, _E5, _E3 = DOP853.B, DOP853.E5[:_STAGES], DOP853.E3[:_STAGES]
-_ROWS = [(c, [(j, a) for j, a in enumerate(row[:s]) if a])
-         for s, (c, row) in enumerate(zip(_C.tolist(), _A.tolist())) if s]
+_ROWS = [
+    (0.526001519587677318785587544488e-01, [(0, 5.26001519587677318785587544488e-2)]),
+    (0.789002279381515978178381316732e-01, [(0, 1.97250569845378994544595329183e-2),
+                                            (1, 5.91751709536136983633785987549e-2)]),
+    (0.118350341907227396726757197510, [(0, 2.95875854768068491816892993775e-2),
+                                        (2, 8.87627564304205475450678981324e-2)]),
+    (0.281649658092772603273242802490, [(0, 2.41365134159266685502369798665e-1),
+                                        (2, -8.84549479328286085344864962717e-1),
+                                        (3, 9.24834003261792003115737966543e-1)]),
+    (0.333333333333333333333333333333, [(0, 3.7037037037037037037037037037e-2),
+                                        (3, 1.70828608729473871279604482173e-1),
+                                        (4, 1.25467687566822425016691814123e-1)]),
+    (0.25, [(0, 3.7109375e-2),
+            (3, 1.70252211019544039314978060272e-1),
+            (4, 6.02165389804559606850219397283e-2),
+            (5, -1.7578125e-2)]),
+    (0.307692307692307692307692307692, [(0, 3.70920001185047927108779319836e-2),
+                                        (3, 1.70383925712239993810214054705e-1),
+                                        (4, 1.07262030446373284651809199168e-1),
+                                        (5, -1.53194377486244017527936158236e-2),
+                                        (6, 8.27378916381402288758473766002e-3)]),
+    (0.651282051282051282051282051282, [(0, 6.24110958716075717114429577812e-1),
+                                        (3, -3.36089262944694129406857109825),
+                                        (4, -8.68219346841726006818189891453e-1),
+                                        (5, 2.75920996994467083049415600797e1),
+                                        (6, 2.01540675504778934086186788979e1),
+                                        (7, -4.34898841810699588477366255144e1)]),
+    (0.6, [(0, 4.77662536438264365890433908527e-1),
+           (3, -2.48811461997166764192642586468),
+           (4, -5.90290826836842996371446475743e-1),
+           (5, 2.12300514481811942347288949897e1),
+           (6, 1.52792336328824235832596922938e1),
+           (7, -3.32882109689848629194453265587e1),
+           (8, -2.03312017085086261358222928593e-2)]),
+    (0.857142857142857142857142857142, [(0, -9.3714243008598732571704021658e-1),
+                                        (3, 5.18637242884406370830023853209),
+                                        (4, 1.09143734899672957818500254654),
+                                        (5, -8.14978701074692612513997267357),
+                                        (6, -1.85200656599969598641566180701e1),
+                                        (7, 2.27394870993505042818970056734e1),
+                                        (8, 2.49360555267965238987089396762),
+                                        (9, -3.0467644718982195003823669022)]),
+    (1.0, [(0, 2.27331014751653820792359768449),
+           (3, -1.05344954667372501984066689879e1),
+           (4, -2.00087205822486249909675718444),
+           (5, -1.79589318631187989172765950534e1),
+           (6, 2.79488845294199600508499808837e1),
+           (7, -2.85899827713502369474065508674),
+           (8, -8.87285693353062954433549289258),
+           (9, 1.23605671757943030647266201528e1),
+           (10, 6.43392746015763530355970484046e-1)]),
+]
+_B = np.array([5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0,
+               4.45031289275240888144113950566, 1.89151789931450038304281599044,
+               -5.8012039600105847814672114227, 3.1116436695781989440891606237e-1,
+               -1.52160949662516078556178806805e-1, 2.01365400804030348374776537501e-1,
+               4.47106157277725905176885569043e-2])
+_E5 = np.array([0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0,
+                -0.1225156446376204440720569753e+1, -0.4957589496572501915214079952,
+                0.1664377182454986536961530415e+1, -0.3503288487499736816886487290,
+                0.3341791187130174790297318841, 0.8192320648511571246570742613e-1,
+                -0.2235530786388629525884427845e-1])
+_BHH = {0: 0.244094488188976377952755905512, 8: 0.733846688281611857341361741547,
+        11: 0.220588235294117647058823529412e-1}
+_E3 = _B - np.array([_BHH.get(j, 0.0) for j in range(_STAGES)])
 _FINAL = [(j, b, e5, e3) for j, (b, e5, e3)
           in enumerate(zip(_B.tolist(), _E5.tolist(), _E3.tolist())) if b or e5 or e3]
+# the dense stage coefficients of the stacked step, :func:`_array_step`
+_C = np.array([0.0] + [c for c, _ in _ROWS])
+_A = np.array([[dict(row).get(j, 0.0) for j in range(_STAGES)]
+               for _, row in [(0.0, [])] + _ROWS])
 _TINY = np.finfo(float).tiny
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _EXPONENT = -1.0 / 8.0          # -1 / (order of the error estimator + 1)

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import DomainError, IntegrationError
 
@@ -64,6 +63,8 @@ class Potential:
                 raise DomainError("sampled potential values must be finite")
             object.__setattr__(self, "grid", grid)
             object.__setattr__(self, "values", values)
+            # scipy is imported only here: the other kinds run on numpy alone
+            from scipy.interpolate import CubicSpline
             spline = CubicSpline(grid, values)
             object.__setattr__(self, "_spline", spline)
             # the knots and pieces as Python floats, for scalar calls

@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
+import numpy.random  # noqa: F401  numpy loads it lazily: load it with this module
 
 from .errors import DomainError, WeylsysError
 from .mfunc import (

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import numpy.random  # noqa: F401  numpy loads it lazily: load it with this module
 
 from . import forms, lsystem, sectorial
 from .mfunc import MFunctionEvaluator

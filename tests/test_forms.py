@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad as scipy_quad
 
 from weylsys import (
     DivergenceError,
@@ -14,6 +15,7 @@ from weylsys import (
     generate_test_functions,
     sharpness_search,
 )
+from weylsys import forms
 
 
 # ---------------------------------------------------------------------------
@@ -221,3 +223,87 @@ def test_sharpness_validation():
         sharpness_search("custom")
     with pytest.raises(DomainError):
         sharpness_search("no-such-family")
+
+
+# ---------------------------------------------------------------------------
+# the adaptive Gauss-Kronrod quadrature
+# ---------------------------------------------------------------------------
+
+def _energy(y):
+    return lambda x: y.derivative(x) ** 2 + 2.0 * y.value(x) ** 2 / x**2
+
+
+def _scipy_quad(f, upper=np.inf):
+    return scipy_quad(f, 1.0, upper, limit=400, epsabs=1e-12, epsrel=1e-10)[0]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_quad_matches_scipy_on_generated_functions(seed):
+    for y in generate_test_functions(100, seed):
+        value, _ = forms.quad(_energy(y), 1.0)
+        assert value == pytest.approx(_scipy_quad(_energy(y)), rel=1e-12), y.label
+
+
+@pytest.mark.parametrize("family", ["power-plus-exp", "exp-decay"])
+def test_quad_matches_scipy_on_the_sharpness_families(family):
+    report = sharpness_search(family, n=41)
+    for param, ratio in zip(report.params, report.ratios):
+        if family == "power-plus-exp":
+            y = TestFunction.mix((TestFunction.power(), TestFunction.exp_poly((1.0,), 1.0)),
+                                 (1.0, param))
+        else:
+            y = TestFunction.exp_poly((1.0,), param)
+        expected = y.boundary_value() ** 2 / _scipy_quad(_energy(y))
+        assert ratio == pytest.approx(expected, rel=1e-12), param
+
+
+@pytest.mark.parametrize("n, profile", [
+    (141, lambda x: 1.0 / x),
+    (30, lambda x: np.exp(1.0 - x) * (1.0 + 0.3 * np.sin(3.0 * x))),
+], ids=["power", "wavy-exp"])
+def test_quad_matches_scipy_on_a_sampled_function(n, profile):
+    # the spline's third derivative jumps at every knot, and the energy
+    # integrand's second derivative with it; neither quadrature sees those
+    # kinks, and the two land up to 3e-11 apart, so they agree to their
+    # 1e-10 tolerance here, not to 1e-12
+    grid = np.linspace(1.0, 8.0, n)
+    y = TestFunction.sampled(grid, profile(grid))
+    value, _ = forms.quad(_energy(y), 1.0, grid[-1])
+    assert value == pytest.approx(_scipy_quad(_energy(y), grid[-1]), rel=1e-10)
+    assert evaluate_form(y).re_form == value
+
+
+def test_quad_is_exact_for_a_polynomial_on_a_finite_interval():
+    value, error = forms.quad(lambda x: 5.0 * x**4 - 3.0 * x**2, 1.0, 2.0)
+    assert value == pytest.approx(24.0, rel=1e-15)
+    assert error <= 1e-12
+
+
+def test_quad_names_the_first_point_where_the_integrand_is_not_finite():
+    calls = []
+
+    def pole(x):
+        calls.append(x.size)
+        with np.errstate(divide="ignore"):
+            return 1.0 / (x - 2.0)
+
+    # the centre node of [1, 3] is x = 2 itself
+    with pytest.raises(DivergenceError, match=r"not finite at x = 2\.0$"):
+        forms.quad(pole, 1.0, 3.0)
+    assert calls == [21]          # one call, no subdivision
+
+    calls.clear()
+
+    def nan_tail(x):
+        calls.append(x.size)
+        return np.where(x > 10.0, np.nan, 1.0 / x**2)
+
+    with pytest.raises(DivergenceError, match="not finite at x = ") as info:
+        forms.quad(nan_tail, 1.0)
+    assert float(str(info.value).rsplit("= ", 1)[1]) > 10.0
+    assert calls == [21]
+
+
+def test_quad_rejects_a_non_integrable_tail():
+    with pytest.raises(DivergenceError, match="did not converge"):
+        forms.quad(lambda x: 1.0 / x, 1.0)

@@ -454,6 +454,19 @@ def test_stepper_reads_no_stage_after_the_step():
     assert DOP853.E3[-1] == DOP853.E5[-1] == 0.0
 
 
+@pytest.mark.parametrize("ours, scipys", [
+    (mfunc._C, DOP853.C),
+    (mfunc._A, DOP853.A),
+    (mfunc._B, DOP853.B),
+    (mfunc._E5, DOP853.E5[:12]),
+    (mfunc._E3, DOP853.E3[:12]),
+], ids=["C", "A", "B", "E5", "E3"])
+def test_inlined_tableau_equals_scipys_bit_for_bit(ours, scipys):
+    # compare the bits, so a literal that rounds one ulp away (or a -0.0) fails
+    assert ours.shape == scipys.shape
+    assert ours.tobytes() == np.ascontiguousarray(scipys, dtype=float).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Riccati path
 # ---------------------------------------------------------------------------
