@@ -17,6 +17,7 @@ import cmath
 import dataclasses
 import json
 import math
+import operator
 import re
 import sys
 from pathlib import Path
@@ -79,6 +80,9 @@ _FUNCTIONS = {
     "abs": abs,
 }
 
+_OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+              ast.Div: operator.truediv, ast.Pow: operator.pow}
+
 
 def eval_number(text: str) -> complex:
     """Evaluate a constant arithmetic expression like '1+2i' or 'tan(pi/3)'."""
@@ -107,21 +111,11 @@ def _eval_node(node: ast.AST, text: str) -> complex:
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
         val = _eval_node(node.operand, text)
         return val if isinstance(node.op, ast.UAdd) else -val
-    if isinstance(node, ast.BinOp) and isinstance(
-        node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
-    ):
+    if isinstance(node, ast.BinOp) and type(node.op) in _OPERATORS:
         a = _eval_node(node.left, text)
         b = _eval_node(node.right, text)
         try:
-            if isinstance(node.op, ast.Add):
-                return a + b
-            if isinstance(node.op, ast.Sub):
-                return a - b
-            if isinstance(node.op, ast.Mult):
-                return a * b
-            if isinstance(node.op, ast.Div):
-                return a / b
-            return a**b
+            return _OPERATORS[type(node.op)](a, b)
         except (ZeroDivisionError, OverflowError, ValueError) as exc:
             raise UsageError(f"cannot evaluate {text!r}: {exc}") from exc
     if (

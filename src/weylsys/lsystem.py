@@ -129,14 +129,7 @@ def make_lsystem(potential: Potential, ell: float | None = None, mu=None, h: com
         )
     xi = xi_parameter(mu, h)
     gain = 1.0 if math.isinf(mu) else math.sqrt(h.imag) / abs(mu - h)
-    return LSystem(
-        potential=potential,
-        ell=float(ell),
-        mu=mu,
-        h=h,
-        xi=xi,
-        channel_gain=gain,
-    )
+    return LSystem(potential=potential, ell=float(ell), mu=mu, h=h, xi=xi, channel_gain=gain)
 
 
 def impedance(system: LSystem, z: complex, evaluator: MFunctionEvaluator) -> complex:

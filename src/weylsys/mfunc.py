@@ -52,9 +52,9 @@ integration would be exponentially unstable.
   ``_INTEGRATION_ERROR (_ATOL + _RTOL |u(ell)|) / |cos a + u sin a|^2``
   with ``_INTEGRATION_ERROR = 100``.  The contraction
   damps the step errors made far from ell, so the global error is a fixed
-  multiple of the per-step allowance; the largest multiple seen against
-  Bessel oracles (nu in [0.5, 5], both half-planes and the negative axis)
-  was 24.
+  multiple of the per-step allowance; the largest multiple seen against the
+  half-integer Bessel closed forms (nu to 19/2, ell in [1/4, 4], both
+  half-planes and the negative axis) was 42, an error of 0.42 error_bound.
 
 Stepper
 -------
@@ -102,7 +102,7 @@ from .potentials import Potential
 
 __all__ = [
     "MFunctionEvaluator", "MEvaluation",
-    "sqrt_upper", "bessel_m_closed_form", "free_m_closed_form",
+    "sqrt_upper", "half_integer_bessel_m", "bessel_m_closed_form",
     "bessel_neg_m_alpha_closed_form", "bessel_w_closed_form", "check_alpha",
     "m_infinity", "m_infinity_info", "MBatch", "m_infinity_batch",
     "m_alpha", "m_alpha_info", "rotate_evaluation", "m_alpha_direct",
@@ -121,18 +121,28 @@ def sqrt_upper(z: complex) -> complex:
     return -w if w.imag < 0 else w
 
 
+def half_integer_bessel_m(nu: float, ell: float, z: complex) -> complex:
+    """m_inf(z) for q = (nu^2 - 1/4)/x^2 on [ell, inf), nu = n + 1/2, n = 0, 1, ...
+
+    psi = sqrt(x) K_nu(k x) with k = sqrt(-z), Re k > 0, so m = n/ell + k r
+    with r = K_{nu-1}(t)/K_nu(t) = p_{n-1}(t)/p_n(t) at t = k ell, p_n the
+    polynomial factor of K_{n+1/2}: e^-t cancels, so nothing underflows.
+    r comes from K_{nu+1} = K_{nu-1} + (2 nu/t) K_nu and K_{-1/2} = K_{1/2};
+    each step adds two terms with Re >= 0.  n = 0 is q = 0: m = k for any ell.
+    """
+    n = round(nu - 0.5)
+    if n < 0 or abs(nu - 0.5 - n) > 1e-12:
+        raise DomainError(f"the closed form needs nu - 1/2 a non-negative integer, got {nu}")
+    k = -1j * sqrt_upper(z)
+    ratio = 1.0
+    for j in range(n):
+        ratio = 1.0 / (ratio + (2 * j + 1) / (k * ell))
+    return k * ratio + (n / ell if n else 0.0)
+
+
 def bessel_m_closed_form(z: complex) -> complex:
     """m_inf(z) = 1 - i z / (sqrt(z) + i) for the Bessel potential nu=3/2, ell=1."""
-    return 1 - 1j * z / (sqrt_upper(z) + 1j)
-
-
-def free_m_closed_form(z: complex) -> complex:
-    """m_inf(z) = -i sqrt(z) for the free potential q = 0.
-
-    With the fixed branch this equals ``+sqrt(s)`` at ``z = -s`` (s > 0),
-    so ``-m`` is Herglotz and the negative-axis values are positive.
-    """
-    return -1j * sqrt_upper(z)
+    return half_integer_bessel_m(1.5, 1.0, z)
 
 
 def bessel_neg_m_alpha_closed_form(alpha: float, z: complex) -> complex:
@@ -624,8 +634,9 @@ class MEvaluation:
 class MFunctionEvaluator:
     """Immutable evaluator of m_inf(z) for one potential.
 
-    ``mode`` is ``"numeric"`` or ``"closed_form"``; the closed form exists
-    only for the Bessel potential with nu = 3/2 and ell = 1.  ``tol`` is the
+    ``mode`` is ``"numeric"`` or ``"closed_form"``; the closed form,
+    :func:`half_integer_bessel_m`, exists for a Bessel potential with
+    half-integer nu (any ell > 0) and for the free potential.  ``tol`` is the
     truncation tolerance of the numeric path: it sizes the first X, and
     the gap of the X/2 truncation must fall to ``max(1e-10, tol * |m|)``.
     All operations are pure, so concurrent use from several threads is safe.
@@ -640,14 +651,15 @@ class MFunctionEvaluator:
         if self.mode not in ("numeric", "closed_form"):
             raise DomainError(f"unknown evaluator mode {self.mode!r}")
         if self.mode == "closed_form" and not self.has_closed_form(self.potential):
-            raise DomainError("closed_form mode is available only for the "
-                              "bessel(3/2) potential with ell = 1")
+            raise DomainError("closed_form mode needs the free potential or a bessel "
+                              "potential with nu - 1/2 a non-negative integer, got "
+                              f"{self.potential.label or self.potential.kind}")
 
     @staticmethod
     def has_closed_form(potential: Potential) -> bool:
-        return (potential.kind == "bessel"
-                and math.isclose(potential.nu, 1.5, rel_tol=0, abs_tol=1e-12)
-                and math.isclose(potential.ell, 1.0, rel_tol=0, abs_tol=1e-12))
+        if potential.kind == "bessel":
+            return abs(potential.nu - 0.5 - round(potential.nu - 0.5)) <= 1e-12
+        return potential.kind == "expression" and potential.label == "free"
 
 
 def _check_spectral_point(z: complex) -> complex:
@@ -699,6 +711,8 @@ def m_infinity_batch(evaluator: MFunctionEvaluator, zs: Sequence[complex]) -> MB
     points = [complex(z) for z in zs]
     outcomes: list = [None] * len(points)
     columns: dict[complex, list[int]] = {}
+    pot = evaluator.potential
+    nu = 0.5 if pot.nu is None else pot.nu      # the free potential is nu = 1/2
     for i, z in enumerate(points):
         try:
             _check_spectral_point(z)
@@ -706,7 +720,8 @@ def m_infinity_batch(evaluator: MFunctionEvaluator, zs: Sequence[complex]) -> MB
             outcomes[i] = exc
             continue
         if evaluator.mode == "closed_form":
-            outcomes[i] = MEvaluation(bessel_m_closed_form(z), math.inf, 0.0, "closed-form")
+            outcomes[i] = MEvaluation(half_integer_bessel_m(nu, pot.ell, z), math.inf, 0.0,
+                                      "closed-form")
         else:
             columns.setdefault(z, []).append(i)
     distinct = list(columns)

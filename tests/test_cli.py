@@ -106,8 +106,22 @@ def test_m_eval_numeric_matches_closed_form(capsys):
 def test_m_eval_free_potential(capsys):
     code, doc, _ = run_json(capsys, "m-eval", "--potential", "free", "--z", "-1")
     assert code == 0
-    assert doc["mode"] == "numeric"  # no closed form registered for free
+    assert doc["mode"] == "closed_form"  # free is the nu = 1/2 Bessel closed form
+    assert doc["rows"][0][2] == 1.0
+    code, doc, _ = run_json(capsys, "m-eval", "--potential", "free", "--z=-1",
+                            "--mode", "numeric")
+    assert code == 0 and doc["mode"] == "numeric"
     assert doc["rows"][0][2] == pytest.approx(1.0, rel=1e-8)
+
+
+def test_m_eval_half_integer_bessel_picks_the_closed_form(capsys):
+    code, doc, _ = run_json(capsys, "m-eval", "--potential", "bessel:2.5", "--ell", "2",
+                            "--z=-1")
+    assert code == 0 and doc["mode"] == "closed_form"
+    # nu = 5/2, ell = 2, k = 1: m = 2/ell + k p_1(2)/p_2(2) = 1 + (3/2)/(13/4)
+    assert doc["rows"][0][2] == pytest.approx(19.0 / 13.0, rel=1e-15)
+    code, doc, _ = run_json(capsys, "m-eval", "--potential", "bessel:2.2", "--z=-1")
+    assert code == 0 and doc["mode"] == "numeric"
 
 
 def test_m_eval_rotated_boundary(capsys):
@@ -145,9 +159,9 @@ def test_m_eval_usage_errors(capsys):
     code, _, err = run(capsys, "m-eval", "--mode", "magic", "--z", "i")
     assert code == 2
     # closed form demanded for a potential without one
-    code, _, err = run(capsys, "m-eval", "--potential", "free",
+    code, _, err = run(capsys, "m-eval", "--potential", "bessel:2.2",
                        "--mode", "closed-form", "--z", "i")
-    assert code == 2
+    assert code == 2 and "nu - 1/2 a non-negative integer" in err
 
 
 def test_m_eval_solver_error_record(capsys):

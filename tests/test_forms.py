@@ -233,8 +233,8 @@ def _energy(y):
     return lambda x: y.derivative(x) ** 2 + 2.0 * y.value(x) ** 2 / x**2
 
 
-def _scipy_quad(f, upper=np.inf):
-    return scipy_quad(f, 1.0, upper, limit=400, epsabs=1e-12, epsrel=1e-10)[0]
+def _scipy_quad(f, upper=np.inf, points=None):
+    return scipy_quad(f, 1.0, upper, limit=400, epsabs=1e-12, epsrel=1e-10, points=points)[0]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -263,14 +263,27 @@ def test_quad_matches_scipy_on_the_sharpness_families(family):
 ], ids=["power", "wavy-exp"])
 def test_quad_matches_scipy_on_a_sampled_function(n, profile):
     # the spline's third derivative jumps at every knot, and the energy
-    # integrand's second derivative with it; neither quadrature sees those
-    # kinks, and the two land up to 3e-11 apart, so they agree to their
-    # 1e-10 tolerance here, not to 1e-12
+    # integrand's second derivative with it; both quadratures start from
+    # the knot intervals, so no rule spans a kink
     grid = np.linspace(1.0, 8.0, n)
     y = TestFunction.sampled(grid, profile(grid))
-    value, _ = forms.quad(_energy(y), 1.0, grid[-1])
-    assert value == pytest.approx(_scipy_quad(_energy(y), grid[-1]), rel=1e-10)
+    value, _ = forms.quad(_energy(y), 1.0, grid[-1], grid)
+    assert value == pytest.approx(_scipy_quad(_energy(y), grid[-1], grid[1:-1]), rel=1e-12)
     assert evaluate_form(y).re_form == value
+
+
+def test_sampled_energy_sees_the_knot_kinks():
+    # a 30-point Gauss-Legendre rule on each knot interval integrates the
+    # piecewise-polynomial spline terms to round-off; one rule across many
+    # knots lands 1.4e-9 away, 30 times its own error estimate
+    grid = np.linspace(1.0, 8.0, 141)
+    y = TestFunction.sampled(grid, 1.0 / grid)
+    nodes, weights = np.polynomial.legendre.leggauss(30)
+    half = 0.5 * np.diff(grid)[:, None]
+    x = 0.5 * (grid[:-1] + grid[1:])[:, None] + half * nodes
+    reference = float(np.sum(half * weights * _energy(y)(x)))
+    assert reference == pytest.approx(0.9980540486798237, rel=1e-14)
+    assert evaluate_form(y).re_form == pytest.approx(reference, rel=1e-12)
 
 
 def test_quad_is_exact_for_a_polynomial_on_a_finite_interval():

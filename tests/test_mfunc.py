@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 import numpy as np
 from scipy.integrate import DOP853, solve_ivp
-from scipy.special import h1vp, hankel1, kve
+from scipy.special import hankel1e
 
 from weylsys import (
     ConvergenceError,
@@ -21,7 +21,7 @@ from weylsys import (
     bessel_m_closed_form,
     bessel_neg_m_alpha_closed_form,
     bessel_w_closed_form,
-    free_m_closed_form,
+    half_integer_bessel_m,
     limit_at_minus_infinity,
     limit_at_minus_zero,
     m_alpha,
@@ -78,26 +78,53 @@ def test_bessel_closed_form_frozen_values():
 
 
 def test_free_closed_form_values():
-    assert free_m_closed_form(-1.0) == pytest.approx(1.0)
-    assert free_m_closed_form(1j) == pytest.approx(complex(2.0 ** -0.5, -(2.0 ** -0.5)))
+    # nu = 1/2 is q = 0, where m = sqrt(-z) on any [ell, inf)
+    for ell in (0.0, 2.0):
+        ev = MFunctionEvaluator(Potential.free(ell), mode="closed_form")
+        assert m_infinity(ev, -1.0) == 1.0
+        assert m_infinity(ev, -4.0) == 2.0
+        assert m_infinity(ev, 1j) == pytest.approx(complex(2.0 ** -0.5, -(2.0 ** -0.5)),
+                                                   rel=1e-15)
+        assert half_integer_bessel_m(0.5, ell, 1j) == m_infinity(ev, 1j)
 
 
-@given(st.builds(complex, st.floats(-30.0, 30.0), st.floats(0.01, 30.0)))
-def test_closed_form_conjugate_symmetry(z):
+def test_closed_form_of_the_family_matches_its_polynomials():
+    # m = n/ell + k p_{n-1}(t)/p_n(t), t = k ell, with the polynomial factor
+    # p_n(t) = sum_j (n+j)!/(j!(n-j)!) (2t)^-j of K_{n+1/2}, summed here directly
+    def p(n, t):
+        return sum(math.factorial(n + j) / (math.factorial(j) * math.factorial(n - j))
+                   * (2.0 * t) ** -j for j in range(n + 1))
+
+    for n in range(1, 10):
+        for ell in (0.25, 1.0, 4.0):
+            for z in (1j, -1.0, -0.01, 5.0 + 0.1j, -3.0 - 2j):
+                k = -1j * sqrt_upper(z)
+                expected = n / ell + k * p(n - 1, k * ell) / p(n, k * ell)
+                assert half_integer_bessel_m(n + 0.5, ell, z) == pytest.approx(expected, rel=1e-13)
+
+
+half_integer_nu = st.integers(0, 9).map(lambda n: n + 0.5)
+
+
+@given(half_integer_nu, st.floats(0.25, 4.0),
+       st.builds(complex, st.floats(-30.0, 30.0), st.floats(0.01, 30.0)))
+def test_closed_form_conjugate_symmetry(nu, ell, z):
     assert cmath.isclose(
-        bessel_m_closed_form(z.conjugate()),
-        bessel_m_closed_form(z).conjugate(),
+        half_integer_bessel_m(nu, ell, z.conjugate()),
+        half_integer_bessel_m(nu, ell, z).conjugate(),
         rel_tol=1e-12,
         abs_tol=1e-12,
     )
 
 
-@given(st.builds(complex, st.floats(-30.0, 30.0), st.floats(0.01, 30.0)))
-def test_minus_m_closed_form_is_herglotz_in_the_upper_half_plane(z):
+@given(half_integer_nu, st.floats(0.25, 4.0),
+       st.builds(complex, st.floats(-30.0, 30.0), st.floats(0.01, 30.0)))
+def test_minus_m_closed_form_is_herglotz_in_the_upper_half_plane(nu, ell, z):
     # with the m = -psi'/psi normalization it is -m that maps the upper
-    # half-plane to itself; m itself has Im m(i) = -1/2
-    assert bessel_m_closed_form(z).imag <= 1e-12
-    assert (1.0 / bessel_m_closed_form(z)).imag >= -1e-12
+    # half-plane to itself; m itself has Im m(i) = -1/2 at nu = 3/2, ell = 1
+    m = half_integer_bessel_m(nu, ell, z)
+    assert m.imag <= 1e-12 * max(1.0, abs(m))
+    assert (1.0 / m).imag >= -1e-12
 
 
 def test_rotated_closed_form_matches_the_transform():
@@ -234,10 +261,20 @@ def test_limit_circle_potential_is_detected():
         m_infinity(ev, 5.0 + 0.1j)
 
 
-def _bessel_m_off_the_axis(nu, ell, z):
-    """m(z) for Bessel(nu, ell) from the decaying solution sqrt(x) H1_nu(k x), k = sqrt z."""
+def _bessel_m_oracle(nu, ell, z):
+    """m(z) for Bessel(nu, ell): the closed form for half-integer nu, else scipy's Hankel.
+
+    The decaying solution is sqrt(x) H1_nu(k x), k = sqrt z.  With
+    2 H1_nu' = H1_{nu-1} - H1_{nu+1}, the exponentially scaled hankel1e
+    keeps the ratio finite on the negative axis, where H1_nu underflows.
+    """
+    if MFunctionEvaluator.has_closed_form(Potential.bessel(nu, ell)):
+        return half_integer_bessel_m(nu, ell, z)
     k = sqrt_upper(z)
-    return -(1.0 / (2.0 * ell) + k * complex(h1vp(nu, k * ell)) / complex(hankel1(nu, k * ell)))
+    t = k * ell
+    return -(1.0 / (2.0 * ell)
+             + k * complex(hankel1e(nu - 1.0, t) - hankel1e(nu + 1.0, t))
+             / complex(2.0 * hankel1e(nu, t)))
 
 
 @pytest.mark.parametrize("z", [1j, -3.0 + 0.5j, 4.0 + 0.3j, -1.0 - 2j, 2.0 - 0.5j])
@@ -245,7 +282,7 @@ def _bessel_m_off_the_axis(nu, ell, z):
 @pytest.mark.parametrize("nu", [0.6, 1.5, 2.5, 3.0])
 def test_complex_path_matches_the_hankel_oracle(nu, ell, z):
     ev = MFunctionEvaluator(Potential.bessel(nu, ell), mode="numeric")
-    exact = _bessel_m_off_the_axis(nu, ell, z)
+    exact = _bessel_m_oracle(nu, ell, z)
     info = m_infinity_info(ev, z)
     assert info.value == pytest.approx(exact, rel=1e-8)
     assert abs(info.value - exact) <= info.error_bound
@@ -355,10 +392,26 @@ def test_error_bound_covers_the_hankel_oracle(nu, ell, zs):
     # scalar path and for the same points in one stacked sweep
     ev = MFunctionEvaluator(Potential.bessel(nu, ell))
     for z, batched in zip(zs, m_infinity_batch(ev, zs)):
-        exact = _bessel_m_off_the_axis(nu, ell, z)
+        exact = _bessel_m_oracle(nu, ell, z)
         scalar = m_infinity_info(ev, z)
         assert abs(scalar.value - exact) <= scalar.error_bound
         assert abs(batched.value - exact) <= batched.error_bound
+
+
+@settings(max_examples=40, deadline=None)
+@given(half_integer_nu, st.floats(0.25, 4.0),
+       st.lists(st.one_of(_upper_or_lower, _negative_axis), min_size=1, max_size=4))
+def test_error_bound_covers_the_closed_form_of_the_family(nu, ell, zs):
+    # for half-integer nu the closed_form mode is the oracle of the scalar
+    # path and of the same points in one stacked sweep
+    pot = Potential.bessel(nu, ell)
+    ev = MFunctionEvaluator(pot)
+    closed = m_infinity_batch(MFunctionEvaluator(pot, mode="closed_form"), zs)
+    for z, batched, exact in zip(zs, m_infinity_batch(ev, zs), closed):
+        scalar = m_infinity_info(ev, z)
+        assert exact.path == "closed-form"
+        assert abs(scalar.value - exact.value) <= scalar.error_bound
+        assert abs(batched.value - exact.value) <= batched.error_bound
 
 
 @pytest.mark.parametrize("z", [-1e-5, -1e-2, 0.01j])
@@ -492,16 +545,6 @@ def test_riccati_cost_follows_the_decay_length(monkeypatch, z):
     assert nfev and sum(nfev) < 2000
 
 
-def _bessel_m_on_negative_axis(nu, ell, s):
-    """m(-s) for Bessel(nu, ell) from the decaying solution sqrt(x) K_nu(sqrt(s) x).
-
-    The exponentially scaled kve keeps the ratio finite where kv underflows.
-    """
-    t = math.sqrt(s) * ell
-    return -1.0 / (2.0 * ell) + math.sqrt(s) * (kve(nu - 1.0, t) + kve(nu + 1.0, t)) / (
-        2.0 * kve(nu, t))
-
-
 @pytest.mark.parametrize("k", [-6, -3, 0, 3, 6, 8])
 @pytest.mark.parametrize("ell", [0.5, 1.0, 2.0])
 @pytest.mark.parametrize("nu", [0.6, 1.5, 2.5, 3.0])
@@ -509,7 +552,7 @@ def test_riccati_path_matches_the_k_bessel_oracle(nu, ell, k):
     s = 10.0 ** k
     ev = MFunctionEvaluator(Potential.bessel(nu, ell), mode="numeric")
     assert m_infinity(ev, -s).real == pytest.approx(
-        _bessel_m_on_negative_axis(nu, ell, s), rel=1e-8)
+        _bessel_m_oracle(nu, ell, -s).real, rel=1e-8)
 
 
 def _exp_well(depth):
@@ -623,11 +666,16 @@ def test_limit_at_minus_infinity_diverges():
 
 
 def test_limit_of_free_m_at_minus_zero_vanishes():
-    ev = MFunctionEvaluator(Potential.free(), mode="closed_form") \
-        if MFunctionEvaluator.has_closed_form(Potential.free()) else None
-    assert ev is None  # the free potential has no registered closed form
-    val = limit_at_minus_zero(lambda x: free_m_closed_form(x))
-    assert val == pytest.approx(0.0, abs=1e-8)
+    ev = MFunctionEvaluator(Potential.free(), mode="closed_form")
+    assert m_infinity_limit_at_zero(ev) == pytest.approx(0.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("nu", [1.5, 2.5, 5.5, 9.5])
+@pytest.mark.parametrize("ell", [0.25, 1.0, 4.0])
+def test_limit_at_minus_zero_of_the_family(nu, ell):
+    # m(-0) = (nu - 1/2)/ell, the m0 of the paper's threshold tan(alpha) m0 >= 1
+    ev = MFunctionEvaluator(Potential.bessel(nu, ell), mode="closed_form")
+    assert m_infinity_limit_at_zero(ev) == pytest.approx((nu - 0.5) / ell, rel=1e-8)
 
 
 def test_limit_extrapolation_rejects_oscillation():
@@ -662,8 +710,13 @@ def test_tol_must_be_positive(tol):
 
 
 def test_closed_form_mode_requires_the_oracle_potential():
-    with pytest.raises(DomainError):
-        MFunctionEvaluator(Potential.bessel(nu=2.5), mode="closed_form")
+    rule = "nu - 1/2 a non-negative integer"
+    for pot in (Potential.bessel(nu=2.2), Potential.bessel(nu=0.3),
+                Potential.expression(lambda x: 25.0, ell=0.0, label="plateau")):
+        with pytest.raises(DomainError, match=rule):
+            MFunctionEvaluator(pot, mode="closed_form")
+    with pytest.raises(DomainError, match=rule):
+        half_integer_bessel_m(2.2, 1.0, 1j)
 
 
 @settings(max_examples=30, deadline=None)

@@ -20,9 +20,11 @@ from weylsys import (
     class_angles_from_alpha,
     classify_s_beta12,
     herglotz_test,
+    impedance,
     kernel_matrix,
     kernel_point_sets,
     kernel_psd_test,
+    make_lsystem,
     sampled_points,
     sector_angle_from_gap,
     sector_angle_from_product,
@@ -350,6 +352,22 @@ def test_sector_angle_edge_cases():
         sector_angle_from_gap(0.3, HALF_PI)
     with pytest.raises(DomainError):
         sector_angle_from_gap(1.0, 0.5)  # beta1 > beta2
+
+
+@pytest.mark.parametrize("mu", [10.0, math.inf])
+def test_product_formula_falls_below_the_exact_sector_angle(mu):
+    # on the built-in example with h = i the exact tan theta is 1; the class
+    # angles of the impedance give tan beta = 0.80 (mu = 10) and 0 (mu = inf,
+    # beta1 = 0) by the product formula, so it bounds nothing from above.
+    # The gap formula lands at or above the exact angle in both cases.
+    pot = Potential.bessel()
+    closed = MFunctionEvaluator(pot, mode="closed_form")
+    system = make_lsystem(pot, mu=mu, h=1j)
+    angles = classify_s_beta12(lambda z: impedance(system, z, closed))
+    exact = accretivity_and_sectoriality(1j, mu, 1.0).tan_theta
+    assert exact == pytest.approx(1.0, rel=1e-12)
+    assert math.tan(sector_angle_from_product(*angles)) < exact - 0.15
+    assert math.tan(sector_angle_from_gap(*angles)) >= exact - 1e-6
 
 
 @settings(max_examples=60, deadline=None)
