@@ -61,7 +61,9 @@ Stepper
 The sweeps use the module's own DOP853 stepper, :func:`_dop853`, with the
 coefficients of Hairer and Wanner's dop853.f (Solving ODEs I, II.10) and the
 step control of scipy's DOP853.  A sweep of one z runs in x with a Python
-scalar state, a loop over the tableau per stage.  For a sampled potential
+scalar state: its step is straight-line code, written out from the same
+tableau at import, and its right-hand side calls the potential's
+``scalar_q``, built once per potential.  For a sampled potential
 it also stops on every spline knot between X and ell, so no step crosses a
 jump of the third derivative of q (of the first, at the last knot), which
 the error estimate does not see.  The error norm reads u only, never w.
@@ -316,31 +318,23 @@ class _Solution:
     nfev: int
 
 
+# The scalar step is straight-line code written out from _ROWS and _FINAL
+# once, at import: Python loops over the tableau cost a scalar sweep more
+# than the arithmetic they do.  Each sum keeps the order of the tables.
+_SCALAR_STEP = '''\
 def _scalar_step(rhs, t, y, f, h, rtol, atol):
     """One DOP853 step of a Python-scalar state: (y(t + h), int y dt, error norm).
 
-    Each stage is a Python loop over the nonzero tableau entries; the
-    integral weighs the stage values with b, as a component ``w' = y``
-    would, and stays out of the error norm.
+    Stage s is ``y_s = y + h sum_j a_sj k_j`` and ``k_s = rhs(t + c_s h, y_s)``,
+    stage 0 being the state y and its slope f.  The integral weighs the
+    stage values with b, as a component ``w' = y`` would, and stays out of
+    the error norm.
     """
-    k = [f]
-    stage = [y]
-    for c, row in _ROWS:
-        acc = 0.0
-        for j, a in row:
-            acc += a * k[j]
-        ys = y + h * acc
-        stage.append(ys)
-        k.append(rhs(t + c * h, ys))
-    slope = mean = err5 = err3 = 0.0
-    for j, b, e5, e3 in _FINAL:
-        kj = k[j]
-        slope += b * kj
-        mean += b * stage[j]
-        err5 += e5 * kj
-        err3 += e3 * kj
-    y_new = y + h * slope
-    integral = h * mean
+{stages}
+    y_new = y + h * ({slope})
+    integral = h * ({mean})
+    err5 = {err5}
+    err3 = {err3}
     try:
         scale = atol + rtol * max(abs(y), abs(y_new))
         n5 = abs(err5) / scale
@@ -352,6 +346,32 @@ def _scalar_step(rhs, t, y, f, h, rtol, atol):
     if n5 == 0.0 and n3 == 0.0:
         return y_new, integral, 0.0
     return y_new, integral, abs(h) * n5 / math.sqrt(n5 + 0.01 * n3)
+'''
+
+
+def _write_scalar_step():
+    """:func:`_scalar_step`, compiled from _SCALAR_STEP with the tableau as literals."""
+    def dot(terms):
+        return " + ".join(f"{w!r} * {v}" for w, v in terms)
+
+    k = ["f"] + [f"k{s}" for s in range(1, _STAGES)]
+    stage = ["y"] + [f"y{s}" for s in range(1, _STAGES)]
+    lines = []
+    for s, (c, row) in enumerate(_ROWS, 1):
+        lines.append(f"    {stage[s]} = y + h * ({dot((a, k[j]) for j, a in row)})")
+        lines.append(f"    {k[s]} = rhs(t + {c!r} * h, {stage[s]})")
+    source = _SCALAR_STEP.format(
+        stages="\n".join(lines),
+        slope=dot((b, k[j]) for j, b, _, _ in _FINAL),
+        mean=dot((b, stage[j]) for j, b, _, _ in _FINAL),
+        err5=dot((e5, k[j]) for j, _, e5, _ in _FINAL),
+        err3=dot((e3, k[j]) for j, _, _, e3 in _FINAL))
+    namespace = {"math": math}
+    exec(compile(source, "<weylsys.mfunc._scalar_step>", "exec"), namespace)
+    return namespace["_scalar_step"]
+
+
+_scalar_step = _write_scalar_step()
 
 
 def _array_step(rhs, t, y, f, h, rtol, atol):
@@ -517,8 +537,8 @@ def _sweep(potential: Potential, zq: list, tops: list[float],
         knots = [] if potential.grid is None else [x for x in potential.grid.tolist()
                                                    if ell < x < top]
         stops = sorted({mid, ell, *knots}, reverse=True)
-        sol = _dop853(lambda x, u: potential(x) - z - u * u, top, starts[0], stops,
-                      _RTOL, _ATOL)
+        q = potential.scalar_q
+        sol = _dop853(lambda x, u: q(x) - z - u * u, top, starts[0], stops, _RTOL, _ATOL)
         i = stops.index(mid)
         return ([(sol.y[i], sol.y[-1])],
                 [(2.0 * sol.integral[i], 2.0 * sol.integral[-1])])
@@ -659,7 +679,7 @@ class MFunctionEvaluator:
     def has_closed_form(potential: Potential) -> bool:
         if potential.kind == "bessel":
             return abs(potential.nu - 0.5 - round(potential.nu - 0.5)) <= 1e-12
-        return potential.kind == "expression" and potential.label == "free"
+        return potential.is_free
 
 
 def _check_spectral_point(z: complex) -> complex:

@@ -8,8 +8,10 @@ on ``[ell, inf)``.  Three kinds are supported:
   held constant beyond the last grid point (documented limitation);
 * ``expression`` -- an arbitrary callable ``x -> q(x)``.
 
-The free potential ``q = 0`` is the expression kind with the label ``"free"``
-so that it can round-trip through serialization.
+The free potential ``q = 0`` is the expression kind whose callable is this
+module's own zero function, so that it can round-trip through
+serialization and has a closed-form m; a label alone does not make a
+potential free.
 """
 
 from __future__ import annotations
@@ -26,9 +28,21 @@ from .errors import DomainError, IntegrationError
 __all__ = ["Potential", "load_potential_file"]
 
 
+def _free_q(x: float) -> float:
+    """q = 0; :meth:`Potential.free` is the one potential with this callable."""
+    return 0.0
+
+
 @dataclass(frozen=True)
 class Potential:
-    """Coefficient q(x) of a half-line Schrödinger expression on [ell, inf)."""
+    """Coefficient q(x) of a half-line Schrödinger expression on [ell, inf).
+
+    ``scalar_q`` is q as a plain callable of a Python float, built once per
+    potential: the scalar Riccati sweep calls it at every stage.  Only the
+    expression kind checks that its value is finite; the Bessel kind is
+    finite for x >= ell > 0, and the sampled kind's spline of finite values
+    is finite.
+    """
 
     kind: str
     ell: float
@@ -67,11 +81,41 @@ class Potential:
             from scipy.interpolate import CubicSpline
             spline = CubicSpline(grid, values)
             object.__setattr__(self, "_spline", spline)
-            # the knots and pieces as Python floats, for scalar calls
-            object.__setattr__(self, "_knots", grid.tolist())
-            object.__setattr__(self, "_pieces", spline.c.T.tolist())
         elif self.func is None:
             raise DomainError("expression potential requires a callable")
+        object.__setattr__(self, "scalar_q", self._build_scalar_q())
+
+    def _build_scalar_q(self) -> Callable[[float], float]:
+        """q of a Python float, closed over this potential's parameters as floats."""
+        if self.kind == "bessel":
+            c = self.nu * self.nu - 0.25
+            return lambda x: c / (x * x)
+        if self.kind == "sampled":
+            knots = self.grid.tolist()
+            pieces = self._spline.c.T.tolist()
+            last = float(self.values[-1])
+
+            def sampled_q(x):
+                # hold the last tabulated value beyond the grid; inside it, the
+                # spline piece of x summed in the order of scipy's PPoly, so a
+                # scalar call equals the array call bit for bit
+                if x >= knots[-1]:
+                    return last
+                i = min(max(bisect_right(knots, x) - 1, 0), len(knots) - 2)
+                c0, c1, c2, c3 = pieces[i]
+                d = x - knots[i]
+                d2 = d * d
+                return c3 + c2 * d + c1 * d2 + c0 * (d2 * d)
+            return sampled_q
+        func, name = self.func, self.label or self.kind
+
+        def expression_q(x):
+            q = float(func(x))
+            if not math.isfinite(q):
+                raise IntegrationError(f"potential {name!r} "
+                                       f"returned a non-finite value at x = {x}")
+            return q
+        return expression_q
 
     # -- constructors -------------------------------------------------------
 
@@ -84,8 +128,7 @@ class Potential:
     @classmethod
     def free(cls, ell: float = 0.0) -> "Potential":
         """The free potential q = 0 on [ell, inf)."""
-        return cls(kind="expression", ell=float(ell), func=lambda x: 0.0,
-                   label="free")
+        return cls(kind="expression", ell=float(ell), func=_free_q, label="free")
 
     @classmethod
     def sampled(cls, grid, values) -> "Potential":
@@ -105,27 +148,17 @@ class Potential:
         """q(x) for a float x, or an array of q for an array of x."""
         if type(x) is np.ndarray:
             return self._sample(x)
-        if self.kind == "bessel":
-            q = (self.nu * self.nu - 0.25) / (x * x)
-        elif self.kind == "sampled":
-            # hold the last tabulated value beyond the grid; inside it, the
-            # spline piece of x summed in the order of scipy's PPoly, so a
-            # scalar call equals the array call bit for bit
-            knots = self._knots
-            if x >= knots[-1]:
-                q = float(self.values[-1])
-            else:
-                i = min(max(bisect_right(knots, x) - 1, 0), len(knots) - 2)
-                c0, c1, c2, c3 = self._pieces[i]
-                d = x - knots[i]
-                d2 = d * d
-                q = c3 + c2 * d + c1 * d2 + c0 * (d2 * d)
-        else:
-            q = float(self.func(x))
-        if not math.isfinite(q):
-            raise IntegrationError(f"potential {self.label or self.kind!r} "
-                                   f"returned a non-finite value at x = {x}")
-        return q
+        return self.scalar_q(x)
+
+    def __reduce__(self):
+        # scalar_q is a closure, which pickle cannot carry: rebuild it from the fields
+        return (type(self), (self.kind, self.ell, self.nu, self.grid, self.values,
+                             self.func, self.label))
+
+    @property
+    def is_free(self) -> bool:
+        """True for :meth:`free` alone, whatever another potential's label."""
+        return self.func is _free_q
 
     def _sample(self, x: np.ndarray) -> np.ndarray:
         if self.kind == "bessel":
@@ -149,7 +182,7 @@ class Potential:
         if self.kind == "sampled":
             return {"kind": "sampled", "grid": self.grid.tolist(),
                     "values": self.values.tolist(), "ell": self.ell}
-        if self.label == "free":
+        if self.is_free:
             return {"kind": "expression", "label": "free", "ell": self.ell}
         raise DomainError("expression potentials (other than the free one) "
                           "cannot be serialized")

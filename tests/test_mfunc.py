@@ -502,6 +502,23 @@ def test_stepper_raises_stiffness_error_at_the_deep_well_pole():
                       mfunc._RTOL, mfunc._ATOL)
 
 
+@pytest.mark.parametrize("y0, h", [(-2.0 + 0.3j, -0.1), (-1.5 + 0.0j, -0.37), (0.8, 0.25)])
+def test_straight_line_step_matches_the_array_step(y0, h):
+    # the scalar step is written out from the same tableau as the stacked one
+    def rhs(t, u):
+        return (4.0 + 1.0j) / (1.0 + t * t) - u * u
+
+    f = rhs(2.0, y0)
+    y, integral, err = mfunc._scalar_step(rhs, 2.0, y0, f, h, mfunc._RTOL, mfunc._ATOL)
+    ys, integrals, errs = mfunc._array_step(rhs, 2.0, np.array([y0]), np.array([f]), h,
+                                            mfunc._RTOL, mfunc._ATOL)
+    # a few ulp of the largest summand, b_j h y_j or b_j h k_j
+    ulp = 4.0 * np.finfo(float).eps * abs(h) * float(np.abs(mfunc._B).max())
+    assert abs(y - ys[0]) <= ulp * max(abs(rhs(2.0 + c * h, y0)) for c in (0.0, 1.0))
+    assert abs(integral - integrals[0]) <= ulp * max(abs(y0), abs(y))
+    assert err == pytest.approx(errs, rel=1e-6)
+
+
 def test_stepper_reads_no_stage_after_the_step():
     # the stepper drops the 13th entry of scipy's DOP853 estimator weights
     assert DOP853.E3[-1] == DOP853.E5[-1] == 0.0

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import math
+import pickle
 
 import numpy as np
 import pytest
 
-from weylsys import DomainError, IntegrationError, Potential, load_potential_file
+from weylsys import (DomainError, IntegrationError, MFunctionEvaluator, Potential,
+                     load_potential_file, m_infinity, m_infinity_info)
 
 
 def test_bessel_values():
@@ -62,11 +64,16 @@ def test_sampled_potential_interpolates_and_extends():
     Potential.free(),
 ], ids=["bessel", "sampled", "expression", "free"])
 def test_array_call_matches_the_scalar_call(pot):
-    # the sampled kind holds its last value beyond the grid on both paths
+    # bit for bit, inside the sampled grid, on its knots and beyond the last
+    # knot, where the sampled kind holds its last value on both paths; a
+    # float call is the scalar q the Riccati sweep binds
     xs = pot.ell + np.array([0.0, 0.3, 1.7, 9.0, 9.5, 40.0, 1e6])
+    if pot.grid is not None:
+        xs = np.concatenate((xs, pot.grid, np.nextafter(pot.grid, np.inf)))
     qs = pot(xs)
     assert isinstance(qs, np.ndarray) and qs.shape == xs.shape
-    assert qs.tolist() == pytest.approx([pot(float(x)) for x in xs], rel=1e-14, abs=0.0)
+    assert qs.tolist() == [pot.scalar_q(x) for x in xs.tolist()]
+    assert qs.tolist() == [pot(x) for x in xs.tolist()]
 
 
 def test_sampled_scalar_call_is_the_spline_bit_for_bit():
@@ -99,6 +106,44 @@ def test_dict_roundtrip_for_declarative_kinds():
         assert back.kind == pot.kind
         assert back.ell == pot.ell
         assert back(2.5) == pytest.approx(pot(2.5))
+
+
+def test_a_label_does_not_make_a_potential_free():
+    # only Potential.free carries the zero function: a plateau labelled
+    # "free" has no closed form, its m(-1) is sqrt(26), and it does not serialize
+    plateau = Potential.expression(lambda x: 25.0, 0.0, label="free")
+    assert not plateau.is_free
+    assert not MFunctionEvaluator.has_closed_form(plateau)
+    with pytest.raises(DomainError, match="closed_form mode needs"):
+        MFunctionEvaluator(plateau, mode="closed_form")
+    assert m_infinity(MFunctionEvaluator(plateau), -1.0) == pytest.approx(math.sqrt(26.0))
+    with pytest.raises(DomainError, match="cannot be serialized"):
+        plateau.to_dict()
+    free = Potential.free(2.0)
+    assert free.is_free and MFunctionEvaluator.has_closed_form(free)
+    back = Potential.from_dict(free.to_dict())
+    assert back.is_free and back.ell == 2.0
+
+
+@pytest.mark.parametrize("z", [-1.0, 2.0 + 1j])
+def test_a_non_finite_value_inside_the_sweep_names_x(z):
+    # the NaN band lies between the points the truncation sizing samples, so
+    # only the sweep's own scalar q can meet it
+    pot = Potential.expression(lambda x: math.nan if 1.45 < x < 1.55 else 2.0 / x**2,
+                               ell=1.0, label="gap")
+    with pytest.raises(IntegrationError, match="'gap' returned a non-finite value") as exc:
+        m_infinity_info(MFunctionEvaluator(pot), z)
+    assert 1.45 < float(str(exc.value).rsplit("x = ", 1)[1]) < 1.55
+
+
+def test_declarative_kinds_pickle():
+    # the scalar q is rebuilt on unpickling; free pickles by its module-level q
+    for pot in (Potential.bessel(2.5, 0.5), Potential.free(1.0), Potential.sampled(
+            np.linspace(1.0, 4.0, 7), np.linspace(1.0, 4.0, 7) ** -2)):
+        back = pickle.loads(pickle.dumps(pot))
+        assert (back.kind, back.ell, back.label) == (pot.kind, pot.ell, pot.label)
+        assert back.scalar_q(2.5) == pot.scalar_q(2.5)
+        assert back.is_free == pot.is_free
 
 
 def test_expression_potential_does_not_serialize():
