@@ -25,36 +25,43 @@ Every z off [0, inf) takes one route: backward integration of the Riccati
 equation ``u' = q - z - u^2`` for ``u = psi'/psi``, so that
 ``m_inf = -u(ell)``.  Off the real axis psi has no zero on [ell, inf) (a
 zero would be a Dirichlet eigenfunction with a non-real eigenvalue), so u
-has no pole, and it does not oscillate.  The sweep starts at the decaying
-fixed point ``u(X) = -sqrt(q(X) - z)`` (the root with positive real part),
-which the backward flow attracts at the rate ``2 Re sqrt(q - z)``; forward
-integration would be exponentially unstable.
+has no pole, and it does not oscillate.  The sweep starts at the
+second-order WKB value ``u(X) = -k - q'(X)/(4 k^2)`` with ``k = sqrt(q(X) - z)``
+(the root with positive real part), q' a central difference; the backward
+flow attracts the decaying solution at the rate ``2 Re k``, while forward
+integration would be exponentially unstable.  What the start misses is
+about the next WKB term, ``5 q'^2/(32 k^5) - q''/(8 k^3)``.
 
 * Truncation.  A start error shrinks like ``exp(-2 kappa (X - ell))`` with
   the decay rate ``kappa = Im sqrt_upper(z)``, which is ``sqrt|z|`` on the
-  negative axis.  The first truncation is ``X - ell = ln(1/tol) / (2 kappa)``
-  (kappa floored at 1e-3), so the sweep contracts a start error by ``tol``.
-  On the real axis, while ``q(X) - z <= 0`` there (a well of q near ell),
-  the distance doubles before any solve.
-* Off the axis, before any solve, the WKB exponent
-  ``2 int Re sqrt(q - z) dx`` up to the largest X is summed from a few
-  potential values; below ``ln(1/tol)`` the flow cannot contract enough
-  (limit-circle behavior, or z too close to [0, inf)) and
-  :class:`ConvergenceError` is raised at once.
+  negative axis.  The contraction distance ``ln(1/tol) / (2 kappa)`` (kappa
+  floored at 1e-3) contracts a start error by ``tol``; it is the least
+  first ``X - ell``.  On the real axis, while ``q(X) - z <= 0`` there (a
+  well of q near ell), the distance doubles.
+* Before any solve, the WKB exponent ``2 int_ell^x Re sqrt(q - z) dx`` is
+  summed by the trapezoid rule over ell and the ladder ``ell + d 2^j``
+  (d the contraction distance, j >= -10) up to the largest X, one
+  potential value per rung.  Off the axis, an exponent below ``ln(1/tol)``
+  means that the flow cannot contract enough (limit-circle behavior, or z
+  too close to [0, inf)), and :class:`ConvergenceError` is raised at once.
+  The first distance then doubles, never shrinks, while the gap test below
+  is predicted to fail: while the next WKB term at X/2, damped by the
+  exponent over [ell, X/2], exceeds ``max(1e-10, tol |sqrt(q(ell) - z)|)``.
 * One DOP853 sweep per truncation also sums ``w = int 2u`` from its stage
   values and steps exactly onto the midpoint ``X/2 = ell + (X - ell)/2``,
-  where it records u and w.  The start error of
-  the X/2 truncation, ``|u(X/2) - u_start(X/2)|``, reaches ell damped by
-  ``|exp(w(X/2) - w(ell))|``; divided by ``|cos a + u sin a|^2`` it is the
-  gap between the X/2 and X answers.  X - ell doubles only while that gap
-  exceeds ``max(1e-10, tol * |m|)``.
+  where it records u and w.  The start error of the X/2 truncation,
+  ``|u(X/2) - u_start(X/2)|`` with the same start formula at X/2, reaches
+  ell damped by ``|exp(w(X/2) - w(ell))|``; divided by
+  ``|cos a + u sin a|^2`` it is the gap between the X/2 and X answers.
+  X - ell doubles only while that gap exceeds ``max(1e-10, tol * |m|)``.
 * ``error_bound`` is that gap plus an integration term,
   ``_INTEGRATION_ERROR (_ATOL + _RTOL |u(ell)|) / |cos a + u sin a|^2``
-  with ``_INTEGRATION_ERROR = 100``.  The contraction
+  with ``_INTEGRATION_ERROR = 300``.  The contraction
   damps the step errors made far from ell, so the global error is a fixed
   multiple of the per-step allowance; the largest multiple seen against the
   half-integer Bessel closed forms (nu to 19/2, ell in [1/4, 4], both
-  half-planes and the negative axis) was 42, an error of 0.42 error_bound.
+  half-planes and the negative axis) was 114, at nu = 7/2, ell = 1.1 and
+  z = -0.1, where the error estimate of the steps next to ell falls short.
 
 Stepper
 -------
@@ -210,7 +217,9 @@ _X_MAX_FACTOR = 2.0 ** 20     # truncation X stops at this times max(ell, 1)
 _EXTRAPOLATION_POINTS = 8     # K samples -10**(-k) / -10**k of a real-axis limit
 _PLATEAU_TOL = 1e-10          # relative plateau of an extrapolated sequence
 _DIVERGENCE_GUARD = 1e12      # a limit sample beyond this reads as divergent
-_INTEGRATION_ERROR = 100.0    # global DOP853 error of a sweep, in _RTOL |u(ell)| + _ATOL
+_INTEGRATION_ERROR = 300.0    # global DOP853 error of a sweep, in _RTOL |u(ell)| + _ATOL
+_GAP_FLOOR = 1e-10            # the gap test passes below max(_GAP_FLOOR, tol |m|)
+_DIFF_STEP = 1e-4             # central-difference step of q' and q'', in units of x - ell
 
 
 def _check_tol(tol: float) -> None:
@@ -474,13 +483,34 @@ solve_ivp = _dop853
 # backward Riccati path (every z off [0, inf))
 # ---------------------------------------------------------------------------
 
-def _check_contraction(potential: Potential, z: complex, dist: float,
-                       x_max: float, target: float) -> None:
-    """Raise ConvergenceError unless the backward flow can contract by e^-target.
+def _wkb_start(potential: Potential, x: float, z: complex) -> tuple[complex, complex, float]:
+    """(q(x) - z, the second-order WKB start u(x), the size of the next WKB term).
 
-    The WKB exponent ``2 int_ell^x_max Re sqrt(q - z) dx`` is summed by the
-    trapezoid rule over ell and the ladder ``ell + dist 2^j``, j >= -10,
-    which holds every planned truncation X: one potential call per rung.
+    With ``k = sqrt(q - z)``, Re k > 0, the decaying solution of
+    ``u' = q - z - u^2`` is ``u = -k - q'/(4 k^2) + v`` with the next term
+    ``v = 5 q'^2/(32 k^5) - q''/(8 k^3)``.  q' and q'' are central
+    differences with the step ``_DIFF_STEP (x - ell)``, so no sample falls
+    below ell.
+    """
+    h = _DIFF_STEP * (x - potential.ell)
+    below, q, above = potential(x - h), potential(x), potential(x + h)
+    dq = (above - below) / (2.0 * h)
+    ddq = (above - 2.0 * q + below) / (h * h)
+    s = q - z
+    if s == 0:      # a turning point has no WKB value; the real axis rejects it
+        return s, 0j, math.inf
+    k = cmath.sqrt(s)
+    k2 = k * k
+    return s, -k - dq / (4.0 * k2), abs((5.0 * dq * dq / (32.0 * k2) - ddq / 8.0) / (k2 * k))
+
+
+def _wkb_ladder(potential: Potential, z: complex, dist: float,
+                x_max: float) -> tuple[list[float], list[float], complex]:
+    """ell and the ladder ``ell + dist 2^j``, j >= -10, up to x_max.
+
+    Returns these rungs, the WKB exponent ``2 int_ell^x Re sqrt(q - z) dx``
+    at each rung by the trapezoid rule over the rungs below it (one
+    potential call per rung), and ``sqrt(q(ell) - z)``.
     """
     ell = potential.ell
     xs = [ell]
@@ -488,22 +518,22 @@ def _check_contraction(potential: Potential, z: complex, dist: float,
     while ell + dist <= x_max:
         xs.append(ell + dist)
         dist *= 2.0
-    rates = [cmath.sqrt(potential(x) - z).real for x in xs]
-    exponent = sum((b - a) * (ra + rb)
-                   for a, b, ra, rb in zip(xs, xs[1:], rates, rates[1:]))
-    if exponent < target:
-        raise ConvergenceError(
-            f"the backward Riccati flow contracts by only e^-{exponent:.3g} "
-            f"up to X_max = {x_max:g} at z = {z}; limit-circle behavior, or z "
-            "too close to [0, inf)")
+    roots = [cmath.sqrt(potential(x) - z) for x in xs]
+    exponents = [0.0]
+    for a, b, ra, rb in zip(xs, xs[1:], roots, roots[1:]):
+        exponents.append(exponents[-1] + (b - a) * (ra.real + rb.real))
+    return xs, exponents, roots[0]
 
 
 def _first_distance(potential: Potential, z: complex, tol: float,
                     x_max: float) -> float:
     """X - ell of the first truncation at z (module docstring).
 
-    On the real axis the distance doubles while q(X) - z <= 0 there; off it
-    the WKB contraction check runs, before any solve.
+    The contraction distance, doubled on the real axis while q(X) - z <= 0
+    there, and off it checked against the WKB exponent up to x_max, before
+    any solve.  It then doubles while the gap test's X/2 term, predicted
+    from the next WKB term at X/2 damped by the exponent over [ell, X/2],
+    would fail.
     """
     ell = potential.ell
     # X - ell contracts a start error by tol (module docstring); so close to
@@ -513,8 +543,20 @@ def _first_distance(potential: Potential, z: complex, tol: float,
     if z.imag == 0.0:
         while potential(ell + dist) - z.real <= 0 and ell + 2.0 * dist <= x_max:
             dist *= 2.0
-    else:
-        _check_contraction(potential, z, dist, x_max, target)
+    xs, exponents, k_ell = _wkb_ladder(potential, z, dist, x_max)
+    if z.imag != 0.0 and exponents[-1] < target:
+        raise ConvergenceError(
+            f"the backward Riccati flow contracts by only e^-{exponents[-1]:.3g} "
+            f"up to X_max = {x_max:g} at z = {z}; limit-circle behavior, or z "
+            "too close to [0, inf)")
+    # m is about sqrt(q(ell) - z); xs[i] is the midpoint ell + dist/2
+    threshold = max(_GAP_FLOOR, tol * abs(k_ell))
+    i = 10
+    while ell + 2.0 * dist <= x_max:
+        if _wkb_start(potential, xs[i], z)[2] * math.exp(-exponents[i]) <= threshold:
+            break
+        dist *= 2.0
+        i += 1
     return dist
 
 
@@ -583,14 +625,17 @@ def _riccati_batch(potential: Potential, alpha: float, zs: list[complex],
     while dist:
         cols, starts = [], []
         for j in list(dist):
-            s = potential(top[j]) - zq[j]
+            try:
+                s, u_start, _ = _wkb_start(potential, top[j], zq[j])
+            except WeylsysError as exc:
+                settle(j, exc)
+                continue
             if real[j] and s <= 0:
                 settle(j, DomainError(
                     f"q(X) - z = {s:g} <= 0 at X = {top[j]:g}; the real-axis path "
                     "requires z strictly below the potential tail "
                     "(nonnegative-operator regime)"))
                 continue
-            u_start = -cmath.sqrt(s)
             cols.append(j)
             starts.append(u_start.real if real[j] else u_start)
         if not cols:
@@ -612,10 +657,14 @@ def _riccati_batch(potential: Potential, alpha: float, zs: list[complex],
                 continue
             den2 = abs(ca + u * sa) ** 2
             # the X/2 truncation's start error, carried to ell by the flow
-            x_half = ell + 0.5 * (top[j] - ell)
+            try:
+                u_start = _wkb_start(potential, ell + 0.5 * (top[j] - ell), zq[j])[1]
+            except WeylsysError as exc:
+                settle(j, exc)
+                continue
             damping = math.exp(min((w_half - w).real, 700.0))
-            gap = abs(u_half + cmath.sqrt(potential(x_half) - zq[j])) * damping / den2
-            if gap <= max(1e-10, tol * abs(m)):
+            gap = abs(u_half - u_start) * damping / den2
+            if gap <= max(_GAP_FLOOR, tol * abs(m)):
                 step_error = _INTEGRATION_ERROR * (_ATOL + _RTOL * abs(u)) / den2
                 settle(j, (m, top[j], float(gap + step_error)))
                 continue

@@ -195,12 +195,26 @@ def test_riccati_boundary_data_at_ell(z):
 
 @pytest.mark.parametrize("z", [1j, -30.0 + 2.0j, 5.0 - 0.1j])
 def test_riccati_start_is_the_decaying_fixed_point(z):
-    # for q = c the start u(X) = -sqrt(c - z) (Re > 0 root) solves the
-    # Riccati equation exactly, so m = sqrt(c - z) up to the step errors
+    # for q = c, q' = 0 and the start u(X) = -sqrt(c - z) (Re > 0 root)
+    # solves the Riccati equation exactly, so m = sqrt(c - z) up to the
+    # step errors
     pot = Potential.expression(lambda x: 25.0, ell=0.0, label="plateau")
     info = m_infinity_info(MFunctionEvaluator(pot), z)
     assert info.value == pytest.approx(cmath.sqrt(25.0 - z), rel=1e-9)
     assert abs(info.value - cmath.sqrt(25.0 - z)) <= info.error_bound
+
+
+@pytest.mark.parametrize("z", [1j, 5.0 + 0.1j, -0.5, 100.0 + 1j, -1e4])
+@pytest.mark.parametrize("x", [3.0, 10.0, 40.0])
+@pytest.mark.parametrize("nu", [1.5, 2.5])
+def test_wkb_start_is_second_order(nu, x, z):
+    # u = psi'/psi at x is -m of the same potential on [x, inf); the start
+    # -k - q'/(4 k^2) halves the error of -k at least, and the next WKB term
+    # estimates what is left
+    exact = -half_integer_bessel_m(nu, x, z)
+    s, start, next_term = mfunc._wkb_start(Potential.bessel(nu, 1.0), x, z)
+    assert abs(start - exact) < 0.5 * abs(-cmath.sqrt(s) - exact)
+    assert abs(start - exact) <= 1.25 * next_term
 
 
 def _counting_stepper(monkeypatch):
@@ -229,6 +243,27 @@ def test_complex_cost_follows_the_decay_length(monkeypatch, z):
     assert abs(info.value - exact) <= info.error_bound
     assert info.truncation_X - BESSEL.ell <= 2.0 * math.log(1e8) / sqrt_upper(z).imag
     assert nfev and sum(nfev) < 100_000
+
+
+def test_first_sweep_is_rarely_thrown_away(monkeypatch):
+    # 40 points drawn like the benchmark's points-bessel: nu on [0.5, 3], ell
+    # on [0.5, 2], 30% of z log-uniform on (-1e3, -1e-2), the rest with Re z
+    # on [-5, 5] and Im z log-uniform on [10^-0.5, 10^0.7].  The first
+    # truncation is sized so that its gap test passes; a second sweep is rare
+    rng = np.random.default_rng(12)
+    n, n_neg = 40, 12
+    zs = ([complex(-(10.0 ** e)) for e in rng.uniform(-2.0, 3.0, n_neg)]
+          + [complex(re, 10.0 ** e) for re, e in zip(rng.uniform(-5.0, 5.0, n - n_neg),
+                                                     rng.uniform(-0.5, 0.7, n - n_neg))])
+    nus, ells = rng.uniform(0.5, 3.0, n), rng.uniform(0.5, 2.0, n)
+    nfev = _counting_stepper(monkeypatch)
+    second = 0
+    for nu, ell, z in zip(nus, ells, zs):
+        before = len(nfev)
+        info = m_infinity_info(MFunctionEvaluator(Potential.bessel(nu, ell)), z)
+        second += len(nfev) - before > 1
+        assert abs(info.value - _bessel_m_oracle(nu, ell, z)) <= info.error_bound
+    assert second <= 0.1 * n
 
 
 @pytest.mark.parametrize("pot, z", [
@@ -588,6 +623,10 @@ def test_riccati_well_and_tail_keep_their_error_class():
     tail = Potential.expression(lambda x: -(x**4), ell=1.0, label="-x^4")
     with pytest.raises(DomainError, match="q\\(X\\) - z"):
         m_infinity(MFunctionEvaluator(tail), -1.0)
+    # or equal to z everywhere, a turning point at every X
+    level = Potential.expression(lambda x: -1.0, ell=0.0, label="level")
+    with pytest.raises(DomainError, match="q\\(X\\) - z = 0"):
+        m_infinity(MFunctionEvaluator(level), -1.0)
 
 
 def test_riccati_free_potential():
