@@ -83,7 +83,10 @@ its own truncation X_j, midpoint s = 1/2, gap test and ``error_bound``
 exactly as above, and only the columns whose gap fails are doubled and
 swept again.  The stages are (12, N) arrays, and the error norm of a step
 is the largest of the columns' own norms at ``_RTOL`` and ``_ATOL``, so each
-column has exactly the local error control of a sweep of its own.  One
+column has exactly the local error control of a sweep of its own.  The
+forcing ``q - z`` does not depend on u, so a step evaluates q once, at its
+11 stage abscissae together; the values are bit-identical to a step that
+calls q at each stage.  One
 column keeps the scalar sweep in x; a sampled potential sweeps its columns
 one at a time, since its knots fall at a different s in each.  A z whose
 evaluation fails keeps its own error, raised when its entry is read; if a
@@ -312,6 +315,8 @@ _FINAL = [(j, b, e5, e3) for j, (b, e5, e3)
 _C = np.array([0.0] + [c for c, _ in _ROWS])
 _A = np.array([[dict(row).get(j, 0.0) for j in range(_STAGES)]
                for _, row in [(0.0, [])] + _ROWS])
+# the rows of a real or complex stack, cast once, not by every product
+_TABLEAU = [(_A, _B, _E5, _E3), tuple(m.astype(complex) for m in (_A, _B, _E5, _E3))]
 _TINY = np.finfo(float).tiny
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _EXPONENT = -1.0 / 8.0          # -1 / (order of the error estimator + 1)
@@ -384,28 +389,33 @@ _scalar_step = _write_scalar_step()
 
 
 def _array_step(rhs, t, y, f, h, rtol, atol):
-    """:func:`_scalar_step` for an array of independent columns.
+    """:func:`_scalar_step` for a stack of Riccati columns ``y' = d (g(t) - y^2)``.
 
-    The stages are the rows of a (12, N) array, each formed by one
-    ``row @ K`` product.  The error norm is the largest of the columns'
-    own norms, so each column gets the step control of a sweep of its own.
+    ``rhs`` is the pair (g, d) that :func:`_dop853` takes for an array.  g is
+    independent of y, so one call gives it at all eleven stage abscissae
+    after t.  The stages are the rows of a (12, N) array, each formed by one
+    ``row @ K`` product.  The error norm is the largest of the columns' own
+    norms, so each column gets the step control of a sweep of its own.
     """
+    forcing, d = rhs
+    g = forcing(t + _C[1:] * h)
     k = np.empty((_STAGES,) + f.shape, dtype=np.result_type(y, f))
+    a, b, e5, e3 = _TABLEAU[k.dtype.kind == "c"]
     stage = np.empty_like(k)
     k[0] = f
     stage[0] = y
     for s in range(1, _STAGES):
-        stage[s] = y + h * (_A[s, :s] @ k[:s])
-        k[s] = rhs(t + _C[s] * h, stage[s])
-    y_new = y + h * (_B @ k)
+        u = stage[s] = y + h * (a[s, :s] @ k[:s])
+        k[s] = d * (g[s - 1] - u * u)
+    y_new = y + h * (b @ k)
     scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-    n5 = np.abs(_E5 @ k) / scale
-    n3 = np.abs(_E3 @ k) / scale
+    n5 = np.abs(e5 @ k) / scale
+    n3 = np.abs(e3 @ k) / scale
     n5 *= n5
     n3 *= n3
     # a column with n5 = n3 = 0 has norm 0; a NaN column stays NaN and fails the step
     norms = n5 / np.sqrt(np.maximum(n5 + 0.01 * n3, _TINY))
-    return y_new, h * (_B @ stage), abs(h) * float(norms.max())
+    return y_new, h * (b @ stage), abs(h) * float(norms.max())
 
 
 def _initial_step(rhs, t0, y0, f0, span, direction, rtol, atol) -> float:
@@ -428,14 +438,19 @@ def _dop853(rhs, t0: float, y0, stops: Sequence[float], rtol: float,
     """Integrate ``y' = rhs(t, y)`` from t0 through the monotone ``stops``.
 
     The steps land exactly on each stop.  A Python scalar y0 takes
-    :func:`_scalar_step`, an array of columns :func:`_array_step`.  The
+    :func:`_scalar_step`.  An array y0 is a stack of Riccati columns
+    ``y' = d (g(t) - y^2)`` and takes :func:`_array_step`; rhs is then the
+    pair (g, d), g giving an array of shape ``t.shape + y0.shape``.  The
     step control is scipy's DOP853: safety 0.9, step factors within
     [0.2, 10] with exponent -1/8, and its first-step rule.  A step cut short
     to land on a stop does not shrink the step planned after it.  A step
     size below ten spacings of the floats at t raises
     :class:`StiffnessError`.
     """
-    step = _array_step if isinstance(y0, np.ndarray) else _scalar_step
+    step, stage_rhs = _scalar_step, rhs
+    if isinstance(y0, np.ndarray):
+        step, (forcing, d) = _array_step, rhs
+        rhs = lambda t, y: d * (forcing(t) - y * y)
     direction = math.copysign(1.0, stops[-1] - t0)
     f = rhs(t0, y0)
     h_abs = _initial_step(rhs, t0, y0, f, abs(stops[-1] - t0), direction, rtol, atol)
@@ -455,7 +470,7 @@ def _dop853(rhs, t0: float, y0, stops: Sequence[float], rtol: float,
                 if clipped:
                     t_new = stop
                 h = t_new - t
-                y_new, step_integral, err = step(rhs, t, y, f, h, rtol, atol)
+                y_new, step_integral, err = step(stage_rhs, t, y, f, h, rtol, atol)
                 nfev += _STAGES - 1
                 if err < 1.0:
                     break
@@ -586,7 +601,7 @@ def _sweep(potential: Potential, zq: list, tops: list[float],
                 [(2.0 * sol.integral[i], 2.0 * sol.integral[-1])])
     d = np.array(tops) - ell
     zs = np.array(zq)
-    sol = _dop853(lambda s, u: d * (potential(ell + s * d) - zs - u * u), 1.0,
+    sol = _dop853((lambda s: potential(ell + np.multiply.outer(s, d)) - zs, d), 1.0,
                   np.array(starts), [0.5, 0.0], _RTOL, _ATOL)
     return (list(zip(*sol.y)), list(zip(*(2.0 * d * w for w in sol.integral))))
 

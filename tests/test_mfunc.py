@@ -480,6 +480,18 @@ def _riccati_solution(c, t0, u0):
             lambda t: cmath.cosh(r * (t - t0) + a) / cmath.cosh(a))
 
 
+def _stacked(g, d=1.0):
+    """The stacked stepper's right-hand side (g, d) of ``y' = d (g(t) - y^2)``.
+
+    g maps t, a float or the array of a step's stage abscissae, to the
+    forcing of every column at each t, an array of shape ``t.shape + (N,)``.
+    """
+    def forcing(t):
+        ts = np.asarray(t)
+        return np.array([g(x) for x in ts.ravel().tolist()]).reshape(ts.shape + (-1,))
+    return forcing, d
+
+
 _STOPS = [2.5, 1.75, 0.4, 0.0]
 
 
@@ -494,8 +506,7 @@ def test_stepper_matches_scipy_and_the_exact_solution(cs):
         columns = [(sol.y, sol.integral)]
         assert all(type(u) is complex for u in sol.y)
     else:
-        c = np.array(cs)
-        sol = mfunc._dop853(lambda t, u: c - u * u, 3.0, np.array(starts), _STOPS,
+        sol = mfunc._dop853(_stacked(lambda t: cs), 3.0, np.array(starts), _STOPS,
                             mfunc._RTOL, mfunc._ATOL)
         columns = list(zip(zip(*sol.y), zip(*sol.integral)))
     assert sol.nfev > 0
@@ -518,8 +529,17 @@ def test_stepper_lands_exactly_on_each_stop(y0):
         seen.append(t)
         return math.cos(t) - 0.1 * y
 
+    def forcing(t):
+        seen.append(t)
+        return [10.0 * math.cos(t)] * 2
+
     stops = [2.0, 1.0 / 3.0, math.pi / 10.0, 0.1, 0.0]
-    sol = mfunc._dop853(rhs, 5.0, y0, stops, mfunc._RTOL, mfunc._ATOL)
+    if isinstance(y0, np.ndarray):
+        # the stacked form y' = d (g(t) - y^2), with d = 0.1
+        sol = mfunc._dop853(_stacked(forcing, 0.1), 5.0, y0, stops, mfunc._RTOL,
+                            mfunc._ATOL)
+    else:
+        sol = mfunc._dop853(rhs, 5.0, y0, stops, mfunc._RTOL, mfunc._ATOL)
     assert len(sol.y) == len(sol.integral) == len(stops)
     assert set(stops) <= set(seen)
 
@@ -533,25 +553,111 @@ def test_stepper_raises_stiffness_error_at_the_deep_well_pole():
         mfunc._dop853(lambda x, u: well(x) + 100.0 - u * u, 30.0, float(starts[0]), [0.0],
                       mfunc._RTOL, mfunc._ATOL)
     with np.errstate(all="ignore"), pytest.raises(StiffnessError, match="step size"):
-        mfunc._dop853(lambda x, u: well(x) - zs - u * u, 30.0, starts, [0.0],
+        mfunc._dop853(_stacked(lambda x: (well(x) - zs).tolist()), 30.0, starts, [0.0],
                       mfunc._RTOL, mfunc._ATOL)
 
 
 @pytest.mark.parametrize("y0, h", [(-2.0 + 0.3j, -0.1), (-1.5 + 0.0j, -0.37), (0.8, 0.25)])
 def test_straight_line_step_matches_the_array_step(y0, h):
     # the scalar step is written out from the same tableau as the stacked one
+    def g(t):
+        return (4.0 + 1.0j) / (1.0 + t * t)
+
     def rhs(t, u):
-        return (4.0 + 1.0j) / (1.0 + t * t) - u * u
+        return g(t) - u * u
 
     f = rhs(2.0, y0)
     y, integral, err = mfunc._scalar_step(rhs, 2.0, y0, f, h, mfunc._RTOL, mfunc._ATOL)
-    ys, integrals, errs = mfunc._array_step(rhs, 2.0, np.array([y0]), np.array([f]), h,
+    ys, integrals, errs = mfunc._array_step(_stacked(lambda t: [g(t)]), 2.0,
+                                            np.array([y0]), np.array([f]), h,
                                             mfunc._RTOL, mfunc._ATOL)
     # a few ulp of the largest summand, b_j h y_j or b_j h k_j
     ulp = 4.0 * np.finfo(float).eps * abs(h) * float(np.abs(mfunc._B).max())
     assert abs(y - ys[0]) <= ulp * max(abs(rhs(2.0 + c * h, y0)) for c in (0.0, 1.0))
     assert abs(integral - integrals[0]) <= ulp * max(abs(y0), abs(y))
     assert err == pytest.approx(errs, rel=1e-6)
+
+
+def _per_stage_step(q, ell, d, zs, t, y, f, h, rtol, atol):
+    """One stacked DOP853 step as the tableau reads, with one q call per stage."""
+    k = np.empty((12,) + f.shape, dtype=np.result_type(y, f))
+    stage = np.empty_like(k)
+    k[0] = f
+    stage[0] = y
+    for s in range(1, 12):
+        stage[s] = y + h * (mfunc._A[s, :s] @ k[:s])
+        u = stage[s]
+        k[s] = d * (q(ell + (t + mfunc._C[s] * h) * d) - zs - u * u)
+    y_new = y + h * (mfunc._B @ k)
+    scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+    n5 = np.abs(mfunc._E5 @ k) / scale
+    n3 = np.abs(mfunc._E3 @ k) / scale
+    n5 *= n5
+    n3 *= n3
+    norms = n5 / np.sqrt(np.maximum(n5 + 0.01 * n3, np.finfo(float).tiny))
+    return y_new, h * (mfunc._B @ stage), abs(h) * float(norms.max())
+
+
+@pytest.mark.parametrize("zq", [[2.0 + 1j, -1.0, -4.0 + 0.5j, 5.0 + 0.1j, -0.01, 3.0 - 1j],
+                                [-1.0, -4.0, -0.01, -250.0]], ids=["mixed", "real"])
+@pytest.mark.parametrize("pot", [Potential.bessel(1.5), Potential.bessel(2.2, 0.7),
+                                 Potential.free()], ids=["bessel1.5", "bessel2.2", "free"])
+def test_stacked_step_is_the_per_stage_step_bit_for_bit(pot, zq):
+    # one q call at all stage abscissae and pre-cast tableau rows change no
+    # product and no sum: y_new, the integral and the error norm keep every bit
+    ell, zs = pot.ell, np.array(zq)
+    d = np.linspace(0.7, 12.0, len(zq))
+    forcing = (lambda t: pot(ell + np.multiply.outer(t, d)) - zs, d)
+    for t, h in [(1.0, -0.0005), (1.0, -0.004), (0.8, -0.02), (0.37, -0.06)]:
+        y = -np.sqrt(pot(ell + t * d) - zs) * 1.01 + 0.02
+        if y.dtype.kind == "c":
+            y[np.imag(zs) == 0.0] = y[np.imag(zs) == 0.0].real
+        f = d * (pot(ell + t * d) - zs - y * y)
+        ours = mfunc._array_step(forcing, t, y, f, h, mfunc._RTOL, mfunc._ATOL)
+        ref = _per_stage_step(pot, ell, d, zs, t, y, f, h, mfunc._RTOL, mfunc._ATOL)
+        assert ours[0].dtype == ref[0].dtype == zs.dtype
+        assert ours[0].tobytes() == ref[0].tobytes()
+        assert ours[1].tobytes() == ref[1].tobytes()
+        assert ours[2] == ref[2]
+
+
+def test_a_stacked_step_calls_the_potential_once(monkeypatch):
+    # per sweep: two calls for the first step (the slope at the start and
+    # the first-step rule's trial point), one (11, N) call per step attempt
+    # at its stage abscissae, and one per accepted step for the next slope;
+    # nfev still counts 11 per attempt and 1 per accepted step
+    shapes, nfevs, attempts, accepted = [], [], [], []
+    call, step, stepper = Potential.__call__, mfunc._array_step, mfunc._dop853
+
+    def counting_call(self, x):
+        if isinstance(x, np.ndarray):
+            shapes.append(x.shape)
+        return call(self, x)
+
+    def counting_step(*args):
+        out = step(*args)
+        attempts.append(1)
+        accepted.append(out[2] < 1.0)
+        return out
+
+    def counting_stepper(*args):
+        sol = stepper(*args)
+        nfevs.append(sol.nfev)
+        return sol
+
+    monkeypatch.setattr(Potential, "__call__", counting_call)
+    monkeypatch.setattr(mfunc, "_array_step", counting_step)
+    monkeypatch.setattr(mfunc, "_dop853", counting_stepper)
+    zs = [2.0 + 1j, -1.0, -4.0 + 0.5j, 5.0 + 0.1j]
+    for z, info in zip(zs, m_infinity_batch(NUMERIC, zs)):
+        assert abs(info.value - bessel_m_closed_form(z)) <= info.error_bound
+    sweeps, n_attempts, n_accepted = len(nfevs), len(attempts), sum(accepted)
+    assert sweeps >= 1 and n_attempts > n_accepted > 0
+    stage_calls = [shape for shape in shapes if len(shape) == 2]
+    assert len(stage_calls) == n_attempts
+    assert all(shape[0] == 11 for shape in stage_calls)
+    assert len(shapes) - len(stage_calls) == 2 * sweeps + n_accepted
+    assert sum(nfevs) == 2 * sweeps + 11 * n_attempts + n_accepted
 
 
 def test_stepper_reads_no_stage_after_the_step():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from weylsys import (DomainError, IntegrationError, MFunctionEvaluator, Potential,
-                     load_potential_file, m_infinity, m_infinity_info)
+                     load_potential_file, m_infinity, m_infinity_batch, m_infinity_info)
 
 
 def test_bessel_values():
@@ -92,6 +92,11 @@ def test_array_call_rejects_non_finite_values():
     pot = Potential.expression(lambda x: math.inf if x > 2.0 else 1.0, ell=0.0)
     with pytest.raises(IntegrationError, match="x = 3.0"):
         pot(np.array([1.0, 3.0, 4.0]))
+    # a 2-D call keeps its shape and names the first bad x in row order,
+    # the order of the stacked sweep's stages
+    assert pot(np.array([[1.0, 0.5], [2.0, 1.5]])).shape == (2, 2)
+    with pytest.raises(IntegrationError, match="x = 4.0"):
+        pot(np.array([[1.0, 4.0], [3.0, 1.5]]))
 
 
 def test_sampled_requires_ascending_grid():
@@ -131,9 +136,16 @@ def test_a_non_finite_value_inside_the_sweep_names_x(z):
     # only the sweep's own scalar q can meet it
     pot = Potential.expression(lambda x: math.nan if 1.45 < x < 1.55 else 2.0 / x**2,
                                ell=1.0, label="gap")
+    ev = MFunctionEvaluator(pot)
     with pytest.raises(IntegrationError, match="'gap' returned a non-finite value") as exc:
-        m_infinity_info(MFunctionEvaluator(pot), z)
+        m_infinity_info(ev, z)
     assert 1.45 < float(str(exc.value).rsplit("x = ", 1)[1]) < 1.55
+    # a stacked batch meets it at a stage abscissa: each entry raises, naming x
+    batch = m_infinity_batch(ev, [z, 2.0 * z])
+    for i in range(2):
+        with pytest.raises(IntegrationError, match="'gap' returned a non-finite value") as exc:
+            batch[i]
+        assert 1.45 < float(str(exc.value).rsplit("x = ", 1)[1]) < 1.55
 
 
 def test_declarative_kinds_pickle():
