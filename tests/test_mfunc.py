@@ -607,13 +607,13 @@ def test_stacked_step_is_the_per_stage_step_bit_for_bit(pot, zq):
     # product and no sum: y_new, the integral and the error norm keep every bit
     ell, zs = pot.ell, np.array(zq)
     d = np.linspace(0.7, 12.0, len(zq))
-    forcing = (lambda t: pot(ell + np.multiply.outer(t, d)) - zs, d)
+    stacked = (lambda t: pot(ell + np.multiply.outer(t, d)) - zs, d)
     for t, h in [(1.0, -0.0005), (1.0, -0.004), (0.8, -0.02), (0.37, -0.06)]:
         y = -np.sqrt(pot(ell + t * d) - zs) * 1.01 + 0.02
         if y.dtype.kind == "c":
             y[np.imag(zs) == 0.0] = y[np.imag(zs) == 0.0].real
         f = d * (pot(ell + t * d) - zs - y * y)
-        ours = mfunc._array_step(forcing, t, y, f, h, mfunc._RTOL, mfunc._ATOL)
+        ours = mfunc._array_step(stacked, t, y, f, h, mfunc._RTOL, mfunc._ATOL)
         ref = _per_stage_step(pot, ell, d, zs, t, y, f, h, mfunc._RTOL, mfunc._ATOL)
         assert ours[0].dtype == ref[0].dtype == zs.dtype
         assert ours[0].tobytes() == ref[0].tobytes()
