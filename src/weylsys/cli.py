@@ -24,12 +24,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import PoleError, WeylsysError
+from .errors import DomainError, PoleError, WeylsysError
 from .lsystem import impedance_from_m, lsystem_to_dict, make_lsystem
 from .mfunc import (
     NAMED_GRIDS,
     MFunctionEvaluator,
     check_alpha,
+    check_tol,
     limit_at_minus_zero,
     m_infinity_batch,
     rotate_evaluation,
@@ -39,6 +40,7 @@ from .reporting import Check, CheckReport, format_csv, json_ready
 from .sectorial import (
     DEFAULT_KERNEL_SEED,
     accretivity_and_sectoriality,
+    check_beta,
     classify_s_beta12,
     herglotz_test,
     kernel_psd_test,
@@ -112,21 +114,22 @@ def _eval_node(node: ast.AST, text: str) -> complex:
         val = _eval_node(node.operand, text)
         return val if isinstance(node.op, ast.UAdd) else -val
     if isinstance(node, ast.BinOp) and type(node.op) in _OPERATORS:
-        a = _eval_node(node.left, text)
-        b = _eval_node(node.right, text)
-        try:
-            return _OPERATORS[type(node.op)](a, b)
-        except (ZeroDivisionError, OverflowError, ValueError) as exc:
-            raise UsageError(f"cannot evaluate {text!r}: {exc}") from exc
-    if (
+        fn, operands = _OPERATORS[type(node.op)], (node.left, node.right)
+    elif (
         isinstance(node, ast.Call)
         and isinstance(node.func, ast.Name)
         and node.func.id in _FUNCTIONS
         and len(node.args) == 1
         and not node.keywords
     ):
-        return complex(_FUNCTIONS[node.func.id](_eval_node(node.args[0], text)))
-    raise UsageError(f"unsupported syntax in numeric expression {text!r}")
+        fn, operands = _FUNCTIONS[node.func.id], node.args
+    else:
+        raise UsageError(f"unsupported syntax in numeric expression {text!r}")
+    values = [_eval_node(operand, text) for operand in operands]
+    try:
+        return complex(fn(*values))
+    except (ZeroDivisionError, OverflowError, ValueError) as exc:
+        raise UsageError(f"cannot evaluate {text!r}: {exc}") from exc
 
 
 def eval_real(text: str) -> float:
@@ -142,71 +145,29 @@ def _split_commas(text: str) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# config, potential and grid parsing
+# settings, potential and grid parsing
 # ---------------------------------------------------------------------------
 
-#: The keys a config file may set; each is the default for the flag of the
-#: same name, and the flag wins.
-_CONFIG_KEYS = ("tol", "mode", "seed", "trials")
-
-
-def load_config(path: str) -> dict[str, str]:
-    """Flat key=value config file; '#' starts a comment."""
-    out: dict[str, str] = {}
+def _usage(check, value):
+    """check(value), with its DomainError reported as a usage error (exit 2)."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise UsageError(f"cannot read config file {path}: {exc}") from exc
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise UsageError(f"{path}:{ln}: expected key=value, got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
-            raise UsageError(f"{path}:{ln}: unknown config key {key!r}; "
-                             f"expected one of {', '.join(_CONFIG_KEYS)}")
-        out[key] = value
-    return out
+        return check(value)
+    except DomainError as exc:
+        raise UsageError(str(exc)) from exc
 
 
-def _option(args: argparse.Namespace, config: dict[str, str], key: str, parse, default):
-    """--KEY if given, else the config file's KEY read by ``parse``, else the default."""
-    if getattr(args, key) is not None:
-        return getattr(args, key)
-    if key not in config:
-        return default
-    try:
-        return parse(config[key])
-    except ValueError:
-        kind = "an integer" if parse is int else "a number"
-        raise UsageError(f"{key} must be {kind}, got {config[key]!r}") from None
-
-
-def _tol(args: argparse.Namespace, config: dict[str, str]) -> float:
-    tol = _option(args, config, "tol", float, MFunctionEvaluator.tol)
-    if not tol > 0:
-        raise UsageError(f"tol must be positive, got {tol}")
-    return tol
-
-
-def _mode(args: argparse.Namespace, config: dict[str, str], potential: Potential) -> str:
-    mode = _option(args, config, "mode", str, "auto")
-    if mode == "auto":
+def _mode(args: argparse.Namespace, potential: Potential) -> str:
+    """The evaluator mode of --mode, with auto resolved for this potential."""
+    if args.mode == "auto":
         return "closed_form" if MFunctionEvaluator.has_closed_form(potential) else "numeric"
-    if mode in ("numeric", "closed-form", "closed_form"):
-        return mode.replace("-", "_")
-    raise UsageError(f"unknown mode {mode!r}; use auto, numeric or closed-form")
+    return args.mode.replace("-", "_")
 
 
-def _seed_and_trials(args: argparse.Namespace, config: dict[str, str],
-                     default_seed: int, default_trials: int) -> tuple[int, int]:
-    seed = _option(args, config, "seed", int, default_seed)
-    trials = _option(args, config, "trials", int, default_trials)
-    if trials < 1:
+def _check_seed_and_trials(args: argparse.Namespace) -> None:
+    if args.seed < 0:
+        raise UsageError("--seed must be >= 0")
+    if args.trials < 1:
         raise UsageError("--trials must be >= 1")
-    return seed, trials
 
 
 def parse_potential(text: str, ell: float | None) -> Potential:
@@ -303,10 +264,9 @@ def _scalarize(value):
 # m-eval
 # ---------------------------------------------------------------------------
 
-def cmd_m_eval(args: argparse.Namespace, config: dict[str, str]) -> int:
+def cmd_m_eval(args: argparse.Namespace) -> int:
     potential = parse_potential(args.potential, args.ell)
-    tol = _tol(args, config)
-    mode = _mode(args, config, potential)
+    mode = _mode(args, potential)
     alpha = eval_real(args.alpha)
 
     points: list[complex] = []
@@ -319,7 +279,7 @@ def cmd_m_eval(args: argparse.Namespace, config: dict[str, str]) -> int:
 
     try:
         check_alpha(alpha)
-        evaluator = MFunctionEvaluator(potential, mode=mode, tol=tol)
+        evaluator = MFunctionEvaluator(potential, mode=mode, tol=args.tol)
     except WeylsysError as exc:
         raise UsageError(str(exc)) from exc
     rows = []
@@ -347,25 +307,20 @@ def cmd_m_eval(args: argparse.Namespace, config: dict[str, str]) -> int:
 # classify
 # ---------------------------------------------------------------------------
 
-def cmd_classify(args: argparse.Namespace, config: dict[str, str]) -> int:
+def cmd_classify(args: argparse.Namespace) -> int:
     potential = parse_potential(args.potential, args.ell)
-    tol = _tol(args, config)
-    mode = _mode(args, config, potential)
+    mode = _mode(args, potential)
     if args.mu is not None:
         mu = eval_number(args.mu)
     else:
         mu = eval_number("inf" if args.alpha is None else f"tan({args.alpha})")
     h = eval_number(args.h)
-    beta = None
-    if args.beta is not None:
-        beta = eval_real(args.beta)
-        if not 0.0 < beta <= math.pi / 2:
-            raise UsageError(f"--beta must lie in (0, pi/2], got {args.beta!r}")
-    seed, trials = _seed_and_trials(args, config, DEFAULT_KERNEL_SEED, 100)
+    beta = None if args.beta is None else _usage(check_beta, eval_real(args.beta))
+    _check_seed_and_trials(args)
 
     try:
         system = make_lsystem(potential, mu=mu, h=h)
-        evaluator = MFunctionEvaluator(potential, mode=mode, tol=tol)
+        evaluator = MFunctionEvaluator(potential, mode=mode, tol=args.tol)
     except WeylsysError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -378,7 +333,7 @@ def cmd_classify(args: argparse.Namespace, config: dict[str, str]) -> int:
 
     # one stacked sweep solves m at every point the checks below read
     batch = m_infinity_batch(
-        evaluator, sampled_points(complex_grid, negative_grid, trials, seed))
+        evaluator, sampled_points(complex_grid, negative_grid, args.trials, args.seed))
 
     def m_cached(z):
         return batch.at(z).value
@@ -409,7 +364,7 @@ def cmd_classify(args: argparse.Namespace, config: dict[str, str]) -> int:
             classification["sector_angle_gap"] = gap
             classification["tan_sector_angle_gap"] = math.tan(gap)
         if kern_beta is not None:
-            checks.append(kernel_psd_test(imp, kern_beta, trials=trials, seed=seed))
+            checks.append(kernel_psd_test(imp, kern_beta, trials=args.trials, seed=args.seed))
 
     m0 = limit_at_minus_zero(m_cached)
     accr = accretivity_and_sectoriality(h, mu, m0)
@@ -420,8 +375,8 @@ def cmd_classify(args: argparse.Namespace, config: dict[str, str]) -> int:
         meta={
             "command": "classify",
             "mode": mode,
-            "seed": seed,
-            "trials": trials,
+            "seed": args.seed,
+            "trials": args.trials,
             "system": lsystem_to_dict(system),
             "classification": classification,
             "accretivity": accretivity,
@@ -435,18 +390,19 @@ def cmd_classify(args: argparse.Namespace, config: dict[str, str]) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def cmd_verify(args: argparse.Namespace, config: dict[str, str]) -> int:
-    tol = _tol(args, config)
-    seed, trials = _seed_and_trials(args, config, 42, 50)
+def cmd_verify(args: argparse.Namespace) -> int:
+    # m-eval and classify check tol when they build their evaluator
+    _usage(check_tol, args.tol)
+    _check_seed_and_trials(args)
 
     names = SUITES if args.suite == "all" else (args.suite,)
     checks: list[Check] = []
     for name in names:
-        checks.extend(SUITES[name](tol, seed, trials))
+        checks.extend(SUITES[name](args.tol, args.seed, args.trials))
 
     report = CheckReport(
         tuple(checks),
-        meta={"command": "verify", "suite": args.suite, "seed": seed, "trials": trials},
+        meta={"command": "verify", "suite": args.suite, "seed": args.seed, "trials": args.trials},
     )
     _emit(_report_text(report, args.format), args.out)
     return 0 if report.all_pass else 1
@@ -465,23 +421,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--tol", type=float, default=None,
-                       help="truncation tolerance of the m-function solvers (default 1e-8)")
-        p.add_argument("--config", default=None,
-                       help="key=value file with defaults for tol, mode, seed, trials")
+        p.add_argument("--tol", type=float, default=MFunctionEvaluator.tol,
+                       help="truncation tolerance of the m-function solvers, in (0, 1) "
+                            "(default %(default)s)")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", default="json", choices=("json", "csv"))
+        p.add_argument("--format", default="json", choices=("json", "csv"),
+                       help="report format (default %(default)s)")
 
     def add_problem(p: argparse.ArgumentParser) -> None:
         p.add_argument("--potential", default="bessel",
                        help="bessel | bessel:NU | free | path to a two-column file")
         p.add_argument("--ell", type=float, default=None, help="left endpoint of the half-line")
-        p.add_argument("--mode", default=None, help="auto | numeric | closed-form")
+        p.add_argument("--mode", default="auto", choices=("auto", "numeric", "closed-form"),
+                       help="auto picks closed-form where one exists (default %(default)s)")
         p.add_argument("--grid", default=None, help="named grid or re=a:b:n[:log][,im=a:b:n[:log]]")
 
-    def add_random(p: argparse.ArgumentParser, trials_help: str) -> None:
-        p.add_argument("--seed", type=int, default=None, help="seed for randomized checks")
-        p.add_argument("--trials", type=int, default=None, help=trials_help)
+    def add_random(p: argparse.ArgumentParser, seed: int, trials: int, trials_help: str) -> None:
+        p.add_argument("--seed", type=int, default=seed,
+                       help="seed >= 0 for randomized checks (default %(default)s)")
+        p.add_argument("--trials", type=int, default=trials,
+                       help=f"{trials_help} (default %(default)s)")
 
     p_eval = sub.add_parser("m-eval", help="evaluate the m-function on points/grids")
     add_problem(p_eval)
@@ -492,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls = sub.add_parser("classify", help="classify a coupled system's impedance")
     add_problem(p_cls)
     add_common(p_cls)
-    add_random(p_cls, "random kernel point sets")
+    add_random(p_cls, DEFAULT_KERNEL_SEED, 100, "random kernel point sets")
     p_cls.add_argument("--mu", default=None, help="coupling parameter (real or inf; default inf)")
     p_cls.add_argument("--h", default="i", help="boundary parameter with Im h > 0")
     p_cls.add_argument("--alpha", default=None, help="sets mu = tan(alpha) when --mu is absent")
@@ -500,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run the built-in verification suites")
     add_common(p_ver)
-    add_random(p_ver, "random trials per suite")
+    add_random(p_ver, 42, 50, "random trials per suite")
     p_ver.add_argument("--suite", default="all", choices=(*SUITES, "all"))
 
     return parser
@@ -521,8 +480,7 @@ def main(argv=None) -> int:
         code = exc.code if isinstance(exc.code, int) else 2
         return 0 if code == 0 else 2
     try:
-        config = load_config(args.config) if args.config else {}
-        return _HANDLERS[args.command](args, config)
+        return _HANDLERS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

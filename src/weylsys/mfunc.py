@@ -115,7 +115,7 @@ from .potentials import Potential
 __all__ = [
     "MFunctionEvaluator", "MEvaluation",
     "sqrt_upper", "half_integer_bessel_m", "bessel_m_closed_form",
-    "bessel_neg_m_alpha_closed_form", "bessel_w_closed_form", "check_alpha",
+    "bessel_neg_m_alpha_closed_form", "bessel_w_closed_form", "check_alpha", "check_tol",
     "m_infinity", "m_infinity_info", "MBatch", "m_infinity_batch",
     "m_alpha", "m_alpha_info", "rotate_evaluation", "m_alpha_direct",
     "m_infinity_limit_at_zero", "m_infinity_limit_at_minus_infinity",
@@ -225,9 +225,14 @@ _GAP_FLOOR = 1e-10            # the gap test passes below max(_GAP_FLOOR, tol |m
 _DIFF_STEP = 1e-4             # central-difference step of q' and q'', in units of x - ell
 
 
-def _check_tol(tol: float) -> None:
-    if not tol > 0:
-        raise DomainError(f"tol must be positive, got {tol}")
+def check_tol(tol: float) -> None:
+    """Raise DomainError unless the truncation tolerance lies in (0, 1).
+
+    At tol >= 1 the first truncation distance, which grows with ln(1/tol),
+    is not positive and the sweep's ladder of X never ends.
+    """
+    if not (0.0 < tol < 1.0):
+        raise DomainError(f"tol must lie in (0, 1), got {tol}")
 
 
 # ---------------------------------------------------------------------------
@@ -731,7 +736,7 @@ class MFunctionEvaluator:
     tol: float = 1e-8
 
     def __post_init__(self):
-        _check_tol(self.tol)
+        check_tol(self.tol)
         if self.mode not in ("numeric", "closed_form"):
             raise DomainError(f"unknown evaluator mode {self.mode!r}")
         if self.mode == "closed_form" and not self.has_closed_form(self.potential):
@@ -865,7 +870,7 @@ def m_alpha_direct(potential: Potential, alpha: float, z: complex,
     of :class:`MFunctionEvaluator`; agrees with :func:`m_alpha` within the
     combined error bounds.
     """
-    _check_tol(tol)
+    check_tol(tol)
     check_alpha(alpha)
     z = _check_spectral_point(z)
     out = _riccati_batch(potential, alpha, [z], tol)[0]

@@ -58,8 +58,8 @@ class Potential:
         if not math.isfinite(self.ell) or self.ell < 0:
             raise DomainError(f"ell must be finite and >= 0, got {self.ell}")
         if self.kind == "bessel":
-            if self.nu is None or self.nu <= 0:
-                raise DomainError("bessel potential requires nu > 0")
+            if self.nu is None or not (0.0 < self.nu < math.inf):
+                raise DomainError(f"bessel potential requires a finite nu > 0, got {self.nu}")
             if self.ell <= 0:
                 raise DomainError("bessel potential requires ell > 0 "
                                   "(the singularity at x = 0 must be excluded)")

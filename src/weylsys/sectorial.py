@@ -45,6 +45,7 @@ __all__ = [
     "DEFAULT_KERNEL_SEED",
     "herglotz_test",
     "stieltjes_test",
+    "check_beta",
     "kernel_matrix",
     "kernel_point_sets",
     "kernel_psd_test",
@@ -182,7 +183,8 @@ def stieltjes_test(
     )
 
 
-def _check_beta(beta: float) -> float:
+def check_beta(beta: float) -> float:
+    """beta as a float; DomainError unless it lies in (0, pi/2]."""
     beta = float(beta)
     if not (0.0 < beta <= _HALF_PI):
         raise DomainError(f"sector angle beta must lie in (0, pi/2], got {beta}")
@@ -197,7 +199,7 @@ def kernel_matrix(f, beta: float, points: Sequence[complex]) -> np.ndarray:
     never vanishes).  A non-finite value of f raises DomainError naming the
     point.
     """
-    beta = _check_beta(beta)
+    beta = check_beta(beta)
     pts = [complex(z) for z in points]
     if not pts:
         raise DomainError("kernel_matrix needs at least one point")
@@ -271,7 +273,7 @@ def kernel_psd_test(
     carries the minimum eigenvalue of the worst set in its value, and beta
     and the worst set's points in its witness.
     """
-    beta = _check_beta(beta)
+    beta = check_beta(beta)
     batches = ([tuple(map(complex, points))] if points is not None
                else kernel_point_sets(trials, seed))
 

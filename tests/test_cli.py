@@ -6,6 +6,7 @@ import math
 import pytest
 
 from weylsys import MFunctionEvaluator, Potential, m_alpha_info
+from weylsys import cli
 from weylsys.cli import UsageError, eval_number, main, parse_grid
 from weylsys.mfunc import NAMED_GRIDS
 
@@ -41,7 +42,7 @@ def test_eval_number_normalizes_negative_zero():
 
 
 def test_eval_number_rejects_garbage():
-    for bad in ("", "1+*2", "foo", "__import__('os')", "x=1"):
+    for bad in ("", "1+*2", "foo", "__import__('os')", "x=1", "log(0)", "exp(1000)", "atan(i)"):
         with pytest.raises(UsageError):
             eval_number(bad)
 
@@ -155,9 +156,15 @@ def test_m_eval_usage_errors(capsys):
     # alpha outside (0, pi]
     code, _, err = run(capsys, "m-eval", "--alpha", "0", "--z", "i")
     assert code == 2
-    # unknown mode
-    code, _, err = run(capsys, "m-eval", "--mode", "magic", "--z", "i")
-    assert code == 2
+    # unknown mode, and the one spelling of each mode
+    for mode in ("magic", "closed_form"):
+        code, out, err = run(capsys, "m-eval", "--mode", mode, "--z", "i")
+        assert code == 2 and out == "" and "--mode" in err
+    # a function outside its domain, and a non-finite Bessel order
+    code, out, err = run(capsys, "m-eval", "--z", "log(0)")
+    assert code == 2 and out == "" and "cannot evaluate" in err
+    code, out, err = run(capsys, "m-eval", "--potential", "bessel:inf", "--z", "i")
+    assert code == 2 and out == "" and "finite nu > 0" in err
     # closed form demanded for a potential without one
     code, _, err = run(capsys, "m-eval", "--potential", "bessel:2.2",
                        "--mode", "closed-form", "--z", "i")
@@ -391,53 +398,48 @@ def test_verify_example_suite(capsys):
 
 
 # ---------------------------------------------------------------------------
-# config files and output redirection
+# settings and output redirection
 # ---------------------------------------------------------------------------
 
-def test_config_file_overrides_settings(capsys, tmp_path):
-    cfg = tmp_path / "weylsys.cfg"
-    cfg.write_text("# solver knobs\ntol = 1e-6\nseed = 7\n")
-    code, doc, _ = run_json(capsys, "verify", "--suite", "moebius",
-                            "--config", str(cfg))
-    assert code == 0
-    assert doc["seed"] == 7
-
-
-def test_config_file_errors(capsys, tmp_path):
-    missing = tmp_path / "nope.cfg"
-    code, _, err = run(capsys, "verify", "--suite", "moebius", "--config", str(missing))
-    assert code == 2
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("just some words\n")
-    code, _, err = run(capsys, "verify", "--suite", "moebius", "--config", str(bad))
-    assert code == 2
-    for name, text, key in (("tol.cfg", "tol = banana\n", "tol"),
-                            ("unknown.cfg", "bogus = 1\n", "bogus")):
-        cfg = tmp_path / name
-        cfg.write_text(text)
-        code, _, err = run(capsys, "verify", "--suite", "moebius", "--config", str(cfg))
-        assert code == 2 and key in err
-    for name, text in (("seed.cfg", "seed = 1.5\n"), ("trials.cfg", "trials = abc\n")):
-        cfg = tmp_path / name
-        cfg.write_text(text)
-        for command in (("verify", "--suite", "moebius"), ("classify",)):
-            code, _, err = run(capsys, *command, "--config", str(cfg))
-            assert code == 2 and "must be an integer" in err
-
-
-def test_tol_reaches_the_solver(capsys, tmp_path):
+def test_tol_reaches_the_solver(capsys):
     def bound(*extra):
         code, doc, _ = run_json(capsys, "m-eval", "--mode", "numeric", "--z", "i", *extra)
         assert code == 0
         return doc["rows"][0][4]
 
-    loose = tmp_path / "loose.cfg"
-    loose.write_text("tol = 1e-4\n")
     default = bound()
     assert bound("--tol", "1e-4") > default
-    assert bound("--config", str(loose)) == bound("--tol", "1e-4")
-    # the flag beats the config file
-    assert bound("--config", str(loose), "--tol", "1e-8") == default
+    assert bound("--tol", "1e-8") == default
+
+
+@pytest.fixture
+def no_solve(monkeypatch):
+    """Make any m-function solve or verification suite fail the test."""
+    def reached(*_args, **_kwargs):
+        raise AssertionError("a bad setting reached the solver")
+
+    monkeypatch.setattr(cli, "m_infinity_batch", reached)
+    monkeypatch.setattr(cli, "SUITES", dict.fromkeys(cli.SUITES, reached))
+
+
+@pytest.mark.parametrize("tol", ["0", "1", "2", "inf", "nan"])
+@pytest.mark.parametrize("command", [
+    ("m-eval", "--mode", "numeric", "--z", "i"),
+    ("classify", "--mode", "numeric", "--trials", "2"),
+    ("verify",),
+], ids=["m-eval", "classify", "verify"])
+def test_tol_outside_zero_one_is_a_usage_error(capsys, no_solve, command, tol):
+    code, out, err = run(capsys, *command, "--tol", tol)
+    assert code == 2 and out == ""
+    assert "tol must lie in (0, 1)" in err
+
+
+@pytest.mark.parametrize("command", [("classify", "--trials", "2"), ("verify",)],
+                         ids=["classify", "verify"])
+def test_negative_seed_is_a_usage_error(capsys, no_solve, command):
+    code, out, err = run(capsys, *command, "--seed", "-1")
+    assert code == 2 and out == ""
+    assert "--seed must be >= 0" in err
 
 
 def test_out_flag_writes_file(capsys, tmp_path):

@@ -863,8 +863,9 @@ def test_safe_div_raises_near_pole():
     assert safe_div(1.0, 0.5) == 2.0
 
 
-@pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan])
+@pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, 1.0, 2.0, math.inf])
 def test_tol_must_be_positive(tol):
+    # the constructor first: at tol >= 1 an unchecked sweep would never end
     with pytest.raises(DomainError):
         MFunctionEvaluator(BESSEL, tol=tol)
     with pytest.raises(DomainError):

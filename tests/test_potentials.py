@@ -26,8 +26,9 @@ def test_bessel_general_nu():
 
 
 def test_bessel_rejects_bad_parameters():
-    with pytest.raises(DomainError):
-        Potential.bessel(nu=-1.0)
+    for nu in (-1.0, math.inf, math.nan):
+        with pytest.raises(DomainError, match="finite nu > 0"):
+            Potential.bessel(nu=nu)
     with pytest.raises(DomainError):
         Potential.bessel(ell=0.0)
 
