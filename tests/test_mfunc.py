@@ -35,7 +35,7 @@ from weylsys import (
     sqrt_upper,
 )
 from weylsys import mfunc
-from weylsys.mfunc import m_infinity_batch
+from weylsys.mfunc import NAMED_GRIDS, m_infinity_batch
 
 BESSEL = Potential.bessel()
 CLOSED = MFunctionEvaluator(BESSEL, mode="closed_form")
@@ -231,18 +231,53 @@ def _counting_stepper(monkeypatch):
     return nfev
 
 
-@pytest.mark.parametrize("z", [5.0 + 0.1j, 100.0 + 1j, 1000.0 + 1j])
+@pytest.mark.parametrize("z", [5.0 + 0.1j, 100.0 + 1j, 1000.0 + 1j, 1e4 + 1j])
 def test_complex_cost_follows_the_decay_length(monkeypatch, z):
-    # u = psi'/psi does not oscillate, so over X - ell = ln(1/tol)/(2 Im sqrt z)
-    # DOP853's step is held only by stability, about 6/|2u|; a path that
-    # followed the oscillation of psi would need far more calls at 1000+i
+    # u = psi'/psi does not oscillate, so DOP853's step is held only by
+    # stability, about 6/|2u|; the Bessel q is analytic, so the first X
+    # shrinks below ln(1/tol)/(2 Im sqrt z) to what the WKB start needs, and
+    # the calls no longer grow with the contraction distance (1,842 at 1e4+i)
     nfev = _counting_stepper(monkeypatch)
     info = m_infinity_info(NUMERIC, z)
     exact = bessel_m_closed_form(z)
     assert abs(info.value - exact) <= 1e-10 * abs(exact)
     assert abs(info.value - exact) <= info.error_bound
     assert info.truncation_X - BESSEL.ell <= 2.0 * math.log(1e8) / sqrt_upper(z).imag
-    assert nfev and sum(nfev) < 100_000
+    assert nfev and sum(nfev) < 5_000
+
+
+def test_high_energy_points_stack_with_the_default_grid(monkeypatch):
+    # each column's X is short at high energy, so the stiff columns do not
+    # hold every column to their small step over the contraction distance
+    zs = list(NAMED_GRIDS["default"]) + [1000.0 + 1j, 1e4 + 1j]
+    nfev = _counting_stepper(monkeypatch)
+    batch = m_infinity_batch(NUMERIC, zs)
+    assert nfev and sum(nfev) < 5_000
+    for z, info in zip(zs, batch):
+        assert abs(info.value - bessel_m_closed_form(z)) <= info.error_bound
+
+
+def test_only_an_analytic_potential_shrinks_its_first_x():
+    # the gap test cannot see a feature of q beyond X, so an expression
+    # keeps the contraction distance that the Bessel kind shrinks below
+    z = 5.0 + 0.1j
+    contraction = math.log(1e8) / (2.0 * sqrt_upper(z).imag)
+    expression = Potential.expression(lambda x: 2.0 / x**2, ell=1.0, label="2/x^2")
+    general = m_infinity_info(MFunctionEvaluator(expression), z)
+    analytic = m_infinity_info(MFunctionEvaluator(Potential.bessel(1.5, 1.0)), z)
+    assert general.truncation_X - 1.0 >= contraction
+    assert analytic.truncation_X < general.truncation_X
+
+
+def test_negative_axis_truncations_do_not_shrink():
+    # the shrink applies off the real axis only; these are the truncations of
+    # the default grid's negative reals, and of -1e4, where a shrink would cut
+    # X - ell to 0.0058, before it existed, bit for bit
+    zs = list(NAMED_GRIDS["default"]) + [-1e4]
+    batch = m_infinity_batch(NUMERIC, zs)
+    assert [info.truncation_X for z, info in zip(zs, batch) if z.imag == 0.0] == [
+        292.2565360084721, 93.10340371976183, 30.125653600847205, 19.420680743952367,
+        6.825130720169441, 1.9210340371976184, 1.092103403719762]
 
 
 def test_first_sweep_is_rarely_thrown_away(monkeypatch):
@@ -449,13 +484,15 @@ def test_error_bound_covers_the_closed_form_of_the_family(nu, ell, zs):
         assert abs(batched.value - exact.value) <= batched.error_bound
 
 
-@pytest.mark.parametrize("z", [-1e-5, -1e-2, 0.01j])
+@pytest.mark.parametrize("z", [-1e-5, -1e-2, 0.01j, 20.0 + 0.05j])
 def test_error_bound_holds_for_a_sampled_potential(z):
     # the cubic spline's third derivative jumps at every knot, which the
     # error estimate of a step across it does not see; the sweep stops on
     # each knot.  The reference restarts scipy's DOP853 at every knot from
     # x = 60, where the held tail makes u = -sqrt(q - z) exact.  A batch
-    # sweeps the points one at a time.
+    # sweeps the points one at a time.  X stays beyond the last knot: a
+    # first X shrunk inside the table would miss the kink at 60, which the
+    # gap test cannot see
     grid = np.linspace(1.0, 60.0, 400)
     pot = Potential.sampled(grid, 2.0 / grid**2)
     u = -cmath.sqrt(pot(60.0) - z)
@@ -465,6 +502,7 @@ def test_error_bound_holds_for_a_sampled_potential(z):
     ev = MFunctionEvaluator(pot)
     info = m_infinity_info(ev, z)
     assert abs(info.value - -u) <= info.error_bound
+    assert info.truncation_X > grid[-1]
     assert list(m_infinity_batch(ev, [z, -1.0])) == [info, m_infinity_info(ev, -1.0)]
 
 
