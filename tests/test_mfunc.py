@@ -270,9 +270,9 @@ def test_only_an_analytic_potential_shrinks_its_first_x():
 
 
 def test_negative_axis_truncations_do_not_shrink():
-    # the shrink applies off the real axis only; these are the truncations of
-    # the default grid's negative reals, and of -1e4, where a shrink would cut
-    # X - ell to 0.0058, before it existed, bit for bit
+    # the shrink applies off the real axis only, so the default grid's
+    # negative reals and -1e4 (where a shrink would cut X - ell to 0.0058)
+    # keep the truncations they had without it, bit for bit
     zs = list(NAMED_GRIDS["default"]) + [-1e4]
     batch = m_infinity_batch(NUMERIC, zs)
     assert [info.truncation_X for z, info in zip(zs, batch) if z.imag == 0.0] == [
