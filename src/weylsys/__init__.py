@@ -10,158 +10,20 @@ by their boundary limits, and compares the sharp boundary-form inequality
 on [1, inf).
 Bessel potentials with half-integer nu (the free one is nu = 1/2) have m in
 closed form, the oracle of the numeric path; nu = 3/2 on [1, inf) is the example.
+
+Each module's ``__all__`` is its public API; the package republishes them all.
 """
 
-from .errors import (
-    ConstructionError,
-    ConvergenceError,
-    DivergenceError,
-    DomainError,
-    ExtrapolationError,
-    IntegrationError,
-    PoleError,
-    StiffnessError,
-    WeylsysError,
-)
-from .potentials import Potential, load_potential_file
-from .mfunc import (
-    MBatch,
-    MEvaluation,
-    MFunctionEvaluator,
-    bessel_m_closed_form,
-    bessel_neg_m_alpha_closed_form,
-    bessel_w_closed_form,
-    half_integer_bessel_m,
-    limit_at_minus_infinity,
-    limit_at_minus_zero,
-    m_alpha,
-    m_alpha_direct,
-    m_alpha_info,
-    m_infinity,
-    m_infinity_batch,
-    m_infinity_info,
-    m_infinity_limit_at_minus_infinity,
-    m_infinity_limit_at_zero,
-    rotate_evaluation,
-    safe_div,
-    sqrt_upper,
-)
-from .lsystem import (
-    MU_INFINITY,
-    DualityReport,
-    LSystem,
-    as_extended_real,
-    duality_check,
-    impedance,
-    impedance_from_m,
-    impedance_from_transfer,
-    lsystem_from_dict,
-    lsystem_from_json,
-    lsystem_to_dict,
-    lsystem_to_json,
-    make_lsystem,
-    transfer,
-    transfer_from_impedance,
-    xi_parameter,
-)
-from .sectorial import (
-    AccretivityReport,
-    ClassAngles,
-    accretivity_and_sectoriality,
-    class_angles_from_alpha,
-    classify_s_beta12,
-    herglotz_test,
-    kernel_matrix,
-    kernel_point_sets,
-    kernel_psd_test,
-    sampled_points,
-    sector_angle_from_gap,
-    sector_angle_from_product,
-    stieltjes_test,
-    verify_example_suite,
-)
-from .forms import (
-    FormReport,
-    SharpnessReport,
-    TestFunction,
-    evaluate_form,
-    form_inner,
-    generate_test_functions,
-    sharpness_search,
-)
-from .reporting import Check, CheckReport
+from . import errors, potentials, mfunc, lsystem, sectorial, forms, reporting
+from .errors import *
+from .potentials import *
+from .mfunc import *
+from .lsystem import *
+from .sectorial import *
+from .forms import *
+from .reporting import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "MU_INFINITY",
-    "AccretivityReport",
-    "Check",
-    "CheckReport",
-    "ClassAngles",
-    "ConstructionError",
-    "ConvergenceError",
-    "DivergenceError",
-    "DomainError",
-    "DualityReport",
-    "ExtrapolationError",
-    "FormReport",
-    "IntegrationError",
-    "LSystem",
-    "MBatch",
-    "MEvaluation",
-    "MFunctionEvaluator",
-    "PoleError",
-    "Potential",
-    "SharpnessReport",
-    "StiffnessError",
-    "TestFunction",
-    "WeylsysError",
-    "accretivity_and_sectoriality",
-    "as_extended_real",
-    "bessel_m_closed_form",
-    "bessel_neg_m_alpha_closed_form",
-    "bessel_w_closed_form",
-    "class_angles_from_alpha",
-    "classify_s_beta12",
-    "duality_check",
-    "evaluate_form",
-    "form_inner",
-    "generate_test_functions",
-    "half_integer_bessel_m",
-    "herglotz_test",
-    "impedance",
-    "impedance_from_m",
-    "impedance_from_transfer",
-    "kernel_matrix",
-    "kernel_point_sets",
-    "kernel_psd_test",
-    "limit_at_minus_infinity",
-    "limit_at_minus_zero",
-    "load_potential_file",
-    "lsystem_from_dict",
-    "lsystem_from_json",
-    "lsystem_to_dict",
-    "lsystem_to_json",
-    "m_alpha",
-    "m_alpha_direct",
-    "m_alpha_info",
-    "m_infinity",
-    "m_infinity_batch",
-    "m_infinity_info",
-    "m_infinity_limit_at_minus_infinity",
-    "m_infinity_limit_at_zero",
-    "make_lsystem",
-    "rotate_evaluation",
-    "safe_div",
-    "sampled_points",
-    "sector_angle_from_gap",
-    "sector_angle_from_product",
-    "sharpness_search",
-    "sqrt_upper",
-    "stieltjes_test",
-    "transfer",
-    "transfer_from_impedance",
-    "verify_example_suite",
-    "xi_parameter",
-]
+__all__ = [name for module in (errors, potentials, mfunc, lsystem, sectorial, forms, reporting)
+           for name in module.__all__]

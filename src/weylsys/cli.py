@@ -459,7 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run the built-in verification suites")
     add_common(p_ver)
-    add_random(p_ver, 42, 50, "random trials per suite")
+    add_random(p_ver, 42, 50, "random trials of the duality suite; moebius and forms "
+               "use max(trials, 100), example none")
     p_ver.add_argument("--suite", default="all", choices=(*SUITES, "all"))
 
     return parser

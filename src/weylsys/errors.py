@@ -1,5 +1,9 @@
 """Exception taxonomy shared by all weylsys modules."""
 
+__all__ = ["WeylsysError", "DomainError", "ConstructionError", "PoleError",
+           "IntegrationError", "StiffnessError", "ConvergenceError",
+           "ExtrapolationError", "DivergenceError"]
+
 
 class WeylsysError(Exception):
     """Base class for every weylsys-specific failure."""

@@ -97,7 +97,6 @@ def xi_parameter(mu, h: complex) -> float:
 @dataclass(frozen=True)
 class LSystem:
     potential: Potential
-    ell: float
     mu: float
     h: complex
     xi: float
@@ -108,12 +107,11 @@ class LSystem:
         return math.isinf(self.mu)
 
 
-def make_lsystem(potential: Potential, ell: float | None = None, mu=None, h: complex | None = None) -> LSystem:
+def make_lsystem(potential: Potential, mu, h: complex) -> LSystem:
     """Assemble the boundary-coupled system for the given (mu, h).
 
-    ``ell`` may be omitted (the potential's boundary point is used); an
-    explicit value that contradicts it raises ConstructionError, as does
-    Im h <= 0.
+    The boundary point ell is the potential's own.  A missing mu or h, or
+    Im h <= 0, raises ConstructionError.
     """
     if not isinstance(potential, Potential):
         raise ConstructionError("potential must be a Potential instance")
@@ -121,15 +119,9 @@ def make_lsystem(potential: Potential, ell: float | None = None, mu=None, h: com
         raise ConstructionError("make_lsystem needs both mu and h")
     h = check_h(h)
     mu = as_extended_real(mu)
-    if ell is None:
-        ell = potential.ell
-    elif abs(float(ell) - potential.ell) > 1e-12 * max(1.0, abs(potential.ell)):
-        raise ConstructionError(
-            f"ell = {ell} disagrees with the potential's boundary point {potential.ell}"
-        )
     xi = xi_parameter(mu, h)
     gain = 1.0 if math.isinf(mu) else math.sqrt(h.imag) / abs(mu - h)
-    return LSystem(potential=potential, ell=float(ell), mu=mu, h=h, xi=xi, channel_gain=gain)
+    return LSystem(potential=potential, mu=mu, h=h, xi=xi, channel_gain=gain)
 
 
 def impedance(system: LSystem, z: complex, evaluator: MFunctionEvaluator) -> complex:
@@ -198,7 +190,7 @@ def duality_check(system: LSystem, z: complex, evaluator: MFunctionEvaluator) ->
         raise DomainError("duality_check needs a finite coupling mu")
     if math.isinf(system.xi):
         raise DomainError("duality_check needs mu != Re h (dual coupling is infinite)")
-    dual = make_lsystem(system.potential, system.ell, system.xi, system.h)
+    dual = make_lsystem(system.potential, system.xi, system.h)
     v_mu = impedance(system, z, evaluator)
     v_xi = impedance(dual, z, evaluator)
     w_mu = transfer(system, z, evaluator)
@@ -223,7 +215,7 @@ def _encode_extended(x: float):
 
 def lsystem_to_dict(system: LSystem) -> dict:
     return {
-        "ell": system.ell,
+        "ell": system.potential.ell,
         "potential": system.potential.to_dict(),
         "mu": _encode_extended(system.mu),
         "h": {"re": system.h.real, "im": system.h.imag},
@@ -240,7 +232,11 @@ def lsystem_from_dict(doc: dict) -> LSystem:
         ell = float(doc["ell"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConstructionError(f"malformed system document: {exc}") from exc
-    system = make_lsystem(potential, ell, mu, h)
+    if abs(ell - potential.ell) > 1e-12 * max(1.0, abs(potential.ell)):
+        raise ConstructionError(
+            f"ell = {ell} disagrees with the potential's boundary point {potential.ell}"
+        )
+    system = make_lsystem(potential, mu, h)
     for key, got in (("xi", system.xi), ("channel_gain", system.channel_gain)):
         if key in doc:
             stored = as_extended_real(doc[key]) if key == "xi" else float(doc[key])

@@ -47,11 +47,11 @@ about the next WKB term, ``5 q'^2/(32 k^5) - q''/(8 k^3)``.
   The gap test below is predicted to pass when the next WKB term at X/2,
   damped by the exponent over [ell, X/2], is at most
   ``max(1e-10, tol |sqrt(q(ell) - z)|)``.  Off the axis, for a potential
-  whose q is analytic on [ell, inf) (the Bessel kind and the free one),
-  the first distance halves while the halved truncation's test is
-  predicted to pass, down to the ladder's lowest rung: the WKB start is far
-  more accurate than an arbitrary one, and at 1e4+i this cuts X - ell from
-  1,842 to 3.6.  On the negative axis the contraction distance is a few
+  whose q is analytic on [ell, inf) (the Bessel kind, the free potential
+  nu = 1/2 among them), the first distance halves while the halved
+  truncation's test is predicted to pass, down to the ladder's lowest rung:
+  the WKB start is far more accurate than an arbitrary one, and at 1e4+i
+  this cuts X - ell from 1,842 to 3.6.  On the negative axis the contraction distance is a few
   decay lengths, cheap already, and stays.  A sampled or general
   expression potential keeps the contraction distance, since a gap
   measured inside [ell, X] cannot see a kink of q beyond X, such as the
@@ -563,9 +563,9 @@ def _first_distance(potential: Potential, z: complex, tol: float,
     there, and off it checked against the WKB exponent up to x_max, before
     any solve.  The gap test's X/2 term is predicted from the next WKB term
     at X/2 damped by the exponent over [ell, X/2].  Off the axis, on a
-    Bessel or free potential, the distance halves while that prediction
-    passes for the halved truncation, down to the ladder's lowest rung.
-    Then it doubles while the prediction fails.
+    Bessel potential (the free one among them), the distance halves while
+    that prediction passes for the halved truncation, down to the ladder's
+    lowest rung.  Then it doubles while the prediction fails.
     """
     ell = potential.ell
     # X - ell contracts a start error by tol (module docstring); so close to
@@ -584,7 +584,7 @@ def _first_distance(potential: Potential, z: complex, tol: float,
     # m is about sqrt(q(ell) - z); xs[i] is the midpoint ell + dist/2
     threshold = max(_GAP_FLOOR, tol * abs(k_ell))
     i = 10
-    if z.imag != 0.0 and (potential.kind == "bessel" or potential.is_free):
+    if z.imag != 0.0 and potential.kind == "bessel":
         # q is analytic on [ell, inf), so no feature beyond X escapes the gap
         while i > 1 and (_wkb_start(potential, xs[i - 1], z)[2]
                          * math.exp(-exponents[i - 1]) <= threshold):
@@ -743,9 +743,10 @@ class MFunctionEvaluator:
 
     ``mode`` is ``"numeric"`` or ``"closed_form"``; the closed form,
     :func:`half_integer_bessel_m`, exists for a Bessel potential with
-    half-integer nu (any ell > 0) and for the free potential.  ``tol`` is the
-    truncation tolerance of the numeric path: it sizes the first X, and
-    the gap of the X/2 truncation must fall to ``max(1e-10, tol * |m|)``.
+    half-integer nu, the free potential nu = 1/2 among them (any ell > 0,
+    and ell = 0 too when nu = 1/2).  ``tol`` is the truncation tolerance of
+    the numeric path: it sizes the first X, and the gap of the X/2
+    truncation must fall to ``max(1e-10, tol * |m|)``.
     All operations are pure, so concurrent use from several threads is safe.
     """
 
@@ -758,15 +759,14 @@ class MFunctionEvaluator:
         if self.mode not in ("numeric", "closed_form"):
             raise DomainError(f"unknown evaluator mode {self.mode!r}")
         if self.mode == "closed_form" and not self.has_closed_form(self.potential):
-            raise DomainError("closed_form mode needs the free potential or a bessel "
-                              "potential with nu - 1/2 a non-negative integer, got "
+            raise DomainError("closed_form mode needs a bessel potential with "
+                              "nu - 1/2 a non-negative integer, got "
                               f"{self.potential.label or self.potential.kind}")
 
     @staticmethod
     def has_closed_form(potential: Potential) -> bool:
-        if potential.kind == "bessel":
-            return abs(potential.nu - 0.5 - round(potential.nu - 0.5)) <= 1e-12
-        return potential.is_free
+        return (potential.kind == "bessel"
+                and abs(potential.nu - 0.5 - round(potential.nu - 0.5)) <= 1e-12)
 
 
 def _check_spectral_point(z: complex) -> complex:
@@ -819,7 +819,6 @@ def m_infinity_batch(evaluator: MFunctionEvaluator, zs: Sequence[complex]) -> MB
     outcomes: list = [None] * len(points)
     columns: dict[complex, list[int]] = {}
     pot = evaluator.potential
-    nu = 0.5 if pot.nu is None else pot.nu      # the free potential is nu = 1/2
     for i, z in enumerate(points):
         try:
             _check_spectral_point(z)
@@ -827,7 +826,7 @@ def m_infinity_batch(evaluator: MFunctionEvaluator, zs: Sequence[complex]) -> MB
             outcomes[i] = exc
             continue
         if evaluator.mode == "closed_form":
-            outcomes[i] = MEvaluation(half_integer_bessel_m(nu, pot.ell, z), math.inf, 0.0,
+            outcomes[i] = MEvaluation(half_integer_bessel_m(pot.nu, pot.ell, z), math.inf, 0.0,
                                       "closed-form")
         else:
             columns.setdefault(z, []).append(i)

@@ -3,15 +3,15 @@
 A :class:`Potential` represents the coefficient of ``l(y) = -y'' + q(x) y``
 on ``[ell, inf)``.  Three kinds are supported:
 
-* ``bessel`` -- q(x) = (nu^2 - 1/4) / x^2, requires ``nu > 0`` and ``ell > 0``;
+* ``bessel`` -- q(x) = (nu^2 - 1/4) / x^2, requires ``nu > 0`` and
+  ``ell > 0``, except that nu = 1/2 (q = 0) allows ``ell = 0``;
 * ``sampled`` -- tabulated (x, q) pairs, interpolated piecewise-cubically and
   held constant beyond the last grid point (documented limitation);
 * ``expression`` -- an arbitrary callable ``x -> q(x)``.
 
-The free potential ``q = 0`` is the expression kind whose callable is this
-module's own zero function, so that it can round-trip through
-serialization and has a closed-form m; a label alone does not make a
-potential free.
+The free potential ``q = 0`` is the Bessel potential with nu = 1/2, so it
+serializes and has a closed-form m as that kind does; a label alone does
+not make a potential free.
 """
 
 from __future__ import annotations
@@ -28,11 +28,6 @@ from .errors import DomainError, IntegrationError
 __all__ = ["Potential", "load_potential_file"]
 
 
-def _free_q(x: float) -> float:
-    """q = 0; :meth:`Potential.free` is the one potential with this callable."""
-    return 0.0
-
-
 @dataclass(frozen=True)
 class Potential:
     """Coefficient q(x) of a half-line Schrödinger expression on [ell, inf).
@@ -40,8 +35,8 @@ class Potential:
     ``scalar_q`` is q as a plain callable of a Python float, built once per
     potential: the scalar Riccati sweep calls it at every stage.  Only the
     expression kind checks that its value is finite; the Bessel kind is
-    finite for x >= ell > 0, and the sampled kind's spline of finite values
-    is finite.
+    finite for x >= ell > 0, and is the constant 0 when nu = 1/2, also at
+    x = ell = 0; the sampled kind's spline of finite values is finite.
     """
 
     kind: str
@@ -60,8 +55,8 @@ class Potential:
         if self.kind == "bessel":
             if self.nu is None or not (0.0 < self.nu < math.inf):
                 raise DomainError(f"bessel potential requires a finite nu > 0, got {self.nu}")
-            if self.ell <= 0:
-                raise DomainError("bessel potential requires ell > 0 "
+            if self.ell <= 0 and self.nu * self.nu - 0.25 != 0.0:
+                raise DomainError("bessel potential requires ell > 0 unless nu = 1/2 "
                                   "(the singularity at x = 0 must be excluded)")
         elif self.kind == "sampled":
             grid = np.asarray(self.grid, dtype=float)
@@ -89,6 +84,8 @@ class Potential:
         """q of a Python float, closed over this potential's parameters as floats."""
         if self.kind == "bessel":
             c = self.nu * self.nu - 0.25
+            if c == 0.0:    # c / (x * x) would be 0/0 at x = 0
+                return lambda x: 0.0
             return lambda x: c / (x * x)
         if self.kind == "sampled":
             knots = self.grid.tolist()
@@ -127,8 +124,8 @@ class Potential:
 
     @classmethod
     def free(cls, ell: float = 0.0) -> "Potential":
-        """The free potential q = 0 on [ell, inf)."""
-        return cls(kind="expression", ell=float(ell), func=_free_q, label="free")
+        """The free potential q = 0 on [ell, inf): the Bessel potential with nu = 1/2."""
+        return cls(kind="bessel", ell=float(ell), nu=0.5, label="free")
 
     @classmethod
     def sampled(cls, grid, values) -> "Potential":
@@ -155,14 +152,10 @@ class Potential:
         return (type(self), (self.kind, self.ell, self.nu, self.grid, self.values,
                              self.func, self.label))
 
-    @property
-    def is_free(self) -> bool:
-        """True for :meth:`free` alone, whatever another potential's label."""
-        return self.func is _free_q
-
     def _sample(self, x: np.ndarray) -> np.ndarray:
         if self.kind == "bessel":
-            q = (self.nu * self.nu - 0.25) / (x * x)
+            c = self.nu * self.nu - 0.25
+            q = np.zeros(x.shape) if c == 0.0 else c / (x * x)
         elif self.kind == "sampled":
             end = self.grid[-1]
             q = np.where(x >= end, self.values[-1], self._spline(np.minimum(x, end)))
@@ -182,10 +175,7 @@ class Potential:
         if self.kind == "sampled":
             return {"kind": "sampled", "grid": self.grid.tolist(),
                     "values": self.values.tolist(), "ell": self.ell}
-        if self.is_free:
-            return {"kind": "expression", "label": "free", "ell": self.ell}
-        raise DomainError("expression potentials (other than the free one) "
-                          "cannot be serialized")
+        raise DomainError("expression potentials cannot be serialized")
 
     @classmethod
     def from_dict(cls, data: dict) -> "Potential":
@@ -195,6 +185,7 @@ class Potential:
         if kind == "sampled":
             return cls.sampled(data["grid"], data["values"])
         if kind == "expression" and data.get("label") == "free":
+            # reports written while free was an expression potential name it so
             return cls.free(ell=data.get("ell", 0.0))
         raise DomainError(f"cannot reconstruct potential from {data!r}")
 

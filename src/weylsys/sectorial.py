@@ -332,9 +332,10 @@ def classify_s_beta12(f) -> ClassAngles:
     return ClassAngles(beta1, min(max(beta1, beta2), _HALF_PI))
 
 
-def class_angles_from_alpha(alpha: float, m0: float = 1.0) -> ClassAngles:
+def class_angles_from_alpha(alpha: float, m0: float) -> ClassAngles:
     """Closed-form class angles of the rotated-boundary function -m_alpha.
 
+    m0 is m_inf(-0) of the potential (1 for the Bessel 3/2 example).
     For 0 < alpha < pi/2 with tan(alpha) * m0 > 1 (the sectorial regime),
     tan beta1 = cot(alpha) and tan beta2 = (tan(alpha) + m0)/(tan(alpha) m0 - 1).
     """

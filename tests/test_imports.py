@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import weylsys
 from weylsys import Potential, TestFunction, evaluate_form, load_potential_file
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -31,6 +32,17 @@ def test_import_loads_no_scipy():
                      "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_package_all_is_the_module_lists():
+    # each module's __all__ is its public API; the package republishes them in order
+    modules = [weylsys.errors, weylsys.potentials, weylsys.mfunc, weylsys.lsystem,
+               weylsys.sectorial, weylsys.forms, weylsys.reporting]
+    assert weylsys.__all__ == [name for m in modules for name in m.__all__]
+    assert len(set(weylsys.__all__)) == len(weylsys.__all__)
+    for name in weylsys.__all__:
+        assert getattr(weylsys, name) is next(
+            getattr(m, name) for m in modules if name in m.__all__)
 
 
 @pytest.mark.parametrize("argv", [

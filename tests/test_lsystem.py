@@ -87,10 +87,12 @@ def test_construction_validates_h():
 
 
 def test_construction_checks_ell_consistency():
-    with pytest.raises(ConstructionError):
-        make_lsystem(BESSEL, 2.0, mu=1.0, h=1j)
-    sys = make_lsystem(BESSEL, 1.0, mu=1.0, h=1j)
-    assert sys.ell == 1.0
+    # ell is the potential's own; a document whose ell disagrees is rejected
+    doc = lsystem_to_dict(make_lsystem(BESSEL, mu=1.0, h=1j))
+    assert doc["ell"] == BESSEL.ell == doc["potential"]["ell"]
+    with pytest.raises(ConstructionError, match="disagrees"):
+        lsystem_from_dict({**doc, "ell": 2.0})
+    assert lsystem_from_dict({**doc, "ell": 1.0}).potential.ell == 1.0
 
 
 def test_channel_gain():
@@ -258,6 +260,19 @@ def test_json_roundtrip_infinite_mu():
     back = lsystem_from_json(text)
     assert back.mu_is_infinite
     assert back.xi == 0.0
+
+
+def test_a_free_system_block_written_before_free_became_bessel_loads():
+    # the "system" block of `weylsys classify --potential free --mu inf --h i`
+    # as written while the free potential was an expression potential
+    old = {"channel_gain": 1.0, "ell": 0.0, "h": {"im": 1.0, "re": 0.0}, "mu": "inf",
+           "potential": {"ell": 0.0, "kind": "expression", "label": "free"}, "xi": 0.0}
+    system = lsystem_from_dict(old)
+    assert (system.potential.kind, system.potential.nu, system.potential.ell) == (
+        "bessel", 0.5, 0.0)
+    assert system.mu_is_infinite and system.h == 1j and system.xi == 0.0
+    assert lsystem_to_dict(system) == {
+        **old, "potential": {"ell": 0.0, "kind": "bessel", "nu": 0.5}}
 
 
 def test_tampered_serialization_is_rejected():

@@ -31,13 +31,24 @@ def test_bessel_rejects_bad_parameters():
             Potential.bessel(nu=nu)
     with pytest.raises(DomainError):
         Potential.bessel(ell=0.0)
+    with pytest.raises(DomainError, match="ell > 0 unless nu = 1/2"):
+        Potential.bessel(1.5, 0.0)
+
+
+def test_bessel_half_allows_ell_zero():
+    # q = (1/4 - 1/4)/x^2 is 0 everywhere, x = 0 included, so ell = 0 is valid
+    pot = Potential.bessel(0.5, 0.0)
+    assert (pot.kind, pot.nu, pot.ell) == ("bessel", 0.5, 0.0)
+    assert pot(0.0) == 0.0
 
 
 def test_free_potential_is_zero():
     pot = Potential.free()
-    assert pot.ell == 0.0
+    assert (pot.kind, pot.nu, pot.ell, pot.label) == ("bessel", 0.5, 0.0, "free")
     assert pot(0.0) == 0.0
     assert pot(137.5) == 0.0
+    q = pot(np.array([[0.0, 0.5], [2.0, 137.5]]))
+    assert q.shape == (2, 2) and np.all(q == 0.0)
 
 
 def test_expression_potential():
@@ -115,10 +126,9 @@ def test_dict_roundtrip_for_declarative_kinds():
 
 
 def test_a_label_does_not_make_a_potential_free():
-    # only Potential.free carries the zero function: a plateau labelled
-    # "free" has no closed form, its m(-1) is sqrt(26), and it does not serialize
+    # the free potential is bessel(1/2): a plateau labelled "free" has no
+    # closed form, its m(-1) is sqrt(26), and it does not serialize
     plateau = Potential.expression(lambda x: 25.0, 0.0, label="free")
-    assert not plateau.is_free
     assert not MFunctionEvaluator.has_closed_form(plateau)
     with pytest.raises(DomainError, match="closed_form mode needs"):
         MFunctionEvaluator(plateau, mode="closed_form")
@@ -126,9 +136,19 @@ def test_a_label_does_not_make_a_potential_free():
     with pytest.raises(DomainError, match="cannot be serialized"):
         plateau.to_dict()
     free = Potential.free(2.0)
-    assert free.is_free and MFunctionEvaluator.has_closed_form(free)
+    assert MFunctionEvaluator.has_closed_form(free)
+    assert free.to_dict() == {"kind": "bessel", "nu": 0.5, "ell": 2.0}
     back = Potential.from_dict(free.to_dict())
-    assert back.is_free and back.ell == 2.0
+    assert (back.kind, back.nu, back.ell) == ("bessel", 0.5, 2.0)
+    assert MFunctionEvaluator.has_closed_form(back)
+
+
+@pytest.mark.parametrize("ell", [0.0, 2.0])
+def test_the_old_free_document_still_loads(ell):
+    # reports written while free was an expression potential name it this way
+    pot = Potential.from_dict({"kind": "expression", "label": "free", "ell": ell})
+    assert (pot.kind, pot.nu, pot.ell, pot.label) == ("bessel", 0.5, ell, "free")
+    assert pot(ell) == 0.0
 
 
 @pytest.mark.parametrize("z", [-1.0, 2.0 + 1j])
@@ -150,13 +170,13 @@ def test_a_non_finite_value_inside_the_sweep_names_x(z):
 
 
 def test_declarative_kinds_pickle():
-    # the scalar q is rebuilt on unpickling; free pickles by its module-level q
+    # the scalar q is rebuilt on unpickling from the fields
     for pot in (Potential.bessel(2.5, 0.5), Potential.free(1.0), Potential.sampled(
             np.linspace(1.0, 4.0, 7), np.linspace(1.0, 4.0, 7) ** -2)):
         back = pickle.loads(pickle.dumps(pot))
-        assert (back.kind, back.ell, back.label) == (pot.kind, pot.ell, pot.label)
+        assert ((back.kind, back.nu, back.ell, back.label)
+                == (pot.kind, pot.nu, pot.ell, pot.label))
         assert back.scalar_q(2.5) == pot.scalar_q(2.5)
-        assert back.is_free == pot.is_free
 
 
 def test_expression_potential_does_not_serialize():

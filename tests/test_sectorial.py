@@ -283,7 +283,7 @@ def test_classify_m_raises_on_disordered_limits():
 
 
 def test_class_angles_from_alpha_frozen_example():
-    beta1, beta2 = class_angles_from_alpha(math.pi / 3.0)
+    beta1, beta2 = class_angles_from_alpha(math.pi / 3.0, m0=1.0)
     assert beta1 == pytest.approx(math.pi / 6.0, rel=1e-14)
     assert beta2 == pytest.approx(5.0 * math.pi / 12.0, rel=1e-14)
 
@@ -291,18 +291,18 @@ def test_class_angles_from_alpha_frozen_example():
 def test_class_angles_match_the_limit_classification():
     alpha = math.pi / 3.0
     got = classify_s_beta12(lambda x: bessel_neg_m_alpha_closed_form(alpha, x))
-    want = class_angles_from_alpha(alpha)
+    want = class_angles_from_alpha(alpha, m0=1.0)
     assert got.beta1 == pytest.approx(want.beta1, abs=1e-6)
     assert got.beta2 == pytest.approx(want.beta2, abs=1e-6)
 
 
 def test_class_angles_domain_errors():
     with pytest.raises(DomainError):
-        class_angles_from_alpha(0.0)
+        class_angles_from_alpha(0.0, m0=1.0)
     with pytest.raises(DomainError):
-        class_angles_from_alpha(HALF_PI)
+        class_angles_from_alpha(HALF_PI, m0=1.0)
     with pytest.raises(DomainError):
-        class_angles_from_alpha(math.pi / 6.0)  # tan(alpha) * m0 = 0.577 <= 1
+        class_angles_from_alpha(math.pi / 6.0, m0=1.0)  # tan(alpha) * m0 = 0.577 <= 1
     with pytest.raises(DomainError):
         class_angles_from_alpha(1.0, m0=0.0)
 
