@@ -1,15 +1,17 @@
 """Quadratic form comparison on the half-line [1, inf).
 
-For real test functions y with finite energy, compares the Dirichlet-type
-form re_form(y) = ∫ (y'^2 + 2 y^2 / x^2) dx against the boundary form
-im_form(y) = y(1)^2.  The inequality im_form <= re_form is sharp: y = 1/x
-achieves equality, and the reported ratio im_form/re_form never exceeds 1.
+For smooth real test functions y with finite energy, compares the
+Dirichlet-type form re_form(y) = ∫ (y'^2 + 2 y^2 / x^2) dx against the
+boundary form im_form(y) = y(1)^2.  The inequality im_form <= re_form is
+sharp: y = 1/x achieves equality, and the reported ratio im_form/re_form
+never exceeds 1.  Every test function is analytic in closed form, so the
+module runs on numpy alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 # numpy loads these lazily: load them with this module, not inside a first call
@@ -28,17 +30,16 @@ __all__ = [
     "sharpness_search",
 ]
 
-_SMOOTH_KINDS = ("power", "exp_poly", "mix")
+_SPAN = 0.1   # the power-plus-exp scan's eps runs over [-_SPAN, _SPAN]
 
 
 @dataclass(frozen=True)
 class TestFunction:
-    """A real test function on [1, inf) with an evaluable derivative.
+    """A smooth real test function on [1, inf) with a closed-form derivative.
 
     Kinds: "power" is 1/x; "exp_poly" is p(x-1) e^{-decay (x-1)} with
-    polynomial coefficients in ascending order; "sampled" interpolates
-    values on a grid starting at 1 (cubic spline, truncated tail);
-    "mix" is a finite real linear combination of smooth kinds.
+    polynomial coefficients in ascending order; "mix" is a finite real
+    linear combination of test functions.
     """
 
     __test__ = False  # not a test case, despite the name
@@ -46,12 +47,9 @@ class TestFunction:
     kind: str
     coefficients: tuple[float, ...] = ()
     decay: float = 1.0
-    grid: tuple[float, ...] = ()
-    values: tuple[float, ...] = ()
     parts: tuple["TestFunction", ...] = ()
     weights: tuple[float, ...] = ()
     label: str = ""
-    _spline: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind == "power":
@@ -65,30 +63,11 @@ class TestFunction:
                 raise DomainError(
                     f"exp_poly decay must be positive (integrable tail), got {self.decay}"
                 )
-        elif self.kind == "sampled":
-            grid = np.asarray(self.grid, dtype=float)
-            vals = np.asarray(self.values, dtype=float)
-            if grid.size < 4 or grid.size != vals.size:
-                raise DomainError("sampled needs >= 4 grid points with matching values")
-            if abs(grid[0] - 1.0) > 1e-12:
-                raise DomainError(f"sampled grid must start at x = 1, got {grid[0]}")
-            if not np.all(np.diff(grid) > 0.0):
-                raise DomainError("sampled grid must be strictly increasing")
-            if not np.all(np.isfinite(vals)):
-                raise DomainError("sampled values must be finite")
-            object.__setattr__(self, "grid", tuple(map(float, grid)))
-            object.__setattr__(self, "values", tuple(map(float, vals)))
-            # scipy is imported only here: the smooth kinds run on numpy alone
-            from scipy.interpolate import CubicSpline
-            object.__setattr__(self, "_spline", CubicSpline(grid, vals, bc_type="natural"))
         elif self.kind == "mix":
             if not self.parts or len(self.parts) != len(self.weights):
                 raise DomainError("mix needs matching nonempty parts and weights")
             if not all(math.isfinite(w) for w in self.weights):
                 raise DomainError("mix weights must be finite")
-            for part in self.parts:
-                if part.kind not in _SMOOTH_KINDS:
-                    raise DomainError("mix supports smooth kinds only (power, exp_poly, mix)")
         else:
             raise DomainError(f"unknown test-function kind: {self.kind!r}")
 
@@ -106,10 +85,6 @@ class TestFunction:
         )
 
     @classmethod
-    def sampled(cls, grid, values, label: str = "") -> "TestFunction":
-        return cls(kind="sampled", grid=tuple(grid), values=tuple(values), label=label)
-
-    @classmethod
     def mix(cls, parts, weights, label: str = "") -> "TestFunction":
         return cls(
             kind="mix",
@@ -125,8 +100,6 @@ class TestFunction:
         if self.kind == "exp_poly":
             u = x - 1.0
             return np.polynomial.polynomial.polyval(u, self.coefficients) * np.exp(-self.decay * u)
-        if self.kind == "sampled":
-            return self._spline(x)
         return sum(w * part.value(x) for w, part in zip(self.weights, self.parts))
 
     def derivative(self, x):
@@ -140,8 +113,6 @@ class TestFunction:
                 u, np.polynomial.polynomial.polyder(self.coefficients)
             ) if len(self.coefficients) > 1 else 0.0
             return (dp - self.decay * p) * np.exp(-self.decay * u)
-        if self.kind == "sampled":
-            return self._spline(x, 1)
         return sum(w * part.derivative(x) for w, part in zip(self.weights, self.parts))
 
     def boundary_value(self) -> float:
@@ -149,8 +120,6 @@ class TestFunction:
             return 1.0
         if self.kind == "exp_poly":
             return float(self.coefficients[0])
-        if self.kind == "sampled":
-            return float(self.values[0])
         return float(sum(w * part.boundary_value() for w, part in zip(self.weights, self.parts)))
 
 
@@ -159,7 +128,6 @@ class FormReport:
     re_form: float
     im_form: float
     ratio: float
-    tail_error: float = 0.0
 
 
 # QUADPACK's qk21 (Piessens et al., 1983): the 21-point Kronrod rule on
@@ -210,41 +178,30 @@ def _gk21(g, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return kronrod * half, err
 
 
-def quad(f, a: float, b: float = np.inf, points=()) -> tuple[float, float]:
-    """(integral, error estimate) of a vectorised f over [a, b], b finite or inf.
+def quad(f, a: float) -> tuple[float, float]:
+    """(integral, error estimate) of a vectorised f over [a, inf).
 
-    Adaptive Gauss-Kronrod 21 on [a, b], or on t in [0, 1) under
-    x = a + t/(1 - t) when b is infinite.  The first round splits [a, b] at
-    ``points``, where f may have a kink that no rule on an interval holding
-    it would see.  Each round bisects, worst first,
-    every interval whose error exceeds its share (by width) of
-    ``max(1e-12, 1e-10 |integral|)``, and evaluates all new intervals in one
-    call of f on an array.  Raises DivergenceError where f is not finite, or
-    when the tolerance is not met within 400 intervals or before an
-    interval shrinks to the float spacing.  There is no extrapolation, as in
-    QUADPACK's qags and qagi: an integrable singularity at an end point
-    fails too, but the test functions of this module have none.
+    Adaptive Gauss-Kronrod 21 on t in [0, 1) under x = a + t/(1 - t).  Each
+    round bisects, worst first, every interval whose error exceeds its share
+    (by width) of ``max(1e-12, 1e-10 |integral|)``, and evaluates all new
+    intervals in one call of f on an array.  Raises DivergenceError where f
+    is not finite, or when the tolerance is not met within 400 intervals or
+    before an interval shrinks to the float spacing.  There is no
+    extrapolation, as in QUADPACK's qagi: an integrable singularity fails
+    too, but the test functions of this module have none.
     """
-    if math.isinf(b):
-        def g(t):
-            x = a + t / (1.0 - t)
-            return x, f(x) / (1.0 - t) ** 2
-        lo, hi = 0.0, 1.0
-        points = [(x - a) / (1.0 + x - a) for x in points]
-    else:
-        def g(x):
-            return x, np.broadcast_to(f(x), x.shape)
-        lo, hi = float(a), float(b)
-    width = hi - lo
-    edges = np.array([lo] + sorted(p for p in points if lo < p < hi) + [hi])
-    los, his = edges[:-1], edges[1:]
+    def g(t):
+        x = a + t / (1.0 - t)
+        return x, f(x) / (1.0 - t) ** 2
+
+    los, his = np.array([0.0]), np.array([1.0])
     vals, errs = _gk21(g, los, his)
     while True:
         value, error = math.fsum(vals.tolist()), math.fsum(errs.tolist())
         tol = max(_EPSABS, _EPSREL * abs(value))
         if error <= tol:
             return value, error
-        over = np.flatnonzero(errs > tol * (his - los) / width)
+        over = np.flatnonzero(errs > tol * (his - los))
         over = over[np.argsort(-errs[over], kind="stable")][:_LIMIT - los.size]
         if over.size == 0:
             raise DivergenceError(
@@ -266,41 +223,10 @@ def quad(f, a: float, b: float = np.inf, points=()) -> tuple[float, float]:
         errs = np.concatenate([errs[keep], new_errs])
 
 
-def _quad_to_inf(integrand, upper=np.inf, points=()) -> float:
-    val, err = quad(integrand, 1.0, upper, points)
-    if err > max(1e-9, 1e-6 * abs(val)):
-        raise DivergenceError(f"quadrature error estimate {err} too large for value {val}")
-    return float(val)
-
-
-def _sampled_tail_bound(y: TestFunction) -> float:
-    """Bound the truncated tail of the energy integral for a sampled function.
-
-    Models the tail as the exponential continuation of the last two samples;
-    a non-decaying tail cannot be bounded and raises DivergenceError.
-    """
-    x_end = y.grid[-1]
-    v_end = abs(y.values[-1])
-    if v_end == 0.0:
-        return 0.0
-    x_prev = y.grid[-2]
-    v_prev = abs(y.values[-2])
-    if v_prev <= v_end or v_prev == 0.0:
-        raise DivergenceError(
-            f"sampled values do not decay at the grid end ({v_prev} -> {v_end}); "
-            "tail energy cannot be bounded"
-        )
-    lam = math.log(v_prev / v_end) / (x_end - x_prev)
-    return (lam**2 + 2.0 / x_end**2) * v_end**2 / (2.0 * lam)
-
-
 def evaluate_form(y: TestFunction) -> FormReport:
     """Evaluate both forms and their ratio for one test function.
 
     re_form integrates y'^2 + 2 y^2/x^2 over [1, inf); im_form is y(1)^2.
-    Sampled functions are integrated knot interval by knot interval up to
-    their last grid point, with the estimated tail energy reported (not
-    added) as tail_error.
     """
     if not isinstance(y, TestFunction):
         raise DomainError("evaluate_form expects a TestFunction")
@@ -308,35 +234,30 @@ def evaluate_form(y: TestFunction) -> FormReport:
     def integrand(x):
         return y.derivative(x) ** 2 + 2.0 * y.value(x) ** 2 / x**2
 
-    if y.kind == "sampled":
-        tail = _sampled_tail_bound(y)
-        re_form = _quad_to_inf(integrand, upper=y.grid[-1], points=y.grid)
-    else:
-        tail = 0.0
-        re_form = _quad_to_inf(integrand)
+    re_form = quad(integrand, 1.0)[0]
     im_form = y.boundary_value() ** 2
     if re_form <= 0.0:
         ratio = 0.0 if im_form == 0.0 else math.inf
     else:
         ratio = im_form / re_form
-    return FormReport(re_form=re_form, im_form=im_form, ratio=ratio, tail_error=tail)
+    return FormReport(re_form=re_form, im_form=im_form, ratio=ratio)
 
 
 def form_inner(y: TestFunction, w: TestFunction) -> float:
-    """Bilinear form ∫ (y' w' + 2 y w / x^2) dx over [1, inf), smooth kinds only.
+    """Bilinear form ∫ (y' w' + 2 y w / x^2) dx over [1, inf).
 
     Pairing any admissible y against 1/x returns y(1): the boundary form is
     the restriction of this pairing, which is why the inequality is sharp
     exactly on multiples of 1/x.
     """
     for func in (y, w):
-        if not isinstance(func, TestFunction) or func.kind not in _SMOOTH_KINDS:
-            raise DomainError("form_inner supports smooth test functions only")
+        if not isinstance(func, TestFunction):
+            raise DomainError("form_inner expects TestFunctions")
 
     def integrand(x):
         return y.derivative(x) * w.derivative(x) + 2.0 * y.value(x) * w.value(x) / x**2
 
-    return _quad_to_inf(integrand)
+    return quad(integrand, 1.0)[0]
 
 
 def generate_test_functions(n: int, seed: int = 0) -> tuple[TestFunction, ...]:
@@ -379,58 +300,40 @@ class SharpnessReport:
     ratios: tuple[float, ...]
     best_ratio: float
     best_param: float
-    best_index: int
-    best_member: TestFunction
 
 
-def sharpness_search(
-    family: str = "power-plus-exp",
-    n: int = 41,
-    span: float = 0.1,
-    members=None,
-) -> SharpnessReport:
+def sharpness_search(family: str = "power-plus-exp", n: int = 41) -> SharpnessReport:
     """Scan a one-parameter family for the largest im/re form ratio.
 
     Families: "power-plus-exp" scans 1/x + eps * e^{-(x-1)} for eps in
-    [-span, span] (the maximum sits at eps = 0 with ratio 1); "exp-decay"
-    scans pure exponentials e^{-c(x-1)} over log-spaced c (all ratios < 1);
-    "custom" scans an explicit list of members, with params the indices.
+    [-0.1, 0.1] (the maximum sits at eps = 0 with ratio 1); "exp-decay"
+    scans pure exponentials e^{-c(x-1)} over log-spaced c in [0.1, 10]
+    (all ratios < 1).
     """
+    if family not in ("power-plus-exp", "exp-decay"):
+        raise DomainError(f"unknown sharpness family: {family!r}")
+    if n < 3:
+        raise DomainError("need n >= 3 scan points")
     if family == "power-plus-exp":
-        if n < 3:
-            raise DomainError("need n >= 3 scan points")
-        eps_grid = [0.0 if abs(e) < 1e-14 else float(e) for e in np.linspace(-span, span, n)]
+        params = tuple(0.0 if abs(e) < 1e-14 else float(e) for e in np.linspace(-_SPAN, _SPAN, n))
         pool = [
             TestFunction.mix(
                 (TestFunction.power(), TestFunction.exp_poly((1.0,), 1.0)),
                 (1.0, eps),
                 label=f"1/x + {eps:.4g} exp(-(x-1))",
             )
-            for eps in eps_grid
+            for eps in params
         ]
-        params = tuple(eps_grid)
-    elif family == "exp-decay":
-        if n < 3:
-            raise DomainError("need n >= 3 scan points")
-        cs = [float(c) for c in np.logspace(-1.0, 1.0, n)]
-        pool = [TestFunction.exp_poly((1.0,), c, label=f"exp(-{c:.4g}(x-1))") for c in cs]
-        params = tuple(cs)
-    elif family == "custom":
-        if not members:
-            raise DomainError("custom family needs explicit members")
-        pool = list(members)
-        params = tuple(float(i) for i in range(len(pool)))
     else:
-        raise DomainError(f"unknown sharpness family: {family!r}")
+        params = tuple(float(c) for c in np.logspace(-1.0, 1.0, n))
+        pool = [TestFunction.exp_poly((1.0,), c, label=f"exp(-{c:.4g}(x-1))") for c in params]
 
     ratios = tuple(evaluate_form(y).ratio for y in pool)
-    best_index = int(np.argmax(ratios))
+    best = int(np.argmax(ratios))
     return SharpnessReport(
         family=family,
         params=params,
         ratios=ratios,
-        best_ratio=ratios[best_index],
-        best_param=params[best_index],
-        best_index=best_index,
-        best_member=pool[best_index],
+        best_ratio=ratios[best],
+        best_param=params[best],
     )

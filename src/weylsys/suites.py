@@ -98,7 +98,6 @@ def forms_checks(tol: float, seed: int, trials: int) -> list[Check]:
     ident_err = max(
         abs(forms.form_inner(y, forms.TestFunction.power()) - y.boundary_value())
         for y in funcs[:5]
-        if y.kind in ("power", "exp_poly", "mix")
     )
     return [
         Check("form-inequality-min-margin", min_margin >= -1e-9, min_margin, ">= 0", 1e-9),

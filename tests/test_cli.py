@@ -3,9 +3,10 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
 
-from weylsys import MFunctionEvaluator, Potential, m_alpha_info
+from weylsys import MFunctionEvaluator, Potential, half_integer_bessel_m, m_alpha_info
 from weylsys import cli
 from weylsys.cli import UsageError, eval_number, main, parse_grid
 from weylsys.mfunc import NAMED_GRIDS
@@ -146,10 +147,19 @@ def test_m_eval_grid_flag(capsys):
     assert len(doc["rows"]) == 4
 
 
-def test_m_eval_usage_errors(capsys):
+def test_m_eval_usage_errors(capsys, tmp_path):
     # no points at all
     code, _, err = run(capsys, "m-eval")
     assert code == 2 and "grid" in err
+    # a grid axis with no points, or a count that is not an integer
+    code, out, err = run(capsys, "m-eval", "--grid", "re=0:1:0")
+    assert code == 2 and out == "" and "grid count must be >= 1" in err
+    code, out, err = run(capsys, "m-eval", "--grid", "re=0:1:x")
+    assert code == 2 and out == "" and "bad grid count" in err
+    # a potential file that does not exist
+    missing = tmp_path / "no-such-table.txt"
+    code, out, err = run(capsys, "m-eval", "--potential", str(missing), "--z", "i")
+    assert code == 2 and out == "" and "cannot read potential file" in err
     # unparseable z
     code, _, err = run(capsys, "m-eval", "--z", "1+*2")
     assert code == 2
@@ -169,6 +179,20 @@ def test_m_eval_usage_errors(capsys):
     code, _, err = run(capsys, "m-eval", "--potential", "bessel:2.2",
                        "--mode", "closed-form", "--z", "i")
     assert code == 2 and "nu - 1/2 a non-negative integer" in err
+
+
+def test_m_eval_on_a_tabulated_potential(capsys, tmp_path):
+    # a 400-knot table of the example's q = 2/x^2 on [1, 60]: numeric m agrees
+    # with the nu = 3/2 closed form to the table's spline error
+    table = tmp_path / "q.txt"
+    table.write_text("".join(f"{x} {2.0 / x**2}\n" for x in np.linspace(1.0, 60.0, 400)))
+    code, doc, _ = run_json(capsys, "m-eval", "--potential", str(table), "--mode", "numeric",
+                            "--z=-1,1+i")
+    assert code == 0 and doc["potential"]["kind"] == "sampled"
+    for row in doc["rows"]:
+        z = complex(row[0], row[1])
+        exact = half_integer_bessel_m(1.5, 1.0, z)
+        assert abs(complex(row[2], row[3]) - exact) <= 1e-3 * abs(exact), z
 
 
 def test_m_eval_solver_error_record(capsys):

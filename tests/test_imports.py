@@ -1,4 +1,4 @@
-"""weylsys imports on numpy alone; scipy is loaded only for sampled data.
+"""weylsys imports on numpy alone; scipy is loaded only for sampled potentials.
 
 Each check runs a fresh interpreter, since the pytest process has scipy
 loaded already.  ``sys.modules["scipy"] = None`` makes any import of scipy
@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import weylsys
-from weylsys import Potential, TestFunction, evaluate_form, load_potential_file
+from weylsys import Potential, load_potential_file
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -63,5 +63,3 @@ def test_sampled_kinds_load_scipy_when_it_is_there(tmp_path):
     path = tmp_path / "q.txt"
     path.write_text("".join(f"{x} {2.0 / x**2}\n" for x in grid))
     assert load_potential_file(path)(2.0) == pot(2.0)
-    report = evaluate_form(TestFunction.sampled(grid, 1.0 / grid))
-    assert report.ratio == pytest.approx(1.0, abs=2e-2)

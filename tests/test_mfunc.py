@@ -891,6 +891,25 @@ def test_divergence_to_minus_infinity():
     assert limit_at_minus_infinity(lambda x: x) == -math.inf
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_samples_beyond_the_divergence_guard_read_as_infinite(sign):
+    # flat to the plateau test, so only the 1e12 guard makes this infinite
+    assert limit_at_minus_zero(lambda x: sign * 2e12 + x) == sign * math.inf
+
+
+def test_limit_rejects_non_real_samples():
+    with pytest.raises(ExtrapolationError, match=r"samples must be real; got \(-0\.1\+1j\)"):
+        limit_at_minus_zero(lambda x: complex(x, 1.0))
+
+
+@pytest.mark.parametrize("evaluator", [NUMERIC, CLOSED], ids=["numeric", "closed-form"])
+@pytest.mark.parametrize("z", [complex(math.nan, 1.0), complex(math.inf, 0.0),
+                               complex(1.0, math.inf)])
+def test_m_infinity_rejects_a_non_finite_point(evaluator, z):
+    with pytest.raises(DomainError, match="non-finite spectral point"):
+        m_infinity(evaluator, z)
+
+
 # ---------------------------------------------------------------------------
 # plumbing
 # ---------------------------------------------------------------------------

@@ -65,6 +65,19 @@ def test_herglotz_fails_on_non_finite_values():
     assert verdict.witness["point"] == [first.real, first.imag]
 
 
+def test_a_sampling_error_names_its_point():
+    def fail(message):
+        def f(z):
+            raise WeylsysError(message)
+        return f
+
+    with pytest.raises(WeylsysError, match=r"^no value \(while sampling at z = 2j\)$"):
+        herglotz_test(fail("no value"), [2j])
+    # a message that names its point already is left alone
+    with pytest.raises(WeylsysError, match=r"^no value at z = 3j$"):
+        herglotz_test(fail("no value at z = 3j"), [2j])
+
+
 def test_herglotz_grid_validation():
     with pytest.raises(DomainError):
         herglotz_test(one_over_m, grid=[])
@@ -280,6 +293,17 @@ def test_classify_divergent_limit_gives_half_pi():
 def test_classify_m_raises_on_disordered_limits():
     with pytest.raises(DomainError):
         classify_s_beta12(lambda x: bessel_m_closed_form(x))
+
+
+@pytest.mark.parametrize("f, message", [
+    (lambda x: 0.5 if x < -1.0 else math.nan, "limit at -0 is NaN"),
+    (lambda x: x, "limit at -infinity diverges to -infinity"),
+    # 2 at -infinity, -1 at -0
+    (lambda x: (-1.0 - 2.0 * x) / (1.0 - x), r"limit at -0 is negative \(-1\.0"),
+], ids=["nan", "minus-infinity", "negative"])
+def test_classify_rejects_a_limit_no_stieltjes_function_has(f, message):
+    with pytest.raises(DomainError, match=message):
+        classify_s_beta12(f)
 
 
 def test_class_angles_from_alpha_frozen_example():
