@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, PoleError, WeylsysError
-from .lsystem import impedance_from_m, lsystem_to_dict, make_lsystem
+from .lsystem import impedance, lsystem_to_dict, make_lsystem
 from .mfunc import (
     NAMED_GRIDS,
     MFunctionEvaluator,
@@ -307,13 +307,26 @@ def cmd_m_eval(args: argparse.Namespace) -> int:
 # classify
 # ---------------------------------------------------------------------------
 
+def _mu_from_alpha(text: str) -> float:
+    """mu = tan(alpha) for alpha in (0, pi], exactly inf at pi/2 and 0 at pi."""
+    alpha = eval_real(text)
+    _usage(check_alpha, alpha)
+    if alpha == math.pi / 2:
+        return math.inf
+    if alpha == math.pi:
+        return 0.0
+    return math.tan(alpha)
+
+
 def cmd_classify(args: argparse.Namespace) -> int:
     potential = parse_potential(args.potential, args.ell)
     mode = _mode(args, potential)
-    if args.mu is not None:
-        mu = eval_number(args.mu)
+    if args.alpha is None:
+        mu = eval_number("inf" if args.mu is None else args.mu)
+    elif args.mu is None:
+        mu = _mu_from_alpha(args.alpha)
     else:
-        mu = eval_number("inf" if args.alpha is None else f"tan({args.alpha})")
+        raise UsageError("--mu and --alpha both set the coupling: give one of them")
     h = eval_number(args.h)
     beta = None if args.beta is None else _usage(check_beta, eval_real(args.beta))
     _check_seed_and_trials(args)
@@ -339,7 +352,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         return batch.at(z).value
 
     def imp(z):
-        return impedance_from_m(system, m_cached(z), z)
+        return impedance(system, m_cached(z), z)
 
     herg = herglotz_test(imp, grid=complex_grid)
     stj = stieltjes_test(imp, complex_grid=complex_grid, negative_grid=negative_grid)
@@ -454,7 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_random(p_cls, DEFAULT_KERNEL_SEED, 100, "random kernel point sets")
     p_cls.add_argument("--mu", default=None, help="coupling parameter (real or inf; default inf)")
     p_cls.add_argument("--h", default="i", help="boundary parameter with Im h > 0")
-    p_cls.add_argument("--alpha", default=None, help="sets mu = tan(alpha) when --mu is absent")
+    p_cls.add_argument("--alpha", default=None,
+                       help="sets mu = tan(alpha), alpha in (0, pi]; not with --mu")
     p_cls.add_argument("--beta", default=None, help="kernel angle override in (0, pi/2]")
 
     p_ver = sub.add_parser("verify", help="run the built-in verification suites")

@@ -6,17 +6,19 @@ line (a single point at infinity).  Its impedance function V is a fractional
 linear transform of the principal m-function, and its transfer function W
 satisfies W = (1 - iV)/(1 + iV).  The dual coupling xi gives the pair
 V_mu = -1/V_xi, W_mu = -W_xi.
+
+The functions take the value m = m_inf(z), not a solver: get it from
+:mod:`weylsys.mfunc` (``m_infinity_batch`` for many z at once).  Reports
+write a system by :func:`lsystem_to_dict`; nothing reads one back.
 """
 
 from __future__ import annotations
 
-import cmath
-import json
 import math
 from dataclasses import dataclass
 
 from .errors import ConstructionError, DomainError
-from .mfunc import MFunctionEvaluator, m_infinity, safe_div
+from .mfunc import safe_div
 from .potentials import Potential
 
 __all__ = [
@@ -27,16 +29,12 @@ __all__ = [
     "LSystem",
     "make_lsystem",
     "impedance",
-    "impedance_from_m",
     "transfer",
     "transfer_from_impedance",
     "impedance_from_transfer",
     "DualityReport",
     "duality_check",
     "lsystem_to_dict",
-    "lsystem_from_dict",
-    "lsystem_to_json",
-    "lsystem_from_json",
 ]
 
 #: The single point at infinity of the projective coupling line.
@@ -124,17 +122,12 @@ def make_lsystem(potential: Potential, mu, h: complex) -> LSystem:
     return LSystem(potential=potential, mu=mu, h=h, xi=xi, channel_gain=gain)
 
 
-def impedance(system: LSystem, z: complex, evaluator: MFunctionEvaluator) -> complex:
-    """Impedance V(z) = Im(h) * (m(z) + mu) / ((mu - Re h) m(z) + mu Re h - |h|^2).
+def impedance(system: LSystem, m: complex, z: complex) -> complex:
+    """Impedance V(z) = Im(h) * (m + mu) / ((mu - Re h) m + mu Re h - |h|^2), m = m_inf(z).
 
-    For mu = inf this reduces to V(z) = Im(h) / (m(z) + Re h).  Zeros of the
+    For mu = inf this reduces to V(z) = Im(h) / (m + Re h).  Zeros of the
     denominator raise PoleError carrying z.
     """
-    return impedance_from_m(system, m_infinity(evaluator, z), z)
-
-
-def impedance_from_m(system: LSystem, m: complex, z: complex) -> complex:
-    """The impedance V(z) of :func:`impedance` from the value m = m_inf(z)."""
     h = system.h
     if system.mu_is_infinite:
         return safe_div(complex(h.imag), m + h.real, z=z, what="impedance")
@@ -143,12 +136,11 @@ def impedance_from_m(system: LSystem, m: complex, z: complex) -> complex:
     return safe_div(num, den, z=z, what="impedance")
 
 
-def transfer(system: LSystem, z: complex, evaluator: MFunctionEvaluator) -> complex:
-    """Transfer W(z) = ((mu - h)/(mu - conj h)) * (m(z) + conj h)/(m(z) + h).
+def transfer(system: LSystem, m: complex, z: complex) -> complex:
+    """Transfer W(z) = ((mu - h)/(mu - conj h)) * (m + conj h)/(m + h), m = m_inf(z).
 
     For mu = inf the unimodular prefactor is 1.
     """
-    m = m_infinity(evaluator, z)
     h = system.h
     core = safe_div(m + h.conjugate(), m + h, z=z, what="transfer")
     if system.mu_is_infinite:
@@ -169,19 +161,13 @@ def impedance_from_transfer(w: complex) -> complex:
 
 @dataclass(frozen=True)
 class DualityReport:
-    mu: float
     xi: float
-    z: complex
-    impedance_mu: complex
-    impedance_xi: complex
-    transfer_mu: complex
-    transfer_xi: complex
     impedance_residual: float
     transfer_residual: float
 
 
-def duality_check(system: LSystem, z: complex, evaluator: MFunctionEvaluator) -> DualityReport:
-    """Residuals of V_mu(z) + 1/V_xi(z) and W_mu(z) + W_xi(z) for the dual pair.
+def duality_check(system: LSystem, m: complex, z: complex) -> DualityReport:
+    """Residuals of V_mu(z) + 1/V_xi(z) and W_mu(z) + W_xi(z), m = m_inf(z).
 
     Requires a finite mu with mu != Re h so that the dual system is itself an
     ordinary member of the family.
@@ -191,22 +177,11 @@ def duality_check(system: LSystem, z: complex, evaluator: MFunctionEvaluator) ->
     if math.isinf(system.xi):
         raise DomainError("duality_check needs mu != Re h (dual coupling is infinite)")
     dual = make_lsystem(system.potential, system.xi, system.h)
-    v_mu = impedance(system, z, evaluator)
-    v_xi = impedance(dual, z, evaluator)
-    w_mu = transfer(system, z, evaluator)
-    w_xi = transfer(dual, z, evaluator)
+    v_mu, v_xi = impedance(system, m, z), impedance(dual, m, z)
+    w_mu, w_xi = transfer(system, m, z), transfer(dual, m, z)
     inv_v_xi = safe_div(1.0, v_xi, z=z, what="1/impedance of the dual system")
-    return DualityReport(
-        mu=system.mu,
-        xi=system.xi,
-        z=complex(z),
-        impedance_mu=v_mu,
-        impedance_xi=v_xi,
-        transfer_mu=w_mu,
-        transfer_xi=w_xi,
-        impedance_residual=abs(v_mu + inv_v_xi),
-        transfer_residual=abs(w_mu + w_xi),
-    )
+    return DualityReport(xi=system.xi, impedance_residual=abs(v_mu + inv_v_xi),
+                         transfer_residual=abs(w_mu + w_xi))
 
 
 def _encode_extended(x: float):
@@ -222,43 +197,3 @@ def lsystem_to_dict(system: LSystem) -> dict:
         "xi": _encode_extended(system.xi),
         "channel_gain": system.channel_gain,
     }
-
-
-def lsystem_from_dict(doc: dict) -> LSystem:
-    try:
-        potential = Potential.from_dict(doc["potential"])
-        mu = as_extended_real(doc["mu"])
-        h = complex(doc["h"]["re"], doc["h"]["im"])
-        ell = float(doc["ell"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConstructionError(f"malformed system document: {exc}") from exc
-    if abs(ell - potential.ell) > 1e-12 * max(1.0, abs(potential.ell)):
-        raise ConstructionError(
-            f"ell = {ell} disagrees with the potential's boundary point {potential.ell}"
-        )
-    system = make_lsystem(potential, mu, h)
-    for key, got in (("xi", system.xi), ("channel_gain", system.channel_gain)):
-        if key in doc:
-            stored = as_extended_real(doc[key]) if key == "xi" else float(doc[key])
-            same = (math.isinf(stored) and math.isinf(got)) or (
-                math.isfinite(stored)
-                and math.isfinite(got)
-                and abs(stored - got) <= 1e-9 * max(1.0, abs(got))
-            )
-            if not same:
-                raise ConstructionError(
-                    f"stored {key} = {stored} inconsistent with recomputed {got}"
-                )
-    return system
-
-
-def lsystem_to_json(system: LSystem) -> str:
-    return json.dumps(lsystem_to_dict(system), sort_keys=True, indent=2) + "\n"
-
-
-def lsystem_from_json(text: str) -> LSystem:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConstructionError(f"invalid JSON for system document: {exc}") from exc
-    return lsystem_from_dict(doc)

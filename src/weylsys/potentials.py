@@ -10,15 +10,15 @@ on ``[ell, inf)``.  Three kinds are supported:
 * ``expression`` -- an arbitrary callable ``x -> q(x)``.
 
 The free potential ``q = 0`` is the Bessel potential with nu = 1/2, so it
-serializes and has a closed-form m as that kind does; a label alone does
-not make a potential free.
+has a closed-form m and is written into reports as that kind; a label alone
+does not make a potential free.  Nothing reads a written potential back.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -176,18 +176,6 @@ class Potential:
             return {"kind": "sampled", "grid": self.grid.tolist(),
                     "values": self.values.tolist(), "ell": self.ell}
         raise DomainError("expression potentials cannot be serialized")
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Potential":
-        kind = data.get("kind")
-        if kind == "bessel":
-            return cls.bessel(nu=data["nu"], ell=data["ell"])
-        if kind == "sampled":
-            return cls.sampled(data["grid"], data["values"])
-        if kind == "expression" and data.get("label") == "free":
-            # reports written while free was an expression potential name it so
-            return cls.free(ell=data.get("ell", 0.0))
-        raise DomainError(f"cannot reconstruct potential from {data!r}")
 
 
 def load_potential_file(path, ell: float | None = None) -> Potential:

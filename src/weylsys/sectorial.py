@@ -567,21 +567,22 @@ def verify_example_suite(tol: float = 1e-8) -> CheckReport:
 
     sys_zero = make_lsystem(pot, mu=0.0, h=1j)
     sys_inf = make_lsystem(pot, mu=math.inf, h=1j)
-    err_zero = max(abs(impedance(sys_zero, z, closed) + bessel_m_closed_form(z)) for z in _GRID)
+    grid_m = [(z, bessel_m_closed_form(z)) for z in _GRID]
+    err_zero = max(abs(impedance(sys_zero, m, z) + m) for z, m in grid_m)
     checks.append(Check.within("impedance-anchor-mu-zero", err_zero, 0.0, 1e-10))
-    err_inf = max(
-        abs(impedance(sys_inf, z, closed) - 1.0 / bessel_m_closed_form(z)) for z in _GRID
-    )
+    err_inf = max(abs(impedance(sys_inf, m, z) - 1.0 / m) for z, m in grid_m)
     checks.append(Check.within("impedance-anchor-mu-inf", err_inf, 0.0, 1e-10))
-    err_w = max(abs(transfer(sys_inf, z, closed) - bessel_w_closed_form(z)) for z in _UPPER_GRID)
+    err_w = max(abs(transfer(sys_inf, bessel_m_closed_form(z), z) - bessel_w_closed_form(z))
+                for z in _UPPER_GRID)
     checks.append(Check.within("transfer-anchor-mu-inf", err_w, 0.0, 1e-10))
 
+    zs_m = [(z, bessel_m_closed_form(z)) for z in zs]
     err_rot = 0.0
     for a in (0.3, 0.7, 1.0, 1.9, 2.6):
         sys_rot = make_lsystem(pot, mu=math.tan(a), h=1j)
         err_rot = max(
             err_rot,
-            max(abs(impedance(sys_rot, z, closed) + m_alpha(closed, a, z)) for z in zs),
+            max(abs(impedance(sys_rot, m, z) + m_alpha(closed, a, z)) for z, m in zs_m),
         )
     checks.append(Check.within("impedance-anchor-mu-tan-alpha", err_rot, 0.0, 1e-10))
 

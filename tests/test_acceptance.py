@@ -43,7 +43,6 @@ from weylsys.forms import TestFunction, evaluate_form, generate_test_functions
 from weylsys.mfunc import NAMED_GRIDS
 
 BESSEL = Potential.bessel()
-CLOSED = MFunctionEvaluator(BESSEL, mode="closed_form")
 NUMERIC = MFunctionEvaluator(BESSEL, mode="numeric")
 
 # numeric m values on the real axis are reused across several criteria
@@ -154,13 +153,13 @@ def test_criterion_05_impedance_realization_identities(report):
     rotated = {alpha: make_lsystem(BESSEL, mu=math.tan(alpha), h=1j) for alpha in alphas}
     for z in grid:
         m = bessel_m_closed_form(z)
-        worst_zero = max(worst_zero, abs(impedance(sys_zero, z, CLOSED) - (-m)))
-        worst_inf = max(worst_inf, abs(impedance(sys_inf, z, CLOSED) - 1.0 / m))
+        worst_zero = max(worst_zero, abs(impedance(sys_zero, m, z) - (-m)))
+        worst_inf = max(worst_inf, abs(impedance(sys_inf, m, z) - 1.0 / m))
         for alpha, system in rotated.items():
             sa, ca = math.sin(alpha), math.cos(alpha)
             m_alpha_val = (sa + m * ca) / (ca - m * sa)
             worst_alpha = max(
-                worst_alpha, abs(impedance(system, z, CLOSED) + m_alpha_val)
+                worst_alpha, abs(impedance(system, m, z) + m_alpha_val)
             )
     ok = max(worst_zero, worst_inf, worst_alpha) <= 1e-10
     report(
@@ -181,7 +180,7 @@ def test_criterion_06_duality_residuals(report):
         while abs(mu - h.real) < 0.05:
             mu = float(rng.uniform(-4.0, 4.0))
         z = complex(rng.uniform(-3.0, 3.0), rng.uniform(0.15, 3.0))
-        rep = duality_check(make_lsystem(BESSEL, mu=mu, h=h), z, CLOSED)
+        rep = duality_check(make_lsystem(BESSEL, mu=mu, h=h), bessel_m_closed_form(z), z)
         worst_v = max(worst_v, rep.impedance_residual)
         worst_w = max(worst_w, rep.transfer_residual)
         worst_invol = max(
@@ -214,8 +213,9 @@ def test_criterion_07_moebius_consistency(report):
             mu = h.real + 0.5
         z = complex(rng.uniform(-3.0, 3.0), rng.uniform(0.15, 3.0))
         system = make_lsystem(BESSEL, mu=mu, h=h)
-        direct = transfer(system, z, CLOSED)
-        linked = transfer_from_impedance(impedance(system, z, CLOSED))
+        m = bessel_m_closed_form(z)
+        direct = transfer(system, m, z)
+        linked = transfer_from_impedance(impedance(system, m, z))
         worst_link = max(worst_link, abs(direct - linked))
     ok = worst_round <= 1e-12 and worst_link <= 1e-10
     report(

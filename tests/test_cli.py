@@ -312,6 +312,25 @@ def test_classify_alpha_shorthand(capsys):
     assert doc["system"]["mu"] == pytest.approx(math.tan(math.pi / 3.0))
 
 
+@pytest.mark.parametrize("alpha, mu", [("pi/2", "inf"), ("pi", "0")])
+def test_classify_alpha_corners_are_the_exact_couplings(capsys, alpha, mu):
+    # tan(pi/2) and tan(pi) in floating point are 1.6e16 and -1.2e-16
+    argv = ("classify", "--h", "i", "--trials", "2")
+    assert run(capsys, *argv, "--alpha", alpha) == run(capsys, *argv, "--mu", mu)
+
+
+@pytest.mark.parametrize("argv", [
+    ("--alpha", "4"),
+    ("--alpha", "0"),
+    ("--alpha", "1)+(2"),
+    ("--mu", "1", "--alpha", "0.3"),
+], ids=["above-pi", "zero", "not-a-number", "with-mu"])
+def test_classify_bad_alpha(capsys, no_solve, argv):
+    code, out, err = run(capsys, "classify", "--mode", "numeric", "--trials", "2", *argv)
+    assert code == 2 and out == ""
+    assert "alpha" in err or "number" in err
+
+
 def test_classify_accretivity_details(capsys):
     code, doc, _ = run_json(capsys, "classify", "--mu", "2", "--h", "i")
     assert code == 0

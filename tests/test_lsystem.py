@@ -1,27 +1,23 @@
 from __future__ import annotations
 
 import cmath
-import json
 import math
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import weylsys.lsystem
 from weylsys import (
     MU_INFINITY,
     ConstructionError,
     DomainError,
-    MFunctionEvaluator,
     PoleError,
     Potential,
     bessel_m_closed_form,
     duality_check,
     impedance,
     impedance_from_transfer,
-    lsystem_from_dict,
-    lsystem_from_json,
     lsystem_to_dict,
-    lsystem_to_json,
     make_lsystem,
     transfer,
     transfer_from_impedance,
@@ -29,7 +25,7 @@ from weylsys import (
 )
 
 BESSEL = Potential.bessel()
-CLOSED = MFunctionEvaluator(BESSEL, mode="closed_form")
+M = bessel_m_closed_form  # m_inf of BESSEL, which the functions below take
 
 
 def sys_at(mu, h=1j):
@@ -86,15 +82,6 @@ def test_construction_validates_h():
         make_lsystem(BESSEL, mu=1.0, h=None)
 
 
-def test_construction_checks_ell_consistency():
-    # ell is the potential's own; a document whose ell disagrees is rejected
-    doc = lsystem_to_dict(make_lsystem(BESSEL, mu=1.0, h=1j))
-    assert doc["ell"] == BESSEL.ell == doc["potential"]["ell"]
-    with pytest.raises(ConstructionError, match="disagrees"):
-        lsystem_from_dict({**doc, "ell": 2.0})
-    assert lsystem_from_dict({**doc, "ell": 1.0}).potential.ell == 1.0
-
-
 def test_channel_gain():
     sys = sys_at(2.0, h=1j)
     assert sys.channel_gain == pytest.approx(1.0 / abs(2.0 - 1j))
@@ -116,19 +103,19 @@ def test_channel_gain():
 def test_impedance_at_mu_zero_is_minus_m():
     # mu = 0, h = i: the denominator collapses to -|h|^2 = -1, so V = -m
     m = bessel_m_closed_form(1j)
-    v = impedance(sys_at(0.0), 1j, CLOSED)
+    v = impedance(sys_at(0.0), M(1j), 1j)
     assert v == pytest.approx(-m, rel=1e-14)
 
 
 def test_impedance_at_mu_infinity_is_one_over_m_plus_re_h():
     m = bessel_m_closed_form(-2.0 + 1j)
-    v = impedance(sys_at(MU_INFINITY, h=0.5 + 1j), -2.0 + 1j, CLOSED)
+    v = impedance(sys_at(MU_INFINITY, h=0.5 + 1j), M(-2.0 + 1j), -2.0 + 1j)
     assert v == pytest.approx(1.0 / (m + 0.5), rel=1e-14)
 
 
 def test_impedance_frozen_value_on_the_negative_axis():
     # mu = tan(pi/3), h = i, z = -1: V = (m + mu)/(mu m - 1) with m = 3/2
-    v = impedance(sys_at(math.tan(math.pi / 3.0)), -1.0, CLOSED)
+    v = impedance(sys_at(math.tan(math.pi / 3.0)), M(-1.0), -1.0)
     exact = (1.5 + math.sqrt(3.0)) / (1.5 * math.sqrt(3.0) - 1.0)
     assert v.real == pytest.approx(exact, rel=1e-12)
     assert v.real == pytest.approx(2.0224635, abs=5e-7)
@@ -138,13 +125,13 @@ def test_impedance_frozen_value_on_the_negative_axis():
 def test_impedance_is_herglotz_in_the_upper_half_plane():
     for mu in (0.0, 1.0, -3.0, MU_INFINITY):
         for z in (1j, -1.0 + 0.5j, 2.0 + 2j):
-            assert impedance(sys_at(mu), z, CLOSED).imag > 0.0
+            assert impedance(sys_at(mu), M(z), z).imag > 0.0
 
 
 def test_impedance_pole_is_reported():
     # mu = 2/3, h = i at z = -1: (mu - Re h) m + mu Re h - |h|^2 = 1.5 mu - 1 = 0
     with pytest.raises(PoleError):
-        impedance(sys_at(2.0 / 3.0), -1.0, CLOSED)
+        impedance(sys_at(2.0 / 3.0), M(-1.0), -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -152,14 +139,14 @@ def test_impedance_pole_is_reported():
 # ---------------------------------------------------------------------------
 
 def test_transfer_frozen_value_at_mu_zero():
-    w = transfer(sys_at(0.0), 1j, CLOSED)
+    w = transfer(sys_at(0.0), M(1j), 1j)
     assert w == pytest.approx(complex(1.0 - math.sqrt(2.0), math.sqrt(2.0)), abs=1e-12)
     assert w == pytest.approx(complex(-0.414214, 1.414214), abs=1e-6)
 
 
 def test_transfer_at_mu_infinity_is_a_cayley_quotient():
     m = bessel_m_closed_form(1j)
-    w = transfer(sys_at(MU_INFINITY), 1j, CLOSED)
+    w = transfer(sys_at(MU_INFINITY), M(1j), 1j)
     assert w == pytest.approx((m - 1j) / (m + 1j), rel=1e-14)
 
 
@@ -167,8 +154,8 @@ def test_transfer_matches_moebius_of_impedance():
     for mu in (0.0, 1.0, math.tan(math.pi / 3.0), MU_INFINITY):
         for z in (1j, -2.0 + 0.5j, 1.0 + 1j):
             sys = sys_at(mu, h=0.3 + 1.7j)
-            v = impedance(sys, z, CLOSED)
-            w = transfer(sys, z, CLOSED)
+            v = impedance(sys, M(z), z)
+            w = transfer(sys, M(z), z)
             assert w == pytest.approx((1.0 - 1j * v) / (1.0 + 1j * v), rel=1e-12)
 
 
@@ -200,7 +187,7 @@ def test_moebius_roundtrip_on_the_upper_half_plane(v):
 def test_unimodular_transfer_on_the_negative_axis():
     # V is real on (-inf, 0), so W lands on the unit circle
     for mu in (0.0, 2.0, MU_INFINITY):
-        w = transfer(sys_at(mu), -1.0, CLOSED)
+        w = transfer(sys_at(mu), M(-1.0), -1.0)
         assert abs(w) == pytest.approx(1.0, rel=1e-12)
 
 
@@ -214,7 +201,7 @@ def test_unimodular_transfer_on_the_negative_axis():
     (-0.7, 0.25 + 2j, -1.5 + 0.5j),
 ])
 def test_duality_relations(mu, h, z):
-    report = duality_check(sys_at(mu, h=h), z, CLOSED)
+    report = duality_check(sys_at(mu, h=h), M(z), z)
     assert report.impedance_residual <= 1e-10
     assert report.transfer_residual <= 1e-10
     assert report.xi == pytest.approx(xi_parameter(mu, h), rel=1e-12)
@@ -223,18 +210,18 @@ def test_duality_relations(mu, h, z):
 
 def test_duality_rejects_infinite_mu():
     with pytest.raises(DomainError):
-        duality_check(sys_at(MU_INFINITY), 1j, CLOSED)
+        duality_check(sys_at(MU_INFINITY), M(1j), 1j)
 
 
 def test_dual_of_dual_is_the_original():
     sys = sys_at(3.0, h=0.5 + 1j)
     dual = sys_at(sys.xi, h=0.5 + 1j)
     assert dual.xi == pytest.approx(3.0)
-    v = impedance(sys, 1j, CLOSED)
-    v_dual = impedance(dual, 1j, CLOSED)
+    v = impedance(sys, M(1j), 1j)
+    v_dual = impedance(dual, M(1j), 1j)
     assert v == pytest.approx(-1.0 / v_dual, rel=1e-12)
-    w = transfer(sys, 1j, CLOSED)
-    w_dual = transfer(dual, 1j, CLOSED)
+    w = transfer(sys, M(1j), 1j)
+    w_dual = transfer(dual, M(1j), 1j)
     assert w == pytest.approx(-w_dual, rel=1e-12)
 
 
@@ -242,41 +229,20 @@ def test_dual_of_dual_is_the_original():
 # serialization
 # ---------------------------------------------------------------------------
 
-def test_dict_roundtrip_finite_mu():
-    sys = sys_at(1.25, h=0.5 + 2j)
-    data = lsystem_to_dict(sys)
-    back = lsystem_from_dict(data)
-    assert back.mu == sys.mu
-    assert back.h == sys.h
-    assert back.xi == pytest.approx(sys.xi)
-    assert back.channel_gain == pytest.approx(sys.channel_gain)
 
-
-def test_json_roundtrip_infinite_mu():
-    sys = sys_at(MU_INFINITY)
-    text = lsystem_to_json(sys)
-    payload = json.loads(text)
-    assert payload["mu"] == "inf"
-    back = lsystem_from_json(text)
-    assert back.mu_is_infinite
-    assert back.xi == 0.0
-
-
-def test_a_free_system_block_written_before_free_became_bessel_loads():
+def test_system_document():
     # the "system" block of `weylsys classify --potential free --mu inf --h i`
-    # as written while the free potential was an expression potential
-    old = {"channel_gain": 1.0, "ell": 0.0, "h": {"im": 1.0, "re": 0.0}, "mu": "inf",
-           "potential": {"ell": 0.0, "kind": "expression", "label": "free"}, "xi": 0.0}
-    system = lsystem_from_dict(old)
-    assert (system.potential.kind, system.potential.nu, system.potential.ell) == (
-        "bessel", 0.5, 0.0)
-    assert system.mu_is_infinite and system.h == 1j and system.xi == 0.0
-    assert lsystem_to_dict(system) == {
-        **old, "potential": {"ell": 0.0, "kind": "bessel", "nu": 0.5}}
+    doc = lsystem_to_dict(make_lsystem(Potential.free(), mu=MU_INFINITY, h=1j))
+    assert doc == {"channel_gain": 1.0, "ell": 0.0, "h": {"im": 1.0, "re": 0.0}, "mu": "inf",
+                   "potential": {"ell": 0.0, "kind": "bessel", "nu": 0.5}, "xi": 0.0}
+    doc = lsystem_to_dict(sys_at(1.0))
+    assert doc["ell"] == BESSEL.ell == doc["potential"]["ell"]
+    assert (doc["mu"], doc["xi"]) == (1.0, -1.0)
 
 
-def test_tampered_serialization_is_rejected():
-    data = lsystem_to_dict(sys_at(2.0))
-    data["xi"] = 123.0
-    with pytest.raises(ConstructionError):
-        lsystem_from_dict(data)
+def test_the_system_layer_holds_no_m_solver():
+    # impedance, transfer and duality_check take the value m = m_inf(z), so
+    # the module needs no evaluator of its own
+    namespace = vars(weylsys.lsystem)
+    assert "MFunctionEvaluator" not in namespace
+    assert "m_infinity" not in namespace

@@ -116,15 +116,6 @@ def test_sampled_requires_ascending_grid():
         Potential.sampled([1.0, 1.0, 2.0, 3.0], [0.0, 0.0, 0.0, 0.0])
 
 
-def test_dict_roundtrip_for_declarative_kinds():
-    for pot in (Potential.bessel(), Potential.free(), Potential.sampled(
-            np.linspace(1.0, 4.0, 7), np.zeros(7))):
-        back = Potential.from_dict(pot.to_dict())
-        assert back.kind == pot.kind
-        assert back.ell == pot.ell
-        assert back(2.5) == pytest.approx(pot(2.5))
-
-
 def test_a_label_does_not_make_a_potential_free():
     # the free potential is bessel(1/2): a plateau labelled "free" has no
     # closed form, its m(-1) is sqrt(26), and it does not serialize
@@ -138,17 +129,6 @@ def test_a_label_does_not_make_a_potential_free():
     free = Potential.free(2.0)
     assert MFunctionEvaluator.has_closed_form(free)
     assert free.to_dict() == {"kind": "bessel", "nu": 0.5, "ell": 2.0}
-    back = Potential.from_dict(free.to_dict())
-    assert (back.kind, back.nu, back.ell) == ("bessel", 0.5, 2.0)
-    assert MFunctionEvaluator.has_closed_form(back)
-
-
-@pytest.mark.parametrize("ell", [0.0, 2.0])
-def test_the_old_free_document_still_loads(ell):
-    # reports written while free was an expression potential name it this way
-    pot = Potential.from_dict({"kind": "expression", "label": "free", "ell": ell})
-    assert (pot.kind, pot.nu, pot.ell, pot.label) == ("bessel", 0.5, ell, "free")
-    assert pot(ell) == 0.0
 
 
 @pytest.mark.parametrize("z", [-1.0, 2.0 + 1j])

@@ -24,6 +24,7 @@ from weylsys import (
     kernel_matrix,
     kernel_point_sets,
     kernel_psd_test,
+    m_infinity,
     make_lsystem,
     sampled_points,
     sector_angle_from_gap,
@@ -387,7 +388,7 @@ def test_product_formula_falls_below_the_exact_sector_angle(mu):
     pot = Potential.bessel()
     closed = MFunctionEvaluator(pot, mode="closed_form")
     system = make_lsystem(pot, mu=mu, h=1j)
-    angles = classify_s_beta12(lambda z: impedance(system, z, closed))
+    angles = classify_s_beta12(lambda z: impedance(system, m_infinity(closed, z), z))
     exact = accretivity_and_sectoriality(1j, mu, 1.0).tan_theta
     assert exact == pytest.approx(1.0, rel=1e-12)
     assert math.tan(sector_angle_from_product(*angles)) < exact - 0.15
