@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import cmath
+import json
 import math
 
 import pytest
@@ -230,14 +231,28 @@ def test_dual_of_dual_is_the_original():
 # ---------------------------------------------------------------------------
 
 
-def test_system_document():
-    # the "system" block of `weylsys classify --potential free --mu inf --h i`
+def test_construction_checks_ell_consistency():
+    # ell is the potential's own, so the written document cannot disagree with it
+    for potential in (BESSEL, Potential.bessel(nu=2.5, ell=2.0), Potential.free()):
+        doc = lsystem_to_dict(make_lsystem(potential, mu=1.0, h=1j))
+        assert doc["ell"] == potential.ell == doc["potential"]["ell"]
+    doc = lsystem_to_dict(sys_at(1.0))
+    assert (doc["mu"], doc["xi"]) == (1.0, -1.0)
+
+
+def test_json_roundtrip_infinite_mu():
+    # mu = inf is written as the string "inf", so the document is plain JSON
+    doc = lsystem_to_dict(sys_at(MU_INFINITY))
+    assert (doc["mu"], doc["xi"]) == ("inf", 0.0)
+    assert json.loads(json.dumps(doc, allow_nan=False)) == doc
+
+
+def test_a_free_system_block_written_before_free_became_bessel_loads():
+    # the "system" block of `weylsys classify --potential free --mu inf --h i`;
+    # the free potential is written as the Bessel potential with nu = 1/2
     doc = lsystem_to_dict(make_lsystem(Potential.free(), mu=MU_INFINITY, h=1j))
     assert doc == {"channel_gain": 1.0, "ell": 0.0, "h": {"im": 1.0, "re": 0.0}, "mu": "inf",
                    "potential": {"ell": 0.0, "kind": "bessel", "nu": 0.5}, "xi": 0.0}
-    doc = lsystem_to_dict(sys_at(1.0))
-    assert doc["ell"] == BESSEL.ell == doc["potential"]["ell"]
-    assert (doc["mu"], doc["xi"]) == (1.0, -1.0)
 
 
 def test_the_system_layer_holds_no_m_solver():
