@@ -6,17 +6,21 @@ boundary form im_form(y) = y(1)^2.  The inequality im_form <= re_form is
 sharp: y = 1/x achieves equality, and the reported ratio im_form/re_form
 never exceeds 1.  Every test function is analytic in closed form, so the
 module runs on numpy alone.
+
+The forms of many test functions are integrated together: their functions
+become one table of coefficients, and one adaptive Gauss-Kronrod loop
+refines every integral, with one vectorised call of the integrand per
+round over the new intervals of all of them (:func:`evaluate_forms`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-# numpy loads these lazily: load them with this module, not inside a first call
-import numpy.polynomial  # noqa: F401
-import numpy.random  # noqa: F401
+import numpy.random  # noqa: F401  numpy loads it lazily: load it with this module
 
 from .errors import DivergenceError, DomainError
 
@@ -24,6 +28,7 @@ __all__ = [
     "TestFunction",
     "FormReport",
     "evaluate_form",
+    "evaluate_forms",
     "form_inner",
     "generate_test_functions",
     "SharpnessReport",
@@ -93,27 +98,15 @@ class TestFunction:
             label=label,
         )
 
+    @cached_property
+    def _table(self) -> "_Table":
+        return _Table((self,))
+
     def value(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.kind == "power":
-            return 1.0 / x
-        if self.kind == "exp_poly":
-            u = x - 1.0
-            return np.polynomial.polynomial.polyval(u, self.coefficients) * np.exp(-self.decay * u)
-        return sum(w * part.value(x) for w, part in zip(self.weights, self.parts))
+        return self._table(np.asarray(x, dtype=float), 0)[0]
 
     def derivative(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.kind == "power":
-            return -1.0 / x**2
-        if self.kind == "exp_poly":
-            u = x - 1.0
-            p = np.polynomial.polynomial.polyval(u, self.coefficients)
-            dp = np.polynomial.polynomial.polyval(
-                u, np.polynomial.polynomial.polyder(self.coefficients)
-            ) if len(self.coefficients) > 1 else 0.0
-            return (dp - self.decay * p) * np.exp(-self.decay * u)
-        return sum(w * part.derivative(x) for w, part in zip(self.weights, self.parts))
+        return self._table(np.asarray(x, dtype=float), 0)[1]
 
     def boundary_value(self) -> float:
         if self.kind == "power":
@@ -121,6 +114,70 @@ class TestFunction:
         if self.kind == "exp_poly":
             return float(self.coefficients[0])
         return float(sum(w * part.boundary_value() for w, part in zip(self.weights, self.parts)))
+
+
+def _terms(y: TestFunction, weight: float = 1.0):
+    """(weight of 1/x, [(weight, coefficients, decay) of each exp_poly part]) of y."""
+    if y.kind == "power":
+        return weight, []
+    if y.kind == "exp_poly":
+        return 0.0, [(weight, y.coefficients, y.decay)]
+    power, bumps = 0.0, []
+    for w, part in zip(y.weights, y.parts):
+        part_power, part_bumps = _terms(part, weight * w)
+        power += part_power
+        bumps += part_bumps
+    return power, bumps
+
+
+def _horner(c, u):
+    """The polynomial with coefficients ``c[..., i]`` (ascending) at u, in polyval's order."""
+    p = c[..., -1] + u * 0.0
+    for i in range(c.shape[-1] - 2, -1, -1):
+        p = c[..., i] + p * u
+    return p
+
+
+class _Table:
+    """Test functions ``y_j = a_j / x + sum_t b_jt p_jt(x - 1) e^{-d_jt (x - 1)}`` as arrays.
+
+    Row j holds the weight a_j of 1/x and, for each exp_poly part t, its
+    weight b_jt, decay d_jt and coefficients, padded with zeros to the
+    longest part and with zero parts to the most parts; the derivative
+    coefficients are formed once.  For a function of at most one power and
+    one exp_poly part, the values are bit-identical to numpy's polyval and
+    polyder evaluated part by part.
+    """
+
+    def __init__(self, ys):
+        terms = [_terms(y) for y in ys]
+        parts = max([1, *(len(bumps) for _, bumps in terms)])
+        degree = max([1, *(len(c) for _, bumps in terms for _, c, _ in bumps)])
+        self.power = np.array([power for power, _ in terms])
+        self.weight = np.zeros((len(terms), parts))
+        self.decay = np.ones((len(terms), parts))
+        self.coefficients = np.zeros((len(terms), parts, degree))
+        for j, (_, bumps) in enumerate(terms):
+            for t, (w, c, d) in enumerate(bumps):
+                self.weight[j, t], self.decay[j, t] = w, d
+                self.coefficients[j, t, :len(c)] = c
+        self.slopes = np.zeros_like(self.coefficients)
+        self.slopes[..., :-1] = np.arange(1, degree) * self.coefficients[..., 1:]
+
+    def __call__(self, x, owner):
+        """(y, y') at x of the functions ``owner``, an index that broadcasts against x."""
+        a = self.power[owner]
+        value, slope = a * (1.0 / x), a * (-1.0 / x**2)
+        u = x - 1.0
+        weight, decay = self.weight[owner], self.decay[owner]
+        coefficients, slopes = self.coefficients[owner], self.slopes[owner]
+        for t in range(weight.shape[-1]):
+            b, d = weight[..., t], decay[..., t]
+            p, dp = _horner(coefficients[..., t, :], u), _horner(slopes[..., t, :], u)
+            e = np.exp(-d * u)
+            value = value + b * (p * e)
+            slope = slope + b * ((dp - d * p) * e)
+        return value, slope
 
 
 @dataclass(frozen=True)
@@ -156,11 +213,11 @@ _EPSABS, _EPSREL = 1e-12, 1e-10   # quad's tolerance: max(_EPSABS, _EPSREL |inte
 _LIMIT = 400                       # quad's largest number of intervals
 
 
-def _gk21(g, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _gk21(g, lo: np.ndarray, hi: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(integral, error estimate) on each interval [lo_i, hi_i], in one call of g.
 
-    ``g(t)`` returns the points x of the integrand at the nodes t and its
-    values there.  The error estimate is the Kronrod-Gauss difference,
+    ``g(t, rows)`` returns the integrand of ``rows[i]`` at the nodes ``t[i]``
+    of interval i.  The error estimate is the Kronrod-Gauss difference,
     floored at 50 eps times the integral of |f| as in qk21.  qk21 also
     shrinks the difference by ``(200 d / spread)^1.5``; that accepted a
     3.7e-12 relative error on exp(-2.8 (x - 1)), where the plain difference
@@ -168,79 +225,133 @@ def _gk21(g, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     centre = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    x, fx = g(centre[:, None] + half[:, None] * _NODES)
-    bad = ~np.isfinite(fx)
-    if bad.any():
-        raise DivergenceError(f"integrand is not finite at x = {float(x[bad][0])!r}")
+    fx = g(centre[:, None] + half[:, None] * _NODES, rows)
     kronrod = fx @ _KRONROD
     err = np.abs((kronrod - fx @ _GAUSS) * half)
     err = np.maximum(err, 50.0 * _EPS * (np.abs(fx) @ _KRONROD) * np.abs(half))
     return kronrod * half, err
 
 
-def quad(f, a: float) -> tuple[float, float]:
-    """(integral, error estimate) of a vectorised f over [a, inf).
+def quad_stack(f, a: float, n: int) -> list[tuple[float, float]]:
+    """(integral, error estimate) over [a, inf) of each of n vectorised integrands.
 
-    Adaptive Gauss-Kronrod 21 on t in [0, 1) under x = a + t/(1 - t).  Each
-    round bisects, worst first, every interval whose error exceeds its share
-    (by width) of ``max(1e-12, 1e-10 |integral|)``, and evaluates all new
-    intervals in one call of f on an array.  Raises DivergenceError where f
-    is not finite, or when the tolerance is not met within 400 intervals or
-    before an interval shrinks to the float spacing.  There is no
-    extrapolation, as in QUADPACK's qagi: an integrable singularity fails
-    too, but the test functions of this module have none.
+    ``f(x, owner)`` gives the integrands at the nodes x, an array of rows,
+    row i being integrand ``owner[i, 0]``.  Adaptive Gauss-Kronrod 21 on t
+    in [0, 1) under x = a + t/(1 - t).  Every interval carries its owner,
+    and every owner keeps the rules of a loop of its own: each round it
+    sums its intervals with math.fsum and, until its error is within
+    ``max(1e-12, 1e-10 |integral|)``, bisects, worst first, each of its
+    intervals whose error exceeds its share (by width) of that tolerance,
+    up to 400 intervals.  The new intervals of all owners are evaluated in
+    one call of f.  Raises DivergenceError, naming x and (in a stack of
+    more than one) the owner, where an integrand is not finite, or when an
+    owner misses its tolerance within 400 intervals or before an interval
+    shrinks to the float spacing.  There is no extrapolation, as in
+    QUADPACK's qagi: an integrable singularity fails too, but the test
+    functions of this module have none.
     """
-    def g(t):
-        x = a + t / (1.0 - t)
-        return x, f(x) / (1.0 - t) ** 2
+    def name(j):
+        return "integrand" if n == 1 else f"integrand {j}"
 
-    los, his = np.array([0.0]), np.array([1.0])
-    vals, errs = _gk21(g, los, his)
+    def g(t, rows):
+        x = a + t / (1.0 - t)
+        fx = f(x, rows[:, None]) / (1.0 - t) ** 2
+        bad = ~np.isfinite(fx)
+        if bad.any():
+            i, k = np.argwhere(bad)[0]
+            raise DivergenceError(f"{name(rows[i])} is not finite at x = {float(x[i, k])!r}")
+        return fx
+
+    if n == 0:
+        return []
+    out: list = [None] * n
+    owner = np.arange(n)
+    los, his = np.zeros(n), np.ones(n)
+    vals, errs = _gk21(g, los, his, owner)
     while True:
-        value, error = math.fsum(vals.tolist()), math.fsum(errs.tolist())
-        tol = max(_EPSABS, _EPSREL * abs(value))
-        if error <= tol:
-            return value, error
-        over = np.flatnonzero(errs > tol * (his - los))
-        over = over[np.argsort(-errs[over], kind="stable")][:_LIMIT - los.size]
-        if over.size == 0:
-            raise DivergenceError(
-                f"quadrature did not converge: error {error:.3g} above {tol:.3g} "
-                f"with {_LIMIT} intervals")
+        # group the intervals by owner; within one, the order of a loop of its own
+        order = np.argsort(owner, kind="stable")
+        owner, los, his, vals, errs = (v[order] for v in (owner, los, his, vals, errs))
+        starts = np.flatnonzero(np.diff(owner, prepend=-1))
+        sizes = np.diff(np.append(starts, owner.size))
+        group = np.repeat(np.arange(starts.size), sizes)
+        vl, el = vals.tolist(), errs.tolist()
+        tols, errors = np.empty(starts.size), np.empty(starts.size)
+        for i, (s, size, j) in enumerate(zip(starts.tolist(), sizes.tolist(),
+                                             owner[starts].tolist())):
+            value, errors[i] = math.fsum(vl[s:s + size]), math.fsum(el[s:s + size])
+            tols[i] = max(_EPSABS, _EPSREL * abs(value))
+            if errors[i] <= tols[i]:
+                out[j] = (value, float(errors[i]))
+        busy = errors > tols
+        if not busy.any():
+            break
+        pending = busy[group]
+        over = np.flatnonzero(pending & (errs > tols[group] * (his - los)))
+        over = over[np.lexsort((-errs[over], group[over]))]
+        rank = np.arange(over.size) - np.searchsorted(group[over], group[over])
+        over = over[rank < _LIMIT - sizes[group[over]]]
         a_over, b_over = los[over], his[over]
-        if np.any(b_over - a_over <= 1e3 * _EPS * np.maximum(np.abs(a_over), np.abs(b_over))):
+        narrow = b_over - a_over <= 1e3 * _EPS * np.maximum(np.abs(a_over), np.abs(b_over))
+        stuck = busy & (np.bincount(group[over], minlength=starts.size) == 0)
+        narrowed = np.bincount(group[over], weights=narrow, minlength=starts.size) > 0
+        failed = np.flatnonzero(stuck | narrowed)
+        if failed.size:
+            i = failed[0]
+            where = f"with {_LIMIT} intervals" if stuck[i] else "on an interval at the float spacing"
+            of = "" if n == 1 else f" of integrand {owner[starts[i]]}"
             raise DivergenceError(
-                f"quadrature did not converge: error {error:.3g} above {tol:.3g} "
-                "on an interval at the float spacing")
+                f"quadrature{of} did not converge: error {errors[i]:.3g} above "
+                f"{tols[i]:.3g} {where}")
         mid = 0.5 * (a_over + b_over)
         new_vals, new_errs = _gk21(g, np.concatenate([a_over, mid]),
-                                   np.concatenate([mid, b_over]))
-        keep = np.ones(los.size, dtype=bool)
+                                   np.concatenate([mid, b_over]),
+                                   np.concatenate([owner[over], owner[over]]))
+        keep = pending.copy()
         keep[over] = False
+        owner = np.concatenate([owner[keep], owner[over], owner[over]])
         los = np.concatenate([los[keep], a_over, mid])
         his = np.concatenate([his[keep], mid, b_over])
         vals = np.concatenate([vals[keep], new_vals])
         errs = np.concatenate([errs[keep], new_errs])
+    return out
+
+
+def quad(f, a: float) -> tuple[float, float]:
+    """(integral, error estimate) of a vectorised f over [a, inf): the stack of one."""
+    return quad_stack(lambda x, owner: f(x), a, 1)[0]
+
+
+def evaluate_forms(ys) -> tuple[FormReport, ...]:
+    """Evaluate both forms and their ratio for each test function, in one quadrature.
+
+    re_form integrates y'^2 + 2 y^2/x^2 over [1, inf); im_form is y(1)^2.
+    The functions are evaluated as one table, and their integrals share
+    the rounds of :func:`quad_stack`.
+    """
+    ys = tuple(ys)
+    if not all(isinstance(y, TestFunction) for y in ys):
+        raise DomainError("evaluate_forms expects TestFunctions")
+    table = _Table(ys)
+
+    def integrand(x, owner):
+        value, slope = table(x, owner)
+        return slope ** 2 + 2.0 * value ** 2 / x**2
+
+    reports = []
+    for y, (re_form, _) in zip(ys, quad_stack(integrand, 1.0, len(ys))):
+        im_form = y.boundary_value() ** 2
+        if re_form <= 0.0:
+            ratio = 0.0 if im_form == 0.0 else math.inf
+        else:
+            ratio = im_form / re_form
+        reports.append(FormReport(re_form=re_form, im_form=im_form, ratio=ratio))
+    return tuple(reports)
 
 
 def evaluate_form(y: TestFunction) -> FormReport:
-    """Evaluate both forms and their ratio for one test function.
-
-    re_form integrates y'^2 + 2 y^2/x^2 over [1, inf); im_form is y(1)^2.
-    """
-    if not isinstance(y, TestFunction):
-        raise DomainError("evaluate_form expects a TestFunction")
-
-    def integrand(x):
-        return y.derivative(x) ** 2 + 2.0 * y.value(x) ** 2 / x**2
-
-    re_form = quad(integrand, 1.0)[0]
-    im_form = y.boundary_value() ** 2
-    if re_form <= 0.0:
-        ratio = 0.0 if im_form == 0.0 else math.inf
-    else:
-        ratio = im_form / re_form
-    return FormReport(re_form=re_form, im_form=im_form, ratio=ratio)
+    """:func:`evaluate_forms` of the one test function y."""
+    return evaluate_forms((y,))[0]
 
 
 def form_inner(y: TestFunction, w: TestFunction) -> float:
@@ -254,8 +365,12 @@ def form_inner(y: TestFunction, w: TestFunction) -> float:
         if not isinstance(func, TestFunction):
             raise DomainError("form_inner expects TestFunctions")
 
+    table = _Table((y, w))
+    pair = np.array([0, 1])[:, None, None]
+
     def integrand(x):
-        return y.derivative(x) * w.derivative(x) + 2.0 * y.value(x) * w.value(x) / x**2
+        (y_x, w_x), (dy, dw) = table(x, pair)
+        return dy * dw + 2.0 * y_x * w_x / x**2
 
     return quad(integrand, 1.0)[0]
 
@@ -328,7 +443,7 @@ def sharpness_search(family: str = "power-plus-exp", n: int = 41) -> SharpnessRe
         params = tuple(float(c) for c in np.logspace(-1.0, 1.0, n))
         pool = [TestFunction.exp_poly((1.0,), c, label=f"exp(-{c:.4g}(x-1))") for c in params]
 
-    ratios = tuple(evaluate_form(y).ratio for y in pool)
+    ratios = tuple(rep.ratio for rep in evaluate_forms(pool))
     best = int(np.argmax(ratios))
     return SharpnessReport(
         family=family,

@@ -352,13 +352,15 @@ class _Solution:
 # than the arithmetic they do.  Each sum keeps the order of the tables.
 _SCALAR_STEP = '''\
 def _scalar_step(rhs, t, y, f, h, rtol, atol):
-    """One DOP853 step of a Python-scalar state: (y(t + h), int y dt, error norm).
+    """One DOP853 step of a Python-scalar Riccati state: (y(t + h), int y dt, error norm).
 
-    Stage s is ``y_s = y + h sum_j a_sj k_j`` and ``k_s = rhs(t + c_s h, y_s)``,
+    ``rhs`` is the pair (q, z) of ``y' = q(t) - z - y^2``.  Stage s is
+    ``y_s = y + h sum_j a_sj k_j`` and ``k_s = q(t + c_s h) - z - y_s^2``,
     stage 0 being the state y and its slope f.  The integral weighs the
     stage values with b, as a component ``w' = y`` would, and stays out of
     the error norm.
     """
+    q, z = rhs
 {stages}
     y_new = y + h * ({slope})
     integral = h * ({mean})
@@ -388,7 +390,7 @@ def _write_scalar_step():
     lines = []
     for s, (c, row) in enumerate(_ROWS, 1):
         lines.append(f"    {stage[s]} = y + h * ({dot((a, k[j]) for j, a in row)})")
-        lines.append(f"    {k[s]} = rhs(t + {c!r} * h, {stage[s]})")
+        lines.append(f"    {k[s]} = q(t + {c!r} * h) - z - {stage[s]} * {stage[s]}")
     source = _SCALAR_STEP.format(
         stages="\n".join(lines),
         slope=dot((b, k[j]) for j, b, _, _ in _FINAL),
@@ -452,8 +454,9 @@ def _dop853(rhs, t0: float, y0, stops: Sequence[float], rtol: float,
             atol: float) -> _Solution:
     """Integrate ``y' = rhs(t, y)`` from t0 through the monotone ``stops``.
 
-    The steps land exactly on each stop.  A Python scalar y0 takes
-    :func:`_scalar_step`.  An array y0 is a stack of Riccati columns
+    The steps land exactly on each stop.  A Python scalar y0 is a Riccati
+    state ``y' = q(t) - z - y^2`` and takes :func:`_scalar_step`; rhs is
+    then the pair (q, z).  An array y0 is a stack of Riccati columns
     ``y' = d (g(t) - y^2)`` and takes :func:`_array_step`; rhs is then the
     pair (g, d), g giving an array of shape ``t.shape + y0.shape``.  The
     step control is scipy's DOP853: safety 0.9, step factors within
@@ -462,10 +465,13 @@ def _dop853(rhs, t0: float, y0, stops: Sequence[float], rtol: float,
     size below ten spacings of the floats at t raises
     :class:`StiffnessError`.
     """
-    step, stage_rhs = _scalar_step, rhs
+    stage_rhs = rhs
     if isinstance(y0, np.ndarray):
         step, (forcing, d) = _array_step, rhs
         rhs = lambda t, y: d * (forcing(t) - y * y)
+    else:
+        step, (q, z) = _scalar_step, rhs
+        rhs = lambda t, y: q(t) - z - y * y
     direction = math.copysign(1.0, stops[-1] - t0)
     f = rhs(t0, y0)
     h_abs = _initial_step(rhs, t0, y0, f, abs(stops[-1] - t0), direction, rtol, atol)
@@ -617,8 +623,7 @@ def _sweep(potential: Potential, zq: list, tops: list[float],
         knots = [] if potential.grid is None else [x for x in potential.grid.tolist()
                                                    if ell < x < top]
         stops = sorted({mid, ell, *knots}, reverse=True)
-        q = potential.scalar_q
-        sol = _dop853(lambda x, u: q(x) - z - u * u, top, starts[0], stops, _RTOL, _ATOL)
+        sol = _dop853((potential.scalar_q, z), top, starts[0], stops, _RTOL, _ATOL)
         i = stops.index(mid)
         return ([(sol.y[i], sol.y[-1])],
                 [(2.0 * sol.integral[i], 2.0 * sol.integral[-1])])

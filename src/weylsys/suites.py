@@ -84,14 +84,13 @@ def moebius_checks(tol: float, seed: int, trials: int) -> list[Check]:
 def forms_checks(tol: float, seed: int, trials: int) -> list[Check]:
     """The boundary-form inequality, its equality witness and its sharpness."""
     funcs = forms.generate_test_functions(max(trials, 100), seed)
+    *reports, witness = forms.evaluate_forms(funcs + (forms.TestFunction.power(),))
     min_margin = math.inf
     max_ratio = -math.inf
-    for y in funcs:
-        rep = forms.evaluate_form(y)
+    for rep in reports:
         if rep.re_form > 0:
             min_margin = min(min_margin, (rep.re_form - rep.im_form) / rep.re_form)
         max_ratio = max(max_ratio, rep.ratio)
-    witness = forms.evaluate_form(forms.TestFunction.power())
     sharp = forms.sharpness_search("power-plus-exp", n=41)
     decay = forms.sharpness_search("exp-decay", n=21)
     ident_err = max(

@@ -11,6 +11,7 @@ from weylsys import (
     DomainError,
     TestFunction,
     evaluate_form,
+    evaluate_forms,
     form_inner,
     generate_test_functions,
     sharpness_search,
@@ -234,3 +235,142 @@ def test_quad_names_the_first_point_where_the_integrand_is_not_finite():
 def test_quad_rejects_a_non_integrable_tail():
     with pytest.raises(DivergenceError, match="did not converge"):
         forms.quad(lambda x: 1.0 / x, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the stacked quadrature: many integrands in one adaptive loop
+# ---------------------------------------------------------------------------
+
+def _stacked_energy(ys):
+    """The energy integrand of each y, as quad_stack calls it: row i is owner[i, 0]'s."""
+    energies = [_energy(y) for y in ys]
+
+    def f(x, owner):
+        return np.array([energies[j](row) for j, row in zip(owner[:, 0].tolist(), x)])
+    return f
+
+
+def _sharpness_family(family):
+    if family == "power-plus-exp":
+        return [TestFunction.mix((TestFunction.power(), TestFunction.exp_poly((1.0,), 1.0)),
+                                 (1.0, eps)) for eps in np.linspace(-0.1, 0.1, 41)]
+    return [TestFunction.exp_poly((1.0,), c) for c in np.logspace(-1.0, 1.0, 41)]
+
+
+@pytest.mark.parametrize("kind", ["generated-0", "generated-1", "power-plus-exp", "exp-decay"])
+def test_stack_agrees_with_one_at_a_time_quad_and_scipy(kind):
+    if kind.startswith("generated"):
+        ys = list(generate_test_functions(100, int(kind[-1])))
+    else:
+        ys = _sharpness_family(kind)
+    stack = forms.quad_stack(_stacked_energy(ys), 1.0, len(ys))
+    assert len(stack) == len(ys)
+    for y, (value, error), report in zip(ys, stack, evaluate_forms(ys)):
+        alone, alone_error = forms.quad(_energy(y), 1.0)
+        ref, ref_error = scipy_quad(_energy(y), 1.0, np.inf, limit=400, epsabs=1e-12,
+                                    epsrel=1e-10)
+        assert error <= max(1e-12, 1e-10 * abs(value))
+        assert abs(value - alone) <= error + alone_error, y.label
+        assert abs(value - ref) <= error + ref_error, y.label
+        # the table's integrand is the functions' own, row for row
+        assert report.re_form == value
+
+
+def test_a_hard_integrand_keeps_its_own_limit_among_easy_ones():
+    ys = list(generate_test_functions(100, 3))
+    energies = [_energy(y) for y in ys]
+    energies.insert(37, lambda x: 1.0 / x)   # not integrable on [1, inf)
+    rows = np.zeros(len(energies), dtype=int)
+
+    def f(x, owner):
+        rows[:] += np.bincount(owner[:, 0], minlength=len(energies))
+        return np.array([energies[j](row) for j, row in zip(owner[:, 0].tolist(), x)])
+
+    with pytest.raises(DivergenceError,
+                       match="quadrature of integrand 37 did not converge: .* with 400 intervals"):
+        forms.quad_stack(f, 1.0, len(energies))
+    # 1 + 2 (400 - 1) intervals evaluated: its 400, no more and no fewer
+    assert rows[37] == 799
+    # the easy integrands use intervals of their own, beyond the hard one's 400
+    assert rows.sum() - rows[37] > 400
+
+
+def test_a_stack_names_the_owner_and_the_point_where_it_is_not_finite():
+    ys = list(generate_test_functions(10, 4))
+    energies = [_energy(y) for y in ys]
+
+    def pole(x):
+        with np.errstate(divide="ignore"):
+            return 1.0 / (x - 2.0)
+
+    energies[5] = pole
+
+    def f(x, owner):
+        return np.array([energies[j](row) for j, row in zip(owner[:, 0].tolist(), x)])
+
+    with pytest.raises(DivergenceError, match=r"^integrand 5 is not finite at x = 2\.0$"):
+        forms.quad_stack(f, 1.0, len(energies))
+
+
+def test_a_stack_of_many_converges_past_one_integrand_limit():
+    ys = generate_test_functions(600, 5)
+    reports = evaluate_forms(ys)
+    assert len(reports) == 600
+    assert all(r.ratio <= 1.0 + 1e-9 for r in reports)
+    assert forms.quad_stack(_stacked_energy(()), 1.0, 0) == []
+    assert evaluate_forms(()) == ()
+
+
+def test_evaluate_form_is_the_stack_of_one():
+    ys = list(generate_test_functions(20, 6)) + [TestFunction.power()]
+    for y in ys:
+        assert evaluate_form(y) == evaluate_forms([y])[0]
+    with pytest.raises(DomainError):
+        evaluate_forms([TestFunction.power(), "1/x"])
+
+
+def _polyval_value_and_slope(y, x):
+    """y and y' at x part by part with numpy's polyval and polyder: the reference."""
+    from numpy.polynomial import polynomial as P
+
+    if y.kind == "power":
+        return 1.0 / x, -1.0 / x**2
+    if y.kind == "exp_poly":
+        u = x - 1.0
+        p = P.polyval(u, y.coefficients)
+        dp = P.polyval(u, P.polyder(y.coefficients)) if len(y.coefficients) > 1 else 0.0
+        return p * np.exp(-y.decay * u), (dp - y.decay * p) * np.exp(-y.decay * u)
+    parts = [_polyval_value_and_slope(part, x) for part in y.parts]
+    return (sum(w * v for w, (v, _) in zip(y.weights, parts)),
+            sum(w * d for w, (_, d) in zip(y.weights, parts)))
+
+
+def test_the_stacked_table_is_polyval_bit_for_bit():
+    ys = (list(generate_test_functions(200, 8)) + [TestFunction.power()]
+          + _sharpness_family("power-plus-exp") + _sharpness_family("exp-decay"))
+    table = forms._Table(ys)
+    rng = np.random.default_rng(8)
+    owner = rng.integers(0, len(ys), 500)
+    x = 1.0 + rng.exponential(3.0, (owner.size, 21))
+    values, slopes = table(x, owner[:, None])
+    for j, row, value, slope in zip(owner.tolist(), x, values, slopes):
+        ref_value, ref_slope = _polyval_value_and_slope(ys[j], row)
+        assert value.tobytes() == ref_value.tobytes()
+        assert slope.tobytes() == ref_slope.tobytes()
+
+
+def test_the_table_holds_nested_mixes_with_several_bumps():
+    # 0.5 (2/x + (1 - u) e^{-u}) - 3 u^2 e^{-2u}, with u = x - 1
+    inner = TestFunction.mix((TestFunction.power(), TestFunction.exp_poly((1.0, -1.0), 1.0)),
+                             (2.0, 1.0))
+    y = TestFunction.mix((inner, TestFunction.exp_poly((0.0, 0.0, 1.0), 2.0)), (0.5, -3.0))
+    for x in (1.0, 1.7, 4.0):
+        u = x - 1.0
+        value = 1.0 / x + 0.5 * (1 - u) * math.exp(-u) - 3.0 * u * u * math.exp(-2 * u)
+        slope = (-1.0 / x**2 + 0.5 * (u - 2.0) * math.exp(-u)
+                 - 3.0 * (2.0 * u - 2.0 * u * u) * math.exp(-2 * u))
+        assert y.value(x) == pytest.approx(value, rel=1e-14)
+        assert y.derivative(x) == pytest.approx(slope, rel=1e-14, abs=1e-15)
+    report = evaluate_form(y)
+    assert report.re_form == pytest.approx(_scipy_quad(_energy(y)), rel=1e-12)
+    assert report.im_form == pytest.approx(y.boundary_value() ** 2)

@@ -34,6 +34,14 @@ def test_import_loads_no_scipy():
     assert result.stdout.strip() == "[]"
 
 
+def test_import_loads_no_numpy_polynomial():
+    # forms evaluates its polynomials by its own Horner rule
+    result = _python("import sys, weylsys, weylsys.cli; "
+                     "print([m for m in sys.modules if m.startswith('numpy.polynomial')])")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
 def test_package_all_is_the_module_lists():
     # each module's __all__ is its public API; the package republishes them in order
     modules = [weylsys.errors, weylsys.potentials, weylsys.mfunc, weylsys.lsystem,

@@ -539,7 +539,8 @@ def test_stepper_matches_scipy_and_the_exact_solution(cs):
     # backward from t = 3, a start off the fixed point -sqrt(c) is drawn to it
     starts = [-cmath.sqrt(c) + 0.5 for c in cs]
     if len(cs) == 1:
-        sol = mfunc._dop853(lambda t, u: cs[0] - u * u, 3.0, starts[0], _STOPS,
+        # the scalar stepper takes the Riccati pair (q, z) of u' = q(t) - z - u^2
+        sol = mfunc._dop853((lambda t: cs[0], 0.0), 3.0, starts[0], _STOPS,
                             mfunc._RTOL, mfunc._ATOL)
         columns = [(sol.y, sol.integral)]
         assert all(type(u) is complex for u in sol.y)
@@ -563,9 +564,9 @@ def test_stepper_matches_scipy_and_the_exact_solution(cs):
 def test_stepper_lands_exactly_on_each_stop(y0):
     seen = []
 
-    def rhs(t, y):
+    def q(t):
         seen.append(t)
-        return math.cos(t) - 0.1 * y
+        return math.cos(t)
 
     def forcing(t):
         seen.append(t)
@@ -577,7 +578,8 @@ def test_stepper_lands_exactly_on_each_stop(y0):
         sol = mfunc._dop853(_stacked(forcing, 0.1), 5.0, y0, stops, mfunc._RTOL,
                             mfunc._ATOL)
     else:
-        sol = mfunc._dop853(rhs, 5.0, y0, stops, mfunc._RTOL, mfunc._ATOL)
+        # the scalar Riccati form y' = q(t) - z - y^2, with z = 0
+        sol = mfunc._dop853((q, 0.0), 5.0, y0, stops, mfunc._RTOL, mfunc._ATOL)
     assert len(sol.y) == len(sol.integral) == len(stops)
     assert set(stops) <= set(seen)
 
@@ -588,7 +590,7 @@ def test_stepper_raises_stiffness_error_at_the_deep_well_pole():
     zs = np.array([-100.0, -400.0])
     starts = -np.sqrt(well(30.0) - zs)
     with pytest.raises(StiffnessError, match="step size"):
-        mfunc._dop853(lambda x, u: well(x) + 100.0 - u * u, 30.0, float(starts[0]), [0.0],
+        mfunc._dop853((well, -100.0), 30.0, float(starts[0]), [0.0],
                       mfunc._RTOL, mfunc._ATOL)
     with np.errstate(all="ignore"), pytest.raises(StiffnessError, match="step size"):
         mfunc._dop853(_stacked(lambda x: (well(x) - zs).tolist()), 30.0, starts, [0.0],
@@ -605,7 +607,7 @@ def test_straight_line_step_matches_the_array_step(y0, h):
         return g(t) - u * u
 
     f = rhs(2.0, y0)
-    y, integral, err = mfunc._scalar_step(rhs, 2.0, y0, f, h, mfunc._RTOL, mfunc._ATOL)
+    y, integral, err = mfunc._scalar_step((g, 0.0), 2.0, y0, f, h, mfunc._RTOL, mfunc._ATOL)
     ys, integrals, errs = mfunc._array_step(_stacked(lambda t: [g(t)]), 2.0,
                                             np.array([y0]), np.array([f]), h,
                                             mfunc._RTOL, mfunc._ATOL)

@@ -17,6 +17,12 @@ def test_quick_start_runs_as_documented():
     ns: dict = {}
     exec(compile(blocks[0], str(README), "exec"), ns)
     assert ns["m_infinity"](ns["ev"], -1.0) == 1.5
+    assert ns["rotated"] == -2.0224634999302356
+    assert ns["m"] == 1.2071067811865475 - 0.5j
+    assert ns["v"] == -ns["m"]
+    assert ns["w"] == pytest.approx(complex(1.0 - math.sqrt(2.0), math.sqrt(2.0)), rel=1e-15)
+    assert ns["dual"].impedance_residual <= 1e-15
+    assert ns["dual"].transfer_residual <= 1e-15
     assert ns["verdict"].passed
     assert tuple(ns["angles"]) == pytest.approx((0.0, math.pi / 4.0), abs=1e-6)
     assert ns["dual"].xi == -1.0
