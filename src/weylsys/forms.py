@@ -298,7 +298,8 @@ def quad_stack(f, a: float, n: int) -> list[tuple[float, float]]:
         failed = np.flatnonzero(stuck | narrowed)
         if failed.size:
             i = failed[0]
-            where = f"with {_LIMIT} intervals" if stuck[i] else "on an interval at the float spacing"
+            where = (f"with {_LIMIT} intervals" if stuck[i]
+                     else "on an interval at the float spacing")
             of = "" if n == 1 else f" of integrand {owner[starts[i]]}"
             raise DivergenceError(
                 f"quadrature{of} did not converge: error {errors[i]:.3g} above "

