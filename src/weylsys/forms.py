@@ -7,10 +7,12 @@ sharp: y = 1/x achieves equality, and the reported ratio im_form/re_form
 never exceeds 1.  Every test function is analytic in closed form, so the
 module runs on numpy alone.
 
-The forms of many test functions are integrated together: their functions
-become one table of coefficients, and one adaptive Gauss-Kronrod loop
-refines every integral, with one vectorised call of the integrand per
-round over the new intervals of all of them (:func:`evaluate_forms`).
+A test function is a flat row: the weight of 1/x and its exponential-
+polynomial bumps.  The forms of many test functions are integrated
+together: their rows become one table, and one adaptive Gauss-Kronrod loop
+refines every integral, with one vectorised call of the integrand per round
+over the new intervals of all of them (:func:`evaluate_forms`).  Each value
+is the same as in a stack of its own.
 """
 
 from __future__ import annotations
@@ -35,66 +37,62 @@ __all__ = [
     "sharpness_search",
 ]
 
+_ELL = 1.0    # the left end of the half-line
 _SPAN = 0.1   # the power-plus-exp scan's eps runs over [-_SPAN, _SPAN]
+
+
+def _form(x, y, dy, w, dw):
+    """The integrand y' w' + q y w of the form, with q = 2/x^2."""
+    return dy * dw + 2.0 * y * w / x**2
 
 
 @dataclass(frozen=True)
 class TestFunction:
-    """A smooth real test function on [1, inf) with a closed-form derivative.
+    """A smooth real test function ``a/x + sum_t b_t p_t(x-1) e^{-d_t (x-1)}`` on [1, inf).
 
-    Kinds: "power" is 1/x; "exp_poly" is p(x-1) e^{-decay (x-1)} with
-    polynomial coefficients in ascending order; "mix" is a finite real
-    linear combination of test functions.
+    ``reciprocal`` is the weight a of 1/x, and each bump of ``bumps`` is
+    (weight b_t, ascending polynomial coefficients p_t, decay d_t).  Build
+    one with :meth:`power` (1/x), :meth:`exp_poly` (one bump) or
+    :meth:`mix` (a finite real linear combination).
     """
 
     __test__ = False  # not a test case, despite the name
 
-    kind: str
-    coefficients: tuple[float, ...] = ()
-    decay: float = 1.0
-    parts: tuple["TestFunction", ...] = ()
-    weights: tuple[float, ...] = ()
+    reciprocal: float = 0.0
+    bumps: tuple[tuple[float, tuple[float, ...], float], ...] = ()
     label: str = ""
 
     def __post_init__(self):
-        if self.kind == "power":
-            pass
-        elif self.kind == "exp_poly":
-            if not self.coefficients:
+        if not all(math.isfinite(w) for w in (self.reciprocal, *(b for b, _, _ in self.bumps))):
+            raise DomainError("test-function weights must be finite")
+        for _, coefficients, decay in self.bumps:
+            if not coefficients:
                 raise DomainError("exp_poly needs at least one polynomial coefficient")
-            if not all(math.isfinite(c) for c in self.coefficients):
+            if not all(math.isfinite(c) for c in coefficients):
                 raise DomainError("exp_poly coefficients must be finite")
-            if not (math.isfinite(self.decay) and self.decay > 0.0):
+            if not (math.isfinite(decay) and decay > 0.0):
                 raise DomainError(
-                    f"exp_poly decay must be positive (integrable tail), got {self.decay}"
-                )
-        elif self.kind == "mix":
-            if not self.parts or len(self.parts) != len(self.weights):
-                raise DomainError("mix needs matching nonempty parts and weights")
-            if not all(math.isfinite(w) for w in self.weights):
-                raise DomainError("mix weights must be finite")
-        else:
-            raise DomainError(f"unknown test-function kind: {self.kind!r}")
+                    f"exp_poly decay must be positive (integrable tail), got {decay}")
 
     @classmethod
     def power(cls, label: str = "1/x") -> "TestFunction":
-        return cls(kind="power", label=label)
+        return cls(reciprocal=1.0, label=label)
 
     @classmethod
     def exp_poly(cls, coefficients, decay: float = 1.0, label: str = "") -> "TestFunction":
-        return cls(
-            kind="exp_poly",
-            coefficients=tuple(float(c) for c in coefficients),
-            decay=float(decay),
-            label=label,
-        )
+        return cls(bumps=((1.0, tuple(float(c) for c in coefficients), float(decay)),),
+                   label=label)
 
     @classmethod
     def mix(cls, parts, weights, label: str = "") -> "TestFunction":
+        parts, weights = tuple(parts), tuple(float(w) for w in weights)
+        if (not parts or len(parts) != len(weights)
+                or not all(isinstance(part, TestFunction) for part in parts)):
+            raise DomainError("mix needs matching nonempty TestFunction parts and weights")
         return cls(
-            kind="mix",
-            parts=tuple(parts),
-            weights=tuple(float(w) for w in weights),
+            reciprocal=sum(w * part.reciprocal for w, part in zip(weights, parts)),
+            bumps=tuple((w * b, c, d) for w, part in zip(weights, parts)
+                        for b, c, d in part.bumps),
             label=label,
         )
 
@@ -109,25 +107,7 @@ class TestFunction:
         return self._table(np.asarray(x, dtype=float), 0)[1]
 
     def boundary_value(self) -> float:
-        if self.kind == "power":
-            return 1.0
-        if self.kind == "exp_poly":
-            return float(self.coefficients[0])
-        return float(sum(w * part.boundary_value() for w, part in zip(self.weights, self.parts)))
-
-
-def _terms(y: TestFunction, weight: float = 1.0):
-    """(weight of 1/x, [(weight, coefficients, decay) of each exp_poly part]) of y."""
-    if y.kind == "power":
-        return weight, []
-    if y.kind == "exp_poly":
-        return 0.0, [(weight, y.coefficients, y.decay)]
-    power, bumps = 0.0, []
-    for w, part in zip(y.weights, y.parts):
-        part_power, part_bumps = _terms(part, weight * w)
-        power += part_power
-        bumps += part_bumps
-    return power, bumps
+        return self.reciprocal + sum(b * c[0] for b, c, _ in self.bumps)
 
 
 def _horner(c, u):
@@ -141,34 +121,32 @@ def _horner(c, u):
 class _Table:
     """Test functions ``y_j = a_j / x + sum_t b_jt p_jt(x - 1) e^{-d_jt (x - 1)}`` as arrays.
 
-    Row j holds the weight a_j of 1/x and, for each exp_poly part t, its
-    weight b_jt, decay d_jt and coefficients, padded with zeros to the
-    longest part and with zero parts to the most parts; the derivative
-    coefficients are formed once.  For a function of at most one power and
-    one exp_poly part, the values are bit-identical to numpy's polyval and
-    polyder evaluated part by part.
+    Row j holds the weight a_j of 1/x and, for each bump t, its weight
+    b_jt, decay d_jt and coefficients, padded with zeros to the longest
+    bump and with zero bumps to the most bumps; the derivative coefficients
+    are formed once.  The values are bit-identical to numpy's polyval and
+    polyder evaluated bump by bump.
     """
 
     def __init__(self, ys):
-        terms = [_terms(y) for y in ys]
-        parts = max([1, *(len(bumps) for _, bumps in terms)])
-        degree = max([1, *(len(c) for _, bumps in terms for _, c, _ in bumps)])
-        self.power = np.array([power for power, _ in terms])
-        self.weight = np.zeros((len(terms), parts))
-        self.decay = np.ones((len(terms), parts))
-        self.coefficients = np.zeros((len(terms), parts, degree))
-        for j, (_, bumps) in enumerate(terms):
-            for t, (w, c, d) in enumerate(bumps):
-                self.weight[j, t], self.decay[j, t] = w, d
+        bumps = max([1, *(len(y.bumps) for y in ys)])
+        degree = max([1, *(len(c) for y in ys for _, c, _ in y.bumps)])
+        self.reciprocal = np.array([y.reciprocal for y in ys])
+        self.weight = np.zeros((len(ys), bumps))
+        self.decay = np.ones((len(ys), bumps))
+        self.coefficients = np.zeros((len(ys), bumps, degree))
+        for j, y in enumerate(ys):
+            for t, (b, c, d) in enumerate(y.bumps):
+                self.weight[j, t], self.decay[j, t] = b, d
                 self.coefficients[j, t, :len(c)] = c
         self.slopes = np.zeros_like(self.coefficients)
         self.slopes[..., :-1] = np.arange(1, degree) * self.coefficients[..., 1:]
 
     def __call__(self, x, owner):
         """(y, y') at x of the functions ``owner``, an index that broadcasts against x."""
-        a = self.power[owner]
+        a = self.reciprocal[owner]
         value, slope = a * (1.0 / x), a * (-1.0 / x**2)
-        u = x - 1.0
+        u = x - _ELL
         weight, decay = self.weight[owner], self.decay[owner]
         coefficients, slopes = self.coefficients[owner], self.slopes[owner]
         for t in range(weight.shape[-1]):
@@ -217,18 +195,20 @@ def _gk21(g, lo: np.ndarray, hi: np.ndarray, rows: np.ndarray) -> tuple[np.ndarr
     """(integral, error estimate) on each interval [lo_i, hi_i], in one call of g.
 
     ``g(t, rows)`` returns the integrand of ``rows[i]`` at the nodes ``t[i]``
-    of interval i.  The error estimate is the Kronrod-Gauss difference,
-    floored at 50 eps times the integral of |f| as in qk21.  qk21 also
-    shrinks the difference by ``(200 d / spread)^1.5``; that accepted a
-    3.7e-12 relative error on exp(-2.8 (x - 1)), where the plain difference
-    kept every exp(-c (x - 1)), c in [0.1, 10], within 6e-15.
+    of interval i.  Each row is summed in a fixed order: a matrix product
+    would round a row differently with the number of rows.  The error
+    estimate is the Kronrod-Gauss difference, floored at 50 eps times the
+    integral of |f| as in qk21.  qk21 also shrinks the difference by
+    ``(200 d / spread)^1.5``; that accepted a 3.7e-12 relative error on
+    exp(-2.8 (x - 1)), where the plain difference kept every
+    exp(-c (x - 1)), c in [0.1, 10], within 6e-15.
     """
     centre = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     fx = g(centre[:, None] + half[:, None] * _NODES, rows)
-    kronrod = fx @ _KRONROD
-    err = np.abs((kronrod - fx @ _GAUSS) * half)
-    err = np.maximum(err, 50.0 * _EPS * (np.abs(fx) @ _KRONROD) * np.abs(half))
+    kronrod = (fx * _KRONROD).sum(axis=1)
+    err = np.abs((kronrod - (fx * _GAUSS).sum(axis=1)) * half)
+    err = np.maximum(err, 50.0 * _EPS * (np.abs(fx) * _KRONROD).sum(axis=1) * np.abs(half))
     return kronrod * half, err
 
 
@@ -255,7 +235,8 @@ def quad_stack(f, a: float, n: int) -> list[tuple[float, float]]:
 
     def g(t, rows):
         x = a + t / (1.0 - t)
-        fx = f(x, rows[:, None]) / (1.0 - t) ** 2
+        with np.errstate(over="ignore", invalid="ignore"):   # checked just below
+            fx = f(x, rows[:, None]) / (1.0 - t) ** 2
         bad = ~np.isfinite(fx)
         if bad.any():
             i, k = np.argwhere(bad)[0]
@@ -337,10 +318,10 @@ def evaluate_forms(ys) -> tuple[FormReport, ...]:
 
     def integrand(x, owner):
         value, slope = table(x, owner)
-        return slope ** 2 + 2.0 * value ** 2 / x**2
+        return _form(x, value, slope, value, slope)
 
     reports = []
-    for y, (re_form, _) in zip(ys, quad_stack(integrand, 1.0, len(ys))):
+    for y, (re_form, _) in zip(ys, quad_stack(integrand, _ELL, len(ys))):
         im_form = y.boundary_value() ** 2
         if re_form <= 0.0:
             ratio = 0.0 if im_form == 0.0 else math.inf
@@ -362,18 +343,17 @@ def form_inner(y: TestFunction, w: TestFunction) -> float:
     the restriction of this pairing, which is why the inequality is sharp
     exactly on multiples of 1/x.
     """
-    for func in (y, w):
-        if not isinstance(func, TestFunction):
-            raise DomainError("form_inner expects TestFunctions")
+    if not (isinstance(y, TestFunction) and isinstance(w, TestFunction)):
+        raise DomainError("form_inner expects TestFunctions")
 
     table = _Table((y, w))
     pair = np.array([0, 1])[:, None, None]
 
     def integrand(x):
         (y_x, w_x), (dy, dw) = table(x, pair)
-        return dy * dw + 2.0 * y_x * w_x / x**2
+        return _form(x, y_x, dy, w_x, dw)
 
-    return quad(integrand, 1.0)[0]
+    return quad(integrand, _ELL)[0]
 
 
 def generate_test_functions(n: int, seed: int = 0) -> tuple[TestFunction, ...]:

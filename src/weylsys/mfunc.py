@@ -57,6 +57,10 @@ about the next WKB term, ``5 q'^2/(32 k^5) - q''/(8 k^3)``.
   measured inside [ell, X] cannot see a kink of q beyond X, such as the
   end of a table.  When no halving is predicted to pass, the distance
   doubles while the test is predicted to fail.
+* Range.  Past ``|z| = 1e26`` m ~ sqrt|z| passes 1e13 and would read as a
+  pole to :func:`safe_div`, and within 2048 float spacings of ell the
+  lowest truncation's midpoint may round to ell, leaving q' no difference
+  step; either raises :class:`DomainError`, naming z, before any solve.
 * One DOP853 sweep per truncation also sums ``w = int 2u`` from its stage
   values and steps exactly onto the midpoint ``X/2 = ell + (X - ell)/2``,
   where it records u and w.  The start error of the X/2 truncation,
@@ -233,6 +237,7 @@ _DIVERGENCE_GUARD = 1e12      # a limit sample beyond this reads as divergent
 _INTEGRATION_ERROR = 300.0    # global DOP853 error of a sweep, in _RTOL |u(ell)| + _ATOL
 _GAP_FLOOR = 1e-10            # the gap test passes below max(_GAP_FLOOR, tol |m|)
 _DIFF_STEP = 1e-4             # central-difference step of q' and q'', in units of x - ell
+_Z_MAX = 1e26                 # beyond it m ~ sqrt|z| passes 1e13, a pole to safe_div
 
 
 def check_tol(tol: float) -> None:
@@ -570,7 +575,8 @@ def _first_distance(potential: Potential, z: complex, tol: float,
     at X/2 damped by the exponent over [ell, X/2].  Off the axis, on a
     Bessel potential (the free one among them), the distance halves while
     that prediction passes for the halved truncation, down to the ladder's
-    lowest rung.  Then it doubles while the prediction fails.
+    lowest rung.  Then it doubles while the prediction fails.  Out of the
+    numeric range (module docstring) it raises DomainError.
     """
     ell = potential.ell
     # X - ell contracts a start error by tol (module docstring); so close to
@@ -580,6 +586,13 @@ def _first_distance(potential: Potential, z: complex, tol: float,
     if z.imag == 0.0:
         while potential(ell + dist) - z.real <= 0 and ell + 2.0 * dist <= x_max:
             dist *= 2.0
+    # dist/4096 above half a float spacing keeps the lowest midpoint, dist/1024, off ell
+    huge = abs(z) > _Z_MAX
+    if huge or ell + dist / 4096.0 == ell:
+        why = (f"|z| > {_Z_MAX:g}, where m ~ sqrt|z| reads as a pole" if huge
+               else f"at tol = {tol:g} the first truncation X - ell = {dist:.3g} lies "
+               f"within 2048 float spacings of ell = {ell:g}")
+        raise DomainError(f"z = {z} is out of the numeric range: {why}")
     xs, exponents, k_ell = _wkb_ladder(potential, z, dist, x_max)
     if z.imag != 0.0 and exponents[-1] < target:
         raise ConvergenceError(

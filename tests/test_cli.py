@@ -202,6 +202,13 @@ def test_m_eval_solver_error_record(capsys):
     assert doc["error"]["type"] == "DomainError"
 
 
+def test_m_eval_huge_z_is_a_solver_error(capsys):
+    code, doc, err = run_json(capsys, "m-eval", "--z=-1e300", "--mode", "numeric")
+    assert code == 3 and err == ""
+    assert doc["error"]["type"] == "DomainError"
+    assert "out of the numeric range" in doc["error"]["message"]
+
+
 def test_m_eval_near_axis_is_a_solver_error(capsys):
     # at Im z = 1e-9 the backward Riccati flow cannot contract within X_max
     code, doc, _ = run_json(capsys, "m-eval", "--z", "5+1e-9i", "--mode", "numeric")

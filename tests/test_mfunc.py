@@ -788,6 +788,31 @@ def test_riccati_constant_potential_oracle():
     assert m_infinity(ev, -30.0).real == pytest.approx(math.sqrt(55.0), rel=1e-8)
 
 
+@pytest.mark.parametrize("pot", [Potential.bessel(1.5, 1.0), Potential.free()],
+                         ids=["bessel", "free"])
+@pytest.mark.parametrize("z", [-1e28, -1e34, -1e300, 1e30j, -1e300 + 1j])
+def test_huge_z_is_a_domain_error_that_names_z(pot, z):
+    # m ~ sqrt|z| would pass safe_div's pole test, and at ell = 1 the
+    # truncation ell + dist rounds to ell
+    ev = MFunctionEvaluator(pot, mode="numeric")
+    with pytest.raises(DomainError, match=r"out of the numeric range: \|z\| > 1e\+26") as info:
+        m_infinity(ev, z)
+    assert f"z = {complex(z)} " in str(info.value)
+    batch = m_infinity_batch(ev, [1j, z])
+    assert batch[0].value == pytest.approx(m_infinity(ev, 1j))
+    with pytest.raises(DomainError, match="out of the numeric range"):
+        batch[1]
+
+
+def test_a_truncation_at_the_float_spacing_of_ell_is_a_domain_error():
+    # at tol = 0.9 the first truncation at ell = 1e4 is a few float spacings
+    ev = MFunctionEvaluator(Potential.bessel(1.5, 1e4), mode="numeric", tol=0.9)
+    with pytest.raises(DomainError, match="2048 float spacings"):
+        m_infinity(ev, 1e16j)
+    assert m_infinity(MFunctionEvaluator(Potential.bessel(1.5, 1e4), mode="numeric"),
+                      1e16j) == pytest.approx(half_integer_bessel_m(1.5, 1e4, 1e16j), rel=1e-12)
+
+
 def test_positive_real_axis_is_rejected():
     for z in (0.0, 1.0, 2.5):
         with pytest.raises(DomainError):
