@@ -25,12 +25,16 @@ Every z off [0, inf) takes one route: backward integration of the Riccati
 equation ``u' = q - z - u^2`` for ``u = psi'/psi``, so that
 ``m_inf = -u(ell)``.  Off the real axis psi has no zero on [ell, inf) (a
 zero would be a Dirichlet eigenfunction with a non-real eigenvalue), so u
-has no pole, and it does not oscillate.  The sweep starts at the
-second-order WKB value ``u(X) = -k - q'(X)/(4 k^2)`` with ``k = sqrt(q(X) - z)``
-(the root with positive real part), q' a central difference; the backward
-flow attracts the decaying solution at the rate ``2 Re k``, while forward
-integration would be exponentially unstable.  What the start misses is
-about the next WKB term, ``5 q'^2/(32 k^5) - q''/(8 k^3)``.
+has no pole, and it does not oscillate.  The sweep starts at the WKB
+(Liouville-Green) series through its third correction,
+``u(X) = -k + u1 + u2 + u3`` with ``k = sqrt(q(X) - z)`` (the root with
+positive real part), ``u1 = -q'/(4 k^2)``, ``u2 = 5 q'^2/(32 k^5) - q''/(8 k^3)``
+and ``u3 = (u2' + 2 u1 u2)/(2k)`` (:func:`_wkb_start`); q', q'' and q''' are
+differences over five potential values.  The backward flow attracts the
+decaying solution at the rate ``2 Re k``, while forward integration would
+be exponentially unstable.  What the start misses is about the next term
+u4; the truncation below predicts it by the last term kept, |u3|, which
+overestimates it where the terms fall.
 
 * Truncation.  A start error shrinks like ``exp(-2 kappa (X - ell))`` with
   the decay rate ``kappa = Im sqrt_upper(z)``, which is ``sqrt|z|`` on the
@@ -44,7 +48,7 @@ about the next WKB term, ``5 q'^2/(32 k^5) - q''/(8 k^3)``.
   potential value per rung.  Off the axis, an exponent below ``ln(1/tol)``
   means that the flow cannot contract enough (limit-circle behavior, or z
   too close to [0, inf)), and :class:`ConvergenceError` is raised at once.
-  The gap test below is predicted to pass when the next WKB term at X/2,
+  The gap test below is predicted to pass when the start's |u3| at X/2,
   damped by the exponent over [ell, X/2], is at most
   ``max(1e-10, tol |sqrt(q(ell) - z)|)``.  Off the axis, for a potential
   whose q is analytic on [ell, inf) (the Bessel kind, the free potential
@@ -181,8 +185,8 @@ def bessel_neg_m_alpha_closed_form(alpha: float, z: complex) -> complex:
     p = w - 1j * z + 1j          # = m_inf * (sqrt(z) + i)
     r = w + 1j
     sa, ca = _alpha_data(alpha)
-    return safe_div(p * ca + r * sa, p * sa - r * ca, z=z,
-                    what="closed-form -m_alpha")
+    return safe_div(p * ca + r * sa, p * sa - r * ca, z=z, what="closed-form -m_alpha",
+                    scale=abs(p * sa) + abs(r * ca))
 
 
 def bessel_w_closed_form(z: complex) -> complex:
@@ -193,17 +197,20 @@ def bessel_w_closed_form(z: complex) -> complex:
     w = sqrt_upper(z)
     num = (1 - 1j) * w - 1j * z + 1 + 1j
     den = (1 + 1j) * w - 1j * z - 1 + 1j
-    return safe_div(num, den, z=z, what="closed-form transfer function")
+    return safe_div(num, den, z=z, what="closed-form transfer function",
+                    scale=abs((1 + 1j) * w) + abs(z) + abs(-1 + 1j))
 
 
 def safe_div(num: complex, den: complex, z: complex | None = None,
-             what: str = "expression") -> complex:
+             what: str = "expression", scale: float | None = None) -> complex:
     """Division that raises :class:`PoleError` near vanishing denominators.
 
-    The threshold is ``1e-13 * max(1, |num|)`` (relative to the numerator
-    scale) so huge finite values are never fabricated next to a pole.
+    The threshold is ``1e-13 * max(1, scale)``.  ``scale`` is the size of the
+    terms that form ``den``, so that a large quotient over a denominator far
+    from 0 is not read as a pole; it defaults to ``|num|``, which keeps huge
+    finite values from being fabricated next to a pole.
     """
-    if abs(den) < 1e-13 * max(1.0, abs(num)):
+    if abs(den) < 1e-13 * max(1.0, abs(num) if scale is None else scale):
         loc = f" at z = {z}" if z is not None else ""
         raise PoleError(f"denominator of {what} vanishes{loc}", z=z)
     return num / den
@@ -236,7 +243,7 @@ _PLATEAU_TOL = 1e-10          # relative plateau of an extrapolated sequence
 _DIVERGENCE_GUARD = 1e12      # a limit sample beyond this reads as divergent
 _INTEGRATION_ERROR = 300.0    # global DOP853 error of a sweep, in _RTOL |u(ell)| + _ATOL
 _GAP_FLOOR = 1e-10            # the gap test passes below max(_GAP_FLOOR, tol |m|)
-_DIFF_STEP = 1e-4             # central-difference step of q' and q'', in units of x - ell
+_DIFF_STEP = 1e-4             # difference step of q', q'' and q''', in units of x - ell
 _Z_MAX = 1e26                 # beyond it m ~ sqrt|z| passes 1e13, a pole to safe_div
 
 
@@ -524,24 +531,34 @@ solve_ivp = _dop853
 # ---------------------------------------------------------------------------
 
 def _wkb_start(potential: Potential, x: float, z: complex) -> tuple[complex, complex, float]:
-    """(q(x) - z, the second-order WKB start u(x), the size of the next WKB term).
+    """(q(x) - z, the WKB start u(x) through its third correction, |u3|).
 
     With ``k = sqrt(q - z)``, Re k > 0, the decaying solution of
-    ``u' = q - z - u^2`` is ``u = -k - q'/(4 k^2) + v`` with the next term
-    ``v = 5 q'^2/(32 k^5) - q''/(8 k^3)``.  q' and q'' are central
-    differences with the step ``_DIFF_STEP (x - ell)``, so no sample falls
-    below ell.
+    ``u' = q - z - u^2`` is the Liouville-Green series
+    ``u = -k + u1 + u2 + u3 + ...`` (Olver, Asymptotics and Special
+    Functions, ch. 6), each term ``(u_{n-1}' + sum_{i+j=n} u_i u_j)/(2k)``:
+    ``u1 = -q'/(4 k^2)``, ``u2 = 5 q'^2/(32 k^5) - q''/(8 k^3)`` and
+    ``u3 = (u2' + 2 u1 u2)/(2k)``.  Where the terms fall, the last term
+    kept, |u3|, overestimates the start error, which is about |u4|.  q' and
+    q'' are central differences with the step ``h = _DIFF_STEP (x - ell)``
+    and q''' the five-point difference over x +- h, x +- 2h, so no sample
+    falls below ell.
     """
     h = _DIFF_STEP * (x - potential.ell)
-    below, q, above = potential(x - h), potential(x), potential(x + h)
+    below2, below, q, above, above2 = (potential(x + j * h) for j in (-2, -1, 0, 1, 2))
     dq = (above - below) / (2.0 * h)
     ddq = (above - 2.0 * q + below) / (h * h)
+    dddq = (above2 - 2.0 * above + 2.0 * below - below2) / (2.0 * h ** 3)
     s = q - z
     if s == 0:      # a turning point has no WKB value; the real axis rejects it
         return s, 0j, math.inf
     k = cmath.sqrt(s)
     k2 = k * k
-    return s, -k - dq / (4.0 * k2), abs((5.0 * dq * dq / (32.0 * k2) - ddq / 8.0) / (k2 * k))
+    u1 = -dq / (4.0 * k2)
+    u2 = (5.0 * dq * dq / (32.0 * k2) - ddq / 8.0) / (k2 * k)
+    du2 = (-dddq / 8.0 + (dq * ddq / 2.0 - 25.0 * dq ** 3 / (64.0 * k2)) / k2) / (k2 * k)
+    u3 = (du2 + 2.0 * u1 * u2) / (2.0 * k)
+    return s, -k + u1 + u2 + u3, abs(u3)
 
 
 def _wkb_ladder(potential: Potential, z: complex, dist: float,
@@ -571,12 +588,13 @@ def _first_distance(potential: Potential, z: complex, tol: float,
 
     The contraction distance, doubled on the real axis while q(X) - z <= 0
     there, and off it checked against the WKB exponent up to x_max, before
-    any solve.  The gap test's X/2 term is predicted from the next WKB term
-    at X/2 damped by the exponent over [ell, X/2].  Off the axis, on a
-    Bessel potential (the free one among them), the distance halves while
-    that prediction passes for the halved truncation, down to the ladder's
-    lowest rung.  Then it doubles while the prediction fails.  Out of the
-    numeric range (module docstring) it raises DomainError.
+    any solve.  The gap test's X/2 term is predicted from the start's last
+    kept term |u3| at X/2 (:func:`_wkb_start`), damped by the exponent over
+    [ell, X/2].  Off the axis, on a Bessel potential (the free one among
+    them), the distance halves while that prediction passes for the halved
+    truncation, down to the ladder's lowest rung.  Then it doubles while the
+    prediction fails.  Out of the numeric range (module docstring) it raises
+    DomainError.
     """
     ell = potential.ell
     # X - ell contracts a start error by tol (module docstring); so close to

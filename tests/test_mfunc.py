@@ -145,6 +145,18 @@ def test_transfer_closed_form_is_unimodular_on_the_negative_axis():
         assert abs(bessel_w_closed_form(x)) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("z", [-1e27, -1e28, -1e30, 1e30j])
+def test_a_large_closed_form_value_is_not_a_pole(z):
+    # -m_pi = -m_inf is about -sqrt|z|, past 1e13, over a denominator
+    # sqrt(z) + i far from 0; a pole is a denominator small beside its terms
+    expected = -bessel_m_closed_form(z)
+    assert abs(bessel_neg_m_alpha_closed_form(math.pi, z) - expected) <= 1e-12 * abs(expected)
+    assert bessel_w_closed_form(z) == pytest.approx(1.0, rel=1e-12)
+    # m_inf(-1) = 3/2, so -m_alpha has a pole at -1 where cot(alpha) = 3/2
+    with pytest.raises(PoleError):
+        bessel_neg_m_alpha_closed_form(math.atan2(2.0, 3.0), -1.0)
+
+
 # ---------------------------------------------------------------------------
 # off the real axis
 # ---------------------------------------------------------------------------
@@ -209,12 +221,44 @@ def test_riccati_start_is_the_decaying_fixed_point(z):
 @pytest.mark.parametrize("nu", [1.5, 2.5])
 def test_wkb_start_is_second_order(nu, x, z):
     # u = psi'/psi at x is -m of the same potential on [x, inf); the start
-    # -k - q'/(4 k^2) halves the error of -k at least, and the next WKB term
-    # estimates what is left
+    # halves the error of -k at least, and its last kept term |u3| estimates
+    # what is left
     exact = -half_integer_bessel_m(nu, x, z)
     s, start, next_term = mfunc._wkb_start(Potential.bessel(nu, 1.0), x, z)
     assert abs(start - exact) < 0.5 * abs(-cmath.sqrt(s) - exact)
     assert abs(start - exact) <= 1.25 * next_term
+
+
+def test_wkb_start_against_the_exact_riccati_solution():
+    # the series terms from the exact derivatives of q = c/x^2; where they
+    # fall, the third-order start is no farther from u than -k + u1, and
+    # where |u3| is small, |u3| bounds the start's error
+    zs = [1j, 5.0 + 0.1j, -5.0 + 0.1j, 100.0 + 1j, 1000.0 + 1j, 1e4 + 1j, 2.0 - 0.5j,
+          -0.01, -1.0, -100.0, -1e4]
+    falling = small = 0
+    for nu in (0.5, 1.5, 2.5, 3.5, 4.5, 9.5):
+        c = nu * nu - 0.25
+        for ell in (0.25, 1.0, 3.0):
+            pot = Potential.bessel(nu, ell)
+            for x in np.geomspace(ell + 0.5, 300.0, 6).tolist():
+                dq, ddq, dddq = -2.0 * c / x**3, 6.0 * c / x**4, -24.0 * c / x**5
+                for z in zs:
+                    u = -half_integer_bessel_m(nu, x, z)
+                    _, start, last_term = mfunc._wkb_start(pot, x, z)
+                    k = cmath.sqrt(c / x**2 - z)
+                    u1 = -dq / (4.0 * k**2)
+                    u2 = 5.0 * dq**2 / (32.0 * k**5) - ddq / (8.0 * k**3)
+                    du2 = (-dddq / (8.0 * k**3) + dq * ddq / (2.0 * k**5)
+                           - 25.0 * dq**3 / (64.0 * k**7))
+                    u3 = (du2 + 2.0 * u1 * u2) / (2.0 * k)
+                    error = abs(start - u)
+                    if abs(u3) < abs(u2) < abs(u1):
+                        falling += 1
+                        assert error <= abs(-k + u1 - u) + 1e-14 * abs(u), (nu, ell, x, z)
+                    if last_term <= 1e-8 * abs(u):
+                        small += 1
+                        assert error <= last_term + 1e-14 * abs(u), (nu, ell, x, z)
+    assert falling >= 900 and small >= 700
 
 
 def _counting_stepper(monkeypatch):
@@ -257,6 +301,19 @@ def test_high_energy_points_stack_with_the_default_grid(monkeypatch):
         assert abs(info.value - bessel_m_closed_form(z)) <= info.error_bound
 
 
+def test_classify_batch_takes_one_sweep(monkeypatch):
+    # the classify grid and both limit ladders: the third-order start sizes
+    # every first truncation to pass its gap test, so no column is swept
+    # twice (the first-order start took 4,771 RHS calls in two sweeps)
+    zs = (list(NAMED_GRIDS["classify-default"]) + list(mfunc.MINUS_ZERO_LADDER)
+          + list(mfunc.MINUS_INFINITY_LADDER))
+    nfev = _counting_stepper(monkeypatch)
+    batch = m_infinity_batch(NUMERIC, zs)
+    assert len(nfev) == 1 and nfev[0] <= 3_500
+    for z, info in zip(zs, batch):
+        assert abs(info.value - bessel_m_closed_form(z)) <= info.error_bound
+
+
 def test_only_an_analytic_potential_shrinks_its_first_x():
     # the gap test cannot see a feature of q beyond X, so an expression
     # keeps the contraction distance that the Bessel kind shrinks below
@@ -272,12 +329,13 @@ def test_only_an_analytic_potential_shrinks_its_first_x():
 def test_negative_axis_truncations_do_not_shrink():
     # the shrink applies off the real axis only, so the default grid's
     # negative reals and -1e4 (where a shrink would cut X - ell to 0.0058)
-    # keep the truncations they had without it, bit for bit
+    # keep their contraction distance ell + ln(1/tol)/(2 sqrt|z|), bit for
+    # bit: the third-order WKB start passes the gap test there at once
     zs = list(NAMED_GRIDS["default"]) + [-1e4]
     batch = m_infinity_batch(NUMERIC, zs)
     assert [info.truncation_X for z, info in zip(zs, batch) if z.imag == 0.0] == [
-        292.2565360084721, 93.10340371976183, 30.125653600847205, 19.420680743952367,
-        6.825130720169441, 1.9210340371976184, 1.092103403719762]
+        292.2565360084721, 93.10340371976183, 30.125653600847205, 10.210340371976184,
+        3.9125653600847206, 1.9210340371976184, 1.092103403719762]
 
 
 def test_first_sweep_is_rarely_thrown_away(monkeypatch):
