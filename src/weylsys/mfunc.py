@@ -84,33 +84,38 @@ overestimates it where the terms fall.
 Stepper
 -------
 The sweeps use the module's own DOP853 stepper, :func:`_dop853`, with the
-coefficients of Hairer and Wanner's dop853.f (Solving ODEs I, II.10) and the
-step control of scipy's DOP853.  A sweep of one z runs in x with a Python
-scalar state: its step is straight-line code, written out from the same
-tableau at import, and its right-hand side calls the potential's
-``scalar_q``, built once per potential.  For a sampled potential
-it also stops on every spline knot between X and ell, so no step crosses a
-jump of the third derivative of q (of the first, at the last knot), which
-the error estimate does not see.  The error norm reads u only, never w.
+coefficients of Hairer and Wanner's dop853.f (Solving ODEs I, II.10) and
+the step control of scipy's DOP853.  A sweep of one z runs in x with a
+Python scalar state: its step is straight-line code, written out from the
+same tableau at import, and its right-hand side calls the potential's
+``scalar_q``, built once per potential.  For a sampled potential it also
+stops on every spline knot between X and ell, so no step crosses a jump of
+the third derivative of q (of the first, at the last knot), which the error
+estimate does not see.  The error norm reads u only, never w.  A step's
+stage 11 lies at its end, so its forcing gives the next slope, and a
+sweep's ``nfev`` is 2 plus 11 per step attempt.
 
 Stacked sweep
 -------------
 :func:`m_infinity_batch` solves many z in one stepper call.  Column j
-integrates u_j in ``s = (x - ell) / (X_j - ell)`` from 1 to 0, so it keeps
+integrates in ``s = (x - ell) / (X_j - ell)`` from 1 to 0, so it keeps
 its own truncation X_j, midpoint s = 1/2, gap test and ``error_bound``
 exactly as above, and only the columns whose gap fails are doubled and
-swept again.  The stages are (12, N) arrays, and the error norm of a step
-is the largest of the columns' own norms at ``_RTOL`` and ``_ATOL``, so each
-column has exactly the local error control of a sweep of its own.  The
-forcing ``q - z`` does not depend on u, so a step evaluates q once, at its
-11 stage abscissae together; the values are bit-identical to a step that
-calls q at each stage.  One
-column keeps the scalar sweep in x; a sampled potential sweeps its columns
-one at a time, since its knots fall at a different s in each.  A z whose
-evaluation fails keeps its own error, raised when its entry is read; if a
-stacked sweep fails, its columns are solved again one by one, so each error
-names its z.  The steps of a stacked sweep are shared, so a z's last digits
-can differ between batches, always within its ``error_bound``.
+swept again.  It carries ``v_j = d_j u_j``, ``d_j = X_j - ell``, so
+``v' = G_j(s) - v^2`` with ``G_j = d_j^2 (q(ell + s d_j) - z_j)`` and
+``int v ds = int u dx``.  A step's error norm is the largest of the
+columns' own norms at ``_RTOL`` and ``d_j _ATOL`` (u's tolerances in v's
+units), so each column has exactly the local error control of a sweep of
+its own.  G does not depend on v, so a step evaluates q once, at its 11
+stage abscissae; each stage is then one product of ``[1, h a_s]`` with the
+rows ``[v, k_0, ...]`` of a workspace built once per sweep, a square and a
+subtraction.  One column keeps the scalar sweep in x; a sampled potential
+sweeps its columns one at a time, since its knots fall at a different s in
+each.  A z whose evaluation fails keeps its own error, raised when its
+entry is read; if a stacked sweep fails, its columns are solved again one
+by one, so each error names its z.  The steps of a stacked sweep are
+shared, so a z's last digits can differ between batches, always within its
+``error_bound``.
 
 ``tol`` on :class:`MFunctionEvaluator` is the only solver option; the ODE
 tolerances, the largest X and the number of samples behind a real-axis
@@ -342,8 +347,6 @@ _FINAL = [(j, b, e5, e3) for j, (b, e5, e3)
 _C = np.array([0.0] + [c for c, _ in _ROWS])
 _A = np.array([[dict(row).get(j, 0.0) for j in range(_STAGES)]
                for _, row in [(0.0, [])] + _ROWS])
-# the rows of a real or complex stack, cast once, not by every product
-_TABLEAU = [(_A, _B, _E5, _E3), tuple(m.astype(complex) for m in (_A, _B, _E5, _E3))]
 _TINY = np.finfo(float).tiny
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _EXPONENT = -1.0 / 8.0          # -1 / (order of the error estimator + 1)
@@ -363,16 +366,17 @@ class _Solution:
 # once, at import: Python loops over the tableau cost a scalar sweep more
 # than the arithmetic they do.  Each sum keeps the order of the tables.
 _SCALAR_STEP = '''\
-def _scalar_step(rhs, t, y, f, h, rtol, atol):
-    """One DOP853 step of a Python-scalar Riccati state: (y(t + h), int y dt, error norm).
+def _scalar_step(rhs, t, t_new, y, f, rtol, atol):
+    """One DOP853 step of a Python-scalar Riccati state: (y(t_new), int y dt, error norm, g).
 
-    ``rhs`` is the pair (q, z) of ``y' = q(t) - z - y^2``.  Stage s is
-    ``y_s = y + h sum_j a_sj k_j`` and ``k_s = q(t + c_s h) - z - y_s^2``,
-    stage 0 being the state y and its slope f.  The integral weighs the
-    stage values with b, as a component ``w' = y`` would, and stays out of
-    the error norm.
+    ``rhs`` is the pair (q, z) of ``y' = q(t) - z - y^2``.  With h = t_new - t,
+    stage s is ``y_s = y + h sum_j a_sj k_j`` and ``k_s = g - y_s^2``, where
+    ``g = q(t + c_s h) - z``; stage 0 is y with its slope f, and stage 11
+    (c = 1) takes t_new itself and returns its g.  The integral weighs the
+    stage values with b, as a component ``w' = y`` would, outside the norm.
     """
     q, z = rhs
+    h = t_new - t
 {stages}
     y_new = y + h * ({slope})
     integral = h * ({mean})
@@ -383,12 +387,12 @@ def _scalar_step(rhs, t, y, f, h, rtol, atol):
         n5 = abs(err5) / scale
         n3 = abs(err3) / scale
     except OverflowError:       # the modulus of a complex state beyond the float range
-        return y_new, integral, math.inf
+        return y_new, integral, math.inf, g
     n5 *= n5
     n3 *= n3
     if n5 == 0.0 and n3 == 0.0:
-        return y_new, integral, 0.0
-    return y_new, integral, abs(h) * n5 / math.sqrt(n5 + 0.01 * n3)
+        return y_new, integral, 0.0, g
+    return y_new, integral, abs(h) * n5 / math.sqrt(n5 + 0.01 * n3), g
 '''
 
 
@@ -402,7 +406,8 @@ def _write_scalar_step():
     lines = []
     for s, (c, row) in enumerate(_ROWS, 1):
         lines.append(f"    {stage[s]} = y + h * ({dot((a, k[j]) for j, a in row)})")
-        lines.append(f"    {k[s]} = q(t + {c!r} * h) - z - {stage[s]} * {stage[s]}")
+        lines.append(f"    g = q({'t_new' if c == 1.0 else f't + {c!r} * h'}) - z")
+        lines.append(f"    {k[s]} = g - {stage[s]} * {stage[s]}")
     source = _SCALAR_STEP.format(
         stages="\n".join(lines),
         slope=dot((b, k[j]) for j, b, _, _ in _FINAL),
@@ -417,34 +422,53 @@ def _write_scalar_step():
 _scalar_step = _write_scalar_step()
 
 
-def _array_step(rhs, t, y, f, h, rtol, atol):
-    """:func:`_scalar_step` for a stack of Riccati columns ``y' = d (g(t) - y^2)``.
+def _array_workspace(dtype, n: int) -> tuple:
+    """The arrays of :func:`_array_step` for n columns, and their views per stage.
 
-    ``rhs`` is the pair (g, d) that :func:`_dop853` takes for an array.  g is
-    independent of y, so one call gives it at all eleven stage abscissae
-    after t.  The stages are the rows of a (12, N) array, each formed by one
-    ``row @ K`` product.  The error norm is the largest of the columns' own
-    norms, so each column gets the step control of a sweep of its own.
+    ``known`` holds the rows v, k_0, ..., k_11 and ``stages`` v_0 = v, v_1,
+    ..., v_11.  Rows 0-10 of ``coef`` are ``[1, h a_s]`` of stages 1-11,
+    rows 11-13 ``[1, h b]``, ``[0, e5]`` and ``[0, e3]``; a step writes the
+    h columns.  All are in the stack's dtype, so no product casts a row.
     """
-    forcing, d = rhs
-    g = forcing(t + _C[1:] * h)
-    k = np.empty((_STAGES,) + f.shape, dtype=np.result_type(y, f))
-    a, b, e5, e3 = _TABLEAU[k.dtype.kind == "c"]
-    stage = np.empty_like(k)
-    k[0] = f
-    stage[0] = y
-    for s in range(1, _STAGES):
-        u = stage[s] = y + h * (a[s, :s] @ k[:s])
-        k[s] = d * (g[s - 1] - u * u)
-    y_new = y + h * (b @ k)
+    known = np.empty((_STAGES + 1, n), dtype)
+    stages = np.empty((_STAGES, n), dtype)
+    coef = np.zeros((_STAGES + 2, _STAGES + 1), dtype)
+    coef[:_STAGES, 0] = 1.0
+    coef[-2:, 1:] = _E5, _E3
+    plan = [(coef[s - 1, :s + 1], known[:s + 1], stages[s], known[s + 1])
+            for s in range(1, _STAGES)]
+    return known, stages, coef, np.empty(n, dtype), plan
+
+
+def _array_step(rhs, t, t_new, y, f, rtol, atol):
+    """:func:`_scalar_step` for a stack of scaled Riccati columns ``v' = G(t) - v^2``.
+
+    ``rhs`` is G and the workspace of :func:`_array_workspace`, and atol
+    holds one tolerance per column.  One G call gives all eleven stage
+    abscissae; each stage is one ``[1, h a_s] @ [v, k_0, ...]`` product, a
+    square and a subtraction.  The error norm is the largest of the columns'
+    own norms, so each column gets the step control of a sweep of its own.
+    """
+    forcing, (known, stages, coef, square, plan) = rhs
+    h = t_new - t
+    ts = t + _C[1:] * h
+    ts[-1] = t_new
+    g = forcing(ts)
+    np.multiply(_A[1:], h, out=coef[:-3, 1:])
+    np.multiply(_B, h, out=coef[-3, 1:])
+    known[0] = stages[0] = y
+    known[1] = f
+    for (row, below, stage, k), g_s in zip(plan, g):
+        np.matmul(row, below, out=stage)
+        np.multiply(stage, stage, out=square)
+        np.subtract(g_s, square, out=k)
+    sums = coef[-3:] @ known
+    y_new = sums[0]
     scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-    n5 = np.abs(e5 @ k) / scale
-    n3 = np.abs(e3 @ k) / scale
-    n5 *= n5
-    n3 *= n3
+    n5, n3 = (np.abs(sums[1:]) / scale) ** 2
     # a column with n5 = n3 = 0 has norm 0; a NaN column stays NaN and fails the step
     norms = n5 / np.sqrt(np.maximum(n5 + 0.01 * n3, _TINY))
-    return y_new, h * (b @ stage), abs(h) * float(norms.max())
+    return y_new, coef[-3, 1:] @ stages, abs(h) * float(norms.max()), g[-1]
 
 
 def _initial_step(rhs, t0, y0, f0, span, direction, rtol, atol) -> float:
@@ -468,23 +492,28 @@ def _dop853(rhs, t0: float, y0, stops: Sequence[float], rtol: float,
 
     The steps land exactly on each stop.  A Python scalar y0 is a Riccati
     state ``y' = q(t) - z - y^2`` and takes :func:`_scalar_step`; rhs is
-    then the pair (q, z).  An array y0 is a stack of Riccati columns
-    ``y' = d (g(t) - y^2)`` and takes :func:`_array_step`; rhs is then the
-    pair (g, d), g giving an array of shape ``t.shape + y0.shape``.  The
-    step control is scipy's DOP853: safety 0.9, step factors within
-    [0.2, 10] with exponent -1/8, and its first-step rule.  A step cut short
-    to land on a stop does not shrink the step planned after it.  A step
-    size below ten spacings of the floats at t raises
-    :class:`StiffnessError`.
+    then the pair (q, z).  An array y0 is a stack of scaled Riccati columns
+    ``v = d u``, ``v' = G(t) - v^2``, and takes :func:`_array_step`; rhs is
+    then the pair (G, d), G giving an array of shape ``t.shape + y0.shape``,
+    and a column's absolute tolerance is ``d atol``.  A step's stage 11 lies
+    at its end, so its forcing gives the next slope: nfev counts 2 for the
+    first step and 11 per attempt.  The step control is scipy's DOP853:
+    safety 0.9, step factors within [0.2, 10] with exponent -1/8, and its
+    first-step rule.  A step cut short to land on a stop does not shrink the
+    step planned after it.  A step size below ten spacings of the floats at t
+    raises :class:`StiffnessError`.
     """
     if isinstance(y0, np.ndarray):
-        step, (forcing, d) = _array_step, rhs
-        slope = lambda t, y: d * (forcing(t) - y * y)
+        forcing, d = rhs
+        atol = d * atol
+        slope = lambda t, y: forcing(t) - y * y
+        f = slope(t0, y0)
+        step, rhs = _array_step, (forcing, _array_workspace(np.result_type(y0, f), len(y0)))
     else:
         step, (q, z) = _scalar_step, rhs
         slope = lambda t, y: q(t) - z - y * y
+        f = slope(t0, y0)
     direction = math.copysign(1.0, stops[-1] - t0)
-    f = slope(t0, y0)
     h_abs = _initial_step(slope, t0, y0, f, abs(stops[-1] - t0), direction, rtol, atol)
     nfev = 2
     t, y, integral = t0, y0, 0.0
@@ -502,7 +531,7 @@ def _dop853(rhs, t0: float, y0, stops: Sequence[float], rtol: float,
                 if clipped:
                     t_new = stop
                 h = t_new - t
-                y_new, step_integral, err = step(rhs, t, y, f, h, rtol, atol)
+                y_new, step_integral, err, g = step(rhs, t, t_new, y, f, rtol, atol)
                 nfev += _STAGES - 1
                 if err < 1.0:
                     break
@@ -515,8 +544,7 @@ def _dop853(rhs, t0: float, y0, stops: Sequence[float], rtol: float,
             h_abs = max(h_abs, abs(h) * factor) if clipped else abs(h) * factor
             t, y = t_new, y_new
             integral = integral + step_integral     # not +=: the stops keep their arrays
-            f = slope(t, y)
-            nfev += 1
+            f = g - y * y
         ys.append(y)
         integrals.append(integral)
     return _Solution(ys, integrals, nfev)
@@ -644,7 +672,7 @@ def _sweep(potential: Potential, zq: list, tops: list[float],
     in x with a scalar right-hand side, and also stops on every knot of a
     sampled potential, so no step crosses a jump of a derivative of q.
     Several run in ``s = (x - ell)/(X_j - ell)`` from 1 to 0 with a numpy
-    right-hand side.
+    right-hand side, in the scaled state ``v = (X_j - ell) u``.
     """
     ell = potential.ell
     if len(zq) == 1:
@@ -658,10 +686,11 @@ def _sweep(potential: Potential, zq: list, tops: list[float],
         return ([(sol.y[i], sol.y[-1])],
                 [(2.0 * sol.integral[i], 2.0 * sol.integral[-1])])
     d = np.array(tops) - ell
+    d2 = d * d
     zs = np.array(zq)
-    sol = _dop853((lambda s: potential(ell + np.multiply.outer(s, d)) - zs, d), 1.0,
-                  np.array(starts), [0.5, 0.0], _RTOL, _ATOL)
-    return (list(zip(*sol.y)), list(zip(*(2.0 * d * w for w in sol.integral))))
+    sol = _dop853((lambda s: d2 * (potential(ell + np.multiply.outer(s, d)) - zs), d), 1.0,
+                  d * np.array(starts), [0.5, 0.0], _RTOL, _ATOL)
+    return (list(zip(*(v / d for v in sol.y))), list(zip(*(2.0 * w for w in sol.integral))))
 
 
 def _riccati_batch(potential: Potential, alpha: float, zs: list[complex],

@@ -155,12 +155,11 @@ class Potential:
     def _sample(self, x: np.ndarray) -> np.ndarray:
         if self.kind == "bessel":
             c = self.nu * self.nu - 0.25
-            q = np.zeros(x.shape) if c == 0.0 else c / (x * x)
-        elif self.kind == "sampled":
+            return np.zeros(x.shape) if c == 0.0 else c / (x * x)
+        if self.kind == "sampled":
             end = self.grid[-1]
-            q = np.where(x >= end, self.values[-1], self._spline(np.minimum(x, end)))
-        else:
-            q = np.array([float(self.func(xi)) for xi in x.flat]).reshape(x.shape)
+            return np.where(x >= end, self.values[-1], self._spline(np.minimum(x, end)))
+        q = np.array([float(self.func(xi)) for xi in x.flat]).reshape(x.shape)
         bad = ~np.isfinite(q)
         if bad.any():
             raise IntegrationError(f"potential {self.label or self.kind!r} returned a "

@@ -542,6 +542,23 @@ def test_error_bound_covers_the_closed_form_of_the_family(nu, ell, zs):
         assert abs(batched.value - exact.value) <= batched.error_bound
 
 
+def test_stacked_values_keep_their_bounds_over_the_family():
+    # 18 stacks of 60 mixed z (both half-planes, and the negative axis from
+    # -1e-2 to -1e3): each stacked value lies within its error_bound of the
+    # closed form, and within the two bounds of the same point swept alone
+    rng = np.random.default_rng(23)
+    for nu in (0.5, 1.5, 2.5, 3.5, 4.5, 9.5):
+        for ell in (0.25, 1.0, 3.0):
+            zs = [complex(-10.0 ** rng.uniform(-2.0, 3.0)) if i % 3 == 2 else
+                  complex(rng.uniform(-5.0, 5.0), (1 - 2 * (i % 3)) * rng.uniform(0.1, 5.0))
+                  for i in range(60)]
+            ev = MFunctionEvaluator(Potential.bessel(nu, ell))
+            for z, stacked in zip(zs, m_infinity_batch(ev, zs)):
+                exact, alone = half_integer_bessel_m(nu, ell, z), m_infinity_info(ev, z)
+                assert abs(stacked.value - exact) <= stacked.error_bound
+                assert abs(stacked.value - alone.value) <= stacked.error_bound + alone.error_bound
+
+
 @pytest.mark.parametrize("z", [-1e-5, -1e-2, 0.01j, 20.0 + 0.05j])
 def test_error_bound_holds_for_a_sampled_potential(z):
     # the cubic spline's third derivative jumps at every knot, which the
@@ -577,10 +594,12 @@ def _riccati_solution(c, t0, u0):
 
 
 def _stacked(g, d=1.0):
-    """The stacked stepper's right-hand side (g, d) of ``y' = d (g(t) - y^2)``.
+    """The stacked stepper's right-hand side (G, d) of the columns ``v' = G(t) - v^2``.
 
     g maps t, a float or the array of a step's stage abscissae, to the
-    forcing of every column at each t, an array of shape ``t.shape + (N,)``.
+    forcing G of every column at each t, an array of shape ``t.shape + (N,)``.
+    A column is the scaled state ``v = d u``, so its absolute tolerance is
+    ``d atol``.
     """
     def forcing(t):
         ts = np.asarray(t)
@@ -628,12 +647,12 @@ def test_stepper_lands_exactly_on_each_stop(y0):
 
     def forcing(t):
         seen.append(t)
-        return [10.0 * math.cos(t)] * 2
+        return [0.1 * math.cos(t)] * 2
 
     stops = [2.0, 1.0 / 3.0, math.pi / 10.0, 0.1, 0.0]
     if isinstance(y0, np.ndarray):
-        # the stacked form y' = d (g(t) - y^2), with d = 0.1
-        sol = mfunc._dop853(_stacked(forcing, 0.1), 5.0, y0, stops, mfunc._RTOL,
+        # u' = 0.1 (10 cos t - u^2) in the stacked form: v = 0.1 u, v' = 0.1 cos t - v^2
+        sol = mfunc._dop853(_stacked(forcing, 0.1), 5.0, 0.1 * y0, stops, mfunc._RTOL,
                             mfunc._ATOL)
     else:
         # the scalar Riccati form y' = q(t) - z - y^2, with z = 0
@@ -665,35 +684,54 @@ def test_straight_line_step_matches_the_array_step(y0, h):
         return g(t) - u * u
 
     f = rhs(2.0, y0)
-    y, integral, err = mfunc._scalar_step((g, 0.0), 2.0, y0, f, h, mfunc._RTOL, mfunc._ATOL)
-    ys, integrals, errs = mfunc._array_step(_stacked(lambda t: [g(t)]), 2.0,
-                                            np.array([y0]), np.array([f]), h,
-                                            mfunc._RTOL, mfunc._ATOL)
+    y, integral, err, g_end = mfunc._scalar_step((g, 0.0), 2.0, 2.0 + h, y0, f,
+                                                 mfunc._RTOL, mfunc._ATOL)
+    work = mfunc._array_workspace(np.result_type(y0, f), 1)
+    ys, integrals, errs, gs_end = mfunc._array_step((_stacked(lambda t: [g(t)])[0], work),
+                                                    2.0, 2.0 + h, np.array([y0]),
+                                                    np.array([f]), mfunc._RTOL,
+                                                    np.array([mfunc._ATOL]))
     # a few ulp of the largest summand, b_j h y_j or b_j h k_j
     ulp = 4.0 * np.finfo(float).eps * abs(h) * float(np.abs(mfunc._B).max())
     assert abs(y - ys[0]) <= ulp * max(abs(rhs(2.0 + c * h, y0)) for c in (0.0, 1.0))
     assert abs(integral - integrals[0]) <= ulp * max(abs(y0), abs(y))
     assert err == pytest.approx(errs, rel=1e-6)
+    # both take stage 11, and the next slope's forcing, at the step's end
+    assert g_end == gs_end[0] == g(2.0 + h)
 
 
-def _per_stage_step(q, ell, d, zs, t, y, f, h, rtol, atol):
-    """One stacked DOP853 step as the tableau reads, with one q call per stage."""
-    k = np.empty((12,) + f.shape, dtype=np.result_type(y, f))
-    stage = np.empty_like(k)
-    k[0] = f
-    stage[0] = y
+def _per_stage_step(q, ell, d, zs, t, t_new, y, f, rtol, atol):
+    """One stacked DOP853 step of ``v = d u`` as the tableau reads, with one q call per stage.
+
+    Stage s is the row ``[1, h a_s0, ..., h a_s,s-1]`` against
+    ``[v, k_0, ..., k_s-1]`` and ``k_s = d^2 (q - z) - v_s^2``; stage 11
+    is taken at t_new.  y_new and both error estimates are the rows
+    ``[1, h b]``, ``[0, e5]`` and ``[0, e3]`` against ``[v, k_0, ..., k_11]``.
+    """
+    dtype = np.result_type(y, f)
+    h = t_new - t
+    known = np.empty((13,) + f.shape, dtype=dtype)
+    stage = np.empty((12,) + f.shape, dtype=dtype)
+    known[0] = stage[0] = y
+    known[1] = f
     for s in range(1, 12):
-        stage[s] = y + h * (mfunc._A[s, :s] @ k[:s])
-        u = stage[s]
-        k[s] = d * (q(ell + (t + mfunc._C[s] * h) * d) - zs - u * u)
-    y_new = y + h * (mfunc._B @ k)
-    scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-    n5 = np.abs(mfunc._E5 @ k) / scale
-    n3 = np.abs(mfunc._E3 @ k) / scale
+        row = np.concatenate(([1.0], h * mfunc._A[s, :s])).astype(dtype)
+        v = stage[s] = row @ known[:s + 1]
+        x = t_new if s == 11 else t + mfunc._C[s] * h
+        g = d * d * (q(ell + x * d) - zs)
+        known[s + 1] = g - v * v
+    final = np.zeros((3, 13), dtype=dtype)
+    final[0] = np.concatenate(([1.0], h * mfunc._B))
+    final[1, 1:] = mfunc._E5
+    final[2, 1:] = mfunc._E3
+    y_new, err5, err3 = final @ known
+    scale = d * atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+    n5 = np.abs(err5) / scale
+    n3 = np.abs(err3) / scale
     n5 *= n5
     n3 *= n3
     norms = n5 / np.sqrt(np.maximum(n5 + 0.01 * n3, np.finfo(float).tiny))
-    return y_new, h * (mfunc._B @ stage), abs(h) * float(norms.max())
+    return y_new, final[0, 1:] @ stage, abs(h) * float(norms.max()), g
 
 
 @pytest.mark.parametrize("zq", [[2.0 + 1j, -1.0, -4.0 + 0.5j, 5.0 + 0.1j, -0.01, 3.0 - 1j],
@@ -701,29 +739,33 @@ def _per_stage_step(q, ell, d, zs, t, y, f, h, rtol, atol):
 @pytest.mark.parametrize("pot", [Potential.bessel(1.5), Potential.bessel(2.2, 0.7),
                                  Potential.free()], ids=["bessel1.5", "bessel2.2", "free"])
 def test_stacked_step_is_the_per_stage_step_bit_for_bit(pot, zq):
-    # one q call at all stage abscissae and pre-cast tableau rows change no
-    # product and no sum: y_new, the integral and the error norm keep every bit
+    # one q call at all stage abscissae, workspace rows in the stack's dtype
+    # and the stacked final sums change no product and no sum: y_new, the
+    # integral, the error norm and the end forcing keep every bit
     ell, zs = pot.ell, np.array(zq)
     d = np.linspace(0.7, 12.0, len(zq))
-    stacked = (lambda t: pot(ell + np.multiply.outer(t, d)) - zs, d)
+    forcing = lambda t: d * d * (pot(ell + np.multiply.outer(t, d)) - zs)
+    work = mfunc._array_workspace(zs.dtype, len(zq))
     for t, h in [(1.0, -0.0005), (1.0, -0.004), (0.8, -0.02), (0.37, -0.06)]:
-        y = -np.sqrt(pot(ell + t * d) - zs) * 1.01 + 0.02
+        y = d * (-np.sqrt(pot(ell + t * d) - zs) * 1.01 + 0.02)
         if y.dtype.kind == "c":
             y[np.imag(zs) == 0.0] = y[np.imag(zs) == 0.0].real
-        f = d * (pot(ell + t * d) - zs - y * y)
-        ours = mfunc._array_step(stacked, t, y, f, h, mfunc._RTOL, mfunc._ATOL)
-        ref = _per_stage_step(pot, ell, d, zs, t, y, f, h, mfunc._RTOL, mfunc._ATOL)
+        f = d * d * (pot(ell + t * d) - zs) - y * y
+        ours = mfunc._array_step((forcing, work), t, t + h, y, f, mfunc._RTOL,
+                                 d * mfunc._ATOL)
+        ref = _per_stage_step(pot, ell, d, zs, t, t + h, y, f, mfunc._RTOL, mfunc._ATOL)
         assert ours[0].dtype == ref[0].dtype == zs.dtype
         assert ours[0].tobytes() == ref[0].tobytes()
         assert ours[1].tobytes() == ref[1].tobytes()
         assert ours[2] == ref[2]
+        assert ours[3].tobytes() == ref[3].tobytes()
 
 
 def test_a_stacked_step_calls_the_potential_once(monkeypatch):
     # per sweep: two calls for the first step (the slope at the start and
-    # the first-step rule's trial point), one (11, N) call per step attempt
-    # at its stage abscissae, and one per accepted step for the next slope;
-    # nfev still counts 11 per attempt and 1 per accepted step
+    # the first-step rule's trial point) and one (11, N) call per step
+    # attempt at its stage abscissae, whose last, at the step's end, gives
+    # the next slope; nfev counts those two and 11 per attempt
     shapes, nfevs, attempts, accepted = [], [], [], []
     call, step, stepper = Potential.__call__, mfunc._array_step, mfunc._dop853
 
@@ -754,8 +796,8 @@ def test_a_stacked_step_calls_the_potential_once(monkeypatch):
     stage_calls = [shape for shape in shapes if len(shape) == 2]
     assert len(stage_calls) == n_attempts
     assert all(shape[0] == 11 for shape in stage_calls)
-    assert len(shapes) - len(stage_calls) == 2 * sweeps + n_accepted
-    assert sum(nfevs) == 2 * sweeps + 11 * n_attempts + n_accepted
+    assert len(shapes) - len(stage_calls) == 2 * sweeps
+    assert sum(nfevs) == 2 * sweeps + 11 * n_attempts
 
 
 def test_stepper_reads_no_stage_after_the_step():
