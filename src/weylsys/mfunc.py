@@ -452,7 +452,7 @@ def _array_step(rhs, t, t_new, y, f, rtol, atol):
     forcing, (known, stages, coef, square, plan) = rhs
     h = t_new - t
     ts = t + _C[1:] * h
-    ts[-1] = t_new
+    ts[-1] = t_new                  # stage 11 (c = 1) exactly at the step's end
     g = forcing(ts)
     np.multiply(_A[1:], h, out=coef[:-3, 1:])
     np.multiply(_B, h, out=coef[-3, 1:])
