@@ -45,9 +45,10 @@ overestimates it where the terms fall.
 * Before any solve, the WKB exponent ``2 int_ell^x Re sqrt(q - z) dx`` is
   summed by the trapezoid rule over ell and the ladder ``ell + d 2^j``
   (d the contraction distance, j >= -10) up to the largest X, one
-  potential value per rung.  Off the axis, an exponent below ``ln(1/tol)``
-  means that the flow cannot contract enough (limit-circle behavior, or z
-  too close to [0, inf)), and :class:`ConvergenceError` is raised at once.
+  potential value per rung, one array pass for a stack (Stacked sweep).
+  Off the axis, an exponent below ``ln(1/tol)`` means that the flow
+  cannot contract enough (limit-circle behavior, or z too close to
+  [0, inf)), and :class:`ConvergenceError` is raised at once.
   The gap test below is predicted to pass when the start's |u3| at X/2,
   damped by the exponent over [ell, X/2], is at most
   ``max(1e-10, tol |sqrt(q(ell) - z)|)``.  Off the axis, for a potential
@@ -55,12 +56,12 @@ overestimates it where the terms fall.
   nu = 1/2 among them), the first distance halves while the halved
   truncation's test is predicted to pass, down to the ladder's lowest rung:
   the WKB start is far more accurate than an arbitrary one, and at 1e4+i
-  this cuts X - ell from 1,842 to 3.6.  On the negative axis the contraction distance is a few
-  decay lengths, cheap already, and stays.  A sampled or general
-  expression potential keeps the contraction distance, since a gap
-  measured inside [ell, X] cannot see a kink of q beyond X, such as the
-  end of a table.  When no halving is predicted to pass, the distance
-  doubles while the test is predicted to fail.
+  this cuts X - ell from 1,842 to 3.6.  On the negative axis the
+  contraction distance is a few decay lengths, cheap already, and stays.
+  A sampled or general expression potential keeps the contraction
+  distance, since a gap measured inside [ell, X] cannot see a kink of q
+  beyond X, such as the end of a table.  When no halving is predicted to
+  pass, the distance doubles while the test is predicted to fail.
 * Range.  Past ``|z| = 1e26`` m ~ sqrt|z| passes 1e13 and would read as a
   pole to :func:`safe_div`, and within 2048 float spacings of ell the
   lowest truncation's midpoint may round to ell, leaving q' no difference
@@ -109,13 +110,17 @@ units), so each column has exactly the local error control of a sweep of
 its own.  G does not depend on v, so a step evaluates q once, at its 11
 stage abscissae; each stage is then one product of ``[1, h a_s]`` with the
 rows ``[v, k_0, ...]`` of a workspace built once per sweep, a square and a
-subtraction.  One column keeps the scalar sweep in x; a sampled potential
-sweeps its columns one at a time, since its knots fall at a different s in
-each.  A z whose evaluation fails keeps its own error, raised when its
-entry is read; if a stacked sweep fails, its columns are solved again one
-by one, so each error names its z.  The steps of a stacked sweep are
-shared, so a z's last digits can differ between batches, always within its
-``error_bound``.
+subtraction.  A stack is sized in one array pass (one potential call for
+the wells, one for the ladders, one for the predictions up to X/2), with
+the scalar pass's distances and errors, and a round's starts at X and X/2
+are one array call each.  One column keeps the scalar sizing and starts,
+since the array pass costs it four times as much, and the scalar sweep in
+x; a sampled potential sweeps its columns one at a time, since its knots
+fall at a different s in each.  A z whose evaluation fails keeps its own
+error, raised when its entry is read; if a stacked sweep fails, its
+columns are solved again one by one, so each error names its z.  The
+steps of a stacked sweep are shared, so a z's last digits can differ
+between batches, always within its ``error_bound``.
 
 ``tol`` on :class:`MFunctionEvaluator` is the only solver option; the ODE
 tolerances, the largest X and the number of samples behind a real-axis
@@ -437,7 +442,7 @@ def _array_workspace(dtype, n: int) -> tuple:
     coef[-2:, 1:] = _E5, _E3
     plan = [(coef[s - 1, :s + 1], known[:s + 1], stages[s], known[s + 1])
             for s in range(1, _STAGES)]
-    return known, stages, coef, np.empty(n, dtype), plan
+    return known, stages, coef, np.empty(n, dtype), plan, [None, None]
 
 
 def _array_step(rhs, t, t_new, y, f, rtol, atol):
@@ -448,8 +453,10 @@ def _array_step(rhs, t, t_new, y, f, rtol, atol):
     abscissae; each stage is one ``[1, h a_s] @ [v, k_0, ...]`` product, a
     square and a subtraction.  The error norm is the largest of the columns'
     own norms, so each column gets the step control of a sweep of its own.
+    One modulus gives |y_new| and both error estimates, and the workspace
+    keeps |y_new|, so the next step, from y = y_new, reads it as |y|.
     """
-    forcing, (known, stages, coef, square, plan) = rhs
+    forcing, (known, stages, coef, square, plan, last) = rhs
     h = t_new - t
     ts = t + _C[1:] * h
     ts[-1] = t_new                  # stage 11 (c = 1) exactly at the step's end
@@ -464,8 +471,10 @@ def _array_step(rhs, t, t_new, y, f, rtol, atol):
         np.subtract(g_s, square, out=k)
     sums = coef[-3:] @ known
     y_new = sums[0]
-    scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-    n5, n3 = (np.abs(sums[1:]) / scale) ** 2
+    size = np.abs(sums)
+    scale = atol + rtol * np.maximum(last[1] if y is last[0] else np.abs(y), size[0])
+    last[:] = y_new, size[0]
+    n5, n3 = (size[1:] / scale) ** 2
     # a column with n5 = n3 = 0 has norm 0; a NaN column stays NaN and fails the step
     norms = n5 / np.sqrt(np.maximum(n5 + 0.01 * n3, _TINY))
     return y_new, coef[-3, 1:] @ stages, abs(h) * float(norms.max()), g[-1]
@@ -570,49 +579,59 @@ def _wkb_start(potential: Potential, x: float, z: complex) -> tuple[complex, com
     kept, |u3|, overestimates the start error, which is about |u4|.  q' and
     q'' are central differences with the step ``h = _DIFF_STEP (x - ell)``
     and q''' the five-point difference over x +- h, x +- 2h, so no sample
-    falls below ell.
+    falls below ell.  An array x takes one potential call, and its turning
+    points get u = 0 and |u3| = inf; numpy may round a complex quotient apart.
     """
     h = _DIFF_STEP * (x - potential.ell)
-    below2, below, q, above, above2 = (potential(x + j * h) for j in (-2, -1, 0, 1, 2))
+    below2, below, q, above, above2 = (
+        potential(x + np.multiply.outer(np.arange(-2.0, 3.0), h)) if isinstance(x, np.ndarray)
+        else (potential(x + j * h) for j in (-2, -1, 0, 1, 2)))
     dq = (above - below) / (2.0 * h)
     ddq = (above - 2.0 * q + below) / (h * h)
     dddq = (above2 - 2.0 * above + 2.0 * below - below2) / (2.0 * h ** 3)
     s = q - z
-    if s == 0:      # a turning point has no WKB value; the real axis rejects it
-        return s, 0j, math.inf
-    k = cmath.sqrt(s)
+    if not isinstance(s, np.ndarray):
+        if s == 0:      # a turning point has no WKB value; the real axis rejects it
+            return s, 0j, math.inf
+        u, u3 = _wkb_series(dq, ddq, dddq, cmath.sqrt(s))
+        return s, u, abs(u3)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u, u3 = _wkb_series(dq, ddq, dddq, np.sqrt(s))
+    return s, np.where(s == 0, 0j, u), np.where(s == 0, np.inf, np.abs(u3))
+
+
+def _wkb_series(dq, ddq, dddq, k):
+    """(-k + u1 + u2 + u3, u3) of :func:`_wkb_start` from q's derivatives and k = sqrt(q - z)."""
     k2 = k * k
     u1 = -dq / (4.0 * k2)
     u2 = (5.0 * dq * dq / (32.0 * k2) - ddq / 8.0) / (k2 * k)
     du2 = (-dddq / 8.0 + (dq * ddq / 2.0 - 25.0 * dq ** 3 / (64.0 * k2)) / k2) / (k2 * k)
     u3 = (du2 + 2.0 * u1 * u2) / (2.0 * k)
-    return s, -k + u1 + u2 + u3, abs(u3)
+    return -k + u1 + u2 + u3, u3
 
 
-def _wkb_ladder(potential: Potential, z: complex, dist: float,
-                x_max: float) -> tuple[list[float], list[float], complex]:
-    """ell and the ladder ``ell + dist 2^j``, j >= -10, up to x_max.
-
-    Returns these rungs, the WKB exponent ``2 int_ell^x Re sqrt(q - z) dx``
-    at each rung by the trapezoid rule over the rungs below it (one
-    potential call per rung), and ``sqrt(q(ell) - z)``.
-    """
-    ell = potential.ell
-    xs = [ell]
-    dist /= 1024.0
-    while ell + dist <= x_max:
-        xs.append(ell + dist)
-        dist *= 2.0
-    roots = [cmath.sqrt(potential(x) - z) for x in xs]
-    exponents = [0.0]
-    for a, b, ra, rb in zip(xs, xs[1:], roots, roots[1:]):
-        exponents.append(exponents[-1] + (b - a) * (ra.real + rb.real))
-    return xs, exponents, roots[0]
+def _wkb_starts(potential: Potential, xs: list[float], zs: list) -> list:
+    """(q - z, the WKB start) at each x and z, or its error: several in one array call."""
+    if len(xs) > 1:
+        try:
+            s, u, _ = _wkb_start(potential, np.array(xs), np.array(zs, dtype=complex))
+            return list(zip(s.tolist(), u.tolist()))
+        except WeylsysError:
+            pass
+    return [_outcome(lambda: _wkb_start(potential, x, z)[:2]) for x, z in zip(xs, zs)]
 
 
-def _first_distance(potential: Potential, z: complex, tol: float,
-                    x_max: float) -> float:
-    """X - ell of the first truncation at z (module docstring).
+def _outcome(f):
+    """f(), or the WeylsysError it raises."""
+    try:
+        return f()
+    except WeylsysError as exc:
+        return exc
+
+
+def _first_distances(potential: Potential, zs: list[complex], tol: float,
+                     x_max: float) -> list:
+    """X - ell of the first truncation at each z, or its error (module docstring).
 
     The contraction distance, doubled on the real axis while q(X) - z <= 0
     there, and off it checked against the WKB exponent up to x_max, before
@@ -621,45 +640,86 @@ def _first_distance(potential: Potential, z: complex, tol: float,
     [ell, X/2].  Off the axis, on a Bessel potential (the free one among
     them), the distance halves while that prediction passes for the halved
     truncation, down to the ladder's lowest rung.  Then it doubles while the
-    prediction fails.  Out of the numeric range (module docstring) it raises
-    DomainError.
+    prediction fails.  Out of the numeric range the error is DomainError.
+
+    One z takes the scalar pass, several the array pass (module docstring);
+    both share every check and rule, and differ in how they evaluate q.
     """
     ell = potential.ell
+    target = math.log(1.0 / tol)
+    stacked = len(zs) > 1
     # X - ell contracts a start error by tol (module docstring); so close to
     # ell a well of q may dip below z, and only the tail may raise DomainError
-    target = math.log(1.0 / tol)
-    dist = target / (2.0 * max(sqrt_upper(z).imag, 1e-3))
-    if z.imag == 0.0:
-        while potential(ell + dist) - z.real <= 0 and ell + 2.0 * dist <= x_max:
-            dist *= 2.0
-    # dist/4096 above half a float spacing keeps the lowest midpoint, dist/1024, off ell
-    huge = abs(z) > _Z_MAX
-    if huge or ell + dist / 4096.0 == ell:
-        why = (f"|z| > {_Z_MAX:g}, where m ~ sqrt|z| reads as a pole" if huge
-               else f"at tol = {tol:g} the first truncation X - ell = {dist:.3g} lies "
-               f"within 2048 float spacings of ell = {ell:g}")
-        raise DomainError(f"z = {z} is out of the numeric range: {why}")
-    xs, exponents, k_ell = _wkb_ladder(potential, z, dist, x_max)
-    if z.imag != 0.0 and exponents[-1] < target:
-        raise ConvergenceError(
-            f"the backward Riccati flow contracts by only e^-{exponents[-1]:.3g} "
-            f"up to X_max = {x_max:g} at z = {z}; limit-circle behavior, or z "
-            "too close to [0, inf)")
-    # m is about sqrt(q(ell) - z); xs[i] is the midpoint ell + dist/2
-    threshold = max(_GAP_FLOOR, tol * abs(k_ell))
-    i = 10
-    if z.imag != 0.0 and potential.kind == "bessel":
-        # q is analytic on [ell, inf), so no feature beyond X escapes the gap
-        while i > 1 and (_wkb_start(potential, xs[i - 1], z)[2]
-                         * math.exp(-exponents[i - 1]) <= threshold):
-            dist *= 0.5
-            i -= 1
-    while ell + 2.0 * dist <= x_max:
-        if _wkb_start(potential, xs[i], z)[2] * math.exp(-exponents[i]) <= threshold:
-            break
-        dist *= 2.0
-        i += 1
-    return dist
+    out: list = [target / (2.0 * max(sqrt_upper(z).imag, 1e-3)) for z in zs]
+    real = [j for j, z in enumerate(zs) if z.imag == 0.0]
+    wells = (potential(ell + np.array([out[j] for j in real])).tolist() if stacked and real
+             else [potential(ell + out[j]) for j in real])
+    for j, q in zip(real, wells):
+        while q - zs[j].real <= 0 and ell + 2.0 * out[j] <= x_max:
+            out[j] *= 2.0
+            q = potential(ell + out[j])
+    for j, z in enumerate(zs):
+        # dist/4096 above half a float spacing keeps the lowest midpoint, dist/1024, off ell
+        huge = abs(z) > _Z_MAX
+        if huge or ell + out[j] / 4096.0 == ell:
+            why = (f"|z| > {_Z_MAX:g}, where m ~ sqrt|z| reads as a pole" if huge
+                   else f"at tol = {tol:g} the first truncation X - ell = {out[j]:.3g} lies "
+                   f"within 2048 float spacings of ell = {ell:g}")
+            out[j] = DomainError(f"z = {z} is out of the numeric range: {why}")
+    cols = [j for j, d in enumerate(out) if not isinstance(d, DomainError)]
+    if not cols:
+        return out
+    if stacked:
+        d, zc = np.array([out[j] for j in cols]), np.array([zs[j] for j in cols])
+        # rung 0 is ell and rung i >= 1 is ell + d 2^(i - 11), as the scalar pass sums them
+        powers = np.arange(-10, 2 + int(math.log2(x_max / d.min())))
+        xs = np.vstack([np.full(len(cols), ell), ell + np.ldexp(d, powers[:, None])])
+        valid = xs <= x_max
+        q = np.zeros(xs.shape)
+        q[valid] = potential(xs[valid])
+        roots = np.sqrt(q - zc)
+        steps = np.where(valid[1:], np.diff(xs, axis=0) * (roots.real[:-1] + roots.real[1:]), 0)
+        exponents = np.cumsum(np.vstack([np.zeros_like(d), steps]), axis=0)
+        low = 1 if potential.kind == "bessel" and (zc.imag != 0.0).any() else 10
+        with np.errstate(invalid="ignore"):     # a turning point's inf times e^-inf
+            table = _wkb_start(potential, xs[low:11], zc)[2] * np.exp(-exponents[low:11])
+        ladders = [(e, k, lambda i, t=t: t[i - low]) for e, k, t
+                   in zip(exponents[-1].tolist(), roots[0].tolist(), table.T.tolist())]
+    else:
+        z, xs, step = zs[0], [ell], out[0] / 1024.0
+        while ell + step <= x_max:
+            xs.append(ell + step)
+            step *= 2.0
+        roots = [cmath.sqrt(potential(x) - z) for x in xs]
+        exponents = [0.0]
+        for a, b, ra, rb in zip(xs, xs[1:], roots, roots[1:]):
+            exponents.append(exponents[-1] + (b - a) * (ra.real + rb.real))
+        ladders = [(exponents[-1], roots[0],
+                    lambda i: _wkb_start(potential, xs[i], z)[2] * math.exp(-exponents[i]))]
+    for j, (exponent, k_ell, predict) in zip(cols, ladders):
+        z, dist = zs[j], out[j]
+        if z.imag != 0.0 and exponent < target:
+            out[j] = ConvergenceError(
+                f"the backward Riccati flow contracts by only e^-{exponent:.3g} "
+                f"up to X_max = {x_max:g} at z = {z}; limit-circle behavior, or z "
+                "too close to [0, inf)")
+            continue
+        # m is about sqrt(q(ell) - z); rung 10 is the midpoint ell + dist/2
+        threshold = max(_GAP_FLOOR, tol * abs(k_ell))
+        i = 10
+        if z.imag != 0.0 and potential.kind == "bessel":
+            # q is analytic on [ell, inf), so no feature beyond X escapes the gap
+            while i > 1 and predict(i - 1) <= threshold:
+                dist *= 0.5
+                i -= 1
+        try:
+            while ell + 2.0 * dist <= x_max and not predict(i) <= threshold:
+                dist *= 2.0
+                i += 1
+            out[j] = dist
+        except IndexError:      # past the array pass's rungs 1-10: the scalar pass
+            out[j] = _outcome(lambda: _first_distances(potential, [z], tol, x_max)[0])
+    return out
 
 
 def _sweep(potential: Potential, zq: list, tops: list[float],
@@ -711,13 +771,11 @@ def _riccati_batch(potential: Potential, alpha: float, zs: list[complex],
     sa, ca = _alpha_data(alpha)
     real = [z.imag == 0.0 for z in zs]
     zq = [z.real if r else z for z, r in zip(zs, real)]
-    out: list = [None] * len(zs)
-    dist: dict[int, float] = {}
-    for j, z in enumerate(zs):
-        try:
-            dist[j] = _first_distance(potential, z, tol, x_max)
-        except WeylsysError as exc:
-            out[j] = exc
+    out = _outcome(lambda: _first_distances(potential, zs, tol, x_max))
+    if isinstance(out, WeylsysError):       # each z alone, so each error is its own
+        out = [out] if len(zs) == 1 else [
+            _outcome(lambda: _first_distances(potential, [z], tol, x_max)[0]) for z in zs]
+    dist = {j: d for j, d in enumerate(out) if not isinstance(d, WeylsysError)}
     top = {j: min(ell + d, x_max) for j, d in dist.items()}
 
     def settle(j, result):
@@ -726,15 +784,15 @@ def _riccati_batch(potential: Potential, alpha: float, zs: list[complex],
 
     while dist:
         cols, starts = [], []
-        for j in list(dist):
-            try:
-                s, u_start, _ = _wkb_start(potential, top[j], zq[j])
-            except WeylsysError as exc:
-                settle(j, exc)
+        for j, start in zip(list(dist), _wkb_starts(potential, [top[j] for j in dist],
+                                                    [zq[j] for j in dist])):
+            if isinstance(start, WeylsysError):
+                settle(j, start)
                 continue
-            if real[j] and s <= 0:
+            s, u_start = start
+            if real[j] and s.real <= 0:
                 settle(j, DomainError(
-                    f"q(X) - z = {s:g} <= 0 at X = {top[j]:g}; the real-axis path "
+                    f"q(X) - z = {s.real:g} <= 0 at X = {top[j]:g}; the real-axis path "
                     "requires z strictly below the potential tail "
                     "(nonnegative-operator regime)"))
                 continue
@@ -749,7 +807,9 @@ def _riccati_batch(potential: Potential, alpha: float, zs: list[complex],
                 settle(j, exc if len(cols) == 1
                        else _riccati_batch(potential, alpha, [zs[j]], tol)[0])
             continue
-        for j, (u_half, u), (w_half, w) in zip(cols, us, ws):
+        mids = _wkb_starts(potential, [ell + 0.5 * (top[j] - ell) for j in cols],
+                           [zq[j] for j in cols])
+        for j, (u_half, u), (w_half, w), mid in zip(cols, us, ws, mids):
             if real[j]:
                 u_half, u = u_half.real, u.real
             try:
@@ -759,13 +819,11 @@ def _riccati_batch(potential: Potential, alpha: float, zs: list[complex],
                 continue
             den2 = abs(ca + u * sa) ** 2
             # the X/2 truncation's start error, carried to ell by the flow
-            try:
-                u_start = _wkb_start(potential, ell + 0.5 * (top[j] - ell), zq[j])[1]
-            except WeylsysError as exc:
-                settle(j, exc)
+            if isinstance(mid, WeylsysError):
+                settle(j, mid)
                 continue
             damping = math.exp(min((w_half - w).real, 700.0))
-            gap = abs(u_half - u_start) * damping / den2
+            gap = abs(u_half - mid[1]) * damping / den2
             if gap <= max(_GAP_FLOOR, tol * abs(m)):
                 step_error = _INTEGRATION_ERROR * (_ATOL + _RTOL * abs(u)) / den2
                 settle(j, (m, top[j], float(gap + step_error)))

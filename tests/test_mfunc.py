@@ -35,7 +35,9 @@ from weylsys import (
     sqrt_upper,
 )
 from weylsys import mfunc
+from weylsys.cli import parse_grid
 from weylsys.mfunc import NAMED_GRIDS, m_infinity_batch
+from weylsys.sectorial import sampled_points
 
 BESSEL = Potential.bessel()
 CLOSED = MFunctionEvaluator(BESSEL, mode="closed_form")
@@ -765,13 +767,15 @@ def test_a_stacked_step_calls_the_potential_once(monkeypatch):
     # per sweep: two calls for the first step (the slope at the start and
     # the first-step rule's trial point) and one (11, N) call per step
     # attempt at its stage abscissae, whose last, at the step's end, gives
-    # the next slope; nfev counts those two and 11 per attempt
+    # the next slope; nfev counts those two and 11 per attempt.  Only the
+    # calls inside a sweep count: sizing and starts call q on arrays too
     shapes, nfevs, attempts, accepted = [], [], [], []
+    sweeping = []
     call, step, stepper = Potential.__call__, mfunc._array_step, mfunc._dop853
 
     def counting_call(self, x):
-        if isinstance(x, np.ndarray):
-            shapes.append(x.shape)
+        if sweeping:
+            shapes.append(x.shape if isinstance(x, np.ndarray) else ())
         return call(self, x)
 
     def counting_step(*args):
@@ -781,7 +785,11 @@ def test_a_stacked_step_calls_the_potential_once(monkeypatch):
         return out
 
     def counting_stepper(*args):
-        sol = stepper(*args)
+        sweeping.append(1)
+        try:
+            sol = stepper(*args)
+        finally:
+            sweeping.clear()
         nfevs.append(sol.nfev)
         return sol
 
@@ -911,6 +919,76 @@ def test_a_truncation_at_the_float_spacing_of_ell_is_a_domain_error():
         m_infinity(ev, 1e16j)
     assert m_infinity(MFunctionEvaluator(Potential.bessel(1.5, 1e4), mode="numeric"),
                       1e16j) == pytest.approx(half_integer_bessel_m(1.5, 1e4, 1e16j), rel=1e-12)
+
+
+_LADDERS = list(mfunc.MINUS_ZERO_LADDER) + list(mfunc.MINUS_INFINITY_LADDER)
+# the 147 distinct points of `weylsys classify --mode numeric --trials 10 --seed 1`
+_CLASSIFY = list(dict.fromkeys(sampled_points(trials=10, seed=1)))
+
+
+def _bump():
+    return Potential.expression(lambda x: 50.0 / (1.0 + (x - 5.0) ** 2), ell=0.0, label="bump")
+
+
+def _sizing_outcome(out):
+    return (type(out), str(out)) if isinstance(out, Exception) else out
+
+
+@pytest.mark.parametrize("pot, zs, tol", [
+    (BESSEL, _CLASSIFY, 1e-8),
+    # columns whose sweeps double
+    (Potential.bessel(3.5, 0.25), list(NAMED_GRIDS["default"]), 1e-8),
+    (BESSEL, parse_grid("re=-5:5:41,im=0.1:10:12:log") + _LADDERS, 1e-8),
+    (Potential.free(), list(NAMED_GRIDS["default"]) + _LADDERS, 1e-8),
+    (_exp_well(300.0), [-100.0, -1.0, 1j, 2.0 + 1j], 1e-8),
+    (_bump(), [3.0 + 10j, 1j, -1.0], 1e-8),
+    (BESSEL, [-1e28, 1e30j, 5.0 + 1e-9j, 1j, -2.0], 1e-8),
+    # the shortest ladder's columns fail, so their exponents reach its top rung
+    (BESSEL, [5.0 + 1e-9j, 4.0 + 1e-9j], 1e-8),
+    (Potential.expression(lambda x: -(x**4), ell=1.0, label="-x^4"), [5.0 + 0.1j, 1j, -1.0],
+     1e-8),
+    (Potential.bessel(1.5, 1e4), [1e16j, 1j, -1.0], 0.9),
+], ids=["classify", "bessel3.5-default", "grid492", "free", "well", "bump", "errors",
+        "near-axis", "limit-circle", "float-spacing"])
+def test_array_sizing_is_the_scalar_sizing(pot, zs, tol):
+    # a stack's columns are sized in one array pass: every distance is the
+    # scalar pass's to the bit, and every error has the same class and message
+    zs = [complex(z) for z in zs]
+    x_max = mfunc._X_MAX_FACTOR * max(pot.ell, 1.0)
+    stacked = mfunc._first_distances(pot, zs, tol, x_max)
+    alone = [mfunc._first_distances(pot, [z], tol, x_max)[0] for z in zs]
+    assert [_sizing_outcome(out) for out in stacked] == [_sizing_outcome(out) for out in alone]
+
+
+def test_array_sizing_doubles_out_of_a_well_and_past_its_rungs():
+    # the well and bump stacks above take both doubling branches: -300 e^-x
+    # at z = -100 has q(ell + d) = -119 <= z at the first d = 0.92, so the
+    # well check doubles; the bump potential at 3 + 10i doubles its
+    # contraction distance once, past rung 10, where the array pass hands
+    # the column to the scalar pass
+    well, bump = _exp_well(300.0), _bump()
+    first = math.log(1e8) / 20.0
+    assert well(first) <= -100.0
+    assert mfunc._first_distances(well, [-100.0 + 0j, 1j], 1e-8, mfunc._X_MAX_FACTOR)[0] > first
+    z = 3.0 + 10j
+    first = math.log(1e8) / (2.0 * sqrt_upper(z).imag)
+    assert mfunc._first_distances(bump, [z, 1j], 1e-8, mfunc._X_MAX_FACTOR)[0] == 2.0 * first
+
+
+def test_sizing_a_stack_calls_the_potential_a_fixed_number_of_times(monkeypatch):
+    # the array pass calls q on arrays only, as often for 147 columns as for 13
+    calls = []
+    call = Potential.__call__
+
+    def counting_call(self, x):
+        calls[-1].append(isinstance(x, np.ndarray))
+        return call(self, x)
+
+    monkeypatch.setattr(Potential, "__call__", counting_call)
+    for stack in (_CLASSIFY[::12], _CLASSIFY):
+        calls.append([])
+        mfunc._first_distances(BESSEL, stack, 1e-8, mfunc._X_MAX_FACTOR)
+    assert calls[0] == calls[1] and all(calls[1])
 
 
 def test_positive_real_axis_is_rejected():
