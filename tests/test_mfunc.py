@@ -973,6 +973,13 @@ def test_array_sizing_doubles_out_of_a_well_and_past_its_rungs():
     z = 3.0 + 10j
     first = math.log(1e8) / (2.0 * sqrt_upper(z).imag)
     assert mfunc._first_distances(bump, [z, 1j], 1e-8, mfunc._X_MAX_FACTOR)[0] == 2.0 * first
+    # a ring well at the first X = ell + d of z = -5, where the gap test's
+    # prediction at X/2 passes: only the well check moves X out of it
+    first = math.log(1e8) / (2.0 * math.sqrt(5.0))
+    ring = Potential.expression(lambda x: 10.0 - 40.0 * math.exp(-4.0 * (x - first) ** 2),
+                                ell=0.0, label="ring")
+    d = mfunc._first_distances(ring, [-5.0 + 0j, 1j], 1e-8, mfunc._X_MAX_FACTOR)[0]
+    assert ring(first) < -5.0 < ring(d) and d == 2.0 * first
 
 
 def test_sizing_a_stack_calls_the_potential_a_fixed_number_of_times(monkeypatch):
