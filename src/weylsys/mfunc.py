@@ -29,12 +29,12 @@ has no pole, and it does not oscillate.  The sweep starts at the WKB
 (Liouville-Green) series through its third correction,
 ``u(X) = -k + u1 + u2 + u3`` with ``k = sqrt(q(X) - z)`` (the root with
 positive real part), ``u1 = -q'/(4 k^2)``, ``u2 = 5 q'^2/(32 k^5) - q''/(8 k^3)``
-and ``u3 = (u2' + 2 u1 u2)/(2k)`` (:func:`_wkb_start`); q', q'' and q''' are
+and ``u3 = (u2' + 2 u1 u2)/(2k)`` (:func:`_wkb_terms`); q', q'' and q''' are
 differences over five potential values.  The backward flow attracts the
 decaying solution at the rate ``2 Re k``, while forward integration would
 be exponentially unstable.  What the start misses is about the next term
 u4; the truncation below predicts it by the last term kept, |u3|, which
-overestimates it where the terms fall.
+overestimates it where the terms fall (:func:`_wkb_terms`).
 
 * Truncation.  A start error shrinks like ``exp(-2 kappa (X - ell))`` with
   the decay rate ``kappa = Im sqrt_upper(z)``, which is ``sqrt|z|`` on the
@@ -56,7 +56,10 @@ overestimates it where the terms fall.
   nu = 1/2 among them), the first distance halves while the halved
   truncation's test is predicted to pass, down to the ladder's lowest rung:
   the WKB start is far more accurate than an arbitrary one, and at 1e4+i
-  this cuts X - ell from 1,842 to 3.6.  On the negative axis the
+  this cuts X - ell from 1,842 to 3.6.  A halving step also needs the WKB
+  terms to fall at the halved midpoint, ``|u3| <= |u2|``: where they no
+  longer fall (near a small ell with a large nu) |u3| can fall short of
+  the start error.  On the negative axis the
   contraction distance is a few decay lengths, cheap already, and stays.
   A sampled or general expression potential keeps the contraction
   distance, since a gap measured inside [ell, X] cannot see a kink of q
@@ -79,14 +82,19 @@ overestimates it where the terms fall.
   damps the step errors made far from ell, so the global error is a fixed
   multiple of the per-step allowance; the largest multiple seen against the
   half-integer Bessel closed forms (nu to 19/2, ell in [1/4, 4], both
-  half-planes and the negative axis) was 114, at nu = 7/2, ell = 1.1 and
-  z = -0.1, where the error estimate of the steps next to ell falls short.
+  half-planes and the negative axis) was 98, at nu = 7/2, ell = 1.125 and
+  z = -0.05, where the error estimate of the steps next to ell falls short.
 
 Stepper
 -------
 The sweeps use the module's own DOP853 stepper, :func:`_dop853`, with the
 coefficients of Hairer and Wanner's dop853.f (Solving ODEs I, II.10) and
-the step control of scipy's DOP853.  A sweep of one z runs in x with a
+the step control of scipy's DOP853, capped by Gustafsson's predictive
+factor (ACM TOMS 20, 1994, 496-517; Solving ODEs II, IV.8): a step whose
+``|h| err^(-1/8)`` fell from the last one's shrinks the next by that
+ratio.  Toward z = -0 a sweep runs into the 1/x^2 tail, whose length scale
+shrinks with x; there the plain control proposes each step about a fifth
+too long and rejects every other one.  A sweep of one z runs in x with a
 Python scalar state: its step is straight-line code, written out from the
 same tableau at import, and its right-hand side calls the potential's
 ``scalar_q``, built once per potential.  For a sampled potential it also
@@ -274,12 +282,12 @@ def check_tol(tol: float) -> None:
 # Dormand and Prince's explicit order-8 pair with its order-5 and order-3
 # error estimators (Hairer, Norsett and Wanner, Solving ODEs I, II.10; the
 # coefficients of their code dop853.f, to 30 digits), with the step control
-# of scipy's DOP853.  _ROWS holds (c, nonzero (j, a_j)) of stages 1-11;
-# stage 0 has c = 0.  _B holds the order-8 weights, _E5 the order-5 error
-# weights, and the order-3 error weights are _B less _BHH at stages 0, 8
-# and 11.  Stages 1-4 carry no weight, and neither estimator reads the
-# stage after the step, so _FINAL lists (j, b, order-5 weight, order-3
-# weight) of the stages that carry one.
+# of scipy's DOP853 capped by Gustafsson's predictive factor (:func:`_dop853`).
+# _ROWS holds (c, nonzero (j, a_j)) of stages 1-11; stage 0 has c = 0.  _B
+# holds the order-8 weights, _E5 the order-5 error weights, and the order-3
+# error weights are _B less _BHH at stages 0, 8 and 11.  Stages 1-4 carry
+# no weight, and neither estimator reads the stage after the step, so _FINAL
+# lists (j, b, order-5 weight, order-3 weight) of the stages that carry one.
 _STAGES = 12
 _ROWS = [
     (0.526001519587677318785587544488e-01, [(0, 5.26001519587677318785587544488e-2)]),
@@ -506,9 +514,16 @@ def _dop853(rhs, t0: float, y0, stops: Sequence[float], rtol: float,
     then the pair (G, d), G giving an array of shape ``t.shape + y0.shape``,
     and a column's absolute tolerance is ``d atol``.  A step's stage 11 lies
     at its end, so its forcing gives the next slope: nfev counts 2 for the
-    first step and 11 per attempt.  The step control is scipy's DOP853:
-    safety 0.9, step factors within [0.2, 10] with exponent -1/8, and its
-    first-step rule.  A step cut short to land on a stop does not shrink the
+    first step and 11 per attempt.  The step control is scipy's DOP853
+    (safety 0.9, step factors within [0.2, 10] with exponent -1/8, and its
+    first-step rule) capped by Gustafsson's predictive factor (ACM TOMS 20,
+    1994, 496-517; Hairer and Wanner, Solving ODEs II, IV.8, as in
+    radau5.f): with ``r = |h| err^(-1/8)`` of each accepted step, the next
+    factor is ``min(10, 0.9 err^(-1/8) min(1, r / r_last))``, so on a tail
+    whose length scale shrinks with t the steps shrink with it instead of
+    each being rejected once.  There is no r_last at the start or after a
+    step with err = 0, which grows by 10.  After a rejection the next step
+    does not grow.  A step cut short to land on a stop does not shrink the
     step planned after it.  A step size below ten spacings of the floats at t
     raises :class:`StiffnessError`.
     """
@@ -526,6 +541,7 @@ def _dop853(rhs, t0: float, y0, stops: Sequence[float], rtol: float,
     h_abs = _initial_step(slope, t0, y0, f, abs(stops[-1] - t0), direction, rtol, atol)
     nfev = 2
     t, y, integral = t0, y0, 0.0
+    r_last = 0.0                # the last accepted step's r; 0 when there is none
     ys, integrals = [], []
     for stop in stops:
         while t != stop:
@@ -546,8 +562,18 @@ def _dop853(rhs, t0: float, y0, stops: Sequence[float], rtol: float,
                     break
                 h_abs = abs(h) * max(_MIN_FACTOR, _SAFETY * err ** _EXPONENT)
                 rejected = True
-            factor = (_MAX_FACTOR if err == 0.0
-                      else min(_MAX_FACTOR, _SAFETY * err ** _EXPONENT))
+            if err == 0.0:
+                factor, r_last = _MAX_FACTOR, 0.0
+            else:
+                # Gustafsson's cap: a step whose r fell from the last one's
+                # shrinks the next by the same ratio
+                factor = _SAFETY * err ** _EXPONENT
+                r = abs(h) * factor
+                if r < r_last:
+                    factor *= r / r_last
+                r_last = r
+                if factor > _MAX_FACTOR:
+                    factor = _MAX_FACTOR
             if rejected:
                 factor = min(1.0, factor)
             h_abs = max(h_abs, abs(h) * factor) if clipped else abs(h) * factor
@@ -567,8 +593,8 @@ solve_ivp = _dop853
 # backward Riccati path (every z off [0, inf))
 # ---------------------------------------------------------------------------
 
-def _wkb_start(potential: Potential, x: float, z: complex) -> tuple[complex, complex, float]:
-    """(q(x) - z, the WKB start u(x) through its third correction, |u3|).
+def _wkb_terms(potential: Potential, x: float, z: complex) -> tuple:
+    """(q(x) - z, the WKB start u(x) through its third correction, |u2|, |u3|).
 
     With ``k = sqrt(q - z)``, Re k > 0, the decaying solution of
     ``u' = q - z - u^2`` is the Liouville-Green series
@@ -580,7 +606,8 @@ def _wkb_start(potential: Potential, x: float, z: complex) -> tuple[complex, com
     q'' are central differences with the step ``h = _DIFF_STEP (x - ell)``
     and q''' the five-point difference over x +- h, x +- 2h, so no sample
     falls below ell.  An array x takes one potential call, and its turning
-    points get u = 0 and |u3| = inf; numpy may round a complex quotient apart.
+    points get u = 0 and |u2| = |u3| = inf; numpy may round a complex
+    quotient apart.
     """
     h = _DIFF_STEP * (x - potential.ell)
     below2, below, q, above, above2 = (
@@ -590,24 +617,29 @@ def _wkb_start(potential: Potential, x: float, z: complex) -> tuple[complex, com
     ddq = (above - 2.0 * q + below) / (h * h)
     dddq = (above2 - 2.0 * above + 2.0 * below - below2) / (2.0 * h ** 3)
     s = q - z
-    if not isinstance(s, np.ndarray):
-        if s == 0:      # a turning point has no WKB value; the real axis rejects it
-            return s, 0j, math.inf
-        u, u3 = _wkb_series(dq, ddq, dddq, cmath.sqrt(s))
-        return s, u, abs(u3)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u, u3 = _wkb_series(dq, ddq, dddq, np.sqrt(s))
-    return s, np.where(s == 0, 0j, u), np.where(s == 0, np.inf, np.abs(u3))
-
-
-def _wkb_series(dq, ddq, dddq, k):
-    """(-k + u1 + u2 + u3, u3) of :func:`_wkb_start` from q's derivatives and k = sqrt(q - z)."""
+    if isinstance(s, np.ndarray):
+        turning = s == 0
+        k = np.sqrt(np.where(turning, 1.0, s))
+    elif s == 0:        # a turning point has no WKB value; the real axis rejects it
+        return s, 0j, math.inf, math.inf
+    else:
+        k = cmath.sqrt(s)
     k2 = k * k
     u1 = -dq / (4.0 * k2)
     u2 = (5.0 * dq * dq / (32.0 * k2) - ddq / 8.0) / (k2 * k)
     du2 = (-dddq / 8.0 + (dq * ddq / 2.0 - 25.0 * dq ** 3 / (64.0 * k2)) / k2) / (k2 * k)
     u3 = (du2 + 2.0 * u1 * u2) / (2.0 * k)
-    return -k + u1 + u2 + u3, u3
+    u = -k + u1 + u2 + u3
+    if isinstance(s, np.ndarray):
+        return (s, np.where(turning, 0j, u), np.where(turning, np.inf, np.abs(u2)),
+                np.where(turning, np.inf, np.abs(u3)))
+    return s, u, abs(u2), abs(u3)
+
+
+def _wkb_start(potential: Potential, x: float, z: complex) -> tuple[complex, complex, float]:
+    """(q(x) - z, the WKB start u(x), |u3|) of :func:`_wkb_terms`."""
+    s, u, _, last = _wkb_terms(potential, x, z)
+    return s, u, last
 
 
 def _wkb_starts(potential: Potential, xs: list[float], zs: list) -> list:
@@ -629,6 +661,63 @@ def _outcome(f):
         return exc
 
 
+def _leave_well(potential: Potential, z: complex, dist: float, q: float, x_max: float) -> float:
+    """dist, doubled while ``q(ell + dist) - z <= 0`` on the real axis, q being the first value."""
+    ell = potential.ell
+    while q - z.real <= 0 and ell + 2.0 * dist <= x_max:
+        dist *= 2.0
+        q = potential(ell + dist)
+    return dist
+
+
+def _range_error(z: complex, dist: float, ell: float, tol: float) -> DomainError | None:
+    """The DomainError of a z out of the numeric range (module docstring), or None."""
+    # dist/4096 above half a float spacing keeps the lowest midpoint, dist/1024, off ell
+    huge = abs(z) > _Z_MAX
+    if huge or ell + dist / 4096.0 == ell:
+        why = (f"|z| > {_Z_MAX:g}, where m ~ sqrt|z| reads as a pole" if huge
+               else f"at tol = {tol:g} the first truncation X - ell = {dist:.3g} lies "
+               f"within 2048 float spacings of ell = {ell:g}")
+        return DomainError(f"z = {z} is out of the numeric range: {why}")
+    return None
+
+
+def _halve_then_double(potential: Potential, z: complex, dist: float, tol: float,
+                       x_max: float, exponent: float, k_ell: complex, predict):
+    """The first X - ell from the contraction distance dist, or its ConvergenceError.
+
+    ``exponent`` is the WKB exponent up to x_max, ``k_ell = sqrt(q(ell) - z)``
+    and ``predict(i)`` gives, at rung i of the ladder (rung 10 is the
+    midpoint ``ell + dist/2``), the gap test's predicted X/2 term
+    ``|u3| e^-exponent`` and whether the WKB terms still fall there,
+    ``|u3| <= |u2|``.  A halving step needs both at the halved midpoint.
+    """
+    if z.imag != 0.0 and exponent < math.log(1.0 / tol):
+        return ConvergenceError(
+            f"the backward Riccati flow contracts by only e^-{exponent:.3g} "
+            f"up to X_max = {x_max:g} at z = {z}; limit-circle behavior, or z "
+            "too close to [0, inf)")
+    # m is about sqrt(q(ell) - z)
+    threshold = max(_GAP_FLOOR, tol * abs(k_ell))
+    i = 10
+    if z.imag != 0.0 and potential.kind == "bessel":
+        # q is analytic on [ell, inf), so no feature beyond X escapes the gap;
+        # where |u3| > |u2| the series no longer falls, and |u3| may fall short
+        while i > 1:
+            prediction, falls = predict(i - 1)
+            if not (falls and prediction <= threshold):
+                break
+            dist *= 0.5
+            i -= 1
+        if i < 10:      # rung i passed, so the doubling below would stop at once
+            return dist
+    ell = potential.ell
+    while ell + 2.0 * dist <= x_max and not predict(i)[0] <= threshold:
+        dist *= 2.0
+        i += 1
+    return dist
+
+
 def _first_distances(potential: Potential, zs: list[complex], tol: float,
                      x_max: float) -> list:
     """X - ell of the first truncation at each z, or its error (module docstring).
@@ -636,57 +725,32 @@ def _first_distances(potential: Potential, zs: list[complex], tol: float,
     The contraction distance, doubled on the real axis while q(X) - z <= 0
     there, and off it checked against the WKB exponent up to x_max, before
     any solve.  The gap test's X/2 term is predicted from the start's last
-    kept term |u3| at X/2 (:func:`_wkb_start`), damped by the exponent over
+    kept term |u3| at X/2 (:func:`_wkb_terms`), damped by the exponent over
     [ell, X/2].  Off the axis, on a Bessel potential (the free one among
     them), the distance halves while that prediction passes for the halved
-    truncation, down to the ladder's lowest rung.  Then it doubles while the
-    prediction fails.  Out of the numeric range the error is DomainError.
+    truncation and the WKB terms still fall at its midpoint, |u3| <= |u2|,
+    down to the ladder's lowest rung.  Then it doubles while the prediction
+    fails.  Out of the numeric range the error is DomainError.
 
     One z takes the scalar pass, several the array pass (module docstring);
-    both share every check and rule, and differ in how they evaluate q.
+    both share every check and rule (:func:`_leave_well`,
+    :func:`_range_error`, :func:`_halve_then_double`), and differ in how
+    they evaluate q.
     """
     ell = potential.ell
-    target = math.log(1.0 / tol)
-    stacked = len(zs) > 1
     # X - ell contracts a start error by tol (module docstring); so close to
     # ell a well of q may dip below z, and only the tail may raise DomainError
-    out: list = [target / (2.0 * max(sqrt_upper(z).imag, 1e-3)) for z in zs]
-    real = [j for j, z in enumerate(zs) if z.imag == 0.0]
-    wells = (potential(ell + np.array([out[j] for j in real])).tolist() if stacked and real
-             else [potential(ell + out[j]) for j in real])
-    for j, q in zip(real, wells):
-        while q - zs[j].real <= 0 and ell + 2.0 * out[j] <= x_max:
-            out[j] *= 2.0
-            q = potential(ell + out[j])
-    for j, z in enumerate(zs):
-        # dist/4096 above half a float spacing keeps the lowest midpoint, dist/1024, off ell
-        huge = abs(z) > _Z_MAX
-        if huge or ell + out[j] / 4096.0 == ell:
-            why = (f"|z| > {_Z_MAX:g}, where m ~ sqrt|z| reads as a pole" if huge
-                   else f"at tol = {tol:g} the first truncation X - ell = {out[j]:.3g} lies "
-                   f"within 2048 float spacings of ell = {ell:g}")
-            out[j] = DomainError(f"z = {z} is out of the numeric range: {why}")
-    cols = [j for j, d in enumerate(out) if not isinstance(d, DomainError)]
-    if not cols:
-        return out
-    if stacked:
-        d, zc = np.array([out[j] for j in cols]), np.array([zs[j] for j in cols])
-        # rung 0 is ell and rung i >= 1 is ell + d 2^(i - 11), as the scalar pass sums them
-        powers = np.arange(-10, 2 + int(math.log2(x_max / d.min())))
-        xs = np.vstack([np.full(len(cols), ell), ell + np.ldexp(d, powers[:, None])])
-        valid = xs <= x_max
-        q = np.zeros(xs.shape)
-        q[valid] = potential(xs[valid])
-        roots = np.sqrt(q - zc)
-        steps = np.where(valid[1:], np.diff(xs, axis=0) * (roots.real[:-1] + roots.real[1:]), 0)
-        exponents = np.cumsum(np.vstack([np.zeros_like(d), steps]), axis=0)
-        low = 1 if potential.kind == "bessel" and (zc.imag != 0.0).any() else 10
-        with np.errstate(invalid="ignore"):     # a turning point's inf times e^-inf
-            table = _wkb_start(potential, xs[low:11], zc)[2] * np.exp(-exponents[low:11])
-        ladders = [(e, k, lambda i, t=t: t[i - low]) for e, k, t
-                   in zip(exponents[-1].tolist(), roots[0].tolist(), table.T.tolist())]
-    else:
-        z, xs, step = zs[0], [ell], out[0] / 1024.0
+    target = math.log(1.0 / tol)
+    if len(zs) == 1:
+        z = zs[0]
+        dist = target / (2.0 * max(sqrt_upper(z).imag, 1e-3))
+        if z.imag == 0.0:
+            dist = _leave_well(potential, z, dist, potential(ell + dist), x_max)
+        error = _range_error(z, dist, ell, tol)
+        if error is not None:
+            return [error]
+        # rung 0 is ell and rung i >= 1 is ell + dist 2^(i - 11)
+        xs, step = [ell], dist / 1024.0
         while ell + step <= x_max:
             xs.append(ell + step)
             step *= 2.0
@@ -694,31 +758,44 @@ def _first_distances(potential: Potential, zs: list[complex], tol: float,
         exponents = [0.0]
         for a, b, ra, rb in zip(xs, xs[1:], roots, roots[1:]):
             exponents.append(exponents[-1] + (b - a) * (ra.real + rb.real))
-        ladders = [(exponents[-1], roots[0],
-                    lambda i: _wkb_start(potential, xs[i], z)[2] * math.exp(-exponents[i]))]
-    for j, (exponent, k_ell, predict) in zip(cols, ladders):
-        z, dist = zs[j], out[j]
-        if z.imag != 0.0 and exponent < target:
-            out[j] = ConvergenceError(
-                f"the backward Riccati flow contracts by only e^-{exponent:.3g} "
-                f"up to X_max = {x_max:g} at z = {z}; limit-circle behavior, or z "
-                "too close to [0, inf)")
-            continue
-        # m is about sqrt(q(ell) - z); rung 10 is the midpoint ell + dist/2
-        threshold = max(_GAP_FLOOR, tol * abs(k_ell))
-        i = 10
-        if z.imag != 0.0 and potential.kind == "bessel":
-            # q is analytic on [ell, inf), so no feature beyond X escapes the gap
-            while i > 1 and predict(i - 1) <= threshold:
-                dist *= 0.5
-                i -= 1
+
+        def predict(i):
+            _, _, next_last, last = _wkb_terms(potential, xs[i], z)
+            return last * math.exp(-exponents[i]), last <= next_last
+
+        return [_halve_then_double(potential, z, dist, tol, x_max, exponents[-1], roots[0],
+                                   predict)]
+    out: list = [target / (2.0 * max(sqrt_upper(z).imag, 1e-3)) for z in zs]
+    real = [j for j, z in enumerate(zs) if z.imag == 0.0]
+    if real:
+        wells = potential(ell + np.array([out[j] for j in real])).tolist()
+        for j, q in zip(real, wells):
+            out[j] = _leave_well(potential, zs[j], out[j], q, x_max)
+    out = [_range_error(z, d, ell, tol) or d for z, d in zip(zs, out)]
+    cols = [j for j, d in enumerate(out) if not isinstance(d, DomainError)]
+    if not cols:
+        return out
+    d, zc = np.array([out[j] for j in cols]), np.array([zs[j] for j in cols])
+    # rung 0 is ell and rung i >= 1 is ell + d 2^(i - 11), as the scalar pass sums them
+    powers = np.arange(-10, 2 + int(math.log2(x_max / d.min())))
+    xs = np.vstack([np.full(len(cols), ell), ell + np.ldexp(d, powers[:, None])])
+    valid = xs <= x_max
+    q = np.zeros(xs.shape)
+    q[valid] = potential(xs[valid])
+    roots = np.sqrt(q - zc)
+    steps = np.where(valid[1:], np.diff(xs, axis=0) * (roots.real[:-1] + roots.real[1:]), 0)
+    exponents = np.cumsum(np.vstack([np.zeros_like(d), steps]), axis=0)
+    low = 1 if potential.kind == "bessel" and (zc.imag != 0.0).any() else 10
+    _, _, next_last, last = _wkb_terms(potential, xs[low:11], zc)
+    with np.errstate(invalid="ignore"):     # a turning point's inf times e^-inf
+        table, falls = last * np.exp(-exponents[low:11]), last <= next_last
+    for j, exponent, k_ell, p, f in zip(cols, exponents[-1].tolist(), roots[0].tolist(),
+                                        table.T.tolist(), falls.T.tolist()):
         try:
-            while ell + 2.0 * dist <= x_max and not predict(i) <= threshold:
-                dist *= 2.0
-                i += 1
-            out[j] = dist
+            out[j] = _halve_then_double(potential, zs[j], out[j], tol, x_max, exponent, k_ell,
+                                        lambda i: (p[i - low], f[i - low]))
         except IndexError:      # past the array pass's rungs 1-10: the scalar pass
-            out[j] = _outcome(lambda: _first_distances(potential, [z], tol, x_max)[0])
+            out[j] = _outcome(lambda: _first_distances(potential, [zs[j]], tol, x_max)[0])
     return out
 
 

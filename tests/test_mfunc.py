@@ -808,6 +808,54 @@ def test_a_stacked_step_calls_the_potential_once(monkeypatch):
     assert sum(nfevs) == 2 * sweeps + 11 * n_attempts
 
 
+def _counting_steps(monkeypatch, name):
+    """Whether each step attempt made through mfunc's ``name`` step was accepted."""
+    accepted = []
+    step = getattr(mfunc, name)
+
+    def counting_step(*args):
+        out = step(*args)
+        accepted.append(out[2] < 1.0)
+        return out
+
+    monkeypatch.setattr(mfunc, name, counting_step)
+    return accepted
+
+
+def test_a_shrinking_scale_sweep_rejects_almost_no_step(monkeypatch):
+    # toward z = -0 the sweep runs into the 1/x^2 tail, whose length scale
+    # shrinks with x; the standard controller proposed a step about 19% too
+    # long for the next, smaller x, and so rejected every other step (148
+    # attempts, 71 rejected), while the predictive cap follows the shrink
+    accepted = _counting_steps(monkeypatch, "_scalar_step")
+    z = -1e-8
+    value = m_infinity(NUMERIC, z)
+    exact = bessel_m_closed_form(z)
+    assert abs(value - exact) <= 1e-10 * abs(exact)
+    assert len(accepted) <= 85
+    assert accepted.count(False) <= 3
+
+
+@pytest.mark.parametrize("batch, most, most_rejected", [
+    ("verify-example", 180, 2),
+    ("classify", 225, 2),
+], ids=["verify-example", "classify"])
+def test_stacked_sweeps_toward_minus_zero_reject_almost_no_step(monkeypatch, batch, most,
+                                                                most_rejected):
+    # the columns at z = -10^-k set the shared step over s in [1e-5, 1e-2];
+    # the standard controller made 222 and 260 attempts here, 50 and 45 of
+    # them rejected.  The example suite's batch is its check points and both
+    # limit ladders
+    zs = (((1j, -1.0 + 1j, 2.0 + 0.5j, 1.0 - 1j, -0.5, -1.0, -25.0)
+           + mfunc.MINUS_ZERO_LADDER + mfunc.MINUS_INFINITY_LADDER)
+          if batch == "verify-example" else _CLASSIFY)
+    accepted = _counting_steps(monkeypatch, "_array_step")
+    for z, info in zip(zs, m_infinity_batch(NUMERIC, zs)):
+        assert abs(info.value - bessel_m_closed_form(z)) <= info.error_bound
+    assert len(accepted) <= most
+    assert accepted.count(False) <= most_rejected
+
+
 def test_stepper_reads_no_stage_after_the_step():
     # the stepper drops the 13th entry of scipy's DOP853 estimator weights
     assert DOP853.E3[-1] == DOP853.E5[-1] == 0.0
@@ -996,6 +1044,19 @@ def test_sizing_a_stack_calls_the_potential_a_fixed_number_of_times(monkeypatch)
         calls.append([])
         mfunc._first_distances(BESSEL, stack, 1e-8, mfunc._X_MAX_FACTOR)
     assert calls[0] == calls[1] and all(calls[1])
+
+
+def test_sizing_halves_only_while_the_wkb_terms_fall(monkeypatch):
+    # at a small ell and a large nu the series stops falling near ell, where
+    # |u3| no longer bounds the start error: halving into that region made
+    # 12 of the 25 columns fail their gap test once (three sweeps)
+    pot = Potential.bessel(3.5, 0.25)
+    nfev = _counting_stepper(monkeypatch)
+    zs = list(NAMED_GRIDS["default"])
+    for z, info in zip(zs, m_infinity_batch(MFunctionEvaluator(pot), zs)):
+        exact = half_integer_bessel_m(3.5, 0.25, z)
+        assert abs(info.value - exact) <= info.error_bound
+    assert len(nfev) <= 2
 
 
 def test_positive_real_axis_is_rejected():
