@@ -566,7 +566,8 @@ def _dop853(rhs, t0: float, y0, stops: Sequence[float], rtol: float,
                 factor, r_last = _MAX_FACTOR, 0.0
             else:
                 # Gustafsson's cap: a step whose r fell from the last one's
-                # shrinks the next by the same ratio
+                # shrinks the next by the same ratio (r carries the safety
+                # factor here, which cancels in the ratio)
                 factor = _SAFETY * err ** _EXPONENT
                 r = abs(h) * factor
                 if r < r_last:
@@ -610,14 +611,16 @@ def _wkb_terms(potential: Potential, x: float, z: complex) -> tuple:
     quotient apart.
     """
     h = _DIFF_STEP * (x - potential.ell)
+    array = isinstance(x, np.ndarray)
     below2, below, q, above, above2 = (
-        potential(x + np.multiply.outer(np.arange(-2.0, 3.0), h)) if isinstance(x, np.ndarray)
-        else (potential(x + j * h) for j in (-2, -1, 0, 1, 2)))
+        potential(x + np.multiply.outer(np.arange(-2.0, 3.0), h)) if array
+        else (potential(x - 2.0 * h), potential(x - h), potential(x), potential(x + h),
+              potential(x + 2.0 * h)))
     dq = (above - below) / (2.0 * h)
     ddq = (above - 2.0 * q + below) / (h * h)
     dddq = (above2 - 2.0 * above + 2.0 * below - below2) / (2.0 * h ** 3)
     s = q - z
-    if isinstance(s, np.ndarray):
+    if array:
         turning = s == 0
         k = np.sqrt(np.where(turning, 1.0, s))
     elif s == 0:        # a turning point has no WKB value; the real axis rejects it
@@ -630,7 +633,7 @@ def _wkb_terms(potential: Potential, x: float, z: complex) -> tuple:
     du2 = (-dddq / 8.0 + (dq * ddq / 2.0 - 25.0 * dq ** 3 / (64.0 * k2)) / k2) / (k2 * k)
     u3 = (du2 + 2.0 * u1 * u2) / (2.0 * k)
     u = -k + u1 + u2 + u3
-    if isinstance(s, np.ndarray):
+    if array:
         return (s, np.where(turning, 0j, u), np.where(turning, np.inf, np.abs(u2)),
                 np.where(turning, np.inf, np.abs(u3)))
     return s, u, abs(u2), abs(u3)
