@@ -140,8 +140,11 @@ def eval_real(text: str) -> float:
 
 
 def _split_commas(text: str) -> list[str]:
-    """The nonempty comma-separated fields of a point list or grid spec."""
-    return [p.strip() for p in text.split(",") if p.strip()]
+    """The comma-separated fields of a point list or grid spec; an empty one is a usage error."""
+    fields = [p.strip() for p in text.split(",")]
+    if "" in fields:
+        raise UsageError(f"empty field in the comma-separated list {text!r}")
+    return fields
 
 
 # ---------------------------------------------------------------------------
@@ -487,10 +490,28 @@ _HANDLERS = {
 }
 
 
+def _attach_dash_values(argv: list[str]) -> list[str]:
+    """argv with each dash value joined to its option: ``--z -1e-8`` becomes ``--z=-1e-8``.
+
+    argparse reads a token that starts with "-" as an option unless it is a
+    plain negative number, so such a value of --z, --grid, --h, --alpha or
+    --beta is joined to its option; a token that starts with "--" stays an
+    option.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if (out and out[-1] in ("--z", "--grid", "--h", "--alpha", "--beta")
+                and arg.startswith("-") and not arg.startswith("--")):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_dash_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 2
         return 0 if code == 0 else 2

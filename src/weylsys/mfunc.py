@@ -97,7 +97,13 @@ shrinks with x; there the plain control proposes each step about a fifth
 too long and rejects every other one.  A sweep of one z runs in x with a
 Python scalar state: its step is straight-line code, written out from the
 same tableau at import, and its right-hand side calls the potential's
-``scalar_q``, built once per potential.  For a sampled potential it also
+``scalar_q``, built once per potential.  A complex state is held as two
+floats, its real and imaginary parts (:func:`_complex_step`), since a boxed
+complex operation costs about three float ones in CPython; q is real, and
+the float sums and products are those of complex arithmetic, so a finite
+state keeps every bit (only an exact zero can change its sign).  The
+first-step rule takes floats too, with numpy's complex modulus, which can
+round apart from ``abs``.  For a sampled potential it also
 stops on every spline knot between X and ell, so no step crosses a jump of
 the third derivative of q (of the first, at the last knot), which the error
 estimate does not see.  The error norm reads u only, never w.  A step's
@@ -141,6 +147,7 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 from collections.abc import Callable, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -366,35 +373,27 @@ _EXPONENT = -1.0 / 8.0          # -1 / (order of the error estimator + 1)
 _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
 
-@dataclass(frozen=True)
-class _Solution:
-    """The state ``y`` and ``integral = int_t0^t y dt`` at each stop; ``nfev`` RHS calls."""
+class _Solution(NamedTuple):
+    """The state ``y`` and ``integral = int_t0^t y dt`` at each stop; ``nfev`` RHS calls.
+
+    A named tuple, not a frozen dataclass: building the dataclass cost about
+    0.3 ms of the module's import, a third of what writing the steps costs.
+    """
 
     y: list
     integral: list
     nfev: int
 
 
-# The scalar step is straight-line code written out from _ROWS and _FINAL
+# The scalar steps are straight-line code written out from _ROWS and _FINAL
 # once, at import: Python loops over the tableau cost a scalar sweep more
 # than the arithmetic they do.  Each sum keeps the order of the tables.
 _SCALAR_STEP = '''\
-def _scalar_step(rhs, t, t_new, y, f, rtol, atol):
-    """One DOP853 step of a Python-scalar Riccati state: (y(t_new), int y dt, error norm, g).
-
-    ``rhs`` is the pair (q, z) of ``y' = q(t) - z - y^2``.  With h = t_new - t,
-    stage s is ``y_s = y + h sum_j a_sj k_j`` and ``k_s = g - y_s^2``, where
-    ``g = q(t + c_s h) - z``; stage 0 is y with its slope f, and stage 11
-    (c = 1) takes t_new itself and returns its g.  The integral weighs the
-    stage values with b, as a component ``w' = y`` would, outside the norm.
-    """
+def {name}(rhs, t, t_new, y, f, rtol, atol):
+    """{doc}"""
     q, z = rhs
     h = t_new - t
-{stages}
-    y_new = y + h * ({slope})
-    integral = h * ({mean})
-    err5 = {err5}
-    err3 = {err3}
+{body}
     try:
         scale = atol + rtol * max(abs(y), abs(y_new))
         n5 = abs(err5) / scale
@@ -409,30 +408,70 @@ def _scalar_step(rhs, t, t_new, y, f, rtol, atol):
 '''
 
 
-def _write_scalar_step():
-    """:func:`_scalar_step`, compiled from _SCALAR_STEP with the tableau as literals."""
+def _write_scalar_steps():
+    """:func:`_scalar_step` and :func:`_complex_step`, compiled from _SCALAR_STEP in one pass.
+
+    The tableau enters as literals.  The complex step repeats each sum of the
+    real one over the real parts (suffix r) and the imaginary parts (suffix i).
+    """
+    scalar_doc = """One DOP853 step of a scalar Riccati state: (y(t_new), int y dt, error norm, g).
+
+    ``rhs`` is the pair (q, z) of ``y' = q(t) - z - y^2``.  With h = t_new - t,
+    stage s is ``y_s = y + h sum_j a_sj k_j`` and ``k_s = g - y_s^2``, where
+    ``g = q(t + c_s h) - z``; stage 0 is y with its slope f, and stage 11
+    (c = 1) takes t_new itself and returns its g.  The integral weighs the
+    stage values with b, as a component ``w' = y`` would, outside the norm.
+    """
+    complex_doc = """:func:`_scalar_step` for a complex y, held as two floats: y = yr + i yi.
+
+    A boxed complex operation costs about three float ones in CPython.  q
+    is real, so every stage's g = gr + i gi has ``gr = q(t + c_s h) - Re z``
+    and the same gi, and ``k_s = (gr - (yr yr - yi yi)) + i (gi - 2 yr yi)``.
+    These are the sums and products that complex arithmetic forms (its
+    ``yr yi + yi yr`` is exactly ``2 (yr yi)``), so a finite step keeps
+    every bit, bar the sign of an exact zero.  y_new, the integral, both
+    error estimates and g are packed into complex at the end.
+    """
+
     def dot(terms):
-        return " + ".join(f"{w!r} * {v}" for w, v in terms)
+        """The sum of the terms w v in their order, each v marked "#" for its part's suffix."""
+        return " + ".join([f"{w!r} * {v}#" for w, v in terms])
 
     k = ["f"] + [f"k{s}" for s in range(1, _STAGES)]
     stage = ["y"] + [f"y{s}" for s in range(1, _STAGES)]
-    lines = []
+    real = []
+    pair = ["    yr, yi, fr, fi = y.real, y.imag, f.real, f.imag",
+            "    zr, gi = z.real, (0.0 - z).imag     # the imaginary part of q - z"]
     for s, (c, row) in enumerate(_ROWS, 1):
-        lines.append(f"    {stage[s]} = y + h * ({dot((a, k[j]) for j, a in row)})")
-        lines.append(f"    g = q({'t_new' if c == 1.0 else f't + {c!r} * h'}) - z")
-        lines.append(f"    {k[s]} = g - {stage[s]} * {stage[s]}")
-    source = _SCALAR_STEP.format(
-        stages="\n".join(lines),
-        slope=dot((b, k[j]) for j, b, _, _ in _FINAL),
-        mean=dot((b, stage[j]) for j, b, _, _ in _FINAL),
-        err5=dot((e5, k[j]) for j, _, e5, _ in _FINAL),
-        err3=dot((e3, k[j]) for j, _, _, e3 in _FINAL))
+        x = "t_new" if c == 1.0 else f"t + {c!r} * h"
+        v = stage[s]
+        line = f"    {v}# = y# + h * ({dot((a, k[j]) for j, a in row)})"
+        real += [line.replace("#", ""),
+                 f"    g = q({x}) - z",
+                 f"    {k[s]} = g - {v} * {v}"]
+        pair += [line.replace("#", "r"),
+                 line.replace("#", "i"),
+                 f"    gr = q({x}) - zr",
+                 f"    {k[s]}r = gr - ({v}r * {v}r - {v}i * {v}i)",
+                 f"    {k[s]}i = gi - 2.0 * ({v}r * {v}i)"]
+    finals = [("y_new", f"y# + h * ({dot((b, k[j]) for j, b, _, _ in _FINAL)})"),
+              ("integral", f"h * ({dot((b, stage[j]) for j, b, _, _ in _FINAL)})"),
+              ("err5", dot((e5, k[j]) for j, _, e5, _ in _FINAL)),
+              ("err3", dot((e3, k[j]) for j, _, _, e3 in _FINAL))]
+    real += [f"    {name} = {expr.replace('#', '')}" for name, expr in finals]
+    pair += [f"    {name} = complex({expr.replace('#', 'r')}, {expr.replace('#', 'i')})"
+             for name, expr in finals]
+    pair.append("    g = complex(gr, gi)")
+    source = "\n\n".join(
+        _SCALAR_STEP.format(name=name, doc=doc, body="\n".join(body))
+        for name, doc, body in [("_scalar_step", scalar_doc, real),
+                                ("_complex_step", complex_doc, pair)])
     namespace = {"math": math}
-    exec(compile(source, "<weylsys.mfunc._scalar_step>", "exec"), namespace)
-    return namespace["_scalar_step"]
+    exec(compile(source, "<weylsys.mfunc scalar steps>", "exec"), namespace)
+    return namespace["_scalar_step"], namespace["_complex_step"]
 
 
-_scalar_step = _write_scalar_step()
+_scalar_step, _complex_step = _write_scalar_steps()
 
 
 def _array_workspace(dtype, n: int) -> tuple:
@@ -489,7 +528,25 @@ def _array_step(rhs, t, t_new, y, f, rtol, atol):
 
 
 def _initial_step(rhs, t0, y0, f0, span, direction, rtol, atol) -> float:
-    """scipy's first DOP853 step from (t0, y0), the smallest over the columns."""
+    """scipy's first DOP853 step from (t0, y0), the smallest over the columns.
+
+    A Python scalar y0 takes the same operations on floats, with numpy's
+    modulus of a complex number, which can round apart from ``abs``, so
+    that both branches give one step.  A first trial step h0 = 0 (an
+    infinite slope) is left to the array branch, where it gives inf or nan.
+    """
+    if not isinstance(y0, np.ndarray):
+        size = abs if isinstance(f0, float) else lambda v: float(np.abs(v))
+        y0_size = size(y0)
+        scale = atol + rtol * y0_size
+        d0, d1 = y0_size / scale, size(f0) / scale
+        h0 = min(span, 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1)
+        if h0 > 0.0:
+            f1 = rhs(t0 + direction * h0, y0 + direction * h0 * f0)
+            d2 = size(f1 - f0) / scale / h0
+            h1 = (max(1e-6, 1e-3 * h0) if d1 <= 1e-15 and d2 <= 1e-15
+                  else (0.01 / max(d1, d2)) ** (-_EXPONENT))
+            return min(100.0 * h0, h1, span)
     y0a, f0a = np.atleast_1d(y0), np.atleast_1d(f0)
     scale = atol + rtol * np.abs(y0a)
     d0 = (np.abs(y0a) / scale).tolist()
@@ -508,17 +565,18 @@ def _dop853(rhs, t0: float, y0, stops: Sequence[float], rtol: float,
     """Integrate the Riccati equation of the pair rhs from t0 through the monotone ``stops``.
 
     The steps land exactly on each stop.  A Python scalar y0 is a Riccati
-    state ``y' = q(t) - z - y^2`` and takes :func:`_scalar_step`; rhs is
-    then the pair (q, z).  An array y0 is a stack of scaled Riccati columns
-    ``v = d u``, ``v' = G(t) - v^2``, and takes :func:`_array_step`; rhs is
-    then the pair (G, d), G giving an array of shape ``t.shape + y0.shape``,
-    and a column's absolute tolerance is ``d atol``.  A step's stage 11 lies
-    at its end, so its forcing gives the next slope: nfev counts 2 for the
-    first step and 11 per attempt.  The step control is scipy's DOP853
-    (safety 0.9, step factors within [0.2, 10] with exponent -1/8, and its
-    first-step rule) capped by Gustafsson's predictive factor (ACM TOMS 20,
-    1994, 496-517; Hairer and Wanner, Solving ODEs II, IV.8, as in
-    radau5.f): with ``r = |h| err^(-1/8)`` of each accepted step, the next
+    state ``y' = q(t) - z - y^2`` with a real q, and takes
+    :func:`_complex_step` if it is complex, :func:`_scalar_step` if it is
+    a float; rhs is then the pair (q, z).  An array y0 is a stack of scaled
+    Riccati columns ``v = d u``, ``v' = G(t) - v^2``, and takes
+    :func:`_array_step`; rhs is then the pair (G, d), G giving an array of
+    shape ``t.shape + y0.shape``, and a column's absolute tolerance is
+    ``d atol``.  A step's stage 11 lies at its end, so its forcing gives the
+    next slope: nfev counts 2 for the first step and 11 per attempt.  The
+    step control is scipy's DOP853 (safety 0.9, step factors within [0.2,
+    10] with exponent -1/8, and its first-step rule) capped by Gustafsson's
+    predictive factor (ACM TOMS 20, 1994, 496-517; Hairer and Wanner,
+    Solving ODEs II, IV.8, as in radau5.f): with ``r = |h| err^(-1/8)`` of each accepted step, the next
     factor is ``min(10, 0.9 err^(-1/8) min(1, r / r_last))``, so on a tail
     whose length scale shrinks with t the steps shrink with it instead of
     each being rejected once.  There is no r_last at the start or after a
@@ -534,7 +592,8 @@ def _dop853(rhs, t0: float, y0, stops: Sequence[float], rtol: float,
         f = slope(t0, y0)
         step, rhs = _array_step, (forcing, _array_workspace(np.result_type(y0, f), len(y0)))
     else:
-        step, (q, z) = _scalar_step, rhs
+        q, z = rhs
+        step = _complex_step if isinstance(y0, complex) else _scalar_step
         slope = lambda t, y: q(t) - z - y * y
         f = slope(t0, y0)
     direction = math.copysign(1.0, stops[-1] - t0)

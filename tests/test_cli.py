@@ -181,6 +181,36 @@ def test_m_eval_usage_errors(capsys, tmp_path):
     assert code == 2 and "nu - 1/2 a non-negative integer" in err
 
 
+def test_a_value_that_starts_with_a_dash_needs_no_equals_sign(capsys):
+    # argparse reads a token such as "-1e-8,-1e-6" as an option unless it is
+    # a plain negative number; each expression option takes it as its value
+    spaced = run(capsys, "m-eval", "--mode", "numeric", "--z", "-1e-8,-1e-6")
+    assert spaced[0] == 0
+    assert spaced == run(capsys, "m-eval", "--mode", "numeric", "--z=-1e-8,-1e-6")
+    spaced = run(capsys, "classify", "--h", "-1+i", "--trials", "2")
+    assert spaced[0] == 0
+    assert spaced == run(capsys, "classify", "--h=-1+i", "--trials", "2")
+    # a dash value that is wrong is reported as such, not as a missing one
+    for argv, message in [
+        (("m-eval", "--z", "i", "--alpha", "-pi/2"), "alpha must lie in (0, pi]"),
+        (("m-eval", "--grid", "-x"), "unrecognized grid spec"),
+        (("classify", "--beta", "-pi/4", "--trials", "2"), "beta"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and message in err
+        assert "expected one argument" not in err
+    # a token that starts with "--" is still the next option
+    code, out, err = run(capsys, "m-eval", "--z", "--mode", "numeric")
+    assert code == 2 and out == "" and "expected one argument" in err
+
+
+@pytest.mark.parametrize("z", ["-1e-8,,", "i,,-1", ",-1", "-1,"])
+def test_an_empty_field_in_a_point_list_is_a_usage_error(capsys, no_solve, z):
+    for argv in (("--z", z), (f"--z={z}",)):
+        code, out, err = run(capsys, "m-eval", "--mode", "numeric", *argv)
+        assert code == 2 and out == "" and "empty field" in err
+
+
 def test_m_eval_on_a_tabulated_potential(capsys, tmp_path):
     # a 400-knot table of the example's q = 2/x^2 on [1, 60]: numeric m agrees
     # with the nu = 3/2 closed form to the table's spline error

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import operator
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 import numpy as np
 from scipy.integrate import DOP853, solve_ivp
 from scipy.special import hankel1e
@@ -618,8 +620,9 @@ def test_stepper_matches_scipy_and_the_exact_solution(cs):
     # backward from t = 3, a start off the fixed point -sqrt(c) is drawn to it
     starts = [-cmath.sqrt(c) + 0.5 for c in cs]
     if len(cs) == 1:
-        # the scalar stepper takes the Riccati pair (q, z) of u' = q(t) - z - u^2
-        sol = mfunc._dop853((lambda t: cs[0], 0.0), 3.0, starts[0], _STOPS,
+        # the scalar stepper takes the Riccati pair (q, z) of u' = q(t) - z - u^2,
+        # with q real: c = q - z
+        sol = mfunc._dop853((lambda t: cs[0].real, -1j * cs[0].imag), 3.0, starts[0], _STOPS,
                             mfunc._RTOL, mfunc._ATOL)
         columns = [(sol.y, sol.integral)]
         assert all(type(u) is complex for u in sol.y)
@@ -678,18 +681,21 @@ def test_stepper_raises_stiffness_error_at_the_deep_well_pole():
 
 @pytest.mark.parametrize("y0, h", [(-2.0 + 0.3j, -0.1), (-1.5 + 0.0j, -0.37), (0.8, 0.25)])
 def test_straight_line_step_matches_the_array_step(y0, h):
-    # the scalar step is written out from the same tableau as the stacked one
-    def g(t):
-        return (4.0 + 1.0j) / (1.0 + t * t)
+    # the scalar steps are written out from the same tableau as the stacked
+    # one; q is real, as every potential's scalar_q is, and z = -i
+    def q(t):
+        return 4.0 / (1.0 + t * t)
+
+    z = -1j
 
     def rhs(t, u):
-        return g(t) - u * u
+        return q(t) - z - u * u
 
     f = rhs(2.0, y0)
-    y, integral, err, g_end = mfunc._scalar_step((g, 0.0), 2.0, 2.0 + h, y0, f,
-                                                 mfunc._RTOL, mfunc._ATOL)
+    step = mfunc._complex_step if isinstance(y0, complex) else mfunc._scalar_step
+    y, integral, err, g_end = step((q, z), 2.0, 2.0 + h, y0, f, mfunc._RTOL, mfunc._ATOL)
     work = mfunc._array_workspace(np.result_type(y0, f), 1)
-    ys, integrals, errs, gs_end = mfunc._array_step((_stacked(lambda t: [g(t)])[0], work),
+    ys, integrals, errs, gs_end = mfunc._array_step((_stacked(lambda t: [q(t) - z])[0], work),
                                                     2.0, 2.0 + h, np.array([y0]),
                                                     np.array([f]), mfunc._RTOL,
                                                     np.array([mfunc._ATOL]))
@@ -699,7 +705,111 @@ def test_straight_line_step_matches_the_array_step(y0, h):
     assert abs(integral - integrals[0]) <= ulp * max(abs(y0), abs(y))
     assert err == pytest.approx(errs, rel=1e-6)
     # both take stage 11, and the next slope's forcing, at the step's end
-    assert g_end == gs_end[0] == g(2.0 + h)
+    assert g_end == gs_end[0] == q(2.0 + h) - z
+
+
+def _complex_reference_step(q, z, t, t_new, y, f, rtol, atol):
+    """One DOP853 step of ``y' = q(t) - z - y^2`` in plain complex arithmetic.
+
+    Each sum runs over _ROWS and _FINAL in the order of the tables, from
+    its first term, as the written-out steps add them.
+    """
+    def add(terms):
+        return functools.reduce(operator.add, terms)
+
+    h = t_new - t
+    ks, ys = [f], [y]
+    for c, row in mfunc._ROWS:
+        ys.append(y + h * add([a * ks[j] for j, a in row]))
+        g = q(t_new if c == 1.0 else t + c * h) - z
+        ks.append(g - ys[-1] * ys[-1])
+    y_new = y + h * add([b * ks[j] for j, b, _, _ in mfunc._FINAL])
+    integral = h * add([b * ys[j] for j, b, _, _ in mfunc._FINAL])
+    err5 = add([e5 * ks[j] for j, _, e5, _ in mfunc._FINAL])
+    err3 = add([e3 * ks[j] for j, _, _, e3 in mfunc._FINAL])
+    try:
+        scale = atol + rtol * max(abs(y), abs(y_new))
+        n5 = abs(err5) / scale
+        n3 = abs(err3) / scale
+    except OverflowError:
+        return y_new, integral, math.inf, g
+    n5 *= n5
+    n3 *= n3
+    if n5 == 0.0 and n3 == 0.0:
+        return y_new, integral, 0.0, g
+    return y_new, integral, abs(h) * n5 / math.sqrt(n5 + 0.01 * n3), g
+
+
+def _part(bound):
+    """A part of a complex number: a signed zero, or of modulus in [1e-6, bound]."""
+    return st.one_of(st.sampled_from([0.0, -0.0]),
+                     st.builds(math.copysign, st.floats(1e-6, bound), st.sampled_from([1, -1])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_part(30.0), _part(30.0), _part(1e3), _part(1e3), st.floats(0.5, 6.0),
+       st.floats(1.0, 4.0), st.floats(1e-9, 0.5), st.booleans())
+def test_complex_step_is_the_complex_arithmetic_step_bit_for_bit(yr, yi, zr, zi, nu, t,
+                                                                 h, backward):
+    # the float-pair step forms the sums and products of complex arithmetic,
+    # so every output keeps its bits.  Where a part is 0 (or a product
+    # underflows to 0), a result can be -0.0 where complex arithmetic gives
+    # 0.0, since its float x complex product adds a 0 x part term; the two
+    # compare equal.  A step that overflows is the test below
+    q = Potential.bessel(nu, 0.25).scalar_q
+    y, z = complex(yr, yi), complex(zr, zi)
+    f = q(t) - z - y * y
+    t_new = t - h if backward else t + h
+    ref = _complex_reference_step(q, z, t, t_new, y, f, mfunc._RTOL, mfunc._ATOL)
+    assume(all(cmath.isfinite(v) for v in ref))
+    ours = mfunc._complex_step((q, z), t, t_new, y, f, mfunc._RTOL, mfunc._ATOL)
+    assert all(type(v) is complex for v in (ours[0], ours[1], ours[3]))
+    if 0.0 in (yr, yi, zr, zi):
+        assert ours == ref
+    else:
+        assert repr(ours) == repr(ref)
+
+
+def test_an_overflowing_complex_state_is_rejected():
+    # y^2 overflows: both steps give a nan error norm, and the sweep shrinks
+    # its step below the float spacing
+    q = BESSEL.scalar_q
+    y = 1e300 + 1e300j
+    f = q(3.0) - 1j - y * y
+    ours = mfunc._complex_step((q, 1j), 3.0, 2.9, y, f, mfunc._RTOL, mfunc._ATOL)
+    ref = _complex_reference_step(q, 1j, 3.0, 2.9, y, f, mfunc._RTOL, mfunc._ATOL)
+    assert not ours[2] < 1.0 and not ref[2] < 1.0
+    with np.errstate(all="ignore"), pytest.raises(StiffnessError, match="step size"):
+        mfunc._dop853((q, 1j), 3.0, y, [1.0], mfunc._RTOL, mfunc._ATOL)
+
+
+def _numpy_first_step(rhs, t0, y0, f0, span, direction, rtol, atol):
+    """scipy's first-step rule for one Riccati state, its moduli and quotients in numpy."""
+    y0a, f0a = np.atleast_1d(y0), np.atleast_1d(f0)
+    scale = atol + rtol * np.abs(y0a)
+    d0, d1 = float((np.abs(y0a) / scale)[0]), float((np.abs(f0a) / scale)[0])
+    h0 = min(span, 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1)
+    f1 = rhs(t0 + direction * h0, y0 + direction * h0 * f0)
+    d2 = float((np.abs(np.atleast_1d(f1) - f0a) / scale / h0)[0])
+    h1 = (max(1e-6, 1e-3 * h0) if d1 <= 1e-15 and d2 <= 1e-15
+          else (0.01 / max(d1, d2)) ** (1.0 / 8.0))
+    return min(100.0 * h0, h1, span)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_part(30.0), _part(30.0), _part(1e3), _part(1e3), st.booleans(), st.floats(1e-3, 5.0))
+def test_a_scalar_first_step_is_numpys(yr, yi, zr, zi, real, span):
+    # one Riccati state takes float operations; numpy's complex modulus can
+    # round apart from abs(), so a complex one keeps numpy's, and the step
+    # is the one of the array operations
+    q = BESSEL.scalar_q
+    y0, z = (yr, zr) if real else (complex(yr, yi), complex(zr, zi))
+    slope = lambda t, y: q(t) - z - y * y
+    f0 = slope(2.0, y0)
+    ours = mfunc._initial_step(slope, 2.0, y0, f0, span, -1.0, mfunc._RTOL, mfunc._ATOL)
+    ref = _numpy_first_step(slope, 2.0, y0, f0, span, -1.0, mfunc._RTOL, mfunc._ATOL)
+    assert type(ours) is float
+    assert repr(ours) == repr(ref)
 
 
 def _per_stage_step(q, ell, d, zs, t, t_new, y, f, rtol, atol):
@@ -834,6 +944,20 @@ def test_a_shrinking_scale_sweep_rejects_almost_no_step(monkeypatch):
     assert abs(value - exact) <= 1e-10 * abs(exact)
     assert len(accepted) <= 85
     assert accepted.count(False) <= 3
+
+
+@pytest.mark.parametrize("z, attempts, rejected", [
+    (1j, 46, 0), (5.0 + 0.1j, 165, 0), (100.0 + 1j, 144, 0), (1000.0 + 1j, 48, 1),
+])
+def test_complex_sweeps_keep_their_step_count(monkeypatch, z, attempts, rejected):
+    # the sweep of a complex z takes the float-pair step; these are the
+    # attempts and rejections of the complex-arithmetic step it replaced, so
+    # a float-pair step that changed the step control fails here
+    accepted = _counting_steps(monkeypatch, "_complex_step")
+    exact = bessel_m_closed_form(z)
+    assert abs(m_infinity(NUMERIC, z) - exact) <= 1e-10 * abs(exact)
+    assert len(accepted) == attempts
+    assert accepted.count(False) == rejected
 
 
 @pytest.mark.parametrize("batch, most, most_rejected", [
