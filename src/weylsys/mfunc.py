@@ -377,7 +377,7 @@ class _Solution(NamedTuple):
     """The state ``y`` and ``integral = int_t0^t y dt`` at each stop; ``nfev`` RHS calls.
 
     A named tuple, not a frozen dataclass: building the dataclass cost about
-    0.3 ms of the module's import, a third of what writing the steps costs.
+    0.3 ms of the module's import, a quarter of what writing both steps costs.
     """
 
     y: list
