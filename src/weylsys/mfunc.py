@@ -94,19 +94,26 @@ factor (ACM TOMS 20, 1994, 496-517; Solving ODEs II, IV.8): a step whose
 ``|h| err^(-1/8)`` fell from the last one's shrinks the next by that
 ratio.  Toward z = -0 a sweep runs into the 1/x^2 tail, whose length scale
 shrinks with x; there the plain control proposes each step about a fifth
-too long and rejects every other one.  A sweep of one z runs in x with a
-Python scalar state: its step is straight-line code, written out from the
-same tableau at import, and its right-hand side calls the potential's
-``scalar_q``, built once per potential.  A complex state is held as two
-floats, its real and imaginary parts (:func:`_complex_step`), since a boxed
-complex operation costs about three float ones in CPython; q is real, and
-the float sums and products are those of complex arithmetic, so a finite
-state keeps every bit (only an exact zero can change its sign).  The
-first-step rule takes floats too, with numpy's complex modulus, which can
-round apart from ``abs``.  For a sampled potential it also
-stops on every spline knot between X and ell, so no step crosses a jump of
-the third derivative of q (of the first, at the last knot), which the error
-estimate does not see.  The error norm reads u only, never w.  A step's
+too long and rejects every other one.  Each kind of state has one compiled
+sweep: the step control is written once, as the source template
+``_SWEEP``, and compiled with the step in its loop.  A sweep of one z runs
+in x with a Python scalar state, its step straight-line code written out
+from the tableau, so the state stays in floats between step attempts.  A
+complex state is held as two floats, its real and imaginary parts, since a
+boxed complex operation costs about three float ones in CPython; q is
+real, and the float sums and products are those of complex arithmetic, so
+a finite state keeps every bit (only an exact zero can change its sign).
+On a Bessel potential with ``c = nu^2 - 1/4 != 0`` each stage's forcing
+is written in as ``c / (x * x) - z``, the floats that ``scalar_q``
+returns.  Every other potential's sweep calls ``scalar_q``, built once per
+potential: the free one too, since its sweep reaches x = 0 when ell = 0.
+The complex Bessel sweep compiles at import, the other scalar sweeps on
+first use.  A stack's sweep runs the same step control around
+:func:`_array_step`.  The first-step rule takes floats for a scalar state,
+with numpy's complex modulus, which can round apart from ``abs``.  For a
+sampled potential a sweep also stops on every spline knot between X and
+ell, so no step crosses a jump of the third derivative of q (of the first,
+at the last knot), which the error estimate does not see.  The error norm reads u only, never w.  A step's
 stage 11 lies at its end, so its forcing gives the next slope, and a
 sweep's ``nfev`` is 2 plus 11 per step attempt.
 
@@ -145,7 +152,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from collections.abc import Callable, Sequence
 from typing import NamedTuple
 
@@ -376,102 +383,214 @@ _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 class _Solution(NamedTuple):
     """The state ``y`` and ``integral = int_t0^t y dt`` at each stop; ``nfev`` RHS calls.
 
+    ``rejected`` counts the step attempts whose error norm reached 1, so a
+    sweep made ``(nfev - 2) / 11`` attempts and kept all but ``rejected``.
     A named tuple, not a frozen dataclass: building the dataclass cost about
-    0.3 ms of the module's import, a quarter of what writing both steps costs.
+    0.3 ms of the module's import.
     """
 
     y: list
     integral: list
     nfev: int
+    rejected: int
 
 
-# The scalar steps are straight-line code written out from _ROWS and _FINAL
-# once, at import: Python loops over the tableau cost a scalar sweep more
-# than the arithmetic they do.  Each sum keeps the order of the tables.
-_SCALAR_STEP = '''\
-def {name}(rhs, t, t_new, y, f, rtol, atol):
-    """{doc}"""
-    q, z = rhs
-    h = t_new - t
-{body}
-    try:
-        scale = atol + rtol * max(abs(y), abs(y_new))
-        n5 = abs(err5) / scale
-        n3 = abs(err3) / scale
-    except OverflowError:       # the modulus of a complex state beyond the float range
-        return y_new, integral, math.inf, g
-    n5 *= n5
-    n3 *= n3
-    if n5 == 0.0 and n3 == 0.0:
-        return y_new, integral, 0.0, g
-    return y_new, integral, abs(h) * n5 / math.sqrt(n5 + 0.01 * n3), g
+# Every sweep is written out from this one source, so the step control
+# exists once; the step goes into its loop as straight-line code from _ROWS
+# and _FINAL (each sum in the order of the tables), or as a call of
+# :func:`_array_step` for a stack.  Python loops over the tableau, and a
+# function call per attempt, cost a scalar sweep more than the arithmetic.
+_SWEEP = '''\
+def {name}(rhs, t, y, f, stops, rtol, atol, h_abs, direction):
+    """The DOP853 sweep of {what}; see _dop853."""
+{setup}
+    nfev = 2
+    rejections = 0
+    r_last = 0.0                # the last accepted step's r; 0 when there is none
+    ys, integrals = [], []
+    for stop in stops:
+        while t != stop:
+            min_step = 10.0 * abs(nextafter(t, direction * inf) - t)
+            if h_abs < min_step:
+                h_abs = min_step
+            rejected = False
+            while True:
+                if h_abs < min_step:
+                    raise StiffnessError(TOO_SMALL_STEP)
+                t_new = t + direction * h_abs
+                clipped = direction * (t_new - stop) > 0
+                if clipped:
+                    t_new = stop
+                h = t_new - t
+{step}
+                nfev += {attempt_calls}
+                if err < 1.0:
+                    break
+                h_abs = abs(h) * max({min_factor}, {safety} * err ** {exponent})
+                rejected = True
+                rejections += 1
+            if err == 0.0:
+                factor, r_last = {max_factor}, 0.0
+            else:
+                # Gustafsson's cap: a step whose r fell from the last one's
+                # shrinks the next by the same ratio (r carries the safety
+                # factor here, which cancels in the ratio)
+                factor = {safety} * err ** {exponent}
+                r = abs(h) * factor
+                if r < r_last:
+                    factor *= r / r_last
+                r_last = r
+                if factor > {max_factor}:
+                    factor = {max_factor}
+            if rejected:
+                factor = min(1.0, factor)
+            h_abs = max(h_abs, abs(h) * factor) if clipped else abs(h) * factor
+            t = t_new
+{accept}
+{record}
+    return ys, integrals, nfev, rejections
 '''
 
+# The error norm of a scalar step, with ``ay = |y|`` kept from the step that
+# made y.  max(|y|, |y_new|) is written out in max's order: a nan |y| is
+# kept, and a nan |y_new| is passed over
+_SCALAR_NORM = """\
+try:
+    ay_new = abs({y_new})
+    scale = atol + rtol * (ay_new if ay_new > ay else ay)
+    n5 = abs({err5}) / scale
+    n3 = abs({err3}) / scale
+except OverflowError:       # the modulus of a complex state beyond the float range
+    err = inf
+else:
+    n5 *= n5
+    n3 *= n3
+    err = 0.0 if n5 == 0.0 and n3 == 0.0 else abs(h) * n5 / sqrt(n5 + 0.01 * n3)"""
 
-def _write_scalar_steps():
-    """:func:`_scalar_step` and :func:`_complex_step`, compiled from _SCALAR_STEP in one pass.
+# The lines of each state that _SWEEP wraps: before the loop, after an
+# accepted step, and at a stop.  A scalar state's step is written from the
+# tableau by _scalar_stages, a stack's is one call
+_STATES = {
+    "float": {
+        "setup": ["w = 0.0", "ay = abs(y)"],
+        "accept": ["y = y_new", "ay = ay_new", "w = w + w_step", "f = g - y * y"],
+        "record": ["ys.append(y)", "integrals.append(w)"],
+    },
+    # y = yr + i yi, held as two floats.  q is real, so every stage's
+    # g = gr + i gi has the same gi, and k = (gr - (yr yr - yi yi)) + i (gi -
+    # 2 yr yi), as complex arithmetic forms it (its yr yi + yi yr is exactly
+    # 2 (yr yi)).  A |y0| beyond the float range reads as nan, which fails
+    # every step, as the overflow it stands for does
+    "complex": {
+        "setup": ["yr, yi, fr, fi = y.real, y.imag, f.real, f.imag",
+                  "zr, gi = z.real, (0.0 - z).imag     # the imaginary part of q - z",
+                  "wr = wi = 0.0",
+                  "try:",
+                  "    ay = abs(y)",
+                  "except OverflowError:",
+                  "    ay = nan"],
+        "accept": ["yr, yi = y_newr, y_newi", "ay = ay_new",
+                   "wr, wi = wr + w_stepr, wi + w_stepi",
+                   "fr = gr - (yr * yr - yi * yi)", "fi = gi - 2.0 * (yr * yi)"],
+        "record": ["ys.append(complex(yr, yi))", "integrals.append(complex(wr, wi))"],
+    },
+    "array": {
+        "setup": ["w = 0.0"],
+        "step": ["y_new, w_step, err, g = array_step(rhs, t, t_new, y, f, rtol, atol)"],
+        "accept": ["y = y_new", "w = w + w_step      # not +=: the stops keep their arrays",
+                   "f = g - y * y"],
+        "record": ["ys.append(y)", "integrals.append(w)"],
+    },
+}
 
-    The tableau enters as literals.  The complex step repeats each sum of the
-    real one over the real parts (suffix r) and the imaginary parts (suffix i).
-    """
-    scalar_doc = """One DOP853 step of a scalar Riccati state: (y(t_new), int y dt, error norm, g).
 
-    ``rhs`` is the pair (q, z) of ``y' = q(t) - z - y^2``.  With h = t_new - t,
-    stage s is ``y_s = y + h sum_j a_sj k_j`` and ``k_s = g - y_s^2``, where
+def _tableau_sums() -> tuple[list, list]:
+    """The sums of the straight-line step, each v marked "#" for its part's suffix.
+
+    Stage s is ``y_s = y + h sum_j a_sj k_j`` and ``k_s = g - y_s^2``, where
     ``g = q(t + c_s h) - z``; stage 0 is y with its slope f, and stage 11
-    (c = 1) takes t_new itself and returns its g.  The integral weighs the
-    stage values with b, as a component ``w' = y`` would, outside the norm.
+    (c = 1) takes t_new itself, so its g gives the next slope.  y_new sums
+    the slopes with b, and the step's integral the stage values, as a
+    component ``w' = y`` would, outside the norm.  Returns (abscissa, sum)
+    of stages 1-11, and (name, sum) of y_new, the integral and both error
+    estimates.
     """
-    complex_doc = """:func:`_scalar_step` for a complex y, held as two floats: y = yr + i yi.
-
-    A boxed complex operation costs about three float ones in CPython.  q
-    is real, so every stage's g = gr + i gi has ``gr = q(t + c_s h) - Re z``
-    and the same gi, and ``k_s = (gr - (yr yr - yi yi)) + i (gi - 2 yr yi)``.
-    These are the sums and products that complex arithmetic forms (its
-    ``yr yi + yi yr`` is exactly ``2 (yr yi)``), so a finite step keeps
-    every bit, bar the sign of an exact zero.  y_new, the integral, both
-    error estimates and g are packed into complex at the end.
-    """
-
     def dot(terms):
-        """The sum of the terms w v in their order, each v marked "#" for its part's suffix."""
         return " + ".join([f"{w!r} * {v}#" for w, v in terms])
 
     k = ["f"] + [f"k{s}" for s in range(1, _STAGES)]
     stage = ["y"] + [f"y{s}" for s in range(1, _STAGES)]
-    real = []
-    pair = ["    yr, yi, fr, fi = y.real, y.imag, f.real, f.imag",
-            "    zr, gi = z.real, (0.0 - z).imag     # the imaginary part of q - z"]
-    for s, (c, row) in enumerate(_ROWS, 1):
-        x = "t_new" if c == 1.0 else f"t + {c!r} * h"
-        v = stage[s]
-        line = f"    {v}# = y# + h * ({dot((a, k[j]) for j, a in row)})"
-        real += [line.replace("#", ""),
-                 f"    g = q({x}) - z",
-                 f"    {k[s]} = g - {v} * {v}"]
-        pair += [line.replace("#", "r"),
-                 line.replace("#", "i"),
-                 f"    gr = q({x}) - zr",
-                 f"    {k[s]}r = gr - ({v}r * {v}r - {v}i * {v}i)",
-                 f"    {k[s]}i = gi - 2.0 * ({v}r * {v}i)"]
+    rows = [("t_new" if c == 1.0 else f"t + {c!r} * h", dot((a, k[j]) for j, a in row))
+            for c, row in _ROWS]
     finals = [("y_new", f"y# + h * ({dot((b, k[j]) for j, b, _, _ in _FINAL)})"),
-              ("integral", f"h * ({dot((b, stage[j]) for j, b, _, _ in _FINAL)})"),
+              ("w_step", f"h * ({dot((b, stage[j]) for j, b, _, _ in _FINAL)})"),
               ("err5", dot((e5, k[j]) for j, _, e5, _ in _FINAL)),
               ("err3", dot((e3, k[j]) for j, _, _, e3 in _FINAL))]
-    real += [f"    {name} = {expr.replace('#', '')}" for name, expr in finals]
-    pair += [f"    {name} = complex({expr.replace('#', 'r')}, {expr.replace('#', 'i')})"
-             for name, expr in finals]
-    pair.append("    g = complex(gr, gi)")
-    source = "\n\n".join(
-        _SCALAR_STEP.format(name=name, doc=doc, body="\n".join(body))
-        for name, doc, body in [("_scalar_step", scalar_doc, real),
-                                ("_complex_step", complex_doc, pair)])
-    namespace = {"math": math}
-    exec(compile(source, "<weylsys.mfunc scalar steps>", "exec"), namespace)
-    return namespace["_scalar_step"], namespace["_complex_step"]
+    return rows, finals
 
 
-_scalar_step, _complex_step = _write_scalar_steps()
+def _scalar_stages(state: str, form: str) -> list[str]:
+    """The straight-line step of a scalar state from :func:`_tableau_sums`, down to ``err``.
+
+    In the form "c", q is the Bessel c / x^2 and rhs holds c; the form "q"
+    calls rhs's q.  The complex state repeats each sum over the real parts
+    (suffix r) and the imaginary parts (suffix i).
+    """
+    parts = ["r", "i"] if state == "complex" else [""]
+    rows, finals = _tableau_sums()
+    lines = []
+    for s, (x, total) in enumerate(rows, 1):
+        line = f"y{s}# = y# + h * ({total})"
+        lines += [line.replace("#", p) for p in parts]
+        if form == "q":
+            forcing = f"q({x})"
+        elif x == "t_new":
+            forcing = "c / (t_new * t_new)"
+        else:
+            lines.append(f"x = {x}")
+            forcing = "c / (x * x)"
+        if state == "complex":
+            lines += [f"gr = {forcing} - zr",
+                      f"k{s}r = gr - (y{s}r * y{s}r - y{s}i * y{s}i)",
+                      f"k{s}i = gi - 2.0 * (y{s}r * y{s}i)"]
+        else:
+            lines += [f"g = {forcing} - z", f"k{s} = g - y{s} * y{s}"]
+    lines += [f"{name}{p} = {total.replace('#', p)}" for name, total in finals for p in parts]
+    value = (lambda name: f"complex({name}r, {name}i)") if state == "complex" else str
+    norm = _SCALAR_NORM.format(y_new=value("y_new"), err5=value("err5"), err3=value("err3"))
+    return lines + norm.splitlines()
+
+
+def _write_sweeps(*keys: str) -> list:
+    """The sweeps of ``keys``, compiled from _SWEEP in one pass.
+
+    A key is "array", or a scalar state, "float" or "complex", and the form
+    of its q, "c" or "q" (:func:`_scalar_stages`).  The tableau and the
+    step control's constants enter as literals.
+    """
+    def indent(lines, depth):
+        return "\n".join(" " * depth + line for line in lines)
+
+    names = ["_" + key.replace(" ", "_") + "_sweep" for key in keys]
+    sources = []
+    for key, name in zip(keys, names):
+        state, _, form = key.partition(" ")
+        lines = _STATES[state]
+        setup, step = lines["setup"], lines.get("step")
+        if form:
+            setup = [f"{form}, z = rhs"] + setup
+            step = _scalar_stages(state, form)
+        sources.append(_SWEEP.format(
+            name=name, what=f"a {key} state",
+            setup=indent(setup, 4), step=indent(step, 16), accept=indent(lines["accept"], 12),
+            record=indent(lines["record"], 8), attempt_calls=_STAGES - 1, safety=repr(_SAFETY),
+            min_factor=repr(_MIN_FACTOR), max_factor=repr(_MAX_FACTOR),
+            exponent=repr(_EXPONENT)))
+    namespace = {"nextafter": math.nextafter, "sqrt": math.sqrt, "inf": math.inf,
+                 "nan": math.nan, "StiffnessError": StiffnessError,
+                 "TOO_SMALL_STEP": _TOO_SMALL_STEP, "array_step": _array_step}
+    exec(compile("\n\n".join(sources), "<weylsys.mfunc sweeps>", "exec"), namespace)
+    return [namespace[name] for name in names]
 
 
 def _array_workspace(dtype, n: int) -> tuple:
@@ -493,7 +612,7 @@ def _array_workspace(dtype, n: int) -> tuple:
 
 
 def _array_step(rhs, t, t_new, y, f, rtol, atol):
-    """:func:`_scalar_step` for a stack of scaled Riccati columns ``v' = G(t) - v^2``.
+    """One DOP853 step of a stack of scaled Riccati columns ``v' = G(t) - v^2``.
 
     ``rhs`` is G and the workspace of :func:`_array_workspace`, and atol
     holds one tolerance per column.  One G call gives all eleven stage
@@ -502,6 +621,7 @@ def _array_step(rhs, t, t_new, y, f, rtol, atol):
     own norms, so each column gets the step control of a sweep of its own.
     One modulus gives |y_new| and both error estimates, and the workspace
     keeps |y_new|, so the next step, from y = y_new, reads it as |y|.
+    Returns y_new, the step's integral of v, the error norm and G at t_new.
     """
     forcing, (known, stages, coef, square, plan, last) = rhs
     h = t_new - t
@@ -560,23 +680,33 @@ def _initial_step(rhs, t0, y0, f0, span, direction, rtol, atol) -> float:
     return min(100.0 * h0, h1, span)
 
 
+# the sweeps of a complex Bessel state and of a stack at import, the others
+# on first use: each costs 0.5-1 ms to compile, and only points on the
+# negative axis, or a potential that is not Bessel, run a scalar float sweep
+# or call q
+_SWEEPS = dict(zip(("complex c", "array"), _write_sweeps("complex c", "array")))
+
+
 def _dop853(rhs, t0: float, y0, stops: Sequence[float], rtol: float,
             atol: float) -> _Solution:
     """Integrate the Riccati equation of the pair rhs from t0 through the monotone ``stops``.
 
     The steps land exactly on each stop.  A Python scalar y0 is a Riccati
-    state ``y' = q(t) - z - y^2`` with a real q, and takes
-    :func:`_complex_step` if it is complex, :func:`_scalar_step` if it is
-    a float; rhs is then the pair (q, z).  An array y0 is a stack of scaled
-    Riccati columns ``v = d u``, ``v' = G(t) - v^2``, and takes
+    state ``y' = q(t) - z - y^2`` with a real q, a float state on the real
+    axis or a complex one, and rhs is the pair (q, z): q is a callable of t,
+    or a float c that stands for the Bessel ``q = c / t^2``, which the
+    sweep writes into its stages.  An array y0 is a stack of scaled Riccati
+    columns ``v = d u``, ``v' = G(t) - v^2``, whose steps are
     :func:`_array_step`; rhs is then the pair (G, d), G giving an array of
     shape ``t.shape + y0.shape``, and a column's absolute tolerance is
-    ``d atol``.  A step's stage 11 lies at its end, so its forcing gives the
-    next slope: nfev counts 2 for the first step and 11 per attempt.  The
-    step control is scipy's DOP853 (safety 0.9, step factors within [0.2,
-    10] with exponent -1/8, and its first-step rule) capped by Gustafsson's
-    predictive factor (ACM TOMS 20, 1994, 496-517; Hairer and Wanner,
-    Solving ODEs II, IV.8, as in radau5.f): with ``r = |h| err^(-1/8)`` of each accepted step, the next
+    ``d atol``.  Each kind is one function written from _SWEEP (the float
+    and complex sweeps of a callable q on first use).  A step's stage 11
+    lies at its end, so its forcing gives the next slope: nfev counts 2 for
+    the first step and 11 per attempt.  The step control is scipy's DOP853
+    (safety 0.9, step factors within [0.2, 10] with exponent -1/8, and its
+    first-step rule) capped by Gustafsson's predictive factor (ACM TOMS 20,
+    1994, 496-517; Hairer and Wanner, Solving ODEs II, IV.8, as in
+    radau5.f): with ``r = |h| err^(-1/8)`` of each accepted step, the next
     factor is ``min(10, 0.9 err^(-1/8) min(1, r / r_last))``, so on a tail
     whose length scale shrinks with t the steps shrink with it instead of
     each being rejected once.  There is no r_last at the start or after a
@@ -590,59 +720,24 @@ def _dop853(rhs, t0: float, y0, stops: Sequence[float], rtol: float,
         atol = d * atol
         slope = lambda t, y: forcing(t) - y * y
         f = slope(t0, y0)
-        step, rhs = _array_step, (forcing, _array_workspace(np.result_type(y0, f), len(y0)))
+        key, rhs = "array", (forcing, _array_workspace(np.result_type(y0, f), len(y0)))
     else:
         q, z = rhs
-        step = _complex_step if isinstance(y0, complex) else _scalar_step
+        key = "complex" if isinstance(y0, complex) else "float"
+        if isinstance(q, float):
+            c = q
+            q = lambda t: c / (t * t)
+            key += " c"
+        else:
+            key += " q"
         slope = lambda t, y: q(t) - z - y * y
         f = slope(t0, y0)
     direction = math.copysign(1.0, stops[-1] - t0)
     h_abs = _initial_step(slope, t0, y0, f, abs(stops[-1] - t0), direction, rtol, atol)
-    nfev = 2
-    t, y, integral = t0, y0, 0.0
-    r_last = 0.0                # the last accepted step's r; 0 when there is none
-    ys, integrals = [], []
-    for stop in stops:
-        while t != stop:
-            min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
-            h_abs = max(h_abs, min_step)
-            rejected = False
-            while True:
-                if h_abs < min_step:
-                    raise StiffnessError(_TOO_SMALL_STEP)
-                t_new = t + direction * h_abs
-                clipped = direction * (t_new - stop) > 0
-                if clipped:
-                    t_new = stop
-                h = t_new - t
-                y_new, step_integral, err, g = step(rhs, t, t_new, y, f, rtol, atol)
-                nfev += _STAGES - 1
-                if err < 1.0:
-                    break
-                h_abs = abs(h) * max(_MIN_FACTOR, _SAFETY * err ** _EXPONENT)
-                rejected = True
-            if err == 0.0:
-                factor, r_last = _MAX_FACTOR, 0.0
-            else:
-                # Gustafsson's cap: a step whose r fell from the last one's
-                # shrinks the next by the same ratio (r carries the safety
-                # factor here, which cancels in the ratio)
-                factor = _SAFETY * err ** _EXPONENT
-                r = abs(h) * factor
-                if r < r_last:
-                    factor *= r / r_last
-                r_last = r
-                if factor > _MAX_FACTOR:
-                    factor = _MAX_FACTOR
-            if rejected:
-                factor = min(1.0, factor)
-            h_abs = max(h_abs, abs(h) * factor) if clipped else abs(h) * factor
-            t, y = t_new, y_new
-            integral = integral + step_integral     # not +=: the stops keep their arrays
-            f = g - y * y
-        ys.append(y)
-        integrals.append(integral)
-    return _Solution(ys, integrals, nfev)
+    sweep = _SWEEPS.get(key)
+    if sweep is None:
+        sweep = _SWEEPS[key] = _write_sweeps(key)[0]
+    return _Solution(*sweep(rhs, t0, y0, f, stops, rtol, atol, h_abs, direction))
 
 
 # perfbench/spans.py times each sweep and sums its ``nfev`` under this name
@@ -880,7 +975,11 @@ def _sweep(potential: Potential, zq: list, tops: list[float],
         knots = [] if potential.grid is None else [x for x in potential.grid.tolist()
                                                    if ell < x < top]
         stops = sorted({mid, ell, *knots}, reverse=True)
-        sol = _dop853((potential.scalar_q, z), top, starts[0], stops, _RTOL, _ATOL)
+        q = potential.scalar_q
+        if potential.kind == "bessel" and potential.nu * potential.nu - 0.25 != 0.0:
+            # written into the stages; q = 0 stays a call, since x may reach 0
+            q = potential.nu * potential.nu - 0.25
+        sol = _dop853((q, z), top, starts[0], stops, _RTOL, _ATOL)
         i = stops.index(mid)
         return ([(sol.y[i], sol.y[-1])],
                 [(2.0 * sol.integral[i], 2.0 * sol.integral[-1])])
@@ -980,8 +1079,7 @@ def _riccati_batch(potential: Potential, alpha: float, zs: list[complex],
 # evaluator
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MEvaluation:
+class MEvaluation(NamedTuple):
     """A single m-function value plus the diagnostics of its computation.
 
     ``value`` is a Python complex and ``error_bound`` a Python float: the
@@ -989,7 +1087,8 @@ class MEvaluation:
     on the numeric path, and 0 for closed forms.  ``path`` names the
     half-plane for the same sweep: ``"weyl-disk"`` off the real axis (the
     name of the integrator it replaced, which the benchmark's spans key
-    on), ``"riccati"`` on the negative axis, or ``"closed-form"``.
+    on), ``"riccati"`` on the negative axis, or ``"closed-form"``.  A named
+    tuple, so it unpacks and compares equal to the tuple of its fields.
     """
 
     value: complex
@@ -1118,7 +1217,7 @@ def rotate_evaluation(info: MEvaluation, alpha: float, z: complex) -> MEvaluatio
     sa, ca = _alpha_data(alpha)
     den = ca - info.value * sa
     value = safe_div(sa + info.value * ca, den, z=complex(z), what="m_alpha")
-    return replace(info, value=value, error_bound=info.error_bound / abs(den) ** 2)
+    return info._replace(value=value, error_bound=info.error_bound / abs(den) ** 2)
 
 
 def m_alpha_info(evaluator: MFunctionEvaluator, alpha: float,

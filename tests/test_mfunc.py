@@ -681,31 +681,27 @@ def test_stepper_raises_stiffness_error_at_the_deep_well_pole():
 
 @pytest.mark.parametrize("y0, h", [(-2.0 + 0.3j, -0.1), (-1.5 + 0.0j, -0.37), (0.8, 0.25)])
 def test_straight_line_step_matches_the_array_step(y0, h):
-    # the scalar steps are written out from the same tableau as the stacked
-    # one; q is real, as every potential's scalar_q is, and z = -i
+    # the scalar sweeps' steps are written out from the same tableau as the
+    # stacked one, and all sweeps share one step control; q is real, as
+    # every potential's scalar_q is, and z = -i
     def q(t):
         return 4.0 / (1.0 + t * t)
 
     z = -1j
-
-    def rhs(t, u):
-        return q(t) - z - u * u
-
-    f = rhs(2.0, y0)
-    step = mfunc._complex_step if isinstance(y0, complex) else mfunc._scalar_step
-    y, integral, err, g_end = step((q, z), 2.0, 2.0 + h, y0, f, mfunc._RTOL, mfunc._ATOL)
-    work = mfunc._array_workspace(np.result_type(y0, f), 1)
-    ys, integrals, errs, gs_end = mfunc._array_step((_stacked(lambda t: [q(t) - z])[0], work),
-                                                    2.0, 2.0 + h, np.array([y0]),
-                                                    np.array([f]), mfunc._RTOL,
-                                                    np.array([mfunc._ATOL]))
-    # a few ulp of the largest summand, b_j h y_j or b_j h k_j
-    ulp = 4.0 * np.finfo(float).eps * abs(h) * float(np.abs(mfunc._B).max())
-    assert abs(y - ys[0]) <= ulp * max(abs(rhs(2.0 + c * h, y0)) for c in (0.0, 1.0))
-    assert abs(integral - integrals[0]) <= ulp * max(abs(y0), abs(y))
-    assert err == pytest.approx(errs, rel=1e-6)
-    # both take stage 11, and the next slope's forcing, at the step's end
-    assert g_end == gs_end[0] == q(2.0 + h) - z
+    stops = [2.0 + 0.5 * h, 2.0 + h]
+    ours = mfunc._dop853((q, z), 2.0, y0, stops, mfunc._RTOL, mfunc._ATOL)
+    stack = mfunc._dop853(_stacked(lambda t: [q(t) - z]), 2.0, np.array([y0]), stops,
+                          mfunc._RTOL, mfunc._ATOL)
+    # the same attempts, each within a few ulp of the largest summand,
+    # b_j h y_j or b_j h k_j, of each of its steps
+    assert (ours.nfev, ours.rejected) == (stack.nfev, stack.rejected)
+    attempts = (ours.nfev - 2) // 11
+    assert attempts >= 2
+    ulp = 4.0 * attempts * np.finfo(float).eps * abs(h) * float(np.abs(mfunc._B).max())
+    size = 2.0 * max(abs(y0), 5.0) ** 2
+    for y, integral, ys, integrals in zip(ours.y, ours.integral, stack.y, stack.integral):
+        assert abs(y - ys[0]) <= ulp * size
+        assert abs(integral - integrals[0]) <= ulp * max(abs(y0), abs(y))
 
 
 def _complex_reference_step(q, z, t, t_new, y, f, rtol, atol):
@@ -740,30 +736,109 @@ def _complex_reference_step(q, z, t, t_new, y, f, rtol, atol):
     return y_new, integral, abs(h) * n5 / math.sqrt(n5 + 0.01 * n3), g
 
 
+def _reference_sweep(rhs, t0, y0, stops, rtol, atol):
+    """A scalar sweep as the stepper made it before its sweeps were compiled.
+
+    The Python loop of that stepper's step control, driving
+    :func:`_complex_reference_step` (which, on a float state, does the
+    float arithmetic of the written-out float step).  Returns the fields
+    of :class:`mfunc._Solution`.
+    """
+    q, z = rhs
+    slope = lambda t, y: q(t) - z - y * y
+    f = slope(t0, y0)
+    direction = math.copysign(1.0, stops[-1] - t0)
+    h_abs = mfunc._initial_step(slope, t0, y0, f, abs(stops[-1] - t0), direction, rtol, atol)
+    nfev, rejections = 2, 0
+    t, y, integral = t0, y0, 0.0
+    r_last = 0.0
+    ys, integrals = [], []
+    for stop in stops:
+        while t != stop:
+            min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
+            h_abs = max(h_abs, min_step)
+            rejected = False
+            while True:
+                if h_abs < min_step:
+                    raise StiffnessError("Required step size is less than spacing between "
+                                         "numbers.")
+                t_new = t + direction * h_abs
+                clipped = direction * (t_new - stop) > 0
+                if clipped:
+                    t_new = stop
+                h = t_new - t
+                y_new, step_integral, err, g = _complex_reference_step(q, z, t, t_new, y, f,
+                                                                       rtol, atol)
+                nfev += 11
+                if err < 1.0:
+                    break
+                h_abs = abs(h) * max(0.2, 0.9 * err ** (-1.0 / 8.0))
+                rejected = True
+                rejections += 1
+            if err == 0.0:
+                factor, r_last = 10.0, 0.0
+            else:
+                factor = 0.9 * err ** (-1.0 / 8.0)
+                r = abs(h) * factor
+                if r < r_last:
+                    factor *= r / r_last
+                r_last = r
+                if factor > 10.0:
+                    factor = 10.0
+            if rejected:
+                factor = min(1.0, factor)
+            h_abs = max(h_abs, abs(h) * factor) if clipped else abs(h) * factor
+            t, y = t_new, y_new
+            integral = integral + step_integral
+            f = g - y * y
+        ys.append(y)
+        integrals.append(integral)
+    return ys, integrals, nfev, rejections
+
+
+def _sweep_or_error(stepper, rhs, t0, y0, stops):
+    """The stepper's sweep as a tuple of its fields, or the StiffnessError it ends in."""
+    try:
+        return tuple(stepper(rhs, t0, y0, stops, mfunc._RTOL, mfunc._ATOL))
+    except StiffnessError as exc:
+        return exc
+
+
+def _bessel_rhs(pot, z):
+    """The stepper's (q, z) of a Bessel potential as the sweep passes it: c, or q = 0 itself."""
+    c = pot.nu * pot.nu - 0.25
+    return (c if c != 0.0 else pot.scalar_q), z
+
+
 def _part(bound):
     """A part of a complex number: a signed zero, or of modulus in [1e-6, bound]."""
     return st.one_of(st.sampled_from([0.0, -0.0]),
                      st.builds(math.copysign, st.floats(1e-6, bound), st.sampled_from([1, -1])))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(_part(30.0), _part(30.0), _part(1e3), _part(1e3), st.floats(0.5, 6.0),
        st.floats(1.0, 4.0), st.floats(1e-9, 0.5), st.booleans())
 def test_complex_step_is_the_complex_arithmetic_step_bit_for_bit(yr, yi, zr, zi, nu, t,
                                                                  h, backward):
-    # the float-pair step forms the sums and products of complex arithmetic,
-    # so every output keeps its bits.  Where a part is 0 (or a product
-    # underflows to 0), a result can be -0.0 where complex arithmetic gives
-    # 0.0, since its float x complex product adds a 0 x part term; the two
-    # compare equal.  A step that overflows is the test below
-    q = Potential.bessel(nu, 0.25).scalar_q
+    # the complex sweep's float-pair steps form the sums and products of
+    # complex arithmetic, so every output keeps its bits.  Where a part is 0
+    # (or a product underflows to 0), a result can be -0.0 where complex
+    # arithmetic gives 0.0, since its float x complex product adds a
+    # 0 x part term; the two compare equal.  A sweep that overflows is the
+    # test below
+    pot = Potential.bessel(nu, 0.25)
     y, z = complex(yr, yi), complex(zr, zi)
-    f = q(t) - z - y * y
     t_new = t - h if backward else t + h
-    ref = _complex_reference_step(q, z, t, t_new, y, f, mfunc._RTOL, mfunc._ATOL)
-    assume(all(cmath.isfinite(v) for v in ref))
-    ours = mfunc._complex_step((q, z), t, t_new, y, f, mfunc._RTOL, mfunc._ATOL)
-    assert all(type(v) is complex for v in (ours[0], ours[1], ours[3]))
+    stops = [t + 0.5 * (t_new - t), t_new]
+    ref = _sweep_or_error(_reference_sweep, (pot.scalar_q, z), t, y, stops)
+    assume(isinstance(ref, StiffnessError)
+           or all(cmath.isfinite(v) for v in ref[0] + ref[1]))
+    ours = _sweep_or_error(mfunc._dop853, _bessel_rhs(pot, z), t, y, stops)
+    if isinstance(ref, StiffnessError):
+        assert isinstance(ours, StiffnessError)
+        return
+    assert all(type(v) is complex for v in ours[0] + ours[1])
     if 0.0 in (yr, yi, zr, zi):
         assert ours == ref
     else:
@@ -771,16 +846,53 @@ def test_complex_step_is_the_complex_arithmetic_step_bit_for_bit(yr, yi, zr, zi,
 
 
 def test_an_overflowing_complex_state_is_rejected():
-    # y^2 overflows: both steps give a nan error norm, and the sweep shrinks
-    # its step below the float spacing
+    # y^2 overflows, or already |y| does: every step has a nan or infinite
+    # error norm, and the sweep shrinks its step below the float spacing, in
+    # the written-in Bessel form and the q(x) one as in the reference
     q = BESSEL.scalar_q
-    y = 1e300 + 1e300j
-    f = q(3.0) - 1j - y * y
-    ours = mfunc._complex_step((q, 1j), 3.0, 2.9, y, f, mfunc._RTOL, mfunc._ATOL)
-    ref = _complex_reference_step(q, 1j, 3.0, 2.9, y, f, mfunc._RTOL, mfunc._ATOL)
-    assert not ours[2] < 1.0 and not ref[2] < 1.0
-    with np.errstate(all="ignore"), pytest.raises(StiffnessError, match="step size"):
-        mfunc._dop853((q, 1j), 3.0, y, [1.0], mfunc._RTOL, mfunc._ATOL)
+    for y in [1e300 + 1e300j, 1e308 + 1e308j]:
+        f = q(3.0) - 1j - y * y
+        ref = _complex_reference_step(q, 1j, 3.0, 2.9, y, f, mfunc._RTOL, mfunc._ATOL)
+        assert not ref[2] < 1.0
+        with np.errstate(all="ignore"):
+            for rhs in [(q, 1j), (2.0, 1j)]:
+                ours = _sweep_or_error(mfunc._dop853, rhs, 3.0, y, [1.0])
+                assert isinstance(ours, StiffnessError) and "step size" in str(ours)
+            assert isinstance(_sweep_or_error(_reference_sweep, (q, 1j), 3.0, y, [1.0]),
+                              StiffnessError)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["bessel c", "bessel q", "sampled"]), st.booleans(),
+       st.floats(0.5, 4.0), st.floats(0.25, 2.0), st.floats(0.05, 4.0),
+       st.floats(-30.0, 30.0), st.floats(0.01, 30.0), st.sampled_from([1.0, -1.0]),
+       st.floats(-0.5, 0.5), st.lists(st.floats(0.0, 1.0), max_size=4))
+def test_sweeps_are_the_reference_sweep_bit_for_bit(kind, real, nu, ell, span, re, im, sign,
+                                                    jitter, cuts):
+    # every compiled sweep (a float or a complex state, the Bessel q written
+    # into the stages or a q(x) call) is the reference loop over the
+    # complex-arithmetic step, bit for bit, at each stop; a sampled potential
+    # also stops on its knots, as the Riccati sweep does
+    top = ell + span
+    if kind == "sampled":
+        grid = np.linspace(ell, ell + 0.8 * span, 9)
+        pot = Potential.sampled(grid, (nu * nu - 0.25) / grid**2)
+    else:
+        pot = Potential.bessel(nu, ell)
+    q = pot.scalar_q
+    z = -abs(re) - 0.01 if real else complex(re, sign * im)
+    start = -cmath.sqrt(q(top) - z) * (1.0 + jitter)
+    y0 = start.real if real else start
+    knots = [] if pot.grid is None else [x for x in pot.grid.tolist() if ell < x < top]
+    stops = sorted({ell, *knots, *(ell + cut * span for cut in cuts)} - {top}, reverse=True)
+    ref = _sweep_or_error(_reference_sweep, (q, z), top, y0, stops)
+    rhs = _bessel_rhs(pot, z) if kind == "bessel c" else (q, z)
+    ours = _sweep_or_error(mfunc._dop853, rhs, top, y0, stops)
+    if isinstance(ref, StiffnessError):
+        assert isinstance(ours, StiffnessError)
+        return
+    assert all(type(v) is type(y0) for v in ours[0])
+    assert repr(ours) == repr(ref)
 
 
 def _numpy_first_step(rhs, t0, y0, f0, span, direction, rtol, atol):
@@ -879,20 +991,14 @@ def test_a_stacked_step_calls_the_potential_once(monkeypatch):
     # attempt at its stage abscissae, whose last, at the step's end, gives
     # the next slope; nfev counts those two and 11 per attempt.  Only the
     # calls inside a sweep count: sizing and starts call q on arrays too
-    shapes, nfevs, attempts, accepted = [], [], [], []
+    shapes, nfevs, rejected = [], [], []
     sweeping = []
-    call, step, stepper = Potential.__call__, mfunc._array_step, mfunc._dop853
+    call, stepper = Potential.__call__, mfunc._dop853
 
     def counting_call(self, x):
         if sweeping:
             shapes.append(x.shape if isinstance(x, np.ndarray) else ())
         return call(self, x)
-
-    def counting_step(*args):
-        out = step(*args)
-        attempts.append(1)
-        accepted.append(out[2] < 1.0)
-        return out
 
     def counting_stepper(*args):
         sweeping.append(1)
@@ -901,35 +1007,43 @@ def test_a_stacked_step_calls_the_potential_once(monkeypatch):
         finally:
             sweeping.clear()
         nfevs.append(sol.nfev)
+        rejected.append(sol.rejected)
         return sol
 
     monkeypatch.setattr(Potential, "__call__", counting_call)
-    monkeypatch.setattr(mfunc, "_array_step", counting_step)
     monkeypatch.setattr(mfunc, "_dop853", counting_stepper)
     zs = [2.0 + 1j, -1.0, -4.0 + 0.5j, 5.0 + 0.1j]
     for z, info in zip(zs, m_infinity_batch(NUMERIC, zs)):
         assert abs(info.value - bessel_m_closed_form(z)) <= info.error_bound
-    sweeps, n_attempts, n_accepted = len(nfevs), len(attempts), sum(accepted)
-    assert sweeps >= 1 and n_attempts > n_accepted > 0
     stage_calls = [shape for shape in shapes if len(shape) == 2]
-    assert len(stage_calls) == n_attempts
+    sweeps, n_attempts = len(nfevs), len(stage_calls)
+    assert sweeps >= 1 and n_attempts > sum(rejected) > 0
     assert all(shape[0] == 11 for shape in stage_calls)
     assert len(shapes) - len(stage_calls) == 2 * sweeps
     assert sum(nfevs) == 2 * sweeps + 11 * n_attempts
 
 
-def _counting_steps(monkeypatch, name):
-    """Whether each step attempt made through mfunc's ``name`` step was accepted."""
-    accepted = []
-    step = getattr(mfunc, name)
+def _counting_sweeps(monkeypatch):
+    """(state type, step attempts, rejected attempts) of each sweep of mfunc's stepper.
 
-    def counting_step(*args):
-        out = step(*args)
-        accepted.append(out[2] < 1.0)
-        return out
+    A sweep makes 2 RHS calls for its first step and 11 per attempt.
+    """
+    sweeps = []
+    stepper = mfunc._dop853
 
-    monkeypatch.setattr(mfunc, name, counting_step)
-    return accepted
+    def counting_stepper(rhs, t0, y0, stops, rtol, atol):
+        sol = stepper(rhs, t0, y0, stops, rtol, atol)
+        sweeps.append((type(y0), (sol.nfev - 2) // 11, sol.rejected))
+        return sol
+
+    monkeypatch.setattr(mfunc, "_dop853", counting_stepper)
+    return sweeps
+
+
+def _attempts(sweeps, state):
+    """(attempts, rejected) summed over the sweeps of one state type."""
+    counts = [(n, r) for kind, n, r in sweeps if kind is state]
+    return sum(n for n, _ in counts), sum(r for _, r in counts)
 
 
 def test_a_shrinking_scale_sweep_rejects_almost_no_step(monkeypatch):
@@ -937,27 +1051,27 @@ def test_a_shrinking_scale_sweep_rejects_almost_no_step(monkeypatch):
     # shrinks with x; the standard controller proposed a step about 19% too
     # long for the next, smaller x, and so rejected every other step (148
     # attempts, 71 rejected), while the predictive cap follows the shrink
-    accepted = _counting_steps(monkeypatch, "_scalar_step")
+    sweeps = _counting_sweeps(monkeypatch)
     z = -1e-8
     value = m_infinity(NUMERIC, z)
     exact = bessel_m_closed_form(z)
     assert abs(value - exact) <= 1e-10 * abs(exact)
-    assert len(accepted) <= 85
-    assert accepted.count(False) <= 3
+    attempts, rejected = _attempts(sweeps, float)
+    assert 0 < attempts <= 85
+    assert rejected <= 3
 
 
 @pytest.mark.parametrize("z, attempts, rejected", [
     (1j, 46, 0), (5.0 + 0.1j, 165, 0), (100.0 + 1j, 144, 0), (1000.0 + 1j, 48, 1),
 ])
 def test_complex_sweeps_keep_their_step_count(monkeypatch, z, attempts, rejected):
-    # the sweep of a complex z takes the float-pair step; these are the
-    # attempts and rejections of the complex-arithmetic step it replaced, so
-    # a float-pair step that changed the step control fails here
-    accepted = _counting_steps(monkeypatch, "_complex_step")
+    # the sweep of a complex z runs on float pairs with the Bessel q written
+    # in; these are the attempts and rejections of the complex-arithmetic
+    # step, so a sweep that changed the step control fails here
+    sweeps = _counting_sweeps(monkeypatch)
     exact = bessel_m_closed_form(z)
     assert abs(m_infinity(NUMERIC, z) - exact) <= 1e-10 * abs(exact)
-    assert len(accepted) == attempts
-    assert accepted.count(False) == rejected
+    assert _attempts(sweeps, complex) == (attempts, rejected)
 
 
 @pytest.mark.parametrize("batch, most, most_rejected", [
@@ -973,11 +1087,12 @@ def test_stacked_sweeps_toward_minus_zero_reject_almost_no_step(monkeypatch, bat
     zs = (((1j, -1.0 + 1j, 2.0 + 0.5j, 1.0 - 1j, -0.5, -1.0, -25.0)
            + mfunc.MINUS_ZERO_LADDER + mfunc.MINUS_INFINITY_LADDER)
           if batch == "verify-example" else _CLASSIFY)
-    accepted = _counting_steps(monkeypatch, "_array_step")
+    sweeps = _counting_sweeps(monkeypatch)
     for z, info in zip(zs, m_infinity_batch(NUMERIC, zs)):
         assert abs(info.value - bessel_m_closed_form(z)) <= info.error_bound
-    assert len(accepted) <= most
-    assert accepted.count(False) <= most_rejected
+    attempts, rejected = _attempts(sweeps, np.ndarray)
+    assert 0 < attempts <= most
+    assert rejected <= most_rejected
 
 
 def test_stepper_reads_no_stage_after_the_step():
