@@ -680,10 +680,9 @@ def _initial_step(rhs, t0, y0, f0, span, direction, rtol, atol) -> float:
     return min(100.0 * h0, h1, span)
 
 
-# the sweeps of a complex Bessel state and of a stack at import, the others
-# on first use: each costs 0.5-1 ms to compile, and only points on the
-# negative axis, or a potential that is not Bessel, run a scalar float sweep
-# or call q
+# the sweeps of a complex Bessel state and of a stack compile at import, the
+# others on first use: each costs 0.5-1 ms, and only a one-z sweep on the
+# negative axis, or one that calls q, needs them
 _SWEEPS = dict(zip(("complex c", "array"), _write_sweeps("complex c", "array")))
 
 
@@ -699,8 +698,8 @@ def _dop853(rhs, t0: float, y0, stops: Sequence[float], rtol: float,
     columns ``v = d u``, ``v' = G(t) - v^2``, whose steps are
     :func:`_array_step`; rhs is then the pair (G, d), G giving an array of
     shape ``t.shape + y0.shape``, and a column's absolute tolerance is
-    ``d atol``.  Each kind is one function written from _SWEEP (the float
-    and complex sweeps of a callable q on first use).  A step's stage 11
+    ``d atol``.  Each kind is one function written from _SWEEP, compiled
+    at import or on first use (_SWEEPS).  A step's stage 11
     lies at its end, so its forcing gives the next slope: nfev counts 2 for
     the first step and 11 per attempt.  The step control is scipy's DOP853
     (safety 0.9, step factors within [0.2, 10] with exponent -1/8, and its
@@ -975,11 +974,10 @@ def _sweep(potential: Potential, zq: list, tops: list[float],
         knots = [] if potential.grid is None else [x for x in potential.grid.tolist()
                                                    if ell < x < top]
         stops = sorted({mid, ell, *knots}, reverse=True)
-        q = potential.scalar_q
-        if potential.kind == "bessel" and potential.nu * potential.nu - 0.25 != 0.0:
-            # written into the stages; q = 0 stays a call, since x may reach 0
-            q = potential.nu * potential.nu - 0.25
-        sol = _dop853((q, z), top, starts[0], stops, _RTOL, _ATOL)
+        # a Bessel c is written into the stages; q = 0 stays a call, since x may reach 0
+        c = potential.nu * potential.nu - 0.25 if potential.kind == "bessel" else 0.0
+        sol = _dop853((c if c != 0.0 else potential.scalar_q, z), top, starts[0], stops,
+                      _RTOL, _ATOL)
         i = stops.index(mid)
         return ([(sol.y[i], sol.y[-1])],
                 [(2.0 * sol.integral[i], 2.0 * sol.integral[-1])])

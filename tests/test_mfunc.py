@@ -683,24 +683,29 @@ def test_stepper_raises_stiffness_error_at_the_deep_well_pole():
 def test_straight_line_step_matches_the_array_step(y0, h):
     # the scalar sweeps' steps are written out from the same tableau as the
     # stacked one, and all sweeps share one step control; q is real, as
-    # every potential's scalar_q is, and z = -i
+    # every potential's scalar_q is, and z = -i.  Stage 11 lies at the
+    # step's end and gives the next slope, so q is called nfev times
+    calls = []
+
     def q(t):
+        calls.append(t)
         return 4.0 / (1.0 + t * t)
 
     z = -1j
     stops = [2.0 + 0.5 * h, 2.0 + h]
     ours = mfunc._dop853((q, z), 2.0, y0, stops, mfunc._RTOL, mfunc._ATOL)
+    assert len(calls) == ours.nfev
     stack = mfunc._dop853(_stacked(lambda t: [q(t) - z]), 2.0, np.array([y0]), stops,
                           mfunc._RTOL, mfunc._ATOL)
-    # the same attempts, each within a few ulp of the largest summand,
-    # b_j h y_j or b_j h k_j, of each of its steps
+    # the same attempts, and values within a few ulp of the largest summand,
+    # b_j h y_j or b_j h k_j, per attempt
     assert (ours.nfev, ours.rejected) == (stack.nfev, stack.rejected)
     attempts = (ours.nfev - 2) // 11
     assert attempts >= 2
     ulp = 4.0 * attempts * np.finfo(float).eps * abs(h) * float(np.abs(mfunc._B).max())
-    size = 2.0 * max(abs(y0), 5.0) ** 2
+    slope = max(abs(q(t) - z - y * y) for t, y in zip([2.0] + stops, [y0] + ours.y))
     for y, integral, ys, integrals in zip(ours.y, ours.integral, stack.y, stack.integral):
-        assert abs(y - ys[0]) <= ulp * size
+        assert abs(y - ys[0]) <= ulp * slope
         assert abs(integral - integrals[0]) <= ulp * max(abs(y0), abs(y))
 
 
