@@ -15,7 +15,6 @@ import argparse
 import ast
 import cmath
 import dataclasses
-import json
 import math
 import operator
 import re
@@ -36,7 +35,7 @@ from .mfunc import (
     rotate_evaluation,
 )
 from .potentials import Potential, load_potential_file
-from .reporting import Check, CheckReport, format_csv, json_ready
+from .reporting import Check, CheckReport, dump_json, format_csv, json_ready
 from .sectorial import (
     DEFAULT_KERNEL_SEED,
     accretivity_and_sectoriality,
@@ -241,10 +240,6 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _dump_json(doc: dict) -> str:
-    return json.dumps(json_ready(doc), sort_keys=True, indent=2) + "\n"
-
-
 def _report_text(report: CheckReport, fmt: str) -> str:
     if fmt == "csv":
         rows = [
@@ -302,7 +297,7 @@ def cmd_m_eval(args: argparse.Namespace) -> int:
             "columns": columns,
             "rows": rows,
         }
-        _emit(_dump_json(doc), args.out)
+        _emit(dump_json(json_ready(doc)), args.out)
     return 0
 
 
@@ -527,7 +522,7 @@ def main(argv=None) -> int:
         }
         if isinstance(exc, PoleError) and getattr(exc, "z", None) is not None:
             record["error"]["z"] = [exc.z.real, exc.z.imag]
-        _emit(_dump_json(record), args.out)
+        _emit(dump_json(json_ready(record)), args.out)
         return 3
 
 

@@ -52,16 +52,15 @@ overestimates it where the terms fall (:func:`_wkb_terms`).
   The gap test below is predicted to pass when the start's |u3| at X/2,
   damped by the exponent over [ell, X/2], is at most
   ``max(1e-10, tol |sqrt(q(ell) - z)|)``.  Off the axis, for a potential
-  whose q is analytic on [ell, inf) (the Bessel kind, the free potential
-  nu = 1/2 among them), the first distance halves while the halved
-  truncation's test is predicted to pass, down to the ladder's lowest rung:
-  the WKB start is far more accurate than an arbitrary one, and at 1e4+i
-  this cuts X - ell from 1,842 to 3.6.  A halving step also needs the WKB
-  terms to fall at the halved midpoint, ``|u3| <= |u2|``: where they no
-  longer fall (near a small ell with a large nu) |u3| can fall short of
-  the start error.  On the negative axis the
-  contraction distance is a few decay lengths, cheap already, and stays.
-  A sampled or general expression potential keeps the contraction
+  whose q is analytic on [ell, inf) (``Potential.analytic``), the first
+  distance halves while the halved truncation's test is predicted to pass,
+  down to the ladder's lowest rung: the WKB start is far more accurate than
+  an arbitrary one, and at 1e4+i this cuts X - ell from 1,842 to 3.6.  A
+  halving step also needs the WKB terms to fall at the halved midpoint,
+  ``|u3| <= |u2|``: where they no longer fall (near a small ell with a
+  large nu) |u3| can fall short of the start error.  On the negative axis
+  the contraction distance is a few decay lengths, cheap already, and
+  stays.  A sampled or general expression potential keeps the contraction
   distance, since a gap measured inside [ell, X] cannot see a kink of q
   beyond X, such as the end of a table.  When no halving is predicted to
   pass, the distance doubles while the test is predicted to fail.
@@ -103,17 +102,18 @@ complex state is held as two floats, its real and imaginary parts, since a
 boxed complex operation costs about three float ones in CPython; q is
 real, and the float sums and products are those of complex arithmetic, so
 a finite state keeps every bit (only an exact zero can change its sign).
-On a Bessel potential with ``c = nu^2 - 1/4 != 0`` each stage's forcing
-is written in as ``c / (x * x) - z``, the floats that ``scalar_q``
-returns.  Every other potential's sweep calls ``scalar_q``, built once per
-potential: the free one too, since its sweep reaches x = 0 when ell = 0.
-The complex Bessel sweep compiles at import, the other scalar sweeps on
-first use.  A stack's sweep runs the same step control around
-:func:`_array_step`.  The first-step rule takes floats for a scalar state,
-with numpy's complex modulus, which can round apart from ``abs``.  For a
-sampled potential a sweep also stops on every spline knot between X and
-ell, so no step crosses a jump of the third derivative of q (of the first,
-at the last knot), which the error estimate does not see.  The error norm reads u only, never w.  A step's
+The potential supplies a one-z sweep's stage forcing, ``Potential.stage_q``:
+on a Bessel potential with ``c = nu^2 - 1/4 != 0`` it is c, written into
+each stage as ``c / (x * x) - z``, the floats that ``scalar_q`` returns;
+every other potential's sweep calls ``scalar_q``, the free one too, since
+its sweep reaches x = 0 when ell = 0.  The complex Bessel sweep compiles
+at import, the other scalar sweeps on first use.  A stack's sweep runs the
+same step control around :func:`_array_step`.  The first-step rule takes
+floats for a scalar state, with numpy's complex modulus, which can round
+apart from ``abs``.  A sweep also stops on every knot of a sampled potential
+(``Potential.knots``) between X and ell, so no step crosses a jump of the
+third derivative of q (of the first, at the last knot), which the error
+estimate does not see.  The error norm reads u only, never w.  A step's
 stage 11 lies at its end, so its forcing gives the next slope, and a
 sweep's ``nfev`` is 2 plus 11 per step attempt.
 
@@ -608,7 +608,7 @@ def _array_workspace(dtype, n: int) -> tuple:
     coef[-2:, 1:] = _E5, _E3
     plan = [(coef[s - 1, :s + 1], known[:s + 1], stages[s], known[s + 1])
             for s in range(1, _STAGES)]
-    return known, stages, coef, np.empty(n, dtype), plan, [None, None]
+    return known, stages, coef, np.empty(n, dtype), plan
 
 
 def _array_step(rhs, t, t_new, y, f, rtol, atol):
@@ -619,11 +619,10 @@ def _array_step(rhs, t, t_new, y, f, rtol, atol):
     abscissae; each stage is one ``[1, h a_s] @ [v, k_0, ...]`` product, a
     square and a subtraction.  The error norm is the largest of the columns'
     own norms, so each column gets the step control of a sweep of its own.
-    One modulus gives |y_new| and both error estimates, and the workspace
-    keeps |y_new|, so the next step, from y = y_new, reads it as |y|.
+    One modulus gives |y_new| and both error estimates.
     Returns y_new, the step's integral of v, the error norm and G at t_new.
     """
-    forcing, (known, stages, coef, square, plan, last) = rhs
+    forcing, (known, stages, coef, square, plan) = rhs
     h = t_new - t
     ts = t + _C[1:] * h
     ts[-1] = t_new                  # stage 11 (c = 1) exactly at the step's end
@@ -639,8 +638,7 @@ def _array_step(rhs, t, t_new, y, f, rtol, atol):
     sums = coef[-3:] @ known
     y_new = sums[0]
     size = np.abs(sums)
-    scale = atol + rtol * np.maximum(last[1] if y is last[0] else np.abs(y), size[0])
-    last[:] = y_new, size[0]
+    scale = atol + rtol * np.maximum(np.abs(y), size[0])
     n5, n3 = (size[1:] / scale) ** 2
     # a column with n5 = n3 = 0 has norm 0; a NaN column stays NaN and fails the step
     norms = n5 / np.sqrt(np.maximum(n5 + 0.01 * n3, _TINY))
@@ -792,21 +790,15 @@ def _wkb_terms(potential: Potential, x: float, z: complex) -> tuple:
     return s, u, abs(u2), abs(u3)
 
 
-def _wkb_start(potential: Potential, x: float, z: complex) -> tuple[complex, complex, float]:
-    """(q(x) - z, the WKB start u(x), |u3|) of :func:`_wkb_terms`."""
-    s, u, _, last = _wkb_terms(potential, x, z)
-    return s, u, last
-
-
 def _wkb_starts(potential: Potential, xs: list[float], zs: list) -> list:
     """(q - z, the WKB start) at each x and z, or its error: several in one array call."""
     if len(xs) > 1:
         try:
-            s, u, _ = _wkb_start(potential, np.array(xs), np.array(zs, dtype=complex))
+            s, u, _, _ = _wkb_terms(potential, np.array(xs), np.array(zs, dtype=complex))
             return list(zip(s.tolist(), u.tolist()))
         except WeylsysError:
             pass
-    return [_outcome(lambda: _wkb_start(potential, x, z)[:2]) for x, z in zip(xs, zs)]
+    return [_outcome(lambda: _wkb_terms(potential, x, z)[:2]) for x, z in zip(xs, zs)]
 
 
 def _outcome(f):
@@ -856,7 +848,7 @@ def _halve_then_double(potential: Potential, z: complex, dist: float, tol: float
     # m is about sqrt(q(ell) - z)
     threshold = max(_GAP_FLOOR, tol * abs(k_ell))
     i = 10
-    if z.imag != 0.0 and potential.kind == "bessel":
+    if z.imag != 0.0 and potential.analytic:
         # q is analytic on [ell, inf), so no feature beyond X escapes the gap;
         # where |u3| > |u2| the series no longer falls, and |u3| may fall short
         while i > 1:
@@ -882,11 +874,11 @@ def _first_distances(potential: Potential, zs: list[complex], tol: float,
     there, and off it checked against the WKB exponent up to x_max, before
     any solve.  The gap test's X/2 term is predicted from the start's last
     kept term |u3| at X/2 (:func:`_wkb_terms`), damped by the exponent over
-    [ell, X/2].  Off the axis, on a Bessel potential (the free one among
-    them), the distance halves while that prediction passes for the halved
-    truncation and the WKB terms still fall at its midpoint, |u3| <= |u2|,
-    down to the ladder's lowest rung.  Then it doubles while the prediction
-    fails.  Out of the numeric range the error is DomainError.
+    [ell, X/2].  Off the axis, on an analytic potential
+    (``Potential.analytic``), the distance halves while that prediction
+    passes for the halved truncation and the WKB terms still fall at its
+    midpoint, |u3| <= |u2|, down to the ladder's lowest rung.  Then it
+    doubles while the prediction fails.  Out of the numeric range the error is DomainError.
 
     One z takes the scalar pass, several the array pass (module docstring);
     both share every check and rule (:func:`_leave_well`,
@@ -941,7 +933,7 @@ def _first_distances(potential: Potential, zs: list[complex], tol: float,
     roots = np.sqrt(q - zc)
     steps = np.where(valid[1:], np.diff(xs, axis=0) * (roots.real[:-1] + roots.real[1:]), 0)
     exponents = np.cumsum(np.vstack([np.zeros_like(d), steps]), axis=0)
-    low = 1 if potential.kind == "bessel" and (zc.imag != 0.0).any() else 10
+    low = 1 if potential.analytic and (zc.imag != 0.0).any() else 10
     _, _, next_last, last = _wkb_terms(potential, xs[low:11], zc)
     with np.errstate(invalid="ignore"):     # a turning point's inf times e^-inf
         table, falls = last * np.exp(-exponents[low:11]), last <= next_last
@@ -971,13 +963,9 @@ def _sweep(potential: Potential, zq: list, tops: list[float],
     if len(zq) == 1:
         z, top = zq[0], tops[0]
         mid = ell + 0.5 * (top - ell)
-        knots = [] if potential.grid is None else [x for x in potential.grid.tolist()
-                                                   if ell < x < top]
-        stops = sorted({mid, ell, *knots}, reverse=True)
-        # a Bessel c is written into the stages; q = 0 stays a call, since x may reach 0
-        c = potential.nu * potential.nu - 0.25 if potential.kind == "bessel" else 0.0
-        sol = _dop853((c if c != 0.0 else potential.scalar_q, z), top, starts[0], stops,
-                      _RTOL, _ATOL)
+        stops = sorted({mid, ell, *[x for x in potential.knots if ell < x < top]},
+                       reverse=True)
+        sol = _dop853((potential.stage_q, z), top, starts[0], stops, _RTOL, _ATOL)
         i = stops.index(mid)
         return ([(sol.y[i], sol.y[-1])],
                 [(2.0 * sol.integral[i], 2.0 * sol.integral[-1])])
@@ -1000,7 +988,7 @@ def _riccati_batch(potential: Potential, alpha: float, zs: list[complex],
     potential fall at a different s in each column, so its columns are
     swept one at a time.
     """
-    if potential.grid is not None and len(zs) > 1:
+    if potential.knots and len(zs) > 1:
         return [_riccati_batch(potential, alpha, [z], tol)[0] for z in zs]
     ell = potential.ell
     x_max = _X_MAX_FACTOR * max(ell, 1.0)
@@ -1237,7 +1225,7 @@ def m_alpha(evaluator: MFunctionEvaluator, alpha: float, z: complex) -> complex:
 
 
 def m_alpha_direct(potential: Potential, alpha: float, z: complex,
-                   tol: float = 1e-8) -> complex:
+                   tol: float = MFunctionEvaluator.tol) -> complex:
     """m_alpha(z) from the rotated boundary data, bypassing the transform.
 
     Applies the boundary data of alpha at ell to the same backward Riccati

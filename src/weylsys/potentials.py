@@ -37,6 +37,13 @@ class Potential:
     expression kind checks that its value is finite; the Bessel kind is
     finite for x >= ell > 0, and is the constant 0 when nu = 1/2, also at
     x = ell = 0; the sampled kind's spline of finite values is finite.
+
+    Three facts that shape a Riccati sweep are computed once too:
+    ``analytic``, q analytic on [ell, inf) (the Bessel kind, q = 0 included);
+    ``knots``, the sampled grid as floats, where a sweep stops (empty for
+    the other kinds); and ``stage_q``, a one-z sweep's stage forcing: the
+    float c = nu^2 - 1/4 of a Bessel q = c / x^2 with c != 0, written into
+    the stages, else ``scalar_q`` (at ell = 0 the free sweep reaches x = 0).
     """
 
     kind: str
@@ -52,10 +59,12 @@ class Potential:
             raise DomainError(f"unknown potential kind {self.kind!r}")
         if not math.isfinite(self.ell) or self.ell < 0:
             raise DomainError(f"ell must be finite and >= 0, got {self.ell}")
+        c, knots = 0.0, ()
         if self.kind == "bessel":
             if self.nu is None or not (0.0 < self.nu < math.inf):
                 raise DomainError(f"bessel potential requires a finite nu > 0, got {self.nu}")
-            if self.ell <= 0 and self.nu * self.nu - 0.25 != 0.0:
+            c = self.nu * self.nu - 0.25        # q = c / x^2, and q = 0 at nu = 1/2
+            if self.ell <= 0 and c != 0.0:
                 raise DomainError("bessel potential requires ell > 0 unless nu = 1/2 "
                                   "(the singularity at x = 0 must be excluded)")
         elif self.kind == "sampled":
@@ -76,19 +85,21 @@ class Potential:
             from scipy.interpolate import CubicSpline
             spline = CubicSpline(grid, values)
             object.__setattr__(self, "_spline", spline)
+            knots = tuple(grid.tolist())
         elif self.func is None:
             raise DomainError("expression potential requires a callable")
-        object.__setattr__(self, "scalar_q", self._build_scalar_q())
+        scalar_q = self._build_scalar_q(c, knots)
+        for name, value in (("_c", c), ("knots", knots), ("analytic", self.kind == "bessel"),
+                            ("scalar_q", scalar_q), ("stage_q", c if c != 0.0 else scalar_q)):
+            object.__setattr__(self, name, value)
 
-    def _build_scalar_q(self) -> Callable[[float], float]:
-        """q of a Python float, closed over this potential's parameters as floats."""
+    def _build_scalar_q(self, c: float, knots: tuple) -> Callable[[float], float]:
+        """q of a Python float, closed over the Bessel c or the sampled knots as floats."""
         if self.kind == "bessel":
-            c = self.nu * self.nu - 0.25
             if c == 0.0:    # c / (x * x) would be 0/0 at x = 0
                 return lambda x: 0.0
             return lambda x: c / (x * x)
         if self.kind == "sampled":
-            knots = self.grid.tolist()
             pieces = self._spline.c.T.tolist()
             last = float(self.values[-1])
 
@@ -154,8 +165,7 @@ class Potential:
 
     def _sample(self, x: np.ndarray) -> np.ndarray:
         if self.kind == "bessel":
-            c = self.nu * self.nu - 0.25
-            return np.zeros(x.shape) if c == 0.0 else c / (x * x)
+            return np.zeros(x.shape) if self._c == 0.0 else self._c / (x * x)
         if self.kind == "sampled":
             end = self.grid[-1]
             return np.where(x >= end, self.values[-1], self._spline(np.minimum(x, end)))

@@ -36,6 +36,11 @@ def json_ready(value):
     return str(value)
 
 
+def dump_json(doc: dict) -> str:
+    """The document of a :func:`json_ready` doc: sorted keys, indent 2, a final newline."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
 @dataclass(frozen=True)
 class Check:
     """One named verification with its observed value and tolerance."""
@@ -84,7 +89,7 @@ class CheckReport:
         return doc
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return dump_json(self.to_dict())
 
 
 def _csv_cell(value) -> str:

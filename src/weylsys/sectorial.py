@@ -511,7 +511,7 @@ _PRODUCT_TAN_REFERENCE = 3.5131299192244385  # product formula at (pi/6, 5 pi/12
 _GAP_TAN_REFERENCE = 6.431211569767402  # gap formula at (pi/6, 5 pi/12)
 
 
-def verify_example_suite(tol: float = 1e-8) -> CheckReport:
+def verify_example_suite(tol: float = MFunctionEvaluator.tol) -> CheckReport:
     """Run the built-in exactly-solvable example end to end.
 
     Cross-checks the numeric m-function paths, run at the truncation

@@ -37,6 +37,7 @@ from weylsys import (
     sqrt_upper,
 )
 from weylsys import mfunc
+from weylsys.errors import IntegrationError
 from weylsys.cli import parse_grid
 from weylsys.mfunc import NAMED_GRIDS, m_infinity_batch
 from weylsys.sectorial import sampled_points
@@ -228,7 +229,7 @@ def test_wkb_start_is_second_order(nu, x, z):
     # halves the error of -k at least, and its last kept term |u3| estimates
     # what is left
     exact = -half_integer_bessel_m(nu, x, z)
-    s, start, next_term = mfunc._wkb_start(Potential.bessel(nu, 1.0), x, z)
+    s, start, _, next_term = mfunc._wkb_terms(Potential.bessel(nu, 1.0), x, z)
     assert abs(start - exact) < 0.5 * abs(-cmath.sqrt(s) - exact)
     assert abs(start - exact) <= 1.25 * next_term
 
@@ -248,7 +249,7 @@ def test_wkb_start_against_the_exact_riccati_solution():
                 dq, ddq, dddq = -2.0 * c / x**3, 6.0 * c / x**4, -24.0 * c / x**5
                 for z in zs:
                     u = -half_integer_bessel_m(nu, x, z)
-                    _, start, last_term = mfunc._wkb_start(pot, x, z)
+                    _, start, _, last_term = mfunc._wkb_terms(pot, x, z)
                     k = cmath.sqrt(c / x**2 - z)
                     u1 = -dq / (4.0 * k**2)
                     u2 = 5.0 * dq**2 / (32.0 * k**5) - ddq / (8.0 * k**3)
@@ -474,6 +475,117 @@ def test_failed_stacked_sweep_solves_each_column_alone():
         batch[1]
     for z in (-400.0, -1000.0):
         assert batch.at(z) == m_infinity_info(ev, z)
+
+
+def _holed(*holes, armed=lambda: True):
+    """q = 2/x^2 on [1, inf) as an expression, nan on each closed interval of holes while armed."""
+    def q(x):
+        if armed() and any(a <= x <= b for a, b in holes):
+            return math.nan
+        return 2.0 / (x * x)
+    return Potential.expression(q, 1.0, label="holed 2/x^2")
+
+
+# the holes below are planted for z = -1; the other two truncations end
+# below them, and all three settle in the first round
+_HOLED_ZS = [-1.0, -9.0, -4.0 + 9.0j]
+
+
+def _raises_its_own_error(batch, z, error, alone):
+    """The entry of z raises error, with the message of evaluating z on its own."""
+    with pytest.raises(error) as raised:
+        batch.at(z)
+    with pytest.raises(error) as own:
+        alone()
+    assert str(raised.value) == str(own.value)
+    return raised.value
+
+
+def test_a_failed_stacked_sizing_sizes_each_z_alone():
+    # a hole at rung 14 of the ladder of z = -1, ell + 8 d with the
+    # contraction distance d = ln(1/tol) / 2, fails the array pass that
+    # sizes the stack; each z is then sized alone
+    rung = 1.0 + 8.0 * (math.log(1.0 / NUMERIC.tol) / 2.0)
+    ev = MFunctionEvaluator(_holed((rung * (1.0 - 1e-12), rung * (1.0 + 1e-12))))
+    batch = m_infinity_batch(ev, _HOLED_ZS)
+    error = _raises_its_own_error(batch, -1.0, IntegrationError,
+                                  lambda: m_infinity_info(ev, -1.0))
+    assert f"x = {rung}" in str(error)
+    assert [batch[1], batch[2]] == list(m_infinity_batch(ev, _HOLED_ZS[1:]))
+
+
+def test_a_failed_start_settles_its_own_column():
+    # a hole at X - h, the first lower point of the start's difference
+    # stencil at z = -1, fails the stack's array call of the starts; each
+    # start is then taken alone, and z = -1 leaves the sweep
+    top = m_infinity_info(MFunctionEvaluator(_holed()), -1.0).truncation_X
+    h = mfunc._DIFF_STEP * (top - 1.0)
+    ev = MFunctionEvaluator(_holed((top - 1.5 * h, top - 0.5 * h)))
+    batch = m_infinity_batch(ev, _HOLED_ZS)
+    error = _raises_its_own_error(batch, -1.0, IntegrationError,
+                                  lambda: m_infinity_info(ev, -1.0))
+    assert f"x = {top - h}" in str(error)
+    assert [batch[1], batch[2]] == list(m_infinity_batch(ev, _HOLED_ZS[1:]))
+
+
+def test_a_failed_midpoint_settles_its_own_column(monkeypatch):
+    # every midpoint's stencil was evaluated before, when the truncation was
+    # sized, so a q that depends on x alone fails there first: the hole at
+    # the midpoint's X/2 - h opens once the first sweep is done
+    healthy = m_infinity_batch(MFunctionEvaluator(_holed()), _HOLED_ZS)
+    mid = 1.0 + 0.5 * (healthy[0].truncation_X - 1.0)
+    h = mfunc._DIFF_STEP * (mid - 1.0)
+    swept = []
+    sweep = mfunc._sweep
+
+    def sweep_then_open(*args):
+        out = sweep(*args)
+        swept.append(True)
+        return out
+
+    monkeypatch.setattr(mfunc, "_sweep", sweep_then_open)
+
+    def holed_evaluator():
+        swept.clear()
+        return MFunctionEvaluator(_holed((mid - 1.5 * h, mid - 0.5 * h), armed=lambda: swept))
+
+    batch = m_infinity_batch(holed_evaluator(), _HOLED_ZS)
+    error = _raises_its_own_error(batch, -1.0, IntegrationError,
+                                  lambda: m_infinity_info(holed_evaluator(), -1.0))
+    assert f"x = {mid - h}" in str(error)
+    assert [batch[1], batch[2]] == [healthy[1], healthy[2]]
+
+
+def test_a_pole_of_m_alpha_names_its_z():
+    # at cot(alpha) = m_inf(-1) the sweep's cos(alpha) + u(ell) sin(alpha) vanishes
+    alpha = math.atan2(1.0, m_infinity(NUMERIC, -1.0).real)
+    with pytest.raises(PoleError, match="vanishes at z = -1.0") as raised:
+        m_alpha_direct(BESSEL, alpha, -1.0)
+    assert raised.value.z == -1.0
+    # in a stack, alpha from the same stacked sweep at alpha = pi
+    m = mfunc._riccati_batch(BESSEL, math.pi, _HOLED_ZS, NUMERIC.tol)[0][0]
+    alpha = math.atan2(1.0, m.real)
+    out = mfunc._riccati_batch(BESSEL, alpha, _HOLED_ZS, NUMERIC.tol)
+    assert isinstance(out[0], PoleError) and out[0].z == -1.0
+    for z, (value, _, bound) in zip(_HOLED_ZS[1:], out[1:]):
+        assert abs(value - m_alpha(CLOSED, alpha, z)) <= bound
+
+
+def test_a_truncation_past_x_max_names_its_z():
+    # at nu = 0.6 and z = -1e-12 the decaying solution settles on a scale of
+    # 1/sqrt|z| = 1e6, which X_max = 2^20 cannot reach
+    ev = MFunctionEvaluator(Potential.bessel(0.6, 1.0))
+    batch = m_infinity_batch(ev, [-1e-12, -1.0, 1.0 + 1j])
+    with pytest.raises(ConvergenceError, match=r"exceeded X_max .* \(z = -1e-12\)"):
+        batch[0]
+    for z, stacked in zip([-1.0, 1.0 + 1j], [batch[1], batch[2]]):
+        alone = m_infinity_info(ev, z)
+        assert abs(stacked.value - alone.value) <= stacked.error_bound + alone.error_bound
+
+
+def test_an_unknown_evaluator_mode_is_a_domain_error():
+    with pytest.raises(DomainError, match="unknown evaluator mode 'disk'"):
+        MFunctionEvaluator(BESSEL, mode="disk")
 
 
 def test_stacked_sweep_runs_at_the_scalar_tolerances(monkeypatch):

@@ -150,13 +150,33 @@ def test_a_non_finite_value_inside_the_sweep_names_x(z):
 
 
 def test_declarative_kinds_pickle():
-    # the scalar q is rebuilt on unpickling from the fields
+    # the scalar q and the sweep facts are rebuilt on unpickling from the fields
     for pot in (Potential.bessel(2.5, 0.5), Potential.free(1.0), Potential.sampled(
             np.linspace(1.0, 4.0, 7), np.linspace(1.0, 4.0, 7) ** -2)):
         back = pickle.loads(pickle.dumps(pot))
         assert ((back.kind, back.nu, back.ell, back.label)
                 == (pot.kind, pot.nu, pot.ell, pot.label))
         assert back.scalar_q(2.5) == pot.scalar_q(2.5)
+        assert (back.analytic, back.knots) == (pot.analytic, pot.knots)
+        assert (back.stage_q is back.scalar_q) == (pot.stage_q is pot.scalar_q)
+        assert back.stage_q is back.scalar_q or back.stage_q == pot.stage_q
+
+
+def test_the_sweep_facts_of_each_kind():
+    # analytic, the knots a sweep stops on, and the forcing of a one-z
+    # sweep's stages: a Bessel c written in, or the scalar q
+    grid = np.linspace(1.0, 4.0, 7)
+    bessel, free = Potential.bessel(2.5, 0.5), Potential.free(0.0)
+    sampled = Potential.sampled(grid, grid ** -2)
+    expression = Potential.expression(lambda x: 2.0 / (x * x), 1.0)
+    assert [p.analytic for p in (bessel, free, sampled, expression)] == [
+        True, True, False, False]
+    assert sampled.knots == tuple(grid.tolist())
+    assert bessel.knots == free.knots == expression.knots == ()
+    assert bessel.stage_q == 2.5 * 2.5 - 0.25 == bessel(1.0)
+    for pot in (free, sampled, expression):
+        assert pot.stage_q is pot.scalar_q
+    assert free.stage_q(0.0) == 0.0
 
 
 def test_expression_potential_does_not_serialize():
