@@ -29,7 +29,13 @@ class PoleError(WeylsysError):
 
 
 class IntegrationError(WeylsysError):
-    """ODE integration failed (e.g. non-finite coefficient values)."""
+    """ODE integration failed (e.g. non-finite coefficient values).
+
+    ``z`` is the spectral point whose evaluation failed, once known; the
+    message then ends with it.
+    """
+
+    z: complex | None = None
 
 
 class StiffnessError(IntegrationError):

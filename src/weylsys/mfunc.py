@@ -158,7 +158,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (ConvergenceError, DomainError, ExtrapolationError,
+from .errors import (ConvergenceError, DomainError, ExtrapolationError, IntegrationError,
                      PoleError, StiffnessError, WeylsysError)
 from .potentials import Potential
 
@@ -696,8 +696,9 @@ def _dop853(rhs, t0: float, y0, stops: Sequence[float], rtol: float,
     columns ``v = d u``, ``v' = G(t) - v^2``, whose steps are
     :func:`_array_step`; rhs is then the pair (G, d), G giving an array of
     shape ``t.shape + y0.shape``, and a column's absolute tolerance is
-    ``d atol``.  Each kind is one function written from _SWEEP, compiled
-    at import or on first use (_SWEEPS).  A step's stage 11
+    ``|d| atol`` (d is complex for a column on a ray).  Each kind is one
+    function written from _SWEEP, compiled at import or on first use
+    (_SWEEPS).  A step's stage 11
     lies at its end, so its forcing gives the next slope: nfev counts 2 for
     the first step and 11 per attempt.  The step control is scipy's DOP853
     (safety 0.9, step factors within [0.2, 10] with exponent -1/8, and its
@@ -714,7 +715,7 @@ def _dop853(rhs, t0: float, y0, stops: Sequence[float], rtol: float,
     """
     if isinstance(y0, np.ndarray):
         forcing, d = rhs
-        atol = d * atol
+        atol = np.abs(d) * atol
         slope = lambda t, y: forcing(t) - y * y
         f = slope(t0, y0)
         key, rhs = "array", (forcing, _array_workspace(np.result_type(y0, f), len(y0)))
@@ -757,9 +758,11 @@ def _wkb_terms(potential: Potential, x: float, z: complex) -> tuple:
     kept, |u3|, overestimates the start error, which is about |u4|.  q' and
     q'' are central differences with the step ``h = _DIFF_STEP (x - ell)``
     and q''' the five-point difference over x +- h, x +- 2h, so no sample
-    falls below ell.  An array x takes one potential call, and its turning
-    points get u = 0 and |u2| = |u3| = inf; numpy may round a complex
-    quotient apart.
+    falls below ell.  A complex x lies on a ray from ell (module docstring):
+    the differences are then complex derivatives along it, and k is the
+    root with ``Re(k (x - ell)) > 0``, which decays along the ray.  An array
+    x takes one potential call, and its turning points get u = 0 and
+    |u2| = |u3| = inf; numpy may round a complex quotient apart.
     """
     h = _DIFF_STEP * (x - potential.ell)
     array = isinstance(x, np.ndarray)
@@ -774,10 +777,14 @@ def _wkb_terms(potential: Potential, x: float, z: complex) -> tuple:
     if array:
         turning = s == 0
         k = np.sqrt(np.where(turning, 1.0, s))
+        if x.dtype.kind == "c":
+            k = np.where((k * (x - potential.ell)).real < 0, -k, k)
     elif s == 0:        # a turning point has no WKB value; the real axis rejects it
         return s, 0j, math.inf, math.inf
     else:
         k = cmath.sqrt(s)
+        if isinstance(x, complex) and (k * (x - potential.ell)).real < 0:
+            k = -k
     k2 = k * k
     u1 = -dq / (4.0 * k2)
     u2 = (5.0 * dq * dq / (32.0 * k2) - ddq / 8.0) / (k2 * k)
@@ -790,15 +797,15 @@ def _wkb_terms(potential: Potential, x: float, z: complex) -> tuple:
     return s, u, abs(u2), abs(u3)
 
 
-def _wkb_starts(potential: Potential, xs: list[float], zs: list) -> list:
-    """(q - z, the WKB start) at each x and z, or its error: several in one array call."""
+def _wkb_starts(potential: Potential, xs: list, zs: list) -> list:
+    """:func:`_wkb_terms` at each x and z, or its error: several in one array call."""
     if len(xs) > 1:
         try:
-            s, u, _, _ = _wkb_terms(potential, np.array(xs), np.array(zs, dtype=complex))
-            return list(zip(s.tolist(), u.tolist()))
+            return list(zip(*(a.tolist() for a in _wkb_terms(potential, np.array(xs),
+                                                             np.array(zs, dtype=complex)))))
         except WeylsysError:
             pass
-    return [_outcome(lambda: _wkb_terms(potential, x, z)[:2]) for x, z in zip(xs, zs)]
+    return [_outcome(lambda: _wkb_terms(potential, x, z)) for x, z in zip(xs, zs)]
 
 
 def _outcome(f):
@@ -828,6 +835,58 @@ def _range_error(z: complex, dist: float, ell: float, tol: float) -> DomainError
                f"within 2048 float spacings of ell = {ell:g}")
         return DomainError(f"z = {z} is out of the numeric range: {why}")
     return None
+
+
+def _contraction_distance(z: complex, direction, target: float) -> float:
+    """The path length along direction over which the flow contracts by ``e^-target``.
+
+    The decay rate is ``Im(sqrt(z) direction)``, floored at 1e-3: ``Im sqrt(z)``
+    on the real axis (direction 1.0) and ``|sqrt z|`` on the ray.
+    """
+    return target / (2.0 * max((sqrt_upper(z) * direction).imag, 1e-3))
+
+
+def _directions(potential: Potential, zs: list[complex], tol: float) -> list:
+    """The direction from ell of each column of a stack: e^(i theta) on its ray, else 1.0.
+
+    An off-axis z rides the ray ``theta = pi/2 - arg sqrt(z)``, where psi
+    decays at the full rate ``|sqrt z|`` and does not oscillate, on a
+    potential that allows it (``Potential.rays``), unless the ray's first
+    truncation lies within 2048 float spacings of ell (:func:`_range_error`).
+    """
+    target = math.log(1.0 / tol)
+    out = []
+    for z in zs:
+        direction = 1.0
+        if potential.rays and z.imag != 0.0:
+            w = sqrt_upper(z)
+            ray = 1j * w.conjugate() / abs(w)
+            if _range_error(z, _contraction_distance(z, ray, target), potential.ell, tol) is None:
+                direction = ray
+        out.append(direction)
+    return out
+
+
+def _ray_predictions(potential: Potential, zs, directions, dists, rungs: int) -> tuple:
+    """The gap test's predictions at rungs 1, ..., rungs of each column's ray.
+
+    Rung 0 is ell and rung i >= 1 is ``ell + d 2^(i - 11) e``, d the
+    column's distance and e its direction.  Returns, one row per rung,
+    the start's last kept term |u3| there damped by the WKB exponent, the
+    trapezoid sum of ``2 Re(e sqrt(q - z))`` over the path from ell with
+    the root that decays along e, and whether ``|u3| <= |u2|``.  Both
+    sizing passes take it, so a column's predictions are the same floats.
+    """
+    e, zc = np.array(directions), np.array(zs)
+    start = np.zeros(len(e))
+    lengths = np.vstack([start, np.ldexp(dists, np.arange(-10, rungs - 10)[:, None])])
+    xs = potential.ell + lengths * e
+    rates = np.abs((e * np.sqrt(potential(xs) - zc)).real)
+    steps = np.abs(np.diff(xs, axis=0)) * (rates[:-1] + rates[1:])
+    exponents = np.cumsum(np.vstack([start, steps]), axis=0)
+    _, _, next_last, last = _wkb_terms(potential, xs[1:], zc)
+    with np.errstate(invalid="ignore"):     # a turning point's inf times e^-inf
+        return last * np.exp(-exponents[1:]), last <= next_last
 
 
 def _halve_then_double(potential: Potential, z: complex, dist: float, tol: float,
@@ -867,18 +926,21 @@ def _halve_then_double(potential: Potential, z: complex, dist: float, tol: float
 
 
 def _first_distances(potential: Potential, zs: list[complex], tol: float,
-                     x_max: float) -> list:
+                     x_max: float, directions: list) -> list:
     """X - ell of the first truncation at each z, or its error (module docstring).
 
     The contraction distance, doubled on the real axis while q(X) - z <= 0
-    there, and off it checked against the WKB exponent up to x_max, before
-    any solve.  The gap test's X/2 term is predicted from the start's last
-    kept term |u3| at X/2 (:func:`_wkb_terms`), damped by the exponent over
-    [ell, X/2].  Off the axis, on an analytic potential
+    there, and off it checked against the real-axis WKB exponent up to
+    x_max, before any solve.  The gap test's X/2 term is predicted from the
+    start's last kept term |u3| at X/2 (:func:`_wkb_terms`), damped by the
+    exponent over [ell, X/2].  Off the axis, on an analytic potential
     (``Potential.analytic``), the distance halves while that prediction
     passes for the halved truncation and the WKB terms still fall at its
     midpoint, |u3| <= |u2|, down to the ladder's lowest rung.  Then it
     doubles while the prediction fails.  Out of the numeric range the error is DomainError.
+    A column whose direction (:func:`_directions`) is a ray is sized along
+    it instead: its X - ell is a path length, from the ray's contraction
+    distance and predictions, while the real axis still decides its errors.
 
     One z takes the scalar pass, several the array pass (module docstring);
     both share every check and rule (:func:`_leave_well`,
@@ -890,8 +952,8 @@ def _first_distances(potential: Potential, zs: list[complex], tol: float,
     # ell a well of q may dip below z, and only the tail may raise DomainError
     target = math.log(1.0 / tol)
     if len(zs) == 1:
-        z = zs[0]
-        dist = target / (2.0 * max(sqrt_upper(z).imag, 1e-3))
+        z, direction = zs[0], directions[0]
+        dist = _contraction_distance(z, 1.0, target)
         if z.imag == 0.0:
             dist = _leave_well(potential, z, dist, potential(ell + dist), x_max)
         error = _range_error(z, dist, ell, tol)
@@ -911,9 +973,16 @@ def _first_distances(potential: Potential, zs: list[complex], tol: float,
             _, _, next_last, last = _wkb_terms(potential, xs[i], z)
             return last * math.exp(-exponents[i]), last <= next_last
 
+        if direction != 1.0:    # the real axis decides the error, the ray predicts
+            dist = _contraction_distance(z, direction, target)
+            rungs = 0
+            while ell + math.ldexp(dist, rungs - 10) <= x_max:
+                rungs += 1
+            table, falls = _ray_predictions(potential, [z], [direction], [dist], rungs)
+            predict = lambda i: (float(table[i - 1, 0]), bool(falls[i - 1, 0]))
         return [_halve_then_double(potential, z, dist, tol, x_max, exponents[-1], roots[0],
                                    predict)]
-    out: list = [target / (2.0 * max(sqrt_upper(z).imag, 1e-3)) for z in zs]
+    out: list = [_contraction_distance(z, 1.0, target) for z in zs]
     real = [j for j, z in enumerate(zs) if z.imag == 0.0]
     if real:
         wells = potential(ell + np.array([out[j] for j in real])).tolist()
@@ -933,17 +1002,34 @@ def _first_distances(potential: Potential, zs: list[complex], tol: float,
     roots = np.sqrt(q - zc)
     steps = np.where(valid[1:], np.diff(xs, axis=0) * (roots.real[:-1] + roots.real[1:]), 0)
     exponents = np.cumsum(np.vstack([np.zeros_like(d), steps]), axis=0)
-    low = 1 if potential.analytic and (zc.imag != 0.0).any() else 10
-    _, _, next_last, last = _wkb_terms(potential, xs[low:11], zc)
-    with np.errstate(invalid="ignore"):     # a turning point's inf times e^-inf
-        table, falls = last * np.exp(-exponents[low:11]), last <= next_last
-    for j, exponent, k_ell, p, f in zip(cols, exponents[-1].tolist(), roots[0].tolist(),
-                                        table.T.tolist(), falls.T.tolist()):
+    # each column's predictions, from rung low on: on the real axis, or on its ray
+    predictions = {}
+    axis = [i for i, j in enumerate(cols) if directions[j] == 1.0]
+    if axis:
+        low = 1 if potential.analytic and (zc[axis].imag != 0.0).any() else 10
+        _, _, next_last, last = _wkb_terms(potential, xs[low:11, axis], zc[axis])
+        with np.errstate(invalid="ignore"):     # a turning point's inf times e^-inf
+            table, falls = last * np.exp(-exponents[low:11, axis]), last <= next_last
+        predictions.update(zip(axis, zip([low] * len(axis), table.T.tolist(), falls.T.tolist())))
+    rays = [i for i, j in enumerate(cols) if directions[j] != 1.0]
+    if rays:
+        # a ray's rungs reach 12, the midpoint of its first distance doubled
+        # twice: the prediction often doubles it once
+        dr = [_contraction_distance(zs[cols[i]], directions[cols[i]], target) for i in rays]
+        table, falls = _ray_predictions(potential, zc[rays], [directions[cols[i]] for i in rays],
+                                        dr, 12)
+        predictions.update(zip(rays, zip([1] * len(rays), table.T.tolist(), falls.T.tolist())))
+        for i, d in zip(rays, dr):
+            out[cols[i]] = d
+    for i, (j, exponent, k_ell) in enumerate(zip(cols, exponents[-1].tolist(),
+                                                 roots[0].tolist())):
+        low, p, f = predictions[i]
         try:
             out[j] = _halve_then_double(potential, zs[j], out[j], tol, x_max, exponent, k_ell,
                                         lambda i: (p[i - low], f[i - low]))
-        except IndexError:      # past the array pass's rungs 1-10: the scalar pass
-            out[j] = _outcome(lambda: _first_distances(potential, [zs[j]], tol, x_max)[0])
+        except IndexError:      # past the array pass's rungs: the scalar pass
+            out[j] = _outcome(lambda: _first_distances(potential, [zs[j]], tol, x_max,
+                                                       [directions[j]])[0])
     return out
 
 
@@ -952,15 +1038,16 @@ def _sweep(potential: Potential, zq: list, tops: list[float],
     """One DOP853 sweep of ``u' = q - z - u^2`` per column, with ``w = int 2u``.
 
     Column j runs from ``u = starts[j]``, ``w = 0`` at ``tops[j]`` down to
-    ell.  Returns (u, w), each a list of (midpoint value, ell value) pairs,
-    one per column, with the midpoint ``ell + (X - ell)/2``.  One column runs
-    in x with a scalar right-hand side, and also stops on every knot of a
-    sampled potential, so no step crosses a jump of a derivative of q.
-    Several run in ``s = (x - ell)/(X_j - ell)`` from 1 to 0 with a numpy
-    right-hand side, in the scaled state ``v = (X_j - ell) u``.
+    ell: X_j, or the complex end of a ray.  Returns (u, w), each a list of
+    (midpoint value, ell value) pairs, one per column, with the midpoint
+    ``ell + (X - ell)/2``.  One column on the real axis runs in x with a
+    scalar right-hand side, and also stops on every knot of a sampled
+    potential, so no step crosses a jump of a derivative of q.  Several, or
+    a ray, run in ``s = (x - ell)/d_j``, ``d_j = X_j - ell``, from 1 to 0
+    with a numpy right-hand side, in the scaled state ``v = d_j u``.
     """
     ell = potential.ell
-    if len(zq) == 1:
+    if len(zq) == 1 and isinstance(tops[0], float):
         z, top = zq[0], tops[0]
         mid = ell + 0.5 * (top - ell)
         stops = sorted({mid, ell, *[x for x in potential.knots if ell < x < top]},
@@ -977,16 +1064,30 @@ def _sweep(potential: Potential, zq: list, tops: list[float],
     return (list(zip(*(v / d for v in sol.y))), list(zip(*(2.0 * w for w in sol.integral))))
 
 
+def _naming_z(outcome, z):
+    """outcome, or, if it is an error of the potential or the stepper, its copy naming z.
+
+    Those errors name x but not z; the copy keeps the type, and its message
+    ends with ``(z = ...)``.
+    """
+    if isinstance(outcome, IntegrationError) and outcome.z is None:
+        named = type(outcome)(f"{outcome} (z = {z})")
+        named.z = z
+        return named
+    return outcome
+
+
 def _riccati_batch(potential: Potential, alpha: float, zs: list[complex],
                    tol: float) -> list:
     """(m_alpha(z), truncation X, error bound), or z's error, for distinct zs off [0, inf).
 
     Every truncation round sweeps the columns still open in one
     :func:`_sweep`; a column whose gap fails doubles its X - ell and joins
-    the next round.  If a stacked sweep fails, each of its columns is solved
-    again on its own, so an error names its z.  The knots of a sampled
-    potential fall at a different s in each column, so its columns are
-    swept one at a time.
+    the next round.  In a stack, an off-axis column sweeps its ray where
+    :func:`_directions` allows; X is then ell plus the path length, a float.
+    If a stacked sweep fails, each of its columns is solved again on its
+    own, so an error names its z.  The knots of a sampled potential fall at
+    a different s in each column, so its columns are swept one at a time.
     """
     if potential.knots and len(zs) > 1:
         return [_riccati_batch(potential, alpha, [z], tol)[0] for z in zs]
@@ -995,43 +1096,59 @@ def _riccati_batch(potential: Potential, alpha: float, zs: list[complex],
     sa, ca = _alpha_data(alpha)
     real = [z.imag == 0.0 for z in zs]
     zq = [z.real if r else z for z, r in zip(zs, real)]
-    out = _outcome(lambda: _first_distances(potential, zs, tol, x_max))
+    directions = _directions(potential, zs, tol) if len(zs) > 1 else [1.0]
+    out = _outcome(lambda: _first_distances(potential, zs, tol, x_max, directions))
     if isinstance(out, WeylsysError):       # each z alone, so each error is its own
         out = [out] if len(zs) == 1 else [
-            _outcome(lambda: _first_distances(potential, [z], tol, x_max)[0]) for z in zs]
+            _outcome(lambda: _first_distances(potential, [z], tol, x_max, [e])[0])
+            for z, e in zip(zs, directions)]
+    out = [_naming_z(o, z) for o, z in zip(out, zq)]
     dist = {j: d for j, d in enumerate(out) if not isinstance(d, WeylsysError)}
     top = {j: min(ell + d, x_max) for j, d in dist.items()}
 
     def settle(j, result):
-        out[j] = result
+        out[j] = _naming_z(result, zq[j])
         del dist[j]
 
     while dist:
-        cols, starts = [], []
-        for j, start in zip(list(dist), _wkb_starts(potential, [top[j] for j in dist],
+        cols, ends, starts, loose = [], [], [], {}
+        end = {j: top[j] if directions[j] == 1.0 else ell + (top[j] - ell) * directions[j]
+               for j in dist}
+        for j, start in zip(list(dist), _wkb_starts(potential, list(end.values()),
                                                     [zq[j] for j in dist])):
             if isinstance(start, WeylsysError):
                 settle(j, start)
                 continue
-            s, u_start = start
+            s, u_start, u2, u3 = start
             if real[j] and s.real <= 0:
                 settle(j, DomainError(
                     f"q(X) - z = {s.real:g} <= 0 at X = {top[j]:g}; the real-axis path "
                     "requires z strictly below the potential tail "
-                    "(nonnegative-operator regime)"))
+                    f"(nonnegative-operator regime) (z = {zq[j]})"))
                 continue
+            if real[j] and not u3 <= u2 <= math.sqrt(s.real):
+                # the series does not fall: if the sweep from it fails, this is why
+                loose[j] = (u_start.real, u2, u3, math.sqrt(s.real))
             cols.append(j)
+            ends.append(end[j])
             starts.append(u_start.real if real[j] else u_start)
         if not cols:
             break
         try:
-            us, ws = _sweep(potential, [zq[j] for j in cols], [top[j] for j in cols], starts)
+            us, ws = _sweep(potential, [zq[j] for j in cols], ends, starts)
         except WeylsysError as exc:
+            if len(cols) == 1 and isinstance(exc, StiffnessError) and cols[0] in loose:
+                (j,), (u0, a2, a3, k) = cols, loose[cols[0]]
+                exc = ConvergenceError(
+                    f"the WKB start at X = {top[j]:g} does not fall (u = {u0:.3g}, |u2| = "
+                    f"{a2:.3g} and |u3| = {a3:.3g} against sqrt(q(X) - z) = {k:.3g}): q varies "
+                    "too fast for q - z there, and the backward flow from the start ran into "
+                    f"a pole (z = {zq[j]})")
             for j in cols:
                 settle(j, exc if len(cols) == 1
                        else _riccati_batch(potential, alpha, [zs[j]], tol)[0])
             continue
-        mids = _wkb_starts(potential, [ell + 0.5 * (top[j] - ell) for j in cols],
+        mids = _wkb_starts(potential, [ell + 0.5 * (end - ell) for end in ends],
                            [zq[j] for j in cols])
         for j, (u_half, u), (w_half, w), mid in zip(cols, us, ws, mids):
             if real[j]:

@@ -38,12 +38,16 @@ class Potential:
     finite for x >= ell > 0, and is the constant 0 when nu = 1/2, also at
     x = ell = 0; the sampled kind's spline of finite values is finite.
 
-    Three facts that shape a Riccati sweep are computed once too:
+    Four facts that shape a Riccati sweep are computed once too:
     ``analytic``, q analytic on [ell, inf) (the Bessel kind, q = 0 included);
-    ``knots``, the sampled grid as floats, where a sweep stops (empty for
-    the other kinds); and ``stage_q``, a one-z sweep's stage forcing: the
-    float c = nu^2 - 1/4 of a Bessel q = c / x^2 with c != 0, written into
-    the stages, else ``scalar_q`` (at ell = 0 the free sweep reaches x = 0).
+    ``rays``, q analytic, and psi zero-free, in the sector swept, so that a
+    stacked sweep may carry an off-axis column along a complex ray (the
+    Bessel kind: psi = sqrt(x) H1_nu(sqrt(z) x) has no zero while
+    Im(sqrt(z) x) >= 0); ``knots``, the sampled grid as floats, where a
+    sweep stops (empty for the other kinds); and ``stage_q``, a one-z
+    sweep's stage forcing: the float c = nu^2 - 1/4 of a Bessel q = c / x^2
+    with c != 0, written into the stages, else ``scalar_q`` (at ell = 0 the
+    free sweep reaches x = 0).
     """
 
     kind: str
@@ -89,7 +93,8 @@ class Potential:
         elif self.func is None:
             raise DomainError("expression potential requires a callable")
         scalar_q = self._build_scalar_q(c, knots)
-        for name, value in (("_c", c), ("knots", knots), ("analytic", self.kind == "bessel"),
+        bessel = self.kind == "bessel"
+        for name, value in (("_c", c), ("knots", knots), ("analytic", bessel), ("rays", bessel),
                             ("scalar_q", scalar_q), ("stage_q", c if c != 0.0 else scalar_q)):
             object.__setattr__(self, name, value)
 

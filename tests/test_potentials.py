@@ -140,13 +140,20 @@ def test_a_non_finite_value_inside_the_sweep_names_x(z):
     ev = MFunctionEvaluator(pot)
     with pytest.raises(IntegrationError, match="'gap' returned a non-finite value") as exc:
         m_infinity_info(ev, z)
-    assert 1.45 < float(str(exc.value).rsplit("x = ", 1)[1]) < 1.55
-    # a stacked batch meets it at a stage abscissa: each entry raises, naming x
+    x, at = str(exc.value).rsplit("x = ", 1)[1].split(" ", 1)
+    assert 1.45 < float(x) < 1.55 and at == f"(z = {_named(z)})"
+    # a stacked batch meets it at a stage abscissa: each entry raises, naming x and its z
     batch = m_infinity_batch(ev, [z, 2.0 * z])
     for i in range(2):
         with pytest.raises(IntegrationError, match="'gap' returned a non-finite value") as exc:
             batch[i]
-        assert 1.45 < float(str(exc.value).rsplit("x = ", 1)[1]) < 1.55
+        x, at = str(exc.value).rsplit("x = ", 1)[1].split(" ", 1)
+        assert 1.45 < float(x) < 1.55 and at == f"(z = {_named(z * (1 + i))})"
+
+
+def _named(z):
+    """z as an error message names it: a real z as a float."""
+    return z.real if complex(z).imag == 0.0 else z
 
 
 def test_declarative_kinds_pickle():
@@ -157,20 +164,22 @@ def test_declarative_kinds_pickle():
         assert ((back.kind, back.nu, back.ell, back.label)
                 == (pot.kind, pot.nu, pot.ell, pot.label))
         assert back.scalar_q(2.5) == pot.scalar_q(2.5)
-        assert (back.analytic, back.knots) == (pot.analytic, pot.knots)
+        assert (back.analytic, back.rays, back.knots) == (pot.analytic, pot.rays, pot.knots)
         assert (back.stage_q is back.scalar_q) == (pot.stage_q is pot.scalar_q)
         assert back.stage_q is back.scalar_q or back.stage_q == pot.stage_q
 
 
 def test_the_sweep_facts_of_each_kind():
-    # analytic, the knots a sweep stops on, and the forcing of a one-z
-    # sweep's stages: a Bessel c written in, or the scalar q
+    # analytic, rays (psi zero-free in the sector a stacked column sweeps),
+    # the knots a sweep stops on, and the forcing of a one-z sweep's stages:
+    # a Bessel c written in, or the scalar q
     grid = np.linspace(1.0, 4.0, 7)
     bessel, free = Potential.bessel(2.5, 0.5), Potential.free(0.0)
     sampled = Potential.sampled(grid, grid ** -2)
     expression = Potential.expression(lambda x: 2.0 / (x * x), 1.0)
     assert [p.analytic for p in (bessel, free, sampled, expression)] == [
         True, True, False, False]
+    assert [p.rays for p in (bessel, free, sampled, expression)] == [True, True, False, False]
     assert sampled.knots == tuple(grid.tolist())
     assert bessel.knots == free.knots == expression.knots == ()
     assert bessel.stage_q == 2.5 * 2.5 - 0.25 == bessel(1.0)
