@@ -64,6 +64,13 @@ overestimates it where the terms fall (:func:`_wkb_terms`).
   distance, since a gap measured inside [ell, X] cannot see a kink of q
   beyond X, such as the end of a table.  When no halving is predicted to
   pass, the distance doubles while the test is predicted to fail.
+* A column of a stack off the axis may sweep a complex ray instead
+  (Stacked sweep).  Its contraction distance and predictions then take the
+  ray's decay rate ``Re(e^(i theta) sqrt(q - z))``, which is ``|sqrt z|``
+  far out, its ladder runs along the ray, and X - ell is the path length;
+  the real-axis exponent still decides its ConvergenceError, so the same
+  z fail as on the real axis.  The ray's prediction often doubles the
+  first distance once, near ell, where q slows the decay along the ray.
 * Range.  Past ``|z| = 1e26`` m ~ sqrt|z| passes 1e13 and would read as a
   pole to :func:`safe_div`, and within 2048 float spacings of ell the
   lowest truncation's midpoint may round to ell, leaving q' no difference
@@ -83,6 +90,12 @@ overestimates it where the terms fall (:func:`_wkb_terms`).
   half-integer Bessel closed forms (nu to 19/2, ell in [1/4, 4], both
   half-planes and the negative axis) was 98, at nu = 7/2, ell = 1.125 and
   z = -0.05, where the error estimate of the steps next to ell falls short.
+  The rays keep the same bound: on 87 stacks of 136 z against scipy's
+  Hankel functions (nu in (0.05, 10), ell in (0.05, 4), both half-planes
+  with |Im z| down to 1e-2, |z| up to 1e4, a fifth on the negative axis)
+  no error passed its ``error_bound`` (the largest error was 0.57 of it),
+  and the largest off-axis error was 221 times ``_ATOL + _RTOL |m|``, gap
+  included; the real-axis sweeps of the same stacks reached 273.
 
 Stepper
 -------
@@ -120,20 +133,44 @@ sweep's ``nfev`` is 2 plus 11 per step attempt.
 Stacked sweep
 -------------
 :func:`m_infinity_batch` solves many z in one stepper call.  Column j
-integrates in ``s = (x - ell) / (X_j - ell)`` from 1 to 0, so it keeps
+integrates in ``s`` from 1 to 0 along ``x = ell + s d_j``, so it keeps
 its own truncation X_j, midpoint s = 1/2, gap test and ``error_bound``
 exactly as above, and only the columns whose gap fails are doubled and
-swept again.  It carries ``v_j = d_j u_j``, ``d_j = X_j - ell``, so
-``v' = G_j(s) - v^2`` with ``G_j = d_j^2 (q(ell + s d_j) - z_j)`` and
-``int v ds = int u dx``.  A step's error norm is the largest of the
-columns' own norms at ``_RTOL`` and ``d_j _ATOL`` (u's tolerances in v's
-units), so each column has exactly the local error control of a sweep of
-its own.  G does not depend on v, so a step evaluates q once, at its 11
-stage abscissae; each stage is then one product of ``[1, h a_s]`` with the
-rows ``[v, k_0, ...]`` of a workspace built once per sweep, a square and a
+swept again.  It carries ``v_j = d_j u_j``, so ``v' = G_j(s) - v^2`` with
+``G_j = d_j^2 (q(ell + s d_j) - z_j)`` and ``int v ds = int u dx``.  A
+step's error norm is the largest of the columns' own norms at ``_RTOL``
+and ``|d_j| _ATOL`` (u's tolerances in v's units), so each column has
+exactly the local error control of a sweep of its own.
+
+On the real axis ``d_j = X_j - ell``.  There psi decays only at the rate
+``Im sqrt(z)``, about 0.02 at 5+0.1i, so a near-axis column runs 50-90
+units of x and sets the shared step.  On a Bessel potential
+(``Potential.rays``: q analytic, and psi zero-free, in the sector swept)
+an off-axis column instead runs along the ray
+``d_j = (X_j - ell) e^(i theta_j)``, ``theta = pi/2 - arg sqrt(z)``
+(negative below the axis): psi = sqrt(x) H1_nu(sqrt(z) x) is analytic for
+Re x > 0, and has no zero while ``Im(sqrt(z) x) >= 0`` since the zeros of
+H1_nu for real nu lie in the lower half-plane (Watson, A Treatise on the
+Theory of Bessel Functions, ch. XV), so u = psi'/psi can be carried to ell
+along the ray and m = -u(ell) does not change.  Along the ray psi decays
+at the full rate |sqrt z| (2.24 at 5+0.1i) and does not oscillate.  The
+differences of the WKB start are then complex derivatives along the ray,
+its root the one that decays along it (:func:`_wkb_terms`), and X_j stays a
+float, ell plus the path length.  On the classify stack this takes one
+sweep of 1,190 RHS calls instead of 2,400.  Real-axis columns, every
+column of another potential (a sampled or general q is known on [ell,
+inf) only) and a sweep of one z stay on the real axis: a one-z sweep runs
+its written-in float stages at real x, which complex abscissae would
+lose, and a ray whose first truncation lies within 2048 float spacings of
+ell stays there too.
+
+G does not depend on v, so a step evaluates q once, at its 11 stage
+abscissae; each stage is then one product of ``[1, h a_s]`` with the rows
+``[v, k_0, ...]`` of a workspace built once per sweep, a square and a
 subtraction.  A stack is sized in one array pass (one potential call for
-the wells, one for the ladders, one for the predictions up to X/2), with
-the scalar pass's distances and errors, and a round's starts at X and X/2
+the wells, one for the ladders, one for the predictions up to X/2 and,
+with rays, two for the rays' ladders and predictions), with the scalar
+pass's distances and errors, and a round's starts at X and X/2
 are one array call each.  One column keeps the scalar sizing and starts,
 since the array pass costs it four times as much, and the scalar sweep in
 x; a sampled potential sweeps its columns one at a time, since its knots
@@ -1070,11 +1107,11 @@ def _naming_z(outcome, z):
     Those errors name x but not z; the copy keeps the type, and its message
     ends with ``(z = ...)``.
     """
-    if isinstance(outcome, IntegrationError) and outcome.z is None:
-        named = type(outcome)(f"{outcome} (z = {z})")
-        named.z = z
-        return named
-    return outcome
+    if not isinstance(outcome, IntegrationError) or outcome.z is not None:
+        return outcome
+    named = type(outcome)(f"{outcome} (z = {z})")
+    named.z = z
+    return named
 
 
 def _riccati_batch(potential: Potential, alpha: float, zs: list[complex],
@@ -1102,20 +1139,22 @@ def _riccati_batch(potential: Potential, alpha: float, zs: list[complex],
         out = [out] if len(zs) == 1 else [
             _outcome(lambda: _first_distances(potential, [z], tol, x_max, [e])[0])
             for z, e in zip(zs, directions)]
-    out = [_naming_z(o, z) for o, z in zip(out, zq)]
     dist = {j: d for j, d in enumerate(out) if not isinstance(d, WeylsysError)}
+    if len(dist) < len(out):
+        out = [_naming_z(o, z) for o, z in zip(out, zq)]
     top = {j: min(ell + d, x_max) for j, d in dist.items()}
 
     def settle(j, result):
-        out[j] = _naming_z(result, zq[j])
+        out[j] = result if type(result) is tuple else _naming_z(result, zq[j])
         del dist[j]
 
     while dist:
         cols, ends, starts, loose = [], [], [], {}
-        end = {j: top[j] if directions[j] == 1.0 else ell + (top[j] - ell) * directions[j]
-               for j in dist}
-        for j, start in zip(list(dist), _wkb_starts(potential, list(end.values()),
-                                                    [zq[j] for j in dist])):
+        # X, or on a ray its complex end
+        xs = [top[j] if directions[j] == 1.0 else ell + (top[j] - ell) * directions[j]
+              for j in dist]
+        for j, x, start in zip(list(dist), xs, _wkb_starts(potential, xs,
+                                                           [zq[j] for j in dist])):
             if isinstance(start, WeylsysError):
                 settle(j, start)
                 continue
@@ -1130,7 +1169,7 @@ def _riccati_batch(potential: Potential, alpha: float, zs: list[complex],
                 # the series does not fall: if the sweep from it fails, this is why
                 loose[j] = (u_start.real, u2, u3, math.sqrt(s.real))
             cols.append(j)
-            ends.append(end[j])
+            ends.append(x)
             starts.append(u_start.real if real[j] else u_start)
         if not cols:
             break
