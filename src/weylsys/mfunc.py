@@ -75,6 +75,12 @@ overestimates it where the terms fall (:func:`_wkb_terms`).
   pole to :func:`safe_div`, and within 2048 float spacings of ell the
   lowest truncation's midpoint may round to ell, leaving q' no difference
   step; either raises :class:`DomainError`, naming z, before any solve.
+* On the real axis a start whose terms do not fall, not
+  ``|u3| <= |u2| <= sqrt(q(X) - z)``, can lie past the repelling root +k of
+  the backward flow, which then runs into a pole.  Such a start is still
+  swept, since its gap test decides and many succeed; if the sweep fails
+  with the stepper's step-size error, :class:`ConvergenceError` names z and
+  the start's terms instead.
 * One DOP853 sweep per truncation also sums ``w = int 2u`` from its stage
   values and steps exactly onto the midpoint ``X/2 = ell + (X - ell)/2``,
   where it records u and w.  The start error of the X/2 truncation,
@@ -95,7 +101,7 @@ overestimates it where the terms fall (:func:`_wkb_terms`).
   with |Im z| down to 1e-2, |z| up to 1e4, a fifth on the negative axis)
   no error passed its ``error_bound`` (the largest error was 0.57 of it),
   and the largest off-axis error was 221 times ``_ATOL + _RTOL |m|``, gap
-  included; the real-axis sweeps of the same stacks reached 273.
+  included; the real-axis sweeps of the first 12 of them reached 273.
 
 Stepper
 -------
@@ -159,10 +165,12 @@ its root the one that decays along it (:func:`_wkb_terms`), and X_j stays a
 float, ell plus the path length.  On the classify stack this takes one
 sweep of 1,190 RHS calls instead of 2,400.  Real-axis columns, every
 column of another potential (a sampled or general q is known on [ell,
-inf) only) and a sweep of one z stay on the real axis: a one-z sweep runs
-its written-in float stages at real x, which complex abscissae would
-lose, and a ray whose first truncation lies within 2048 float spacings of
-ell stays there too.
+inf) only), a column whose ray's first truncation lies within 2048 float
+spacings of ell, and a sweep of one z stay on the real axis.  For one z a
+ray would save RHS calls (29% on 280 off-axis points of the points
+benchmark, swept as one-column stacks), but the one-z sweep's stages are
+written out on float pairs at a real x (Stepper), which a complex x makes
+dearer per attempt; that trade is left open.
 
 G does not depend on v, so a step evaluates q once, at its 11 stage
 abscissae; each stage is then one product of ``[1, h a_s]`` with the rows
@@ -176,7 +184,9 @@ since the array pass costs it four times as much, and the scalar sweep in
 x; a sampled potential sweeps its columns one at a time, since its knots
 fall at a different s in each.  A z whose evaluation fails keeps its own
 error, raised when its entry is read; if a stacked sweep fails, its
-columns are solved again one by one, so each error names its z.  The
+columns are solved again one by one, so each error names its z.  An
+error of the potential or the stepper names x only, so its column's copy
+of the same type ends with ``(z = ...)`` (``IntegrationError.z``).  The
 steps of a stacked sweep are shared, so a z's last digits can differ
 between batches, always within its ``error_bound``.
 
