@@ -160,9 +160,8 @@ H1_nu for real nu lie in the lower half-plane (Watson, A Treatise on the
 Theory of Bessel Functions, ch. XV), so u = psi'/psi can be carried to ell
 along the ray and m = -u(ell) does not change.  Along the ray psi decays
 at the full rate |sqrt z| (2.24 at 5+0.1i) and does not oscillate.  The
-differences of the WKB start are then complex derivatives along the ray,
-its root the one that decays along it (:func:`_wkb_terms`), and X_j stays a
-float, ell plus the path length.  On the classify stack this takes one
+differences of the WKB start are then complex derivatives along the ray
+(:func:`_wkb_terms`), and X_j stays a float, ell plus the path length.  On the classify stack this takes one
 sweep of 1,190 RHS calls instead of 2,400.  Real-axis columns, every
 column of another potential (a sampled or general q is known on [ell,
 inf) only), a column whose ray's first truncation lies within 2048 float
@@ -806,8 +805,9 @@ def _wkb_terms(potential: Potential, x: float, z: complex) -> tuple:
     q'' are central differences with the step ``h = _DIFF_STEP (x - ell)``
     and q''' the five-point difference over x +- h, x +- 2h, so no sample
     falls below ell.  A complex x lies on a ray from ell (module docstring):
-    the differences are then complex derivatives along it, and k is the
-    root with ``Re(k (x - ell)) > 0``, which decays along the ray.  An array
+    the differences are then complex derivatives along it.  Where q is small
+    beside z, k is close to ``-i sqrt(z)``, which decays along the ray; |u2|
+    and |u3| do not depend on the sign of k.  An array
     x takes one potential call, and its turning points get u = 0 and
     |u2| = |u3| = inf; numpy may round a complex quotient apart.
     """
@@ -824,14 +824,10 @@ def _wkb_terms(potential: Potential, x: float, z: complex) -> tuple:
     if array:
         turning = s == 0
         k = np.sqrt(np.where(turning, 1.0, s))
-        if x.dtype.kind == "c":
-            k = np.where((k * (x - potential.ell)).real < 0, -k, k)
     elif s == 0:        # a turning point has no WKB value; the real axis rejects it
         return s, 0j, math.inf, math.inf
     else:
         k = cmath.sqrt(s)
-        if isinstance(x, complex) and (k * (x - potential.ell)).real < 0:
-            k = -k
     k2 = k * k
     u1 = -dq / (4.0 * k2)
     u2 = (5.0 * dq * dq / (32.0 * k2) - ddq / 8.0) / (k2 * k)

@@ -714,7 +714,8 @@ def test_stacked_bessel_columns_on_their_rays_keep_their_bounds(nu, ell, off_axi
 def test_only_a_bessel_stack_sweeps_rays(monkeypatch):
     # the ray needs q analytic, and psi zero-free, in the sector it sweeps
     # (Potential.rays): an expression or sampled stack stays on the real
-    # axis, and so does a one-z sweep on a Bessel potential
+    # axis, and so do a one-z sweep on a Bessel potential and a ray too
+    # short to leave ell
     forcing = []
     stepper = mfunc._dop853
 
@@ -738,6 +739,11 @@ def test_only_a_bessel_stack_sweeps_rays(monkeypatch):
     (d,) = forcing
     assert [x.imag != 0.0 for x in d.tolist()] == [z.imag != 0.0 for z in zs]
     assert all(x.imag * z.imag > 0.0 for x, z in zip(d.tolist(), zs) if z.imag != 0.0)
+    # at ell = 100 the ray of 5e25+1e20i would first reach 1.3e-12 from ell,
+    # within 2048 float spacings, where its real axis, 1.3e-6, is not
+    pot = Potential.bessel(1.5, 100.0)
+    assert mfunc._range_error(5e25 + 1e20j, 1.3e-6, 100.0, 1e-8) is None
+    assert mfunc._directions(pot, [5e25 + 1e20j, 1j], 1e-8)[0] == 1.0
 
 
 @pytest.mark.parametrize("z", [-1e-5, -1e-2, 0.01j, 20.0 + 0.05j])
