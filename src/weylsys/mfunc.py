@@ -174,16 +174,18 @@ dearer per attempt; that trade is left open.
 G does not depend on v, so a step evaluates q once, at its 11 stage
 abscissae; each stage is then one product of ``[1, h a_s]`` with the rows
 ``[v, k_0, ...]`` of a workspace built once per sweep, a square and a
-subtraction.  A stack is sized in one array pass (one potential call for
-the wells, one for the ladders, one for the predictions up to X/2 and,
-with rays, two for the rays' ladders and predictions), with the scalar
-pass's distances and errors, and a round's starts at X and X/2
-are one array call each.  One column keeps the scalar sizing and starts,
-since the array pass costs it four times as much, and the scalar sweep in
-x; a sampled potential sweeps its columns one at a time, since its knots
-fall at a different s in each.  A z whose evaluation fails keeps its own
-error, raised when its entry is read; if a stacked sweep fails, its
-columns are solved again one by one, so each error names its z.  An
+subtraction.  A stack is sized in one array pass, with the distances and
+errors that each column gets sized alone: one potential call for the
+wells, one for the real-axis ladders, whose exponents decide the errors,
+and two for one table of predictions, each column's along its own path
+(the real axis, or its ray) and the WKB terms on it.  A round's starts at
+X and X/2 are one array call each.  One column on the real axis keeps the
+scalar sizing and starts, since the array pass costs it four times as
+much, and the scalar sweep in x; a column alone on its ray is sized as a
+stack of one.  A sampled potential sweeps its columns one at a time, since
+its knots fall at a different s in each.  A z whose evaluation fails keeps
+its own error, raised when its entry is read; if a stacked sweep fails,
+its columns are solved again one by one, so each error names its z.  An
 error of the potential or the stepper names x only, so its column's copy
 of the same type ends with ``(z = ...)`` (``IntegrationError.z``).  The
 steps of a stacked sweep are shared, so a z's last digits can differ
@@ -197,6 +199,7 @@ limit are the fixed constants below.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from collections.abc import Callable, Sequence
@@ -781,7 +784,13 @@ def _dop853(rhs, t0: float, y0, stops: Sequence[float], rtol: float,
     sweep = _SWEEPS.get(key)
     if sweep is None:
         sweep = _SWEEPS[key] = _write_sweeps(key)[0]
-    return _Solution(*sweep(rhs, t0, y0, f, stops, rtol, atol, h_abs, direction))
+    if key != "array":
+        return _Solution(*sweep(rhs, t0, y0, f, stops, rtol, atol, h_abs, direction))
+    # a trial stage of a stack near the top of the numeric range can overflow:
+    # the step's nan norm rejects it, as OverflowError does in a scalar sweep,
+    # so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _Solution(*sweep(rhs, t0, y0, f, stops, rtol, atol, h_abs, direction))
 
 
 # perfbench/spans.py times each sweep and sums its ``nfev`` under this name
@@ -910,15 +919,16 @@ def _directions(potential: Potential, zs: list[complex], tol: float) -> list:
     return out
 
 
-def _ray_predictions(potential: Potential, zs, directions, dists, rungs: int) -> tuple:
-    """The gap test's predictions at rungs 1, ..., rungs of each column's ray.
+def _predictions(potential: Potential, zs, directions, dists, low: int, rungs: int) -> tuple:
+    """The gap test's predictions at rungs low, ..., rungs of each column's path.
 
     Rung 0 is ell and rung i >= 1 is ``ell + d 2^(i - 11) e``, d the
-    column's distance and e its direction.  Returns, one row per rung,
-    the start's last kept term |u3| there damped by the WKB exponent, the
+    column's distance and e its direction: 1.0 on the real axis, or
+    e^(i theta) on its ray.  Returns, one row per rung from low, the
+    start's last kept term |u3| there damped by the WKB exponent, the
     trapezoid sum of ``2 Re(e sqrt(q - z))`` over the path from ell with
-    the root that decays along e, and whether ``|u3| <= |u2|``.  Both
-    sizing passes take it, so a column's predictions are the same floats.
+    the root that decays along e, and whether ``|u3| <= |u2|``.  The
+    exponent needs every rung from ell, the terms only those from low.
     """
     e, zc = np.array(directions), np.array(zs)
     start = np.zeros(len(e))
@@ -927,9 +937,9 @@ def _ray_predictions(potential: Potential, zs, directions, dists, rungs: int) ->
     rates = np.abs((e * np.sqrt(potential(xs) - zc)).real)
     steps = np.abs(np.diff(xs, axis=0)) * (rates[:-1] + rates[1:])
     exponents = np.cumsum(np.vstack([start, steps]), axis=0)
-    _, _, next_last, last = _wkb_terms(potential, xs[1:], zc)
+    _, _, next_last, last = _wkb_terms(potential, xs[low:], zc)
     with np.errstate(invalid="ignore"):     # a turning point's inf times e^-inf
-        return last * np.exp(-exponents[1:]), last <= next_last
+        return last * np.exp(-exponents[low:]), last <= next_last
 
 
 def _halve_then_double(potential: Potential, z: complex, dist: float, tol: float,
@@ -985,17 +995,20 @@ def _first_distances(potential: Potential, zs: list[complex], tol: float,
     it instead: its X - ell is a path length, from the ray's contraction
     distance and predictions, while the real axis still decides its errors.
 
-    One z takes the scalar pass, several the array pass (module docstring);
-    both share every check and rule (:func:`_leave_well`,
-    :func:`_range_error`, :func:`_halve_then_double`), and differ in how
-    they evaluate q.
+    One z on the real axis takes the scalar pass; several, or one on its
+    ray, take the array pass (module docstring), whose prediction rows stop
+    at rung 12 on a potential with rays and at rung 10 otherwise: a column
+    of a stack that doubles past them is sized alone.  A lone ray's rows
+    span its path within x_max.  Both passes share every check and rule
+    (:func:`_leave_well`, :func:`_range_error`, :func:`_halve_then_double`),
+    and differ in how they evaluate q.
     """
     ell = potential.ell
     # X - ell contracts a start error by tol (module docstring); so close to
     # ell a well of q may dip below z, and only the tail may raise DomainError
     target = math.log(1.0 / tol)
-    if len(zs) == 1:
-        z, direction = zs[0], directions[0]
+    if len(zs) == 1 and directions[0] == 1.0:
+        z = zs[0]
         dist = _contraction_distance(z, 1.0, target)
         if z.imag == 0.0:
             dist = _leave_well(potential, z, dist, potential(ell + dist), x_max)
@@ -1016,13 +1029,6 @@ def _first_distances(potential: Potential, zs: list[complex], tol: float,
             _, _, next_last, last = _wkb_terms(potential, xs[i], z)
             return last * math.exp(-exponents[i]), last <= next_last
 
-        if direction != 1.0:    # the real axis decides the error, the ray predicts
-            dist = _contraction_distance(z, direction, target)
-            rungs = 0
-            while ell + math.ldexp(dist, rungs - 10) <= x_max:
-                rungs += 1
-            table, falls = _ray_predictions(potential, [z], [direction], [dist], rungs)
-            predict = lambda i: (float(table[i - 1, 0]), bool(falls[i - 1, 0]))
         return [_halve_then_double(potential, z, dist, tol, x_max, exponents[-1], roots[0],
                                    predict)]
     out: list = [_contraction_distance(z, 1.0, target) for z in zs]
@@ -1045,32 +1051,25 @@ def _first_distances(potential: Potential, zs: list[complex], tol: float,
     roots = np.sqrt(q - zc)
     steps = np.where(valid[1:], np.diff(xs, axis=0) * (roots.real[:-1] + roots.real[1:]), 0)
     exponents = np.cumsum(np.vstack([np.zeros_like(d), steps]), axis=0)
-    # each column's predictions, from rung low on: on the real axis, or on its ray
-    predictions = {}
-    axis = [i for i, j in enumerate(cols) if directions[j] == 1.0]
-    if axis:
-        low = 1 if potential.analytic and (zc[axis].imag != 0.0).any() else 10
-        _, _, next_last, last = _wkb_terms(potential, xs[low:11, axis], zc[axis])
-        with np.errstate(invalid="ignore"):     # a turning point's inf times e^-inf
-            table, falls = last * np.exp(-exponents[low:11, axis]), last <= next_last
-        predictions.update(zip(axis, zip([low] * len(axis), table.T.tolist(), falls.T.tolist())))
-    rays = [i for i, j in enumerate(cols) if directions[j] != 1.0]
-    if rays:
-        # a ray's rungs reach 12, the midpoint of its first distance doubled
-        # twice: the prediction often doubles it once
-        dr = [_contraction_distance(zs[cols[i]], directions[cols[i]], target) for i in rays]
-        table, falls = _ray_predictions(potential, zc[rays], [directions[cols[i]] for i in rays],
-                                        dr, 12)
-        predictions.update(zip(rays, zip([1] * len(rays), table.T.tolist(), falls.T.tolist())))
-        for i, d in zip(rays, dr):
-            out[cols[i]] = d
-    for i, (j, exponent, k_ell) in enumerate(zip(cols, exponents[-1].tolist(),
-                                                 roots[0].tolist())):
-        low, p, f = predictions[i]
+    # each column's path: its real-axis distance, or its ray's contraction distance
+    dirs = [directions[j] for j in cols]
+    paths = [out[j] if e == 1.0 else _contraction_distance(zs[j], e, target)
+             for j, e in zip(cols, dirs)]
+    # the rows from rung low, where the halving starts, to rung 12 on a
+    # potential with rays (a first distance doubled twice: a ray's prediction
+    # often doubles it once) and 10 otherwise; a lone ray's rows reach the
+    # last rung of its path within x_max, so it never takes the hand-off below
+    low = 1 if potential.analytic and (zc.imag != 0.0).any() else 10
+    rungs = (12 if potential.rays else 10) if len(zs) > 1 else next(
+        r for r in itertools.count() if ell + math.ldexp(paths[0], r - 10) > x_max)
+    table, falls = _predictions(potential, zc, dirs, paths, low, rungs)
+    rows = zip(cols, paths, exponents[-1].tolist(), roots[0].tolist(), table.T.tolist(),
+               falls.T.tolist())
+    for j, path, exponent, k_ell, p, f in rows:
         try:
-            out[j] = _halve_then_double(potential, zs[j], out[j], tol, x_max, exponent, k_ell,
+            out[j] = _halve_then_double(potential, zs[j], path, tol, x_max, exponent, k_ell,
                                         lambda i: (p[i - low], f[i - low]))
-        except IndexError:      # past the array pass's rungs: the scalar pass
+        except IndexError:      # past the array pass's rows: the column's own sizing
             out[j] = _outcome(lambda: _first_distances(potential, [zs[j]], tol, x_max,
                                                        [directions[j]])[0])
     return out

@@ -1050,6 +1050,15 @@ def test_an_overflowing_complex_state_is_rejected():
                               StiffnessError)
 
 
+def test_a_stack_whose_trial_stages_overflow_writes_no_warning():
+    # near the top of the numeric range a trial stage of the stacked step can
+    # overflow; the step's nan norm rejects it, as OverflowError does in a
+    # scalar sweep, and numpy writes no RuntimeWarning (an error here).  Both
+    # values stay within their bounds of the closed form
+    zs = [1e21 + 3e17j, 1j]
+    for z, info in zip(zs, m_infinity_batch(MFunctionEvaluator(Potential.bessel(1.5, 1e4)), zs)):
+        assert abs(info.value - half_integer_bessel_m(1.5, 1e4, z)) <= info.error_bound
+
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(["bessel c", "bessel q", "sampled"]), st.booleans(),
        st.floats(0.5, 4.0), st.floats(0.25, 2.0), st.floats(0.05, 4.0),
@@ -1449,12 +1458,15 @@ def _sizing_outcome(out):
     (Potential.expression(lambda x: -(x**4), ell=1.0, label="-x^4"), [5.0 + 0.1j, 1j, -1.0],
      1e-8),
     (Potential.bessel(1.5, 1e4), [1e16j, 1j, -1.0], 0.9),
+    # both real columns double past rung 10 beside rays, and read rung 11
+    (Potential.bessel(0.15, 0.43), [-1.0, 1j, 2.0 + 1j, -0.5], 1e-8),
 ], ids=["classify", "bessel3.5-default", "grid492", "free", "well", "bump", "errors",
-        "near-axis", "limit-circle", "float-spacing"])
+        "near-axis", "limit-circle", "float-spacing", "real-past-rung-10"])
 def test_array_sizing_is_the_scalar_sizing(pot, zs, tol):
     # a stack's columns are sized in one array pass: every distance is the
-    # scalar pass's along the same direction (the ray of an off-axis Bessel
-    # column) to the bit, and every error has the same class and message
+    # column's own sizing to the bit, and every error has the same class and
+    # message.  Alone, a real-axis column takes the scalar pass, and a column
+    # on its ray (an off-axis Bessel column) the array pass as a stack of one
     zs = [complex(z) for z in zs]
     x_max = mfunc._X_MAX_FACTOR * max(pot.ell, 1.0)
     directions = mfunc._directions(pot, zs, tol)
@@ -1464,12 +1476,15 @@ def test_array_sizing_is_the_scalar_sizing(pot, zs, tol):
     assert [_sizing_outcome(out) for out in stacked] == [_sizing_outcome(out) for out in alone]
 
 
-def test_array_sizing_doubles_out_of_a_well_and_past_its_rungs():
+def test_array_sizing_doubles_out_of_a_well_and_past_its_rungs(monkeypatch):
     # the well and bump stacks above take both doubling branches: -300 e^-x
     # at z = -100 has q(ell + d) = -119 <= z at the first d = 0.92, so the
     # well check doubles; the bump potential at 3 + 10i doubles its
-    # contraction distance once, past rung 10, where the array pass hands
-    # the column to the scalar pass
+    # contraction distance once, past rung 10, the last row of an expression
+    # potential's predictions, where the array pass hands the column to its
+    # own sizing, the scalar pass.  A Bessel stack's rows reach rung 12:
+    # there the real columns -1 and -0.5 of bessel(0.15, 0.43) double once
+    # and read rung 11 without the hand-off
     well, bump = _exp_well(300.0), _bump()
     first = math.log(1e8) / 20.0
     assert well(first) <= -100.0
@@ -1486,6 +1501,19 @@ def test_array_sizing_doubles_out_of_a_well_and_past_its_rungs():
                                 ell=0.0, label="ring")
     d = mfunc._first_distances(ring, [-5.0 + 0j, 1j], 1e-8, mfunc._X_MAX_FACTOR, axis)[0]
     assert ring(first) < -5.0 < ring(d) and d == 2.0 * first
+    pot, zs = Potential.bessel(0.15, 0.43), [-1.0 + 0j, 1j, 2.0 + 1j, -0.5 + 0j]
+    sizing, sized = mfunc._first_distances, []
+
+    def counting_sizing(potential, points, *rest):
+        sized.append(len(points))
+        return sizing(potential, points, *rest)
+
+    monkeypatch.setattr(mfunc, "_first_distances", counting_sizing)
+    out = mfunc._first_distances(pot, zs, 1e-8, mfunc._X_MAX_FACTOR,
+                                 mfunc._directions(pot, zs, 1e-8))
+    assert sized == [4]
+    for j in (0, 3):
+        assert out[j] == 2.0 * math.log(1e8) / (2.0 * math.sqrt(-zs[j].real))
 
 
 def test_sizing_a_stack_calls_the_potential_a_fixed_number_of_times(monkeypatch):
