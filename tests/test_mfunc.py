@@ -1059,6 +1059,7 @@ def test_a_stack_whose_trial_stages_overflow_writes_no_warning():
     for z, info in zip(zs, m_infinity_batch(MFunctionEvaluator(Potential.bessel(1.5, 1e4)), zs)):
         assert abs(info.value - half_integer_bessel_m(1.5, 1e4, z)) <= info.error_bound
 
+
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(["bessel c", "bessel q", "sampled"]), st.booleans(),
        st.floats(0.5, 4.0), st.floats(0.25, 2.0), st.floats(0.05, 4.0),
