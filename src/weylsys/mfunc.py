@@ -63,7 +63,9 @@ overestimates it where the terms fall (:func:`_wkb_terms`).
   stays.  A sampled or general expression potential keeps the contraction
   distance, since a gap measured inside [ell, X] cannot see a kink of q
   beyond X, such as the end of a table.  When no halving is predicted to
-  pass, the distance doubles while the test is predicted to fail.
+  pass, the distance doubles while the test is predicted to fail, at most
+  three times, up to the ladder's top rung ``ell + 2 d``; past it only the
+  sweep's own gap test doubles X.
 * A column of a stack off the axis may sweep a complex ray instead
   (Stacked sweep).  Its contraction distance and predictions then take the
   ray's decay rate ``Re(e^(i theta) sqrt(q - z))``, which is ``|sqrt z|``
@@ -135,9 +137,12 @@ floats for a scalar state, with numpy's complex modulus, which can round
 apart from ``abs``.  A sweep also stops on every knot of a sampled potential
 (``Potential.knots``) between X and ell, so no step crosses a jump of the
 third derivative of q (of the first, at the last knot), which the error
-estimate does not see.  The error norm reads u only, never w.  A step's
-stage 11 lies at its end, so its forcing gives the next slope, and a
-sweep's ``nfev`` is 2 plus 11 per step attempt.
+estimate does not see.  The error norm reads u only, never w; it sums
+the squares of the two error estimates, and a sum past the float range
+fails the step instead of reading as a norm of 0 (below x = 1e-147 or so,
+where u is about 1/x, such sums occur).  A step's stage 11 lies at its
+end, so its forcing gives the next slope, and a sweep's ``nfev`` is 2
+plus 11 per step attempt.
 
 Stacked sweep
 -------------
@@ -177,8 +182,8 @@ dearer per attempt; that trade is left open.
 G does not depend on v, so a step evaluates q once, at its 11 stage
 abscissae; each stage is then one product of ``[1, h a_s]`` with the rows
 ``[v, k_0, ...]`` of a workspace built once per sweep, a square and a
-subtraction.  A stack is sized in one array pass, with the distances and
-errors that each column gets sized alone: one potential call for the
+subtraction.  A stack is sized in one array pass, which gives each column
+the distance or error of its own sizing: one potential call for the
 wells, one for the real-axis ladders, whose exponents decide the errors,
 and two for one table of predictions, each column's along its own path
 (the real axis, or its ray) and the WKB terms on it.  A round's starts at
@@ -202,7 +207,6 @@ limit are the fixed constants below.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 from collections.abc import Callable, Sequence
@@ -329,6 +333,7 @@ _INTEGRATION_ERROR = 300.0    # global DOP853 error of a sweep, in _RTOL |u(ell)
 _GAP_FLOOR = 1e-10            # the gap test passes below max(_GAP_FLOOR, tol |m|)
 _DIFF_STEP = 1e-4             # difference step of q', q'' and q''', in units of x - ell
 _Z_MAX = 1e26                 # the top of the |z| range the sweeps are checked over
+_TOP_RUNG = 12                # the sizing's last rung, ell + 2 d: a first X - ell <= 8 d
 
 
 def check_tol(tol: float) -> None:
@@ -505,7 +510,8 @@ def {name}(rhs, t, y, f, stops, rtol, atol, h_abs, direction):
 
 # The error norm of a scalar step, with ``ay = |y|`` kept from the step that
 # made y.  max(|y|, |y_new|) is written out in max's order: a nan |y| is
-# kept, and a nan |y_new| is passed over
+# kept, and a nan |y_new| is passed over.  A sum of squares n53 past the
+# float range fails the step, where n5 / sqrt(inf) would read as 0 and pass it
 _SCALAR_NORM = """\
 try:
     ay_new = abs({y_new})
@@ -516,8 +522,8 @@ except OverflowError:       # the modulus of a complex state beyond the float ra
     err = inf
 else:
     n5 *= n5
-    n3 *= n3
-    err = 0.0 if n5 == 0.0 and n3 == 0.0 else abs(h) * n5 / sqrt(n5 + 0.01 * n3)"""
+    n53 = n5 + 0.01 * (n3 * n3)
+    err = 0.0 if n53 == 0.0 else inf if n53 == inf else abs(h) * n5 / sqrt(n53)"""
 
 # The lines of each state that _SWEEP wraps: before the loop, after an
 # accepted step, and at a stop.  A scalar state's step is written from the
@@ -692,8 +698,11 @@ def _array_step(rhs, t, t_new, y, f, rtol, atol):
     size = np.abs(sums)
     scale = atol + rtol * np.maximum(np.abs(y), size[0])
     n5, n3 = (size[1:] / scale) ** 2
-    # a column with n5 = n3 = 0 has norm 0; a NaN column stays NaN and fails the step
-    norms = n5 / np.sqrt(np.maximum(n5 + 0.01 * n3, _TINY))
+    n53 = n5 + 0.01 * n3
+    # a column with n5 = n3 = 0 has norm 0; a NaN column stays NaN and fails the
+    # step, as does one whose n53 passes the float range (0 * inf is NaN), which
+    # n5 / sqrt(inf) alone would read as 0
+    norms = n5 / np.sqrt(np.maximum(n53, _TINY)) + 0.0 * n53
     return y_new, coef[-3, 1:] @ stages, abs(h) * float(norms.max()), g[-1]
 
 
@@ -922,8 +931,8 @@ def _directions(potential: Potential, zs: list[complex], tol: float) -> list:
     return out
 
 
-def _predictions(potential: Potential, zs, directions, dists, low: int, rungs: int) -> tuple:
-    """The gap test's predictions at rungs low, ..., rungs of each column's path.
+def _predictions(potential: Potential, zs, directions, dists, low: int) -> tuple:
+    """The gap test's predictions at rungs low, ..., ``_TOP_RUNG`` of each column's path.
 
     Rung 0 is ell and rung i >= 1 is ``ell + d 2^(i - 11) e``, d the
     column's distance and e its direction: 1.0 on the real axis, or
@@ -935,7 +944,7 @@ def _predictions(potential: Potential, zs, directions, dists, low: int, rungs: i
     """
     e, zc = np.array(directions), np.array(zs)
     start = np.zeros(len(e))
-    lengths = np.vstack([start, np.ldexp(dists, np.arange(-10, rungs - 10)[:, None])])
+    lengths = np.vstack([start, np.ldexp(dists, np.arange(-10, _TOP_RUNG - 10)[:, None])])
     xs = potential.ell + lengths * e
     rates = np.abs((e * np.sqrt(potential(xs) - zc)).real)
     steps = np.abs(np.diff(xs, axis=0)) * (rates[:-1] + rates[1:])
@@ -954,6 +963,8 @@ def _halve_then_double(potential: Potential, z: complex, dist: float, tol: float
     midpoint ``ell + dist/2``), the gap test's predicted X/2 term
     ``|u3| e^-exponent`` and whether the WKB terms still fall there,
     ``|u3| <= |u2|``.  A halving step needs both at the halved midpoint.
+    The doubling reads rungs up to ``_TOP_RUNG`` only, so X - ell ends at
+    most 8 dist; past it the sweep's own gap test doubles X.
     """
     if z.imag != 0.0 and exponent < math.log(1.0 / tol):
         return ConvergenceError(
@@ -974,8 +985,7 @@ def _halve_then_double(potential: Potential, z: complex, dist: float, tol: float
             i -= 1
         if i < 10:      # rung i passed, so the doubling below would stop at once
             return dist
-    ell = potential.ell
-    while ell + 2.0 * dist <= x_max and not predict(i)[0] <= threshold:
+    while i <= _TOP_RUNG and potential.ell + 2.0 * dist <= x_max and not predict(i)[0] <= threshold:
         dist *= 2.0
         i += 1
     return dist
@@ -999,12 +1009,10 @@ def _first_distances(potential: Potential, zs: list[complex], tol: float,
     distance and predictions, while the real axis still decides its errors.
 
     One z on the real axis takes the scalar pass; several, or one on its
-    ray, take the array pass (module docstring), whose prediction rows stop
-    at rung 12 on a potential with rays and at rung 10 otherwise: a column
-    of a stack that doubles past them is sized alone.  A lone ray's rows
-    span its path within x_max.  Both passes share every check and rule
-    (:func:`_leave_well`, :func:`_range_error`, :func:`_halve_then_double`),
-    and differ in how they evaluate q.
+    ray, take the array pass (module docstring), whose prediction rows end
+    at the top rung, ``_TOP_RUNG``, where every doubling ends.  Both passes
+    share every check and rule (:func:`_leave_well`, :func:`_range_error`,
+    :func:`_halve_then_double`), and differ in how they evaluate q.
     """
     ell = potential.ell
     # X - ell contracts a start error by tol (module docstring); so close to
@@ -1037,7 +1045,10 @@ def _first_distances(potential: Potential, zs: list[complex], tol: float,
     out: list = [_contraction_distance(z, 1.0, target) for z in zs]
     real = [j for j, z in enumerate(zs) if z.imag == 0.0]
     if real:
-        wells = potential(ell + np.array([out[j] for j in real])).tolist()
+        # past x = 1.3e154 a Bessel q's x * x overflows, and q reads 0: so far
+        # out the range check below fails every column anyway
+        with np.errstate(over="ignore"):
+            wells = potential(ell + np.array([out[j] for j in real])).tolist()
         for j, q in zip(real, wells):
             out[j] = _leave_well(potential, zs[j], out[j], q, x_max)
     out = [_range_error(z, d, ell, tol) or d for z, d in zip(zs, out)]
@@ -1058,23 +1069,14 @@ def _first_distances(potential: Potential, zs: list[complex], tol: float,
     dirs = [directions[j] for j in cols]
     paths = [out[j] if e == 1.0 else _contraction_distance(zs[j], e, target)
              for j, e in zip(cols, dirs)]
-    # the rows from rung low, where the halving starts, to rung 12 on a
-    # potential with rays (a first distance doubled twice: a ray's prediction
-    # often doubles it once) and 10 otherwise; a lone ray's rows reach the
-    # last rung of its path within x_max, so it never takes the hand-off below
+    # the rows from rung low, where the halving starts, to the top rung
     low = 1 if potential.analytic and (zc.imag != 0.0).any() else 10
-    rungs = (12 if potential.rays else 10) if len(zs) > 1 else next(
-        r for r in itertools.count() if ell + math.ldexp(paths[0], r - 10) > x_max)
-    table, falls = _predictions(potential, zc, dirs, paths, low, rungs)
+    table, falls = _predictions(potential, zc, dirs, paths, low)
     rows = zip(cols, paths, exponents[-1].tolist(), roots[0].tolist(), table.T.tolist(),
                falls.T.tolist())
     for j, path, exponent, k_ell, p, f in rows:
-        try:
-            out[j] = _halve_then_double(potential, zs[j], path, tol, x_max, exponent, k_ell,
-                                        lambda i: (p[i - low], f[i - low]))
-        except IndexError:      # past the array pass's rows: the column's own sizing
-            out[j] = _outcome(lambda: _first_distances(potential, [zs[j]], tol, x_max,
-                                                       [directions[j]])[0])
+        out[j] = _halve_then_double(potential, zs[j], path, tol, x_max, exponent, k_ell,
+                                    lambda i: (p[i - low], f[i - low]))
     return out
 
 
@@ -1392,8 +1394,8 @@ def m_alpha_direct(potential: Potential, alpha: float, z: complex,
                    tol: float = MFunctionEvaluator.tol) -> complex:
     """:func:`m_alpha` with its evaluator built from (potential, tol).
 
-    It stays because the example suite's direct-versus-transform check and
-    the benchmark's spans name it.  It reads m_inf from
+    It stays because the example suite's numeric-versus-closed rotation
+    check and the benchmark's spans name it.  It reads m_inf from
     :func:`m_infinity_batch`, not :func:`m_infinity_info`, so a traced run
     counts one evaluation here, not two nested ones.
     """

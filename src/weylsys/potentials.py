@@ -4,7 +4,8 @@ A :class:`Potential` represents the coefficient of ``l(y) = -y'' + q(x) y``
 on ``[ell, inf)``.  Three kinds are supported:
 
 * ``bessel`` -- q(x) = (nu^2 - 1/4) / x^2, requires ``nu > 0`` and
-  ``ell > 0``, except that nu = 1/2 (q = 0) allows ``ell = 0``;
+  ``ell > 0``, except that nu = 1/2 (q = 0) allows ``ell = 0``, and
+  ``|q(ell)| <= 1e305``, the largest the numeric sweeps handle;
 * ``sampled`` -- tabulated (x, q) pairs, interpolated piecewise-cubically and
   held constant beyond the last grid point (documented limitation);
 * ``expression`` -- an arbitrary callable ``x -> q(x)``.
@@ -26,6 +27,10 @@ import numpy as np
 from .errors import DomainError, IntegrationError
 
 __all__ = ["Potential", "load_potential_file"]
+
+# the largest |q(ell)| of a Bessel potential: from q(ell) = 1.1e307 on, the
+# numeric sweeps end in the stepper's step-size error (a scan, in CHANGES.md)
+_Q_ELL_MAX = 1e305
 
 
 @dataclass(frozen=True)
@@ -71,6 +76,12 @@ class Potential:
             if self.ell <= 0 and c != 0.0:
                 raise DomainError("bessel potential requires ell > 0 unless nu = 1/2 "
                                   "(the singularity at x = 0 must be excluded)")
+            # divided twice: a tiny ell gives inf here, where ell * ell would give 0
+            q_ell = abs(c) / self.ell / self.ell if c != 0.0 else 0.0
+            if q_ell > _Q_ELL_MAX:
+                raise DomainError(f"bessel potential at ell = {self.ell:g}: |q(ell)| = "
+                                  f"|nu^2 - 1/4|/ell^2 = {q_ell:.3g} exceeds {_Q_ELL_MAX:g}, "
+                                  "the largest the numeric sweeps handle")
         elif self.kind == "sampled":
             grid = np.asarray(self.grid, dtype=float)
             values = np.asarray(self.values, dtype=float)

@@ -591,6 +591,20 @@ def test_a_large_m_is_a_value_not_a_pole(zs):
         assert abs(info.value - half_integer_bessel_m(10.5, 1e-12, z)) <= info.error_bound
 
 
+@pytest.mark.parametrize("nu, ell, zs", [(4.5, 1e-149, [-1.0]),
+                                         (1.5, 10.0 ** -147.375, [1j, -1.0, 2.0 + 1j])],
+                         ids=["one", "stack"])
+def test_a_step_whose_squared_norm_overflows_fails(nu, ell, zs):
+    # where u is about 1/x below x = 1e-147, the sum of a step's squared error
+    # estimates passes the float range; read as a norm of 0 it passed steps
+    # with no error control, and these values missed their bounds 374 and 6
+    # times over
+    batch = m_infinity_batch(MFunctionEvaluator(Potential.bessel(nu, ell)), zs)
+    for i, z in enumerate(zs):
+        info = batch[i]
+        assert abs(info.value - half_integer_bessel_m(nu, ell, z)) <= info.error_bound
+
+
 def test_a_truncation_past_x_max_names_its_z():
     # at nu = 0.6 and z = -1e-12 the decaying solution settles on a scale of
     # 1/sqrt|z| = 1e6, which X_max = 2^20 cannot reach
@@ -1449,6 +1463,15 @@ def test_huge_z_is_a_domain_error_that_names_z(pot, z):
         batch[1]
 
 
+def test_a_stack_at_a_huge_ell_is_a_domain_error_without_a_warning():
+    # the stack's well check evaluates q at x = ell + d, where x * x overflows:
+    # no numpy warning, and each column reads the range check's DomainError
+    batch = m_infinity_batch(MFunctionEvaluator(Potential.bessel(1.5, 1e300)), [1j, -1.0])
+    for j in range(2):
+        with pytest.raises(DomainError, match="within 2048 float spacings of ell = 1e"):
+            batch[j]
+
+
 def test_a_truncation_at_the_float_spacing_of_ell_is_a_domain_error():
     # at tol = 0.9 the first truncation at ell = 1e4 is a few float spacings
     ev = MFunctionEvaluator(Potential.bessel(1.5, 1e4), mode="numeric", tol=0.9)
@@ -1507,11 +1530,17 @@ def test_array_sizing_doubles_out_of_a_well_and_past_its_rungs(monkeypatch):
     # the well and bump stacks above take both doubling branches: -300 e^-x
     # at z = -100 has q(ell + d) = -119 <= z at the first d = 0.92, so the
     # well check doubles; the bump potential at 3 + 10i doubles its
-    # contraction distance once, past rung 10, the last row of an expression
-    # potential's predictions, where the array pass hands the column to its
-    # own sizing, the scalar pass.  A Bessel stack's rows reach rung 12:
-    # there the real columns -1 and -0.5 of bessel(0.15, 0.43) double once
-    # and read rung 11 without the hand-off
+    # contraction distance once and reads rung 11, as the real columns -1
+    # and -0.5 of bessel(0.15, 0.43) do.  Every stack's predictions reach
+    # the top rung, 12, where every doubling by prediction ends, so each of
+    # these stacks is sized in one call, with no column sized again alone
+    sizing, sized = mfunc._first_distances, []
+
+    def counting_sizing(potential, points, *rest):
+        sized.append(len(points))
+        return sizing(potential, points, *rest)
+
+    monkeypatch.setattr(mfunc, "_first_distances", counting_sizing)
     well, bump = _exp_well(300.0), _bump()
     first = math.log(1e8) / 20.0
     assert well(first) <= -100.0
@@ -1520,7 +1549,9 @@ def test_array_sizing_doubles_out_of_a_well_and_past_its_rungs(monkeypatch):
                                   axis)[0] > first
     z = 3.0 + 10j
     first = math.log(1e8) / (2.0 * sqrt_upper(z).imag)
+    sized.clear()
     assert mfunc._first_distances(bump, [z, 1j], 1e-8, mfunc._X_MAX_FACTOR, axis)[0] == 2.0 * first
+    assert sized == [2]
     # a ring well at the first X = ell + d of z = -5, where the gap test's
     # prediction at X/2 passes: only the well check moves X out of it
     first = math.log(1e8) / (2.0 * math.sqrt(5.0))
@@ -1529,18 +1560,26 @@ def test_array_sizing_doubles_out_of_a_well_and_past_its_rungs(monkeypatch):
     d = mfunc._first_distances(ring, [-5.0 + 0j, 1j], 1e-8, mfunc._X_MAX_FACTOR, axis)[0]
     assert ring(first) < -5.0 < ring(d) and d == 2.0 * first
     pot, zs = Potential.bessel(0.15, 0.43), [-1.0 + 0j, 1j, 2.0 + 1j, -0.5 + 0j]
-    sizing, sized = mfunc._first_distances, []
-
-    def counting_sizing(potential, points, *rest):
-        sized.append(len(points))
-        return sizing(potential, points, *rest)
-
-    monkeypatch.setattr(mfunc, "_first_distances", counting_sizing)
+    sized.clear()
     out = mfunc._first_distances(pot, zs, 1e-8, mfunc._X_MAX_FACTOR,
                                  mfunc._directions(pot, zs, 1e-8))
     assert sized == [4]
     for j in (0, 3):
         assert out[j] == 2.0 * math.log(1e8) / (2.0 * math.sqrt(-zs[j].real))
+
+
+def test_sizing_doubles_by_prediction_up_to_the_top_rung_only():
+    # past rung 12, ell + 2 d, the sweep's own gap test doubles X: a
+    # prediction that never passes reads rungs 10, 11 and 12, and the first
+    # X - ell is 8 d, however far x_max lies
+    read = []
+
+    def failing(i):
+        read.append(i)
+        return math.inf, True
+
+    dist = mfunc._halve_then_double(BESSEL, -1.0 + 0j, 1.0, 1e-8, 1e6, 50.0, 1.0, failing)
+    assert read == [10, 11, 12] and dist == 8.0
 
 
 def test_sizing_a_stack_calls_the_potential_a_fixed_number_of_times(monkeypatch):

@@ -8,6 +8,8 @@ import pytest
 
 from weylsys import (DomainError, IntegrationError, MFunctionEvaluator, Potential,
                      load_potential_file, m_infinity, m_infinity_batch, m_infinity_info)
+from weylsys import potentials
+from weylsys.mfunc import half_integer_bessel_m
 
 
 def test_bessel_values():
@@ -33,6 +35,31 @@ def test_bessel_rejects_bad_parameters():
         Potential.bessel(ell=0.0)
     with pytest.raises(DomainError, match="ell > 0 unless nu = 1/2"):
         Potential.bessel(1.5, 0.0)
+
+
+@pytest.mark.parametrize("nu, ell", [(1.5, 1e-300), (1.5, 1e-320), (10.5, 1e-153),
+                                     (10.5, 2e-154), (0.3, 1e-160)])
+def test_bessel_rejects_a_q_ell_the_sweeps_cannot_hold(nu, ell):
+    # q(ell) = (nu^2 - 1/4)/ell^2 past the limit, or past the float range,
+    # where ell * ell underflows to 0: a DomainError naming ell, not a
+    # ZeroDivisionError, nan or the stepper's step-size error later
+    with pytest.raises(DomainError, match=f"at ell = {ell:g}: " + r"\|q\(ell\)\| = "):
+        Potential.bessel(nu, ell)
+    # free (q = 0) stays allowed at every ell
+    assert Potential.free(ell)(ell) == 0.0
+
+
+@pytest.mark.parametrize("nu", [1.5, 4.5, 10.5])
+def test_a_bessel_q_ell_just_inside_the_limit_keeps_its_bound(nu):
+    c = nu * nu - 0.25
+    ell = 1.01 * math.sqrt(c / potentials._Q_ELL_MAX)
+    ev = MFunctionEvaluator(Potential.bessel(nu, ell), mode="numeric")
+    zs = [1j, -1.0, 2.0 + 1j]
+    batch = m_infinity_batch(ev, zs)
+    for j, z in enumerate(zs):
+        exact = half_integer_bessel_m(nu, ell, z)
+        for info in (m_infinity_info(ev, z), batch[j]):
+            assert abs(info.value - exact) <= info.error_bound
 
 
 def test_bessel_half_allows_ell_zero():
