@@ -216,7 +216,7 @@ import numpy as np
 
 from .errors import (ConvergenceError, DomainError, ExtrapolationError, IntegrationError,
                      PoleError, StiffnessError, WeylsysError)
-from .potentials import Potential
+from .potentials import Potential, half_integer_bessel_m, sqrt_upper
 
 __all__ = [
     "MFunctionEvaluator", "MEvaluation",
@@ -228,35 +228,6 @@ __all__ = [
     "MINUS_ZERO_LADDER", "MINUS_INFINITY_LADDER", "limit_at_minus_zero",
     "limit_at_minus_infinity", "safe_div", "NAMED_GRIDS",
 ]
-
-def sqrt_upper(z: complex) -> complex:
-    """Square root with the branch cut along [0, inf), arg(z) in [0, 2*pi).
-
-    Maps the upper half-plane into itself and sends ``-s`` to ``i*sqrt(s)``
-    for ``s > 0``; real nonnegative arguments keep their usual root.
-    """
-    w = cmath.sqrt(z)
-    return -w if w.imag < 0 else w
-
-
-def half_integer_bessel_m(nu: float, ell: float, z: complex) -> complex:
-    """m_inf(z) for q = (nu^2 - 1/4)/x^2 on [ell, inf), nu = n + 1/2, n = 0, 1, ...
-
-    psi = sqrt(x) K_nu(k x) with k = sqrt(-z), Re k > 0, so m = n/ell + k r
-    with r = K_{nu-1}(t)/K_nu(t) = p_{n-1}(t)/p_n(t) at t = k ell, p_n the
-    polynomial factor of K_{n+1/2}: e^-t cancels, so nothing underflows.
-    r comes from K_{nu+1} = K_{nu-1} + (2 nu/t) K_nu and K_{-1/2} = K_{1/2};
-    each step adds two terms with Re >= 0.  n = 0 is q = 0: m = k for any ell.
-    """
-    n = round(nu - 0.5)
-    if n < 0 or abs(nu - 0.5 - n) > 1e-12:
-        raise DomainError(f"the closed form needs nu - 1/2 a non-negative integer, got {nu}")
-    k = -1j * sqrt_upper(z)
-    ratio = 1.0
-    for j in range(n):
-        ratio = 1.0 / (ratio + (2 * j + 1) / (k * ell))
-    return k * ratio + (n / ell if n else 0.0)
-
 
 def bessel_m_closed_form(z: complex) -> complex:
     """m_inf(z) = 1 - i z / (sqrt(z) + i) for the Bessel potential nu=3/2, ell=1."""
@@ -706,14 +677,18 @@ def _array_step(rhs, t, t_new, y, f, rtol, atol):
     return y_new, coef[-3, 1:] @ stages, abs(h) * float(norms.max()), g[-1]
 
 
-def _initial_step(rhs, t0, y0, f0, span, direction, rtol, atol) -> float:
-    """scipy's first DOP853 step from (t0, y0), the smallest over the columns.
+def _initial_step(rhs, t0, y0, f0, stop, rtol, atol) -> float:
+    """scipy's first DOP853 step from (t0, y0) toward ``stop``, the smallest over the columns.
 
     A Python scalar y0 takes the same operations on floats, with numpy's
     modulus of a complex number, which can round apart from ``abs``, so
     that both branches give one step.  A first trial step h0 = 0 (an
     infinite slope) is left to the array branch, where it gives inf or nan.
+    The trial step h0 is at most |stop - t0|, but t0 + h0 can round past
+    stop (to x = 0 from a tiny ell); the slope is then probed at stop, so q
+    is never called outside the sweep.
     """
+    span, direction = abs(stop - t0), math.copysign(1.0, stop - t0)
     if not isinstance(y0, np.ndarray):
         size = abs if isinstance(f0, float) else lambda v: float(np.abs(v))
         y0_size = size(y0)
@@ -721,7 +696,8 @@ def _initial_step(rhs, t0, y0, f0, span, direction, rtol, atol) -> float:
         d0, d1 = y0_size / scale, size(f0) / scale
         h0 = min(span, 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1)
         if h0 > 0.0:
-            f1 = rhs(t0 + direction * h0, y0 + direction * h0 * f0)
+            t1 = t0 + direction * h0
+            f1 = rhs(stop if direction * (t1 - stop) > 0 else t1, y0 + direction * h0 * f0)
             d2 = size(f1 - f0) / scale / h0
             h1 = (max(1e-6, 1e-3 * h0) if d1 <= 1e-15 and d2 <= 1e-15
                   else (0.01 / max(d1, d2)) ** (-_EXPONENT))
@@ -732,7 +708,8 @@ def _initial_step(rhs, t0, y0, f0, span, direction, rtol, atol) -> float:
     d1 = (np.abs(f0a) / scale).tolist()
     h0 = min(span, min(1e-6 if a < 1e-5 or b < 1e-5 else 0.01 * a / b
                        for a, b in zip(d0, d1)))
-    f1 = rhs(t0 + direction * h0, y0 + direction * h0 * f0)
+    t1 = t0 + direction * h0
+    f1 = rhs(stop if direction * (t1 - stop) > 0 else t1, y0 + direction * h0 * f0)
     d2 = (np.abs(np.atleast_1d(f1) - f0a) / scale / h0).tolist()
     h1 = min(max(1e-6, 1e-3 * h0) if b <= 1e-15 and c <= 1e-15
              else (0.01 / max(b, c)) ** (-_EXPONENT) for b, c in zip(d1, d2))
@@ -792,16 +769,17 @@ def _dop853(rhs, t0: float, y0, stops: Sequence[float], rtol: float,
         slope = lambda t, y: q(t) - z - y * y
         f = slope(t0, y0)
     direction = math.copysign(1.0, stops[-1] - t0)
-    h_abs = _initial_step(slope, t0, y0, f, abs(stops[-1] - t0), direction, rtol, atol)
     sweep = _SWEEPS.get(key)
     if sweep is None:
         sweep = _SWEEPS[key] = _write_sweeps(key)[0]
     if key != "array":
+        h_abs = _initial_step(slope, t0, y0, f, stops[-1], rtol, atol)
         return _Solution(*sweep(rhs, t0, y0, f, stops, rtol, atol, h_abs, direction))
-    # a trial stage of a stack near the top of the numeric range can overflow:
-    # the step's nan norm rejects it, as OverflowError does in a scalar sweep,
-    # so numpy need not warn
+    # a trial stage of a stack near the top of the numeric range, or its
+    # first-step rule, can overflow: the step's nan norm rejects such a step,
+    # as OverflowError does in a scalar sweep, so numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
+        h_abs = _initial_step(slope, t0, y0, f, stops[-1], rtol, atol)
         return _Solution(*sweep(rhs, t0, y0, f, stops, rtol, atol, h_abs, direction))
 
 
@@ -1249,10 +1227,11 @@ class MEvaluation(NamedTuple):
 class MFunctionEvaluator:
     """Immutable evaluator of m_inf(z) for one potential.
 
-    ``mode`` is ``"numeric"`` or ``"closed_form"``; the closed form,
-    :func:`half_integer_bessel_m`, exists for a Bessel potential with
-    half-integer nu, the free potential nu = 1/2 among them (any ell > 0,
-    and ell = 0 too when nu = 1/2).  ``tol`` is the truncation tolerance of
+    ``mode`` is ``"numeric"`` or ``"closed_form"``; the closed form is the
+    potential's own ``Potential.closed_form``, which is set, to
+    :func:`half_integer_bessel_m`, for a Bessel potential with half-integer
+    nu, the free potential nu = 1/2 among them (any ell > 0, and ell = 0 too
+    when nu = 1/2).  ``tol`` is the truncation tolerance of
     the numeric path: it sizes the first X, and the gap of the X/2
     truncation must fall to ``max(1e-10, tol * |m|)``.
     All operations are pure, so concurrent use from several threads is safe.
@@ -1273,8 +1252,7 @@ class MFunctionEvaluator:
 
     @staticmethod
     def has_closed_form(potential: Potential) -> bool:
-        return (potential.kind == "bessel"
-                and abs(potential.nu - 0.5 - round(potential.nu - 0.5)) <= 1e-12)
+        return potential.closed_form is not None
 
 
 def _check_spectral_point(z: complex) -> complex:
@@ -1334,12 +1312,11 @@ def m_infinity_batch(evaluator: MFunctionEvaluator, zs: Sequence[complex]) -> MB
             outcomes[i] = exc
             continue
         if evaluator.mode == "closed_form":
-            outcomes[i] = MEvaluation(half_integer_bessel_m(pot.nu, pot.ell, z), math.inf, 0.0,
-                                      "closed-form")
+            outcomes[i] = MEvaluation(pot.closed_form(z), math.inf, 0.0, "closed-form")
         else:
             columns.setdefault(z, []).append(i)
     distinct = list(columns)
-    solved = _riccati_batch(evaluator.potential, distinct, evaluator.tol)
+    solved = _riccati_batch(pot, distinct, evaluator.tol) if distinct else []
     for z, out in zip(distinct, solved):
         if not isinstance(out, WeylsysError):
             out = MEvaluation(*out, "weyl-disk" if z.imag != 0.0 else "riccati")

@@ -605,6 +605,52 @@ def test_a_step_whose_squared_norm_overflows_fails(nu, ell, zs):
         assert abs(info.value - half_integer_bessel_m(nu, ell, z)) <= info.error_bound
 
 
+def test_every_first_step_probe_lies_in_the_sweep(monkeypatch):
+    # the first-step rule probes the slope at t0 + h0, h0 at most the span;
+    # where that rounds past the last stop it probes at the stop, so q is
+    # never called below ell (8 of these 40 sweeps probed below it)
+    probes = []
+    first_step = mfunc._initial_step
+
+    def recording(rhs, t0, *rest):
+        def probe(t, y):
+            probes.append((t, t0))
+            return rhs(t, y)
+        return first_step(probe, t0, *rest)
+
+    monkeypatch.setattr(mfunc, "_initial_step", recording)
+    rng = np.random.default_rng(20261020)
+    for _ in range(40):
+        nu, ell = rng.uniform(0.5, 3.0), rng.uniform(0.5, 2.0)
+        z = complex(rng.uniform(-5.0, 5.0), rng.choice([0.0, 10.0 ** rng.uniform(-0.5, 0.7)]))
+        if z.imag == 0.0:
+            z = complex(-(10.0 ** rng.uniform(-2.0, 3.0)), 0.0)
+        del probes[:]
+        m_infinity_info(MFunctionEvaluator(Potential.bessel(nu, ell)), z)
+        assert probes and all(ell <= t <= t0 for t, t0 in probes), (nu, ell, z, probes)
+
+
+@pytest.mark.parametrize("nu, ell", [(0.6, 1e-16), (0.6, 1e-100), (0.51, 1e-30)])
+def test_a_one_z_sweep_from_below_the_float_spacing_of_x(nu, ell):
+    # X - (X - ell) rounds to 0 when ell lies below X's float spacing, where
+    # a first-step probe at t0 - h0 divided by zero; each value lies within
+    # its bound of the Hankel oracle
+    ev = MFunctionEvaluator(Potential.bessel(nu, ell))
+    for z in (1j, -1.0, 2.0 + 1j):
+        info = m_infinity_info(ev, z)
+        assert abs(info.value - _bessel_m_oracle(nu, ell, z)) <= info.error_bound
+
+
+def test_a_stack_whose_first_step_overflows_writes_no_warning():
+    # at ell = 1e-151 near nu = 1/2 the stack's first-step rule divides past
+    # the float range; as in its trial stages, numpy writes no RuntimeWarning
+    # (an error here), and each value lies within its bound of the oracle
+    zs = [1j, -1.0, 2.0 + 1j]
+    for z, info in zip(zs, m_infinity_batch(MFunctionEvaluator(Potential.bessel(0.51, 1e-151)),
+                                            zs)):
+        assert abs(info.value - _bessel_m_oracle(0.51, 1e-151, z)) <= info.error_bound
+
+
 def test_a_truncation_past_x_max_names_its_z():
     # at nu = 0.6 and z = -1e-12 the decaying solution settles on a scale of
     # 1/sqrt|z| = 1e6, which X_max = 2^20 cannot reach
@@ -965,7 +1011,7 @@ def _reference_sweep(rhs, t0, y0, stops, rtol, atol):
     slope = lambda t, y: q(t) - z - y * y
     f = slope(t0, y0)
     direction = math.copysign(1.0, stops[-1] - t0)
-    h_abs = mfunc._initial_step(slope, t0, y0, f, abs(stops[-1] - t0), direction, rtol, atol)
+    h_abs = mfunc._initial_step(slope, t0, y0, f, stops[-1], rtol, atol)
     nfev, rejections = 2, 0
     t, y, integral = t0, y0, 0.0
     r_last = 0.0
@@ -1122,13 +1168,18 @@ def test_sweeps_are_the_reference_sweep_bit_for_bit(kind, real, nu, ell, span, r
     assert repr(ours) == repr(ref)
 
 
-def _numpy_first_step(rhs, t0, y0, f0, span, direction, rtol, atol):
-    """scipy's first-step rule for one Riccati state, its moduli and quotients in numpy."""
+def _numpy_first_step(rhs, t0, y0, f0, stop, rtol, atol):
+    """scipy's first-step rule for one Riccati state, its moduli and quotients in numpy.
+
+    Its slope probe is taken at stop where t0 + h0 rounds past stop.
+    """
+    span, direction = abs(stop - t0), math.copysign(1.0, stop - t0)
     y0a, f0a = np.atleast_1d(y0), np.atleast_1d(f0)
     scale = atol + rtol * np.abs(y0a)
     d0, d1 = float((np.abs(y0a) / scale)[0]), float((np.abs(f0a) / scale)[0])
     h0 = min(span, 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1)
-    f1 = rhs(t0 + direction * h0, y0 + direction * h0 * f0)
+    t1 = t0 + direction * h0
+    f1 = rhs(max(t1, stop) if direction < 0 else min(t1, stop), y0 + direction * h0 * f0)
     d2 = float((np.abs(np.atleast_1d(f1) - f0a) / scale / h0)[0])
     h1 = (max(1e-6, 1e-3 * h0) if d1 <= 1e-15 and d2 <= 1e-15
           else (0.01 / max(d1, d2)) ** (1.0 / 8.0))
@@ -1145,8 +1196,8 @@ def test_a_scalar_first_step_is_numpys(yr, yi, zr, zi, real, span):
     y0, z = (yr, zr) if real else (complex(yr, yi), complex(zr, zi))
     slope = lambda t, y: q(t) - z - y * y
     f0 = slope(2.0, y0)
-    ours = mfunc._initial_step(slope, 2.0, y0, f0, span, -1.0, mfunc._RTOL, mfunc._ATOL)
-    ref = _numpy_first_step(slope, 2.0, y0, f0, span, -1.0, mfunc._RTOL, mfunc._ATOL)
+    ours = mfunc._initial_step(slope, 2.0, y0, f0, 2.0 - span, mfunc._RTOL, mfunc._ATOL)
+    ref = _numpy_first_step(slope, 2.0, y0, f0, 2.0 - span, mfunc._RTOL, mfunc._ATOL)
     assert type(ours) is float
     assert repr(ours) == repr(ref)
 

@@ -215,6 +215,26 @@ def test_the_sweep_facts_of_each_kind():
     assert free.stage_q(0.0) == 0.0
 
 
+def test_the_closed_form_is_a_fact_of_the_potential():
+    # a Bessel potential with half-integer nu (to within 1e-12; the free one
+    # at any ell) carries m_inf in closed form; no other potential does, and
+    # the evaluator reads nothing else
+    grid = np.linspace(1.0, 4.0, 7)
+    closed = [Potential.free(0.0), Potential.free(1.0), Potential.bessel(1.5, 1.0),
+              Potential.bessel(2.5 + 1e-13, 0.7)]
+    others = [Potential.bessel(2.5 + 1e-11, 0.7), Potential.bessel(0.3, 1.0),
+              Potential.sampled(grid, grid ** -2),
+              Potential.expression(lambda x: 2.0 / (x * x), 1.0)]
+    for pot in closed:
+        assert pot.closed_form is not None
+        assert MFunctionEvaluator.has_closed_form(pot)
+        for z in (1j, -1.0, 2.0 + 1j):
+            assert repr(pot.closed_form(z)) == repr(half_integer_bessel_m(pot.nu, pot.ell, z))
+    for pot in others:
+        assert pot.closed_form is None
+        assert not MFunctionEvaluator.has_closed_form(pot)
+
+
 def test_expression_potential_does_not_serialize():
     pot = Potential.expression(lambda x: x, ell=0.0, label="ramp")
     with pytest.raises(DomainError):
