@@ -66,13 +66,14 @@ overestimates it where the terms fall (:func:`_wkb_terms`).
   pass, the distance doubles while the test is predicted to fail, at most
   three times, up to the ladder's top rung ``ell + 2 d``; past it only the
   sweep's own gap test doubles X.
-* A column of a stack off the axis may sweep a complex ray instead
-  (Stacked sweep).  Its contraction distance and predictions then take the
-  ray's decay rate ``Re(e^(i theta) sqrt(q - z))``, which is ``|sqrt z|``
-  far out, its ladder runs along the ray, and X - ell is the path length;
-  the real-axis exponent still decides its ConvergenceError, so the same
-  z fail as on the real axis.  The ray's prediction often doubles the
-  first distance once, near ell, where q slows the decay along the ray.
+* An off-axis z may sweep a complex ray instead (Stacked sweep): each
+  off-axis column of a stack, and a lone z near the positive axis.  Its
+  contraction distance and predictions then take the ray's decay rate
+  ``Re(e^(i theta) sqrt(q - z))``, which is ``|sqrt z|`` far out, its
+  ladder runs along the ray, and X - ell is the path length; the
+  real-axis exponent still decides its ConvergenceError, so the same z
+  fail as on the real axis.  The ray's prediction often doubles the first
+  distance once, near ell, where q slows the decay along the ray.
 * Range.  Past ``|z| = 1e26``, the top of the range the sweeps are checked
   over, and within 2048 float spacings of ell, where the lowest
   truncation's midpoint may round to ell and leave q' no difference step,
@@ -120,8 +121,9 @@ shrinks with x; there the plain control proposes each step about a fifth
 too long and rejects every other one.  Each kind of state has one compiled
 sweep: the step control is written once, as the source template
 ``_SWEEP``, and compiled with the step in its loop.  A sweep of one z runs
-in x with a Python scalar state, its step straight-line code written out
-from the tableau, so the state stays in floats between step attempts.  A
+in x with a Python scalar state, or in s on its ray (Stacked sweep), its
+step straight-line code written out from the tableau, so the state stays
+in floats between step attempts.  A
 complex state is held as two floats, its real and imaginary parts, since a
 boxed complex operation costs about three float ones in CPython; q is
 real, and the float sums and products are those of complex arithmetic, so
@@ -130,8 +132,10 @@ The potential supplies a one-z sweep's stage forcing, ``Potential.stage_q``:
 on a Bessel potential with ``c = nu^2 - 1/4 != 0`` it is c, written into
 each stage as ``c / (x * x) - z``, the floats that ``scalar_q`` returns;
 every other potential's sweep calls ``scalar_q``, the free one too, since
-its sweep reaches x = 0 when ell = 0.  The complex Bessel sweep compiles
-at import, the other scalar sweeps on first use.  A stack's sweep runs the
+its sweep reaches x = 0 when ell = 0.  On its ray a one-z sweep's
+forcing is complex, ``c / (s + e)^2 - d^2 z``, written in on float pairs
+as well.  The complex Bessel sweep compiles at import, the other scalar
+sweeps, the ray's among them, on first use.  A stack's sweep runs the
 same step control around :func:`_array_step`.  The first-step rule takes
 floats for a scalar state, with numpy's complex modulus, which can round
 apart from ``abs``.  A sweep also stops on every knot of a sampled potential
@@ -169,15 +173,27 @@ Theory of Bessel Functions, ch. XV), so u = psi'/psi can be carried to ell
 along the ray and m = -u(ell) does not change.  Along the ray psi decays
 at the full rate |sqrt z| (2.24 at 5+0.1i) and does not oscillate.  The
 differences of the WKB start are then complex derivatives along the ray
-(:func:`_wkb_terms`), and X_j stays a float, ell plus the path length.  On the classify stack this takes one
-sweep of 1,190 RHS calls instead of 2,400.  Real-axis columns, every
-column of another potential (a sampled or general q is known on [ell,
-inf) only), a column whose ray's first truncation lies within 2048 float
-spacings of ell, and a sweep of one z stay on the real axis.  For one z a
-ray would save RHS calls (29% on 280 off-axis points of the points
-benchmark, swept as one-column stacks), but the one-z sweep's stages are
-written out on float pairs at a real x (Stepper), which a complex x makes
-dearer per attempt; that trade is left open.
+(:func:`_wkb_terms`), and X_j stays a float, ell plus the path length.
+On the classify stack this takes one sweep of 1,190 RHS calls instead of
+2,400.  Real-axis columns, every column of another potential (a sampled
+or general q is known on [ell, inf) only), a column whose ray's first
+truncation lies within 2048 float spacings of ell, and every column where
+``x_max / ell > 1e150`` or ``|c| (x_max / ell)^2 > 1e300`` (c of the
+Bessel ``q = c / x^2``), where the scaled state of a ray could leave the
+floats (:func:`_directions`), stay on the real axis.
+
+A lone z rides its ray where ``Im sqrt(z) <= _LONE_RAY |sqrt z|``, with
+``_LONE_RAY = 0.45``: ``Im sqrt(z) / |sqrt z|`` is the ray's contraction
+distance over the real axis's.  A ray's step attempt costs about 1.2 real
+ones, since each stage forms ``c / (s + e)^2`` on float pairs, and its
+sizing, which adds the ray's 13 rungs to the real axis's ladder, about
+43 us against 25 us.  The threshold is where
+the two cost the same: timed alternately on the off-axis points of the
+points benchmark's seeds 500-503, the time on the ray over the time on
+the real axis was 0.59, 0.72, 0.80, 0.92, 1.06 and 1.17 for
+``Im sqrt(z) / |sqrt z|`` in the bins 0-0.1, ..., 0.5-0.6, and 1.1-1.3
+above.  At 5+0.1i the ray takes 54 step attempts against 165; at
+5e25+1e20i, 68 RHS calls against 17.2 M.
 
 G does not depend on v, so a step evaluates q once, at its 11 stage
 abscissae; each stage is then one product of ``[1, h a_s]`` with the rows
@@ -187,10 +203,10 @@ the distance or error of its own sizing: one potential call for the
 wells, one for the real-axis ladders, whose exponents decide the errors,
 and two for one table of predictions, each column's along its own path
 (the real axis, or its ray) and the WKB terms on it.  A round's starts at
-X and X/2 are one array call each.  One column on the real axis keeps the
-scalar sizing and starts, since the array pass costs it four times as
-much, and the scalar sweep in x; a column alone on its ray is sized as a
-stack of one.  A sampled potential sweeps its columns one at a time, since
+X and X/2 are one array call each.  One column keeps the scalar sizing,
+starts and sweep, on the real axis or on its ray, since the array pass
+costs one column two to four times as much; so does the last column still
+open in a later round.  A sampled potential sweeps its columns one at a time, since
 its knots fall at a different s in each.  A z whose evaluation fails keeps
 its own error, raised when its entry is read; if a stacked sweep fails,
 its columns are solved again one by one, so each error names its z.  An
@@ -305,6 +321,7 @@ _GAP_FLOOR = 1e-10            # the gap test passes below max(_GAP_FLOOR, tol |m
 _DIFF_STEP = 1e-4             # difference step of q', q'' and q''', in units of x - ell
 _Z_MAX = 1e26                 # the top of the |z| range the sweeps are checked over
 _TOP_RUNG = 12                # the sizing's last rung, ell + 2 d: a first X - ell <= 8 d
+_LONE_RAY = 0.45              # a lone z rides its ray where Im sqrt(z) <= this |sqrt z|
 
 
 def check_tol(tol: float) -> None:
@@ -532,6 +549,16 @@ _STATES = {
     },
 }
 
+# The lines that unpack rhs before the loop, for each form of a scalar
+# state's forcing (:func:`_scalar_stages`).  A complex state on a ray runs in
+# s with v = d u, and rhs is (c, e, Z) with e = ell / d and Z = d^2 z
+_FORMS = {
+    "c": ["c, z = rhs"],
+    "q": ["q, z = rhs"],
+    "ray": ["c, e, z = rhs", "er, zi = e.real, z.imag",
+            "ei2, nei2 = e.imag * e.imag, -2.0 * e.imag"],
+}
+
 
 def _tableau_sums() -> tuple[list, list]:
     """The sums of the straight-line step, each v marked "#" for its part's suffix.
@@ -562,28 +589,39 @@ def _scalar_stages(state: str, form: str) -> list[str]:
     """The straight-line step of a scalar state from :func:`_tableau_sums`, down to ``err``.
 
     In the form "c", q is the Bessel c / x^2 and rhs holds c; the form "q"
-    calls rhs's q.  The complex state repeats each sum over the real parts
-    (suffix r) and the imaginary parts (suffix i).
+    calls rhs's q.  The form "ray" is a complex state in s on a ray, whose
+    forcing ``G = c / (s + e)^2 - Z`` is complex.  With ``den = |s + e|^2``
+    it is formed as ``(c / den) conj(s + e)^2 / den - Z``, each product and
+    quotient from the left: no partial result passes |G| or |c| in size, so
+    nothing under- or overflows where |s + e|^2 and G are floats (the rays
+    that could leave them are refused, :func:`_directions`), and each keeps
+    its bits under conjugation.  Each stage's ``s + e_r`` adds the stage's
+    ``c_s h`` to ``t + e_r``, formed once per attempt.  The complex state
+    repeats each sum over the real parts (suffix r) and the imaginary parts
+    (suffix i).
     """
     parts = ["r", "i"] if state == "complex" else [""]
     rows, finals = _tableau_sums()
-    lines = []
+    lines = ["te = t + er"] if form == "ray" else []
     for s, (x, total) in enumerate(rows, 1):
         line = f"y{s}# = y# + h * ({total})"
         lines += [line.replace("#", p) for p in parts]
-        if form == "q":
-            forcing = f"q({x})"
-        elif x == "t_new":
-            forcing = "c / (t_new * t_new)"
+        if form == "ray":
+            se = "t_new + er" if x == "t_new" else x.replace("t + ", "te + ")
+            lines += [f"se = {se}", "ss = se * se", "den = ss + ei2", "cd = c / den",
+                      "gr = cd * (ss - ei2) / den - zr", "gi = cd * se * nei2 / den - zi"]
         else:
-            lines.append(f"x = {x}")
-            forcing = "c / (x * x)"
-        if state == "complex":
-            lines += [f"gr = {forcing} - zr",
-                      f"k{s}r = gr - (y{s}r * y{s}r - y{s}i * y{s}i)",
-                      f"k{s}i = gi - 2.0 * (y{s}r * y{s}i)"]
-        else:
-            lines += [f"g = {forcing} - z", f"k{s} = g - y{s} * y{s}"]
+            if form == "q":
+                forcing = f"q({x})"
+            elif x == "t_new":
+                forcing = "c / (t_new * t_new)"
+            else:
+                lines.append(f"x = {x}")
+                forcing = "c / (x * x)"
+            lines.append(f"gr = {forcing} - zr" if state == "complex" else f"g = {forcing} - z")
+        lines += ([f"k{s}r = gr - (y{s}r * y{s}r - y{s}i * y{s}i)",
+                   f"k{s}i = gi - 2.0 * (y{s}r * y{s}i)"] if state == "complex"
+                  else [f"k{s} = g - y{s} * y{s}"])
     lines += [f"{name}{p} = {total.replace('#', p)}" for name, total in finals for p in parts]
     value = (lambda name: f"complex({name}r, {name}i)") if state == "complex" else str
     norm = _SCALAR_NORM.format(y_new=value("y_new"), err5=value("err5"), err3=value("err3"))
@@ -594,8 +632,9 @@ def _write_sweeps(*keys: str) -> list:
     """The sweeps of ``keys``, compiled from _SWEEP in one pass.
 
     A key is "array", or a scalar state, "float" or "complex", and the form
-    of its q, "c" or "q" (:func:`_scalar_stages`).  The tableau and the
-    step control's constants enter as literals.
+    of its forcing, "c", "q" or, for a complex state on a ray, "ray"
+    (:func:`_scalar_stages`, _FORMS).  The tableau and the step control's
+    constants enter as literals.
     """
     def indent(lines, depth):
         return "\n".join(" " * depth + line for line in lines)
@@ -607,7 +646,7 @@ def _write_sweeps(*keys: str) -> list:
         lines = _STATES[state]
         setup, step = lines["setup"], lines.get("step")
         if form:
-            setup = [f"{form}, z = rhs"] + setup
+            setup = _FORMS[form] + setup
             step = _scalar_stages(state, form)
         sources.append(_SWEEP.format(
             name=name, what=f"a {key} state",
@@ -718,7 +757,7 @@ def _initial_step(rhs, t0, y0, f0, stop, rtol, atol) -> float:
 
 # the sweeps of a complex Bessel state and of a stack compile at import, the
 # others on first use: each costs 0.5-1 ms, and only a one-z sweep on the
-# negative axis, or one that calls q, needs them
+# negative axis or on its ray, or one that calls q, needs them
 _SWEEPS = dict(zip(("complex c", "array"), _write_sweeps("complex c", "array")))
 
 
@@ -730,7 +769,10 @@ def _dop853(rhs, t0: float, y0, stops: Sequence[float], rtol: float,
     state ``y' = q(t) - z - y^2`` with a real q, a float state on the real
     axis or a complex one, and rhs is the pair (q, z): q is a callable of t,
     or a float c that stands for the Bessel ``q = c / t^2``, which the
-    sweep writes into its stages.  An array y0 is a stack of scaled Riccati
+    sweep writes into its stages.  A complex y0 with rhs the triple (c, e,
+    Z) is the scaled state of a ray, ``v' = c / (t + e)^2 - Z - v^2`` in s
+    (:func:`_sweep`), its forcing also written into its stages; atol is
+    then the ray's ``|d| _ATOL``.  An array y0 is a stack of scaled Riccati
     columns ``v = d u``, ``v' = G(t) - v^2``, whose steps are
     :func:`_array_step`; rhs is then the pair (G, d), G giving an array of
     shape ``t.shape + y0.shape``, and a column's absolute tolerance is
@@ -758,14 +800,19 @@ def _dop853(rhs, t0: float, y0, stops: Sequence[float], rtol: float,
         f = slope(t0, y0)
         key, rhs = "array", (forcing, _array_workspace(np.result_type(y0, f), len(y0)))
     else:
-        q, z = rhs
         key = "complex" if isinstance(y0, complex) else "float"
-        if isinstance(q, float):
-            c = q
-            q = lambda t: c / (t * t)
-            key += " c"
+        if len(rhs) == 3:
+            c, e, z = rhs
+            q = lambda t: c / ((t + e) * (t + e))
+            key += " ray"
         else:
-            key += " q"
+            q, z = rhs
+            if isinstance(q, float):
+                c = q
+                q = lambda t: c / (t * t)
+                key += " c"
+            else:
+                key += " q"
         slope = lambda t, y: q(t) - z - y * y
         f = slope(t0, y0)
     direction = math.copysign(1.0, stops[-1] - t0)
@@ -888,23 +935,45 @@ def _contraction_distance(z: complex, direction, target: float) -> float:
     return target / (2.0 * max((sqrt_upper(z) * direction).imag, 1e-3))
 
 
+def _ray_c(potential: Potential) -> float:
+    """c of the Bessel ``q = c / x^2`` that a ray's stages write in; 0 for the free potential."""
+    return potential.stage_q if isinstance(potential.stage_q, float) else 0.0
+
+
 def _directions(potential: Potential, zs: list[complex], tol: float) -> list:
-    """The direction from ell of each column of a stack: e^(i theta) on its ray, else 1.0.
+    """The direction from ell of each column of zs: e^(i theta) on its ray, else 1.0.
 
     An off-axis z rides the ray ``theta = pi/2 - arg sqrt(z)``, where psi
     decays at the full rate ``|sqrt z|`` and does not oscillate, on a
     potential that allows it (``Potential.rays``), unless the ray's first
     truncation lies within 2048 float spacings of ell (:func:`_range_error`).
+    A lone z rides it only near the positive axis, where
+    ``Im sqrt(z) <= _LONE_RAY |sqrt z|``: the ray is then that much shorter
+    than the real axis, which pays for its dearer step (module docstring).
+
+    No z rides a ray whose scaled state the floats may not hold.  Along a
+    path no longer than x_max the Bessel forcing ``c / (s + e)^2`` has
+    ``|s + e| >= ell / x_max``, so with ``r = x_max / ell`` it is at most
+    ``|c| r^2``; the rays are refused unless ``r <= 1e150`` and
+    ``|c| r^2 <= 1e300``, so that ``|s + e|^2`` stays a normal float and G
+    finite.  The free potential (c = 0), whose forcing is ``-d^2 z``,
+    needs neither.
     """
+    c, ell = _ray_c(potential), potential.ell
+    r = _X_MAX_FACTOR * max(ell, 1.0) / ell if c else 0.0
+    rays = potential.rays and r <= 1e150 and abs(c) * r * r <= 1e300
     target = math.log(1.0 / tol)
+    lone = len(zs) == 1
     out = []
     for z in zs:
         direction = 1.0
-        if potential.rays and z.imag != 0.0:
+        if rays and z.imag != 0.0:
             w = sqrt_upper(z)
-            ray = 1j * w.conjugate() / abs(w)
-            if _range_error(z, _contraction_distance(z, ray, target), potential.ell, tol) is None:
-                direction = ray
+            size = abs(w)
+            if not lone or w.imag <= _LONE_RAY * size:
+                ray = 1j * w.conjugate() / size
+                if _range_error(z, _contraction_distance(z, ray, target), ell, tol) is None:
+                    direction = ray
         out.append(direction)
     return out
 
@@ -986,18 +1055,22 @@ def _first_distances(potential: Potential, zs: list[complex], tol: float,
     it instead: its X - ell is a path length, from the ray's contraction
     distance and predictions, while the real axis still decides its errors.
 
-    One z on the real axis takes the scalar pass; several, or one on its
-    ray, take the array pass (module docstring), whose prediction rows end
-    at the top rung, ``_TOP_RUNG``, where every doubling ends.  Both passes
-    share every check and rule (:func:`_leave_well`, :func:`_range_error`,
-    :func:`_halve_then_double`), and differ in how they evaluate q.
+    One z takes the scalar pass, on the real axis or on its ray, and
+    several the array pass (module docstring).  The scalar pass sums the
+    exponent over its real-axis ladder, and on a ray also over the ray's
+    13 rungs, rung 0 to ``_TOP_RUNG``; it forms the WKB terms only at the
+    rungs that :func:`_halve_then_double` reads.  The array pass's
+    prediction rows end at the top rung, where every doubling ends.  Both
+    passes share every check and rule (:func:`_leave_well`,
+    :func:`_range_error`, :func:`_halve_then_double`), and differ in how
+    they evaluate q.
     """
     ell = potential.ell
     # X - ell contracts a start error by tol (module docstring); so close to
     # ell a well of q may dip below z, and only the tail may raise DomainError
     target = math.log(1.0 / tol)
-    if len(zs) == 1 and directions[0] == 1.0:
-        z = zs[0]
+    if len(zs) == 1:
+        z, direction = zs[0], directions[0]
         dist = _contraction_distance(z, 1.0, target)
         if z.imag == 0.0:
             dist = _leave_well(potential, z, dist, potential(ell + dist), x_max)
@@ -1013,13 +1086,23 @@ def _first_distances(potential: Potential, zs: list[complex], tol: float,
         exponents = [0.0]
         for a, b, ra, rb in zip(xs, xs[1:], roots, roots[1:]):
             exponents.append(exponents[-1] + (b - a) * (ra.real + rb.real))
+        exponent = exponents[-1]
+        if direction != 1.0:
+            # the real axis decides the error; the ray's rungs up to the top
+            # one predict, as _predictions forms them, the terms only where read
+            dist = _contraction_distance(z, direction, target)
+            xs = [ell] + [ell + math.ldexp(dist, i - 11) * direction
+                          for i in range(1, _TOP_RUNG + 1)]
+            rates = [abs((direction * cmath.sqrt(potential(x) - z)).real) for x in xs]
+            exponents = [0.0]
+            for a, b, ra, rb in zip(xs, xs[1:], rates, rates[1:]):
+                exponents.append(exponents[-1] + abs(b - a) * (ra + rb))
 
         def predict(i):
             _, _, next_last, last = _wkb_terms(potential, xs[i], z)
             return last * math.exp(-exponents[i]), last <= next_last
 
-        return [_halve_then_double(potential, z, dist, tol, x_max, exponents[-1], roots[0],
-                                   predict)]
+        return [_halve_then_double(potential, z, dist, tol, x_max, exponent, roots[0], predict)]
     out: list = [_contraction_distance(z, 1.0, target) for z in zs]
     real = [j for j, z in enumerate(zs) if z.imag == 0.0]
     if real:
@@ -1065,19 +1148,32 @@ def _sweep(potential: Potential, zq: list, tops: list[float],
     Column j runs from ``u = starts[j]``, ``w = 0`` at ``tops[j]`` down to
     ell: X_j, or the complex end of a ray.  Returns (u, w), each a list of
     (midpoint value, ell value) pairs, one per column, with the midpoint
-    ``ell + (X - ell)/2``.  One column on the real axis runs in x with a
-    scalar right-hand side, and also stops on every knot of a sampled
-    potential, so no step crosses a jump of a derivative of q.  Several, or
-    a ray, run in ``s = (x - ell)/d_j``, ``d_j = X_j - ell``, from 1 to 0
-    with a numpy right-hand side, in the scaled state ``v = d_j u``.
+    ``ell + (X - ell)/2``.  A ray's column runs in ``s = (x - ell)/d_j``,
+    ``d_j = X_j - ell``, from 1 to 0, stopping at 1/2, in the scaled state
+    ``v = d_j u``, so ``v' = G_j(s) - v^2`` with ``G_j = d_j^2 (q(ell + s
+    d_j) - z_j)``.  One column runs on a scalar state: on the real axis in
+    x, stopping also on every knot of a sampled potential, so no step
+    crosses a jump of a derivative of q; on its ray in s, with the Bessel
+    ``G = c / (s + e)^2 - Z``, ``e = ell / d`` and ``Z = d^2 z``, written
+    into its stages (:func:`_scalar_stages`).  Several run in s with a
+    numpy right-hand side, each column on its own path.
     """
     ell = potential.ell
-    if len(zq) == 1 and isinstance(tops[0], float):
-        z, top = zq[0], tops[0]
+    if len(zq) == 1:
+        (z,), (top,), (start,) = zq, tops, starts
+        if isinstance(top, complex):
+            d = top - ell
+            c = _ray_c(potential)
+            # with c = 0 (free) G = -Z for any e: e = 1 keeps 1/(s + e)
+            # finite at s = 0 when ell = 0
+            sol = _dop853((c, ell / d if c else 1.0, d * d * z), 1.0, d * start, [0.5, 0.0],
+                          _RTOL, abs(d) * _ATOL)
+            return [(sol.y[0] / d, sol.y[1] / d)], [(2.0 * sol.integral[0],
+                                                    2.0 * sol.integral[1])]
         mid = ell + 0.5 * (top - ell)
         stops = sorted({mid, ell, *[x for x in potential.knots if ell < x < top]},
                        reverse=True)
-        sol = _dop853((potential.stage_q, z), top, starts[0], stops, _RTOL, _ATOL)
+        sol = _dop853((potential.stage_q, z), top, start, stops, _RTOL, _ATOL)
         i = stops.index(mid)
         return ([(sol.y[i], sol.y[-1])],
                 [(2.0 * sol.integral[i], 2.0 * sol.integral[-1])])
@@ -1109,8 +1205,10 @@ def _riccati_batch(potential: Potential, zs: list[complex], tol: float) -> list:
     in u's units (module docstring); every m_alpha is its rotation
     (:func:`rotate_evaluation`).  Every truncation round sweeps the columns
     still open in one :func:`_sweep`; a column whose gap fails doubles its
-    X - ell and joins the next round.  In a stack, an off-axis column sweeps its ray where
+    X - ell and joins the next round.  An off-axis column sweeps its ray where
     :func:`_directions` allows; X is then ell plus the path length, a float.
+    A round of one column, alone or the last one open, takes the scalar
+    sweep, on the real axis or on its ray.
     If a stacked sweep fails, each of its columns is solved again on its
     own, so an error names its z.  The knots of a sampled potential fall at
     a different s in each column, so its columns are swept one at a time.
@@ -1121,7 +1219,7 @@ def _riccati_batch(potential: Potential, zs: list[complex], tol: float) -> list:
     x_max = _X_MAX_FACTOR * max(ell, 1.0)
     real = [z.imag == 0.0 for z in zs]
     zq = [z.real if r else z for z, r in zip(zs, real)]
-    directions = _directions(potential, zs, tol) if len(zs) > 1 else [1.0]
+    directions = _directions(potential, zs, tol)
     out = _outcome(lambda: _first_distances(potential, zs, tol, x_max, directions))
     if isinstance(out, WeylsysError):       # each z alone, so each error is its own
         out = [out] if len(zs) == 1 else [
@@ -1297,9 +1395,12 @@ def m_infinity_batch(evaluator: MFunctionEvaluator, zs: Sequence[complex]) -> MB
 
     Each distinct z is one column of the sweep, with its own truncation X,
     gap test and ``error_bound`` (module docstring); only the columns whose
-    gap fails are doubled and swept again.  A z's last digits can differ
-    from those of another batch, always within its ``error_bound``.  A
-    batch of one point is exactly :func:`m_infinity_info`.
+    gap fails are doubled and swept again.  On a Bessel potential every
+    off-axis column sweeps its complex ray, while one distinct z does so
+    only near the positive axis, ``Im sqrt(z) <= 0.45 |sqrt z|``, and
+    runs on a scalar state (:func:`_directions`).  A z's last digits can
+    differ from those of another batch, always within its ``error_bound``.
+    A batch of one point is exactly :func:`m_infinity_info`.
     """
     points = [complex(z) for z in zs]
     outcomes: list = [None] * len(points)

@@ -608,15 +608,16 @@ def test_a_step_whose_squared_norm_overflows_fails(nu, ell, zs):
 def test_every_first_step_probe_lies_in_the_sweep(monkeypatch):
     # the first-step rule probes the slope at t0 + h0, h0 at most the span;
     # where that rounds past the last stop it probes at the stop, so q is
-    # never called below ell (8 of these 40 sweeps probed below it)
+    # never called below ell (8 of these 40 sweeps probed below it).  A sweep
+    # on its ray runs in s from 1 to 0, and its probe lies in [0, 1]
     probes = []
     first_step = mfunc._initial_step
 
-    def recording(rhs, t0, *rest):
+    def recording(rhs, t0, y0, f0, stop, *rest):
         def probe(t, y):
-            probes.append((t, t0))
+            probes.append((stop, t, t0))
             return rhs(t, y)
-        return first_step(probe, t0, *rest)
+        return first_step(probe, t0, y0, f0, stop, *rest)
 
     monkeypatch.setattr(mfunc, "_initial_step", recording)
     rng = np.random.default_rng(20261020)
@@ -627,7 +628,8 @@ def test_every_first_step_probe_lies_in_the_sweep(monkeypatch):
             z = complex(-(10.0 ** rng.uniform(-2.0, 3.0)), 0.0)
         del probes[:]
         m_infinity_info(MFunctionEvaluator(Potential.bessel(nu, ell)), z)
-        assert probes and all(ell <= t <= t0 for t, t0 in probes), (nu, ell, z, probes)
+        assert probes and all(stop in (ell, 0.0) and stop <= t <= t0
+                              for stop, t, t0 in probes), (nu, ell, z, probes)
 
 
 @pytest.mark.parametrize("nu, ell", [(0.6, 1e-16), (0.6, 1e-100), (0.51, 1e-30)])
@@ -671,12 +673,18 @@ def test_an_unknown_evaluator_mode_is_a_domain_error():
 def test_stacked_sweep_runs_at_the_scalar_tolerances(monkeypatch):
     # the error norm is each column's own, with the largest taken, so N
     # stacked columns sweep at _RTOL and _ATOL, as one column does alone;
-    # each value then agrees with its own sweep within the two bounds
+    # each value then agrees with its own sweep within the two bounds.  A
+    # lone z near the positive axis (2 - 0.5i) sweeps its ray in s, with u's
+    # absolute tolerance in v = d u's units, |d| _ATOL, as in a stack
     calls = []
     stepper = mfunc._dop853
 
     def recording_stepper(rhs, t0, y0, stops, rtol, atol):
-        calls.append((t0, np.shape(y0), rtol, atol))
+        tolerance = atol
+        if len(rhs) == 3:       # a ray's (c, e = ell / d, d^2 z)
+            assert atol == pytest.approx(abs(BESSEL.ell / rhs[1]) * mfunc._ATOL, rel=1e-14)
+            tolerance = "|d| _ATOL"
+        calls.append((t0, np.shape(y0), rtol, tolerance))
         return stepper(rhs, t0, y0, stops, rtol, atol)
 
     monkeypatch.setattr(mfunc, "_dop853", recording_stepper)
@@ -688,7 +696,7 @@ def test_stacked_sweep_runs_at_the_scalar_tolerances(monkeypatch):
         alone = m_infinity_info(NUMERIC, z)
         assert abs(stacked.value - alone.value) <= stacked.error_bound + alone.error_bound
     assert calls and {(shape, rtol, atol) for _, shape, rtol, atol in calls} == {
-        ((), mfunc._RTOL, mfunc._ATOL)}
+        ((), mfunc._RTOL, mfunc._ATOL), ((), mfunc._RTOL, "|d| _ATOL")}
 
 
 def test_batch_of_repeated_points_is_the_scalar_evaluation():
@@ -789,13 +797,15 @@ def test_stacked_bessel_columns_on_their_rays_keep_their_bounds(nu, ell, off_axi
 def test_only_a_bessel_stack_sweeps_rays(monkeypatch):
     # the ray needs q analytic, and psi zero-free, in the sector it sweeps
     # (Potential.rays): an expression or sampled stack stays on the real
-    # axis, and so do a one-z sweep on a Bessel potential and a ray too
-    # short to leave ell
+    # axis, and so do a lone z on a Bessel potential far from the positive
+    # axis and a ray too short to leave ell.  A lone z near that axis sweeps
+    # its ray on a scalar state, whose rhs is (c, ell / d, d^2 z)
     forcing = []
     stepper = mfunc._dop853
 
     def recording_stepper(rhs, t0, y0, stops, rtol, atol):
-        forcing.append(rhs[1] if isinstance(y0, np.ndarray) else None)
+        forcing.append(rhs[1] if isinstance(y0, np.ndarray) else "ray" if len(rhs) == 3
+                       else None)
         return stepper(rhs, t0, y0, stops, rtol, atol)
 
     monkeypatch.setattr(mfunc, "_dop853", recording_stepper)
@@ -807,8 +817,9 @@ def test_only_a_bessel_stack_sweeps_rays(monkeypatch):
         m_infinity_batch(MFunctionEvaluator(pot), zs)
         assert forcing and all(d is None or d.dtype.kind == "f" for d in forcing)
     forcing.clear()
-    m_infinity_info(NUMERIC, 5.0 + 0.1j)
-    assert forcing == [None]
+    m_infinity_info(NUMERIC, 1j)            # Im sqrt(z) = 0.71 |sqrt z|
+    m_infinity_info(NUMERIC, 5.0 + 0.1j)    # Im sqrt(z) = 0.01 |sqrt z|
+    assert forcing == [None, "ray"]
     forcing.clear()
     m_infinity_batch(NUMERIC, zs)
     (d,) = forcing
@@ -1342,16 +1353,62 @@ def test_a_shrinking_scale_sweep_rejects_almost_no_step(monkeypatch):
 
 
 @pytest.mark.parametrize("z, attempts, rejected", [
-    (1j, 46, 0), (5.0 + 0.1j, 165, 0), (100.0 + 1j, 144, 0), (1000.0 + 1j, 48, 1),
+    (1j, 46, 0), (5.0 + 0.1j, 54, 0), (100.0 + 1j, 26, 0), (1000.0 + 1j, 9, 0),
 ])
 def test_complex_sweeps_keep_their_step_count(monkeypatch, z, attempts, rejected):
     # the sweep of a complex z runs on float pairs with the Bessel q written
     # in; these are the attempts and rejections of the complex-arithmetic
-    # step, so a sweep that changed the step control fails here
+    # step, so a sweep that changed the step control fails here.  Near the
+    # positive axis a lone z sweeps its ray: 5+0.1i, 100+i and 1000+i took
+    # 165, 144 and 48 attempts on the real axis.  i, with Im sqrt(z) = 0.71
+    # |sqrt z|, stays there
     sweeps = _counting_sweeps(monkeypatch)
     exact = bessel_m_closed_form(z)
     assert abs(m_infinity(NUMERIC, z) - exact) <= 1e-10 * abs(exact)
     assert _attempts(sweeps, complex) == (attempts, rejected)
+
+
+def test_one_z_rays_keep_their_bounds_and_conjugate_symmetry():
+    # a lone z with Im sqrt(z) <= _LONE_RAY |sqrt z| sweeps its ray on a
+    # scalar state.  Each value lies within its error_bound of the decaying
+    # solution sqrt(x) H1_nu(sqrt(z) x), conj z gives the conjugate value,
+    # X and bound to the bit, alone and in a stack, and the same z in a
+    # stack agrees with it within both bounds
+    rng = np.random.default_rng(20261034)
+    for _ in range(24):
+        nu, ell = rng.uniform(0.5, 3.0), rng.uniform(0.5, 2.0)
+        ev = MFunctionEvaluator(Potential.bessel(nu, ell))
+        # sqrt z = r e^(i phi) with sin(phi) below the threshold, in either half-plane
+        phi = rng.uniform(0.01, math.asin(mfunc._LONE_RAY))
+        z = complex(cmath.rect(rng.uniform(0.5, 3.0), phi) ** 2)
+        z = z if rng.random() < 0.5 else z.conjugate()
+        assert mfunc._directions(ev.potential, [z], ev.tol)[0] != 1.0
+        info = m_infinity_info(ev, z)
+        assert abs(info.value - _bessel_m_oracle(nu, ell, z)) <= info.error_bound, (nu, ell, z)
+        mirror = m_infinity_info(ev, z.conjugate())
+        assert mirror == info._replace(value=info.value.conjugate())
+        stack = [z, -1.0 + 0j, 1j, 2.0 - 0.5j, -3.0 + 0.2j]
+        batch = m_infinity_batch(ev, stack)
+        mirrored = m_infinity_batch(ev, [w.conjugate() for w in stack])
+        assert list(mirrored) == [b._replace(value=b.value.conjugate()) for b in batch]
+        assert abs(batch[0].value - info.value) <= batch[0].error_bound + info.error_bound
+
+
+@pytest.mark.parametrize("nu, z", [
+    (1.5, 1e6 + 1j), (1.5, 1e8 + 1e3j), (1.5, 1e12 + 1e6j), (1.5, 5e25 + 1e20j),
+    (9.5, 1e16 + 1e8j), (9.5, 5e25 + 1e20j),
+])
+def test_a_one_z_sweep_at_high_energy_rides_its_ray(monkeypatch, nu, z):
+    # on the real axis psi decays only at Im sqrt(z), so these took 13,543 to
+    # 17.2 M RHS calls (6.8 s at 5e25+1e20i); along the ray it decays at
+    # |sqrt z|, and each takes a few dozen.  On bessel(3/2, 100) the ray of
+    # 5e25+1e20i is refused (it would first reach within 2048 float spacings
+    # of ell), so that z keeps its long real-axis sweep
+    nfev = _counting_stepper(monkeypatch)
+    info = m_infinity_info(MFunctionEvaluator(Potential.bessel(nu, 1.0)), z)
+    assert nfev and sum(nfev) < 2_500
+    assert abs(info.value - half_integer_bessel_m(nu, 1.0, z)) <= info.error_bound
+    assert mfunc._directions(Potential.bessel(1.5, 100.0), [5e25 + 1e20j], 1e-8) == [1.0]
 
 
 @pytest.mark.parametrize("batch, most, most_rejected", [
@@ -1566,14 +1623,21 @@ def _sizing_outcome(out):
 def test_array_sizing_is_the_scalar_sizing(pot, zs, tol):
     # a stack's columns are sized in one array pass: every distance is the
     # column's own sizing to the bit, and every error has the same class and
-    # message.  Alone, a real-axis column takes the scalar pass, and a column
-    # on its ray (an off-axis Bessel column) the array pass as a stack of one
+    # message.  Alone, a column takes the scalar pass, on the real axis or
+    # on its ray (an off-axis Bessel column)
     zs = [complex(z) for z in zs]
     x_max = mfunc._X_MAX_FACTOR * max(pot.ell, 1.0)
     directions = mfunc._directions(pot, zs, tol)
     stacked = mfunc._first_distances(pot, zs, tol, x_max, directions)
     alone = [mfunc._first_distances(pot, [z], tol, x_max, [e])[0]
              for z, e in zip(zs, directions)]
+    if pot.ell == 1e4:
+        # the ray of i ends within 1e-5 ell of ell, so the third difference
+        # of q behind its |u3| is round-off, which numpy's complex arithmetic
+        # and Python's round apart: alone, its X - ell lies within one rung
+        # of the stack's
+        assert alone[1] / stacked[1] in (0.5, 1.0, 2.0)
+        alone[1] = stacked[1]
     assert [_sizing_outcome(out) for out in stacked] == [_sizing_outcome(out) for out in alone]
 
 
