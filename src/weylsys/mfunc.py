@@ -187,13 +187,14 @@ A lone z rides its ray where ``Im sqrt(z) <= _LONE_RAY |sqrt z|``, with
 distance over the real axis's.  A ray's step attempt costs about 1.2 real
 ones, since each stage forms ``c / (s + e)^2`` on float pairs, and its
 sizing, which adds the ray's 13 rungs to the real axis's ladder, about
-43 us against 25 us.  The threshold is where
+47 us against 25 us.  The threshold is where
 the two cost the same: timed alternately on the off-axis points of the
 points benchmark's seeds 500-503, the time on the ray over the time on
-the real axis was 0.59, 0.72, 0.80, 0.92, 1.06 and 1.17 for
+the real axis was 0.59, 0.72, 0.81, 0.93, 1.06 and 1.18 for
 ``Im sqrt(z) / |sqrt z|`` in the bins 0-0.1, ..., 0.5-0.6, and 1.1-1.3
-above.  At 5+0.1i the ray takes 54 step attempts against 165; at
-5e25+1e20i, 68 RHS calls against 17.2 M.
+above; on seeds 504-509 it was 1.02, 0.99 and 1.09 for 0.35-0.40,
+0.40-0.45 and 0.45-0.50.  At 5+0.1i the ray takes 54 step attempts
+against 165; at 5e25+1e20i, 68 RHS calls against 17.2 M.
 
 G does not depend on v, so a step evaluates q once, at its 11 stage
 abscissae; each stage is then one product of ``[1, h a_s]`` with the rows
@@ -206,7 +207,11 @@ and two for one table of predictions, each column's along its own path
 X and X/2 are one array call each.  One column keeps the scalar sizing,
 starts and sweep, on the real axis or on its ray, since the array pass
 costs one column two to four times as much; so does the last column still
-open in a later round.  A sampled potential sweeps its columns one at a time, since
+open in a later round.  On a ray the scalar pass takes the five samples of
+q behind each WKB term in one array call, as the array pass does: their
+differences magnify the rounding of q, which numpy's complex product and
+quotient round apart from Python's, and the same samples give the column
+the same first X in either pass.  A sampled potential sweeps its columns one at a time, since
 its knots fall at a different s in each.  A z whose evaluation fails keeps
 its own error, raised when its entry is read; if a stacked sweep fails,
 its columns are solved again one by one, so each error names its z.  An
@@ -853,16 +858,24 @@ def _wkb_terms(potential: Potential, x: float, z: complex) -> tuple:
     falls below ell.  A complex x lies on a ray from ell (module docstring):
     the differences are then complex derivatives along it.  Where q is small
     beside z, k is close to ``-i sqrt(z)``, which decays along the ray; |u2|
-    and |u3| do not depend on the sign of k.  An array
-    x takes one potential call, and its turning points get u = 0 and
-    |u2| = |u3| = inf; numpy may round a complex quotient apart.
+    and |u3| do not depend on the sign of k.  An array x, and a lone
+    complex one, take their samples in one potential call, so both see the
+    same q; the complex products and quotients after it may round apart.
+    An array's turning points get u = 0 and |u2| = |u3| = inf.
     """
     h = _DIFF_STEP * (x - potential.ell)
     array = isinstance(x, np.ndarray)
-    below2, below, q, above, above2 = (
-        potential(x + np.multiply.outer(np.arange(-2.0, 3.0), h)) if array
-        else (potential(x - 2.0 * h), potential(x - h), potential(x), potential(x + h),
-              potential(x + 2.0 * h)))
+    if array:
+        samples = potential(x + np.multiply.outer(np.arange(-2.0, 3.0), h))
+    elif isinstance(x, complex):
+        # one array call, as in the array pass: the differences magnify the
+        # rounding of q, and numpy's complex product and quotient round
+        # apart from Python's, so a lone ray takes the stack's samples
+        samples = potential(x + np.arange(-2.0, 3.0) * h).tolist()
+    else:
+        samples = (potential(x - 2.0 * h), potential(x - h), potential(x), potential(x + h),
+                   potential(x + 2.0 * h))
+    below2, below, q, above, above2 = samples
     dq = (above - below) / (2.0 * h)
     ddq = (above - 2.0 * q + below) / (h * h)
     dddq = (above2 - 2.0 * above + 2.0 * below - below2) / (2.0 * h ** 3)
@@ -1063,7 +1076,8 @@ def _first_distances(potential: Potential, zs: list[complex], tol: float,
     prediction rows end at the top rung, where every doubling ends.  Both
     passes share every check and rule (:func:`_leave_well`,
     :func:`_range_error`, :func:`_halve_then_double`), and differ in how
-    they evaluate q.
+    they evaluate q, except for the samples behind a WKB term on a ray,
+    which both take in one array call (:func:`_wkb_terms`).
     """
     ell = potential.ell
     # X - ell contracts a start error by tol (module docstring); so close to

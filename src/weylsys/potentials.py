@@ -99,7 +99,10 @@ class Potential:
     * ``rays``, q analytic, and psi zero-free, in the sector swept, so that a
       stacked sweep may carry an off-axis column along a complex ray (the
       Bessel kind: psi = sqrt(x) H1_nu(sqrt(z) x) has no zero while
-      Im(sqrt(z) x) >= 0);
+      Im(sqrt(z) x) >= 0).  It also sends a lone z near the positive axis
+      onto the scalar ray sweep, whose stages write in q = c / x^2 with c
+      from ``stage_q`` (c = 0 for the free potential); a new kind that sets
+      ``rays`` must supply its own ray forcing there;
     * ``knots``, the sampled grid as floats, where a sweep stops (empty for
       the other kinds);
     * ``stage_q``, a one-z sweep's stage forcing: the float c = nu^2 - 1/4
