@@ -8,11 +8,15 @@ never exceeds 1.  Every test function is analytic in closed form, so the
 module runs on numpy alone.
 
 A test function is a flat row: the weight of 1/x and its exponential-
-polynomial bumps.  The forms of many test functions are integrated
-together: their rows become one table, and one adaptive Gauss-Kronrod loop
-refines every integral, with one vectorised call of the integrand per round
-over the new intervals of all of them (:func:`evaluate_forms`).  Each value
-is the same as in a stack of its own.
+polynomial bumps.  Every integral of the module is the bilinear form of a
+pair (y, w) of rows, and the pairs of one call are integrated together
+(:func:`_pair_forms`): the test functions become one table, and one
+adaptive Gauss-Kronrod loop refines every integral, with one vectorised
+call of the integrand per round over the new intervals of all of them.  A
+row paired with itself is evaluated once a round.  :func:`evaluate_forms`
+stacks the pairs (y, y), :func:`form_inner` the one pair (y, w) and
+:func:`sharpness_search` the pool of its family; each value is the same as
+in a stack of its own.
 """
 
 from __future__ import annotations
@@ -304,31 +308,55 @@ def quad(f, a: float) -> tuple[float, float]:
     return quad_stack(lambda x, owner: f(x), a, 1)[0]
 
 
+def _pair_forms(ys, pairs) -> list[float]:
+    """The form ∫ (y' w' + 2 y w / x^2) dx over [1, inf) of each pair (j, k) of ys.
+
+    The test functions ys become one :class:`_Table`, and the pairs the
+    owners of one :func:`quad_stack`, whose integrand is :func:`_form` of
+    rows j (as y) and k (as w).  A pair (j, j) evaluates its row once a
+    round.  Each value is the same, bit for bit, as in a stack of its own.
+    """
+    table = _Table(ys)
+    first = np.array([j for j, _ in pairs], dtype=int)
+    second = np.array([k for _, k in pairs], dtype=int)
+    cross = first != second
+
+    def integrand(x, owner):
+        y, dy = table(x, first[owner])
+        fx = _form(x, y, dy, y, dy)
+        mixed = cross[owner[:, 0]]
+        if mixed.any():
+            w, dw = table(x[mixed], second[owner[mixed]])
+            fx[mixed] = _form(x[mixed], y[mixed], dy[mixed], w, dw)
+        return fx
+
+    return [value for value, _ in quad_stack(integrand, _ELL, len(pairs))]
+
+
+def _check_functions(ys, name: str) -> None:
+    if not all(isinstance(y, TestFunction) for y in ys):
+        raise DomainError(f"{name} expects TestFunctions")
+
+
+def _report(y: TestFunction, re_form: float) -> FormReport:
+    """The FormReport of y, given its re_form."""
+    im_form = y.boundary_value() ** 2
+    if re_form <= 0.0:
+        ratio = 0.0 if im_form == 0.0 else math.inf
+    else:
+        ratio = im_form / re_form
+    return FormReport(re_form=re_form, im_form=im_form, ratio=ratio)
+
+
 def evaluate_forms(ys) -> tuple[FormReport, ...]:
     """Evaluate both forms and their ratio for each test function, in one quadrature.
 
-    re_form integrates y'^2 + 2 y^2/x^2 over [1, inf); im_form is y(1)^2.
-    The functions are evaluated as one table, and their integrals share
-    the rounds of :func:`quad_stack`.
+    re_form integrates y'^2 + 2 y^2/x^2 over [1, inf), the pair (y, y) of
+    :func:`_pair_forms`; im_form is y(1)^2.
     """
     ys = tuple(ys)
-    if not all(isinstance(y, TestFunction) for y in ys):
-        raise DomainError("evaluate_forms expects TestFunctions")
-    table = _Table(ys)
-
-    def integrand(x, owner):
-        value, slope = table(x, owner)
-        return _form(x, value, slope, value, slope)
-
-    reports = []
-    for y, (re_form, _) in zip(ys, quad_stack(integrand, _ELL, len(ys))):
-        im_form = y.boundary_value() ** 2
-        if re_form <= 0.0:
-            ratio = 0.0 if im_form == 0.0 else math.inf
-        else:
-            ratio = im_form / re_form
-        reports.append(FormReport(re_form=re_form, im_form=im_form, ratio=ratio))
-    return tuple(reports)
+    _check_functions(ys, "evaluate_forms")
+    return tuple(map(_report, ys, _pair_forms(ys, [(j, j) for j in range(len(ys))])))
 
 
 def evaluate_form(y: TestFunction) -> FormReport:
@@ -337,23 +365,14 @@ def evaluate_form(y: TestFunction) -> FormReport:
 
 
 def form_inner(y: TestFunction, w: TestFunction) -> float:
-    """Bilinear form ∫ (y' w' + 2 y w / x^2) dx over [1, inf).
+    """Bilinear form ∫ (y' w' + 2 y w / x^2) dx over [1, inf): the pair (y, w).
 
     Pairing any admissible y against 1/x returns y(1): the boundary form is
     the restriction of this pairing, which is why the inequality is sharp
     exactly on multiples of 1/x.
     """
-    if not (isinstance(y, TestFunction) and isinstance(w, TestFunction)):
-        raise DomainError("form_inner expects TestFunctions")
-
-    table = _Table((y, w))
-    pair = np.array([0, 1])[:, None, None]
-
-    def integrand(x):
-        (y_x, w_x), (dy, dw) = table(x, pair)
-        return _form(x, y_x, dy, w_x, dw)
-
-    return quad(integrand, _ELL)[0]
+    _check_functions((y, w), "form_inner")
+    return _pair_forms((y, w), [(0, 1)])[0]
 
 
 def generate_test_functions(n: int, seed: int = 0) -> tuple[TestFunction, ...]:
@@ -398,6 +417,50 @@ class SharpnessReport:
     best_param: float
 
 
+@dataclass(frozen=True)
+class _Scan:
+    """The pool of a sharpness family, and its report from the forms of the pool."""
+
+    family: str
+    params: tuple[float, ...]
+    pool: tuple[TestFunction, ...]
+
+    @classmethod
+    def of(cls, family: str, n: int) -> "_Scan":
+        if family not in ("power-plus-exp", "exp-decay"):
+            raise DomainError(f"unknown sharpness family: {family!r}")
+        if n < 3:
+            raise DomainError("need n >= 3 scan points")
+        if family == "power-plus-exp":
+            params = tuple(0.0 if abs(e) < 1e-14 else float(e)
+                           for e in np.linspace(-_SPAN, _SPAN, n))
+            pool = tuple(
+                TestFunction.mix(
+                    (TestFunction.power(), TestFunction.exp_poly((1.0,), 1.0)),
+                    (1.0, eps),
+                    label=f"1/x + {eps:.4g} exp(-(x-1))",
+                )
+                for eps in params
+            )
+        else:
+            params = tuple(float(c) for c in np.logspace(-1.0, 1.0, n))
+            pool = tuple(TestFunction.exp_poly((1.0,), c, label=f"exp(-{c:.4g}(x-1))")
+                         for c in params)
+        return cls(family, params, pool)
+
+    def report(self, reports) -> SharpnessReport:
+        """The scan's ratios and their largest, from the FormReports of the pool."""
+        ratios = tuple(rep.ratio for rep in reports)
+        best = int(np.argmax(ratios))
+        return SharpnessReport(
+            family=self.family,
+            params=self.params,
+            ratios=ratios,
+            best_ratio=ratios[best],
+            best_param=self.params[best],
+        )
+
+
 def sharpness_search(family: str = "power-plus-exp", n: int = 41) -> SharpnessReport:
     """Scan a one-parameter family for the largest im/re form ratio.
 
@@ -406,30 +469,5 @@ def sharpness_search(family: str = "power-plus-exp", n: int = 41) -> SharpnessRe
     scans pure exponentials e^{-c(x-1)} over log-spaced c in [0.1, 10]
     (all ratios < 1).
     """
-    if family not in ("power-plus-exp", "exp-decay"):
-        raise DomainError(f"unknown sharpness family: {family!r}")
-    if n < 3:
-        raise DomainError("need n >= 3 scan points")
-    if family == "power-plus-exp":
-        params = tuple(0.0 if abs(e) < 1e-14 else float(e) for e in np.linspace(-_SPAN, _SPAN, n))
-        pool = [
-            TestFunction.mix(
-                (TestFunction.power(), TestFunction.exp_poly((1.0,), 1.0)),
-                (1.0, eps),
-                label=f"1/x + {eps:.4g} exp(-(x-1))",
-            )
-            for eps in params
-        ]
-    else:
-        params = tuple(float(c) for c in np.logspace(-1.0, 1.0, n))
-        pool = [TestFunction.exp_poly((1.0,), c, label=f"exp(-{c:.4g}(x-1))") for c in params]
-
-    ratios = tuple(rep.ratio for rep in evaluate_forms(pool))
-    best = int(np.argmax(ratios))
-    return SharpnessReport(
-        family=family,
-        params=params,
-        ratios=ratios,
-        best_ratio=ratios[best],
-        best_param=params[best],
-    )
+    scan = _Scan.of(family, n)
+    return scan.report(evaluate_forms(scan.pool))

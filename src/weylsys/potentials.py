@@ -5,7 +5,8 @@ on ``[ell, inf)``.  Three kinds are supported:
 
 * ``bessel`` -- q(x) = (nu^2 - 1/4) / x^2, requires ``nu > 0`` and
   ``ell > 0``, except that nu = 1/2 (q = 0) allows ``ell = 0``, and
-  ``|q(ell)| <= 1e305``, the largest the numeric sweeps handle;
+  ``|q(ell)| <= 1e305``, the largest the numeric sweeps handle, with ell^2
+  a normal float;
 * ``sampled`` -- tabulated (x, q) pairs, interpolated piecewise-cubically and
   held constant beyond the last grid point (documented limitation);
 * ``expression`` -- an arbitrary callable ``x -> q(x)``.
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
@@ -139,6 +141,11 @@ class Potential:
                 raise DomainError(f"bessel potential at ell = {self.ell:g}: |q(ell)| = "
                                   f"|nu^2 - 1/4|/ell^2 = {q_ell:.3g} exceeds {_Q_ELL_MAX:g}, "
                                   "the largest the numeric sweeps handle")
+            if c != 0.0 and self.ell * self.ell < sys.float_info.min:
+                raise DomainError(f"bessel potential at ell = {self.ell:g}: |q(ell)| = "
+                                  f"|nu^2 - 1/4|/ell^2 has ell^2 = {self.ell * self.ell:.3g}, "
+                                  f"below the smallest normal float {sys.float_info.min:.3g}, "
+                                  "where the numeric sweeps cannot resolve ell")
             if c == 0.0:    # c / (x * x) would be 0/0 at x = 0
                 scalar_q, array_q = lambda x: 0.0, lambda x: np.zeros(x.shape)
             else:

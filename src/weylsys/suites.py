@@ -4,7 +4,9 @@
 that returns the suite's checks; ``all`` runs them in registry order.  The
 suites call the functions they check through their modules (``forms.``,
 ``lsystem.``, ``sectorial.``), so a wrapper bound on a module, such as a
-tracer's, sees those calls too.
+tracer's, sees those calls too.  The forms suite is the exception: it runs
+all its integrals as one stack of the private ``forms._pair_forms``, so a
+wrapper of the public forms functions sees only ``generate_test_functions``.
 """
 
 from __future__ import annotations
@@ -82,21 +84,35 @@ def moebius_checks(tol: float, seed: int, trials: int) -> list[Check]:
 
 
 def forms_checks(tol: float, seed: int, trials: int) -> list[Check]:
-    """The boundary-form inequality, its equality witness and its sharpness."""
+    """The boundary-form inequality, its equality witness and its sharpness.
+
+    Every integral of the suite is an owner of one quadrature stack
+    (``forms._pair_forms``): the forms of the drawn functions, of 1/x and of
+    both sharpness pools, and the pairings of the first five drawn functions
+    with 1/x.  Each value is the one its public function gives alone.
+    """
     funcs = forms.generate_test_functions(max(trials, 100), seed)
-    *reports, witness = forms.evaluate_forms(funcs + (forms.TestFunction.power(),))
+    power = forms.TestFunction.power()
+    sharp_scan = forms._Scan.of("power-plus-exp", 41)
+    decay_scan = forms._Scan.of("exp-decay", 21)
+    ys = funcs + (power,) + sharp_scan.pool + decay_scan.pool
+    paired = funcs[:5]
+    values = forms._pair_forms(ys, [(j, j) for j in range(len(ys))]
+                               + [(j, len(funcs)) for j in range(len(paired))])
+    reports = list(map(forms._report, ys, values))
+    sharp_start = len(funcs) + 1
+    decay_start = sharp_start + len(sharp_scan.pool)
+    sharp = sharp_scan.report(reports[sharp_start:decay_start])
+    decay = decay_scan.report(reports[decay_start:])
+    *reports, witness = reports[:sharp_start]
     min_margin = math.inf
     max_ratio = -math.inf
     for rep in reports:
         if rep.re_form > 0:
             min_margin = min(min_margin, (rep.re_form - rep.im_form) / rep.re_form)
         max_ratio = max(max_ratio, rep.ratio)
-    sharp = forms.sharpness_search("power-plus-exp", n=41)
-    decay = forms.sharpness_search("exp-decay", n=21)
-    ident_err = max(
-        abs(forms.form_inner(y, forms.TestFunction.power()) - y.boundary_value())
-        for y in funcs[:5]
-    )
+    ident_err = max(abs(value - y.boundary_value())
+                    for y, value in zip(paired, values[len(ys):]))
     return [
         Check("form-inequality-min-margin", min_margin >= -1e-9, min_margin, ">= 0", 1e-9),
         Check("form-ratio-never-exceeds-one", max_ratio <= 1.0 + 1e-9, max_ratio, "<= 1", 1e-9),

@@ -18,6 +18,8 @@ from weylsys import (
     sharpness_search,
 )
 from weylsys import forms
+from weylsys.reporting import Check
+from weylsys.suites import SUITES
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +342,67 @@ def test_evaluate_form_is_the_stack_of_one():
         assert evaluate_form(y) == evaluate_forms([y])[0]
     with pytest.raises(DomainError):
         evaluate_forms([TestFunction.power(), "1/x"])
+
+
+def _forms_checks_one_call_at_a_time(seed, trials):
+    """The forms suite's checks from the public functions, each called on its own."""
+    funcs = generate_test_functions(max(trials, 100), seed)
+    *reports, witness = evaluate_forms(funcs + (TestFunction.power(),))
+    margins = [(r.re_form - r.im_form) / r.re_form for r in reports if r.re_form > 0]
+    min_margin = min(margins, default=math.inf)
+    max_ratio = max(r.ratio for r in reports)
+    sharp = sharpness_search("power-plus-exp", n=41)
+    decay = sharpness_search("exp-decay", n=21)
+    ident_err = max(abs(form_inner(y, TestFunction.power()) - y.boundary_value())
+                    for y in funcs[:5])
+    return [
+        Check("form-inequality-min-margin", min_margin >= -1e-9, min_margin, ">= 0", 1e-9),
+        Check("form-ratio-never-exceeds-one", max_ratio <= 1.0 + 1e-9, max_ratio, "<= 1", 1e-9),
+        Check.within("equality-witness-ratio", witness.ratio, 1.0, 1e-6),
+        Check("sharpness-peak-at-zero-perturbation",
+              abs(sharp.best_ratio - 1.0) <= 1e-6 and abs(sharp.best_param) < 5e-3,
+              sharp.best_ratio, 1.0, 1e-6,
+              witness={"best_param": sharp.best_param, "family": sharp.family}),
+        Check("exp-decay-family-below-one", decay.best_ratio < 1.0, decay.best_ratio, "< 1", None),
+        Check.within("boundary-pairing-identity", ident_err, 0.0, 1e-8),
+    ]
+
+
+@pytest.mark.parametrize("trials", [100, 500])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_the_forms_suite_stack_is_the_public_calls_bit_for_bit(seed, trials):
+    # the suite's one quadrature stack holds the forms, both sharpness pools
+    # and the boundary pairings; repr compares every float to the bit
+    stacked = SUITES["forms"](1e-8, seed, trials)
+    assert repr(stacked) == repr(_forms_checks_one_call_at_a_time(seed, trials))
+
+
+def test_the_pair_stack_evaluates_a_row_paired_with_itself_once(monkeypatch):
+    table_calls = []   # the table calls of each call of the integrand
+    table_call = forms._Table.__call__
+    stack = forms.quad_stack
+
+    def counted(self, x, owner):
+        table_calls[-1] += 1
+        return table_call(self, x, owner)
+
+    def rounds(f, a, n):
+        def g(x, owner):
+            table_calls.append(0)
+            return f(x, owner)
+        return stack(g, a, n)
+
+    monkeypatch.setattr(forms._Table, "__call__", counted)
+    monkeypatch.setattr(forms, "quad_stack", rounds)
+    ys = generate_test_functions(6, 2)
+    diagonal = forms._pair_forms(ys, [(j, j) for j in range(6)])
+    assert table_calls and set(table_calls) == {1}
+    table_calls.clear()
+    both = forms._pair_forms(ys, [(j, j) for j in range(6)] + [(0, 5)])
+    assert table_calls[0] == 2 and set(table_calls) <= {1, 2}
+    assert both[:6] == diagonal
+    monkeypatch.undo()
+    assert both[6] == form_inner(ys[0], ys[5])
 
 
 def _polyval_value_and_slope(y, x):

@@ -38,11 +38,13 @@ def test_bessel_rejects_bad_parameters():
 
 
 @pytest.mark.parametrize("nu, ell", [(1.5, 1e-300), (1.5, 1e-320), (10.5, 1e-153),
-                                     (10.5, 2e-154), (0.3, 1e-160)])
+                                     (10.5, 2e-154), (0.3, 1e-160), (0.5000001, 1.01e-156)])
 def test_bessel_rejects_a_q_ell_the_sweeps_cannot_hold(nu, ell):
     # q(ell) = (nu^2 - 1/4)/ell^2 past the limit, or past the float range,
-    # where ell * ell underflows to 0: a DomainError naming ell, not a
-    # ZeroDivisionError, nan or the stepper's step-size error later
+    # where ell * ell underflows to 0, or an ell * ell below the smallest
+    # normal float (a q(ell) within the limit, for nu near 1/2): a DomainError
+    # naming ell, not a ZeroDivisionError, nan or the stepper's step-size
+    # error later
     with pytest.raises(DomainError, match=f"at ell = {ell:g}: " + r"\|q\(ell\)\| = "):
         Potential.bessel(nu, ell)
     # free (q = 0) stays allowed at every ell

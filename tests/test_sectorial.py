@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -199,24 +200,25 @@ def test_kernel_psd_names_a_non_finite_point():
         kernel_psd_test(lambda z: complex(math.nan, 0.0), 0.5, trials=2)
 
 
-def _count_kernel_matrices(monkeypatch) -> list[int]:
-    calls = [0]
-    original = weylsys.sectorial.kernel_matrix
+def _recording(f):
+    """f, and the list of the points it is called at, in call order."""
+    seen = []
 
-    def counted(*args):
-        calls[0] += 1
-        return original(*args)
+    def recorded(z):
+        seen.append(complex(z))
+        return f(z)
 
-    monkeypatch.setattr(weylsys.sectorial, "kernel_matrix", counted)
-    return calls
+    return recorded, seen
 
 
-def test_kernel_psd_at_the_class_angle(monkeypatch):
-    calls = _count_kernel_matrices(monkeypatch)
-    report = kernel_psd_test(one_over_m, math.pi / 4.0, trials=100)
+def test_kernel_psd_at_the_class_angle():
+    f, seen = _recording(one_over_m)
+    report = kernel_psd_test(f, math.pi / 4.0, trials=100)
     assert isinstance(report, Check) and report.name == "kernel-psd"
     assert report.passed
-    assert calls[0] == 100
+    # every drawn set is evaluated once, in draw order
+    assert seen == [z for pts in kernel_point_sets(100, weylsys.sectorial.DEFAULT_KERNEL_SEED)
+                    for z in pts]
     assert report.witness["beta"] == math.pi / 4.0
     worst = [complex(*p) for p in report.witness["points"]]
     scale = max(1.0, float(np.abs(kernel_matrix(one_over_m, math.pi / 4.0, worst)).max()))
@@ -230,28 +232,105 @@ def test_kernel_fails_well_below_the_class_angle():
     assert bool(report) is False
 
 
-def test_kernel_psd_with_explicit_points_is_deterministic(monkeypatch):
-    calls = _count_kernel_matrices(monkeypatch)
+def test_kernel_psd_with_explicit_points_is_deterministic():
+    f, seen = _recording(one_over_m)
     pts = (1j, 0.5 + 0.5j, -1.0 + 2j)
-    a = kernel_psd_test(one_over_m, math.pi / 4.0, points=pts)
-    b = kernel_psd_test(one_over_m, math.pi / 4.0, points=pts)
+    a = kernel_psd_test(f, math.pi / 4.0, points=pts)
+    b = kernel_psd_test(f, math.pi / 4.0, points=pts)
     assert a.value == b.value
-    assert calls[0] == 2  # one point set per call
+    assert seen == list(pts) * 2  # one point set per call
     assert a.witness["points"] == [[p.real, p.imag] for p in pts]
+    with pytest.raises(DomainError, match="open upper half-plane"):
+        kernel_psd_test(f, math.pi / 4.0, points=(1j, 1.0 - 1j))
+    with pytest.raises(DomainError, match="at least one point"):
+        kernel_psd_test(f, math.pi / 4.0, points=())
 
 
-def test_kernel_psd_draws_the_kernel_point_sets(monkeypatch):
-    seen = []
-    original = weylsys.sectorial.kernel_matrix
+def test_kernel_psd_draws_the_kernel_point_sets():
+    f, seen = _recording(one_over_m)
+    kernel_psd_test(f, math.pi / 4.0, trials=7, seed=11)
+    sets = kernel_point_sets(7, 11)
+    assert seen == [z for pts in sets for z in pts]
+    assert all(1 <= len(s) <= 6 for s in sets)
 
-    def recording(f, beta, points):
-        seen.append(tuple(points))
-        return original(f, beta, points)
 
-    monkeypatch.setattr(weylsys.sectorial, "kernel_matrix", recording)
-    kernel_psd_test(one_over_m, math.pi / 4.0, trials=7, seed=11)
-    assert seen == kernel_point_sets(7, 11)
-    assert all(1 <= len(s) <= 6 for s in seen)
+def _kernel_reference(f, beta, pts):
+    """The kernel of one set as kernel_matrix built it set by set, in its operand order."""
+    fs = np.array([complex(f(z)) for z in pts], dtype=complex)
+    for z, val in zip(pts, fs):
+        if not np.isfinite(val):
+            raise DomainError(f"kernel function value {complex(val)} is not finite at z = {z}")
+    zs = np.array(pts, dtype=complex)
+    cot = 0.0 if beta == math.pi / 2.0 else 1.0 / math.tan(beta)
+    zf = zs * fs
+    num = zf[:, None] - np.conj(zf)[None, :]
+    den = zs[:, None] - np.conj(zs)[None, :]
+    kern = num / den - cot * np.conj(fs)[None, :] * fs[:, None]
+    return (kern + kern.conj().T) / 2.0
+
+
+def _kernel_psd_reference(f, beta, trials, seed):
+    """kernel_psd_test's (passed, value, witness) as a loop of one kernel and eigvalsh a set."""
+    sets = kernel_point_sets(trials, seed)
+    psd, worst_margin, worst_eig, worst_pts = True, math.inf, math.inf, sets[0]
+    for pts in sets:
+        kern = _kernel_reference(f, beta, pts)
+        assert kernel_matrix(f, beta, pts).tobytes() == kern.tobytes()
+        scale = max(1.0, float(np.abs(kern).max()))
+        min_eig = float(np.linalg.eigvalsh(kern).min())
+        if min_eig / scale < worst_margin:
+            worst_margin, worst_eig, worst_pts = min_eig / scale, min_eig, pts
+        if min_eig < -1e-8 * scale:
+            psd = False
+    return psd, worst_eig, {"beta": beta, "points": [[p.real, p.imag] for p in worst_pts]}
+
+
+def _sector_function(z):
+    """A second kernel function: 1/m shifted and scaled off the class, of another size."""
+    return 3.0 / bessel_m_closed_form(z) + 0.25j * z
+
+
+def _outcome(run):
+    """run()'s result, or the type and message of what it raised."""
+    try:
+        return run()
+    except Exception as exc:  # noqa: BLE001  compared, not handled
+        return type(exc), str(exc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), trials=st.integers(1, 150),
+       beta=st.floats(0.0, math.pi / 2.0, exclude_min=True), other=st.booleans())
+def test_the_stacked_kernel_pass_is_the_loop_of_kernel_matrix(seed, trials, beta, other):
+    # bit for bit: each set's kernel, scale and least eigenvalue are those of
+    # kernel_matrix and eigvalsh on that set alone; where cot(beta) overflows,
+    # both raise the same error
+    f = _sector_function if other else one_over_m
+
+    def stacked():
+        report = kernel_psd_test(f, beta, trials=trials, seed=seed)
+        return report.passed, repr(report.value), report.witness
+
+    def loop():
+        passed, value, witness = _kernel_psd_reference(f, beta, trials, seed)
+        return passed, repr(value), witness
+
+    assert _outcome(stacked) == _outcome(loop)
+
+
+def test_the_stacked_kernel_pass_names_the_first_non_finite_value():
+    sets = kernel_point_sets(30, 5)
+    bad = {sets[4][0], sets[9][-1]}
+
+    def f(z):
+        return complex(math.inf, 0.0) if z in bad else one_over_m(z)
+
+    with pytest.raises(DomainError) as caught:
+        _kernel_psd_reference(f, 1.0, 30, 5)
+    with pytest.raises(DomainError, match=re.escape(str(caught.value))):
+        kernel_psd_test(f, 1.0, trials=30, seed=5)
+    assert str(caught.value) == (f"kernel function value (inf+0j) is not finite "
+                                 f"at z = {sets[4][0]}")
 
 
 @pytest.mark.parametrize("grids", [
