@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, PoleError, WeylsysError
-from .lsystem import impedance, lsystem_to_dict, make_lsystem
+from .lsystem import impedance, impedance_at_m_infinity, lsystem_to_dict, make_lsystem
 from .mfunc import (
     NAMED_GRIDS,
     MFunctionEvaluator,
@@ -40,7 +40,7 @@ from .sectorial import (
     DEFAULT_KERNEL_SEED,
     accretivity_and_sectoriality,
     check_beta,
-    classify_s_beta12,
+    class_angles_from_limits,
     herglotz_test,
     kernel_psd_test,
     sampled_points,
@@ -150,12 +150,12 @@ def _split_commas(text: str) -> list[str]:
 # settings, potential and grid parsing
 # ---------------------------------------------------------------------------
 
-def _usage(check, value):
-    """check(value), with its DomainError reported as a usage error (exit 2)."""
+def _usage(check, value, option: str):
+    """check(value), with its DomainError reported as a usage error naming the option (exit 2)."""
     try:
         return check(value)
     except DomainError as exc:
-        raise UsageError(str(exc)) from exc
+        raise UsageError(f"{option}: {exc}") from exc
 
 
 def _mode(args: argparse.Namespace, potential: Potential) -> str:
@@ -275,8 +275,8 @@ def cmd_m_eval(args: argparse.Namespace) -> int:
     if not points:
         raise UsageError("empty grid: provide --z and/or --grid")
 
+    _usage(check_alpha, alpha, "--alpha")
     try:
-        check_alpha(alpha)
         evaluator = MFunctionEvaluator(potential, mode=mode, tol=args.tol)
     except WeylsysError as exc:
         raise UsageError(str(exc)) from exc
@@ -308,7 +308,7 @@ def cmd_m_eval(args: argparse.Namespace) -> int:
 def _mu_from_alpha(text: str) -> float:
     """mu = tan(alpha) for alpha in (0, pi], exactly inf at pi/2 and 0 at pi."""
     alpha = eval_real(text)
-    _usage(check_alpha, alpha)
+    _usage(check_alpha, alpha, "--alpha")
     if alpha == math.pi / 2:
         return math.inf
     if alpha == math.pi:
@@ -326,7 +326,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     else:
         raise UsageError("--mu and --alpha both set the coupling: give one of them")
     h = eval_number(args.h)
-    beta = None if args.beta is None else _usage(check_beta, eval_real(args.beta))
+    beta = None if args.beta is None else _usage(check_beta, eval_real(args.beta), "--beta")
     _check_seed_and_trials(args)
 
     try:
@@ -342,7 +342,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
         complex_grid = [z for z in pts if z.imag > 0] or None
         negative_grid = [z.real for z in pts if z.imag == 0 and z.real < 0] or None
 
-    # one stacked sweep solves m at every point the checks below read
+    # one stacked sweep solves m at every point the checks below read; the
+    # limit at -inf needs none, since m -> +inf there and V -> its value at m = inf
     batch = m_infinity_batch(
         evaluator, sampled_points(complex_grid, negative_grid, args.trials, args.seed))
 
@@ -359,7 +360,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
     classification = None
     if stj.passed:
-        angles = classify_s_beta12(imp)
+        angles = class_angles_from_limits(impedance_at_m_infinity(system), limit_at_minus_zero(imp))
         kern_beta = beta if beta is not None else (angles.beta2 if angles.beta2 > 0 else None)
         classification = {
             "beta1": angles.beta1,
@@ -402,8 +403,6 @@ def cmd_classify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    # m-eval and classify check tol when they build their evaluator
-    _usage(check_tol, args.tol)
     _check_seed_and_trials(args)
 
     names = SUITES if args.suite == "all" else (args.suite,)
@@ -511,6 +510,7 @@ def main(argv=None) -> int:
         code = exc.code if isinstance(exc.code, int) else 2
         return 0 if code == 0 else 2
     try:
+        _usage(check_tol, args.tol, "--tol")  # every subcommand takes it
         return _HANDLERS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

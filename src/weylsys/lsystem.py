@@ -29,6 +29,7 @@ __all__ = [
     "LSystem",
     "make_lsystem",
     "impedance",
+    "impedance_at_m_infinity",
     "transfer",
     "transfer_from_impedance",
     "impedance_from_transfer",
@@ -137,6 +138,21 @@ def impedance(system: LSystem, m: complex, z: complex) -> complex:
     den = (system.mu - h.real) * m + system.mu * h.real - abs(h) ** 2
     return safe_div(num, den, z=z, what="impedance",
                     scale=abs((system.mu - h.real) * m) + abs(system.mu * h.real - abs(h) ** 2))
+
+
+def impedance_at_m_infinity(system: LSystem) -> float:
+    """The limit of :func:`impedance` as m -> inf, so V's limit at z -> -inf.
+
+    Every potential the library accepts has a regular endpoint ell, where
+    m_inf(-k^2) = k + o(1) as k -> inf (Everitt, J. London Math. Soc. (2) 4,
+    1972), so V(z) tends to this value on the negative axis, whatever q is:
+    0 for mu = inf, Im h / (mu - Re h) for a finite mu != Re h, and -inf
+    for mu = Re h, where the denominator is the constant -(Im h)^2.
+    """
+    h = system.h
+    if system.mu_is_infinite:
+        return 0.0
+    return -math.inf if system.mu == h.real else h.imag / (system.mu - h.real)
 
 
 def transfer(system: LSystem, m: complex, z: complex) -> complex:

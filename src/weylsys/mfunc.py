@@ -245,7 +245,7 @@ __all__ = [
     "bessel_neg_m_alpha_closed_form", "bessel_w_closed_form", "check_alpha", "check_tol",
     "m_infinity", "m_infinity_info", "MBatch", "m_infinity_batch",
     "m_alpha", "m_alpha_info", "rotate_evaluation", "m_alpha_direct",
-    "m_infinity_limit_at_zero", "m_infinity_limit_at_minus_infinity",
+    "m_infinity_limit_at_zero",
     "MINUS_ZERO_LADDER", "MINUS_INFINITY_LADDER", "limit_at_minus_zero",
     "limit_at_minus_infinity", "safe_div", "NAMED_GRIDS",
 ]
@@ -330,13 +330,14 @@ _LONE_RAY = 0.45              # a lone z rides its ray where Im sqrt(z) <= this 
 
 
 def check_tol(tol: float) -> None:
-    """Raise DomainError unless the truncation tolerance lies in (0, 1).
+    """Raise DomainError unless the truncation tolerance lies in (0, 1) with 1/tol finite.
 
-    At tol >= 1 the first truncation distance, which grows with ln(1/tol),
-    is not positive and the sweep's ladder of X never ends.
+    The first truncation distance grows with ln(1/tol).  At tol >= 1 it is
+    not positive and the sweep's ladder of X never ends; below about
+    5.6e-309, 1/tol overflows and the distance is infinite.
     """
-    if not (0.0 < tol < 1.0):
-        raise DomainError(f"tol must lie in (0, 1), got {tol}")
+    if not (0.0 < tol < 1.0 and math.isfinite(1.0 / tol)):
+        raise DomainError(f"tol must lie in (0, 1) with 1/tol finite, got {tol}")
 
 
 # ---------------------------------------------------------------------------
@@ -1549,7 +1550,8 @@ def _sample_real(f: Callable[[float], complex], x: float) -> float:
 
 
 #: The points at which the real-axis limits sample f: x_k = -10**(-k)
-#: toward -0 and x_k = -10**k toward -inf, k = 1..8.
+#: toward -0 and x_k = -10**k toward -inf, k = 1..8.  ``weylsys classify``
+#: reads only the first: its limit at -inf is exact.
 MINUS_ZERO_LADDER = tuple(-10.0 ** (-k) for k in range(1, _EXTRAPOLATION_POINTS + 1))
 MINUS_INFINITY_LADDER = tuple(-10.0 ** k for k in range(1, _EXTRAPOLATION_POINTS + 1))
 
@@ -1560,18 +1562,19 @@ def limit_at_minus_zero(f: Callable[[float], complex]) -> float:
 
 
 def limit_at_minus_infinity(f: Callable[[float], complex]) -> float:
-    """Extrapolated limit of f(x) as x -> -inf along :data:`MINUS_INFINITY_LADDER`."""
+    """Extrapolated limit of f(x) as x -> -inf along :data:`MINUS_INFINITY_LADDER`.
+
+    This serves a general f given only by its values.  ``weylsys classify``
+    no longer calls it: m_inf -> +inf at -inf for every potential the
+    library accepts, so a Moebius function of m tends to its value at
+    m = inf (:func:`weylsys.lsystem.impedance_at_m_infinity`).
+    """
     return _extrapolate([_sample_real(f, x) for x in MINUS_INFINITY_LADDER])
 
 
 def m_infinity_limit_at_zero(evaluator: MFunctionEvaluator) -> float:
     """m_inf(-0), the boundary value controlling accretivity thresholds."""
     return limit_at_minus_zero(lambda x: m_infinity(evaluator, x))
-
-
-def m_infinity_limit_at_minus_infinity(evaluator: MFunctionEvaluator) -> float:
-    """Limit of m_inf(x) as x -> -inf (+inf for the operators treated here)."""
-    return limit_at_minus_infinity(lambda x: m_infinity(evaluator, x))
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,7 @@ __all__ = [
     "kernel_psd_test",
     "sampled_points",
     "ClassAngles",
+    "class_angles_from_limits",
     "classify_s_beta12",
     "class_angles_from_alpha",
     "sector_angle_from_product",
@@ -184,10 +185,14 @@ def stieltjes_test(
 
 
 def check_beta(beta: float) -> float:
-    """beta as a float; DomainError unless it lies in (0, pi/2]."""
+    """beta as a float; DomainError unless it lies in (0, pi/2] with cot(beta) finite.
+
+    Below about 5.6e-309, cot(beta) = 1/tan(beta) overflows, and every
+    kernel entry with it.
+    """
     beta = float(beta)
-    if not (0.0 < beta <= _HALF_PI):
-        raise DomainError(f"sector angle beta must lie in (0, pi/2], got {beta}")
+    if not (0.0 < beta <= _HALF_PI and math.isfinite(1.0 / math.tan(beta))):
+        raise DomainError(f"sector angle beta must lie in (0, pi/2] with finite cot, got {beta}")
     return beta
 
 
@@ -259,15 +264,19 @@ def sampled_points(
     trials: int = 100,
     seed: int = DEFAULT_KERNEL_SEED,
 ) -> list[complex]:
-    """Every point at which the Herglotz, Stieltjes, class-limit and kernel tests sample f.
+    """Every point at which ``weylsys classify`` samples f.
 
-    The arguments are those of the tests; the points repeat where the tests
-    share them.  A caller can evaluate f at all of them at once, as
-    ``weylsys classify`` does with one stacked m-function sweep.
+    Those are the points of the Herglotz, Stieltjes and kernel tests, whose
+    arguments these are, and of the limit at -0 (:data:`MINUS_ZERO_LADDER`);
+    the points repeat where the tests share them.  The limit at -infinity
+    is exact there, so :data:`MINUS_INFINITY_LADDER`, which
+    :func:`classify_s_beta12` also reads, is not among them.  A caller can
+    evaluate f at all of them at once, as classify does with one stacked
+    m-function sweep.
     """
     pts = list(_UPPER_GRID if complex_grid is None else map(complex, complex_grid))
     pts += map(complex, _NEGATIVE_GRID if negative_grid is None else negative_grid)
-    pts += map(complex, MINUS_ZERO_LADDER + MINUS_INFINITY_LADDER)
+    pts += map(complex, MINUS_ZERO_LADDER)
     for point_set in kernel_point_sets(trials, seed):
         pts += point_set
     return pts
@@ -334,34 +343,43 @@ class ClassAngles(NamedTuple):
     beta2: float
 
 
-def _stieltjes_angle(value: float, where: str) -> float:
-    if math.isnan(value):
-        raise DomainError(f"limit at {where} is NaN")
-    if math.isinf(value):
-        if value > 0:
-            return _HALF_PI
-        raise DomainError(f"limit at {where} diverges to -infinity; not a Stieltjes function")
-    if value < -1e-9 * max(1.0, abs(value)):
-        raise DomainError(f"limit at {where} is negative ({value}); not a Stieltjes function")
-    return math.atan(max(value, 0.0))
+def class_angles_from_limits(lim_inf: float, lim_zero: float) -> ClassAngles:
+    """Angles (beta1, beta2) of a Stieltjes function from its limits at -infinity and at -0.
+
+    beta1 = arctan lim_inf, beta2 = arctan lim_zero, with a limit of +inf
+    mapped to pi/2.  A NaN, negative or -inf limit, or beta1 > beta2, raises
+    DomainError: no Stieltjes function has it.  A limit a hair below 0 is
+    clamped to 0, and beta2 a hair below beta1 to beta1.  ``weylsys
+    classify`` passes the exact limit at -infinity
+    (:func:`weylsys.lsystem.impedance_at_m_infinity`) and the extrapolated
+    one at -0.
+    """
+    angles = []
+    for value, where in ((lim_inf, "-infinity"), (lim_zero, "-0")):
+        if math.isnan(value):
+            raise DomainError(f"limit at {where} is NaN")
+        if value == -math.inf:
+            raise DomainError(f"limit at {where} diverges to -infinity; not a Stieltjes function")
+        if value < -1e-9 * max(1.0, abs(value)):
+            raise DomainError(f"limit at {where} is negative ({value}); not a Stieltjes function")
+        angles.append(_HALF_PI if value == math.inf else math.atan(max(value, 0.0)))
+    beta1, beta2 = angles
+    if beta1 > beta2 + 1e-9:
+        raise DomainError(f"limits are not ordered (beta1 = {beta1} > beta2 = {beta2}); "
+                          "not a Stieltjes function")
+    return ClassAngles(beta1, max(beta1, beta2))
 
 
 def classify_s_beta12(f) -> ClassAngles:
-    """Angles (beta1, beta2) from the limits of f at -infinity and at -0.
+    """Angles (beta1, beta2) from the extrapolated limits of a general f at -infinity and at -0.
 
-    beta1 = arctan lim_{x->-inf} f(x), beta2 = arctan lim_{x->-0} f(x), with
-    a divergent limit mapped to pi/2.  Both angles land in [0, pi/2] and
-    satisfy beta1 <= beta2 for a Stieltjes f.
+    The limits are :func:`limit_at_minus_infinity` and
+    :func:`limit_at_minus_zero`, and the angles follow from them by
+    :func:`class_angles_from_limits`.  This serves an f given only by its
+    values.  ``weylsys classify`` no longer calls it: the impedance's limit
+    at -infinity is exact there.
     """
-    lim_inf = limit_at_minus_infinity(f)
-    lim_zero = limit_at_minus_zero(f)
-    beta1 = _stieltjes_angle(lim_inf, "-infinity")
-    beta2 = _stieltjes_angle(lim_zero, "-0")
-    if beta1 > beta2 + 1e-9:
-        raise DomainError(
-            f"limits are not ordered (beta1 = {beta1} > beta2 = {beta2}); not a Stieltjes function"
-        )
-    return ClassAngles(beta1, min(max(beta1, beta2), _HALF_PI))
+    return class_angles_from_limits(limit_at_minus_infinity(f), limit_at_minus_zero(f))
 
 
 def class_angles_from_alpha(alpha: float, m0: float) -> ClassAngles:
@@ -574,16 +592,16 @@ def verify_example_suite(tol: float = MFunctionEvaluator.tol) -> CheckReport:
 
     m0 = limit_at_minus_zero(m_numeric)
     checks.append(Check.within("m-limit-at-minus-zero", m0, 1.0, 1e-4))
-    m_inf = limit_at_minus_infinity(m_numeric)
-    checks.append(
-        Check(
-            "m-limit-at-minus-infinity-divergent",
-            math.isinf(m_inf) and m_inf > 0,
-            m_inf,
-            "inf",
-            None,
-        )
-    )
+    # m(-k^2) = k + o(1) at a regular ell, so m -> +inf: the far end of the
+    # ladder within its bound of the closed form, and m(x)/sqrt(-x) nearing 1
+    x_far = MINUS_INFINITY_LADDER[-1]
+    far = batch.at(x_far)
+    gaps = [abs(m_numeric(x).real / math.sqrt(-x) - 1.0) for x in MINUS_INFINITY_LADDER]
+    checks.append(Check(
+        "m-at-minus-infinity-over-sqrt",
+        abs(far.value - bessel_m_closed_form(x_far)) <= far.error_bound
+        and all(b < a for a, b in zip(gaps, gaps[1:])) and gaps[-1] <= 1e-6,
+        far.value.real / math.sqrt(-x_far), 1.0, 1e-6))
 
     alphas = (0.6, 1.0, _HALF_PI, 2.2, math.pi)
     lft_err = max(

@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from weylsys import MFunctionEvaluator, Potential, half_integer_bessel_m, m_alpha_info
+from weylsys import (DomainError, MFunctionEvaluator, Potential, check_tol, half_integer_bessel_m,
+                     m_alpha_info)
 from weylsys import cli
 from weylsys.cli import UsageError, eval_number, main, parse_grid
 from weylsys.mfunc import NAMED_GRIDS
@@ -315,6 +317,19 @@ def test_classify_numeric_matches_the_closed_form_run(capsys):
     assert abs(doc["accretivity"]["tan_theta"] - 1.0) <= 1e-3
 
 
+@pytest.mark.parametrize("mode", ["numeric", "closed-form"])
+@pytest.mark.parametrize("argv, mu, h, printed", [
+    (("--mu", "10", "--h", "i"), 10.0, 1j, 0.1),
+    (("--alpha", "1.2", "--h", "0.5+i"), math.tan(1.2), 0.5 + 1j, 0.48259016826860357),
+], ids=["mu-10", "alpha-1.2"])
+def test_classify_tan_beta1_is_the_exact_limit_at_minus_infinity(capsys, argv, mu, h, printed,
+                                                                 mode):
+    # m -> +inf at -inf, so V -> Im h / (mu - Re h): no sample, no extrapolation
+    code, doc, _ = run_json(capsys, "classify", *argv, "--mode", mode, "--trials", "2")
+    assert code == 0 and doc["system"]["mu"] == mu
+    assert doc["classification"]["tan_beta1"] == h.imag / (mu - h.real) == printed
+
+
 def test_classify_near_axis_grid_is_a_solver_error(capsys):
     code, doc, _ = run_json(capsys, "classify", "--mode", "numeric", "--trials", "3",
                             "--grid", "re=5:5:1,im=1e-9:1e-9:1")
@@ -384,14 +399,18 @@ def test_classify_bad_trials(capsys):
         assert "--trials must be >= 1" in err
 
 
-@pytest.mark.parametrize("beta", ["0", "2", "1+i"])
+@pytest.mark.parametrize("beta", ["0", "2", "1+i", "1e-320"])
 @pytest.mark.parametrize("mu", [[], ["--mu", "0"]], ids=["mu-inf", "mu-zero"])
 def test_classify_bad_beta(capsys, beta, mu):
     # rejected before any solve, including when the Stieltjes check would fail
     code, out, err = run(capsys, "classify", "--mode", "numeric", *mu,
                          "--beta", beta, "--trials", "2")
     assert code == 2 and out == ""
-    assert "beta" in err or "real number" in err
+    if beta == "1+i":
+        assert "real number" in err
+    else:  # 1/tan(1e-320) is inf, and every kernel entry would be with it
+        assert "--beta: sector angle beta must lie in (0, pi/2] with finite cot" in err
+        assert f"got {float(beta)}" in err
 
 
 def test_classify_rejects_bad_h(capsys):
@@ -502,7 +521,7 @@ def no_solve(monkeypatch):
     monkeypatch.setattr(cli, "SUITES", dict.fromkeys(cli.SUITES, reached))
 
 
-@pytest.mark.parametrize("tol", ["0", "1", "2", "inf", "nan"])
+@pytest.mark.parametrize("tol", ["0", "1", "2", "inf", "nan", "1e-310", "5e-324"])
 @pytest.mark.parametrize("command", [
     ("m-eval", "--mode", "numeric", "--z", "i"),
     ("classify", "--mode", "numeric", "--trials", "2"),
@@ -511,7 +530,17 @@ def no_solve(monkeypatch):
 def test_tol_outside_zero_one_is_a_usage_error(capsys, no_solve, command, tol):
     code, out, err = run(capsys, *command, "--tol", tol)
     assert code == 2 and out == ""
-    assert "tol must lie in (0, 1)" in err
+    assert "--tol: tol must lie in (0, 1)" in err and str(float(tol)) in err
+
+
+def test_a_tol_with_a_finite_reciprocal_is_accepted():
+    # ln(1/tol) sizes the first truncation: finite down to about 5.6e-309
+    check_tol(1e-300)
+    check_tol(5.6e-309)
+    with pytest.raises(DomainError):
+        check_tol(1.0 / sys.float_info.max)  # its reciprocal rounds up to inf
+    with pytest.raises(DomainError, match="1/tol finite, got 1e-310"):
+        check_tol(1e-310)
 
 
 @pytest.mark.parametrize("command", [("classify", "--trials", "2"), ("verify",)],

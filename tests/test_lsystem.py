@@ -17,6 +17,7 @@ from weylsys import (
     bessel_m_closed_form,
     duality_check,
     impedance,
+    impedance_at_m_infinity,
     impedance_from_transfer,
     lsystem_to_dict,
     make_lsystem,
@@ -133,6 +134,36 @@ def test_a_large_m_at_mu_equal_re_h_is_a_large_impedance():
     # mu = Re h = 0, h = i: the denominator is the constant -|h|^2 = -1, so
     # V = -m however large m is (the m of bessel(10.5, 1e-13) near -0 is 1e14)
     assert impedance(make_lsystem(Potential.bessel(), 0.0, 1j), 1e14 + 0j, -1.0) == -1e14
+
+
+def _impedance_toward_minus_infinity(system):
+    # V at z = -1e4, -1e8, -1e12, where m = k + o(1) -> +inf
+    return [impedance(system, M(-(10.0 ** k)), -(10.0 ** k)).real for k in (4, 8, 12)]
+
+
+@pytest.mark.parametrize("h", [1j, 0.5 + 1j])
+def test_impedance_at_m_infinity_is_zero_at_mu_infinity(h):
+    system = sys_at(MU_INFINITY, h)
+    assert impedance_at_m_infinity(system) == 0.0
+    vs = _impedance_toward_minus_infinity(system)
+    assert vs[0] > vs[1] > vs[2] > 0.0 and vs[2] < 1e-5
+
+
+@pytest.mark.parametrize("mu, h", [(10.0, 1j), (math.tan(1.2), 0.5 + 1j), (-3.0, 2.0 + 0.5j)])
+def test_impedance_at_m_infinity_at_a_finite_mu(mu, h):
+    system = sys_at(mu, h)
+    want = h.imag / (mu - h.real)
+    assert impedance_at_m_infinity(system) == want
+    gaps = [abs(v - want) for v in _impedance_toward_minus_infinity(system)]
+    assert gaps[0] > gaps[1] > gaps[2] and gaps[2] <= 1e-5  # O(1/m), m = 1e6 at -1e12
+
+
+def test_impedance_at_m_infinity_at_mu_equal_re_h_is_minus_infinity():
+    # the denominator is the constant -(Im h)^2, so V = -(m + mu)/Im h
+    system = sys_at(0.5, 0.5 + 2j)
+    assert impedance_at_m_infinity(system) == -math.inf
+    vs = _impedance_toward_minus_infinity(system)
+    assert vs[0] > vs[1] > vs[2] and vs[2] < -1e5
 
 
 def test_impedance_pole_is_reported():

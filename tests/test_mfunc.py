@@ -31,7 +31,6 @@ from weylsys import (
     m_alpha_info,
     m_infinity,
     m_infinity_info,
-    m_infinity_limit_at_minus_infinity,
     m_infinity_limit_at_zero,
     safe_div,
     sqrt_upper,
@@ -1593,7 +1592,7 @@ def test_a_truncation_at_the_float_spacing_of_ell_is_a_domain_error():
 
 
 _LADDERS = list(mfunc.MINUS_ZERO_LADDER) + list(mfunc.MINUS_INFINITY_LADDER)
-# the 147 distinct points of `weylsys classify --mode numeric --trials 10 --seed 1`
+# the 145 distinct points of `weylsys classify --mode numeric --trials 10 --seed 1`
 _CLASSIFY = list(dict.fromkeys(sampled_points(trials=10, seed=1)))
 
 
@@ -1716,7 +1715,7 @@ def test_sizing_doubles_by_prediction_up_to_the_top_rung_only():
 
 
 def test_sizing_a_stack_calls_the_potential_a_fixed_number_of_times(monkeypatch):
-    # the array pass calls q on arrays only, as often for 147 columns as for 13
+    # the array pass calls q on arrays only, as often for 145 columns as for 13
     calls = []
     call = Potential.__call__
 
@@ -1821,7 +1820,7 @@ def test_limit_at_minus_zero_numeric():
 
 
 def test_limit_at_minus_infinity_diverges():
-    assert m_infinity_limit_at_minus_infinity(CLOSED) == math.inf
+    assert limit_at_minus_infinity(bessel_m_closed_form) == math.inf
 
 
 def test_limit_of_free_m_at_minus_zero_vanishes():

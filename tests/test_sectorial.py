@@ -19,12 +19,14 @@ from weylsys import (
     bessel_m_closed_form,
     bessel_neg_m_alpha_closed_form,
     class_angles_from_alpha,
+    class_angles_from_limits,
     classify_s_beta12,
     herglotz_test,
     impedance,
     kernel_matrix,
     kernel_point_sets,
     kernel_psd_test,
+    limit_at_minus_zero,
     m_infinity,
     make_lsystem,
     sampled_points,
@@ -274,8 +276,8 @@ def _kernel_psd_reference(f, beta, trials, seed):
     sets = kernel_point_sets(trials, seed)
     psd, worst_margin, worst_eig, worst_pts = True, math.inf, math.inf, sets[0]
     for pts in sets:
-        kern = _kernel_reference(f, beta, pts)
-        assert kernel_matrix(f, beta, pts).tobytes() == kern.tobytes()
+        kern = kernel_matrix(f, beta, pts)
+        assert kern.tobytes() == _kernel_reference(f, beta, pts).tobytes()
         scale = max(1.0, float(np.abs(kern).max()))
         min_eig = float(np.linalg.eigvalsh(kern).min())
         if min_eig / scale < worst_margin:
@@ -304,7 +306,7 @@ def _outcome(run):
 def test_the_stacked_kernel_pass_is_the_loop_of_kernel_matrix(seed, trials, beta, other):
     # bit for bit: each set's kernel, scale and least eigenvalue are those of
     # kernel_matrix and eigvalsh on that set alone; where cot(beta) overflows,
-    # both raise the same error
+    # both refuse beta with the same error
     f = _sector_function if other else one_over_m
 
     def stacked():
@@ -338,6 +340,8 @@ def test_the_stacked_kernel_pass_names_the_first_non_finite_value():
     ([1j, -2.0 + 0.5j], [-3.0, -0.5]),
 ], ids=["default-grids", "given-grids"])
 def test_sampled_points_cover_every_point_the_checks_read(grids):
+    # what classify reads: the three tests and the limit at -0; its limit
+    # at -inf is exact and reads no point
     complex_grid, negative_grid = grids
     read = []
 
@@ -347,10 +351,17 @@ def test_sampled_points_cover_every_point_the_checks_read(grids):
 
     herglotz_test(f, grid=complex_grid)
     stieltjes_test(f, complex_grid=complex_grid, negative_grid=negative_grid)
-    classify_s_beta12(f)
+    limit_at_minus_zero(f)
     kernel_psd_test(f, math.pi / 4.0, trials=5, seed=3)
     points = sampled_points(complex_grid, negative_grid, trials=5, seed=3)
     assert set(read) == set(points)
+
+
+def test_the_classify_stack_holds_no_point_below_the_negative_grid():
+    # -10 ... -1e6 of the -inf ladder are on the negative grid; -1e7 and -1e8 left it
+    points = set(sampled_points(trials=10, seed=1))
+    assert len(points) == 145
+    assert min(z.real for z in points) == -1e6
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +395,14 @@ def test_classify_m_raises_on_disordered_limits():
 def test_classify_rejects_a_limit_no_stieltjes_function_has(f, message):
     with pytest.raises(DomainError, match=message):
         classify_s_beta12(f)
+
+
+def test_class_angles_from_limits_are_the_arctangents():
+    assert class_angles_from_limits(0.1, 1.0) == (math.atan(0.1), math.pi / 4.0)
+    assert class_angles_from_limits(0.0, math.inf) == (0.0, HALF_PI)
+    # a limit a hair below 0, or below the other, is clamped
+    assert class_angles_from_limits(-1e-12, 0.0) == (0.0, 0.0)
+    assert class_angles_from_limits(1.0 + 1e-12, 1.0).beta2 == math.atan(1.0 + 1e-12)
 
 
 def test_class_angles_from_alpha_frozen_example():
