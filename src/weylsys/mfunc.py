@@ -27,8 +27,9 @@ equation ``u' = q - z - u^2`` for ``u = psi'/psi``, so that
 zero would be a Dirichlet eigenfunction with a non-real eigenvalue), so u
 has no pole, and it does not oscillate.  The sweep starts at the WKB
 (Liouville-Green) series through its third correction,
-``u(X) = -k + u1 + u2 + u3`` with ``k = sqrt(q(X) - z)`` (the root with
-positive real part), ``u1 = -q'/(4 k^2)``, ``u2 = 5 q'^2/(32 k^5) - q''/(8 k^3)``
+``u(X) = -k + u1 + u2 + u3`` with ``k = sqrt(q(X) - z)`` (the root that
+decays along the path swept, ``Re((X - ell) k) > 0``),
+``u1 = -q'/(4 k^2)``, ``u2 = 5 q'^2/(32 k^5) - q''/(8 k^3)``
 and ``u3 = (u2' + 2 u1 u2)/(2k)`` (:func:`_wkb_terms`); q', q'' and q''' are
 differences over five potential values.  The backward flow attracts the
 decaying solution at the rate ``2 Re k``, while forward integration would
@@ -847,7 +848,7 @@ solve_ivp = _dop853
 def _wkb_terms(potential: Potential, x: float, z: complex) -> tuple:
     """(q(x) - z, the WKB start u(x) through its third correction, |u2|, |u3|).
 
-    With ``k = sqrt(q - z)``, Re k > 0, the decaying solution of
+    With ``k = sqrt(q - z)``, ``Re((x - ell) k) > 0``, the decaying solution of
     ``u' = q - z - u^2`` is the Liouville-Green series
     ``u = -k + u1 + u2 + u3 + ...`` (Olver, Asymptotics and Special
     Functions, ch. 6), each term ``(u_{n-1}' + sum_{i+j=n} u_i u_j)/(2k)``:
@@ -857,11 +858,14 @@ def _wkb_terms(potential: Potential, x: float, z: complex) -> tuple:
     q'' are central differences with the step ``h = _DIFF_STEP (x - ell)``
     and q''' the five-point difference over x +- h, x +- 2h, so no sample
     falls below ell.  A complex x lies on a ray from ell (module docstring):
-    the differences are then complex derivatives along it.  Where q is small
-    beside z, k is close to ``-i sqrt(z)``, which decays along the ray; |u2|
-    and |u3| do not depend on the sign of k.  An array x, and a lone
-    complex one, take their samples in one potential call, so both see the
-    same q; the complex products and quotients after it may round apart.
+    the differences are then complex derivatives along it, and k is the
+    root that decays along the ray, which is not the principal one where
+    q - z crosses its branch cut (a Bessel c < 0 near the positive axis,
+    where Im q has the opposite sign to Im z); on the real axis it is the
+    principal root.  |u2| and |u3| do not depend on the sign of k.  An
+    array x, and a lone complex one, take their samples in one potential
+    call, so both see the same q; the complex products and quotients after
+    it may round apart.
     An array's turning points get u = 0 and |u2| = |u3| = inf.
     """
     h = _DIFF_STEP * (x - potential.ell)
@@ -881,13 +885,18 @@ def _wkb_terms(potential: Potential, x: float, z: complex) -> tuple:
     ddq = (above - 2.0 * q + below) / (h * h)
     dddq = (above2 - 2.0 * above + 2.0 * below - below2) / (2.0 * h ** 3)
     s = q - z
+    # the root that decays along the path, Re((x - ell) k) > 0: on a ray,
+    # q - z can cross the principal root's branch cut (c < 0, near z > 0)
     if array:
         turning = s == 0
         k = np.sqrt(np.where(turning, 1.0, s))
+        k = np.where(((x - potential.ell) * k).real < 0, -k, k)
     elif s == 0:        # a turning point has no WKB value; the real axis rejects it
         return s, 0j, math.inf, math.inf
     else:
         k = cmath.sqrt(s)
+        if ((x - potential.ell) * k).real < 0:
+            k = -k
     k2 = k * k
     u1 = -dq / (4.0 * k2)
     u2 = (5.0 * dq * dq / (32.0 * k2) - ddq / 8.0) / (k2 * k)

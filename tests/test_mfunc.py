@@ -426,6 +426,24 @@ def test_complex_path_matches_the_hankel_oracle(nu, ell, z):
     assert abs(info.value - exact) <= info.error_bound
 
 
+def test_a_ray_start_takes_the_root_that_decays_along_the_ray():
+    # for nu < 1/2 (c < 0) Im q on the ray has the opposite sign to Im z, so
+    # near the positive axis q - z crosses the principal root's branch cut,
+    # and the principal sqrt(q - z) is the root that grows along the ray
+    draws = [(0.27, 2.0, 1477.58 + 0.001j)]
+    rng = np.random.default_rng(20261037)
+    for _ in range(40):
+        r = 10.0 ** rng.uniform(1.5, 4.5)
+        ratio = 10.0 ** rng.uniform(0.0, 1.5) * 4e-5 / math.sqrt(r)
+        draws.append((rng.uniform(0.05, 0.45), rng.uniform(0.5, 2.0),
+                      complex(r, rng.choice([-1.0, 1.0]) * ratio * r)))
+    for nu, ell, z in draws:
+        ev = MFunctionEvaluator(Potential.bessel(nu, ell))
+        exact = _bessel_m_oracle(nu, ell, z)
+        for info in (m_infinity_info(ev, z), m_infinity_batch(ev, [z, 1j, -2.0])[0]):
+            assert abs(info.value - exact) <= info.error_bound, (nu, ell, z)
+
+
 # ---------------------------------------------------------------------------
 # stacked sweep (m_infinity_batch)
 # ---------------------------------------------------------------------------
