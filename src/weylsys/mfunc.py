@@ -69,12 +69,16 @@ overestimates it where the terms fall (:func:`_wkb_terms`).
   sweep's own gap test doubles X.
 * An off-axis z may sweep a complex ray instead (Stacked sweep): each
   off-axis column of a stack, and a lone z near the positive axis.  Its
-  contraction distance and predictions then take the ray's decay rate
-  ``Re(e^(i theta) sqrt(q - z))``, which is ``|sqrt z|`` far out, its
-  ladder runs along the ray, and X - ell is the path length; the
-  real-axis exponent still decides its ConvergenceError, so the same z
-  fail as on the real axis.  The ray's prediction often doubles the first
-  distance once, near ell, where q slows the decay along the ray.
+  contraction distance, ladder, exponent and predictions then take the
+  ray's decay rate ``Re(e^(i theta) sqrt(q - z))``, with the root that
+  decays along the ray, which is ``|sqrt z|`` far out, and X - ell is the
+  path length.  The ray's own exponent, up to the path length
+  ``x_max - ell``, decides its ConvergenceError: psi has no zero on the
+  ray, so u is carried along it to ell, and the real axis, which the
+  column never sweeps, says nothing of whether its flow contracts.  So
+  5+1e-9i on bessel(3/2, 1), whose real-axis exponent up to X_max is
+  only 2.6e-4, rides its ray.  The ray's prediction often doubles the
+  first distance once, near ell, where q slows the decay along the ray.
 * Range.  Past ``|z| = 1e26``, the top of the range the sweeps are checked
   over, and within 2048 float spacings of ell, where the lowest
   truncation's midpoint may round to ell and leave q' no difference step,
@@ -187,8 +191,9 @@ A lone z rides its ray where ``Im sqrt(z) <= _LONE_RAY |sqrt z|``, with
 ``_LONE_RAY = 0.45``: ``Im sqrt(z) / |sqrt z|`` is the ray's contraction
 distance over the real axis's.  A ray's step attempt costs about 1.2 real
 ones, since each stage forms ``c / (s + e)^2`` on float pairs, and its
-sizing, which adds the ray's 13 rungs to the real axis's ladder, about
-47 us against 25 us.  The threshold is where
+sizing, whose ladder starts from the ray's shorter distance and so has
+more rungs out to x_max, about 38 us against 32 us on the real axis (411
+lone rays on bessel(3/2, 1)).  The threshold is where
 the two cost the same: timed alternately on the off-axis points of the
 points benchmark's seeds 500-503, the time on the ray over the time on
 the real axis was 0.59, 0.72, 0.81, 0.93, 1.06 and 1.18 for
@@ -202,18 +207,19 @@ abscissae; each stage is then one product of ``[1, h a_s]`` with the rows
 ``[v, k_0, ...]`` of a workspace built once per sweep, a square and a
 subtraction.  A stack is sized in one array pass, which gives each column
 the distance or error of its own sizing: one potential call for the
-wells, one for the real-axis ladders, whose exponents decide the errors,
-and two for one table of predictions, each column's along its own path
-(the real axis, or its ray) and the WKB terms on it.  A round's starts at
-X and X/2 are one array call each.  One column keeps the scalar sizing,
-starts and sweep, on the real axis or on its ray, since the array pass
-costs one column two to four times as much; so does the last column still
-open in a later round.  On a ray the scalar pass takes the five samples of
-q behind each WKB term in one array call, as the array pass does: their
-differences magnify the rounding of q, which numpy's complex product and
-quotient round apart from Python's, and the same samples give the column
-the same first X in either pass.  A sampled potential sweeps its columns one at a time, since
-its knots fall at a different s in each.  A z whose evaluation fails keeps
+wells, one for the ladders, each column's along its own path (the real
+axis, or its ray), whose exponents decide the errors and damp the
+predictions, and one for the WKB terms on their rungs (:func:`_ladders`).
+A round's starts at X and X/2 are one array call each.  One column keeps
+the scalar sizing, starts and sweep, on the real axis or on its ray,
+since the array pass costs one column two to four times as much; so does
+the last column still open in a later round.  On a ray the scalar pass
+takes the five samples of q behind each WKB term in one array call, as
+the array pass does: their differences magnify the rounding of q, which
+numpy's complex product and quotient round apart from Python's, and the
+same samples give the column the same first X in either pass.  A sampled
+potential sweeps its columns one at a time, since its knots fall at a
+different s in each.  A z whose evaluation fails keeps
 its own error, raised when its entry is read; if a stacked sweep fails,
 its columns are solved again one by one, so each error names its z.  An
 error of the potential or the stepper names x only, so its column's copy
@@ -1001,35 +1007,44 @@ def _directions(potential: Potential, zs: list[complex], tol: float) -> list:
     return out
 
 
-def _predictions(potential: Potential, zs, directions, dists, low: int) -> tuple:
-    """The gap test's predictions at rungs low, ..., ``_TOP_RUNG`` of each column's path.
+def _ladders(potential: Potential, zs, directions, dists, x_max: float, low: int) -> tuple:
+    """Each column's sizing ladder, along the path it sweeps, out to x_max.
 
     Rung 0 is ell and rung i >= 1 is ``ell + d 2^(i - 11) e``, d the
     column's distance and e its direction: 1.0 on the real axis, or
-    e^(i theta) on its ray.  Returns, one row per rung from low, the
-    start's last kept term |u3| there damped by the WKB exponent, the
-    trapezoid sum of ``2 Re(e sqrt(q - z))`` over the path from ell with
-    the root that decays along e, and whether ``|u3| <= |u2|``.  The
-    exponent needs every rung from ell, the terms only those from low.
+    e^(i theta) on its ray.  Returns, one entry per column, the WKB
+    exponent, the trapezoid sum of ``2 Re(e sqrt(q - z))`` with the root
+    that decays along e, from ell to its last rung within x_max, and
+    ``sqrt(q(ell) - z)``; then, one row per rung from low to ``_TOP_RUNG``,
+    the start's last kept term |u3| there damped by the exponent up to it,
+    and whether ``|u3| <= |u2|``.  A rung whose path length passes
+    ``x_max - ell`` gets no value of q and adds nothing to the exponent,
+    and the sizing reads no prediction there.
     """
     e, zc = np.array(directions), np.array(zs)
-    start = np.zeros(len(e))
-    lengths = np.vstack([start, np.ldexp(dists, np.arange(-10, _TOP_RUNG - 10)[:, None])])
+    powers = np.arange(-10, 2 + int(math.log2(x_max / min(dists))))
+    lengths = np.vstack([np.zeros(len(e)), np.ldexp(dists, powers[:, None])])
+    valid = potential.ell + lengths <= x_max
     xs = potential.ell + lengths * e
-    rates = np.abs((e * np.sqrt(potential(xs) - zc)).real)
-    steps = np.abs(np.diff(xs, axis=0)) * (rates[:-1] + rates[1:])
-    exponents = np.cumsum(np.vstack([start, steps]), axis=0)
-    _, _, next_last, last = _wkb_terms(potential, xs[low:], zc)
+    q = np.zeros(xs.shape, xs.dtype)
+    q[valid] = potential(xs[valid])
+    roots = np.sqrt(q - zc)
+    rates = np.abs((e * roots).real)
+    steps = np.where(valid[1:], np.abs(np.diff(xs, axis=0)) * (rates[:-1] + rates[1:]), 0)
+    exponents = np.cumsum(np.vstack([np.zeros(len(e)), steps]), axis=0)
+    _, _, next_last, last = _wkb_terms(potential, xs[low:_TOP_RUNG + 1], zc)
     with np.errstate(invalid="ignore"):     # a turning point's inf times e^-inf
-        return last * np.exp(-exponents[low:]), last <= next_last
+        table = last * np.exp(-exponents[low:_TOP_RUNG + 1])
+    return exponents[-1], roots[0], table, last <= next_last
 
 
 def _halve_then_double(potential: Potential, z: complex, dist: float, tol: float,
                        x_max: float, exponent: float, k_ell: complex, predict):
     """The first X - ell from the contraction distance dist, or its ConvergenceError.
 
-    ``exponent`` is the WKB exponent up to x_max, ``k_ell = sqrt(q(ell) - z)``
-    and ``predict(i)`` gives, at rung i of the ladder (rung 10 is the
+    ``exponent`` is the WKB exponent along the column's path (the real
+    axis, or its ray) up to x_max, ``k_ell = sqrt(q(ell) - z)`` and
+    ``predict(i)`` gives, at rung i of the same ladder (rung 10 is the
     midpoint ``ell + dist/2``), the gap test's predicted X/2 term
     ``|u3| e^-exponent`` and whether the WKB terms still fall there,
     ``|u3| <= |u2|``.  A halving step needs both at the halved midpoint.
@@ -1066,68 +1081,60 @@ def _first_distances(potential: Potential, zs: list[complex], tol: float,
     """X - ell of the first truncation at each z, or its error (module docstring).
 
     The contraction distance, doubled on the real axis while q(X) - z <= 0
-    there, and off it checked against the real-axis WKB exponent up to
-    x_max, before any solve.  The gap test's X/2 term is predicted from the
+    there, and off it checked against the WKB exponent along the column's
+    path up to x_max, before any solve.  The gap test's X/2 term is predicted from the
     start's last kept term |u3| at X/2 (:func:`_wkb_terms`), damped by the
     exponent over [ell, X/2].  Off the axis, on an analytic potential
     (``Potential.analytic``), the distance halves while that prediction
     passes for the halved truncation and the WKB terms still fall at its
     midpoint, |u3| <= |u2|, down to the ladder's lowest rung.  Then it
-    doubles while the prediction fails.  Out of the numeric range the error is DomainError.
-    A column whose direction (:func:`_directions`) is a ray is sized along
-    it instead: its X - ell is a path length, from the ray's contraction
-    distance and predictions, while the real axis still decides its errors.
+    doubles while the prediction fails.  Out of the numeric range the
+    error is DomainError.  A column whose direction (:func:`_directions`)
+    is a ray is sized along it instead: its X - ell is a path length, and
+    its contraction distance, exponent, error and predictions are the ray's.
 
     One z takes the scalar pass, on the real axis or on its ray, and
-    several the array pass (module docstring).  The scalar pass sums the
-    exponent over its real-axis ladder, and on a ray also over the ray's
-    13 rungs, rung 0 to ``_TOP_RUNG``; it forms the WKB terms only at the
-    rungs that :func:`_halve_then_double` reads.  The array pass's
-    prediction rows end at the top rung, where every doubling ends.  Both
-    passes share every check and rule (:func:`_leave_well`,
-    :func:`_range_error`, :func:`_halve_then_double`), and differ in how
-    they evaluate q, except for the samples behind a WKB term on a ray,
-    which both take in one array call (:func:`_wkb_terms`).
+    several the array pass (module docstring).  Each builds one ladder per
+    column, along its direction (:func:`_ladders`), and takes from it the
+    exponent up to x_max, ``sqrt(q(ell) - z)`` at rung 0 and the
+    predictions.  The scalar pass forms the WKB terms only at the rungs
+    that :func:`_halve_then_double` reads; the array pass's prediction rows
+    end at the top rung, where every doubling ends.  Both passes share
+    every check and rule (:func:`_leave_well`, :func:`_range_error`,
+    :func:`_halve_then_double`), and differ in how they evaluate q, except
+    for the samples behind a WKB term on a ray, which both take in one
+    array call (:func:`_wkb_terms`).
     """
     ell = potential.ell
     # X - ell contracts a start error by tol (module docstring); so close to
     # ell a well of q may dip below z, and only the tail may raise DomainError
     target = math.log(1.0 / tol)
     if len(zs) == 1:
-        z, direction = zs[0], directions[0]
-        dist = _contraction_distance(z, 1.0, target)
+        z, e = zs[0], directions[0]
+        dist = _contraction_distance(z, e, target)
         if z.imag == 0.0:
             dist = _leave_well(potential, z, dist, potential(ell + dist), x_max)
         error = _range_error(z, dist, ell, tol)
         if error is not None:
             return [error]
-        # rung 0 is ell and rung i >= 1 is ell + dist 2^(i - 11)
+        # rung 0 is ell and rung i >= 1 is ell + dist 2^(i - 11) e, as _ladders sums them
         xs, step = [ell], dist / 1024.0
         while ell + step <= x_max:
-            xs.append(ell + step)
+            xs.append(ell + step * e)
             step *= 2.0
         roots = [cmath.sqrt(potential(x) - z) for x in xs]
+        rates = [abs((e * root).real) for root in roots]
         exponents = [0.0]
-        for a, b, ra, rb in zip(xs, xs[1:], roots, roots[1:]):
-            exponents.append(exponents[-1] + (b - a) * (ra.real + rb.real))
-        exponent = exponents[-1]
-        if direction != 1.0:
-            # the real axis decides the error; the ray's rungs up to the top
-            # one predict, as _predictions forms them, the terms only where read
-            dist = _contraction_distance(z, direction, target)
-            xs = [ell] + [ell + math.ldexp(dist, i - 11) * direction
-                          for i in range(1, _TOP_RUNG + 1)]
-            rates = [abs((direction * cmath.sqrt(potential(x) - z)).real) for x in xs]
-            exponents = [0.0]
-            for a, b, ra, rb in zip(xs, xs[1:], rates, rates[1:]):
-                exponents.append(exponents[-1] + abs(b - a) * (ra + rb))
+        for a, b, ra, rb in zip(xs, xs[1:], rates, rates[1:]):
+            exponents.append(exponents[-1] + abs(b - a) * (ra + rb))
 
         def predict(i):
             _, _, next_last, last = _wkb_terms(potential, xs[i], z)
             return last * math.exp(-exponents[i]), last <= next_last
 
-        return [_halve_then_double(potential, z, dist, tol, x_max, exponent, roots[0], predict)]
-    out: list = [_contraction_distance(z, 1.0, target) for z in zs]
+        return [_halve_then_double(potential, z, dist, tol, x_max, exponents[-1], roots[0],
+                                   predict)]
+    out: list = [_contraction_distance(z, e, target) for z, e in zip(zs, directions)]
     real = [j for j, z in enumerate(zs) if z.imag == 0.0]
     if real:
         # past x = 1.3e154 a Bessel q's x * x overflows, and q reads 0: so far
@@ -1140,27 +1147,14 @@ def _first_distances(potential: Potential, zs: list[complex], tol: float,
     cols = [j for j, d in enumerate(out) if not isinstance(d, DomainError)]
     if not cols:
         return out
-    d, zc = np.array([out[j] for j in cols]), np.array([zs[j] for j in cols])
-    # rung 0 is ell and rung i >= 1 is ell + d 2^(i - 11), as the scalar pass sums them
-    powers = np.arange(-10, 2 + int(math.log2(x_max / d.min())))
-    xs = np.vstack([np.full(len(cols), ell), ell + np.ldexp(d, powers[:, None])])
-    valid = xs <= x_max
-    q = np.zeros(xs.shape)
-    q[valid] = potential(xs[valid])
-    roots = np.sqrt(q - zc)
-    steps = np.where(valid[1:], np.diff(xs, axis=0) * (roots.real[:-1] + roots.real[1:]), 0)
-    exponents = np.cumsum(np.vstack([np.zeros_like(d), steps]), axis=0)
-    # each column's path: its real-axis distance, or its ray's contraction distance
-    dirs = [directions[j] for j in cols]
-    paths = [out[j] if e == 1.0 else _contraction_distance(zs[j], e, target)
-             for j, e in zip(cols, dirs)]
     # the rows from rung low, where the halving starts, to the top rung
-    low = 1 if potential.analytic and (zc.imag != 0.0).any() else 10
-    table, falls = _predictions(potential, zc, dirs, paths, low)
-    rows = zip(cols, paths, exponents[-1].tolist(), roots[0].tolist(), table.T.tolist(),
-               falls.T.tolist())
-    for j, path, exponent, k_ell, p, f in rows:
-        out[j] = _halve_then_double(potential, zs[j], path, tol, x_max, exponent, k_ell,
+    low = 1 if potential.analytic and any(zs[j].imag != 0.0 for j in cols) else 10
+    exponents, roots, table, falls = _ladders(potential, [zs[j] for j in cols],
+                                              [directions[j] for j in cols],
+                                              [out[j] for j in cols], x_max, low)
+    rows = zip(cols, exponents.tolist(), roots.tolist(), table.T.tolist(), falls.T.tolist())
+    for j, exponent, k_ell, p, f in rows:
+        out[j] = _halve_then_double(potential, zs[j], out[j], tol, x_max, exponent, k_ell,
                                     lambda i: (p[i - low], f[i - low]))
     return out
 

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import sys
 
 import numpy as np
 import pytest
+from scipy.special import hankel1e
 
 from weylsys import (DomainError, MFunctionEvaluator, Potential, check_tol, half_integer_bessel_m,
                      m_alpha_info)
@@ -241,12 +243,33 @@ def test_m_eval_huge_z_is_a_solver_error(capsys):
     assert "out of the numeric range" in doc["error"]["message"]
 
 
-def test_m_eval_near_axis_is_a_solver_error(capsys):
-    # at Im z = 1e-9 the backward Riccati flow cannot contract within X_max
-    code, doc, _ = run_json(capsys, "m-eval", "--z", "5+1e-9i", "--mode", "numeric")
+def _inverse_square_table(tmp_path):
+    """A 400-knot table of the example's q = 2/x^2 on [1, 60]: its z sweep the real axis."""
+    table = tmp_path / "q.txt"
+    table.write_text("".join(f"{x} {2.0 / x**2}\n" for x in np.linspace(1.0, 60.0, 400)))
+    return str(table)
+
+
+def test_m_eval_near_axis_is_a_solver_error(capsys, tmp_path):
+    # at Im z = 1e-9 the backward Riccati flow along the real axis cannot
+    # contract within X_max
+    code, doc, _ = run_json(capsys, "m-eval", "--potential", _inverse_square_table(tmp_path),
+                            "--z", "5+1e-9i", "--mode", "numeric")
     assert code == 3
     assert doc["error"]["type"] == "ConvergenceError"
     assert "too close to [0, inf)" in doc["error"]["message"]
+    assert "(5+1e-09j)" in doc["error"]["message"]
+
+
+def test_m_eval_near_axis_rides_its_ray_on_bessel(capsys):
+    # on the Bessel potential with the same q the point rides its complex
+    # ray, where psi decays at the rate |sqrt z|; m is the Hankel ratio
+    code, doc, err = run_json(capsys, "m-eval", "--z", "5+1e-9i", "--mode", "numeric")
+    assert code == 0 and err == ""
+    ((re_z, im_z, re_m, im_m, bound),) = doc["rows"]
+    k = cmath.sqrt(complex(re_z, im_z))
+    exact = -(0.5 + k * (hankel1e(0.5, k) - hankel1e(2.5, k)) / (2.0 * hankel1e(1.5, k)))
+    assert abs(complex(re_m, im_m) - exact) <= bound
 
 
 def test_m_eval_batch_agrees_with_the_scalar_evaluations(capsys):
@@ -266,8 +289,9 @@ def test_m_eval_batch_agrees_with_the_scalar_evaluations(capsys):
     ("i,5+1e-9i,1", "ConvergenceError"),
     ("i,1,5+1e-9i", "DomainError"),
 ])
-def test_m_eval_reports_the_first_failing_point(capsys, points, error):
-    code, doc, _ = run_json(capsys, "m-eval", "--z", points, "--mode", "numeric")
+def test_m_eval_reports_the_first_failing_point(capsys, tmp_path, points, error):
+    code, doc, _ = run_json(capsys, "m-eval", "--potential", _inverse_square_table(tmp_path),
+                            "--z", points, "--mode", "numeric")
     assert code == 3
     assert doc["error"]["type"] == error
 
@@ -330,12 +354,19 @@ def test_classify_tan_beta1_is_the_exact_limit_at_minus_infinity(capsys, argv, m
     assert doc["classification"]["tan_beta1"] == h.imag / (mu - h.real) == printed
 
 
-def test_classify_near_axis_grid_is_a_solver_error(capsys):
-    code, doc, _ = run_json(capsys, "classify", "--mode", "numeric", "--trials", "3",
+def test_classify_near_axis_grid_is_a_solver_error(capsys, tmp_path):
+    code, doc, _ = run_json(capsys, "classify", "--potential", _inverse_square_table(tmp_path),
+                            "--mode", "numeric", "--trials", "3",
                             "--grid", "re=5:5:1,im=1e-9:1e-9:1")
     assert code == 3
     assert doc["error"]["type"] == "ConvergenceError"
     assert "too close to [0, inf)" in doc["error"]["message"]
+
+
+def test_classify_near_axis_grid_rides_its_ray_on_bessel(capsys):
+    code, doc, err = run_json(capsys, "classify", "--mode", "numeric", "--trials", "3",
+                              "--grid", "re=5:5:1,im=1e-9:1e-9:1")
+    assert code == 0 and err == "" and doc["pass"] is True
 
 
 def test_classify_mu_zero_fails_stieltjes(capsys):

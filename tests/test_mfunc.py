@@ -369,13 +369,19 @@ def test_first_sweep_is_rarely_thrown_away(monkeypatch):
     assert second <= 0.1 * n
 
 
+def _inverse_square():
+    """The example's q = 2/x^2 on [1, inf) as an expression: its z sweep the real axis."""
+    return Potential.expression(lambda x: 2.0 / (x * x), 1.0, label="2/x^2")
+
+
 @pytest.mark.parametrize("pot, z", [
-    (BESSEL, 5.0 + 1e-9j),
+    (_inverse_square(), 5.0 + 1e-9j),
     (Potential.expression(lambda x: -(x**4), ell=1.0, label="-x^4"), 5.0 + 0.1j),
 ])
 def test_near_axis_and_limit_circle_fail_fast(monkeypatch, pot, z):
-    # the WKB contraction exponent 2 int Re sqrt(q - z) cannot reach ln(1/tol)
-    # within X_max, so no sweep starts
+    # the WKB contraction exponent 2 int Re sqrt(q - z) along the real axis
+    # cannot reach ln(1/tol) within X_max, so no sweep starts; on the Bessel
+    # potential with the same q, 5+1e-9i rides its ray instead
     nfev = _counting_stepper(monkeypatch)
     start = time.perf_counter()
     with pytest.raises(ConvergenceError, match="limit-circle behavior, or z too close"):
@@ -444,6 +450,21 @@ def test_a_ray_start_takes_the_root_that_decays_along_the_ray():
             assert abs(info.value - exact) <= info.error_bound, (nu, ell, z)
 
 
+def test_near_axis_rays_keep_their_bounds_against_the_hankel_oracle():
+    # a z near the positive axis rides its ray, alone or stacked, and the
+    # ray's own exponent decides whether it contracts: down to Im z / Re z =
+    # 1e-15 none is refused, and each value lies within its bound
+    rng = np.random.default_rng(20261038)
+    for _ in range(120):
+        nu, ell = rng.uniform(0.05, 10.0), rng.uniform(0.05, 10.0)
+        r = 10.0 ** rng.uniform(-6.0, 8.0)
+        z = complex(r, rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-15.0, -4.0) * r)
+        ev = MFunctionEvaluator(Potential.bessel(nu, ell))
+        exact = _bessel_m_oracle(nu, ell, z)
+        for info in (m_infinity_info(ev, z), m_infinity_batch(ev, [z, 1j, -2.0])[0]):
+            assert abs(info.value - exact) <= info.error_bound, (nu, ell, z)
+
+
 # ---------------------------------------------------------------------------
 # stacked sweep (m_infinity_batch)
 # ---------------------------------------------------------------------------
@@ -466,10 +487,10 @@ def test_batch_agrees_with_the_scalar_path(zs):
 
 
 def test_batch_defers_each_error_to_its_point():
-    # 5+1e-9i cannot contract within X_max and z = 1 lies on [0, inf); each
-    # raises its own error when read, and only then
+    # on the real axis 5+1e-9i cannot contract within X_max and z = 1 lies
+    # on [0, inf); each raises its own error when read, and only then
     zs = [1j, 5.0 + 1e-9j, -1.0, 1.0]
-    batch = m_infinity_batch(NUMERIC, zs)
+    batch = m_infinity_batch(MFunctionEvaluator(_inverse_square()), zs)
     with pytest.raises(ConvergenceError, match="too close to \\[0, inf\\)"):
         batch[1]
     with pytest.raises(DomainError, match="lies on \\[0, inf\\)"):
@@ -1630,16 +1651,19 @@ def _sizing_outcome(out):
     (Potential.free(), list(NAMED_GRIDS["default"]) + _LADDERS, 1e-8),
     (_exp_well(300.0), [-100.0, -1.0, 1j, 2.0 + 1j], 1e-8),
     (_bump(), [3.0 + 10j, 1j, -1.0], 1e-8),
+    # two DomainErrors beside rays, one of them near the positive axis
     (BESSEL, [-1e28, 1e30j, 5.0 + 1e-9j, 1j, -2.0], 1e-8),
-    # the shortest ladder's columns fail, so their exponents reach its top rung
+    # two rays near the positive axis, whose ladders run to x_max along them
     (BESSEL, [5.0 + 1e-9j, 4.0 + 1e-9j], 1e-8),
+    # the same z on the real axis fail, so their exponents reach x_max
+    (_inverse_square(), [5.0 + 1e-9j, 4.0 + 1e-9j, 1j], 1e-8),
     (Potential.expression(lambda x: -(x**4), ell=1.0, label="-x^4"), [5.0 + 0.1j, 1j, -1.0],
      1e-8),
     (Potential.bessel(1.5, 1e4), [1e16j, 1j, -1.0], 0.9),
     # both real columns double past rung 10 beside rays, and read rung 11
     (Potential.bessel(0.15, 0.43), [-1.0, 1j, 2.0 + 1j, -0.5], 1e-8),
 ], ids=["classify", "bessel3.5-default", "grid492", "free", "well", "bump", "errors",
-        "near-axis", "limit-circle", "float-spacing", "real-past-rung-10"])
+        "near-axis", "near-axis-real", "limit-circle", "float-spacing", "real-past-rung-10"])
 def test_array_sizing_is_the_scalar_sizing(pot, zs, tol):
     # a stack's columns are sized in one array pass: every distance is the
     # column's own sizing to the bit, and every error has the same class and
@@ -1652,6 +1676,20 @@ def test_array_sizing_is_the_scalar_sizing(pot, zs, tol):
     alone = [mfunc._first_distances(pot, [z], tol, x_max, [e])[0]
              for z, e in zip(zs, directions)]
     assert [_sizing_outcome(out) for out in stacked] == [_sizing_outcome(out) for out in alone]
+
+
+def test_a_stack_is_sized_in_three_calls_of_q():
+    # one call for the wells, one for every column's ladder along its own
+    # path (the real axis, or its ray), one for the WKB terms on its rungs
+    pot = Potential.bessel()
+    calls = []
+    array_q = pot.array_q
+    object.__setattr__(pot, "array_q", lambda x: calls.append(x.size) or array_q(x))
+    zs = [complex(z) for z in _CLASSIFY]
+    assert len(zs) == 145
+    directions = mfunc._directions(pot, zs, 1e-8)
+    mfunc._first_distances(pot, zs, 1e-8, mfunc._X_MAX_FACTOR, directions)
+    assert len(calls) == 3
 
 
 def test_a_lone_ray_is_sized_as_in_a_stack():
