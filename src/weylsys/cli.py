@@ -151,10 +151,10 @@ def _split_commas(text: str) -> list[str]:
 # ---------------------------------------------------------------------------
 
 def _usage(check, value, option: str):
-    """check(value), with its DomainError reported as a usage error naming the option (exit 2)."""
+    """check(value), its DomainError or UsageError a usage error naming the option (exit 2)."""
     try:
         return check(value)
-    except DomainError as exc:
+    except (DomainError, UsageError) as exc:
         raise UsageError(f"{option}: {exc}") from exc
 
 
@@ -183,7 +183,7 @@ def parse_potential(text: str, ell: float | None) -> Potential:
         if s == "free":
             return Potential.free(0.0 if ell is None else ell)
         return load_potential_file(s, ell=ell)
-    except WeylsysError as exc:
+    except (WeylsysError, UsageError) as exc:
         raise UsageError(f"bad potential {text!r}: {exc}") from exc
     except OSError as exc:
         raise UsageError(f"cannot read potential file {text!r}: {exc}") from exc
@@ -265,11 +265,11 @@ def _scalarize(value):
 def cmd_m_eval(args: argparse.Namespace) -> int:
     potential = parse_potential(args.potential, args.ell)
     mode = _mode(args, potential)
-    alpha = eval_real(args.alpha)
+    alpha = _usage(eval_real, args.alpha, "--alpha")
 
     points: list[complex] = []
     if args.z:
-        points.extend(eval_number(part) for part in _split_commas(args.z))
+        points.extend(_usage(eval_number, part, "--z") for part in _split_commas(args.z))
     if args.grid:
         points.extend(parse_grid(args.grid))
     if not points:
@@ -307,7 +307,7 @@ def cmd_m_eval(args: argparse.Namespace) -> int:
 
 def _mu_from_alpha(text: str) -> float:
     """mu = tan(alpha) for alpha in (0, pi], exactly inf at pi/2 and 0 at pi."""
-    alpha = eval_real(text)
+    alpha = _usage(eval_real, text, "--alpha")
     _usage(check_alpha, alpha, "--alpha")
     if alpha == math.pi / 2:
         return math.inf
@@ -320,13 +320,14 @@ def cmd_classify(args: argparse.Namespace) -> int:
     potential = parse_potential(args.potential, args.ell)
     mode = _mode(args, potential)
     if args.alpha is None:
-        mu = eval_number("inf" if args.mu is None else args.mu)
+        mu = _usage(eval_number, "inf" if args.mu is None else args.mu, "--mu")
     elif args.mu is None:
         mu = _mu_from_alpha(args.alpha)
     else:
         raise UsageError("--mu and --alpha both set the coupling: give one of them")
-    h = eval_number(args.h)
-    beta = None if args.beta is None else _usage(check_beta, eval_real(args.beta), "--beta")
+    h = _usage(eval_number, args.h, "--h")
+    beta = (None if args.beta is None
+            else _usage(check_beta, _usage(eval_real, args.beta, "--beta"), "--beta"))
     _check_seed_and_trials(args)
 
     try:

@@ -1374,7 +1374,7 @@ class MFunctionEvaluator:
 def _check_spectral_point(z: complex) -> complex:
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise DomainError(f"non-finite spectral point {z}")
+        raise DomainError(f"non-finite spectral point z = {z}")
     if z.imag == 0.0 and z.real >= 0.0:
         raise DomainError(f"z = {z} lies on [0, inf); m is not defined there")
     return z

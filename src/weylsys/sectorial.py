@@ -217,13 +217,22 @@ def _kernel_values(f, pts: tuple[complex, ...]) -> list[complex]:
 
 
 def _kernels(beta: float, zs: np.ndarray, fs: np.ndarray) -> np.ndarray:
-    """The kernels of :func:`kernel_matrix` of the sets zs, with values fs: (..., n) to (..., n, n)."""
+    """The kernels of :func:`kernel_matrix` of the sets zs, with values fs: (..., n) to (..., n, n).
+
+    DomainError, naming beta, where an entry is not finite: just above the
+    edge of :func:`check_beta`, cot(beta) |f|^2 can leave the floats.
+    """
     cot = 0.0 if beta == _HALF_PI else 1.0 / math.tan(beta)
     zf = zs * fs
     num = zf[..., :, None] - np.conj(zf)[..., None, :]
     den = zs[..., :, None] - np.conj(zs)[..., None, :]
-    kern = num / den - cot * np.conj(fs)[..., None, :] * fs[..., :, None]
-    return (kern + np.conj(kern).swapaxes(-1, -2)) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        kern = num / den - cot * np.conj(fs)[..., None, :] * fs[..., :, None]
+        kern = (kern + np.conj(kern).swapaxes(-1, -2)) / 2.0
+    if not np.isfinite(kern).all():
+        raise DomainError(f"sector angle beta = {beta:g}: the kernel is not finite, since "
+                          f"cot(beta) |f|^2 leaves the floats (cot(beta) = {cot:.3g})")
+    return kern
 
 
 def kernel_matrix(f, beta: float, points: Sequence[complex]) -> np.ndarray:

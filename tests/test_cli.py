@@ -444,6 +444,20 @@ def test_classify_bad_beta(capsys, beta, mu):
         assert f"got {float(beta)}" in err
 
 
+def test_classify_beta_whose_kernel_overflows_is_a_solver_error(capsys):
+    # cot(5.6e-309) = 1.8e308 is finite, but cot(beta) |f|^2 is not
+    code, doc, err = run_json(capsys, "classify", "--mu", "inf", "--h", "i", "--mode",
+                              "closed-form", "--beta", "5.6e-309", "--trials", "3")
+    assert code == 3 and err == ""
+    assert doc["error"]["type"] == "DomainError"
+    assert "beta = 5.6e-309" in doc["error"]["message"]
+    assert "cot(beta) |f|^2 leaves the floats" in doc["error"]["message"]
+    # at 1e-300 the kernel is finite, and the verdict fails
+    code, doc, err = run_json(capsys, "classify", "--mu", "inf", "--h", "i", "--mode",
+                              "closed-form", "--beta", "1e-300", "--trials", "3")
+    assert code == 1 and err == "" and doc["pass"] is False
+
+
 def test_classify_rejects_bad_h(capsys):
     code, _, err = run(capsys, "classify", "--mu", "1", "--h", "2")
     assert code == 2 and "h" in err
