@@ -891,8 +891,7 @@ def _wkb_terms(potential: Potential, x: float, z: complex) -> tuple:
     ddq = (above - 2.0 * q + below) / (h * h)
     dddq = (above2 - 2.0 * above + 2.0 * below - below2) / (2.0 * h ** 3)
     s = q - z
-    # the root that decays along the path, Re((x - ell) k) > 0: on a ray,
-    # q - z can cross the principal root's branch cut (c < 0, near z > 0)
+    # on a ray q - z can cross the principal root's branch cut (docstring)
     if array:
         turning = s == 0
         k = np.sqrt(np.where(turning, 1.0, s))
@@ -1082,9 +1081,9 @@ def _first_distances(potential: Potential, zs: list[complex], tol: float,
 
     The contraction distance, doubled on the real axis while q(X) - z <= 0
     there, and off it checked against the WKB exponent along the column's
-    path up to x_max, before any solve.  The gap test's X/2 term is predicted from the
-    start's last kept term |u3| at X/2 (:func:`_wkb_terms`), damped by the
-    exponent over [ell, X/2].  Off the axis, on an analytic potential
+    path up to x_max, before any solve.  The gap test's X/2 term is
+    predicted from the start's last kept term |u3| at X/2
+    (:func:`_wkb_terms`), damped by the exponent over [ell, X/2].  Off the axis, on an analytic potential
     (``Potential.analytic``), the distance halves while that prediction
     passes for the halved truncation and the WKB terms still fall at its
     midpoint, |u3| <= |u2|, down to the ladder's lowest rung.  Then it
