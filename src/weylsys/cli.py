@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, PoleError, WeylsysError
-from .lsystem import impedance, impedance_at_m_infinity, lsystem_to_dict, make_lsystem
+from .lsystem import impedance, lsystem_to_dict, make_lsystem
 from .mfunc import (
     NAMED_GRIDS,
     MFunctionEvaluator,
@@ -42,6 +42,7 @@ from .sectorial import (
     check_beta,
     class_angles_from_limits,
     herglotz_test,
+    impedance_class_limits,
     kernel_psd_test,
     sampled_points,
     sector_angle_from_gap,
@@ -343,8 +344,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
         complex_grid = [z for z in pts if z.imag > 0] or None
         negative_grid = [z.real for z in pts if z.imag == 0 and z.real < 0] or None
 
-    # one stacked sweep solves m at every point the checks below read; the
-    # limit at -inf needs none, since m -> +inf there and V -> its value at m = inf
+    # one stacked sweep solves m at every point the checks and m0 below read; the
+    # class limits need no more: V tends to its value at m = inf at -inf, and to V(m0) at -0
     batch = m_infinity_batch(
         evaluator, sampled_points(complex_grid, negative_grid, args.trials, args.seed))
 
@@ -359,15 +360,22 @@ def cmd_classify(args: argparse.Namespace) -> int:
     checks = [dataclasses.replace(herg, name="herglotz-impedance"),
               dataclasses.replace(stj, name="stieltjes-impedance")]
 
+    m0 = limit_at_minus_zero(m_cached)
+    accr = accretivity_and_sectoriality(h, mu, m0)
+    accretivity = {k: v for k, v in dataclasses.asdict(accr).items() if k not in ("h", "mu")}
+
     classification = None
     if stj.passed:
-        angles = class_angles_from_limits(impedance_at_m_infinity(system), limit_at_minus_zero(imp))
+        lim_inf, lim_zero = impedance_class_limits(system, accr)
+        angles = class_angles_from_limits(lim_inf, lim_zero)
+        # the tangents of the printed angles, clamped as class_angles_from_limits clamps them
+        tan_beta1, tan_beta2 = max(lim_inf, 0.0), max(lim_zero, lim_inf, 0.0)
         kern_beta = beta if beta is not None else (angles.beta2 if angles.beta2 > 0 else None)
         classification = {
             "beta1": angles.beta1,
             "beta2": angles.beta2,
-            "tan_beta1": math.tan(angles.beta1),
-            "tan_beta2": math.tan(angles.beta2) if angles.beta2 < math.pi / 2 else "inf",
+            "tan_beta1": tan_beta1,
+            "tan_beta2": tan_beta2 if angles.beta2 < math.pi / 2 else "inf",
         }
         if angles.beta2 < math.pi / 2:
             prod = sector_angle_from_product(angles.beta1, angles.beta2)
@@ -378,10 +386,6 @@ def cmd_classify(args: argparse.Namespace) -> int:
             classification["tan_sector_angle_gap"] = math.tan(gap)
         if kern_beta is not None:
             checks.append(kernel_psd_test(imp, kern_beta, trials=args.trials, seed=args.seed))
-
-    m0 = limit_at_minus_zero(m_cached)
-    accr = accretivity_and_sectoriality(h, mu, m0)
-    accretivity = {k: v for k, v in dataclasses.asdict(accr).items() if k not in ("h", "mu")}
 
     report = CheckReport(
         tuple(checks),

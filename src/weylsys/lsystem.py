@@ -8,8 +8,11 @@ satisfies W = (1 - iV)/(1 + iV).  The dual coupling xi gives the pair
 V_mu = -1/V_xi, W_mu = -W_xi.
 
 The functions take the value m = m_inf(z), not a solver: get it from
-:mod:`weylsys.mfunc` (``m_infinity_batch`` for many z at once).  Reports
-write a system by :func:`lsystem_to_dict`; nothing reads one back.
+:mod:`weylsys.mfunc` (``m_infinity_batch`` for many z at once).  V's
+limits along the negative axis are V at the limits of m there:
+:func:`impedance_limit` takes m = inf for z -> -inf and m = m_inf(-0) for
+z -> -0.  Reports write a system by :func:`lsystem_to_dict`; nothing reads
+one back.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConstructionError, DomainError
+from .errors import ConstructionError, DomainError, PoleError
 from .mfunc import safe_div
 from .potentials import Potential
 
@@ -29,7 +32,7 @@ __all__ = [
     "LSystem",
     "make_lsystem",
     "impedance",
-    "impedance_at_m_infinity",
+    "impedance_limit",
     "transfer",
     "transfer_from_impedance",
     "impedance_from_transfer",
@@ -129,30 +132,41 @@ def impedance(system: LSystem, m: complex, z: complex) -> complex:
     For mu = inf this reduces to V(z) = Im(h) / (m + Re h).  Zeros of the
     denominator raise PoleError carrying z; a finite mu measures them against
     the size of the denominator's two terms, so a large m over the constant
-    denominator of mu = Re h is a large V, not a pole.
+    denominator of mu = Re h is a large V, not a pole.  A |mu| above 1e150
+    divides both terms by mu, where (mu - Re h) m and mu Re h could leave the
+    floats; every smaller mu keeps the undivided terms.
     """
-    h = system.h
+    h, mu, h2 = system.h, system.mu, abs(system.h) ** 2
     if system.mu_is_infinite:
         return safe_div(complex(h.imag), m + h.real, z=z, what="impedance")
-    num = (m + system.mu) * h.imag
-    den = (system.mu - h.real) * m + system.mu * h.real - abs(h) ** 2
-    return safe_div(num, den, z=z, what="impedance",
-                    scale=abs((system.mu - h.real) * m) + abs(system.mu * h.real - abs(h) ** 2))
+    if abs(mu) > 1e150:
+        num, lead, big, small = (m / mu + 1.0) * h.imag, 1.0 - h.real / mu, h.real, h2 / mu
+    else:
+        num, lead, big, small = (m + mu) * h.imag, mu - h.real, mu * h.real, h2
+    return safe_div(num, lead * m + big - small, z=z, what="impedance",
+                    scale=abs(lead * m) + abs(big - small))
 
 
-def impedance_at_m_infinity(system: LSystem) -> float:
-    """The limit of :func:`impedance` as m -> inf, so V's limit at z -> -inf.
+def impedance_limit(system: LSystem, m: float) -> float:
+    """V at a real m, or its limit as m -> inf; +inf where :func:`impedance` sees a pole.
 
-    Every potential the library accepts has a regular endpoint ell, where
-    m_inf(-k^2) = k + o(1) as k -> inf (Everitt, J. London Math. Soc. (2) 4,
-    1972), so V(z) tends to this value on the negative axis, whatever q is:
-    0 for mu = inf, Im h / (mu - Re h) for a finite mu != Re h, and -inf
-    for mu = Re h, where the denominator is the constant -(Im h)^2.
+    m = m_inf(-0) gives V's limit at z -> -0, and m = inf its limit at
+    z -> -inf: every potential the library accepts has a regular endpoint
+    ell, where m_inf(-k^2) = k + o(1) as k -> inf (Everitt, J. London Math.
+    Soc. (2) 4, 1972), so V(z) tends there, whatever q is, to 0 for
+    mu = inf, Im h / (mu - Re h) for a finite mu != Re h, and -inf for
+    mu = Re h, where the denominator is the constant -(Im h)^2.  It never
+    raises.
     """
     h = system.h
-    if system.mu_is_infinite:
-        return 0.0
-    return -math.inf if system.mu == h.real else h.imag / (system.mu - h.real)
+    if math.isinf(m):
+        if system.mu_is_infinite:
+            return 0.0
+        return -math.inf if system.mu == h.real else h.imag / (system.mu - h.real)
+    try:
+        return impedance(system, m, None).real
+    except PoleError:
+        return math.inf
 
 
 def transfer(system: LSystem, m: complex, z: complex) -> complex:

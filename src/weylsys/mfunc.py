@@ -1553,7 +1553,7 @@ def _sample_real(f: Callable[[float], complex], x: float) -> float:
 
 #: The points at which the real-axis limits sample f: x_k = -10**(-k)
 #: toward -0 and x_k = -10**k toward -inf, k = 1..8.  ``weylsys classify``
-#: reads only the first: its limit at -inf is exact.
+#: reads only the first, for m0: its class limits are V at m = inf and at m0.
 MINUS_ZERO_LADDER = tuple(-10.0 ** (-k) for k in range(1, _EXTRAPOLATION_POINTS + 1))
 MINUS_INFINITY_LADDER = tuple(-10.0 ** k for k in range(1, _EXTRAPOLATION_POINTS + 1))
 
@@ -1566,10 +1566,10 @@ def limit_at_minus_zero(f: Callable[[float], complex]) -> float:
 def limit_at_minus_infinity(f: Callable[[float], complex]) -> float:
     """Extrapolated limit of f(x) as x -> -inf along :data:`MINUS_INFINITY_LADDER`.
 
-    This serves a general f given only by its values.  ``weylsys classify``
-    no longer calls it: m_inf -> +inf at -inf for every potential the
+    This serves a general f given only by its values; nothing in the
+    package calls it.  m_inf -> +inf at -inf for every potential the
     library accepts, so a Moebius function of m tends to its value at
-    m = inf (:func:`weylsys.lsystem.impedance_at_m_infinity`).
+    m = inf (:func:`weylsys.lsystem.impedance_limit`).
     """
     return _extrapolate([_sample_real(f, x) for x in MINUS_INFINITY_LADDER])
 

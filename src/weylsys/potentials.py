@@ -66,7 +66,9 @@ def half_integer_bessel_m(nu: float, ell: float, z: complex) -> complex:
     with r = K_{nu-1}(t)/K_nu(t) = p_{n-1}(t)/p_n(t) at t = k ell, p_n the
     polynomial factor of K_{n+1/2}: e^-t cancels, so nothing underflows.
     r comes from K_{nu+1} = K_{nu-1} + (2 nu/t) K_nu and K_{-1/2} = K_{1/2};
-    each step adds two terms with Re >= 0.  n = 0 is q = 0: m = k for any ell.
+    each step adds two terms with Re >= 0, and forms 2 nu/t as (2 nu/ell)/k,
+    since k ell can overflow where neither factor does.  n = 0 is q = 0:
+    m = k for any ell.
     """
     if not _half_integer(nu):
         raise DomainError(f"the closed form needs nu - 1/2 a non-negative integer, got {nu}")
@@ -74,7 +76,7 @@ def half_integer_bessel_m(nu: float, ell: float, z: complex) -> complex:
     k = -1j * sqrt_upper(z)
     ratio = 1.0
     for j in range(n):
-        ratio = 1.0 / (ratio + (2 * j + 1) / (k * ell))
+        ratio = 1.0 / (ratio + (2 * j + 1) / ell / k)
     return k * ratio + (n / ell if n else 0.0)
 
 

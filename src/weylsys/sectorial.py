@@ -5,7 +5,8 @@ beta-kernel positive-semidefiniteness test, classification by the two
 boundary limits along the negative real axis (angles beta1 at -infinity and
 beta2 at -0), closed-form angle relations for the rotated-boundary family,
 and the accretivity/sectoriality classification of the boundary operator
-and its coupled systems.
+and its coupled systems.  A coupled system's class limits need no samples
+beyond m0 = m_inf(-0): they are its impedance at m = inf and at m0.
 
 Two published formulas for the sector angle beta in terms of (beta1, beta2)
 disagree away from the edge cases; both are exposed, under distinct names,
@@ -37,7 +38,7 @@ from .mfunc import (
     m_alpha_direct,
     m_infinity_batch,
 )
-from .lsystem import as_extended_real, check_h, impedance, make_lsystem, transfer
+from .lsystem import as_extended_real, check_h, impedance, impedance_limit, make_lsystem, transfer
 from .potentials import Potential
 from .reporting import Check, CheckReport
 
@@ -58,6 +59,7 @@ __all__ = [
     "sector_angle_from_gap",
     "AccretivityReport",
     "accretivity_and_sectoriality",
+    "impedance_class_limits",
     "verify_example_suite",
 ]
 
@@ -276,12 +278,12 @@ def sampled_points(
     """Every point at which ``weylsys classify`` samples f.
 
     Those are the points of the Herglotz, Stieltjes and kernel tests, whose
-    arguments these are, and of the limit at -0 (:data:`MINUS_ZERO_LADDER`);
-    the points repeat where the tests share them.  The limit at -infinity
-    is exact there, so :data:`MINUS_INFINITY_LADDER`, which
-    :func:`classify_s_beta12` also reads, is not among them.  A caller can
-    evaluate f at all of them at once, as classify does with one stacked
-    m-function sweep.
+    arguments these are, and of m0 = m_inf(-0) (:data:`MINUS_ZERO_LADDER`),
+    the one limit classify extrapolates; the points repeat where the tests
+    share them.  The impedance's class limits are its values at m = inf and
+    at m0, so :data:`MINUS_INFINITY_LADDER`, which :func:`classify_s_beta12`
+    reads, is not among them.  A caller can evaluate f at all of them at
+    once, as classify does with one stacked m-function sweep.
     """
     pts = list(_UPPER_GRID if complex_grid is None else map(complex, complex_grid))
     pts += map(complex, _NEGATIVE_GRID if negative_grid is None else negative_grid)
@@ -359,9 +361,8 @@ def class_angles_from_limits(lim_inf: float, lim_zero: float) -> ClassAngles:
     mapped to pi/2.  A NaN, negative or -inf limit, or beta1 > beta2, raises
     DomainError: no Stieltjes function has it.  A limit a hair below 0 is
     clamped to 0, and beta2 a hair below beta1 to beta1.  ``weylsys
-    classify`` passes the exact limit at -infinity
-    (:func:`weylsys.lsystem.impedance_at_m_infinity`) and the extrapolated
-    one at -0.
+    classify`` and the example suite pass the impedance's limits of
+    :func:`impedance_class_limits`: its values at m = inf and at m0.
     """
     angles = []
     for value, where in ((lim_inf, "-infinity"), (lim_zero, "-0")):
@@ -385,8 +386,9 @@ def classify_s_beta12(f) -> ClassAngles:
     The limits are :func:`limit_at_minus_infinity` and
     :func:`limit_at_minus_zero`, and the angles follow from them by
     :func:`class_angles_from_limits`.  This serves an f given only by its
-    values.  ``weylsys classify`` no longer calls it: the impedance's limit
-    at -infinity is exact there.
+    values; nothing in the package calls it.  ``weylsys classify`` and the
+    example suite read an impedance, whose limits are its values at m = inf
+    and at m0 (:func:`impedance_class_limits`).
     """
     return class_angles_from_limits(limit_at_minus_infinity(f), limit_at_minus_zero(f))
 
@@ -497,25 +499,8 @@ def accretivity_and_sectoriality(h: complex, mu, m0: float) -> AccretivityReport
         raise DomainError(f"m0 must be a real number or +inf, got {m0}")
 
     notes: list[str] = []
-    if math.isinf(m0):
-        notes.append("m0 = +inf: only mu-independent operator statements are decidable")
-        # with m0 = +inf the accretivity threshold degenerates
-        return AccretivityReport(
-            h=h,
-            mu=mu,
-            m0=m0,
-            operator_accretive=True,
-            operator_sectorial=True,
-            tan_theta=0.0,
-            theta=0.0,
-            mu_threshold=None,
-            system_accretive=None,
-            system_extremal=None,
-            system_sectorial=None,
-            preserves_exact_angle=None,
-            notes=tuple(notes),
-        )
-
+    # m0 = +inf gives an accretive and sectorial operator with theta = 0 by the
+    # same formulas; only the system's accretivity threshold degenerates
     op_accretive = h.real >= -m0
     op_sectorial = h.real > -m0
     if op_sectorial:
@@ -531,7 +516,10 @@ def accretivity_and_sectoriality(h: complex, mu, m0: float) -> AccretivityReport
         else:
             notes.append("operator is not accretive; no coupled system is accretive")
 
-    if math.isinf(mu):
+    if math.isinf(m0):
+        notes.append("m0 = +inf: only mu-independent operator statements are decidable")
+        mu_threshold = sys_accretive = sys_extremal = sys_sectorial = preserves = None
+    elif math.isinf(mu):
         sys_accretive = op_accretive
         sys_extremal = op_accretive and not op_sectorial
         sys_sectorial = op_sectorial
@@ -562,6 +550,19 @@ def accretivity_and_sectoriality(h: complex, mu, m0: float) -> AccretivityReport
         preserves_exact_angle=preserves,
         notes=tuple(notes),
     )
+
+
+def impedance_class_limits(system, accr: AccretivityReport) -> tuple[float, float]:
+    """The limits of the system's impedance V at -infinity and at -0, with no samples.
+
+    m_inf -> +inf at -infinity, so V tends to its value at m = inf.  At -0 it
+    tends to V(m0), with m0 = m_inf(-0) the one of ``accr``, the system's
+    report; or to +inf where that report finds the system not sectorial: at
+    the extremal coupling V's pole sits at m0, and below it no coupled system
+    is accretive.  Both come from :func:`weylsys.lsystem.impedance_limit`.
+    """
+    return (impedance_limit(system, math.inf),
+            math.inf if accr.system_sectorial is False else impedance_limit(system, accr.m0))
 
 
 # frozen reference values for the built-in example suite
@@ -645,16 +646,16 @@ def verify_example_suite(tol: float = MFunctionEvaluator.tol) -> CheckReport:
         )
     checks.append(Check.within("impedance-anchor-mu-tan-alpha", err_rot, 0.0, 1e-10))
 
-    angles = classify_s_beta12(lambda x: 1.0 / m_numeric(x))
-    tan_b1 = math.tan(angles.beta1)
-    tan_b2 = math.tan(angles.beta2)
+    # the class limits of 1/m = V at mu = inf, h = i, from the same m0
+    report = accretivity_and_sectoriality(1j, math.inf, m0)
+    tan_b1, tan_b2 = impedance_class_limits(sys_inf, report)
+    angles = class_angles_from_limits(tan_b1, tan_b2)
     checks.append(Check.within("class-tan-beta1-at-zero", tan_b1, 0.0, 1e-3))
     checks.append(Check.within("class-tan-beta2-at-one", tan_b2, 1.0, 1e-3))
     checks.append(
         Check.within("angle-from-limit-vs-quarter-pi", angles.beta2, math.pi / 4.0, 1e-3)
     )
 
-    report = accretivity_and_sectoriality(1j, math.inf, m0)
     checks.append(Check.within("exact-angle-tan-theta", report.tan_theta, 1.0, 1e-3))
 
     def inv_m_closed(z):

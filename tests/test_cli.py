@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from scipy.special import hankel1e
 
-from weylsys import (DomainError, MFunctionEvaluator, Potential, check_tol, half_integer_bessel_m,
-                     m_alpha_info)
+from weylsys import (DomainError, MFunctionEvaluator, Potential, check_tol, class_angles_from_alpha,
+                     half_integer_bessel_m, m_alpha_info)
 from weylsys import cli
 from weylsys.cli import UsageError, eval_number, main, parse_grid
 from weylsys.mfunc import NAMED_GRIDS
@@ -352,6 +352,93 @@ def test_classify_tan_beta1_is_the_exact_limit_at_minus_infinity(capsys, argv, m
     code, doc, _ = run_json(capsys, "classify", *argv, "--mode", mode, "--trials", "2")
     assert code == 0 and doc["system"]["mu"] == mu
     assert doc["classification"]["tan_beta1"] == h.imag / (mu - h.real) == printed
+
+
+def _near_threshold_couplings():
+    # 12 seeded h and mu = mu_thr (1 + 10^-k), k = 1..10, just above the extremal
+    # coupling mu_thr = Re h + Im h^2 / (m0 + Re h) of the default m0 = 1
+    rng = np.random.default_rng(7)
+    hs = [complex(a, b) for a, b in zip(rng.uniform(-0.5, 2.0, 12), rng.uniform(0.2, 2.0, 12))]
+    return [(h, (h.real + h.imag ** 2 / (1.0 + h.real)) * (1.0 + 10.0 ** -k))
+            for h in hs for k in range(1, 11)]
+
+
+@pytest.mark.parametrize("mode, every", [("closed-form", 1), ("numeric", 3)])
+def test_classify_just_above_the_extremal_coupling_is_sectorial(capsys, mode, every):
+    # beta2 is V(m0): it reaches pi/2 exactly where the accretivity block finds the
+    # system not sectorial, and the kernel at beta2 is PSD
+    for h, mu in _near_threshold_couplings()[::every]:
+        code, doc, _ = run_json(capsys, "classify", "--mode", mode, "--trials", "3", "--seed", "1",
+                                f"--mu={mu!r}", f"--h={h.real!r}+{h.imag!r}i")
+        assert code == 0, (mu, h, doc)
+        sectorial = doc["accretivity"]["system_sectorial"]
+        assert (doc["classification"]["beta2"] < math.pi / 2) is sectorial, (mu, h)
+        kernel = [c for c in doc["checks"] if c["name"] == "kernel-psd"]
+        assert len(kernel) == 1 and kernel[0]["pass"] is True, (mu, h)
+
+
+@pytest.mark.parametrize("mode, tol", [("closed-form", 1e-12), ("numeric", 1e-10)])
+def test_classify_beta2_just_above_the_sectorial_alpha_is_the_papers(capsys, mode, tol):
+    # -m_alpha is sectorial iff tan(alpha) m0 > 1; with m0 = 1 that is alpha > pi/4
+    for delta in (1e-1, 1e-2, 1e-3, 1.6e-5, 1e-6, 1e-7, 3e-8):
+        alpha = math.pi / 4.0 + delta
+        code, doc, _ = run_json(capsys, "classify", "--alpha", repr(alpha), "--mode", mode,
+                                "--trials", "2", "--seed", "1")
+        assert code == 0, (alpha, doc)
+        want = class_angles_from_alpha(alpha, 1.0)
+        assert abs(doc["classification"]["beta2"] - want.beta2) <= tol, alpha
+        assert abs(doc["classification"]["beta1"] - want.beta1) <= 1e-15, alpha
+
+
+@pytest.mark.parametrize("mode", ["numeric", "closed-form"])
+@pytest.mark.parametrize("h", ["i", "0.5+i", "-0.3+2i", "3+0.1i"])
+def test_classify_beta2_at_mu_infinity_is_the_exact_angle(capsys, mode, h):
+    # V = Im h / (m + Re h) at m0 is tan theta = Im h / (Re h + m0), bit for bit
+    code, doc, _ = run_json(capsys, "classify", "--mu", "inf", "--h", h, "--mode", mode,
+                            "--trials", "2")
+    assert code == 0
+    cls, accr = doc["classification"], doc["accretivity"]
+    assert cls["beta2"] == accr["theta"] and cls["tan_beta2"] == accr["tan_theta"]
+
+
+def test_classify_prints_the_tangents_of_its_clamped_angles(capsys):
+    # mu = -1e12 < Re h: V tends to Im h / (mu - Re h) = -1e-12 at -inf, which the
+    # Stieltjes check's fixed 1e-9 lets pass and the class angle clamps to 0
+    code, doc, _ = run_json(capsys, "classify", "--mu=-1e12", "--h", "i", "--mode", "closed-form",
+                            "--trials", "2")
+    cls = doc["classification"]
+    assert cls["beta1"] == 0.0 and cls["tan_beta1"] == 0.0
+    assert doc["accretivity"]["system_sectorial"] is False and cls["tan_beta2"] == "inf"
+
+
+def test_classify_at_the_extremal_coupling_has_beta2_half_pi(capsys):
+    # h = i, m0 = 1: mu = 1 is the threshold, and V has its pole at m0
+    code, doc, _ = run_json(capsys, "classify", "--mu", "1", "--h", "i", "--mode", "closed-form",
+                            "--trials", "2")
+    assert code == 0 and doc["accretivity"]["system_extremal"] is True
+    assert doc["classification"]["beta2"] == math.pi / 2
+    assert doc["classification"]["tan_beta2"] == "inf"
+
+
+def test_classify_free_potential_at_h_i_has_beta2_half_pi(capsys):
+    # nu = 1/2: the numeric m0 is -8e-17, so Re h = 0 < -m0 fails and no system is
+    # sectorial; beta2 follows that verdict
+    code, doc, _ = run_json(capsys, "classify", "--potential", "bessel:0.5", "--h", "i",
+                            "--mode", "numeric", "--trials", "2", "--seed", "1")
+    assert code == 0 and doc["accretivity"]["m0"] < 0.0
+    assert doc["accretivity"]["system_sectorial"] is False
+    assert doc["classification"]["beta2"] == math.pi / 2
+
+
+@pytest.mark.parametrize("argv", [("--mode", "numeric", "--mu=1.7e308"), ("--ell=1.7e308",)],
+                         ids=["mu-float-limit", "ell-float-limit"])
+def test_classify_at_the_float_limit_passes(capsys, argv):
+    # the finite-mu impedance divides its terms by a huge mu, and the closed form
+    # divides by ell before k, so neither overflows
+    code, doc, err = run_json(capsys, "classify", *argv, "--trials", "2", "--seed", "1")
+    assert code == 0 and err == "" and doc["pass"] is True
+    assert [c["name"] for c in doc["checks"]] == ["herglotz-impedance", "stieltjes-impedance",
+                                                  "kernel-psd"]
 
 
 def test_classify_near_axis_grid_is_a_solver_error(capsys, tmp_path):

@@ -17,8 +17,8 @@ from weylsys import (
     bessel_m_closed_form,
     duality_check,
     impedance,
-    impedance_at_m_infinity,
     impedance_from_transfer,
+    impedance_limit,
     lsystem_to_dict,
     make_lsystem,
     transfer,
@@ -144,7 +144,7 @@ def _impedance_toward_minus_infinity(system):
 @pytest.mark.parametrize("h", [1j, 0.5 + 1j])
 def test_impedance_at_m_infinity_is_zero_at_mu_infinity(h):
     system = sys_at(MU_INFINITY, h)
-    assert impedance_at_m_infinity(system) == 0.0
+    assert impedance_limit(system, math.inf) == 0.0
     vs = _impedance_toward_minus_infinity(system)
     assert vs[0] > vs[1] > vs[2] > 0.0 and vs[2] < 1e-5
 
@@ -153,7 +153,7 @@ def test_impedance_at_m_infinity_is_zero_at_mu_infinity(h):
 def test_impedance_at_m_infinity_at_a_finite_mu(mu, h):
     system = sys_at(mu, h)
     want = h.imag / (mu - h.real)
-    assert impedance_at_m_infinity(system) == want
+    assert impedance_limit(system, math.inf) == want
     gaps = [abs(v - want) for v in _impedance_toward_minus_infinity(system)]
     assert gaps[0] > gaps[1] > gaps[2] and gaps[2] <= 1e-5  # O(1/m), m = 1e6 at -1e12
 
@@ -161,9 +161,49 @@ def test_impedance_at_m_infinity_at_a_finite_mu(mu, h):
 def test_impedance_at_m_infinity_at_mu_equal_re_h_is_minus_infinity():
     # the denominator is the constant -(Im h)^2, so V = -(m + mu)/Im h
     system = sys_at(0.5, 0.5 + 2j)
-    assert impedance_at_m_infinity(system) == -math.inf
+    assert impedance_limit(system, math.inf) == -math.inf
     vs = _impedance_toward_minus_infinity(system)
     assert vs[0] > vs[1] > vs[2] and vs[2] < -1e5
+
+
+@pytest.mark.parametrize("mu, h", [(MU_INFINITY, 1j), (MU_INFINITY, 0.5 + 2j), (10.0, 1j),
+                                   (math.tan(1.2), 0.5 + 1j), (-3.0, 2.0 + 0.5j), (0.5, 0.5 + 2j)])
+@pytest.mark.parametrize("m", [1.0, 0.25, 3.0, -7.5, 1e6])
+def test_impedance_limit_at_a_real_m_is_the_impedance_there(mu, h, m):
+    system = sys_at(mu, h)
+    want = impedance(system, complex(m), -1.0)
+    assert impedance_limit(system, m) == want.real and want.imag == 0.0
+
+
+@pytest.mark.parametrize("mu, h, m", [
+    (MU_INFINITY, 1j, 0.0),  # m + Re h = 0
+    (MU_INFINITY, -0.5 + 1j, 0.5),
+    (2.0 / 3.0, 1j, 1.5),  # (mu - Re h) m + mu Re h - |h|^2 = 1.5 mu - 1 = 0
+    (1.0, 1j, 1.0),  # the extremal coupling of m0 = 1: mu = Re h + Im h^2 / (m0 + Re h)
+])
+def test_impedance_limit_at_the_pole_is_plus_infinity(mu, h, m):
+    system = sys_at(mu, h)
+    with pytest.raises(PoleError):
+        impedance(system, complex(m), -1.0)
+    assert impedance_limit(system, m) == math.inf
+
+
+@pytest.mark.parametrize("m", [2 - 1j, 100 - 3j, 1.0 + 0j, 1e6 + 2j, -0.3 + 1e-3j])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_a_coupling_near_the_float_limit_is_the_limit_of_its_impedance(m, sign):
+    # (mu - Re h) m and mu Re h leave the floats at mu = 1.7e308: the terms are divided by mu
+    big = impedance(make_lsystem(BESSEL, sign * 1.7e308, 1j + 0.25), m, 1j)
+    at_inf = impedance(make_lsystem(BESSEL, MU_INFINITY, 1j + 0.25), m, 1j)
+    assert cmath.isfinite(big) and abs(big - at_inf) <= 1e-12 * abs(at_inf)
+
+
+def test_a_coupling_up_to_1e150_keeps_the_undivided_terms():
+    h = 0.3 + 1.1j
+    for mu in (1e150, -1e150, 3.7e149, 12.5, -0.75):
+        for m in (2 - 1j, 0.5 + 4j, 100 - 3j):
+            num = (m + mu) * h.imag
+            den = (mu - h.real) * m + mu * h.real - abs(h) ** 2
+            assert impedance(make_lsystem(BESSEL, mu, h), m, 1j) == num / den
 
 
 def test_impedance_pole_is_reported():

@@ -107,6 +107,28 @@ def test_closed_form_of_the_family_matches_its_polynomials():
                 assert half_integer_bessel_m(n + 0.5, ell, z) == pytest.approx(expected, rel=1e-13)
 
 
+@pytest.mark.parametrize("nu", [1.5, 2.5, 10.5])
+@pytest.mark.parametrize("z", [-5.0 + 10j, 1j, -1.0, 3.0 - 0.5j])
+def test_closed_form_at_a_huge_ell_is_finite(nu, z):
+    # k ell overflows at ell = 1.7e308, but (2j + 1)/ell/k does not; the tail is
+    # then n/ell + k(1 + O(1/(k ell)))
+    ell = 1.7e308
+    k = -1j * sqrt_upper(z)
+    m = half_integer_bessel_m(nu, ell, z)
+    assert cmath.isfinite(m) and abs(m - (k + round(nu - 0.5) / ell)) <= 1e-12
+
+
+def test_closed_form_at_ell_one_keeps_its_bits():
+    # the recurrence's (2j + 1)/(k ell) is formed as (2j + 1)/ell/k: at ell = 1 both are
+    # (2j + 1)/k
+    for n in range(1, 8):
+        for z in (1j, -1.0, -0.01, 5.0 + 0.1j, -3.0 - 2j, -1e-8, 1e4 + 1j):
+            k, ratio = -1j * sqrt_upper(z), 1.0
+            for j in range(n):
+                ratio = 1.0 / (ratio + (2 * j + 1) / (k * 1.0))
+            assert half_integer_bessel_m(n + 0.5, 1.0, z) == k * ratio + n / 1.0
+
+
 half_integer_nu = st.integers(0, 9).map(lambda n: n + 0.5)
 
 

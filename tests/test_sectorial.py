@@ -23,6 +23,7 @@ from weylsys import (
     classify_s_beta12,
     herglotz_test,
     impedance,
+    impedance_class_limits,
     kernel_matrix,
     kernel_point_sets,
     kernel_psd_test,
@@ -567,6 +568,31 @@ def test_infinite_m0_leaves_system_fields_undecided():
     assert any("m0 = +inf" in n for n in rep.notes)
 
 
+@pytest.mark.parametrize("h", [1j, 0.5 + 2j, -3.0 + 0.1j])
+@pytest.mark.parametrize("mu", [math.inf, 1.0, -2.5, 0.0])
+def test_infinite_m0_report_is_the_degenerate_one(h, mu):
+    # the operator fields follow from the finite-m0 formulas at m0 = +inf
+    assert accretivity_and_sectoriality(h, mu, math.inf) == AccretivityReport(
+        h=h, mu=mu, m0=math.inf, operator_accretive=True, operator_sectorial=True,
+        tan_theta=0.0, theta=0.0, mu_threshold=None, system_accretive=None,
+        system_extremal=None, system_sectorial=None, preserves_exact_angle=None,
+        notes=("m0 = +inf: only mu-independent operator statements are decidable",))
+
+
+@pytest.mark.parametrize("mu, h, m0, want", [
+    (math.inf, 1j, 1.0, (0.0, 1.0)),  # V = 1/m
+    (math.inf, 0.5 + 2j, 1.5, (0.0, 1.0)),  # Im h / (Re h + m0)
+    (10.0, 1j, 1.0, (0.1, 11.0 / 9.0)),  # sectorial: V(m0) = (m0 + mu) / (mu m0 - 1)
+    (1.0, 1j, 1.0, (1.0, math.inf)),  # extremal: V's pole sits at m0
+    (0.5, 1j, 1.0, (2.0, math.inf)),  # below the threshold: not sectorial
+    (math.inf, -1.0 + 1j, 1.0, (0.0, math.inf)),  # an extremal operator
+    (math.inf, 1j, math.inf, (0.0, 0.0)),  # m0 = +inf: V(-0) is V at m = inf
+])
+def test_impedance_class_limits_follow_the_sectorial_verdict(mu, h, m0, want):
+    system = make_lsystem(Potential.bessel(), mu, h)
+    assert impedance_class_limits(system, accretivity_and_sectoriality(h, mu, m0)) == want
+
+
 def test_accretivity_validation():
     with pytest.raises(DomainError):
         accretivity_and_sectoriality(1.0, 1.0, 1.0)  # real h
@@ -606,3 +632,7 @@ def test_example_suite_is_all_green():
     assert len(names) >= 20
     payload = report.to_dict()
     assert payload["pass"] is True
+    # beta2 is V(m0) of mu = inf, h = i: 1/m0, the exact tan theta to the bit
+    value = {c.name: c.value for c in report.checks}
+    assert value["class-tan-beta2-at-one"] == value["exact-angle-tan-theta"]
+    assert value["angle-from-limit-vs-quarter-pi"] == math.atan(value["exact-angle-tan-theta"])
