@@ -140,11 +140,11 @@ def impedance(system: LSystem, m: complex, z: complex) -> complex:
     if system.mu_is_infinite:
         return safe_div(complex(h.imag), m + h.real, z=z, what="impedance")
     if abs(mu) > 1e150:
-        num, lead, big, small = (m / mu + 1.0) * h.imag, 1.0 - h.real / mu, h.real, h2 / mu
+        num, lead, mu_re_h, h2 = (m / mu + 1.0) * h.imag, 1.0 - h.real / mu, h.real, h2 / mu
     else:
-        num, lead, big, small = (m + mu) * h.imag, mu - h.real, mu * h.real, h2
-    return safe_div(num, lead * m + big - small, z=z, what="impedance",
-                    scale=abs(lead * m) + abs(big - small))
+        num, lead, mu_re_h = (m + mu) * h.imag, mu - h.real, mu * h.real
+    return safe_div(num, lead * m + mu_re_h - h2, z=z, what="impedance",
+                    scale=abs(lead * m) + abs(mu_re_h - h2))
 
 
 def impedance_limit(system: LSystem, m: float) -> float:
