@@ -155,7 +155,13 @@ plus 11 per step attempt.
 
 Stacked sweep
 -------------
-:func:`m_infinity_batch` solves many z in one stepper call.  Column j
+:func:`m_infinity_batch` solves many z in one stepper call on a potential
+that stacks (``Potential.stacks``: the Bessel kind, the free potential
+included), whose q is one numpy call over the stack and whose off-axis
+columns ride their rays.  Every other potential sweeps its columns one at
+a time, each exactly as alone: an expression's q is a Python call per
+value, so its stack would share only the step of its hardest column, and
+a sampled potential's knots fall at a different s in each column.  Column j
 integrates in ``s`` from 1 to 0 along ``x = ell + s d_j``, so it keeps
 its own truncation X_j, midpoint s = 1/2, gap test and ``error_bound``
 exactly as above, and only the columns whose gap fails are doubled and
@@ -166,8 +172,8 @@ and ``|d_j| _ATOL`` (u's tolerances in v's units), so each column has
 exactly the local error control of a sweep of its own.
 
 On the real axis ``d_j = X_j - ell``.  There psi decays only at the rate
-``Im sqrt(z)``, about 0.02 at 5+0.1i, so a near-axis column runs 50-90
-units of x and sets the shared step.  On a Bessel potential
+``Im sqrt(z)``, about 0.02 at 5+0.1i, so a near-axis column would run
+50-90 units of x and set the shared step.  On a Bessel potential
 (``Potential.rays``: q analytic, and psi zero-free, in the sector swept)
 an off-axis column instead runs along the ray
 ``d_j = (X_j - ell) e^(i theta_j)``, ``theta = pi/2 - arg sqrt(z)``
@@ -180,9 +186,8 @@ at the full rate |sqrt z| (2.24 at 5+0.1i) and does not oscillate.  The
 differences of the WKB start are then complex derivatives along the ray
 (:func:`_wkb_terms`), and X_j stays a float, ell plus the path length.
 On the classify stack this takes one sweep of 1,190 RHS calls instead of
-2,400.  Real-axis columns, every column of another potential (a sampled
-or general q is known on [ell, inf) only), a column whose ray's first
-truncation lies within 2048 float spacings of ell, and every column where
+2,400.  Real-axis columns, a column whose ray's first truncation lies
+within 2048 float spacings of ell, and every column where
 ``x_max / ell > 1e150`` or ``|c| (x_max / ell)^2 > 1e300`` (c of the
 Bessel ``q = c / x^2``), where the scaled state of a ray could leave the
 floats (:func:`_directions`), stay on the real axis.
@@ -217,15 +222,16 @@ the last column still open in a later round.  On a ray the scalar pass
 takes the five samples of q behind each WKB term in one array call, as
 the array pass does: their differences magnify the rounding of q, which
 numpy's complex product and quotient round apart from Python's, and the
-same samples give the column the same first X in either pass.  A sampled
-potential sweeps its columns one at a time, since its knots fall at a
-different s in each.  A z whose evaluation fails keeps
-its own error, raised when its entry is read; if a stacked sweep fails,
-its columns are solved again one by one, so each error names its z.  An
-error of the potential or the stepper names x only, so its column's copy
-of the same type ends with ``(z = ...)`` (``IntegrationError.z``).  The
-steps of a stacked sweep are shared, so a z's last digits can differ
-between batches, always within its ``error_bound``.
+same samples give the column the same first X in either pass.  A z whose
+evaluation fails keeps its own error, raised when its entry is read.  A
+Bessel q raises nothing, so a stacked sweep fails only in the stepper;
+its columns are then solved again one by one, so each error names its z.
+An error of the potential or the stepper names x only, so its column's
+copy of the same type ends with ``(z = ...)`` (``IntegrationError.z``).
+The steps of a stacked sweep are shared, so on a Bessel potential a z's
+last digits can differ between batches, always within its
+``error_bound``; on every other kind a z's value is its lone value, bit
+for bit.
 
 ``tol`` on :class:`MFunctionEvaluator` is the only solver option; the ODE
 tolerances, the largest X and the number of samples behind a real-axis
@@ -915,22 +921,15 @@ def _wkb_terms(potential: Potential, x: float, z: complex) -> tuple:
 
 
 def _wkb_starts(potential: Potential, xs: list, zs: list) -> list:
-    """:func:`_wkb_terms` at each x and z, or its error: several in one array call."""
+    """:func:`_wkb_terms` at each x and z: several, a stack's, in one array call.
+
+    Only a potential that ``stacks`` has several, and its q raises nothing,
+    so an error here is a lone column's, raised to :func:`_riccati_batch`.
+    """
     if len(xs) > 1:
-        try:
-            return list(zip(*(a.tolist() for a in _wkb_terms(potential, np.array(xs),
-                                                             np.array(zs, dtype=complex)))))
-        except WeylsysError:
-            pass
-    return [_outcome(lambda: _wkb_terms(potential, x, z)) for x, z in zip(xs, zs)]
-
-
-def _outcome(f):
-    """f(), or the WeylsysError it raises."""
-    try:
-        return f()
-    except WeylsysError as exc:
-        return exc
+        return list(zip(*(a.tolist() for a in _wkb_terms(potential, np.array(xs),
+                                                         np.array(zs, dtype=complex)))))
+    return [_wkb_terms(potential, xs[0], zs[0])]
 
 
 def _leave_well(potential: Potential, z: complex, dist: float, q: float, x_max: float) -> float:
@@ -1092,11 +1091,11 @@ def _first_distances(potential: Potential, zs: list[complex], tol: float,
     is a ray is sized along it instead: its X - ell is a path length, and
     its contraction distance, exponent, error and predictions are the ray's.
 
-    One z takes the scalar pass, on the real axis or on its ray, and
-    several the array pass (module docstring).  Each builds one ladder per
-    column, along its direction (:func:`_ladders`), and takes from it the
-    exponent up to x_max, ``sqrt(q(ell) - z)`` at rung 0 and the
-    predictions.  The scalar pass forms the WKB terms only at the rungs
+    One z takes the scalar pass, on the real axis or on its ray, and the
+    z of a stack (``Potential.stacks``) the array pass (module
+    docstring).  Each builds one ladder per column, along its direction
+    (:func:`_ladders`), and takes from it the exponent up to x_max,
+    ``sqrt(q(ell) - z)`` at rung 0 and the predictions.  The scalar pass forms the WKB terms only at the rungs
     that :func:`_halve_then_double` reads; the array pass's prediction rows
     end at the top rung, where every doubling ends.  Both passes share
     every check and rule (:func:`_leave_well`, :func:`_range_error`,
@@ -1225,94 +1224,93 @@ def _riccati_batch(potential: Potential, zs: list[complex], tol: float) -> list:
     X - ell and joins the next round.  An off-axis column sweeps its ray where
     :func:`_directions` allows; X is then ell plus the path length, a float.
     A round of one column, alone or the last one open, takes the scalar
-    sweep, on the real axis or on its ray.
-    If a stacked sweep fails, each of its columns is solved again on its
-    own, so an error names its z.  The knots of a sampled potential fall at
-    a different s in each column, so its columns are swept one at a time.
+    sweep, on the real axis or on its ray.  Only a potential that
+    ``stacks`` (the Bessel kind) sweeps several columns at once; every
+    other kind solves its zs one at a time, each exactly as alone.
+    An error raised in a round settles the columns still open in one
+    place: a lone column takes it, and a stack's columns are each solved
+    again alone, so each error names its z.
     """
-    if potential.knots and len(zs) > 1:
+    if len(zs) > 1 and not potential.stacks:
         return [_riccati_batch(potential, [z], tol)[0] for z in zs]
     ell = potential.ell
     x_max = _X_MAX_FACTOR * max(ell, 1.0)
     real = [z.imag == 0.0 for z in zs]
     zq = [z.real if r else z for z, r in zip(zs, real)]
     directions = _directions(potential, zs, tol)
-    out = _outcome(lambda: _first_distances(potential, zs, tol, x_max, directions))
-    if isinstance(out, WeylsysError):       # each z alone, so each error is its own
-        out = [out] if len(zs) == 1 else [
-            _outcome(lambda: _first_distances(potential, [z], tol, x_max, [e])[0])
-            for z, e in zip(zs, directions)]
-    dist = {j: d for j, d in enumerate(out) if not isinstance(d, WeylsysError)}
-    if len(dist) < len(out):
-        out = [_naming_z(o, z) for o, z in zip(out, zq)]
-    top = {j: min(ell + d, x_max) for j, d in dist.items()}
+    out: list = [None] * len(zs)
+    dist: dict = {}
+    loose: dict = {}
 
     def settle(j, result):
         out[j] = result if type(result) is tuple else _naming_z(result, zq[j])
-        del dist[j]
+        dist.pop(j, None)
 
-    while dist:
-        cols, ends, starts, loose = [], [], [], {}
-        # X, or on a ray its complex end
-        xs = [top[j] if directions[j] == 1.0 else ell + (top[j] - ell) * directions[j]
-              for j in dist]
-        for j, x, start in zip(list(dist), xs, _wkb_starts(potential, xs,
-                                                           [zq[j] for j in dist])):
-            if isinstance(start, WeylsysError):
-                settle(j, start)
-                continue
-            s, u_start, u2, u3 = start
-            if real[j] and s.real <= 0:
-                settle(j, DomainError(
-                    f"q(X) - z = {s.real:g} <= 0 at X = {top[j]:g}; the real-axis path "
-                    "requires z strictly below the potential tail "
-                    f"(nonnegative-operator regime) (z = {zq[j]})"))
-                continue
-            if real[j]:
-                k = math.sqrt(s.real)
-                if not (u3 <= u2 <= k or max(u2, u3) <= _RTOL * k):
-                    # the series does not fall, and its terms are not negligible
-                    # beside k: if the sweep from it fails, this is why
-                    loose[j] = (u_start.real, u2, u3, k)
-            cols.append(j)
-            ends.append(x)
-            starts.append(u_start.real if real[j] else u_start)
-        if not cols:
-            break
-        try:
+    try:
+        for j, d in enumerate(_first_distances(potential, zs, tol, x_max, directions)):
+            if isinstance(d, WeylsysError):
+                settle(j, d)
+            else:
+                dist[j] = d
+        top = {j: min(ell + d, x_max) for j, d in dist.items()}
+        while dist:
+            cols, ends, starts, loose = [], [], [], {}
+            # X, or on a ray its complex end
+            xs = [top[j] if directions[j] == 1.0 else ell + (top[j] - ell) * directions[j]
+                  for j in dist]
+            for j, x, (s, u_start, u2, u3) in zip(list(dist), xs, _wkb_starts(
+                    potential, xs, [zq[j] for j in dist])):
+                if real[j] and s.real <= 0:
+                    settle(j, DomainError(
+                        f"q(X) - z = {s.real:g} <= 0 at X = {top[j]:g}; the real-axis path "
+                        "requires z strictly below the potential tail "
+                        f"(nonnegative-operator regime) (z = {zq[j]})"))
+                    continue
+                if real[j]:
+                    k = math.sqrt(s.real)
+                    if not (u3 <= u2 <= k or max(u2, u3) <= _RTOL * k):
+                        # the series does not fall, and its terms are not negligible
+                        # beside k: if the sweep from it fails, this is why
+                        loose[j] = (u_start.real, u2, u3, k)
+                cols.append(j)
+                ends.append(x)
+                starts.append(u_start.real if real[j] else u_start)
+            if not cols:
+                break
             us, ws = _sweep(potential, [zq[j] for j in cols], ends, starts)
-        except WeylsysError as exc:
-            if len(cols) == 1 and isinstance(exc, StiffnessError) and cols[0] in loose:
-                (j,), (u0, a2, a3, k) = cols, loose[cols[0]]
+            mids = _wkb_starts(potential, [ell + 0.5 * (end - ell) for end in ends],
+                               [zq[j] for j in cols])
+            for j, (u_half, u), (w_half, w), (_, u_mid, _, _) in zip(cols, us, ws, mids):
+                if real[j]:
+                    u_half, u = u_half.real, u.real
+                # the X/2 truncation's start error, carried to ell by the flow
+                damping = math.exp(min((w_half - w).real, 700.0))
+                gap = abs(u_half - u_mid) * damping
+                if gap <= max(_GAP_FLOOR, tol * abs(u)):
+                    step_error = _INTEGRATION_ERROR * (_ATOL + _RTOL * abs(u))
+                    settle(j, (complex(-u), top[j], float(gap + step_error)))
+                    continue
+                dist[j] *= 2.0
+                top[j] = ell + dist[j]
+                if top[j] > x_max:
+                    settle(j, ConvergenceError(
+                        f"Riccati truncation exceeded X_max = {x_max:g} "
+                        f"without the value settling (z = {zq[j]})"))
+    except WeylsysError as exc:
+        still = [j for j, o in enumerate(out) if o is None]
+        if len(still) > 1:
+            for j in still:
+                settle(j, _riccati_batch(potential, [zs[j]], tol)[0])
+        else:
+            (j,) = still
+            if isinstance(exc, StiffnessError) and j in loose:
+                u0, a2, a3, k = loose[j]
                 exc = ConvergenceError(
                     f"the WKB start at X = {top[j]:g} does not fall (u = {u0:.3g}, |u2| = "
                     f"{a2:.3g} and |u3| = {a3:.3g} against sqrt(q(X) - z) = {k:.3g}): q varies "
                     "too fast for q - z there, and the backward flow from the start ran into "
                     f"a pole (z = {zq[j]})")
-            for j in cols:
-                settle(j, exc if len(cols) == 1 else _riccati_batch(potential, [zs[j]], tol)[0])
-            continue
-        mids = _wkb_starts(potential, [ell + 0.5 * (end - ell) for end in ends],
-                           [zq[j] for j in cols])
-        for j, (u_half, u), (w_half, w), mid in zip(cols, us, ws, mids):
-            if real[j]:
-                u_half, u = u_half.real, u.real
-            # the X/2 truncation's start error, carried to ell by the flow
-            if isinstance(mid, WeylsysError):
-                settle(j, mid)
-                continue
-            damping = math.exp(min((w_half - w).real, 700.0))
-            gap = abs(u_half - mid[1]) * damping
-            if gap <= max(_GAP_FLOOR, tol * abs(u)):
-                step_error = _INTEGRATION_ERROR * (_ATOL + _RTOL * abs(u))
-                settle(j, (complex(-u), top[j], float(gap + step_error)))
-                continue
-            dist[j] *= 2.0
-            top[j] = ell + dist[j]
-            if top[j] > x_max:
-                settle(j, ConvergenceError(
-                    f"Riccati truncation exceeded X_max = {x_max:g} "
-                    f"without the value settling (z = {zq[j]})"))
+            settle(j, exc)
     return out
 
 
@@ -1410,14 +1408,17 @@ class MBatch(Sequence):
 def m_infinity_batch(evaluator: MFunctionEvaluator, zs: Sequence[complex]) -> MBatch:
     """m_inf at every point of zs, the distinct numeric ones in one stacked sweep.
 
-    Each distinct z is one column of the sweep, with its own truncation X,
-    gap test and ``error_bound`` (module docstring); only the columns whose
-    gap fails are doubled and swept again.  On a Bessel potential every
-    off-axis column sweeps its complex ray, while one distinct z does so
-    only near the positive axis, ``Im sqrt(z) <= 0.45 |sqrt z|``, and
-    runs on a scalar state (:func:`_directions`).  A z's last digits can
+    The stack is the Bessel kind's (``Potential.stacks``): each distinct z
+    is one column of the sweep, with its own truncation X, gap test and
+    ``error_bound`` (module docstring); only the columns whose gap fails
+    are doubled and swept again.  Every off-axis column sweeps its complex
+    ray, while one distinct z does so only near the positive axis,
+    ``Im sqrt(z) <= 0.45 |sqrt z|``, and runs on a scalar state
+    (:func:`_directions`).  On a Bessel potential a z's last digits can
     differ from those of another batch, always within its ``error_bound``.
-    A batch of one point is exactly :func:`m_infinity_info`.
+    Every other kind sweeps its distinct z one at a time, so each entry is
+    that z's :func:`m_infinity_info`, bit for bit.  A batch of one point
+    is exactly :func:`m_infinity_info`.
     """
     points = [complex(z) for z in zs]
     outcomes: list = [None] * len(points)

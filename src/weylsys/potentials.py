@@ -15,7 +15,7 @@ One chain over the kind, in ``Potential.__post_init__``, validates a
 potential and sets every fact the solvers read of it: ``scalar_q`` and
 ``array_q`` (q of a float and of an array), ``closed_form`` (m_inf in
 closed form, :func:`half_integer_bessel_m` for a half-integer Bessel nu,
-else None), ``knots``, ``analytic``, ``rays`` and ``stage_q``.  A new kind,
+else None), ``knots``, ``analytic``, ``rays``, ``stacks`` and ``stage_q``.  A new kind,
 or a new fact of a kind, goes into that chain.
 
 The free potential ``q = 0`` is the Bessel potential with nu = 1/2, so it
@@ -107,6 +107,10 @@ class Potential:
       onto the scalar ray sweep, whose stages write in q = c / x^2 with c
       from ``stage_q`` (c = 0 for the free potential); a new kind that sets
       ``rays`` must supply its own ray forcing there;
+    * ``stacks``, a batch of several z may share one stacked sweep (the
+      Bessel kind, the free potential included): its q is one numpy call
+      over the stack, and its off-axis columns ride their rays.  Every
+      other kind sweeps a batch one z at a time;
     * ``knots``, the sampled grid as floats, where a sweep stops (empty for
       the other kinds);
     * ``stage_q``, a one-z sweep's stage forcing: the float c = nu^2 - 1/4
@@ -210,7 +214,7 @@ class Potential:
         bessel = self.kind == "bessel"
         for fact, value in (("scalar_q", scalar_q), ("array_q", array_q),
                             ("closed_form", closed_form), ("knots", knots),
-                            ("analytic", bessel), ("rays", bessel),
+                            ("analytic", bessel), ("rays", bessel), ("stacks", bessel),
                             ("stage_q", c if c != 0.0 else scalar_q)):
             object.__setattr__(self, fact, value)
 
@@ -237,6 +241,12 @@ class Potential:
     @classmethod
     def expression(cls, func: Callable[[float], float], ell: float,
                    label: str = "expression") -> "Potential":
+        """The potential q(x) = func(x) on [ell, inf), func a callable of a float.
+
+        Its q is one Python call per value, so a batch sweeps its z one at a
+        time (``stacks`` is false), each on the real axis, and each value is
+        that of the z alone, bit for bit.
+        """
         return cls(kind="expression", ell=float(ell), func=func, label=label)
 
     # -- evaluation ----------------------------------------------------------

@@ -534,7 +534,9 @@ def test_batch_on_a_limit_circle_potential_keeps_each_error():
 
 def test_failed_stacked_sweep_solves_each_column_alone():
     # psi has a zero at z = -100 in the deep well, so u has a pole and the
-    # stacked sweep fails; each column is then solved on its own
+    # sweep of -100 fails.  An expression batch sweeps each z alone, so that
+    # failure is -100's own, and each other z is its lone evaluation (a Bessel
+    # stack's failed sweep: test_a_failed_bessel_stack_solves_each_column_alone)
     ev = MFunctionEvaluator(_exp_well(300.0))
     batch = m_infinity_batch(ev, [-400.0, -100.0, -1000.0])
     with pytest.raises(StiffnessError, match=r"spacing between numbers\. \(z = -100\.0\)$"):
@@ -569,9 +571,10 @@ def _raises_its_own_error(batch, z, error, alone):
 
 def test_a_failed_stacked_sizing_sizes_each_z_alone():
     # a hole at rung 14 of the ladder of z = -1, ell + 8 d with the
-    # contraction distance d = ln(1/tol) / 2, fails the array pass that
-    # sizes the stack; each z is then sized alone.  The potential's error
-    # names x, and the batch appends the z it belongs to, keeping its type
+    # contraction distance d = ln(1/tol) / 2, fails the sizing of z = -1.
+    # An expression batch sizes and sweeps each z alone, so only -1 reads
+    # the error.  The potential's error names x, and the batch appends the z
+    # it belongs to, keeping its type
     rung = 1.0 + 8.0 * (math.log(1.0 / NUMERIC.tol) / 2.0)
     ev = MFunctionEvaluator(_holed((rung * (1.0 - 1e-12), rung * (1.0 + 1e-12))))
     batch = m_infinity_batch(ev, _HOLED_ZS)
@@ -584,8 +587,9 @@ def test_a_failed_stacked_sizing_sizes_each_z_alone():
 
 def test_a_failed_start_settles_its_own_column():
     # a hole at X - h, the first lower point of the start's difference
-    # stencil at z = -1, fails the stack's array call of the starts; each
-    # start is then taken alone, and z = -1 leaves the sweep
+    # stencil at z = -1, fails the start of z = -1, whose error settles it;
+    # an expression batch takes each z alone, so the others keep the values
+    # of a batch without them
     top = m_infinity_info(MFunctionEvaluator(_holed()), -1.0).truncation_X
     h = mfunc._DIFF_STEP * (top - 1.0)
     ev = MFunctionEvaluator(_holed((top - 1.5 * h, top - 0.5 * h)))
@@ -599,7 +603,9 @@ def test_a_failed_start_settles_its_own_column():
 def test_a_failed_midpoint_settles_its_own_column(monkeypatch):
     # every midpoint's stencil was evaluated before, when the truncation was
     # sized, so a q that depends on x alone fails there first: the hole at
-    # the midpoint's X/2 - h opens once the first sweep is done
+    # the midpoint's X/2 - h of z = -1 opens once the first sweep, that of
+    # -1 alone, is done, and its error settles -1.  An expression batch takes
+    # each z alone, so the others keep their healthy values
     healthy = m_infinity_batch(MFunctionEvaluator(_holed()), _HOLED_ZS)
     mid = 1.0 + 0.5 * (healthy[0].truncation_X - 1.0)
     h = mfunc._DIFF_STEP * (mid - 1.0)
@@ -622,6 +628,74 @@ def test_a_failed_midpoint_settles_its_own_column(monkeypatch):
                                   lambda: m_infinity_info(holed_evaluator(), -1.0))
     assert f"x = {mid - h}" in str(error)
     assert [batch[1], batch[2]] == [healthy[1], healthy[2]]
+
+
+def _array_sweeps(monkeypatch):
+    """One entry per call of mfunc's DOP853 stepper: whether its state is a stack's array."""
+    states = []
+    stepper = mfunc._dop853
+
+    def recording_stepper(rhs, t0, y0, stops, rtol, atol):
+        states.append(isinstance(y0, np.ndarray))
+        return stepper(rhs, t0, y0, stops, rtol, atol)
+
+    monkeypatch.setattr(mfunc, "_dop853", recording_stepper)
+    return states
+
+
+def test_only_a_stacking_potential_shares_a_sweep(monkeypatch):
+    # only the Bessel kind stacks (Potential.stacks), whose q is one numpy
+    # call over a stack; an expression or a table sweeps each z alone, so
+    # each entry is that z's own evaluation, bit for bit
+    states = _array_sweeps(monkeypatch)
+    zs = [2.0 + 1j, -1.0, -4.0 + 0.5j, 5.0 + 0.1j, 1.0 - 1j]
+    grid = np.linspace(1.0, 60.0, 400)
+    for pot in (Potential.expression(lambda x: 2.0 / x**2, 1.0),
+                Potential.sampled(grid, 2.0 / grid**2)):
+        ev = MFunctionEvaluator(pot)
+        states.clear()
+        batch = m_infinity_batch(ev, zs)
+        assert states and not any(states)
+        for z, info in zip(zs, batch):
+            assert repr(info) == repr(m_infinity_info(ev, z))
+    states.clear()
+    m_infinity_batch(NUMERIC, zs)
+    assert states == [True]
+
+
+def test_a_pole_in_an_expression_batch_fails_its_own_z_only(monkeypatch):
+    # 40 z from -400 to -790 on -300 e^-x, and -100, where psi has a zero and
+    # u a pole: no stacked sweep is made, so the pole fails the sweep of -100
+    # alone, and every other z is its lone evaluation
+    ev = MFunctionEvaluator(_exp_well(300.0))
+    zs = np.linspace(-400.0, -790.0, 40).tolist() + [-100.0]
+    states = _array_sweeps(monkeypatch)
+    batch = m_infinity_batch(ev, zs)
+    assert states and not any(states)
+    with pytest.raises(StiffnessError, match=r"\(z = -100\.0\)$"):
+        batch.at(-100.0)
+    for z, info in zip(zs[:-1], batch):
+        assert repr(info) == repr(m_infinity_info(ev, z))
+
+
+def test_a_failed_bessel_stack_solves_each_column_alone(monkeypatch):
+    # a Bessel q raises nothing, but the stepper can still fail a stacked
+    # sweep; each column of the stack is then solved again alone, and its
+    # entry is its lone evaluation
+    sweep, failed = mfunc._SWEEPS["array"], []
+
+    def failing_once(*args):
+        if not failed:
+            failed.append(True)
+            raise StiffnessError(mfunc._TOO_SMALL_STEP)
+        return sweep(*args)
+
+    monkeypatch.setitem(mfunc._SWEEPS, "array", failing_once)
+    zs = [2.0 + 1j, -1.0, -4.0 + 0.5j, 5.0 + 0.1j, 1.0 - 1j]
+    batch = m_infinity_batch(NUMERIC, zs)
+    assert failed
+    for z, info in zip(zs, batch):
+        assert repr(info) == repr(m_infinity_info(NUMERIC, z))
 
 
 def test_a_pole_of_m_alpha_names_its_z():
@@ -859,8 +933,8 @@ def test_stacked_bessel_columns_on_their_rays_keep_their_bounds(nu, ell, off_axi
 
 def test_only_a_bessel_stack_sweeps_rays(monkeypatch):
     # the ray needs q analytic, and psi zero-free, in the sector it sweeps
-    # (Potential.rays): an expression or sampled stack stays on the real
-    # axis, and so do a lone z on a Bessel potential far from the positive
+    # (Potential.rays): an expression or sampled batch sweeps each z alone on
+    # the real axis, and so do a lone z on a Bessel potential far from the positive
     # axis and a ray too short to leave ell.  A lone z near that axis sweeps
     # its ray on a scalar state, whose rhs is (c, ell / d, d^2 z)
     forcing = []

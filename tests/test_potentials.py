@@ -193,15 +193,17 @@ def test_declarative_kinds_pickle():
         assert ((back.kind, back.nu, back.ell, back.label)
                 == (pot.kind, pot.nu, pot.ell, pot.label))
         assert back.scalar_q(2.5) == pot.scalar_q(2.5)
-        assert (back.analytic, back.rays, back.knots) == (pot.analytic, pot.rays, pot.knots)
+        assert ((back.analytic, back.rays, back.stacks, back.knots)
+                == (pot.analytic, pot.rays, pot.stacks, pot.knots))
         assert (back.stage_q is back.scalar_q) == (pot.stage_q is pot.scalar_q)
         assert back.stage_q is back.scalar_q or back.stage_q == pot.stage_q
 
 
 def test_the_sweep_facts_of_each_kind():
     # analytic, rays (psi zero-free in the sector a stacked column sweeps),
-    # the knots a sweep stops on, and the forcing of a one-z sweep's stages:
-    # a Bessel c written in, or the scalar q
+    # stacks (a batch may share one stacked sweep), the knots a sweep stops
+    # on, and the forcing of a one-z sweep's stages: a Bessel c written in,
+    # or the scalar q
     grid = np.linspace(1.0, 4.0, 7)
     bessel, free = Potential.bessel(2.5, 0.5), Potential.free(0.0)
     sampled = Potential.sampled(grid, grid ** -2)
@@ -209,6 +211,8 @@ def test_the_sweep_facts_of_each_kind():
     assert [p.analytic for p in (bessel, free, sampled, expression)] == [
         True, True, False, False]
     assert [p.rays for p in (bessel, free, sampled, expression)] == [True, True, False, False]
+    assert [p.stacks for p in (bessel, free, sampled, expression)] == [
+        True, True, False, False]
     assert sampled.knots == tuple(grid.tolist())
     assert bessel.knots == free.knots == expression.knots == ()
     assert bessel.stage_q == 2.5 * 2.5 - 0.25 == bessel(1.0)
