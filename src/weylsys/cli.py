@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, PoleError, WeylsysError
+from .errors import DomainError, WeylsysError
 from .lsystem import impedance, lsystem_to_dict, make_lsystem
 from .mfunc import (
     NAMED_GRIDS,
@@ -525,7 +525,7 @@ def main(argv=None) -> int:
             "command": args.command,
             "error": {"type": type(exc).__name__, "message": str(exc)},
         }
-        if isinstance(exc, PoleError) and getattr(exc, "z", None) is not None:
+        if exc.z is not None:
             record["error"]["z"] = [exc.z.real, exc.z.imag]
         _emit(dump_json(json_ready(record)), args.out)
         return 3

@@ -6,7 +6,12 @@ __all__ = ["WeylsysError", "DomainError", "ConstructionError", "PoleError",
 
 
 class WeylsysError(Exception):
-    """Base class for every weylsys-specific failure."""
+    """Base class for every weylsys-specific failure.
+
+    ``z`` is the spectral point whose evaluation failed, once known, else None.
+    """
+
+    z: complex | None = None
 
 
 class DomainError(WeylsysError):
@@ -31,11 +36,8 @@ class PoleError(WeylsysError):
 class IntegrationError(WeylsysError):
     """ODE integration failed (e.g. non-finite coefficient values).
 
-    ``z`` is the spectral point whose evaluation failed, once known; the
-    message then ends with it.
+    Once ``z`` is known, the message ends with it.
     """
-
-    z: complex | None = None
 
 
 class StiffnessError(IntegrationError):

@@ -141,9 +141,10 @@ its sweep reaches x = 0 when ell = 0.  On its ray a one-z sweep's
 forcing is complex, ``c / (s + e)^2 - d^2 z``, written in on float pairs
 as well.  The complex Bessel sweep compiles at import, the other scalar
 sweeps, the ray's among them, on first use.  A stack's sweep runs the
-same step control around :func:`_array_step`.  The first-step rule takes
-floats for a scalar state, with numpy's complex modulus, which can round
-apart from ``abs``.  A sweep also stops on every knot of a sampled potential
+same step control around :func:`_array_step`.  The first-step rule is one
+rule over columns, a scalar state being a stack of one; each column's
+norms are floats, with numpy's complex modulus, which can round apart
+from ``abs``.  A sweep also stops on every knot of a sampled potential
 (``Potential.knots``) between X and ell, so no step crosses a jump of the
 third derivative of q (of the first, at the last knot), which the error
 estimate does not see.  The error norm reads u only, never w; it sums
@@ -738,37 +739,28 @@ def _array_step(rhs, t, t_new, y, f, rtol, atol):
 def _initial_step(rhs, t0, y0, f0, stop, rtol, atol) -> float:
     """scipy's first DOP853 step from (t0, y0) toward ``stop``, the smallest over the columns.
 
-    A Python scalar y0 takes the same operations on floats, with numpy's
-    modulus of a complex number, which can round apart from ``abs``, so
-    that both branches give one step.  A first trial step h0 = 0 (an
-    infinite slope) is left to the array branch, where it gives inf or nan.
-    The trial step h0 is at most |stop - t0|, but t0 + h0 can round past
-    stop (to x = 0 from a tiny ell); the slope is then probed at stop, so q
-    is never called outside the sweep.
+    A Python scalar y0 is a stack of one column.  Each column's norms are
+    Python floats, from numpy's modulus, which for a complex number can
+    round apart from ``abs``: the smallest first trial h0 over the columns
+    gives one slope probe, and the smallest second trial the step.  An
+    infinite slope (h0 = 0) gives 0.0.  The trial step h0 is at most
+    |stop - t0|, but t0 + h0 can round past stop (to x = 0 from a tiny
+    ell); the slope is then probed at stop, so q is never called outside
+    the sweep.
     """
     span, direction = abs(stop - t0), math.copysign(1.0, stop - t0)
-    if not isinstance(y0, np.ndarray):
-        size = abs if isinstance(f0, float) else lambda v: float(np.abs(v))
-        y0_size = size(y0)
-        scale = atol + rtol * y0_size
-        d0, d1 = y0_size / scale, size(f0) / scale
-        h0 = min(span, 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1)
-        if h0 > 0.0:
-            t1 = t0 + direction * h0
-            f1 = rhs(stop if direction * (t1 - stop) > 0 else t1, y0 + direction * h0 * f0)
-            d2 = size(f1 - f0) / scale / h0
-            h1 = (max(1e-6, 1e-3 * h0) if d1 <= 1e-15 and d2 <= 1e-15
-                  else (0.01 / max(d1, d2)) ** (-_EXPONENT))
-            return min(100.0 * h0, h1, span)
-    y0a, f0a = np.atleast_1d(y0), np.atleast_1d(f0)
-    scale = atol + rtol * np.abs(y0a)
-    d0 = (np.abs(y0a) / scale).tolist()
-    d1 = (np.abs(f0a) / scale).tolist()
+    size = lambda v: np.abs(v).ravel().tolist()
+    y0_size = np.abs(y0)
+    scale = (atol + rtol * y0_size).ravel().tolist()
+    d0 = [y / s for y, s in zip(y0_size.ravel().tolist(), scale)]
+    d1 = [f / s for f, s in zip(size(f0), scale)]
     h0 = min(span, min(1e-6 if a < 1e-5 or b < 1e-5 else 0.01 * a / b
                        for a, b in zip(d0, d1)))
+    if h0 == 0.0:
+        return 0.0
     t1 = t0 + direction * h0
     f1 = rhs(stop if direction * (t1 - stop) > 0 else t1, y0 + direction * h0 * f0)
-    d2 = (np.abs(np.atleast_1d(f1) - f0a) / scale / h0).tolist()
+    d2 = [f / s / h0 for f, s in zip(size(f1 - f0), scale)]
     h1 = min(max(1e-6, 1e-3 * h0) if b <= 1e-15 and c <= 1e-15
              else (0.01 / max(b, c)) ** (-_EXPONENT) for b, c in zip(d1, d2))
     return min(100.0 * h0, h1, span)
@@ -801,8 +793,9 @@ def _dop853(rhs, t0: float, y0, stops: Sequence[float], rtol: float,
     lies at its end, so its forcing gives the next slope: nfev counts 2 for
     the first step and 11 per attempt.  The step control is scipy's DOP853
     (safety 0.9, step factors within [0.2, 10] with exponent -1/8, and its
-    first-step rule) capped by Gustafsson's predictive factor (ACM TOMS 20,
-    1994, 496-517; Hairer and Wanner, Solving ODEs II, IV.8, as in
+    first-step rule, one rule for a scalar state and a stack in
+    :func:`_initial_step`) capped by Gustafsson's predictive factor (ACM
+    TOMS 20, 1994, 496-517; Hairer and Wanner, Solving ODEs II, IV.8, as in
     radau5.f): with ``r = |h| err^(-1/8)`` of each accepted step, the next
     factor is ``min(10, 0.9 err^(-1/8) min(1, r / r_last))``, so on a tail
     whose length scale shrinks with t the steps shrink with it instead of
@@ -841,9 +834,10 @@ def _dop853(rhs, t0: float, y0, stops: Sequence[float], rtol: float,
     if key != "array":
         h_abs = _initial_step(slope, t0, y0, f, stops[-1], rtol, atol)
         return _Solution(*sweep(rhs, t0, y0, f, stops, rtol, atol, h_abs, direction))
-    # a trial stage of a stack near the top of the numeric range, or its
-    # first-step rule, can overflow: the step's nan norm rejects such a step,
-    # as OverflowError does in a scalar sweep, so numpy need not warn
+    # a trial stage of a stack near the top of the numeric range, or the
+    # first step's slope probe, can overflow: the step's nan norm rejects
+    # such a step, as OverflowError does in a scalar sweep, so numpy need
+    # not warn
     with np.errstate(over="ignore", invalid="ignore"):
         h_abs = _initial_step(slope, t0, y0, f, stops[-1], rtol, atol)
         return _Solution(*sweep(rhs, t0, y0, f, stops, rtol, atol, h_abs, direction))
@@ -1202,16 +1196,17 @@ def _sweep(potential: Potential, zq: list, tops: list[float],
 
 
 def _naming_z(outcome, z):
-    """outcome, or, if it is an error of the potential or the stepper, its copy naming z.
+    """outcome, or, if it is an error, that error carrying z in its ``z``.
 
-    Those errors name x but not z; the copy keeps the type, and its message
-    ends with ``(z = ...)``.
+    An error of the potential or the stepper names x but not z: it is
+    copied, keeping its type, with a message that ends with ``(z = ...)``.
     """
-    if not isinstance(outcome, IntegrationError) or outcome.z is not None:
+    if type(outcome) is tuple:
         return outcome
-    named = type(outcome)(f"{outcome} (z = {z})")
-    named.z = z
-    return named
+    if isinstance(outcome, IntegrationError) and outcome.z is None:
+        outcome = type(outcome)(f"{outcome} (z = {z})")
+    outcome.z = z
+    return outcome
 
 
 def _riccati_batch(potential: Potential, zs: list[complex], tol: float) -> list:
@@ -1243,7 +1238,7 @@ def _riccati_batch(potential: Potential, zs: list[complex], tol: float) -> list:
     loose: dict = {}
 
     def settle(j, result):
-        out[j] = result if type(result) is tuple else _naming_z(result, zq[j])
+        out[j] = _naming_z(result, zq[j])
         dist.pop(j, None)
 
     try:
@@ -1428,6 +1423,7 @@ def m_infinity_batch(evaluator: MFunctionEvaluator, zs: Sequence[complex]) -> MB
         try:
             _check_spectral_point(z)
         except DomainError as exc:
+            exc.z = z
             outcomes[i] = exc
             continue
         if evaluator.mode == "closed_form":

@@ -8,12 +8,15 @@ on ``[ell, inf)``.  Three kinds are supported:
   ``|q(ell)| <= 1e305``, the largest the numeric sweeps handle, with ell^2
   a normal float;
 * ``sampled`` -- tabulated (x, q) pairs, interpolated piecewise-cubically and
-  held constant beyond the last grid point (documented limitation);
+  held constant beyond the last grid point (documented limitation): scipy
+  builds only the not-a-knot spline's coefficients, and every value of q is
+  this module's own sum of a spline piece;
 * ``expression`` -- an arbitrary callable ``x -> q(x)``.
 
 One chain over the kind, in ``Potential.__post_init__``, validates a
 potential and sets every fact the solvers read of it: ``scalar_q`` and
-``array_q`` (q of a float and of an array), ``closed_form`` (m_inf in
+``array_q`` (q of a float and of an array; only the Bessel kind writes q
+for arrays, the others map their scalar q), ``closed_form`` (m_inf in
 closed form, :func:`half_integer_bessel_m` for a half-integer Bessel nu,
 else None), ``knots``, ``analytic``, ``rays``, ``stacks`` and ``stage_q``.  A new kind,
 or a new fact of a kind, goes into that chain.
@@ -54,6 +57,11 @@ def sqrt_upper(z: complex) -> complex:
     return -w if w.imag < 0 else w
 
 
+def _each_value(scalar_q, x: np.ndarray) -> np.ndarray:
+    """q of an array as ``scalar_q`` of each value, in row order, so the first bad x raises."""
+    return np.array([scalar_q(v) for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
+
+
 def _half_integer(nu: float) -> bool:
     """Whether nu - 1/2 is a non-negative integer n, to within 1e-12."""
     return round(nu - 0.5) >= 0 and abs(nu - 0.5 - round(nu - 0.5)) <= 1e-12
@@ -92,9 +100,11 @@ class Potential:
       its value is finite; the Bessel kind is finite for x >= ell > 0, and
       is the constant 0 when nu = 1/2, also at x = ell = 0; the sampled
       kind's spline of finite values is finite;
-    * ``array_q``, q as a callable of an ndarray, elementwise, with the
-      expression kind's own finiteness check; a sampled q of a float equals
-      its array call bit for bit;
+    * ``array_q``, q as a callable of an ndarray, elementwise: the Bessel
+      kind's own numpy call, and on the other kinds ``scalar_q`` of each
+      value in row order, so an array call equals the scalar calls bit for
+      bit and the first bad x raises.  No sweep makes such a call on those
+      kinds, which sweep one z at a time;
     * ``closed_form``, m_inf as a callable of z,
       ``partial(half_integer_bessel_m, nu, ell)`` for a Bessel potential
       with half-integer nu (the free potential included), else None;
@@ -133,7 +143,7 @@ class Potential:
             raise DomainError(f"unknown potential kind {self.kind!r}")
         if not math.isfinite(self.ell) or self.ell < 0:
             raise DomainError(f"ell must be finite and >= 0, got {self.ell}")
-        c, knots, closed_form = 0.0, (), None
+        c, knots, closed_form, array_q = 0.0, (), None, None
         if self.kind == "bessel":
             if self.nu is None or not (0.0 < self.nu < math.inf):
                 raise DomainError(f"bessel potential requires a finite nu > 0, got {self.nu}")
@@ -172,16 +182,17 @@ class Potential:
                 raise DomainError("sampled potential values must be finite")
             object.__setattr__(self, "grid", grid)
             object.__setattr__(self, "values", values)
-            # scipy is imported only here: the other kinds run on numpy alone
+            # scipy is imported only here, for the spline's coefficients: the
+            # other kinds run on numpy alone
             from scipy.interpolate import CubicSpline
-            spline = CubicSpline(grid, values)
             knots = tuple(grid.tolist())
-            pieces, end, last = spline.c.T.tolist(), knots[-1], float(values[-1])
+            pieces, end, last = (CubicSpline(grid, values).c.T.tolist(), knots[-1],
+                                 float(values[-1]))
 
             def scalar_q(x):
                 # hold the last tabulated value beyond the grid; inside it, the
-                # spline piece of x summed in the order of scipy's PPoly, so a
-                # scalar call equals the array call bit for bit
+                # spline piece of x summed in the order of scipy's PPoly, so q
+                # equals scipy's spline bit for bit
                 if x >= end:
                     return last
                 i = min(max(bisect_right(knots, x) - 1, 0), len(knots) - 2)
@@ -189,9 +200,6 @@ class Potential:
                 d = x - knots[i]
                 d2 = d * d
                 return c3 + c2 * d + c1 * d2 + c0 * (d2 * d)
-
-            def array_q(x):
-                return np.where(x >= end, last, spline(np.minimum(x, end)))
         elif self.func is None:
             raise DomainError("expression potential requires a callable")
         else:
@@ -203,16 +211,9 @@ class Potential:
                     raise IntegrationError(f"potential {name!r} "
                                            f"returned a non-finite value at x = {x}")
                 return q
-
-            def array_q(x):
-                q = np.array([float(func(xi)) for xi in x.flat]).reshape(x.shape)
-                bad = ~np.isfinite(q)
-                if bad.any():
-                    raise IntegrationError(f"potential {name!r} returned a "
-                                           f"non-finite value at x = {x[bad].flat[0]}")
-                return q
         bessel = self.kind == "bessel"
-        for fact, value in (("scalar_q", scalar_q), ("array_q", array_q),
+        for fact, value in (("scalar_q", scalar_q),
+                            ("array_q", array_q or partial(_each_value, scalar_q)),
                             ("closed_form", closed_form), ("knots", knots),
                             ("analytic", bessel), ("rays", bessel), ("stacks", bessel),
                             ("stage_q", c if c != 0.0 else scalar_q)):

@@ -86,10 +86,11 @@ def _witness(point: complex, value: complex, note: str) -> dict:
 
 
 def _eval_at(f, z: complex) -> complex:
+    """f(z); an error that does not carry its point in ``z`` gets z named in its message."""
     try:
         return complex(f(z))
     except WeylsysError as exc:
-        if exc.args and isinstance(exc.args[0], str) and "at z =" not in exc.args[0]:
+        if exc.z is None and exc.args and isinstance(exc.args[0], str):
             exc.args = (f"{exc.args[0]} (while sampling at z = {complex(z)})",) + exc.args[1:]
         raise
 

@@ -305,6 +305,19 @@ def test_m_eval_pole_error_carries_z(capsys):
     assert "m_alpha" in doc["error"]["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("classify", "--grid", "re=-1e30:-1e29:2", "--mode", "numeric", "--trials", "2"),
+    ("m-eval", "--z=-1e30", "--mode", "numeric"),
+], ids=["classify", "m-eval"])
+def test_a_point_out_of_range_is_named_once_and_carried_in_z(capsys, argv):
+    code, doc, _ = run_json(capsys, *argv)
+    assert code == 3
+    assert doc["error"] == {
+        "type": "DomainError", "z": [-1e30, 0.0],
+        "message": "z = (-1e+30+0j) is out of the numeric range: |z| > 1e+26, "
+                   "beyond the range the sweeps are checked over"}
+
+
 def test_no_arguments_is_a_usage_error(capsys):
     assert main([]) == 2
     capsys.readouterr()

@@ -1317,29 +1317,32 @@ def test_sweeps_are_the_reference_sweep_bit_for_bit(kind, real, nu, ell, span, r
 
 
 def _numpy_first_step(rhs, t0, y0, f0, stop, rtol, atol):
-    """scipy's first-step rule for one Riccati state, its moduli and quotients in numpy.
+    """scipy's first-step rule for a Riccati state or a stack of them, in numpy.
 
-    Its slope probe is taken at stop where t0 + h0 rounds past stop.
+    A stack takes one atol per column.  The smallest first trial over the
+    columns gives one slope probe, taken at stop where t0 + h0 rounds past
+    stop, and the smallest second trial the step.
     """
     span, direction = abs(stop - t0), math.copysign(1.0, stop - t0)
     y0a, f0a = np.atleast_1d(y0), np.atleast_1d(f0)
     scale = atol + rtol * np.abs(y0a)
-    d0, d1 = float((np.abs(y0a) / scale)[0]), float((np.abs(f0a) / scale)[0])
-    h0 = min(span, 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1)
+    d0, d1 = (np.abs(y0a) / scale).tolist(), (np.abs(f0a) / scale).tolist()
+    h0 = min(span, min(1e-6 if a < 1e-5 or b < 1e-5 else 0.01 * a / b
+                       for a, b in zip(d0, d1)))
     t1 = t0 + direction * h0
     f1 = rhs(max(t1, stop) if direction < 0 else min(t1, stop), y0 + direction * h0 * f0)
-    d2 = float((np.abs(np.atleast_1d(f1) - f0a) / scale / h0)[0])
-    h1 = (max(1e-6, 1e-3 * h0) if d1 <= 1e-15 and d2 <= 1e-15
-          else (0.01 / max(d1, d2)) ** (1.0 / 8.0))
+    d2 = (np.abs(np.atleast_1d(f1) - f0a) / scale / h0).tolist()
+    h1 = min(max(1e-6, 1e-3 * h0) if b <= 1e-15 and c <= 1e-15
+             else (0.01 / max(b, c)) ** (1.0 / 8.0) for b, c in zip(d1, d2))
     return min(100.0 * h0, h1, span)
 
 
 @settings(max_examples=100, deadline=None)
 @given(_part(30.0), _part(30.0), _part(1e3), _part(1e3), st.booleans(), st.floats(1e-3, 5.0))
 def test_a_scalar_first_step_is_numpys(yr, yi, zr, zi, real, span):
-    # one Riccati state takes float operations; numpy's complex modulus can
-    # round apart from abs(), so a complex one keeps numpy's, and the step
-    # is the one of the array operations
+    # one Riccati state is a stack of one column, its norms floats; numpy's
+    # complex modulus can round apart from abs(), so a complex one keeps
+    # numpy's, and the step is the one of the array operations
     q = BESSEL.scalar_q
     y0, z = (yr, zr) if real else (complex(yr, yi), complex(zr, zi))
     slope = lambda t, y: q(t) - z - y * y
@@ -1348,6 +1351,42 @@ def test_a_scalar_first_step_is_numpys(yr, yi, zr, zi, real, span):
     ref = _numpy_first_step(slope, 2.0, y0, f0, 2.0 - span, mfunc._RTOL, mfunc._ATOL)
     assert type(ours) is float
     assert repr(ours) == repr(ref)
+    # a one-column ndarray, whose slope is the lone state's, gives its step
+    column = lambda t, y: np.array([slope(t, y.item())])
+    one = mfunc._initial_step(column, 2.0, np.array([y0]), np.array([f0]), 2.0 - span,
+                              mfunc._RTOL, np.array([mfunc._ATOL]))
+    assert repr(one) == repr(ours)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_part(30.0), _part(30.0), _part(1e3), _part(1e3),
+                          st.floats(0.1, 10.0)), min_size=2, max_size=8),
+       st.booleans(), st.floats(1e-3, 5.0))
+def test_a_stack_first_step_is_numpys(columns, real, span):
+    # the smallest first trial over the columns, one slope probe, then the
+    # smallest second trial, each column with its own atol
+    yr, yi, zr, zi, d = (np.array(v) for v in zip(*columns))
+    y0, z = (yr, zr) if real else (yr + 1j * yi, zr + 1j * zi)
+    slope = lambda t, y: BESSEL(t) - z - y * y
+    f0, atol = slope(2.0, y0), d * mfunc._ATOL
+    ours = mfunc._initial_step(slope, 2.0, y0, f0, 2.0 - span, mfunc._RTOL, atol)
+    ref = _numpy_first_step(slope, 2.0, y0, f0, 2.0 - span, mfunc._RTOL, atol)
+    assert type(ours) is float
+    assert repr(ours) == repr(ref)
+
+
+@pytest.mark.parametrize("y0, f0, atol", [
+    (1.0, 1e300, mfunc._ATOL),
+    (1.0 + 1j, 1e300 + 0j, mfunc._ATOL),
+    (np.array([1.0, 2.0]), np.array([1.0, 1e300]), np.array([mfunc._ATOL, mfunc._ATOL])),
+], ids=["float", "complex", "stack"])
+def test_a_first_step_whose_slope_overflows_the_norm_is_zero(y0, f0, atol):
+    # |f0| / scale passes the float range, so h0 = 0: the step is 0.0, with
+    # no slope probe and no RuntimeWarning (an error here)
+    def no_probe(t, y):
+        raise AssertionError("probed")
+
+    assert mfunc._initial_step(no_probe, 2.0, y0, f0, 1.0, mfunc._RTOL, atol) == 0.0
 
 
 def _per_stage_step(q, ell, d, zs, t, t_new, y, f, rtol, atol):

@@ -9,7 +9,7 @@ import pytest
 from weylsys import (DomainError, IntegrationError, MFunctionEvaluator, Potential,
                      load_potential_file, m_infinity, m_infinity_batch, m_infinity_info)
 from weylsys import potentials
-from weylsys.mfunc import half_integer_bessel_m
+from weylsys.mfunc import NAMED_GRIDS, half_integer_bessel_m
 
 
 def test_bessel_values():
@@ -120,13 +120,19 @@ def test_array_call_matches_the_scalar_call(pot):
 def test_sampled_scalar_call_is_the_spline_bit_for_bit():
     # a scalar call sums the spline piece in Python, in the order of scipy's
     # PPoly: at every knot, its float neighbours and random points, below
-    # ell and beyond the grid, it equals the array call exactly
+    # ell and beyond the grid, where the last value is held, it equals
+    # scipy's spline exactly, and so does the array call
+    from scipy.interpolate import CubicSpline
     rng = np.random.default_rng(5)
     grid = np.sort(np.concatenate(([0.5], rng.uniform(0.6, 9.0, 40))))
-    pot = Potential.sampled(grid, np.sin(grid) + 2.0 / grid**2)
+    values = np.sin(grid) + 2.0 / grid**2
+    pot = Potential.sampled(grid, values)
     xs = np.concatenate((grid, np.nextafter(grid, -np.inf), np.nextafter(grid, np.inf),
                          rng.uniform(0.5, 12.0, 500)))
-    assert pot(xs).tolist() == [pot(x) for x in xs.tolist()]
+    spline = np.where(xs >= grid[-1], values[-1],
+                      CubicSpline(grid, values)(np.minimum(xs, grid[-1])))
+    assert [pot(x) for x in xs.tolist()] == spline.tolist()
+    assert pot(xs).tolist() == spline.tolist()
 
 
 def test_array_call_rejects_non_finite_values():
@@ -138,6 +144,19 @@ def test_array_call_rejects_non_finite_values():
     assert pot(np.array([[1.0, 0.5], [2.0, 1.5]])).shape == (2, 2)
     with pytest.raises(IntegrationError, match="x = 4.0"):
         pot(np.array([[1.0, 4.0], [3.0, 1.5]]))
+
+
+def test_no_sweep_calls_q_on_an_array_of_a_table_or_an_expression():
+    # those kinds sweep one z at a time, on their scalar q: over the
+    # classify-default grid no array call is made
+    grid = np.linspace(1.0, 60.0, 400)
+    for pot in (Potential.sampled(grid, 2.0 / grid**2),
+                Potential.expression(lambda x: 2.0 / (x * x), 1.0)):
+        calls = []
+        array_q = pot.array_q
+        object.__setattr__(pot, "array_q", lambda x: calls.append(x.size) or array_q(x))
+        batch = m_infinity_batch(MFunctionEvaluator(pot), NAMED_GRIDS["classify-default"])
+        assert len(batch) == 102 and calls == []
 
 
 def test_sampled_requires_ascending_grid():

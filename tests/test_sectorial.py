@@ -76,11 +76,18 @@ def test_a_sampling_error_names_its_point():
             raise WeylsysError(message)
         return f
 
+    def carrying(z):
+        def f(_):
+            exc = WeylsysError(f"no value at z = {z}")
+            exc.z = z
+            raise exc
+        return f
+
     with pytest.raises(WeylsysError, match=r"^no value \(while sampling at z = 2j\)$"):
         herglotz_test(fail("no value"), [2j])
-    # a message that names its point already is left alone
+    # an error that carries its point in z names it already, and is left alone
     with pytest.raises(WeylsysError, match=r"^no value at z = 3j$"):
-        herglotz_test(fail("no value at z = 3j"), [2j])
+        herglotz_test(carrying(3j), [2j])
 
 
 def test_herglotz_grid_validation():
