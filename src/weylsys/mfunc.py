@@ -740,19 +740,22 @@ def _initial_step(rhs, t0, y0, f0, stop, rtol, atol) -> float:
     """scipy's first DOP853 step from (t0, y0) toward ``stop``, the smallest over the columns.
 
     A Python scalar y0 is a stack of one column.  Each column's norms are
-    Python floats, from numpy's modulus, which for a complex number can
-    round apart from ``abs``: the smallest first trial h0 over the columns
-    gives one slope probe, and the smallest second trial the step.  An
+    Python floats from numpy's modulus, which for a complex number can
+    round apart from ``abs``; a scalar takes it without an array, and a
+    float its ``abs``.  The smallest first trial h0 over the columns gives
+    one slope probe, and the smallest second trial the step.  An
     infinite slope (h0 = 0) gives 0.0.  The trial step h0 is at most
     |stop - t0|, but t0 + h0 can round past stop (to x = 0 from a tiny
     ell); the slope is then probed at stop, so q is never called outside
     the sweep.
     """
     span, direction = abs(stop - t0), math.copysign(1.0, stop - t0)
-    size = lambda v: np.abs(v).ravel().tolist()
-    y0_size = np.abs(y0)
-    scale = (atol + rtol * y0_size).ravel().tolist()
-    d0 = [y / s for y, s in zip(y0_size.ravel().tolist(), scale)]
+    size = lambda v: (np.abs(v).ravel().tolist() if isinstance(v, np.ndarray)
+                      else [float(abs(v) if isinstance(v, float) else np.abs(v))])
+    y0_size = size(y0)
+    atols = atol.ravel().tolist() if isinstance(atol, np.ndarray) else [atol] * len(y0_size)
+    scale = [a + rtol * y for a, y in zip(atols, y0_size)]
+    d0 = [y / s for y, s in zip(y0_size, scale)]
     d1 = [f / s for f, s in zip(size(f0), scale)]
     h0 = min(span, min(1e-6 if a < 1e-5 or b < 1e-5 else 0.01 * a / b
                        for a, b in zip(d0, d1)))
