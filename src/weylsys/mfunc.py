@@ -50,16 +50,17 @@ overestimates it where the terms fall (:func:`_wkb_terms`).
   Off the axis, an exponent below ``ln(1/tol)`` means that the flow
   cannot contract enough (limit-circle behavior, or z too close to
   [0, inf)), and :class:`ConvergenceError` is raised at once.
-  The gap test below is predicted to pass when the start's |u3| at X/2,
-  damped by the exponent over [ell, X/2], is at most
-  ``max(1e-10, tol |sqrt(q(ell) - z)|)``.  Off the axis, for a potential
-  whose q is analytic on [ell, inf) (``Potential.analytic``), the first
-  distance halves while the halved truncation's test is predicted to pass,
-  down to the ladder's lowest rung: the WKB start is far more accurate than
-  an arbitrary one, and at 1e4+i this cuts X - ell from 1,842 to 3.6.  A
-  halving step also needs the WKB terms to fall at the halved midpoint,
-  ``|u3| <= |u2|``: where they no longer fall (near a small ell with a
-  large nu) |u3| can fall short of the start error.  On the negative axis
+  The gap test below is predicted to pass when the start's |u3| at the
+  certified point ``ell + d/2`` of the distance d, damped by the exponent
+  over [ell, ell + d/2], is at most ``max(1e-10, tol |sqrt(q(ell) - z)|)``.
+  Off the axis, for a potential whose q is analytic on [ell, inf)
+  (``Potential.analytic``), the first distance halves while the halved
+  truncation's test is predicted to pass, down to the ladder's lowest
+  rung: the WKB start is far more accurate than an arbitrary one, and at
+  1e4+i this cuts X - ell from 1,842 to 3.6.  A halving step also needs
+  the WKB terms to fall at the halved certified point, ``|u3| <= |u2|``:
+  where they no longer fall (near a small ell with a large nu) |u3| can
+  fall short of the start error.  On the negative axis
   the contraction distance is a few decay lengths, cheap already, and
   stays.  A sampled or general expression potential keeps the contraction
   distance, since a gap measured inside [ell, X] cannot see a kink of q
@@ -81,8 +82,8 @@ overestimates it where the terms fall (:func:`_wkb_terms`).
   first distance once, near ell, where q slows the decay along the ray.
 * Range.  Past ``|z| = 1e26``, the top of the range the sweeps are checked
   over, and within 2048 float spacings of ell, where the lowest
-  truncation's midpoint may round to ell and leave q' no difference step,
-  :class:`DomainError` is raised, naming z, before any solve.  A large m
+  truncation's certified point may round to ell and leave q' no
+  difference step, :class:`DomainError` is raised, naming z, before any solve.  A large m
   is a value, not a pole: ``m_inf = -u(ell)`` divides by nothing.
 * On the real axis a start whose terms do not fall, not
   ``|u3| <= |u2| <= sqrt(q(X) - z)``, and are not negligible beside that
@@ -92,12 +93,27 @@ overestimates it where the terms fall (:func:`_wkb_terms`).
   with the stepper's step-size error, :class:`ConvergenceError` names z and
   the start's terms instead.
 * One DOP853 sweep per truncation also sums ``w = int 2u`` from its stage
-  values and steps exactly onto the midpoint ``X/2 = ell + (X - ell)/2``,
-  where it records u and w.  The start error of the X/2 truncation,
-  ``|u(X/2) - u_start(X/2)|`` with the same start formula at X/2, reaches
-  ell damped by ``|exp(w(X/2) - w(ell))|``; that is the gap between the
-  X/2 and X answers, in u's units, since ``m_inf = -u(ell)``.
-  X - ell doubles only while that gap exceeds ``max(1e-10, tol * |m|)``.
+  values and steps exactly onto the certified point ``c = ell + d/2``,
+  where it records u and w.  The start error of the truncation at c,
+  ``|u(c) - u_start(c)|`` with the same start formula at c, reaches ell
+  damped by ``|exp(w(c) - w(ell))|``; that is the gap between the c and X
+  answers, in u's units, since ``m_inf = -u(ell)``.  d, and with it X,
+  doubles only while that gap exceeds ``max(1e-10, tol * |m|)``.
+* Reference leg.  The leg [c, X] is swept only to give the gap test its
+  value at c, and a sweep costs in proportion to its path: the contracting
+  mode holds DOP853's step near ``|h 2u| = 0.7``, as for any explicit
+  method on a stiff problem (Hairer and Wanner, Solving ODEs II, IV.2).  So
+  the first sweep starts at ``X - ell = d / sqrt 2``, with c at ``s = 1 /
+  sqrt 2`` of [ell, X], where that shorter leg still contracts the start's
+  error tenfold on its own: its WKB exponent ``2 int Re(e sqrt(q - z))``,
+  by the trapezoid rule over the leg's two ends, reaches ln 10, and X lies
+  outside any well (:func:`_certified_marks`).  Elsewhere, and after any
+  doubling, ``X - ell = d`` and c is the midpoint, s = 1/2.  At 1e3+i and
+  1e4+i the leg falls short and X keeps its length; from the short X,
+  1e4+i would fail its first gap test and sweep twice.  On 800 points of
+  the points benchmark (seeds 1 and 2, batches 0 and 1) the short leg cut
+  the RHS calls from 344,551 to 267,430, the largest error over its
+  ``error_bound`` staying 0.013.
 * ``error_bound`` is that gap plus an integration term,
   ``_INTEGRATION_ERROR (_ATOL + _RTOL |u(ell)|)`` with
   ``_INTEGRATION_ERROR = 300``; every m_alpha is the rotation of m_inf,
@@ -164,10 +180,12 @@ a time, each exactly as alone: an expression's q is a Python call per
 value, so its stack would share only the step of its hardest column, and
 a sampled potential's knots fall at a different s in each column.  Column j
 integrates in ``s`` from 1 to 0 along ``x = ell + s d_j``, so it keeps
-its own truncation X_j, midpoint s = 1/2, gap test and ``error_bound``
-exactly as above, and only the columns whose gap fails are doubled and
-swept again.  It carries ``v_j = d_j u_j``, so ``v' = G_j(s) - v^2`` with
-``G_j = d_j^2 (q(ell + s d_j) - z_j)`` and ``int v ds = int u dx``.  A
+its own truncation X_j, certified point (s = 1/sqrt 2 or s = 1/2), gap
+test and ``error_bound`` exactly as above, and only the columns whose gap
+fails are doubled and swept again; a stack that holds both kinds of
+column stops at both points.  It carries ``v_j = d_j u_j``, so
+``v' = G_j(s) - v^2`` with ``G_j = d_j^2 (q(ell + s d_j) - z_j)`` and
+``int v ds = int u dx``.  A
 step's error norm is the largest of the columns' own norms at ``_RTOL``
 and ``|d_j| _ATOL`` (u's tolerances in v's units), so each column has
 exactly the local error control of a sweep of its own.
@@ -186,9 +204,10 @@ along the ray and m = -u(ell) does not change.  Along the ray psi decays
 at the full rate |sqrt z| (2.24 at 5+0.1i) and does not oscillate.  The
 differences of the WKB start are then complex derivatives along the ray
 (:func:`_wkb_terms`), and X_j stays a float, ell plus the path length.
-On the classify stack this takes one sweep of 1,190 RHS calls instead of
-2,400.  Real-axis columns, a column whose ray's first truncation lies
-within 2048 float spacings of ell, and every column where
+On the classify stack this takes one sweep of 1,080 RHS calls; on the
+real axis, from the full first X, it took 2,400.  Real-axis columns, a
+column whose ray's first truncation lies within 2048 float spacings of
+ell, and every column where
 ``x_max / ell > 1e150`` or ``|c| (x_max / ell)^2 > 1e300`` (c of the
 Bessel ``q = c / x^2``), where the scaled state of a ray could leave the
 floats (:func:`_directions`), stay on the real axis.
@@ -216,8 +235,9 @@ the distance or error of its own sizing: one potential call for the
 wells, one for the ladders, each column's along its own path (the real
 axis, or its ray), whose exponents decide the errors and damp the
 predictions, and one for the WKB terms on their rungs (:func:`_ladders`).
-A round's starts at X and X/2 are one array call each.  One column keeps
-the scalar sizing, starts and sweep, on the real axis or on its ray,
+A round's starts at X and at the certified points are one array call
+each, and so are the q values at the ends of the first round's legs.  One
+column keeps the scalar sizing, starts and sweep, on the real axis or on its ray,
 since the array pass costs one column two to four times as much; so does
 the last column still open in a later round.  On a ray the scalar pass
 takes the five samples of q behind each WKB term in one array call, as
@@ -341,6 +361,8 @@ _DIFF_STEP = 1e-4             # difference step of q', q'' and q''', in units of
 _Z_MAX = 1e26                 # the top of the |z| range the sweeps are checked over
 _TOP_RUNG = 12                # the sizing's last rung, ell + 2 d: a first X - ell <= 8 d
 _LONE_RAY = 0.45              # a lone z rides its ray where Im sqrt(z) <= this |sqrt z|
+_SHORT_MARK = 2.0 ** -0.5     # s of the certified point of a short first X; its X - ell / dist
+_LEG_CONTRACTION = math.log(10.0)   # the exponent a short first X's reference leg must reach
 
 
 def check_tol(tol: float) -> None:
@@ -940,7 +962,8 @@ def _leave_well(potential: Potential, z: complex, dist: float, q: float, x_max: 
 
 def _range_error(z: complex, dist: float, ell: float, tol: float) -> DomainError | None:
     """The DomainError of a z out of the numeric range (module docstring), or None."""
-    # dist/4096 above half a float spacing keeps the lowest midpoint, dist/1024, off ell
+    # dist/4096 above half a float spacing keeps the lowest certified point,
+    # dist/1024, off ell
     huge = abs(z) > _Z_MAX
     if huge or ell + dist / 4096.0 == ell:
         why = (f"|z| > {_Z_MAX:g}, beyond the range the sweeps are checked over" if huge
@@ -1040,9 +1063,9 @@ def _halve_then_double(potential: Potential, z: complex, dist: float, tol: float
     ``exponent`` is the WKB exponent along the column's path (the real
     axis, or its ray) up to x_max, ``k_ell = sqrt(q(ell) - z)`` and
     ``predict(i)`` gives, at rung i of the same ladder (rung 10 is the
-    midpoint ``ell + dist/2``), the gap test's predicted X/2 term
+    certified point ``ell + dist/2``), the gap test's predicted term
     ``|u3| e^-exponent`` and whether the WKB terms still fall there,
-    ``|u3| <= |u2|``.  A halving step needs both at the halved midpoint.
+    ``|u3| <= |u2|``.  A halving step needs both at the halved certified point.
     The doubling reads rungs up to ``_TOP_RUNG`` only, so X - ell ends at
     most 8 dist; past it the sweep's own gap test doubles X.
     """
@@ -1077,16 +1100,17 @@ def _first_distances(potential: Potential, zs: list[complex], tol: float,
 
     The contraction distance, doubled on the real axis while q(X) - z <= 0
     there, and off it checked against the WKB exponent along the column's
-    path up to x_max, before any solve.  The gap test's X/2 term is
-    predicted from the start's last kept term |u3| at X/2
-    (:func:`_wkb_terms`), damped by the exponent over [ell, X/2].  Off the axis, on an analytic potential
-    (``Potential.analytic``), the distance halves while that prediction
-    passes for the halved truncation and the WKB terms still fall at its
-    midpoint, |u3| <= |u2|, down to the ladder's lowest rung.  Then it
-    doubles while the prediction fails.  Out of the numeric range the
-    error is DomainError.  A column whose direction (:func:`_directions`)
-    is a ray is sized along it instead: its X - ell is a path length, and
-    its contraction distance, exponent, error and predictions are the ray's.
+    path up to x_max, before any solve.  The gap test's term is predicted
+    from the start's last kept term |u3| at the certified point ell + d/2
+    (:func:`_wkb_terms`), damped by the exponent up to it.  Off the axis,
+    on an analytic potential (``Potential.analytic``), the distance halves
+    while that prediction passes for the halved truncation and the WKB
+    terms still fall at its certified point, |u3| <= |u2|, down to the
+    ladder's lowest rung.  Then it doubles while the prediction fails.  Out
+    of the numeric range the error is DomainError.  A column whose
+    direction (:func:`_directions`) is a ray is sized along it instead: its
+    X - ell is a path length, and its contraction distance, exponent, error
+    and predictions are the ray's.
 
     One z takes the scalar pass, on the real axis or on its ray, and the
     z of a stack (``Potential.stacks``) the array pass (module
@@ -1112,22 +1136,27 @@ def _first_distances(potential: Potential, zs: list[complex], tol: float,
         error = _range_error(z, dist, ell, tol)
         if error is not None:
             return [error]
-        # rung 0 is ell and rung i >= 1 is ell + dist 2^(i - 11) e, as _ladders sums them
-        xs, step = [ell], dist / 1024.0
+        # rung 0 is ell and rung i >= 1 is ell + dist 2^(i - 11) e, as _ladders
+        # sums them.  The predictions read rungs up to _TOP_RUNG, and the
+        # exponent, which only grows, decides an off-axis error alone: so the
+        # ladder stops once both are settled, and a failing z sums every rung
+        k_ell = cmath.sqrt(potential(ell) - z)
+        xs, exponents, rate, step = [ell], [0.0], abs((e * k_ell).real), dist / 1024.0
         while ell + step <= x_max:
-            xs.append(ell + step * e)
+            x = ell + step * e
+            next_rate = abs((e * cmath.sqrt(potential(x) - z)).real)
+            exponents.append(exponents[-1] + abs(x - xs[-1]) * (rate + next_rate))
+            xs.append(x)
+            rate = next_rate
             step *= 2.0
-        roots = [cmath.sqrt(potential(x) - z) for x in xs]
-        rates = [abs((e * root).real) for root in roots]
-        exponents = [0.0]
-        for a, b, ra, rb in zip(xs, xs[1:], rates, rates[1:]):
-            exponents.append(exponents[-1] + abs(b - a) * (ra + rb))
+            if len(xs) > _TOP_RUNG and (z.imag == 0.0 or exponents[-1] >= target):
+                break
 
         def predict(i):
             _, _, next_last, last = _wkb_terms(potential, xs[i], z)
             return last * math.exp(-exponents[i]), last <= next_last
 
-        return [_halve_then_double(potential, z, dist, tol, x_max, exponents[-1], roots[0],
+        return [_halve_then_double(potential, z, dist, tol, x_max, exponents[-1], k_ell,
                                    predict)]
     out: list = [_contraction_distance(z, e, target) for z, e in zip(zs, directions)]
     real = [j for j, z in enumerate(zs) if z.imag == 0.0]
@@ -1154,36 +1183,38 @@ def _first_distances(potential: Potential, zs: list[complex], tol: float,
     return out
 
 
-def _sweep(potential: Potential, zq: list, tops: list[float],
-           starts: list) -> tuple[list, list]:
+def _sweep(potential: Potential, zq: list, tops: list[float], starts: list,
+           marks: list[float]) -> tuple[list, list]:
     """One DOP853 sweep of ``u' = q - z - u^2`` per column, with ``w = int 2u``.
 
     Column j runs from ``u = starts[j]``, ``w = 0`` at ``tops[j]`` down to
     ell: X_j, or the complex end of a ray.  Returns (u, w), each a list of
-    (midpoint value, ell value) pairs, one per column, with the midpoint
-    ``ell + (X - ell)/2``.  A ray's column runs in ``s = (x - ell)/d_j``,
-    ``d_j = X_j - ell``, from 1 to 0, stopping at 1/2, in the scaled state
-    ``v = d_j u``, so ``v' = G_j(s) - v^2`` with ``G_j = d_j^2 (q(ell + s
-    d_j) - z_j)``.  One column runs on a scalar state: on the real axis in
+    (certified-point value, ell value) pairs, one per column, with the
+    certified point ``ell + marks[j] (X - ell)``, at s = 1/2 or s = 1/sqrt 2
+    (:func:`_riccati_batch`).  A ray's column runs in ``s = (x - ell)/d_j``,
+    ``d_j = X_j - ell``, from 1 to 0, stopping at its mark, in the scaled
+    state ``v = d_j u``, so ``v' = G_j(s) - v^2`` with ``G_j = d_j^2 (q(ell +
+    s d_j) - z_j)``.  One column runs on a scalar state: on the real axis in
     x, stopping also on every knot of a sampled potential, so no step
     crosses a jump of a derivative of q; on its ray in s, with the Bessel
     ``G = c / (s + e)^2 - Z``, ``e = ell / d`` and ``Z = d^2 z``, written
     into its stages (:func:`_scalar_stages`).  Several run in s with a
-    numpy right-hand side, each column on its own path.
+    numpy right-hand side, each column on its own path, and stop at every
+    mark the stack holds.
     """
     ell = potential.ell
     if len(zq) == 1:
-        (z,), (top,), (start,) = zq, tops, starts
+        (z,), (top,), (start,), (mark,) = zq, tops, starts, marks
         if isinstance(top, complex):
             d = top - ell
             c = _ray_c(potential)
             # with c = 0 (free) G = -Z for any e: e = 1 keeps 1/(s + e)
             # finite at s = 0 when ell = 0
-            sol = _dop853((c, ell / d if c else 1.0, d * d * z), 1.0, d * start, [0.5, 0.0],
+            sol = _dop853((c, ell / d if c else 1.0, d * d * z), 1.0, d * start, [mark, 0.0],
                           _RTOL, abs(d) * _ATOL)
             return [(sol.y[0] / d, sol.y[1] / d)], [(2.0 * sol.integral[0],
                                                     2.0 * sol.integral[1])]
-        mid = ell + 0.5 * (top - ell)
+        mid = ell + mark * (top - ell)
         stops = sorted({mid, ell, *[x for x in potential.knots if ell < x < top]},
                        reverse=True)
         sol = _dop853((potential.stage_q, z), top, start, stops, _RTOL, _ATOL)
@@ -1193,9 +1224,41 @@ def _sweep(potential: Potential, zq: list, tops: list[float],
     d = np.array(tops) - ell
     d2 = d * d
     zs = np.array(zq)
+    stops = sorted(set(marks), reverse=True) + [0.0]
     sol = _dop853((lambda s: d2 * (potential(ell + np.multiply.outer(s, d)) - zs), d), 1.0,
-                  d * np.array(starts), [0.5, 0.0], _RTOL, _ATOL)
-    return (list(zip(*(v / d for v in sol.y))), list(zip(*(2.0 * w for w in sol.integral))))
+                  d * np.array(starts), stops, _RTOL, _ATOL)
+    us = [v / d for v in sol.y]
+    at = [stops.index(mark) for mark in marks]
+    return ([(us[i][j], us[-1][j]) for j, i in enumerate(at)],
+            [(2.0 * sol.integral[i][j], 2.0 * sol.integral[-1][j]) for j, i in enumerate(at)])
+
+
+def _certified_marks(potential: Potential, zq: list, directions: list,
+                     dists: list[float]) -> list[float]:
+    """The certified point s of each first-round column: 1/sqrt 2 where its leg contracts, else 1/2.
+
+    The certified point stays ``ell + dist/2``, dist the first distance
+    (:func:`_first_distances`).  A column starts at ``X - ell = dist /
+    sqrt 2``, with that point at ``s = 1/sqrt 2``, where the reference leg
+    from it out to X still contracts the start's error tenfold on its own:
+    its WKB exponent ``2 int Re(e sqrt(q - z))``, a trapezoid over the leg's
+    two ends, reaches ln 10, and X lies outside any well, ``Re(e sqrt(q(X)
+    - z)) > 0``.  Elsewhere X - ell stays dist, with the point at s = 1/2.
+    A stack takes q at both ends in one array call.
+    """
+    ell = potential.ell
+    ends = [[ell + 0.5 * d * e, ell + _SHORT_MARK * d * e] for d, e in zip(dists, directions)]
+    if len(ends) > 1:
+        # complex, so a real column in a well of q takes an imaginary root
+        roots = np.sqrt(potential(np.array(ends)) - np.array(zq, complex)[:, None]).tolist()
+    else:
+        roots = [[cmath.sqrt(potential(x) - zq[0]) for x in ends[0]]]
+    marks = []
+    for d, e, (root_mid, root_top) in zip(dists, directions, roots):
+        rate_mid, rate_top = abs((e * root_mid).real), abs((e * root_top).real)
+        leg = (_SHORT_MARK - 0.5) * d * (rate_mid + rate_top)
+        marks.append(_SHORT_MARK if rate_top > 0.0 and leg >= _LEG_CONTRACTION else 0.5)
+    return marks
 
 
 def _naming_z(outcome, z):
@@ -1217,9 +1280,13 @@ def _riccati_batch(potential: Potential, zs: list[complex], tol: float) -> list:
 
     The value is ``m_inf = -u(ell)``, and its gap and integration term are
     in u's units (module docstring); every m_alpha is its rotation
-    (:func:`rotate_evaluation`).  Every truncation round sweeps the columns
-    still open in one :func:`_sweep`; a column whose gap fails doubles its
-    X - ell and joins the next round.  An off-axis column sweeps its ray where
+    (:func:`rotate_evaluation`).  Each column keeps the certified point
+    ``ell + d/2`` of its distance d.  In the first round X - ell is d /
+    sqrt 2 where the reference leg out from that point contracts tenfold
+    (:func:`_certified_marks`), else d.  Every truncation round sweeps the
+    columns still open in one :func:`_sweep`, each stopping at its
+    certified point; a column whose gap fails doubles d, takes X - ell = d,
+    and joins the next round.  An off-axis column sweeps its ray where
     :func:`_directions` allows; X is then ell plus the path length, a float.
     A round of one column, alone or the last one open, takes the scalar
     sweep, on the real axis or on its ray.  Only a potential that
@@ -1250,7 +1317,11 @@ def _riccati_batch(potential: Potential, zs: list[complex], tol: float) -> list:
                 settle(j, d)
             else:
                 dist[j] = d
-        top = {j: min(ell + d, x_max) for j, d in dist.items()}
+        mark = dict(zip(dist, _certified_marks(
+            potential, [zq[j] for j in dist], [directions[j] for j in dist],
+            list(dist.values())))) if dist else {}
+        # the certified point ell + dist/2 lies at s = mark of [ell, X]
+        top = {j: min(ell + 0.5 * d / mark[j], x_max) for j, d in dist.items()}
         while dist:
             cols, ends, starts, loose = [], [], [], {}
             # X, or on a ray its complex end
@@ -1275,20 +1346,23 @@ def _riccati_batch(potential: Potential, zs: list[complex], tol: float) -> list:
                 starts.append(u_start.real if real[j] else u_start)
             if not cols:
                 break
-            us, ws = _sweep(potential, [zq[j] for j in cols], ends, starts)
-            mids = _wkb_starts(potential, [ell + 0.5 * (end - ell) for end in ends],
+            marks = [mark[j] for j in cols]
+            us, ws = _sweep(potential, [zq[j] for j in cols], ends, starts, marks)
+            mids = _wkb_starts(potential, [ell + s * (end - ell) for s, end in zip(marks, ends)],
                                [zq[j] for j in cols])
-            for j, (u_half, u), (w_half, w), (_, u_mid, _, _) in zip(cols, us, ws, mids):
+            for j, (u_mid, u), (w_mid, w), (_, u_start, _, _) in zip(cols, us, ws, mids):
                 if real[j]:
-                    u_half, u = u_half.real, u.real
-                # the X/2 truncation's start error, carried to ell by the flow
-                damping = math.exp(min((w_half - w).real, 700.0))
-                gap = abs(u_half - u_mid) * damping
+                    u_mid, u = u_mid.real, u.real
+                # the start error of the truncation at the certified point, carried
+                # to ell by the flow
+                damping = math.exp(min((w_mid - w).real, 700.0))
+                gap = abs(u_mid - u_start) * damping
                 if gap <= max(_GAP_FLOOR, tol * abs(u)):
                     step_error = _INTEGRATION_ERROR * (_ATOL + _RTOL * abs(u))
                     settle(j, (complex(-u), top[j], float(gap + step_error)))
                     continue
                 dist[j] *= 2.0
+                mark[j] = 0.5
                 top[j] = ell + dist[j]
                 if top[j] > x_max:
                     settle(j, ConvergenceError(
@@ -1320,8 +1394,11 @@ class MEvaluation(NamedTuple):
     """A single m-function value plus the diagnostics of its computation.
 
     ``value`` is a Python complex and ``error_bound`` a Python float: the
-    gap of the X/2 truncation plus the integration term (module docstring)
-    on the numeric path, and 0 for closed forms.  ``path`` names the
+    gap of the truncation at the certified point ``ell + d/2`` plus the
+    integration term (module docstring) on the numeric path, and 0 for
+    closed forms.  ``truncation_X`` is the X of the sweep that settled:
+    ``ell + d / sqrt 2`` from a first sweep whose reference leg contracts
+    tenfold, else ``ell + d``, ell plus the path length on a ray.  ``path`` names the
     half-plane for the same sweep: ``"weyl-disk"`` off the real axis (the
     name of the integrator it replaced, which the benchmark's spans key
     on), ``"riccati"`` on the negative axis, or ``"closed-form"``.  A named
@@ -1343,8 +1420,9 @@ class MFunctionEvaluator:
     :func:`half_integer_bessel_m`, for a Bessel potential with half-integer
     nu, the free potential nu = 1/2 among them (any ell > 0, and ell = 0 too
     when nu = 1/2).  ``tol`` is the truncation tolerance of
-    the numeric path: it sizes the first X, and the gap of the X/2
-    truncation must fall to ``max(1e-10, tol * |m|)``.
+    the numeric path: it sizes the first distance d, and the gap of the
+    truncation at the certified point ``ell + d/2`` must fall to
+    ``max(1e-10, tol * |m|)``.
     All operations are pure, so concurrent use from several threads is safe.
     """
 

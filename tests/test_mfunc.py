@@ -203,7 +203,7 @@ def test_disk_error_bound_is_honest():
 
 def test_disk_radius_contracts_with_truncation():
     # a tighter tol needs a larger truncation X, where the bound (the gap of
-    # the X/2 truncation plus the integration term) is smaller
+    # the truncation at the certified point plus the integration term) is smaller
     infos = [m_infinity_info(MFunctionEvaluator(BESSEL, tol=tol), 1j)
              for tol in (1e-4, 1e-6, 1e-10)]
     assert all(b.truncation_X > a.truncation_X for a, b in zip(infos, infos[1:]))
@@ -336,38 +336,160 @@ def test_classify_batch_takes_one_sweep(monkeypatch):
     # twice (the first-order start took 4,771 RHS calls in two sweeps).  The
     # off-axis columns sweep their rays, where psi decays at the rate
     # |sqrt z| without oscillating, so the near-axis ones no longer set the
-    # shared step (2,400 calls on the real axis, 1,190 on the rays)
+    # shared step (2,400 calls on the real axis, 1,190 on the rays).  Most
+    # first X start at d/sqrt 2, where the leg out from the certified point
+    # ell + d/2 contracts tenfold, and the sweep takes 1,080
     zs = (list(NAMED_GRIDS["classify-default"]) + list(mfunc.MINUS_ZERO_LADDER)
           + list(mfunc.MINUS_INFINITY_LADDER))
     nfev = _counting_stepper(monkeypatch)
     batch = m_infinity_batch(NUMERIC, zs)
-    assert len(nfev) == 1 and nfev[0] <= 1_300
+    assert len(nfev) == 1 and nfev[0] <= 1_100
     for z, info in zip(zs, batch):
         assert abs(info.value - bessel_m_closed_form(z)) <= info.error_bound
 
 
 def test_only_an_analytic_potential_shrinks_its_first_x():
     # the gap test cannot see a feature of q beyond X, so an expression
-    # keeps the contraction distance that the Bessel kind shrinks below
+    # keeps the contraction distance that the Bessel kind shrinks below: its
+    # certified point, ell + dist/2, lies half the contraction distance out,
+    # at s = 1/sqrt 2 of [ell, X] since its reference leg contracts tenfold
     z = 5.0 + 0.1j
     contraction = math.log(1e8) / (2.0 * sqrt_upper(z).imag)
     expression = Potential.expression(lambda x: 2.0 / x**2, ell=1.0, label="2/x^2")
     general = m_infinity_info(MFunctionEvaluator(expression), z)
     analytic = m_infinity_info(MFunctionEvaluator(Potential.bessel(1.5, 1.0)), z)
-    assert general.truncation_X - 1.0 >= contraction
+    certified = mfunc._SHORT_MARK * (general.truncation_X - 1.0)
+    assert certified == pytest.approx(contraction / 2.0, rel=1e-14)
     assert analytic.truncation_X < general.truncation_X
 
 
 def test_negative_axis_truncations_do_not_shrink():
     # the shrink applies off the real axis only, so the default grid's
     # negative reals and -1e4 (where a shrink would cut X - ell to 0.0058)
-    # keep their contraction distance ell + ln(1/tol)/(2 sqrt|z|), bit for
-    # bit: the third-order WKB start passes the gap test there at once
+    # keep their contraction distance d = ln(1/tol)/(2 sqrt|z|): the
+    # certified point ell + d/2 lies at s = 1/sqrt 2 of [ell, X], bit for
+    # bit, since the reference leg contracts tenfold there, and the
+    # third-order WKB start passes the gap test at once
     zs = list(NAMED_GRIDS["default"]) + [-1e4]
     batch = m_infinity_batch(NUMERIC, zs)
-    assert [info.truncation_X for z, info in zip(zs, batch) if z.imag == 0.0] == [
-        292.2565360084721, 93.10340371976183, 30.125653600847205, 10.210340371976184,
-        3.9125653600847206, 1.9210340371976184, 1.092103403719762]
+    negative = [z for z in zs if z.imag == 0.0]
+    assert len(negative) == 7
+    for z in negative:
+        contraction = math.log(1.0 / NUMERIC.tol) / (2.0 * sqrt_upper(z).imag)
+        assert batch.at(z).truncation_X == 1.0 + 0.5 * contraction / mfunc._SHORT_MARK
+
+
+def _leg_contracts(potential, z, direction, dist):
+    """Whether the leg from ell + dist/2 to ell + dist/sqrt 2 contracts by 1/10 or more.
+
+    Its WKB exponent ``2 int Re(e sqrt(q - z))`` is summed by the trapezoid
+    rule over the two ends, and X must lie outside any well of q.
+    """
+    rates = [abs((direction * cmath.sqrt(potential(potential.ell + s * dist * direction) - z))
+                 .real) for s in (0.5, 2.0 ** -0.5)]
+    return rates[1] > 0.0 and (2.0 ** -0.5 - 0.5) * dist * sum(rates) >= math.log(10.0)
+
+
+@pytest.mark.parametrize("zs, short", [
+    ([-1.0], [True]), ([1j], [True]), ([5.0 + 0.1j], [True]), ([100.0 + 1j], [True]),
+    ([1000.0 + 1j], [False]), ([1e4 + 1j], [False]),
+    ([-0.01, 2.0 - 0.5j, 1000.0 + 1j, 1e4 + 1j], [True, True, False, False]),
+], ids=["-1", "i", "5+0.1i", "100+i", "1000+i", "1e4+i", "stack"])
+def test_a_first_x_is_short_where_its_reference_leg_contracts_tenfold(monkeypatch, zs, short):
+    # the certified point is ell + dist/2, dist the first distance; the
+    # first X - ell is dist/sqrt 2, the point at s = 1/sqrt 2, where the
+    # leg out to X contracts the start's error tenfold, and dist elsewhere.
+    # A stack that holds both kinds stops at s = 1/sqrt 2 and at s = 1/2
+    tol = NUMERIC.tol
+    directions = mfunc._directions(BESSEL, zs, tol)
+    x_max = mfunc._X_MAX_FACTOR * max(BESSEL.ell, 1.0)
+    dists = mfunc._first_distances(BESSEL, zs, tol, x_max, directions)
+    stops = []
+    stepper = mfunc._dop853
+
+    def recording_stepper(rhs, t0, y0, stop_list, rtol, atol):
+        stops.append(list(stop_list))
+        return stepper(rhs, t0, y0, stop_list, rtol, atol)
+
+    monkeypatch.setattr(mfunc, "_dop853", recording_stepper)
+    batch = m_infinity_batch(NUMERIC, zs)
+    assert len(stops) == 1      # every column settles in the first round
+    for z, e, dist, expected, info in zip(zs, directions, dists, short, batch):
+        assert _leg_contracts(BESSEL, z, e, dist) is expected
+        first = dist * 2.0 ** -0.5 if expected else dist
+        assert info.truncation_X - 1.0 == pytest.approx(first, rel=1e-14)
+        assert abs(info.value - bessel_m_closed_form(z)) <= info.error_bound
+    if len(zs) > 1:
+        assert stops == [[mfunc._SHORT_MARK, 0.5, 0.0]]
+
+
+def test_high_energy_first_x_keeps_its_length():
+    # at 1000+i and 1e4+i the leg out from ell + dist/2 would not contract
+    # tenfold, so X - ell stays dist, which keeps their accuracy: the 1e-10
+    # and 2.5e-10 of test_complex_cost_follows_the_decay_length
+    for z, first in ((1000.0 + 1j, 0.1456), (1e4 + 1j, 2.878e-3)):
+        assert m_infinity_info(NUMERIC, z).truncation_X - 1.0 == pytest.approx(first, rel=1e-3)
+
+
+def test_a_short_x_in_a_well_of_q_keeps_the_full_distance():
+    # at z = -0.5 on q = 1 - 3 exp(-((x - 10.21)/0.3)^2) the leg out from
+    # ell + d/2 reaches ln 10 on the rate at its inner end alone, but the
+    # short X = ell + d/sqrt 2 = 10.21 lies in the well, q(X) - z = -1.5,
+    # where no WKB start exists: X - ell stays d, outside the well, and the
+    # sweep gives m = sqrt(q - z) = sqrt(1.5) of the tail
+    well = Potential.expression(lambda x: 1.0 - 3.0 * math.exp(-((x - 10.21) / 0.3) ** 2),
+                                1.0, label="well")
+    info = m_infinity_info(MFunctionEvaluator(well), -0.5)
+    contraction = math.log(1.0 / NUMERIC.tol) / (2.0 * math.sqrt(0.5))
+    assert info.truncation_X == pytest.approx(1.0 + contraction, rel=1e-14)
+    assert abs(info.value - math.sqrt(1.5)) <= info.error_bound
+
+
+def test_a_stacked_leg_in_a_well_of_q_writes_no_warning():
+    # at tol 0.5 both ends of the first legs of -1 and -2 on bessel(0.05,
+    # 1e-3) lie in the well q - z < 0 near ell, where the stack's roots are
+    # imaginary: numpy writes no RuntimeWarning (an error here), neither leg
+    # contracts, and each column ends as it does alone
+    ev = MFunctionEvaluator(Potential.bessel(0.05, 1e-3), tol=0.5)
+    zs = [-1.0, -2.0]
+    for z, info in zip(zs, m_infinity_batch(ev, zs)):
+        alone = m_infinity_info(ev, z)
+        assert info.truncation_X == alone.truncation_X
+        assert abs(info.value - _bessel_m_oracle(0.05, 1e-3, z)) <= info.error_bound
+
+
+def test_seeded_hankel_scan_keeps_every_bound():
+    # lone z and stacks of four on Bessel potentials with nu in (0.05, 8) and
+    # ell in (0.1, 4), |z| from 1e-3 to 1e4: both half-planes, near the
+    # positive axis, and the negative axis, at tol from 1e-12 to 1e-8.  No
+    # value strays past its error_bound from the Hankel oracle, whether its
+    # first X was shortened or not
+    rng = np.random.default_rng(20261041)
+    shortened = 0
+    for i in range(400):
+        nu, ell = rng.uniform(0.05, 8.0), rng.uniform(0.1, 4.0)
+        tol = 10.0 ** rng.uniform(-12.0, -8.0)
+        zs = []
+        for kind in rng.permutation(4):
+            r = 10.0 ** rng.uniform(-3.0, 4.0)
+            sign = rng.choice([-1.0, 1.0])
+            if kind == 0:
+                zs.append(complex(-r))
+            elif kind == 1:
+                zs.append(cmath.rect(r, sign * 10.0 ** rng.uniform(-6.0, -1.0)))
+            else:
+                zs.append(cmath.rect(r, sign * rng.uniform(0.1, math.pi - 1e-3)))
+        ev = MFunctionEvaluator(Potential.bessel(nu, ell), tol=tol)
+        infos = [m_infinity_info(ev, zs[0])] + (list(m_infinity_batch(ev, zs)) if i % 8 == 0
+                                                else [])
+        for z, info in zip(zs[:1] + zs, infos):
+            assert abs(info.value - _bessel_m_oracle(nu, ell, z)) <= info.error_bound, (
+                nu, ell, z, tol)
+        directions = mfunc._directions(ev.potential, zs[:1], tol)
+        x_max = mfunc._X_MAX_FACTOR * max(ell, 1.0)
+        (dist,) = mfunc._first_distances(ev.potential, zs[:1], tol, x_max, directions)
+        shortened += infos[0].truncation_X - ell < dist
+    assert shortened >= 200
 
 
 def test_first_sweep_is_rarely_thrown_away(monkeypatch):
@@ -570,12 +692,13 @@ def _raises_its_own_error(batch, z, error, alone):
 
 
 def test_a_failed_stacked_sizing_sizes_each_z_alone():
-    # a hole at rung 14 of the ladder of z = -1, ell + 8 d with the
-    # contraction distance d = ln(1/tol) / 2, fails the sizing of z = -1.
-    # An expression batch sizes and sweeps each z alone, so only -1 reads
-    # the error.  The potential's error names x, and the batch appends the z
-    # it belongs to, keeping its type
-    rung = 1.0 + 8.0 * (math.log(1.0 / NUMERIC.tol) / 2.0)
+    # a hole at rung 12 of the ladder of z = -1, ell + 2 d with the
+    # contraction distance d = ln(1/tol) / 2, fails the sizing of z = -1:
+    # the sizing builds its ladder up to that top rung, and no sweep reaches
+    # it.  An expression batch sizes and sweeps each z alone, so only -1
+    # reads the error.  The potential's error names x, and the batch appends
+    # the z it belongs to, keeping its type
+    rung = 1.0 + 2.0 * (math.log(1.0 / NUMERIC.tol) / 2.0)
     ev = MFunctionEvaluator(_holed((rung * (1.0 - 1e-12), rung * (1.0 + 1e-12))))
     batch = m_infinity_batch(ev, _HOLED_ZS)
     error = _raises_its_own_error(batch, -1.0, IntegrationError,
@@ -601,13 +724,15 @@ def test_a_failed_start_settles_its_own_column():
 
 
 def test_a_failed_midpoint_settles_its_own_column(monkeypatch):
-    # every midpoint's stencil was evaluated before, when the truncation was
-    # sized, so a q that depends on x alone fails there first: the hole at
-    # the midpoint's X/2 - h of z = -1 opens once the first sweep, that of
-    # -1 alone, is done, and its error settles -1.  An expression batch takes
-    # each z alone, so the others keep their healthy values
+    # the stencil of every certified point c = ell + d/2 was evaluated
+    # before, when the truncation was sized, so a q that depends on x alone
+    # fails there first: the hole at c - h of z = -1 opens once the first
+    # sweep, that of -1 alone, is done, and its error settles -1.  An
+    # expression batch takes each z alone, so the others keep their healthy
+    # values.  The reference leg of -1 contracts tenfold, so c lies at
+    # s = 1/sqrt 2 of [ell, X]
     healthy = m_infinity_batch(MFunctionEvaluator(_holed()), _HOLED_ZS)
-    mid = 1.0 + 0.5 * (healthy[0].truncation_X - 1.0)
+    mid = 1.0 + mfunc._SHORT_MARK * (healthy[0].truncation_X - 1.0)
     h = mfunc._DIFF_STEP * (mid - 1.0)
     swept = []
     sweep = mfunc._sweep
@@ -1529,7 +1654,7 @@ def test_a_shrinking_scale_sweep_rejects_almost_no_step(monkeypatch):
 
 
 @pytest.mark.parametrize("z, attempts, rejected", [
-    (1j, 46, 0), (5.0 + 0.1j, 54, 0), (100.0 + 1j, 26, 0), (1000.0 + 1j, 9, 0),
+    (1j, 36, 0), (5.0 + 0.1j, 42, 0), (100.0 + 1j, 19, 0), (1000.0 + 1j, 9, 0),
 ])
 def test_complex_sweeps_keep_their_step_count(monkeypatch, z, attempts, rejected):
     # the sweep of a complex z runs on float pairs with the Bessel q written
@@ -1537,7 +1662,9 @@ def test_complex_sweeps_keep_their_step_count(monkeypatch, z, attempts, rejected
     # step, so a sweep that changed the step control fails here.  Near the
     # positive axis a lone z sweeps its ray: 5+0.1i, 100+i and 1000+i took
     # 165, 144 and 48 attempts on the real axis.  i, with Im sqrt(z) = 0.71
-    # |sqrt z|, stays there
+    # |sqrt z|, stays there.  The first X of i, 5+0.1i and 100+i starts at
+    # dist/sqrt 2 (46, 54 and 26 attempts from dist); the reference leg of
+    # 1000+i would not contract tenfold, and its X stays
     sweeps = _counting_sweeps(monkeypatch)
     exact = bessel_m_closed_form(z)
     assert abs(m_infinity(NUMERIC, z) - exact) <= 1e-10 * abs(exact)
@@ -1697,25 +1824,29 @@ def test_a_start_whose_terms_are_negligible_is_not_named_the_cause():
 
 def test_a_start_whose_terms_do_not_fall_is_a_convergence_error():
     # on q = 1e-3 (2 + sin x), q' is as large as q - z far out, so the WKB
-    # series does not fall at X; at -1e-6 and -1e-3 the start lies above
+    # series does not fall at X; at -1e-4 and -1e-2 the start lies above
     # +sqrt(q(X) - z), and the backward flow from it runs into a pole, once
-    # the stepper's opaque step-size failure.  The other points succeed with
-    # the values they had before the check (the sweep from a loose start
-    # need not fail: its gap test decides)
-    pot = Potential.expression(lambda x: 1e-3 * (2.0 + math.sin(x)), 1.0, label="sine")
-    ev = MFunctionEvaluator(pot)
+    # the stepper's opaque step-size failure.  The other points succeed (the
+    # sweep from a loose start need not fail: its gap test decides), each
+    # within its bound of a DOP853 reference at rtol 1e-13 whose start lies
+    # 80 decay lengths out, where its error no longer reaches ell
+    q = lambda x: 1e-3 * (2.0 + math.sin(x))
+    ev = MFunctionEvaluator(Potential.expression(q, 1.0, label="sine"))
     zs = [-1e-6, -1e-4, -1e-3, -1e-2, -0.1]
     batch = m_infinity_batch(ev, zs)
-    for z in (-1e-6, -1e-3):
+    for z in (-1e-4, -1e-2):
         with pytest.raises(ConvergenceError, match=r"WKB start at X = \S+ does not fall .* "
                            rf"ran into a pole \(z = {z}\)$"):
             m_infinity_info(ev, z)
         _raises_its_own_error(batch, z, ConvergenceError, lambda: m_infinity_info(ev, z))
-    for z, value in [(-1e-4, 0.04643286261245714), (-1e-2, 0.11023403595095767),
-                     (-0.1, 0.32013939792548596)]:
+    for z in (-1e-6, -1e-3, -0.1):
+        top = 1.0 + 80.0 / math.sqrt(3e-3 - z)
+        ref = solve_ivp(lambda x, u: [q(x) - z - u[0] * u[0]], (top, 1.0),
+                        [-math.sqrt(q(top) - z)], method="DOP853", rtol=1e-13, atol=1e-15)
+        exact = -ref.y[0, -1]
         info = m_infinity_info(ev, z)
-        assert info.value == value
-        assert abs(batch.at(z).value - value) <= batch.at(z).error_bound + info.error_bound
+        assert abs(info.value - exact) <= info.error_bound
+        assert batch.at(z) == info
 
 
 def test_riccati_free_potential():
